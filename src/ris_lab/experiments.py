@@ -21,6 +21,7 @@ import json
 import math
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,14 @@ from .geometry import (
     path_loss,
 )
 from .hardware import HardwareProfile
-from .montecarlo import TrialPlan, estimate_eve_capacity, estimate_nmse, estimate_user_rate
+from .montecarlo import (
+    THREADS_ENV,
+    TrialPlan,
+    estimate_eve_capacity,
+    estimate_nmse,
+    estimate_user_rate,
+    worker_count,
+)
 from .power_alloc import grid_search_xi
 from .precoding import PowerAllocation
 from .rates import (
@@ -164,6 +172,9 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigValidationError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for name, value in data.items():
+            _check_type(name, value, hints[name])
         return cls(**data)
 
     def to_json(self) -> str:
@@ -187,7 +198,10 @@ class ExperimentConfig:
         return self.replace(m=128, n=196, k=6, m_e=4)
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
+        """Hash of every setting that shapes the results; ``out_dir`` does not."""
+        data = self.to_dict()
+        del data["out_dir"]
+        payload = json.dumps(data, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
 
     # -- derived quantities ------------------------------------------------
@@ -229,6 +243,31 @@ class ExperimentConfig:
         sp2 = self.sigma_p2 if sigma_p2 is None else sigma_p2
         kind = "none" if sp2 == 0.0 else self.phase_noise_kind
         return PhaseNoiseModel(kind=kind, sigma_p2=sp2)
+
+
+_JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "a list of numbers", type(None): "null"}
+
+
+def _check_type(name: str, value, hint) -> None:
+    """Reject a config value that does not fit its field annotation.
+
+    An int is accepted where a float is expected; a bool only where a bool
+    is expected; list fields hold numbers.
+    """
+    declared = typing.get_args(hint) or (hint,)
+    allowed = set(declared) | ({int} if float in declared else set())
+    if isinstance(value, bool):
+        fits = bool in allowed
+    else:
+        fits = isinstance(value, tuple(allowed))
+    if isinstance(value, list):
+        fits = fits and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                            for v in value)
+    if not fits:
+        expected = " or ".join(_JSON_NAMES[t] for t in declared)
+        raise ConfigValidationError(f"config field {name!r} must be {expected}, "
+                                    f"got {json.dumps(value)}")
 
 
 def generate_scenario(config: ExperimentConfig, seed: int):
@@ -342,28 +381,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(table: ResultTable, path: str) -> None:
-    """Write the table atomically; identical tables give identical bytes."""
-    if not table.rows:
-        raise InvalidParameterError("refusing to write an empty result table")
+def _write_atomically(path: str, write) -> None:
+    """Call ``write(fh)`` on a temporary file, then rename it onto ``path``."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(table.columns) + "\n")
-            for row in table.rows:
-                if len(row) != len(table.columns):
-                    raise InvalidParameterError("row width does not match header")
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            write(fh)
         os.replace(tmp, path)
     except OSError as exc:
-        raise OSError(f"failed writing CSV to {path}: {exc}") from exc
+        raise OSError(f"failed writing {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
+def emit_csv(table: ResultTable, path: str) -> None:
+    """Write the table atomically; identical tables give identical bytes."""
+    if not table.rows:
+        raise InvalidParameterError("refusing to write an empty result table")
+
+    def write(fh):
+        fh.write(",".join(table.columns) + "\n")
+        for row in table.rows:
+            if len(row) != len(table.columns):
+                raise InvalidParameterError("row width does not match header")
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+    _write_atomically(path, write)
+
+
+def _run_environment() -> dict:
+    """BLAS build and thread settings that a timing depends on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "threads": {var: os.environ.get(var)
+                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", THREADS_ENV)},
+        "worker_count": worker_count(),
+    }
+
+
 def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
-    import numpy
+    """Write the run's manifest atomically, with its environment."""
     import scipy
     manifest = {
         "experiment": table.experiment,
@@ -371,14 +431,18 @@ def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
         "seed": table.meta.get("seed"),
         "rows": len(table.rows),
         "wall_time_s": round(wall_time_s, 3),
-        "versions": {"ris_lab": _pkg_version, "numpy": numpy.__version__,
+        "versions": {"ris_lab": _pkg_version, "numpy": np.__version__,
                      "scipy": scipy.__version__},
+        "environment": _run_environment(),
         "extra": {k: v for k, v in table.meta.items()
                   if k not in ("config_hash", "seed")},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def write(fh):
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+    _write_atomically(path, write)
 
 
 # --------------------------------------------------------------------------

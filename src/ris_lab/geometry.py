@@ -3,7 +3,10 @@
 Builds every deterministic second-order object of the link model
 (BS/RIS spatial correlation, LoS bridge matrix, path losses, aggregate
 covariances seen at the BS) and draws random channel realizations that
-are consistent with those statistics, including RIS phase errors.
+are consistent with those statistics, including RIS phase errors. The
+sampler's correlation and bridge products are single BLAS GEMMs, with the
+block axis folded into the GEMM rows wherever the array layout makes the
+fold free.
 
 Conventions:
   * sinc is the normalized one, sinc(x) = sin(pi x)/(pi x), so
@@ -383,27 +386,42 @@ class ChannelRealization:
     h_e: np.ndarray         # (M, M_E) aggregate Eve channel
 
 
+def _rows_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x @ a.T for a stack of row vectors x (..., n), as a single GEMM.
+
+    The leading axes fold into the GEMM's row dimension; the reshape is
+    free when x is contiguous and a copy otherwise.
+    """
+    return (x.reshape(-1, x.shape[-1]) @ a.T).reshape(*x.shape[:-1], a.shape[0])
+
+
 def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
                         n_draws: int) -> dict:
     """Stacked channel draws; axis 0 is the block index.
 
     Returns a dict with keys theta (B, N), h (B, K, M), h_b (B, K, M),
-    h_i (B, K, N), h_e (B, M, M_E). One phase-error vector is drawn per
-    block and shared by users and the eavesdropper within that block.
+    h_i (B, K, N), h_ie (B, N, M_E), h_be (B, M, M_E), h_e (B, M, M_E).
+    One phase-error vector is drawn per block and shared by users and the
+    eavesdropper within that block.
+
+    Every correlation and bridge product is one GEMM over all blocks at
+    once. The eavesdropper arrays are built antenna-major, (B, M_E, .),
+    so that block and antenna axes fold into the GEMM rows; they are
+    returned as transposed views of that layout.
     """
     dims = stats.dims
     theta = stats.phase_model.draw(rng, (n_draws, dims.n))
 
     g_i = complex_normal(rng, (n_draws, dims.k, dims.n))
     g_b = complex_normal(rng, (n_draws, dims.k, dims.m))
-    g_ie = complex_normal(rng, (n_draws, dims.n, dims.m_e))
-    g_be = complex_normal(rng, (n_draws, dims.m, dims.m_e))
+    g_ie = np.swapaxes(complex_normal(rng, (n_draws, dims.n, dims.m_e)), 1, 2)
+    g_be = np.swapaxes(complex_normal(rng, (n_draws, dims.m, dims.m_e)), 1, 2)
 
     s_i, s_b = stats.sqrt_r_i, stats.sqrt_r_b
-    h_i = g_i if s_i is None else g_i @ s_i.T          # rows ~ CN(0, R_I)
-    h_b = g_b if s_b is None else g_b @ s_b.T
-    h_ie = g_ie if s_i is None else np.einsum("xn,bne->bxe", s_i, g_ie)
-    h_be = g_be if s_b is None else np.einsum("xm,bme->bxe", s_b, g_be)
+    h_i = g_i if s_i is None else _rows_times(g_i, s_i)    # rows ~ CN(0, R_I)
+    h_b = g_b if s_b is None else _rows_times(g_b, s_b)
+    h_ie = g_ie if s_i is None else _rows_times(g_ie, s_i)   # (B, M_E, N)
+    h_be = g_be if s_b is None else _rows_times(g_be, s_b)   # (B, M_E, M)
 
     scale_i = np.sqrt(np.asarray(stats.fading.beta_i))[None, :, None]
     scale_2 = np.sqrt(np.asarray(stats.fading.beta_2))[None, :, None]
@@ -413,12 +431,13 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
     h_be = h_be * np.sqrt(stats.fading.beta_3)
 
     bridge = stats.h1 * stats.phi[None, :]             # (M, N)
-    rot = np.exp(1j * theta)                           # (B, N)
-    h = h_b + np.einsum("mn,bkn->bkm", bridge, rot[:, None, :] * h_i)
-    h_e = h_be + np.einsum("mn,bne->bme", bridge, rot[:, :, None] * h_ie)
+    rot = np.exp(1j * theta)[:, None, :]               # (B, 1, N)
+    h = h_b + _rows_times(rot * h_i, bridge)
+    h_e = h_be + _rows_times(rot * h_ie, bridge)       # (B, M_E, M)
 
-    return {"theta": theta, "h_i": h_i, "h_b": h_b, "h_ie": h_ie,
-            "h_be": h_be, "h": h, "h_e": h_e}
+    return {"theta": theta, "h_i": h_i, "h_b": h_b,
+            "h_ie": np.swapaxes(h_ie, 1, 2), "h_be": np.swapaxes(h_be, 1, 2),
+            "h": h, "h_e": np.swapaxes(h_e, 1, 2)}
 
 
 def sample_realization(stats: ChannelStatistics, rng: np.random.Generator) -> ChannelRealization:

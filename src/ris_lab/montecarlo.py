@@ -9,6 +9,12 @@ Blocks are processed in fixed-size chunks, each with its own counter
 derived substream, and chunk results are combined in index order, so the
 output is bit-identical for any worker count.
 
+Every pass shares one prefix per chunk (channel draw, pilot phase,
+estimate, precoders); the user-rate, eavesdropper and Wishart passes then
+compute only their own terms. All batched contractions are BLAS matmuls
+over the block axis (h^H W, h^H V, H_E^H W, H_E^H V and the weighted
+quadratic form of the transmit distortion).
+
 Model note: the downlink HWI powers entering the user-rate terms use the
 per-antenna transmit covariance in its large-array deterministic limit
 P_t/M * I (the regime in which the closed forms are derived); the
@@ -22,6 +28,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,23 +91,25 @@ def _stack(parts, key):
     return np.concatenate([p[key] for p in parts], axis=0)
 
 
+def _se(values: np.ndarray):
+    """Standard error of the mean along axis 0; inf below two samples."""
+    n = values.shape[0]
+    if n < 2:
+        return np.full(values.shape[1:], np.inf)
+    return np.std(values, axis=0, ddof=1) / np.sqrt(n)
+
+
 def _mean_se(values: np.ndarray):
     """Mean and standard error along axis 0."""
-    n = values.shape[0]
-    mean = np.mean(values, axis=0)
-    if n < 2:
-        return mean, np.full_like(np.real(mean), np.inf, dtype=float)
-    se = np.std(values, axis=0, ddof=1) / np.sqrt(n)
-    return mean, se
+    return np.mean(values, axis=0), _se(values)
 
 
 def _ratio_se(num: np.ndarray, den: np.ndarray):
     """Delta-method standard error of mean(num)/mean(den), along axis 0."""
-    n = num.shape[0]
     mn, md = np.mean(num, axis=0), np.mean(den, axis=0)
     ratio = mn / md
     resid = (num - ratio * den) / md
-    return ratio, np.std(resid, axis=0, ddof=1) / np.sqrt(n)
+    return ratio, _se(resid)
 
 
 @dataclass
@@ -169,45 +178,85 @@ def estimate_nmse(est: ChannelEstimator, plan: TrialPlan) -> OracleEstimates:
 # downlink SINR term oracle
 # --------------------------------------------------------------------------
 
-def _block_downlink(est: ChannelEstimator, alloc: PowerAllocation, size, rng,
-                    include_eve: bool):
-    """One chunk of blocks: channels, pilots, estimates, precoders, terms."""
+class _Blocks(NamedTuple):
+    """One chunk of drawn blocks with the BS-side processing applied."""
+
+    h: np.ndarray          # (B, K, M) aggregate user channels
+    h_e: np.ndarray        # (B, M, M_E) aggregate Eve channel
+    h_hat: np.ndarray      # (B, M, K) LMMSE estimates
+    w: np.ndarray          # (B, M, K) MRT precoder
+    v: np.ndarray          # (B, M, M-K) AN precoder
+
+
+def _draw_blocks(est: ChannelEstimator, size, rng) -> _Blocks:
+    """Channels, pilot phase, estimates and precoders for one chunk."""
     stats = est.stats
-    m, k_users = stats.dims.m, stats.dims.k
     draws = sample_realizations(stats, rng, size)
     y = simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
-    h_hat = est.estimate(y)                           # (B, M, K)
+    h_hat = est.estimate(y)
     w = h_hat / np.sqrt(mrt_normalizers(est))[None, None, :]
-    v = null_space_an_batch(h_hat)                    # (B, M, M-K)
-    h = np.swapaxes(draws["h"], 1, 2)                 # (B, M, K)
+    v = null_space_an_batch(h_hat)
+    return _Blocks(h=draws["h"], h_e=draws["h_e"], h_hat=h_hat, w=w, v=v)
 
-    g = np.einsum("bmk,bmi->bki", h.conj(), w)        # g[b,k,i] = h_k^H w_i
-    vh = np.einsum("bmj,bmk->bjk", v.conj(), h)       # (B, M-K, K)
-    an = np.sum(np.abs(vh) ** 2, axis=1)              # ||V^H h_k||^2
+
+def _row_power(a: np.ndarray) -> np.ndarray:
+    """sum_j |a[..., j]|^2, as a real dot product of the interleaved parts."""
+    parts = a.view(np.float64)
+    return np.einsum("...j,...j->...", parts, parts)
+
+
+def _transmit_diag(blk: _Blocks, alloc: PowerAllocation) -> np.ndarray:
+    """Per-antenna transmit power diag(p W W^H + q V V^H), shape (B, M)."""
+    return alloc.p * _row_power(blk.w) + alloc.q * _row_power(blk.v)
+
+
+def _user_terms(est: ChannelEstimator, alloc: PowerAllocation, blk: _Blocks) -> dict:
+    """Per-block SINR terms of every user."""
+    m, k_users = est.stats.dims.m, est.stats.dims.k
+    h_conj = blk.h.conj()                             # (B, K, M)
+    h = np.swapaxes(blk.h, 1, 2)                      # (B, M, K)
+
+    g = h_conj @ blk.w                                # g[b,k,i] = h_k^H w_i
+    an = np.sum(np.abs(h_conj @ blk.v) ** 2, axis=2)  # ||V^H h_k||^2
     hn2 = np.sum(np.abs(h) ** 2, axis=1)              # ||h_k||^2
 
     abs_g2 = np.abs(g) ** 2
-    s1 = np.einsum("bkk->bk", g)                      # h_k^H w_k
+    s1 = np.diagonal(g, axis1=1, axis2=2)             # h_k^H w_k
     inter = np.sum(abs_g2, axis=2) - np.abs(s1) ** 2  # sum_{i != k} |h_k^H w_i|^2
 
-    err = h - h_hat
-    ehat = np.einsum("bmk,bmk->bk", err.conj(), h_hat)
+    err = h - blk.h_hat
+    ehat = np.einsum("bmk,bmk->bk", err.conj(), blk.h_hat)
     var_err = np.abs(ehat) ** 2 / mrt_normalizers(est)[None, :]
 
-    diag_t = (alloc.p * np.sum(np.abs(w) ** 2, axis=2)
-              + alloc.q * np.sum(np.abs(v) ** 2, axis=2))   # (B, M)
-    hwi_t_real = np.einsum("bm,bmk->bk", diag_t, np.abs(h) ** 2)
+    diag_t = _transmit_diag(blk, alloc)
+    hwi_t_real = (np.abs(blk.h) ** 2 @ diag_t[:, :, None])[:, :, 0]
     hwi_r_real = alloc.p * np.sum(abs_g2, axis=2) + alloc.q * an
-    tr_t = alloc.p * np.sum(np.abs(w) ** 2, axis=(1, 2)) + alloc.q * (m - k_users)
+    tr_t = alloc.p * np.sum(np.abs(blk.w) ** 2, axis=(1, 2)) + alloc.q * (m - k_users)
 
-    out = {"s1": s1, "inter": inter, "an": an, "hn2": hn2, "tr_t": tr_t,
-           "var_err": var_err, "hwi_t_real": hwi_t_real, "hwi_r_real": hwi_r_real}
-    if include_eve:
-        out["h_e"] = draws["h_e"]
-        out["w"] = w
-        out["v"] = v
-        out["diag_t"] = diag_t
-    return out
+    return {"s1": s1, "inter": inter, "an": an, "hn2": hn2, "tr_t": tr_t,
+            "var_err": var_err, "hwi_t_real": hwi_t_real, "hwi_r_real": hwi_r_real}
+
+
+def _eve_interference(blk: _Blocks, alloc: PowerAllocation,
+                      kappa_t_bs: float) -> np.ndarray:
+    """Eve's interference matrix X = H_E^H (q V V^H + Ups_t) H_E, (B, M_E, M_E)."""
+    h_e_h = np.swapaxes(blk.h_e, 1, 2).conj()         # (B, M_E, M)
+    u = h_e_h @ blk.v                                 # H_E^H V
+    x = alloc.q * (u @ np.swapaxes(u, 1, 2).conj())
+    x += kappa_t_bs * ((h_e_h * _transmit_diag(blk, alloc)[:, None, :]) @ blk.h_e)
+    return x
+
+
+def _eve_log_rate(blk: _Blocks, alloc: PowerAllocation, kappa_t_bs: float,
+                  sigma_e2: float) -> np.ndarray:
+    """Per-block log2(1 + SINR) of Eve under optimal combining, shape (B, K)."""
+    x = _eve_interference(blk, alloc, kappa_t_bs)
+    f = np.swapaxes(blk.h_e, 1, 2).conj() @ blk.w     # H_E^H w_k
+    if sigma_e2 > 0.0:
+        x += sigma_e2 * np.eye(x.shape[-1])[None, :, :]
+    sol = np.linalg.solve(x, f)
+    gamma = alloc.p * np.real(np.einsum("bek,bek->bk", f.conj(), sol))
+    return np.log2(1.0 + np.maximum(gamma, 0.0))
 
 
 def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
@@ -225,7 +274,7 @@ def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
     un-hardened diagnostics.
     """
     def work(size, rng):
-        return _block_downlink(est, alloc, size, rng, include_eve=False)
+        return _user_terms(est, alloc, _draw_blocks(est, size, rng))
 
     parts = _run_chunks(plan, CHANNEL_BLOCK, work)
     s1 = _stack(parts, "s1")
@@ -244,11 +293,12 @@ def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
     # Delta method for |mean|^2: project fluctuations on the mean direction.
     unit = s1_mean / np.where(np.abs(s1_mean) > 0, np.abs(s1_mean), 1.0)
     proj = np.real(s1 * unit.conj())
-    signal_se = 2.0 * np.abs(s1_mean) * np.std(proj, axis=0, ddof=1) / np.sqrt(n)
+    signal_se = 2.0 * np.abs(s1_mean) * _se(proj)
 
     variance, variance_se = _mean_se(var_err)
     dev2 = np.abs(s1 - s1_mean) ** 2
-    variance_total = np.sum(dev2, axis=0) / (n - 1)
+    variance_total = (np.sum(dev2, axis=0) / (n - 1) if n > 1
+                      else np.full(dev2.shape[1:], np.nan))
 
     inter_mean, inter_se = _mean_se(inter)
     an_mean, an_se = _mean_se(an)
@@ -306,18 +356,8 @@ def estimate_eve_capacity(est: ChannelEstimator, hw: HardwareProfile,
         sigma_e2 = 1e-12 * alloc.p_t
 
     def work(size, rng):
-        blk = _block_downlink(est, alloc, size, rng, include_eve=True)
-        h_e, w, v, diag_t = blk["h_e"], blk["w"], blk["v"], blk["diag_t"]
-        m_e = h_e.shape[-1]
-        f = np.einsum("bme,bmk->bek", h_e.conj(), w)           # H_E^H w_k
-        vhe = np.einsum("bmj,bme->bje", v.conj(), h_e)         # V^H H_E
-        x = alloc.q * np.einsum("bje,bjf->bef", vhe.conj(), vhe)
-        x += hw.kappa_t_bs * np.einsum("bme,bm,bmf->bef", h_e.conj(), diag_t, h_e)
-        if sigma_e2 > 0.0:
-            x += sigma_e2 * np.eye(m_e)[None, :, :]
-        sol = np.linalg.solve(x, f)
-        gamma = alloc.p * np.real(np.einsum("bek,bek->bk", f.conj(), sol))
-        return {"log_rate": np.log2(1.0 + np.maximum(gamma, 0.0))}
+        blk = _draw_blocks(est, size, rng)
+        return {"log_rate": _eve_log_rate(blk, alloc, hw.kappa_t_bs, sigma_e2)}
 
     parts = _run_chunks(plan, EVE_BLOCK, work)
     log_rate = _stack(parts, "log_rate")
@@ -345,12 +385,8 @@ def estimate_wishart_moments(est: ChannelEstimator, hw: HardwareProfile,
     entry match eta phi and eta phi^2 of the fitted Wishart law.
     """
     def work(size, rng):
-        blk = _block_downlink(est, alloc, size, rng, include_eve=True)
-        h_e, v, diag_t = blk["h_e"], blk["v"], blk["diag_t"]
-        m_e = h_e.shape[-1]
-        vhe = np.einsum("bmj,bme->bje", v.conj(), h_e)
-        x = alloc.q * np.einsum("bje,bjf->bef", vhe.conj(), vhe)
-        x += hw.kappa_t_bs * np.einsum("bme,bm,bmf->bef", h_e.conj(), diag_t, h_e)
+        x = _eve_interference(_draw_blocks(est, size, rng), alloc, hw.kappa_t_bs)
+        m_e = x.shape[-1]
         tr_x = np.real(np.einsum("bee->b", x))
         off = np.abs(x) ** 2
         off[:, np.arange(m_e), np.arange(m_e)] = 0.0

@@ -1,5 +1,6 @@
 """Monte Carlo oracle: reproducibility, term validation, bound property."""
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -31,12 +32,28 @@ def test_thread_count_does_not_change_results(small_setup):
     for threads in ("1", "7"):
         os.environ["RIS_LAB_THREADS"] = threads
         try:
-            results[threads] = rl.estimate_user_rate(est, hw, alloc, plan)
+            results[threads] = (rl.estimate_user_rate(est, hw, alloc, plan),
+                                rl.estimate_eve_capacity(est, hw, alloc, plan))
         finally:
             del os.environ["RIS_LAB_THREADS"]
-    a, b = results["1"], results["7"]
+    (a, eve_a), (b, eve_b) = results["1"], results["7"]
     for field in ("rate", "signal", "interference", "variance", "an_leakage", "hwi"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert np.array_equal(eve_a.c_e, eve_b.c_e)
+    assert np.array_equal(eve_a.c_e_se, eve_b.c_e_se)
+
+
+def test_single_block_standard_errors_are_infinite(small_setup):
+    _, est, hw, alloc = small_setup
+    plan = rl.TrialPlan(n_blocks=1, master_seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nmse = rl.estimate_nmse(est, plan)
+        user = rl.estimate_user_rate(est, hw, alloc, plan)
+        eve = rl.estimate_eve_capacity(est, hw, alloc, plan)
+    assert np.all(np.isfinite(nmse.nmse)) and np.all(nmse.nmse_se == np.inf)
+    for se in (user.rate_se, user.signal_se, user.interference_se, eve.c_e_se):
+        assert np.all(se == np.inf)
 
 
 def test_worker_count_env_parsing():
