@@ -54,6 +54,7 @@ from .montecarlo import (
     WishartMoments,
     estimate_eve_capacity,
     estimate_nmse,
+    estimate_secrecy,
     estimate_user_rate,
     estimate_wishart_moments,
 )

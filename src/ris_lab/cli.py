@@ -15,6 +15,7 @@ import sys
 from .errors import (
     BoundInvalidError,
     ConfigValidationError,
+    DegenerateConfigError,
     IllConditionedError,
     InfiniteEveCapacityError,
     InvalidParameterError,
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
             print(config.to_json())
             return EXIT_OK
         csv_path = run_and_write(args.experiment, config)
-    except (ConfigValidationError, InvalidParameterError) as exc:
+    except (ConfigValidationError, InvalidParameterError, DegenerateConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BoundInvalidError, InfiniteEveCapacityError, IllConditionedError,

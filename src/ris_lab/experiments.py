@@ -50,10 +50,13 @@ from .hardware import HardwareProfile
 from .montecarlo import (
     THREADS_ENV,
     TrialPlan,
-    estimate_eve_capacity,
     estimate_nmse,
-    estimate_user_rate,
+    estimate_secrecy,
     worker_count,
+)
+from .montecarlo import (  # noqa: F401 -- bench/tracer.py wraps these bindings
+    estimate_eve_capacity,
+    estimate_user_rate,
 )
 from .power_alloc import grid_search_xi
 from .precoding import PowerAllocation
@@ -452,12 +455,8 @@ def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
 def _mc_secrecy(setup: SystemSetup, config: ExperimentConfig):
     """Monte Carlo secrecy estimate averaged over users: (value, se)."""
     plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
-    user = estimate_user_rate(setup.est, setup.hw, setup.alloc, plan)
-    eve = estimate_eve_capacity(setup.est, setup.hw, setup.alloc, plan)
-    r_sec = np.maximum(0.0, user.rate - eve.c_e)
-    se = np.sqrt(user.rate_se ** 2 + eve.c_e_se ** 2)
-    k = setup.dims.k
-    return float(np.mean(r_sec)), float(np.sqrt(np.sum(se ** 2)) / k)
+    orc = estimate_secrecy(setup.est, setup.hw, setup.alloc, plan)
+    return orc.r_sec, orc.r_sec_se
 
 
 def _closed_secrecy(setup: SystemSetup):

@@ -10,10 +10,24 @@ derived substream, and chunk results are combined in index order, so the
 output is bit-identical for any worker count.
 
 Every pass shares one prefix per chunk (channel draw, pilot phase,
-estimate, precoders); the user-rate, eavesdropper and Wishart passes then
-compute only their own terms. All batched contractions are BLAS matmuls
-over the block axis (h^H W, h^H V, H_E^H W, H_E^H V and the weighted
-quadratic form of the transmit distortion).
+estimate, MRT precoder and the thin QR factor Q of the estimate); the
+user-rate, eavesdropper and Wishart passes then compute only their own
+terms. All batched contractions are BLAS matmuls over the block axis.
+
+The AN precoder V, an orthonormal basis of the null space of the
+estimate, enters the model only through the AN covariance
+q V V^H = q (I - Q Q^H), where Q is the thin M x K orthonormal basis of
+span(h_hat). No kernel forms V: the AN-space component of x is
+x - Q (Q^H x), so ||V^H h_k||^2 is the power of that projection of h_k,
+Eve's AN term is q P^H P with P = (I - Q Q^H) H_E, and
+diag(V V^H) = 1 - |rows of Q|^2. The projection form keeps the leakage
+exactly zero under perfect CSI and every quadratic form PSD.
+
+``estimate_secrecy`` runs one pass per secrecy point: each block's user
+terms and eavesdropper log-rate come from the same draw, and the secrecy
+standard error is built from per-block pairs by the delta method.
+``estimate_user_rate``, ``estimate_eve_capacity`` and
+``estimate_wishart_moments`` remain as term-by-term oracles.
 
 Model note: the downlink HWI powers entering the user-rate terms use the
 per-antenna transmit covariance in its large-array deterministic limit
@@ -36,7 +50,8 @@ from .errors import InvalidParameterError
 from .estimation import ChannelEstimator, simulate_pilot_phase
 from .geometry import ChannelStatistics, sample_realizations
 from .hardware import HardwareProfile
-from .precoding import PowerAllocation, mrt_normalizers, null_space_an_batch
+from .precoding import PowerAllocation, mrt_normalizers
+from .precoding import null_space_an_batch  # noqa: F401 -- bench/tracer.py wraps this binding
 from .streams import CHANNEL_BLOCK, EVE_BLOCK, NMSE_BLOCK, derive_rng
 
 CHUNK_BLOCKS = 512          # fixed: chunking must not depend on the worker count
@@ -49,9 +64,6 @@ class TrialPlan:
 
     n_blocks: int
     master_seed: int
-    n_inner: int = 1        # reserved for symbol-level extensions; the
-                            # implemented estimators marginalize symbols and
-                            # downlink distortion analytically per block
 
     def __post_init__(self):
         if self.n_blocks < 1:
@@ -139,6 +151,8 @@ class OracleEstimates:
     c_e_se: np.ndarray | None = None
     tr_t: float | None = None
     tr_t_se: float | None = None
+    r_sec: float | None = None         # user average of max(0, rate - c_e)
+    r_sec_se: float | None = None
     # Diagnostics outside the hardened bookkeeping: the raw effective-channel
     # variance (including the estimate-norm fluctuation that large-array
     # analysis suppresses), the per-realization HWI powers, and the rate
@@ -179,24 +193,27 @@ def estimate_nmse(est: ChannelEstimator, plan: TrialPlan) -> OracleEstimates:
 # --------------------------------------------------------------------------
 
 class _Blocks(NamedTuple):
-    """One chunk of drawn blocks with the BS-side processing applied."""
+    """One chunk of drawn blocks with the BS-side processing applied.
+
+    The AN precoder V is never formed: V V^H = I - Q Q^H with Q = ``q_hat``.
+    """
 
     h: np.ndarray          # (B, K, M) aggregate user channels
     h_e: np.ndarray        # (B, M, M_E) aggregate Eve channel
     h_hat: np.ndarray      # (B, M, K) LMMSE estimates
     w: np.ndarray          # (B, M, K) MRT precoder
-    v: np.ndarray          # (B, M, M-K) AN precoder
+    q_hat: np.ndarray      # (B, M, K) thin orthonormal basis Q of span(h_hat)
 
 
 def _draw_blocks(est: ChannelEstimator, size, rng) -> _Blocks:
-    """Channels, pilot phase, estimates and precoders for one chunk."""
+    """Channels, pilot phase, estimates, MRT precoder and Q for one chunk."""
     stats = est.stats
     draws = sample_realizations(stats, rng, size)
     y = simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
     h_hat = est.estimate(y)
     w = h_hat / np.sqrt(mrt_normalizers(est))[None, None, :]
-    v = null_space_an_batch(h_hat)
-    return _Blocks(h=draws["h"], h_e=draws["h_e"], h_hat=h_hat, w=w, v=v)
+    q_hat = np.linalg.qr(h_hat)[0]
+    return _Blocks(h=draws["h"], h_e=draws["h_e"], h_hat=h_hat, w=w, q_hat=q_hat)
 
 
 def _row_power(a: np.ndarray) -> np.ndarray:
@@ -205,9 +222,14 @@ def _row_power(a: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...j->...", parts, parts)
 
 
+def _an_component(q_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x - Q (Q^H x) = (I - Q Q^H) x, the AN-space part of stacked (B, M, J) x."""
+    return x - q_hat @ (np.swapaxes(q_hat, 1, 2).conj() @ x)
+
+
 def _transmit_diag(blk: _Blocks, alloc: PowerAllocation) -> np.ndarray:
     """Per-antenna transmit power diag(p W W^H + q V V^H), shape (B, M)."""
-    return alloc.p * _row_power(blk.w) + alloc.q * _row_power(blk.v)
+    return alloc.p * _row_power(blk.w) + alloc.q * (1.0 - _row_power(blk.q_hat))
 
 
 def _user_terms(est: ChannelEstimator, alloc: PowerAllocation, blk: _Blocks) -> dict:
@@ -217,7 +239,7 @@ def _user_terms(est: ChannelEstimator, alloc: PowerAllocation, blk: _Blocks) -> 
     h = np.swapaxes(blk.h, 1, 2)                      # (B, M, K)
 
     g = h_conj @ blk.w                                # g[b,k,i] = h_k^H w_i
-    an = np.sum(np.abs(h_conj @ blk.v) ** 2, axis=2)  # ||V^H h_k||^2
+    an = np.sum(np.abs(_an_component(blk.q_hat, h)) ** 2, axis=1)  # ||V^H h_k||^2
     hn2 = np.sum(np.abs(h) ** 2, axis=1)              # ||h_k||^2
 
     abs_g2 = np.abs(g) ** 2
@@ -241,10 +263,20 @@ def _eve_interference(blk: _Blocks, alloc: PowerAllocation,
                       kappa_t_bs: float) -> np.ndarray:
     """Eve's interference matrix X = H_E^H (q V V^H + Ups_t) H_E, (B, M_E, M_E)."""
     h_e_h = np.swapaxes(blk.h_e, 1, 2).conj()         # (B, M_E, M)
-    u = h_e_h @ blk.v                                 # H_E^H V
-    x = alloc.q * (u @ np.swapaxes(u, 1, 2).conj())
+    p_e = _an_component(blk.q_hat, blk.h_e)           # P = (I - Q Q^H) H_E
+    x = alloc.q * (np.swapaxes(p_e, 1, 2).conj() @ p_e)
     x += kappa_t_bs * ((h_e_h * _transmit_diag(blk, alloc)[:, None, :]) @ blk.h_e)
     return x
+
+
+def _eve_floor(hw: HardwareProfile, alloc: PowerAllocation) -> float:
+    """Thermal floor of Eve's whitening solve: 1e-12 P_t where it is singular.
+
+    With neither AN nor transmit distortion Eve's interference matrix is zero.
+    """
+    if alloc.q == 0.0 and hw.kappa_t_bs == 0.0:
+        return 1e-12 * alloc.p_t
+    return 0.0
 
 
 def _eve_log_rate(blk: _Blocks, alloc: PowerAllocation, kappa_t_bs: float,
@@ -259,24 +291,13 @@ def _eve_log_rate(blk: _Blocks, alloc: PowerAllocation, kappa_t_bs: float,
     return np.log2(1.0 + np.maximum(gamma, 0.0))
 
 
-def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
-                       alloc: PowerAllocation, plan: TrialPlan) -> OracleEstimates:
-    """Term-by-term estimate of the downlink SINR for every user.
+def _reduce_user_terms(parts: list, hw: HardwareProfile, alloc: PowerAllocation,
+                       m: int) -> tuple[OracleEstimates, np.ndarray]:
+    """Rate estimates from the chunks' per-block user terms.
 
-    Estimates the signal, interference, estimation-uncertainty and
-    AN-leakage expectations from the realized channels and precoders,
-    keeping the channel-hardening bookkeeping of the rate decomposition:
-    the signal-uncertainty term is the error-driven fluctuation
-    |e_k^H h_hat_k|^2 (the estimate-norm fluctuation is hardened away and
-    reported separately as ``variance_total``), and the HWI power uses the
-    deterministic-limit transmit profile with the measured channel energy
-    (see the module note). ``rate_raw`` re-assembles the SINR from the
-    un-hardened diagnostics.
+    Returns the estimates and the per-block delta-method linearization of
+    each user's rate about the block means, shape (B, K), whose mean is zero.
     """
-    def work(size, rng):
-        return _user_terms(est, alloc, _draw_blocks(est, size, rng))
-
-    parts = _run_chunks(plan, CHANNEL_BLOCK, work)
     s1 = _stack(parts, "s1")
     inter = _stack(parts, "inter")
     an = _stack(parts, "an")
@@ -287,7 +308,6 @@ def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
     hwi_r_real = _stack(parts, "hwi_r_real")
 
     n = s1.shape[0]
-    m = est.stats.dims.m
     s1_mean = np.mean(s1, axis=0)
     signal = np.abs(s1_mean) ** 2
     # Delta method for |mean|^2: project fluctuations on the mean direction.
@@ -316,15 +336,21 @@ def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
     rate = np.log2(1.0 + gamma)
     den_se = np.sqrt((alloc.p * inter_se) ** 2 + (alloc.p * variance_se) ** 2
                      + (alloc.q * an_se) ** 2 + hwi_se ** 2)
-    gamma_se = gamma * np.sqrt((signal_se / np.maximum(signal, 1e-300)) ** 2
-                               + (den_se / den) ** 2)
+    signal_floor = np.maximum(signal, 1e-300)
+    gamma_se = gamma * np.sqrt((signal_se / signal_floor) ** 2 + (den_se / den) ** 2)
     rate_se = gamma_se / ((1.0 + gamma) * np.log(2.0))
+
+    d_signal = 2.0 * np.abs(s1_mean) * (proj - np.mean(proj, axis=0))
+    d_den = (alloc.p * (inter - inter_mean) + alloc.p * (var_err - variance)
+             + alloc.q * (an - an_mean) + kappa_dl * alloc.p_t / m * (hn2 - hn2_mean))
+    d_rate = (gamma / ((1.0 + gamma) * np.log(2.0))
+              * (d_signal / signal_floor - d_den / den))
 
     den_raw = (alloc.p * inter_mean + alloc.p * variance_total + alloc.q * an_mean
                + hwi_t_realized + hwi_r_realized + hw.sigma_k2)
     rate_raw = np.log2(1.0 + alloc.p * signal / den_raw)
 
-    return OracleEstimates(
+    orc = OracleEstimates(
         n_blocks=n, rate=rate, rate_se=rate_se,
         signal=signal, signal_se=signal_se,
         interference=inter_mean, interference_se=inter_se,
@@ -334,8 +360,63 @@ def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
         tr_t=float(tr_t_mean), tr_t_se=float(tr_t_se),
         variance_total=variance_total, rate_raw=rate_raw,
         hwi_t_realized=hwi_t_realized, hwi_r_realized=hwi_r_realized,
-        meta={"seed": plan.master_seed},
     )
+    return orc, d_rate
+
+
+def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
+                       alloc: PowerAllocation, plan: TrialPlan) -> OracleEstimates:
+    """Term-by-term estimate of the downlink SINR for every user.
+
+    Estimates the signal, interference, estimation-uncertainty and
+    AN-leakage expectations from the realized channels and precoders,
+    keeping the channel-hardening bookkeeping of the rate decomposition:
+    the signal-uncertainty term is the error-driven fluctuation
+    |e_k^H h_hat_k|^2 (the estimate-norm fluctuation is hardened away and
+    reported separately as ``variance_total``), and the HWI power uses the
+    deterministic-limit transmit profile with the measured channel energy
+    (see the module note). ``rate_raw`` re-assembles the SINR from the
+    un-hardened diagnostics.
+    """
+    def work(size, rng):
+        return _user_terms(est, alloc, _draw_blocks(est, size, rng))
+
+    parts = _run_chunks(plan, CHANNEL_BLOCK, work)
+    orc, _ = _reduce_user_terms(parts, hw, alloc, est.stats.dims.m)
+    orc.meta["seed"] = plan.master_seed
+    return orc
+
+
+def estimate_secrecy(est: ChannelEstimator, hw: HardwareProfile,
+                     alloc: PowerAllocation, plan: TrialPlan) -> OracleEstimates:
+    """User rates, eavesdropper capacities and the secrecy rate from one pass.
+
+    Each block is drawn once, on the ``CHANNEL_BLOCK`` stream, and its user
+    terms and Eve's log-rate come from the same channels and precoders, so
+    the user-rate fields equal those of ``estimate_user_rate`` at the same
+    plan. ``r_sec`` is the user average of max(0, R_k - C_k). Its standard
+    error is that of the per-block pairs psi_b = mean_k(dR_bk - dC_bk), with
+    dR the delta-method linearization of the rate and dC_bk = log_rate_bk - C_k,
+    so it carries the user/Eve and user/user correlations of the shared
+    draw; it ignores the clip at zero.
+    """
+    sigma_e2 = _eve_floor(hw, alloc)
+
+    def work(size, rng):
+        blk = _draw_blocks(est, size, rng)
+        terms = _user_terms(est, alloc, blk)
+        terms["log_rate"] = _eve_log_rate(blk, alloc, hw.kappa_t_bs, sigma_e2)
+        return terms
+
+    parts = _run_chunks(plan, CHANNEL_BLOCK, work)
+    orc, d_rate = _reduce_user_terms(parts, hw, alloc, est.stats.dims.m)
+    log_rate = _stack(parts, "log_rate")
+    orc.c_e, orc.c_e_se = _mean_se(log_rate)
+    psi = np.mean(d_rate - (log_rate - orc.c_e), axis=1)
+    orc.r_sec = float(np.mean(np.maximum(0.0, orc.rate - orc.c_e)))
+    orc.r_sec_se = float(_se(psi))
+    orc.meta.update(seed=plan.master_seed, sigma_e2=sigma_e2)
+    return orc
 
 
 # --------------------------------------------------------------------------
@@ -347,13 +428,11 @@ def estimate_eve_capacity(est: ChannelEstimator, hw: HardwareProfile,
     """Per-user ergodic eavesdropper capacity under optimal combining.
 
     Solves the M_E x M_E interference-whitening system per block with the
-    realized AN precoder and transmit-distortion profile. In the corner
+    realized AN covariance and transmit-distortion profile. In the corner
     with neither AN nor transmit distortion the system is singular and a
     tiny thermal floor 1e-12 P_t is added (reported in meta).
     """
-    sigma_e2 = 0.0
-    if alloc.q == 0.0 and hw.kappa_t_bs == 0.0:
-        sigma_e2 = 1e-12 * alloc.p_t
+    sigma_e2 = _eve_floor(hw, alloc)
 
     def work(size, rng):
         blk = _draw_blocks(est, size, rng)

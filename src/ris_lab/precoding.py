@@ -2,8 +2,12 @@
 
 The MRT columns are normalized by the statistical norm of the channel
 estimate (not the instantaneous one), which is what makes the closed-form
-rate expressions exact. The AN precoder is an orthonormal basis of the
-orthogonal complement of the estimated channel matrix.
+rate expressions exact. The AN precoder V is an orthonormal basis of the
+orthogonal complement of the estimated channel matrix. The model uses V
+only through the AN covariance q V V^H = q (I - Q Q^H), Q the thin
+orthonormal basis of span(h_hat), so the Monte Carlo oracle never forms
+V; the explicit bases below are the single-realization API and the
+complete-QR reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -95,7 +99,10 @@ def null_space_an(h_hat: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:
 
 
 def null_space_an_batch(h_hat: np.ndarray) -> np.ndarray:
-    """Complements for stacked (B, M, K) estimates; assumes full rank."""
+    """Complements for stacked (B, M, K) estimates; assumes full rank.
+
+    Complete-QR reference for the oracle's I - Q Q^H form of V V^H.
+    """
     k = h_hat.shape[-1]
     q, _ = np.linalg.qr(h_hat, mode="complete")
     return q[..., k:]

@@ -22,7 +22,7 @@ from .errors import BoundInvalidError, InfiniteEveCapacityError, InvalidParamete
 from .estimation import ChannelEstimator
 from .hardware import HardwareProfile
 from .linalg import HermitianSolver, herm_trace_prod, hermitize
-from .precoding import PowerAllocation
+from .precoding import PowerAllocation, mrt_normalizers
 
 # Moment-matched inverse-Wishart mean needs dof > M_E; require a one-unit
 # margin so the bound is not evaluated on the edge of its validity region.
@@ -139,14 +139,13 @@ def user_rate(est: ChannelEstimator, hw: HardwareProfile, alloc: PowerAllocation
     """
     stats = est.stats
     m, k_users = stats.dims.m, stats.dims.k
-    tr_pilot = est.pilots.tau_u * est.pilots.rho
-    zeta = est.tr_rpr[k]
+    norms = mrt_normalizers(est)                  # tau_u rho tr(R_k Psi_k^-1 R_k)
 
-    s_k = alloc.p * tr_pilot * zeta
+    s_k = alloc.p * norms[k]
     interference = alloc.p * sum(
-        herm_trace_prod(stats.r_k[k], est.est_cov[i]) / (tr_pilot * est.tr_rpr[i])
+        herm_trace_prod(stats.r_k[k], est.est_cov[i]) / norms[i]
         for i in range(k_users) if i != k)
-    uncertainty = alloc.p * herm_trace_prod(est.c[k], est.est_cov[k]) / (tr_pilot * zeta)
+    uncertainty = alloc.p * herm_trace_prod(est.c[k], est.est_cov[k]) / norms[k]
     an_leak = alloc.q * (m - k_users) / m * float(np.real(np.trace(est.c[k])))
     hwi = (hw.kappa_t_bs + hw.kappa_r_ue) * alloc.p_t / m * est.tr_r[k]
     i_k = interference + uncertainty + an_leak + hwi + hw.sigma_k2

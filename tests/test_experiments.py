@@ -65,6 +65,17 @@ def test_cli_bad_type_exits_2_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys):
+    # pilot power so small that E||h_hat_k||^2 underflows to zero: MRT is undefined
+    config = write_config(tmp_path, {**TINY, "pilot_snr_db": -3200.0,
+                                     "normalize_gains": False})
+    assert cli.main(["kappa_t_sweep", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "zero-power channel estimate" in err and "Traceback" not in err
+
+
 def test_manifest_records_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("RIS_LAB_THREADS", "3")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -1,8 +1,10 @@
 """The Monte Carlo kernels against their einsum forms.
 
 The sampler and the per-block terms compute every batched contraction as
-a matmul. The einsum forms below are the reference: same draws, same
-arithmetic, another summation order, so results agree to roundoff.
+a matmul, and the AN terms through I - Q Q^H with the thin QR factor Q
+of the estimate. The einsum forms below are the reference: same draws,
+the explicit AN basis V of the complete QR, another summation order, so
+results agree to roundoff.
 """
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from ris_lab.montecarlo import (
     _transmit_diag,
     _user_terms,
 )
-from ris_lab.precoding import mrt_normalizers
+from ris_lab.precoding import mrt_normalizers, null_space_an_batch
 from ris_lab.streams import complex_normal
 
 from conftest import make_setup
@@ -58,14 +60,15 @@ def einsum_realizations(stats, rng, n_draws):
 def einsum_user_terms(est, alloc, blk):
     m, k_users = est.stats.dims.m, est.stats.dims.k
     h = np.swapaxes(blk.h, 1, 2)
+    v = null_space_an_batch(blk.h_hat)
     g = np.einsum("bmk,bmi->bki", h.conj(), blk.w)
-    vh = np.einsum("bmj,bmk->bjk", blk.v.conj(), h)
+    vh = np.einsum("bmj,bmk->bjk", v.conj(), h)
     an = np.sum(np.abs(vh) ** 2, axis=1)
     abs_g2 = np.abs(g) ** 2
     s1 = np.einsum("bkk->bk", g)
     ehat = np.einsum("bmk,bmk->bk", (h - blk.h_hat).conj(), blk.h_hat)
     diag_t = (alloc.p * np.sum(np.abs(blk.w) ** 2, axis=2)
-              + alloc.q * np.sum(np.abs(blk.v) ** 2, axis=2))
+              + alloc.q * np.sum(np.abs(v) ** 2, axis=2))
     return {"s1": s1,
             "inter": np.sum(abs_g2, axis=2) - np.abs(s1) ** 2,
             "an": an,
@@ -79,10 +82,11 @@ def einsum_user_terms(est, alloc, blk):
 
 def einsum_eve(blk, alloc, kappa_t_bs):
     """Eve's interference matrix and per-block log-rates."""
+    v = null_space_an_batch(blk.h_hat)
     diag_t = (alloc.p * np.sum(np.abs(blk.w) ** 2, axis=2)
-              + alloc.q * np.sum(np.abs(blk.v) ** 2, axis=2))
+              + alloc.q * np.sum(np.abs(v) ** 2, axis=2))
     f = np.einsum("bme,bmk->bek", blk.h_e.conj(), blk.w)
-    vhe = np.einsum("bmj,bme->bje", blk.v.conj(), blk.h_e)
+    vhe = np.einsum("bmj,bme->bje", v.conj(), blk.h_e)
     x = alloc.q * np.einsum("bje,bjf->bef", vhe.conj(), vhe)
     x += kappa_t_bs * np.einsum("bme,bm,bmf->bef", blk.h_e.conj(), diag_t, blk.h_e)
     sol = np.linalg.solve(x, f)
@@ -108,9 +112,10 @@ def test_block_terms_match_einsum_forms():
     assert set(got) == set(want)
     for key in want:
         assert_close(got[key], want[key])
+    v = null_space_an_batch(blk.h_hat)
     assert_close(_transmit_diag(blk, alloc),
                  alloc.p * np.sum(np.abs(blk.w) ** 2, axis=2)
-                 + alloc.q * np.sum(np.abs(blk.v) ** 2, axis=2))
+                 + alloc.q * np.sum(np.abs(v) ** 2, axis=2))
 
     x_want, log_rate_want = einsum_eve(blk, alloc, hw.kappa_t_bs)
     assert_close(_eve_interference(blk, alloc, hw.kappa_t_bs), x_want)

@@ -1,4 +1,5 @@
 """Monte Carlo oracle: reproducibility, term validation, bound property."""
+import dataclasses
 import os
 import warnings
 
@@ -33,14 +34,53 @@ def test_thread_count_does_not_change_results(small_setup):
         os.environ["RIS_LAB_THREADS"] = threads
         try:
             results[threads] = (rl.estimate_user_rate(est, hw, alloc, plan),
-                                rl.estimate_eve_capacity(est, hw, alloc, plan))
+                                rl.estimate_eve_capacity(est, hw, alloc, plan),
+                                rl.estimate_secrecy(est, hw, alloc, plan))
         finally:
             del os.environ["RIS_LAB_THREADS"]
-    (a, eve_a), (b, eve_b) = results["1"], results["7"]
+    (a, eve_a, sec_a), (b, eve_b, sec_b) = results["1"], results["7"]
     for field in ("rate", "signal", "interference", "variance", "an_leakage", "hwi"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert np.array_equal(eve_a.c_e, eve_b.c_e)
     assert np.array_equal(eve_a.c_e_se, eve_b.c_e_se)
+    for field in ("rate", "rate_se", "c_e", "c_e_se", "r_sec", "r_sec_se"):
+        assert np.array_equal(getattr(sec_a, field), getattr(sec_b, field))
+
+
+def test_secrecy_user_half_equals_user_rate(small_setup):
+    # one pass draws the user blocks on the user-rate stream, so every
+    # user-side field is bit-identical to the term-by-term oracle
+    _, est, hw, alloc = small_setup
+    plan = rl.TrialPlan(n_blocks=700, master_seed=12)    # two chunks
+    user = rl.estimate_user_rate(est, hw, alloc, plan)
+    sec = rl.estimate_secrecy(est, hw, alloc, plan)
+    compared = 0
+    for field in dataclasses.fields(user):
+        want = getattr(user, field.name)
+        if want is None or field.name == "meta":
+            continue
+        assert np.array_equal(getattr(sec, field.name), want), field.name
+        compared += 1
+    assert compared == 19
+    assert sec.meta["seed"] == user.meta["seed"] == 12
+    assert sec.r_sec == np.mean(np.maximum(0.0, sec.rate - sec.c_e))
+
+
+def test_secrecy_standard_error_is_calibrated(small_setup):
+    # the spread of r_sec over independent master seeds must match the
+    # delta-method SE. With 40 seeds the sample SD / true SE follows
+    # chi_39 / sqrt(39): the band [0.7, 1.4] lies 2.7 and 3.5 of its SDs
+    # (0.11) from 1. The users' secrecy gaps stay far above zero, so the
+    # clip the SE ignores never acts.
+    _, est, hw, alloc = small_setup
+    values, ses = [], []
+    for seed in range(1000, 1040):
+        orc = rl.estimate_secrecy(est, hw, alloc, rl.TrialPlan(200, master_seed=seed))
+        assert np.all(orc.rate - orc.c_e > 10 * orc.r_sec_se)
+        values.append(orc.r_sec)
+        ses.append(orc.r_sec_se)
+    ratio = np.std(values, ddof=1) / np.median(ses)
+    assert 0.7 < ratio < 1.4
 
 
 def test_single_block_standard_errors_are_infinite(small_setup):
@@ -51,8 +91,11 @@ def test_single_block_standard_errors_are_infinite(small_setup):
         nmse = rl.estimate_nmse(est, plan)
         user = rl.estimate_user_rate(est, hw, alloc, plan)
         eve = rl.estimate_eve_capacity(est, hw, alloc, plan)
+        sec = rl.estimate_secrecy(est, hw, alloc, plan)
     assert np.all(np.isfinite(nmse.nmse)) and np.all(nmse.nmse_se == np.inf)
-    for se in (user.rate_se, user.signal_se, user.interference_se, eve.c_e_se):
+    assert np.isfinite(sec.r_sec)
+    for se in (user.rate_se, user.signal_se, user.interference_se, eve.c_e_se,
+               sec.r_sec_se):
         assert np.all(se == np.inf)
 
 
