@@ -18,18 +18,14 @@ from .errors import (
 )
 from .estimation import (
     ChannelEstimator,
-    EstimationResult,
     PilotConfig,
     build_psi,
-    error_covariance,
-    lmmse_estimate,
     nmse,
     nmse_high_power_limit,
     nmse_large_n_limit,
     simulate_pilot_phase,
 )
 from .geometry import (
-    ChannelRealization,
     ChannelStatistics,
     CorrelationSpec,
     LargeScaleFading,
@@ -41,10 +37,8 @@ from .geometry import (
     build_los_channel,
     build_ris_correlation,
     effective_ris_correlation,
-    eve_covariance,
     path_loss,
     phase_deviation_factor,
-    sample_realization,
     sample_realizations,
 )
 from .hardware import HardwareProfile
@@ -67,10 +61,7 @@ from .power_alloc import (
 )
 from .precoding import (
     PowerAllocation,
-    TransmitStatistics,
     mrt_precoder,
-    null_space_an,
-    transmit_statistics,
 )
 from .rates import (
     EveBound,

@@ -8,11 +8,11 @@ power rides on the instantaneous per-antenna channel power), and AWGN.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError, IllConditionedWarning, InvalidParameterError
+from .errors import IllConditionedWarning, InvalidParameterError
 from .geometry import ChannelStatistics
 from .linalg import COND_LIMIT, HermitianSolver, herm_trace_prod, hermitize
 from .streams import complex_normal
@@ -20,7 +20,10 @@ from .streams import complex_normal
 
 @dataclass(frozen=True)
 class PilotConfig:
-    """Uplink training configuration.
+    """Uplink training configuration and the uplink hardware.
+
+    The only home of the uplink noise power and the uplink distortion
+    factors: the estimator and the pilot-phase simulator read them here.
 
     The pilot matrix defaults to the first K columns of a tau_u-point DFT
     basis: unit-modulus entries, exactly orthogonal columns with squared
@@ -48,16 +51,6 @@ class PilotConfig:
         return np.exp(-2j * np.pi * np.outer(t, np.arange(k)) / self.tau_u)
 
 
-@dataclass
-class EstimationResult:
-    """Channel estimates with their error statistics."""
-
-    h_hat: np.ndarray               # (..., M, K) estimated aggregate channels
-    c: list                         # per-user MSE matrices
-    nmse: np.ndarray                # per-user normalized MSE in [0, 1]
-    ill_conditioned: bool = False
-
-
 def build_psi(stats: ChannelStatistics, pilots: PilotConfig) -> list:
     """Per-user pilot-observation covariances (despread, divided by tau_u).
 
@@ -71,32 +64,6 @@ def build_psi(stats: ChannelStatistics, pilots: PilotConfig) -> list:
               + pilots.rho * pilots.kappa_r_bs * sum_diag
               + pilots.sigma_u2 * np.eye(m))
     return [hermitize(pilots.tau_u * pilots.rho * rk + common) for rk in stats.r_k]
-
-
-def lmmse_estimate(y_pk: np.ndarray, r_k: np.ndarray, psi_k: np.ndarray,
-                   rho: float) -> np.ndarray:
-    """LMMSE estimate sqrt(rho) R_k Psi_k^{-1} y for one user.
-
-    ``y_pk`` may carry leading batch axes; the last axis is the antenna
-    index. Solved through a Hermitian factorization, never an explicit
-    inverse. A condition number beyond 1e12 raises a warning.
-    """
-    solver = HermitianSolver(psi_k, name="pilot covariance")
-    if not solver.is_well_conditioned:
-        warnings.warn(
-            f"pilot covariance condition number ~{solver.cond_estimate:.3e} "
-            f"exceeds {COND_LIMIT:.0e}; estimate may be unreliable",
-            IllConditionedWarning, stacklevel=2)
-    y = np.asarray(y_pk)
-    sol = solver.solve(y.reshape(-1, y.shape[-1]).T)       # (M, batch)
-    return np.sqrt(rho) * (r_k @ sol).T.reshape(y.shape)
-
-
-def error_covariance(r_k: np.ndarray, psi_k: np.ndarray, rho: float,
-                     tau_u: int) -> np.ndarray:
-    """MSE matrix C_k = R_k - tau_u rho R_k Psi_k^{-1} R_k."""
-    solver = HermitianSolver(psi_k, name="pilot covariance")
-    return hermitize(r_k - tau_u * rho * r_k @ solver.solve(r_k))
 
 
 def nmse(r_k: np.ndarray, c_k: np.ndarray) -> float:
@@ -147,10 +114,6 @@ class ChannelEstimator:
         for k in range(self.stats.dims.k):
             out[..., k] = (y[..., k] @ self.gain[k].T)
         return out
-
-    def result(self, y_pk: np.ndarray) -> EstimationResult:
-        return EstimationResult(h_hat=self.estimate(y_pk), c=self.c,
-                                nmse=self.nmse, ill_conditioned=self.ill_conditioned)
 
 
 def nmse_high_power_limit(stats: ChannelStatistics, pilots: PilotConfig, k: int) -> float:

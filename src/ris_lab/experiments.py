@@ -27,13 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .errors import (
-    BoundInvalidError,
-    ConfigValidationError,
-    InfiniteEveCapacityError,
-    InvalidParameterError,
-    RisLabError,
-)
+from .errors import ConfigValidationError, InfiniteEveCapacityError, InvalidParameterError
 from .estimation import ChannelEstimator, PilotConfig, nmse_high_power_limit, nmse_large_n_limit
 from .geometry import (
     CorrelationSpec,
@@ -58,11 +52,9 @@ from .montecarlo import (  # noqa: F401 -- bench/tracer.py wraps these bindings
     estimate_eve_capacity,
     estimate_user_rate,
 )
-from .power_alloc import grid_search_xi
 from .precoding import PowerAllocation
 from .rates import (
     compute_rate_terms,
-    eve_capacity_bound,
     secrecy_gap_split,
     secrecy_large_n,
     secrecy_limit,
@@ -225,8 +217,8 @@ class ExperimentConfig:
     def dimensions(self, m=None, n=None) -> SystemDimensions:
         try:
             return SystemDimensions.square_ris(
-                m=m or self.m, n=n or self.n, k=self.k, m_e=self.m_e,
-                tau_u=self.tau_u)
+                m=self.m if m is None else m, n=self.n if n is None else n,
+                k=self.k, m_e=self.m_e, tau_u=self.tau_u)
         except InvalidParameterError as exc:
             raise ConfigValidationError(str(exc)) from exc
 
@@ -236,10 +228,8 @@ class ExperimentConfig:
 
     def hardware(self, sigma_p2=None, kappa_t_bs=None) -> HardwareProfile:
         return HardwareProfile(
-            kappa_t_ue=self.kappa_t_ue, kappa_r_bs=self.kappa_r_bs,
             kappa_t_bs=self.kappa_t_bs if kappa_t_bs is None else kappa_t_bs,
-            kappa_r_ue=self.kappa_r_ue,
-            sigma_u2=self.sigma_u2, sigma_k2=self.sigma_k2,
+            kappa_r_ue=self.kappa_r_ue, sigma_k2=self.sigma_k2,
             phase_noise=self.phase_noise(sigma_p2))
 
     def phase_noise(self, sigma_p2=None) -> PhaseNoiseModel:
@@ -459,21 +449,27 @@ def _mc_secrecy(setup: SystemSetup, config: ExperimentConfig):
     return orc.r_sec, orc.r_sec_se
 
 
-def _closed_secrecy(setup: SystemSetup):
+def _rate_terms(setup: SystemSetup) -> list:
+    """One RateTerms per user: the single source of every closed form."""
+    return [compute_rate_terms(setup.est, setup.hw, setup.alloc.p_t, setup.dims.m_e, k=k)
+            for k in range(setup.dims.k)]
+
+
+def _closed_secrecy(terms: list, alloc: PowerAllocation):
     """Closed-form (user rate, eve bound, secrecy) averaged over users.
 
     The no-AN/no-distortion corner has a defined answer (Eve's SINR
     diverges, so the secrecy rate is zero) and is reported as such.
     """
     r_u, c_e, r_s = [], [], []
-    for k in range(setup.dims.k):
+    for user in terms:
         try:
-            rep = secrecy_rate(setup.est, setup.hw, setup.alloc, setup.dims.m_e, k=k)
+            rep = secrecy_rate(user, alloc)
             r_u.append(rep.r_k)
             c_e.append(rep.c_e_bar)
             r_s.append(rep.r_sec)
         except InfiniteEveCapacityError:
-            rate, _, _ = user_rate(setup.est, setup.hw, setup.alloc, k=k)
+            rate, _, _ = user_rate(user, alloc)
             r_u.append(rate)
             c_e.append(float("inf"))
             r_s.append(0.0)
@@ -527,7 +523,7 @@ def _secrecy_sweep(config: ExperimentConfig, name, column, grid, setup_kwargs) -
     rows = []
     for value in grid:
         setup = build_setup(config, **setup_kwargs(value))
-        r_user, c_eve, r_sec = _closed_secrecy(setup)
+        r_user, c_eve, r_sec = _closed_secrecy(_rate_terms(setup), setup.alloc)
         mc, mc_se = _mc_secrecy(setup, config)
         row_value = int(value) if column in ("m", "n") else float(value)
         rows.append([row_value, r_user, c_eve, r_sec, mc, mc_se,
@@ -561,32 +557,29 @@ def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
     """Uncorrelated-fading asymptotics: exact, large-N, limit, power-scaled."""
     grid = config.sweep or [64, 144, 256, 576, 1024, 2048, 4096]
     e_u = 10.0 ** (config.power_scaling_eu_db / 10.0) * config.sigma_k2
-    hw_dl = config.hardware()
     rows = []
     for n in grid:
         n = int(n)
         setup = build_setup(config, n=n, identity_correlations=True)
         # the uncorrelated special case assumes ideal uplink hardware
-        pilots = PilotConfig(tau_u=setup.dims.tau_u, rho=config.rho,
-                             sigma_u2=config.sigma_u2)
         _, _, r_prop = secrecy_uncorrelated(
             setup.dims, setup.fading, setup.h1, config.rho, setup.dims.tau_u,
-            config.sigma_u2, hw_dl, setup.alloc, setup.dims.m_e, k=0)
+            config.sigma_u2, setup.hw, setup.alloc, setup.dims.m_e, k=0)
         _, _, r_48 = secrecy_large_n(
             setup.fading.beta_2[0], setup.fading.beta_i[0], setup.fading.beta_1,
             setup.fading.beta_3, setup.fading.beta_ie, n, setup.dims.m,
             setup.dims.k, setup.dims.m_e, setup.alloc.p_t, setup.alloc.xi,
-            config.rho, setup.dims.tau_u, config.sigma_u2, hw_dl)
+            config.rho, setup.dims.tau_u, config.sigma_u2, setup.hw)
         _, _, r_50 = secrecy_limit(setup.dims.m, setup.dims.k, setup.dims.m_e,
-                                   setup.alloc.xi, hw_dl)
+                                   setup.alloc.xi, setup.hw)
         alloc_scaled = PowerAllocation.power_scaled(e_u, n, setup.alloc.xi,
                                                     setup.dims.k, setup.dims.m)
         _, _, r_scaled = secrecy_uncorrelated(
             setup.dims, setup.fading, setup.h1, config.rho, setup.dims.tau_u,
-            config.sigma_u2, hw_dl, alloc_scaled, setup.dims.m_e, k=0)
+            config.sigma_u2, setup.hw, alloc_scaled, setup.dims.m_e, k=0)
         _, _, r_49 = secrecy_power_scaled(
             e_u, setup.dims.m, setup.dims.k, setup.dims.m_e,
-            setup.fading.beta_i[0], setup.fading.beta_1, setup.alloc.xi, hw_dl)
+            setup.fading.beta_i[0], setup.fading.beta_1, setup.alloc.xi, setup.hw)
         rows.append([n, r_prop, r_48, r_50, r_scaled, r_49,
                      config.seed, config.config_hash()])
     return ResultTable(
@@ -602,10 +595,8 @@ def _run_xi_sweep(config: ExperimentConfig) -> ResultTable:
     for xi in grid:
         xi = float(xi)
         setup = build_setup(config, xi=xi)
-        _, _, r_closed = _closed_secrecy(setup)
-        terms = [compute_rate_terms(setup.est, setup.hw, setup.alloc.p_t,
-                                    setup.dims.m_e, k=k)
-                 for k in range(setup.dims.k)]
+        terms = _rate_terms(setup)
+        _, _, r_closed = _closed_secrecy(terms, setup.alloc)
         try:
             r_eq = np.mean([max(0.0, secrecy_gap_split(t, xi)) for t in terms])
         except InfiniteEveCapacityError:
@@ -625,7 +616,7 @@ def _run_kappa_t_sweep(config: ExperimentConfig) -> ResultTable:
     rows = []
     for kappa in grid:
         setup = build_setup(config, kappa_t_bs=float(kappa))
-        r_user, c_eve, r_sec = _closed_secrecy(setup)
+        r_user, c_eve, r_sec = _closed_secrecy(_rate_terms(setup), setup.alloc)
         mc, mc_se = _mc_secrecy(setup, config)
         rows.append([float(kappa), r_user, c_eve, r_sec, mc, mc_se,
                      config.seed, config.config_hash()])
@@ -642,7 +633,7 @@ def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
     for n in grid:
         for sp2 in config.phase_noise_levels:
             setup = build_setup(config, n=int(n), sigma_p2=float(sp2))
-            _, _, r_sec = _closed_secrecy(setup)
+            _, _, r_sec = _closed_secrecy(_rate_terms(setup), setup.alloc)
             mc, mc_se = _mc_secrecy(setup, config)
             rows.append([int(n), float(sp2), r_sec, mc, mc_se,
                          config.seed, config.config_hash()])

@@ -46,6 +46,10 @@ class SystemDimensions:
     tau_u: int        # pilot length in symbols
 
     def __post_init__(self):
+        for name in ("m", "n", "k", "m_e"):
+            count = getattr(self, name)
+            if count < 1:
+                raise InvalidParameterError(f"{name} must be positive, got {count}")
         if self.n_h * self.n_v != self.n:
             raise InvalidParameterError(
                 f"RIS grid {self.n_h}x{self.n_v} does not hold {self.n} elements")
@@ -55,13 +59,12 @@ class SystemDimensions:
         if self.tau_u < self.k:
             raise InvalidParameterError(
                 f"pilot length {self.tau_u} shorter than user count {self.k}")
-        for name in ("m", "n", "k", "m_e"):
-            if getattr(self, name) < 1:
-                raise InvalidParameterError(f"{name} must be positive")
 
     @classmethod
     def square_ris(cls, m: int, n: int, k: int, m_e: int, tau_u: int | None = None):
         """Dimensions with the most square RIS grid that factors n."""
+        if n < 1:
+            raise InvalidParameterError(f"n must be positive, got {n}")
         n_h = int(round(np.sqrt(n)))
         while n_h > 1 and n % n_h != 0:
             n_h -= 1
@@ -271,12 +274,6 @@ def aggregate_covariance(r_bk: np.ndarray, h1: np.ndarray, phi: np.ndarray,
     return hermitize(r_bk + b @ r_tilde @ b.conj().T)
 
 
-def eve_covariance(r_be: np.ndarray, h1: np.ndarray, phi: np.ndarray,
-                   r_tilde_e: np.ndarray) -> np.ndarray:
-    """Aggregate eavesdropper covariance; same congruence as the users."""
-    return aggregate_covariance(r_be, h1, phi, r_tilde_e)
-
-
 # --------------------------------------------------------------------------
 # assembled statistics
 # --------------------------------------------------------------------------
@@ -303,19 +300,6 @@ class ChannelStatistics:
     rho: float = 1.0
     cascade_corr: np.ndarray | None = None   # (H1 Phi) R_I (H1 Phi)^H, unit gain
     cascade_iden: np.ndarray | None = None   # (H1 Phi) (H1 Phi)^H
-
-    @property
-    def r_bk(self) -> list:
-        """Per-user direct-link covariances beta_2[k] * R_B."""
-        base = np.eye(self.dims.m) if self.r_b is None else self.r_b
-        return [b2 * base for b2 in self.fading.beta_2]
-
-    def r_tilde_ik(self, k: int) -> np.ndarray:
-        return effective_ris_correlation(self.r_i, self.fading.beta_i[k], self.rho, self.dims.n)
-
-    @property
-    def r_tilde_ie(self) -> np.ndarray:
-        return effective_ris_correlation(self.r_i, self.fading.beta_ie, self.rho, self.dims.n)
 
     @cached_property
     def sqrt_r_b(self) -> np.ndarray | None:
@@ -373,19 +357,6 @@ def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
 # random realizations
 # --------------------------------------------------------------------------
 
-@dataclass
-class ChannelRealization:
-    """One draw of every fading object plus the assembled aggregates."""
-
-    h_i_users: np.ndarray   # (K, N) RIS-user small-scale channels
-    h_b_users: np.ndarray   # (K, M) BS-user channels
-    h_ie: np.ndarray        # (N, M_E) RIS-Eve
-    h_be: np.ndarray        # (M, M_E) BS-Eve
-    theta: np.ndarray       # (N,) phase-error angles
-    h: np.ndarray           # (K, M) aggregate user channels
-    h_e: np.ndarray         # (M, M_E) aggregate Eve channel
-
-
 def _rows_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """x @ a.T for a stack of row vectors x (..., n), as a single GEMM.
 
@@ -438,12 +409,3 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
     return {"theta": theta, "h_i": h_i, "h_b": h_b,
             "h_ie": np.swapaxes(h_ie, 1, 2), "h_be": np.swapaxes(h_be, 1, 2),
             "h": h, "h_e": np.swapaxes(h_e, 1, 2)}
-
-
-def sample_realization(stats: ChannelStatistics, rng: np.random.Generator) -> ChannelRealization:
-    """Single coherence-block draw as a ChannelRealization."""
-    d = sample_realizations(stats, rng, 1)
-    return ChannelRealization(
-        h_i_users=d["h_i"][0], h_b_users=d["h_b"][0], h_ie=d["h_ie"][0],
-        h_be=d["h_be"][0], theta=d["theta"][0], h=d["h"][0], h_e=d["h_e"][0],
-    )

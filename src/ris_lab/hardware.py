@@ -1,9 +1,8 @@
-"""Transceiver hardware profile.
+"""Downlink transceiver hardware profile.
 
 Residual RF distortion is modeled as additive Gaussian noise whose power
-is proportional to the signal power through the four kappa factors:
-uplink (user transmit, BS receive) and downlink (BS transmit, user
-receive). The RIS contributes its own phase-error law.
+is proportional to the signal power. The downlink factors (BS transmit,
+user receive) live here; the RIS contributes its own phase-error law.
 """
 from __future__ import annotations
 
@@ -15,29 +14,21 @@ from .geometry import PhaseNoiseModel
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    kappa_t_ue: float = 0.0        # user transmit distortion (uplink)
-    kappa_r_bs: float = 0.0        # BS receive distortion (uplink)
-    kappa_t_bs: float = 0.0        # BS transmit distortion (downlink)
-    kappa_r_ue: float = 0.0        # user receive distortion (downlink)
-    sigma_u2: float = 1.0          # uplink noise power
+    """Downlink distortion factors, user noise power and RIS phase noise.
+
+    The uplink factors (user transmit kappa_t_ue, BS receive kappa_r_bs)
+    and the uplink noise power sigma_u2 shape only the pilot phase, so
+    they live in ``estimation.PilotConfig`` and nowhere else.
+    """
+
+    kappa_t_bs: float = 0.0        # BS transmit distortion
+    kappa_r_ue: float = 0.0        # user receive distortion
     sigma_k2: float = 1.0          # downlink noise power at each user
     phase_noise: PhaseNoiseModel = field(default_factory=PhaseNoiseModel)
 
     def __post_init__(self):
-        for name in ("kappa_t_ue", "kappa_r_bs", "kappa_t_bs", "kappa_r_ue"):
+        for name in ("kappa_t_bs", "kappa_r_ue"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be non-negative")
-        if self.sigma_u2 < 0 or self.sigma_k2 < 0:
+        if self.sigma_k2 < 0:
             raise InvalidParameterError("noise powers must be non-negative")
-
-    @classmethod
-    def ideal(cls, phase_noise: PhaseNoiseModel | None = None):
-        return cls(phase_noise=phase_noise or PhaseNoiseModel())
-
-    @classmethod
-    def uniform_kappa(cls, kappa: float, sigma_u2: float = 1.0, sigma_k2: float = 1.0,
-                      phase_noise: PhaseNoiseModel | None = None):
-        """Same distortion factor at all four stages (the 'kappa' sweeps)."""
-        return cls(kappa_t_ue=kappa, kappa_r_bs=kappa, kappa_t_bs=kappa, kappa_r_ue=kappa,
-                   sigma_u2=sigma_u2, sigma_k2=sigma_k2,
-                   phase_noise=phase_noise or PhaseNoiseModel())

@@ -35,11 +35,6 @@ def herm_sqrt(a: np.ndarray, clip_tol: float = 1e-10) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def trace_prod(a: np.ndarray, b: np.ndarray) -> complex:
-    """tr(A @ B) without forming the product."""
-    return np.sum(a * b.T)
-
-
 def herm_trace_prod(a: np.ndarray, b: np.ndarray) -> float:
     """tr(A @ B) for Hermitian A, B; the result is real."""
     return float(np.real(np.sum(a * b.T)))

@@ -48,9 +48,9 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .estimation import ChannelEstimator, simulate_pilot_phase
-from .geometry import ChannelStatistics, sample_realizations
+from .geometry import sample_realizations
 from .hardware import HardwareProfile
-from .precoding import PowerAllocation, mrt_normalizers
+from .precoding import PowerAllocation, mrt_normalizers, mrt_precoder
 from .precoding import null_space_an_batch  # noqa: F401 -- bench/tracer.py wraps this binding
 from .streams import CHANNEL_BLOCK, EVE_BLOCK, NMSE_BLOCK, derive_rng
 
@@ -211,7 +211,7 @@ def _draw_blocks(est: ChannelEstimator, size, rng) -> _Blocks:
     draws = sample_realizations(stats, rng, size)
     y = simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
     h_hat = est.estimate(y)
-    w = h_hat / np.sqrt(mrt_normalizers(est))[None, None, :]
+    w = mrt_precoder(h_hat, est)
     q_hat = np.linalg.qr(h_hat)[0]
     return _Blocks(h=draws["h"], h_e=draws["h_e"], h_hat=h_hat, w=w, q_hat=q_hat)
 

@@ -1,15 +1,25 @@
 """Closed-form rate and secrecy-rate expressions.
 
-Everything here is a deterministic function of the channel statistics:
-the legitimate user's achievable rate with MRT + null-space AN, the
-moment-matched upper bound on the eavesdropper capacity, the ergodic
-secrecy rate in two algebraically equivalent parameterizations, the
-antenna-count thresholds, and the uncorrelated/large-RIS special cases.
+Everything here is a deterministic function of the channel statistics.
+One per-user ``RateTerms``, built by ``compute_rate_terms``, is the only
+source of the statistics the closed forms share: tr(R Psi^-1 R),
+tr Q_E, tr Q_E^2, tr(R Psi^-1 R Q_E) and the power-normalized signal,
+interference and noise blocks built from them. The legitimate user's
+achievable rate with MRT + null-space AN, the moment-matched upper bound
+on the eavesdropper capacity (with and without AN), the ergodic secrecy
+rate in its composed and its power-split form, and the antenna-count
+thresholds are small pure functions of ``(terms, alloc)``; none of them
+touches a matrix. Callers build the terms once per (setup, user) and
+reuse them across every quantity.
+
+The uncorrelated special case (``secrecy_uncorrelated``) works from the
+raw matrices on purpose: it is an independent cross-check of this path.
+The large-RIS, power-scaled and limit forms need only scalar gains.
 
 Numerical policy: every SINR is assembled from trace ratios before any
 multiplication with large powers, so the expressions stay finite at
 M, N >= 1e3. The [.]^+ clipping happens only at the final secrecy-rate
-step; unclipped gaps are preserved for diagnostics.
+step; the unclipped gap is kept alongside.
 """
 from __future__ import annotations
 
@@ -47,16 +57,13 @@ class RateTerms:
     k_users: int
     m_e: int
     p_t: float
-    sigma_k2: float
     kappa_t_bs: float
-    kappa_r_ue: float
-    s_ddot: float          # tau rho tr(R Psi^-1 R): normalized signal power
+    s_ddot: float          # tau rho tr(R Psi^-1 R) = E||h_hat_k||^2: signal power
     i_ddot: float          # interference + estimation-uncertainty power
-    n_ddot: float          # HWI + noise floor of the no-AN form
+    n_ddot: float          # downlink HWI + noise floor of the no-AN form
     d_ddot: float          # xi-free denominator block of the split form
     psi_const: float       # i_ddot - (K/M) tr(C): xi-linear denominator slope
-    tr_r: float
-    tr_c: float
+    tr_c: float            # tr(C): estimation-error power
     zeta: float            # tr(R Psi^-1 R)
     tr_q: float            # tr(Q_E)
     tr_q2: float           # tr(Q_E^2)
@@ -69,14 +76,15 @@ class RateTerms:
     a5: float
     l1: float              # [tr Q]^2 - M_E M/(M-K) tr(Q^2)
 
-    @property
-    def upsilon0(self) -> float:
-        return 1.0 + self.kappa_t_bs
-
 
 def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, p_t: float,
                        m_e: int, k: int = 0) -> RateTerms:
-    """Assemble every scalar the rate formulas need for user ``k``."""
+    """Assemble every scalar the rate formulas need for user ``k``.
+
+    The only place where the trace products are computed. The E||h_hat_i||^2
+    denominators come from ``mrt_normalizers``, which raises
+    DegenerateConfigError for a zero-power estimate.
+    """
     stats = est.stats
     m = stats.dims.m
     k_users = stats.dims.k
@@ -84,14 +92,14 @@ def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, p_t: float,
         raise InvalidParameterError(f"user index {k} out of range")
     if p_t <= 0:
         raise InvalidParameterError("total power must be positive")
+    norms = mrt_normalizers(est)                  # tau_u rho tr(R_i Psi_i^-1 R_i)
     tr_pilot = est.pilots.tau_u * est.pilots.rho
 
     zeta = est.tr_rpr[k]
-    s_ddot = tr_pilot * zeta
-    interference = sum(
-        herm_trace_prod(stats.r_k[k], est.est_cov[i]) / (tr_pilot * est.tr_rpr[i])
-        for i in range(k_users) if i != k)
-    uncertainty = herm_trace_prod(est.c[k], est.est_cov[k]) / (tr_pilot * zeta)
+    s_ddot = norms[k]
+    interference = sum(herm_trace_prod(stats.r_k[k], est.est_cov[i]) / norms[i]
+                       for i in range(k_users) if i != k)
+    uncertainty = herm_trace_prod(est.c[k], est.est_cov[k]) / norms[k]
     i_ddot = interference + uncertainty
 
     tr_r = est.tr_r[k]
@@ -116,39 +124,37 @@ def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, p_t: float,
     l1 = tr_q ** 2 - m_e * m / (m - k_users) * tr_q2
 
     return RateTerms(
-        k=k, m=m, k_users=k_users, m_e=m_e, p_t=p_t, sigma_k2=hw.sigma_k2,
-        kappa_t_bs=hw.kappa_t_bs, kappa_r_ue=hw.kappa_r_ue,
+        k=k, m=m, k_users=k_users, m_e=m_e, p_t=p_t, kappa_t_bs=hw.kappa_t_bs,
         s_ddot=s_ddot, i_ddot=i_ddot, n_ddot=n_ddot, d_ddot=d_ddot,
-        psi_const=psi_const, tr_r=tr_r, tr_c=tr_c, zeta=zeta,
+        psi_const=psi_const, tr_c=tr_c, zeta=zeta,
         tr_q=tr_q, tr_q2=tr_q2, tr_rpr_q=tr_rpr_q, lambda_k=lambda_k,
         a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, l1=l1,
     )
+
+
+def _check_alloc(terms: RateTerms, alloc: PowerAllocation) -> None:
+    """The terms fix P_t, K and M; the allocation must use the same ones."""
+    if (alloc.p_t, alloc.k, alloc.m) != (terms.p_t, terms.k_users, terms.m):
+        raise InvalidParameterError(
+            f"allocation (P_t={alloc.p_t}, K={alloc.k}, M={alloc.m}) does not match "
+            f"the rate terms (P_t={terms.p_t}, K={terms.k_users}, M={terms.m})")
 
 
 # --------------------------------------------------------------------------
 # legitimate user (Theorem-1 form)
 # --------------------------------------------------------------------------
 
-def user_rate(est: ChannelEstimator, hw: HardwareProfile, alloc: PowerAllocation,
-              k: int = 0):
-    """Achievable rate of user k with MRT and null-space AN.
+def user_rate(terms: RateTerms, alloc: PowerAllocation):
+    """Achievable rate of the terms' user with MRT and null-space AN.
 
     Returns (rate_bits, signal_power, interference_power). The denominator
-    collects multiuser interference, estimation uncertainty, AN leakage,
-    downlink HWI and noise.
+    collects multiuser interference and estimation uncertainty (p i_ddot),
+    AN leakage q (M-K)/M tr(C), and the downlink HWI and noise (n_ddot).
     """
-    stats = est.stats
-    m, k_users = stats.dims.m, stats.dims.k
-    norms = mrt_normalizers(est)                  # tau_u rho tr(R_k Psi_k^-1 R_k)
-
-    s_k = alloc.p * norms[k]
-    interference = alloc.p * sum(
-        herm_trace_prod(stats.r_k[k], est.est_cov[i]) / norms[i]
-        for i in range(k_users) if i != k)
-    uncertainty = alloc.p * herm_trace_prod(est.c[k], est.est_cov[k]) / norms[k]
-    an_leak = alloc.q * (m - k_users) / m * float(np.real(np.trace(est.c[k])))
-    hwi = (hw.kappa_t_bs + hw.kappa_r_ue) * alloc.p_t / m * est.tr_r[k]
-    i_k = interference + uncertainty + an_leak + hwi + hw.sigma_k2
+    _check_alloc(terms, alloc)
+    s_k = alloc.p * terms.s_ddot
+    i_k = (alloc.p * terms.i_ddot
+           + alloc.q * (terms.m - terms.k_users) / terms.m * terms.tr_c + terms.n_ddot)
     return float(np.log2(1.0 + s_k / i_k)), s_k, i_k
 
 
@@ -193,64 +199,50 @@ def wishart_match(tr_q: float, tr_q2: float, q: float, kappa_t_bs: float,
     return phi_w, eta_w
 
 
-def eve_capacity_bound(est: ChannelEstimator, hw: HardwareProfile,
-                       alloc: PowerAllocation, m_e: int, k: int = 0) -> EveBound:
-    """Moment-matched upper bound on the eavesdropper capacity for user k.
+def eve_capacity_bound(terms: RateTerms, alloc: PowerAllocation) -> EveBound:
+    """Moment-matched upper bound on the eavesdropper capacity for the terms' user.
 
     Raises InfiniteEveCapacityError when neither AN nor transmit
     distortion masks the data streams, and BoundInvalidError when the
     matched Wishart degrees of freedom are too close to M_E for the
     inverse mean to exist.
     """
-    stats = est.stats
-    m, k_users = stats.dims.m, stats.dims.k
-    q_e = stats.q_e
-    tr_q = float(np.real(np.trace(q_e)))
-    tr_q2 = herm_trace_prod(q_e, q_e)
-    zeta = est.tr_rpr[k]
-    tr_rpr_q = herm_trace_prod(est.est_cov[k], q_e) / (est.pilots.tau_u * est.pilots.rho)
-
-    kt, p_t, q = hw.kappa_t_bs, alloc.p_t, alloc.q
+    _check_alloc(terms, alloc)
+    m, k_users, m_e = terms.m, terms.k_users, terms.m_e
+    tr_q, tr_q2 = terms.tr_q, terms.tr_q2
+    kt, p_t, q = terms.kappa_t_bs, alloc.p_t, alloc.q
     drive = q * (m - k_users) + kt * p_t
     phi_w, eta_w = wishart_match(tr_q, tr_q2, q, kt, p_t, m, k_users)
     if eta_w <= m_e + WISHART_DOF_MARGIN:
         raise BoundInvalidError(
             f"matched Wishart dof {eta_w:.3f} must exceed M_E + 1 = {m_e + 1}")
 
-    s_e = alloc.p * m_e * m * drive * tr_rpr_q * tr_q
+    s_e = alloc.p * m_e * m * drive * terms.tr_rpr_q * tr_q
     chi = (drive ** 2 * tr_q ** 2
            - m_e * ((kt * p_t) ** 2 + q ** 2 * m * (m - k_users)
                     + 2.0 * q * (m - k_users) * kt * p_t) * tr_q2)
     if chi <= 0:
         raise BoundInvalidError("bound denominator non-positive; too many Eve antennas")
-    i_e = chi * zeta
+    i_e = chi * terms.zeta
 
-    gamma_appendix = alloc.p * m_e * tr_rpr_q / (phi_w * (eta_w - m_e) * zeta)
+    gamma_appendix = alloc.p * m_e * terms.tr_rpr_q / (phi_w * (eta_w - m_e) * terms.zeta)
     return EveBound(
         c_e_bar=float(np.log2(1.0 + s_e / i_e)), s_e=s_e, i_e=i_e, chi=chi,
         phi_w=phi_w, eta_w=eta_w, c_e_appendix=float(np.log2(1.0 + gamma_appendix)),
     )
 
 
-def eve_capacity_no_an(est: ChannelEstimator, hw: HardwareProfile,
-                       m_e: int, k: int = 0) -> float:
+def eve_capacity_no_an(terms: RateTerms) -> float:
     """Eavesdropper bound without AN; only transmit distortion masks the data."""
-    if hw.kappa_t_bs <= 0:
+    if terms.kappa_t_bs <= 0:
         raise InfiniteEveCapacityError(
             "without AN, a zero transmit-distortion factor gives Eve unbounded SINR")
-    stats = est.stats
-    m, k_users = stats.dims.m, stats.dims.k
-    q_e = stats.q_e
-    tr_q = float(np.real(np.trace(q_e)))
-    tr_q2 = herm_trace_prod(q_e, q_e)
-    zeta = est.tr_rpr[k]
-    tr_rpr_q = herm_trace_prod(est.est_cov[k], q_e) / (est.pilots.tau_u * est.pilots.rho)
-
-    denom_core = tr_q ** 2 - m_e * tr_q2
+    denom_core = terms.tr_q ** 2 - terms.m_e * terms.tr_q2
     if denom_core <= 0:
         raise BoundInvalidError(
             "no-AN bound requires [tr Q]^2 > M_E tr(Q^2); too many Eve antennas")
-    sinr = m_e * m * tr_rpr_q * tr_q / (hw.kappa_t_bs * zeta * k_users * denom_core)
+    sinr = (terms.m_e * terms.m * terms.tr_rpr_q * terms.tr_q
+            / (terms.kappa_t_bs * terms.zeta * terms.k_users * denom_core))
     return float(np.log2(1.0 + sinr))
 
 
@@ -283,48 +275,51 @@ def secrecy_gap_split(terms: RateTerms, xi: float) -> float:
 
 @dataclass(frozen=True)
 class SecrecyReport:
-    """Secrecy-rate evaluation of one user, with every internal term."""
+    """Secrecy-rate evaluation of one user."""
 
     r_k: float             # legitimate user rate
     c_e_bar: float         # eavesdropper capacity bound
-    r_sec: float           # clipped secrecy rate
     gap: float             # unclipped r_k - c_e_bar
-    r_sec_split: float     # same quantity via the split parameterization
-    gap_split: float
-    s_k: float
-    i_k: float
-    eve: EveBound
-    delta_an: float        # antenna-ratio threshold without AN
-    delta_sec: float       # antenna-ratio threshold with AN
-    terms: RateTerms
+    r_sec: float           # clipped secrecy rate
 
 
-def max_eve_antennas_no_an(est: ChannelEstimator, hw: HardwareProfile, p_t: float,
-                           k: int = 0):
+def secrecy_rate(terms: RateTerms, alloc: PowerAllocation) -> SecrecyReport:
+    """Ergodic secrecy rate [R_k - C_E]^+ of the terms' user.
+
+    The direct composition, user rate minus capacity bound. The split
+    form ``secrecy_gap_split(terms, alloc.xi)`` equals ``gap``
+    analytically; the tests hold the two to each other.
+    """
+    r_k, _, _ = user_rate(terms, alloc)
+    c_e_bar = eve_capacity_bound(terms, alloc).c_e_bar
+    gap = r_k - c_e_bar
+    return SecrecyReport(r_k=r_k, c_e_bar=c_e_bar, gap=gap, r_sec=max(0.0, gap))
+
+
+def max_eve_antennas_no_an(terms: RateTerms):
     """Largest Eve array (as a fraction of M) with positive no-AN secrecy.
 
-    Zero whenever the BS transmitter is distortion-free.
+    Returns (delta, floor(delta M)); zero whenever the BS transmitter is
+    distortion-free. Does not depend on the terms' M_E.
     """
-    terms = compute_rate_terms(est, hw, p_t, m_e=1, k=k)
-    if hw.kappa_t_bs == 0.0:
+    if terms.kappa_t_bs == 0.0:
         return 0.0, 0
-    num = terms.s_ddot * hw.kappa_t_bs * (terms.k_users / terms.m) * terms.tr_q
-    den = (hw.kappa_t_bs * terms.s_ddot * terms.k_users * terms.tr_q2 / terms.tr_q
+    num = terms.s_ddot * terms.kappa_t_bs * (terms.k_users / terms.m) * terms.tr_q
+    den = (terms.kappa_t_bs * terms.s_ddot * terms.k_users * terms.tr_q2 / terms.tr_q
            + (terms.m / terms.zeta)
-           * (terms.i_ddot + terms.k_users * terms.n_ddot / p_t) * terms.tr_rpr_q)
+           * (terms.i_ddot + terms.k_users * terms.n_ddot / terms.p_t) * terms.tr_rpr_q)
     delta = num / den
     return float(delta), int(math.floor(delta * terms.m))
 
 
-def max_eve_antennas_an(est: ChannelEstimator, hw: HardwareProfile, p_t: float,
-                        k: int = 0):
+def max_eve_antennas_an(terms: RateTerms):
     """Largest Eve array with positive secrecy when the AN power dominates.
 
     Threshold of the split form as the data fraction goes to zero: the
-    most AN-protected operating point.
+    most AN-protected operating point. Returns (delta, floor(delta M));
+    does not depend on the terms' M_E.
     """
-    terms = compute_rate_terms(est, hw, p_t, m_e=1, k=k)
-    kt = hw.kappa_t_bs
+    kt = terms.kappa_t_bs
     ups0 = 1.0 + kt
     chi0 = (terms.m / (terms.m - terms.k_users) + 2.0 * kt + kt ** 2) / ups0
     num = terms.s_ddot * terms.k_users * ups0 * terms.tr_q ** 2
@@ -332,31 +327,6 @@ def max_eve_antennas_an(est: ChannelEstimator, hw: HardwareProfile, p_t: float,
            + terms.s_ddot * terms.k_users * terms.m * chi0 * terms.tr_q2)
     delta = num / den
     return float(delta), int(math.floor(delta * terms.m))
-
-
-def secrecy_rate(est: ChannelEstimator, hw: HardwareProfile, alloc: PowerAllocation,
-                 m_e: int, k: int = 0) -> SecrecyReport:
-    """Ergodic secrecy rate [R_k - C_E]^+ with full diagnostics.
-
-    Evaluates both the direct composition (user rate minus capacity bound)
-    and the power-split parameterization; the two agree analytically and
-    their numerical agreement guards transcription errors.
-    """
-    r_k, s_k, i_k = user_rate(est, hw, alloc, k=k)
-    eve = eve_capacity_bound(est, hw, alloc, m_e, k=k)
-    gap = r_k - eve.c_e_bar
-
-    terms = compute_rate_terms(est, hw, alloc.p_t, m_e, k=k)
-    gap_split = secrecy_gap_split(terms, alloc.xi)
-
-    delta_an, _ = max_eve_antennas_no_an(est, hw, alloc.p_t, k=k)
-    delta_sec, _ = max_eve_antennas_an(est, hw, alloc.p_t, k=k)
-    return SecrecyReport(
-        r_k=r_k, c_e_bar=eve.c_e_bar, r_sec=max(0.0, gap), gap=gap,
-        r_sec_split=max(0.0, gap_split), gap_split=gap_split,
-        s_k=s_k, i_k=i_k, eve=eve, delta_an=delta_an, delta_sec=delta_sec,
-        terms=terms,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,6 @@ SCENARIO = 2
 CHANNEL_BLOCK = 3
 EVE_BLOCK = 4
 NMSE_BLOCK = 5
-GENERIC = 6
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:

@@ -50,29 +50,40 @@ def test_psi_hermitian_positive_definite(small_setup):
         assert np.linalg.eigvalsh(psi).min() > 0
 
 
+def diagonal_estimator(r_diag, pilots):
+    """Estimator whose every R_k is the same diagonal matrix.
+
+    Diagonal statistics decouple the antennas, so the LMMSE estimate and
+    its error reduce to per-antenna scalar formulas.
+    """
+    m = len(r_diag)
+    stats = make_setup(seed=9, m=m, n=4, k=1, m_e=1)[0]
+    stats.r_k = [np.diag(np.asarray(r_diag, dtype=float)).astype(complex)]
+    return rl.ChannelEstimator(stats, pilots)
+
+
 def test_lmmse_scalar_reduction():
     # M-free sanity on the closed-form gain: hhat = sqrt(rho) r y / (tau rho r + sigma^2)
-    r = np.array([[0.8 + 0j]])
+    r = np.array([0.8, 0.3])
     tau, rho, sigma2 = 4, 2.5, 0.3
-    psi = tau * rho * r + sigma2 * np.eye(1)
-    y = np.array([1.3 - 0.4j])
-    got = rl.lmmse_estimate(y, r, psi, rho)
-    expect = np.sqrt(rho) * 0.8 * y / (tau * rho * 0.8 + sigma2)
+    est = diagonal_estimator(r, rl.PilotConfig(tau_u=tau, rho=rho, sigma_u2=sigma2))
+    y = np.array([[1.3 - 0.4j], [0.2 + 0.9j]])
+    got = est.estimate(y)
+    expect = np.sqrt(rho) * r[:, None] * y / (tau * rho * r[:, None] + sigma2)
     assert np.allclose(got, expect)
+    assert np.allclose(np.diag(est.c[0]).real, r - tau * rho * r ** 2 / (tau * rho * r + sigma2))
 
 
 def test_lmmse_estimate_warns_when_ill_conditioned():
-    r = np.diag([1.0, 1e-14]).astype(complex)
-    psi = np.diag([1.0, 1e-14]).astype(complex)
+    pilots = rl.PilotConfig(tau_u=1, rho=1.0, sigma_u2=0.0)
     with pytest.warns(IllConditionedWarning):
-        rl.lmmse_estimate(np.array([1.0 + 0j, 1.0 + 0j]), r, psi, 1.0)
+        diagonal_estimator([1.0, 1e-14], pilots)
 
 
 def test_singular_psi_raises_with_condition_number():
-    r = np.ones((2, 2), dtype=complex)            # rank one
-    psi = 4.0 * r                                  # singular: sigma_u2 = 0
+    pilots = rl.PilotConfig(tau_u=4, rho=1.0, sigma_u2=0.0)   # Psi = 4 R, singular
     with pytest.raises(rl.IllConditionedError) as err:
-        rl.error_covariance(r, psi, 1.0, 4)
+        diagonal_estimator([1.0, 0.0], pilots)
     assert err.value.cond is None or err.value.cond > 1e12
 
 

@@ -65,15 +65,32 @@ def test_cli_bad_type_exits_2_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys):
-    # pilot power so small that E||h_hat_k||^2 underflows to zero: MRT is undefined
-    config = write_config(tmp_path, {**TINY, "pilot_snr_db": -3200.0,
+@pytest.mark.parametrize("experiment, sweep", [("kappa_t_sweep", 0.0), ("xi_sweep", 0.5)],
+                         ids=["kappa_t_sweep", "xi_sweep"])
+def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys, experiment, sweep):
+    # pilot power so small that E||h_hat_k||^2 underflows to zero: MRT is
+    # undefined, and compute_rate_terms meets it first
+    config = write_config(tmp_path, {**TINY, "sweep": [sweep], "pilot_snr_db": -3200.0,
                                      "normalize_gains": False})
-    assert cli.main(["kappa_t_sweep", "--config", config,
+    assert cli.main([experiment, "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "zero-power channel estimate" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [0, -4])
+@pytest.mark.parametrize("experiment",
+                         ["nmse_vs_N", "secrecy_vs_N", "secrecy_vs_M", "asymptotic_vs_N"])
+def test_cli_nonpositive_size_in_sweep_exits_2(tmp_path, capsys, experiment, value):
+    # a sweep value of 0 once fell back to the config default while the row said 0
+    config = write_config(tmp_path, {**TINY, "sweep": [value]})
+    assert cli.main([experiment, "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"must be positive, got {value}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_records_environment(tmp_path, monkeypatch):

@@ -206,7 +206,11 @@ def test_aggregate_covariance_phase_cancels_for_identity_template():
 
 def test_covariances_hermitian_psd_invariants(small_setup):
     stats = small_setup[0]
-    mats = list(stats.r_k) + [stats.q_e, stats.r_tilde_ik(0), stats.r_tilde_ie]
+    n, fading = stats.dims.n, stats.fading
+    mats = list(stats.r_k) + [
+        stats.q_e,
+        rl.effective_ris_correlation(stats.r_i, fading.beta_i[0], stats.rho, n),
+        rl.effective_ris_correlation(stats.r_i, fading.beta_ie, stats.rho, n)]
     for mat in mats:
         assert max_asymmetry(mat) < 1e-12
         assert min_relative_eigenvalue(mat) > -1e-10
@@ -273,11 +277,12 @@ def test_sampler_deterministic(small_setup):
 
 def test_single_realization_shapes(small_setup):
     stats = small_setup[0]
-    real = rl.sample_realization(stats, np.random.default_rng(0))
+    real = rl.sample_realizations(stats, np.random.default_rng(0), 1)
     dims = stats.dims
-    assert real.h.shape == (dims.k, dims.m)
-    assert real.h_e.shape == (dims.m, dims.m_e)
-    assert np.allclose(np.abs(np.exp(1j * real.theta)), 1.0)
+    assert real["h"].shape == (1, dims.k, dims.m)
+    assert real["h_e"].shape == (1, dims.m, dims.m_e)
+    assert real["theta"].shape == (1, dims.n)
+    assert np.allclose(np.abs(np.exp(1j * real["theta"])), 1.0)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,11 @@ from ris_lab.montecarlo import worker_count
 from conftest import make_setup
 
 
+def rate_terms(est, hw, alloc, k):
+    """The closed-form RateTerms of user k at the setup's own M_E."""
+    return rl.compute_rate_terms(est, hw, alloc.p_t, est.stats.dims.m_e, k=k)
+
+
 def closed_form_terms(est, k):
     """Appendix-level closed forms for the five SINR expectations of user k."""
     stats = est.stats
@@ -134,7 +139,7 @@ def test_terms_match_closed_forms_with_ideal_uplink():
         assert abs(orc.variance[k] - var) < 3 * orc.variance_se[k]
         assert abs(orc.an_leakage[k] - an) < 3 * orc.an_leakage_se[k]
         assert abs(orc.hwi[k] - hwi) < 3 * orc.hwi_se[k]
-        rate_cf, _, _ = rl.user_rate(est, hw, alloc, k=k)
+        rate_cf, _, _ = rl.user_rate(rate_terms(est, hw, alloc, k), alloc)
         assert abs(orc.rate[k] - rate_cf) / rate_cf < 0.05
 
 
@@ -149,7 +154,7 @@ def test_distortion_couplings_bias_the_closed_forms():
     _, inter, var, _ = closed_form_terms(est, 0)
     assert orc.variance[0] - var > 3 * orc.variance_se[0]
     # the rate itself stays accurate: the biased terms are small in I_k
-    rate_cf, _, _ = rl.user_rate(est, hw, alloc, k=0)
+    rate_cf, _, _ = rl.user_rate(rate_terms(est, hw, alloc, 0), alloc)
     assert abs(orc.rate[0] - rate_cf) / rate_cf < 0.05
 
 
@@ -180,7 +185,7 @@ def test_eve_capacity_below_bound(small_setup):
     _, est, hw, alloc = small_setup
     orc = rl.estimate_eve_capacity(est, hw, alloc, rl.TrialPlan(8000, master_seed=31))
     for k in range(3):
-        bound = rl.eve_capacity_bound(est, hw, alloc, m_e=2, k=k).c_e_bar
+        bound = rl.eve_capacity_bound(rate_terms(est, hw, alloc, k), alloc).c_e_bar
         assert orc.c_e[k] <= bound + 3 * orc.c_e_se[k]
 
 
@@ -190,7 +195,7 @@ def test_eve_gap_shrinks_with_antennas():
         stats, est, hw, alloc = make_setup(seed=55, m=m, n=16, k=2, m_e=2,
                                            p_t=10.0, kappa_dl=0.01)
         orc = rl.estimate_eve_capacity(est, hw, alloc, rl.TrialPlan(6000, master_seed=7))
-        bound = rl.eve_capacity_bound(est, hw, alloc, m_e=2, k=0).c_e_bar
+        bound = rl.eve_capacity_bound(rate_terms(est, hw, alloc, 0), alloc).c_e_bar
         gaps.append(bound - orc.c_e[0])
     assert gaps[0] > gaps[-1]
 
@@ -199,8 +204,7 @@ def test_eve_rank_one_reduction():
     # M_E = 1 with pure AN: gamma_E = p |f|^2 / (q ||V^H h_E||^2)
     stats, est, hw, alloc = make_setup(seed=56, m=12, n=9, k=2, m_e=1,
                                        kappa_dl=0.0, p_t=10.0)
-    hw0 = rl.HardwareProfile(kappa_t_ue=0.01, kappa_r_bs=0.01,
-                             phase_noise=stats.phase_model)
+    hw0 = rl.HardwareProfile(phase_noise=stats.phase_model)
     rng = np.random.default_rng(2)
     draws = rl.sample_realizations(stats, rng, 2000)
     y = rl.simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
@@ -220,8 +224,7 @@ def test_eve_rank_one_reduction():
 
 def test_eve_singular_corner_regularized():
     stats, est, _, _ = make_setup(seed=57, m=12, n=9, k=2, m_e=1, kappa_dl=0.0)
-    hw0 = rl.HardwareProfile(kappa_t_ue=0.01, kappa_r_bs=0.01,
-                             phase_noise=stats.phase_model)
+    hw0 = rl.HardwareProfile(phase_noise=stats.phase_model)
     full = rl.PowerAllocation(p_t=10.0, xi=1.0, k=2, m=12)   # q = 0, kappa_t = 0
     orc = rl.estimate_eve_capacity(est, hw0, full, rl.TrialPlan(500, master_seed=1))
     assert orc.meta["sigma_e2"] == pytest.approx(1e-12 * 10.0)
@@ -246,8 +249,7 @@ def test_wishart_moments_pure_an_corner():
     # and leave V independent of H_E; the RIS path and phase noise stay on.
     stats, est, _, alloc = make_setup(seed=58, m=24, n=36, k=2, m_e=2,
                                       correlated=False, p_t=10.0, bridge="dft")
-    hw0 = rl.HardwareProfile(kappa_t_ue=0.01, kappa_r_bs=0.01,
-                             phase_noise=stats.phase_model)
+    hw0 = rl.HardwareProfile(phase_noise=stats.phase_model)
     from ris_lab.rates import wishart_match
     q_e = est.stats.q_e
     assert_isotropic(q_e)
@@ -284,8 +286,7 @@ def test_cascade_anisotropy_biases_the_wishart_match(seed, kappa_t_bs, master_se
     # Eve's capacity still holds
     stats, est, _, alloc = make_setup(seed=seed, m=24, n=16, k=2, m_e=2,
                                       correlated=False, p_t=10.0)
-    hw = rl.HardwareProfile(kappa_t_ue=0.01, kappa_r_bs=0.01, kappa_t_bs=kappa_t_bs,
-                            phase_noise=stats.phase_model)
+    hw = rl.HardwareProfile(kappa_t_bs=kappa_t_bs, phase_noise=stats.phase_model)
     from ris_lab.precoding import null_space_an_batch
     from ris_lab.rates import wishart_match
     q_e = est.stats.q_e
@@ -312,5 +313,5 @@ def test_cascade_anisotropy_biases_the_wishart_match(seed, kappa_t_bs, master_se
 
     orc = rl.estimate_eve_capacity(est, hw, alloc, plan)
     for k in range(2):
-        bound = rl.eve_capacity_bound(est, hw, alloc, m_e=2, k=k).c_e_bar
+        bound = rl.eve_capacity_bound(rate_terms(est, hw, alloc, k), alloc).c_e_bar
         assert bound >= orc.c_e[k] - 3 * orc.c_e_se[k]

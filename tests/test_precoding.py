@@ -1,4 +1,4 @@
-"""MRT + null-space AN precoders and the transmit statistics."""
+"""MRT + null-space AN precoders and the power allocation."""
 import numpy as np
 import pytest
 
@@ -42,7 +42,7 @@ def test_mrt_scalar_direction():
 
 
 def test_null_space_coordinate_case():
-    v = rl.null_space_an(np.array([[1.0 + 0j], [0.0 + 0j]]))
+    v = null_space_an_batch(np.array([[[1.0 + 0j], [0.0 + 0j]]]))[0]
     assert v.shape == (2, 1)
     assert abs(v[0, 0]) < 1e-14
     assert abs(abs(v[1, 0]) - 1.0) < 1e-14
@@ -52,20 +52,10 @@ def test_null_space_residual_and_orthonormality():
     rng = np.random.default_rng(0)
     for _ in range(5):
         h_hat = (rng.standard_normal((64, 6)) + 1j * rng.standard_normal((64, 6)))
-        v = rl.null_space_an(h_hat)
+        v = null_space_an_batch(h_hat[None])[0]
         assert v.shape == (64, 58)
         assert np.max(np.abs(h_hat.conj().T @ v)) < 1e-10 * np.max(np.abs(h_hat))
         assert np.max(np.abs(v.conj().T @ v - np.eye(58))) < 1e-10
-
-
-def test_null_space_rank_deficient_warns():
-    h = np.zeros((6, 3), dtype=complex)
-    h[:, 0] = 1.0
-    h[:, 1] = 1.0          # duplicate direction
-    h[0, 2] = 1j
-    with pytest.warns(UserWarning, match="rank deficient"):
-        v = rl.null_space_an(h)
-    assert v.shape[1] == 4  # complement of a rank-2 span
 
 
 def test_null_space_batch_matches_single():
@@ -75,29 +65,6 @@ def test_null_space_batch_matches_single():
     for b in range(3):
         assert np.max(np.abs(h[b].conj().T @ vb[b])) < 1e-12
         assert np.max(np.abs(vb[b].conj().T @ vb[b] - np.eye(6))) < 1e-12
-
-
-def test_transmit_statistics_structure(small_setup):
-    stats, est, _, _ = small_setup
-    rng = np.random.default_rng(5)
-    draws = rl.sample_realizations(stats, rng, 1)
-    y = rl.simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
-    h_hat = est.estimate(y)[0]
-    w = rl.mrt_precoder(h_hat, est)
-    v = rl.null_space_an(h_hat)
-
-    full = rl.PowerAllocation(p_t=4.0, xi=1.0, k=stats.dims.k, m=stats.dims.m)
-    ts = rl.transmit_statistics(w, v, full, kappa_t_bs=0.0, kappa_r_ue=0.02,
-                                h=draws["h"][0])
-    assert np.allclose(ts.t, full.p * w @ w.conj().T)
-    assert np.allclose(ts.ups_t_diag, 0.0)
-    assert ts.mu_r.shape == (stats.dims.k,)
-    assert np.all(ts.mu_r >= 0)
-
-    split = rl.PowerAllocation(p_t=4.0, xi=0.5, k=stats.dims.k, m=stats.dims.m)
-    ts2 = rl.transmit_statistics(w, v, split, kappa_t_bs=0.03, kappa_r_ue=0.0)
-    assert np.allclose(ts2.ups_t_diag, 0.03 * np.real(np.diag(ts2.t)))
-    assert ts2.mu_r is None
 
 
 def test_transmit_power_budget(small_setup):
@@ -112,7 +79,7 @@ def test_an_invisible_under_perfect_csi(small_setup):
     stats = small_setup[0]
     draws = rl.sample_realizations(stats, np.random.default_rng(9), 1)
     h = np.swapaxes(draws["h"], 1, 2)[0]
-    v = rl.null_space_an(h)
+    v = null_space_an_batch(h[None])[0]
     leak = np.sum(np.abs(h.conj().T @ v) ** 2, axis=1)
     assert np.max(leak) < 1e-20 * np.sum(np.abs(h) ** 2)
 

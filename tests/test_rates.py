@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ris_lab as rl
 
@@ -18,6 +20,11 @@ def rebuilt(stats, est, **fading_changes):
     return stats2, rl.ChannelEstimator(stats2, est.pilots)
 
 
+def rate_terms(est, hw, p_t, m_e=None, k=0):
+    """RateTerms of user k; M_E defaults to the setup's own."""
+    return rl.compute_rate_terms(est, hw, p_t, est.stats.dims.m_e if m_e is None else m_e, k=k)
+
+
 # --------------------------------------------------------------------------
 # Theorem-1 user rate
 # --------------------------------------------------------------------------
@@ -25,7 +32,7 @@ def rebuilt(stats, est, **fading_changes):
 def test_user_rate_vanishes_without_signal_power(small_setup):
     _, est, hw, _ = small_setup
     tiny = rl.PowerAllocation(p_t=10.0, xi=1e-12, k=3, m=16)
-    rate, s_k, _ = rl.user_rate(est, hw, tiny, k=0)
+    rate, s_k, _ = rl.user_rate(rate_terms(est, hw, tiny.p_t), tiny)
     assert rate < 1e-9
     assert s_k < 1e-9
 
@@ -33,12 +40,23 @@ def test_user_rate_vanishes_without_signal_power(small_setup):
 def test_user_rate_hwi_term_linear_in_kappa(small_setup):
     _, est, _, alloc = small_setup
     pm = est.stats.phase_model
-    hw1 = rl.HardwareProfile(0.01, 0.01, 0.02, 0.01, phase_noise=pm)
-    hw2 = rl.HardwareProfile(0.01, 0.01, 0.04, 0.02, phase_noise=pm)
-    _, _, i1 = rl.user_rate(est, hw1, alloc, k=0)
-    _, _, i2 = rl.user_rate(est, hw2, alloc, k=0)
+    hw1 = rl.HardwareProfile(kappa_t_bs=0.02, kappa_r_ue=0.01, phase_noise=pm)
+    hw2 = rl.HardwareProfile(kappa_t_bs=0.04, kappa_r_ue=0.02, phase_noise=pm)
+    _, _, i1 = rl.user_rate(rate_terms(est, hw1, alloc.p_t), alloc)
+    _, _, i2 = rl.user_rate(rate_terms(est, hw2, alloc.p_t), alloc)
     hwi1 = 0.03 * alloc.p_t / 16 * est.tr_r[0]
     assert i2 - i1 == pytest.approx(hwi1, rel=1e-9)   # doubling adds one copy
+
+
+def test_rate_terms_reject_a_mismatched_allocation(small_setup):
+    # the terms carry P_t (in the HWI/noise floor), K and M; an allocation
+    # built for other values would silently mix two configurations
+    _, est, hw, alloc = small_setup
+    terms = rate_terms(est, hw, alloc.p_t)
+    other = rl.PowerAllocation(p_t=2.0 * alloc.p_t, xi=alloc.xi, k=alloc.k, m=alloc.m)
+    for fn in (rl.user_rate, rl.eve_capacity_bound, rl.secrecy_rate):
+        with pytest.raises(rl.InvalidParameterError, match="does not match"):
+            fn(terms, other)
 
 
 # --------------------------------------------------------------------------
@@ -49,72 +67,86 @@ def test_eve_bound_requires_masking(small_setup):
     _, est, _, _ = small_setup
     hw0 = rl.HardwareProfile()    # ideal transmitter
     full = rl.PowerAllocation(p_t=10.0, xi=1.0, k=3, m=16)
+    terms = rate_terms(est, hw0, full.p_t)
     with pytest.raises(rl.InfiniteEveCapacityError):
-        rl.eve_capacity_bound(est, hw0, full, m_e=2, k=0)
+        rl.eve_capacity_bound(terms, full)
     with pytest.raises(rl.InfiniteEveCapacityError):
-        rl.eve_capacity_no_an(est, hw0, m_e=2, k=0)
+        rl.eve_capacity_no_an(terms)
 
 
 def test_eve_bound_two_forms_agree(small_setup):
     _, est, hw, alloc = small_setup
     for m_e in (1, 2):
-        bound = rl.eve_capacity_bound(est, hw, alloc, m_e=m_e, k=0)
+        bound = rl.eve_capacity_bound(rate_terms(est, hw, alloc.p_t, m_e), alloc)
         assert abs(bound.c_e_bar - bound.c_e_appendix) <= 1e-9 * bound.c_e_bar
 
 
 def test_eve_no_an_matches_full_power_special_case(small_setup):
     _, est, hw, _ = small_setup
     full = rl.PowerAllocation(p_t=10.0, xi=1.0, k=3, m=16)
-    via_theorem = rl.eve_capacity_bound(est, hw, full, m_e=2, k=0).c_e_bar
-    direct = rl.eve_capacity_no_an(est, hw, m_e=2, k=0)
+    terms = rate_terms(est, hw, full.p_t)
+    via_theorem = rl.eve_capacity_bound(terms, full).c_e_bar
+    direct = rl.eve_capacity_no_an(terms)
     assert abs(via_theorem - direct) <= 1e-9 * direct
 
 
 def test_eve_no_an_monotone_in_antennas():
-    stats, est, hw, _ = make_setup(seed=31, m=48, n=16, k=2, m_e=1)
-    vals = [rl.eve_capacity_no_an(est, hw, m_e=m_e, k=0) for m_e in (1, 2, 4, 8)]
+    stats, est, hw, alloc = make_setup(seed=31, m=48, n=16, k=2, m_e=1)
+    vals = [rl.eve_capacity_no_an(rate_terms(est, hw, alloc.p_t, m_e)) for m_e in (1, 2, 4, 8)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def test_eve_no_an_denominator_guard():
     # rank-one Q_E violates [tr Q]^2 > M_E tr(Q^2) for M_E >= 2
-    stats, est, hw, _ = make_setup(seed=32, m=12, n=9, k=2, m_e=2)
+    stats, est, hw, alloc = make_setup(seed=32, m=12, n=9, k=2, m_e=2)
     est.stats.q_e = np.outer(np.ones(12), np.ones(12)).astype(complex)
     with pytest.raises(rl.BoundInvalidError):
-        rl.eve_capacity_no_an(est, hw, m_e=2, k=0)
+        rl.eve_capacity_no_an(rate_terms(est, hw, alloc.p_t))
 
 
 def test_eve_bound_dof_guard():
     # tiny arrays push the matched dof below M_E + 1
     stats, est, hw, _ = make_setup(seed=33, m=8, n=16, k=3, m_e=3)
+    alloc = rl.PowerAllocation(p_t=10.0, xi=0.5, k=3, m=8)
     with pytest.raises(rl.BoundInvalidError):
-        rl.eve_capacity_bound(est, hw, rl.PowerAllocation(p_t=10.0, xi=0.5, k=3, m=8),
-                              m_e=3, k=0)
+        rl.eve_capacity_bound(rate_terms(est, hw, alloc.p_t), alloc)
 
 
 # --------------------------------------------------------------------------
 # secrecy rate: composition vs split parameterization
 # --------------------------------------------------------------------------
 
-def test_secrecy_rate_forms_agree_on_random_configs():
-    rng = np.random.default_rng(123)
-    checked = 0
-    for trial in range(10):
-        m = int(rng.integers(24, 56))
-        k = int(rng.integers(1, 5))
-        m_e = int(rng.integers(1, 4))
-        xi = float(rng.uniform(0.1, 0.99))
-        stats, est, hw, _ = make_setup(seed=300 + trial, m=m, n=16, k=k, m_e=m_e,
-                                       kappa_dl=float(rng.uniform(0.0, 0.02)))
-        alloc = rl.PowerAllocation(p_t=float(rng.uniform(1.0, 30.0)), xi=xi, k=k, m=m)
-        try:
-            rep = rl.secrecy_rate(est, hw, alloc, m_e=m_e, k=0)
-        except rl.BoundInvalidError:
-            continue
-        scale = max(abs(rep.gap), 1e-6)
-        assert abs(rep.gap - rep.gap_split) <= 1e-9 * scale
-        checked += 1
-    assert checked >= 6
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(m=st.integers(24, 55), k=st.integers(1, 4), m_e=st.integers(1, 3),
+       xi=st.floats(0.1, 0.99), p_t=st.floats(1.0, 30.0),
+       kappa_dl=st.floats(0.0, 0.02), uncorrelated=st.booleans(),
+       seed=st.integers(300, 399))
+def test_secrecy_rate_forms_agree_on_random_configs(m, k, m_e, xi, p_t, kappa_dl,
+                                                    uncorrelated, seed):
+    # uncorrelated configs also drop the uplink distortion: the premise of
+    # Prop. 3, whose independent evaluation must then agree as well
+    stats, est, hw, _ = make_setup(seed=seed, m=m, n=16, k=k, m_e=m_e,
+                                   correlated=not uncorrelated,
+                                   kappa_ul=0.0 if uncorrelated else 0.01,
+                                   kappa_dl=kappa_dl)
+    alloc = rl.PowerAllocation(p_t=p_t, xi=xi, k=k, m=m)
+    terms = rl.compute_rate_terms(est, hw, p_t, m_e, k=0)
+    try:
+        rep = rl.secrecy_rate(terms, alloc)
+        eve = rl.eve_capacity_bound(terms, alloc)
+    except rl.BoundInvalidError:
+        assume(False)
+    scale = max(abs(rep.gap), 1e-6)
+    assert abs(rep.gap - rl.secrecy_gap_split(terms, xi)) <= 1e-9 * scale
+    assert rep.c_e_bar == eve.c_e_bar
+    assert abs(eve.c_e_bar - eve.c_e_appendix) <= 1e-9 * eve.c_e_bar
+    if uncorrelated:
+        r_u, c_e, r_sec = rl.secrecy_uncorrelated(
+            stats.dims, stats.fading, stats.h1, est.pilots.rho, est.pilots.tau_u,
+            est.pilots.sigma_u2, hw, alloc, m_e=m_e, k=0)
+        assert abs(r_u - rep.r_k) <= 1e-9 * rep.r_k
+        assert abs(c_e - rep.c_e_bar) <= 1e-9 * rep.c_e_bar
+        assert abs(r_sec - rep.r_sec) <= 1e-9 * max(rep.r_sec, 1e-9)
 
 
 def test_secrecy_rate_clipping():
@@ -124,10 +156,11 @@ def test_secrecy_rate_clipping():
                            beta_2=tuple(0.02 * b for b in stats.fading.beta_2),
                            beta_i=tuple(0.02 * b for b in stats.fading.beta_i))
     alloc = rl.PowerAllocation(p_t=10.0, xi=0.9, k=3, m=24)
-    rep = rl.secrecy_rate(est2, hw, alloc, m_e=3, k=0)
+    terms = rate_terms(est2, hw, alloc.p_t)
+    rep = rl.secrecy_rate(terms, alloc)
     assert rep.gap < 0.0
     assert rep.r_sec == 0.0
-    assert rep.r_sec_split == 0.0
+    assert rl.secrecy_gap_split(terms, alloc.xi) < 0.0
 
 
 # --------------------------------------------------------------------------
@@ -137,9 +170,10 @@ def test_secrecy_rate_clipping():
 def no_an_gap(est, hw, p_t, m_e, k=0):
     """Unclipped no-AN secrecy gap; -inf when the bound is invalid."""
     full = rl.PowerAllocation(p_t=p_t, xi=1.0, k=est.stats.dims.k, m=est.stats.dims.m)
-    rate, _, _ = rl.user_rate(est, hw, full, k=k)
+    terms = rate_terms(est, hw, p_t, m_e, k=k)
+    rate, _, _ = rl.user_rate(terms, full)
     try:
-        return rate - rl.eve_capacity_no_an(est, hw, m_e=m_e, k=k)
+        return rate - rl.eve_capacity_no_an(terms)
     except rl.BoundInvalidError:
         return -np.inf
 
@@ -149,21 +183,22 @@ def make_threshold_setup(seed, m, kt, p_t=100.0):
                                   p_t=p_t, rho=50.0, kappa_ul=0.0)
     stats2, est2 = rebuilt(stats, est,
                            beta_2=tuple(5.0 * b for b in stats.fading.beta_2))
-    hw = rl.HardwareProfile(0.0, 0.0, kt, kt, phase_noise=stats.phase_model)
+    hw = rl.HardwareProfile(kappa_t_bs=kt, kappa_r_ue=kt, phase_noise=stats.phase_model)
     return est2, hw
 
 
 def test_prop1_zero_without_transmit_distortion(small_setup):
     _, est, _, _ = small_setup
-    hw0 = rl.HardwareProfile(0.01, 0.01, 0.0, 0.01, phase_noise=est.stats.phase_model)
-    delta, me = rl.max_eve_antennas_no_an(est, hw0, p_t=10.0, k=0)
+    hw0 = rl.HardwareProfile(kappa_t_bs=0.0, kappa_r_ue=0.01,
+                             phase_noise=est.stats.phase_model)
+    delta, me = rl.max_eve_antennas_no_an(rate_terms(est, hw0, 10.0))
     assert delta == 0.0 and me == 0
 
 
 def test_prop1_threshold_brackets_sign_change():
     for seed, m, kt in [(1, 128, 0.0225), (3, 256, 0.01), (4, 128, 0.09)]:
         est, hw = make_threshold_setup(seed, m, kt)
-        delta, me_max = rl.max_eve_antennas_no_an(est, hw, p_t=100.0, k=0)
+        delta, me_max = rl.max_eve_antennas_no_an(rate_terms(est, hw, 100.0))
         assert me_max >= 1
         assert no_an_gap(est, hw, 100.0, me_max) >= 0.0
         assert no_an_gap(est, hw, 100.0, me_max + 1) < 0.0
@@ -173,7 +208,7 @@ def test_prop1_threshold_grows_with_transmit_distortion():
     deltas = []
     for kt in (0.01, 0.0225, 0.04):
         est, hw = make_threshold_setup(7, 128, kt)
-        deltas.append(rl.max_eve_antennas_no_an(est, hw, p_t=100.0, k=0)[0])
+        deltas.append(rl.max_eve_antennas_no_an(rate_terms(est, hw, 100.0))[0])
     assert deltas[0] < deltas[1] < deltas[2]
 
 
@@ -182,10 +217,12 @@ def test_prop2_threshold_brackets_split_form_sign_change():
     for seed, m in [(11, 48), (12, 64)]:
         stats, est, hw, _ = make_setup(seed=seed, m=m, n=16, k=3, m_e=1,
                                        kappa_dl=0.01, p_t=10.0)
-        delta, me_max = rl.max_eve_antennas_an(est, hw, p_t=10.0, k=0)
+        delta, me_max = rl.max_eve_antennas_an(rate_terms(est, hw, 10.0))
         assert 1 <= me_max < m
-        terms_lo = rl.compute_rate_terms(est, hw, 10.0, me_max, k=0)
-        terms_hi = rl.compute_rate_terms(est, hw, 10.0, me_max + 1, k=0)
+        terms_lo = rate_terms(est, hw, 10.0, me_max)
+        terms_hi = rate_terms(est, hw, 10.0, me_max + 1)
+        # the threshold is a property of the link, not of the assumed M_E
+        assert rl.max_eve_antennas_an(terms_hi) == (delta, me_max)
         assert rl.secrecy_gap_split(terms_lo, xi_probe) > 0.0
         assert rl.secrecy_gap_split(terms_hi, xi_probe) < 0.0
 
@@ -197,8 +234,8 @@ def test_prop2_threshold_monotonicities():
 
     def delta_for(kt, kr):
         _, est, _, _ = make_setup(**base)
-        hw = rl.HardwareProfile(0.01, 0.01, kt, kr, phase_noise=pm)
-        return rl.max_eve_antennas_an(est, hw, p_t=0.05, k=0)[0]
+        hw = rl.HardwareProfile(kappa_t_bs=kt, kappa_r_ue=kr, phase_noise=pm)
+        return rl.max_eve_antennas_an(rate_terms(est, hw, 0.05))[0]
 
     # decreasing in the user receive distortion, increasing in the BS transmit one
     assert delta_for(0.01, 0.0) > delta_for(0.01, 0.02) > delta_for(0.01, 0.05)
@@ -214,7 +251,7 @@ def uncorrelated_setup(seed=51, m=24, n=64, k=3, m_e=2, rho=10.0, p_t=10.0,
     stats, est, _, _ = make_setup(seed=seed, m=m, n=n, k=k, m_e=m_e,
                                   correlated=False, kappa_ul=0.0, rho=rho,
                                   p_t=p_t, xi=xi, kappa_dl=kappa_dl)
-    hw = rl.HardwareProfile(0.0, 0.0, kappa_dl, kappa_dl,
+    hw = rl.HardwareProfile(kappa_t_bs=kappa_dl, kappa_r_ue=kappa_dl,
                             phase_noise=stats.phase_model)
     alloc = rl.PowerAllocation(p_t=p_t, xi=xi, k=k, m=m)
     return stats, est, hw, alloc
@@ -225,7 +262,7 @@ def test_prop3_matches_general_pipeline():
     r_u, c_e, r_sec = rl.secrecy_uncorrelated(
         stats.dims, stats.fading, stats.h1, est.pilots.rho, est.pilots.tau_u,
         est.pilots.sigma_u2, hw, alloc, m_e=2, k=0)
-    rep = rl.secrecy_rate(est, hw, alloc, m_e=2, k=0)
+    rep = rl.secrecy_rate(rate_terms(est, hw, alloc.p_t), alloc)
     assert abs(r_u - rep.r_k) <= 1e-9 * rep.r_k
     assert abs(c_e - rep.c_e_bar) <= 1e-9 * rep.c_e_bar
     assert abs(r_sec - rep.r_sec) <= 1e-9 * max(rep.r_sec, 1e-9)
@@ -237,7 +274,8 @@ def test_prop3_invariant_to_phase_configuration():
     for phi in (np.pi / 4, 0.0, rng.uniform(0, 2 * np.pi, 64)):
         stats, est, hw, alloc = make_setup(seed=52, m=24, n=64, k=3, m_e=2,
                                            correlated=False, kappa_ul=0.0, phi=phi)
-        hw = rl.HardwareProfile(0.0, 0.0, 0.01, 0.01, phase_noise=stats.phase_model)
+        hw = rl.HardwareProfile(kappa_t_bs=0.01, kappa_r_ue=0.01,
+                                phase_noise=stats.phase_model)
         vals.append(rl.secrecy_uncorrelated(
             stats.dims, stats.fading, stats.h1, est.pilots.rho, est.pilots.tau_u,
             est.pilots.sigma_u2, hw, alloc, m_e=2, k=0)[2])
@@ -325,19 +363,20 @@ def test_secrecy_insensitive_to_phase_noise_at_half_wavelength():
     # half-wavelength sinc correlation is near identity, so the
     # deviation-factor blend leaves every covariance (and the secrecy
     # rate at the reference scenario) essentially unchanged
-    from ris_lab.experiments import ExperimentConfig, build_setup, _closed_secrecy
+    from ris_lab.experiments import ExperimentConfig, _closed_secrecy, _rate_terms, build_setup
 
     cfg = ExperimentConfig(m=64, n=100, k=6, m_e=4, snr_db=0.0, kappa_t_ue=0.0,
                            kappa_r_bs=0.0, kappa_t_bs=0.0, kappa_r_ue=0.0)
     vals = []
     for sp2 in (0.0, 0.1, 1.0):
         setup = build_setup(cfg, sigma_p2=sp2)
-        vals.append(_closed_secrecy(setup)[2])
+        vals.append(_closed_secrecy(_rate_terms(setup), setup.alloc)[2])
     assert vals[0] > 0
     assert np.ptp(vals) / vals[0] < 0.03
 
 
 def test_secrecy_degrades_with_eve_antennas():
     stats, est, hw, alloc = make_setup(seed=62, m=48, n=16, k=3, m_e=1, p_t=10.0)
-    vals = [rl.secrecy_rate(est, hw, alloc, m_e=m_e, k=0).r_sec for m_e in (1, 2, 3)]
+    vals = [rl.secrecy_rate(rate_terms(est, hw, alloc.p_t, m_e), alloc).r_sec
+            for m_e in (1, 2, 3)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
