@@ -31,12 +31,10 @@ from .geometry import (
     LargeScaleFading,
     PhaseNoiseModel,
     SystemDimensions,
-    aggregate_covariance,
     build_bs_correlation,
     build_channel_statistics,
     build_los_channel,
     build_ris_correlation,
-    effective_ris_correlation,
     path_loss,
     phase_deviation_factor,
     sample_realizations,

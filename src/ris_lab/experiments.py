@@ -44,6 +44,7 @@ from .hardware import HardwareProfile
 from .montecarlo import (
     THREADS_ENV,
     TrialPlan,
+    blas_threads,
     estimate_nmse,
     estimate_secrecy,
     worker_count,
@@ -408,6 +409,7 @@ def _run_environment() -> dict:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": blas_threads(),
         "cpu_count": os.cpu_count(),
         "threads": {var: os.environ.get(var)
                     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", THREADS_ENV)},

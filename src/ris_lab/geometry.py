@@ -254,26 +254,6 @@ def build_los_channel(dims: SystemDimensions, spec: CorrelationSpec,
     return np.sqrt(beta_1) * np.exp(1j * phase)
 
 
-def effective_ris_correlation(r_i: np.ndarray | None, beta_i: float, rho: float,
-                              n: int) -> np.ndarray:
-    """Phase-noise-averaged RIS correlation rho^2 R + beta (1 - rho^2) I.
-
-    ``r_i`` is the unit-diagonal N x N correlation (None means identity);
-    ``beta_i`` is the link gain. The blend preserves the trace beta_i * N.
-    """
-    if not 0.0 <= rho <= 1.0:
-        raise InvalidParameterError("deviation factor must lie in [0, 1]")
-    base = np.eye(n) if r_i is None else r_i
-    return beta_i * (rho ** 2 * base + (1.0 - rho ** 2) * np.eye(n))
-
-
-def aggregate_covariance(r_bk: np.ndarray, h1: np.ndarray, phi: np.ndarray,
-                         r_tilde: np.ndarray) -> np.ndarray:
-    """BS-side covariance of one aggregate link: R_bk + (H1 Phi) Rt (H1 Phi)^H."""
-    b = h1 * phi[None, :]
-    return hermitize(r_bk + b @ r_tilde @ b.conj().T)
-
-
 # --------------------------------------------------------------------------
 # assembled statistics
 # --------------------------------------------------------------------------

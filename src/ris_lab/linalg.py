@@ -72,14 +72,3 @@ class HermitianSolver:
     def solve(self, b: np.ndarray) -> np.ndarray:
         return cho_solve(self._factor, b)
 
-
-def max_asymmetry(a: np.ndarray) -> float:
-    """Largest entrywise deviation from Hermitian symmetry."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
-def min_relative_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part relative to the spectral norm."""
-    w = eigh(hermitize(a), eigvals_only=True)
-    scale = max(abs(float(w[0])), abs(float(w[-1])), 1.0e-300)
-    return float(w[0]) / scale

@@ -9,6 +9,12 @@ Blocks are processed in fixed-size chunks, each with its own counter
 derived substream, and chunk results are combined in index order, so the
 output is bit-identical for any worker count.
 
+The chunk thread pool is the only level of parallelism. Importing this
+module sets every OpenBLAS that numpy and scipy have loaded to one
+thread, so BLAS threads never compete with the pool's workers for the
+CPUs. The pool runs one worker per CPU this process may use, at most 8;
+the RIS_LAB_THREADS environment variable sets the worker count instead.
+
 Every pass shares one prefix per chunk (channel draw, pilot phase,
 estimate, MRT precoder and the thin QR factor Q of the estimate); the
 user-rate, eavesdropper and Wishart passes then compute only their own
@@ -39,12 +45,15 @@ diagnostics alongside.
 """
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from .errors import InvalidParameterError
 from .estimation import ChannelEstimator, simulate_pilot_phase
@@ -83,7 +92,54 @@ def worker_count() -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise InvalidParameterError(f"{THREADS_ENV} must be an integer") from exc
-    return min(8, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(8, cpus)
+
+
+# Thread-control symbols of the OpenBLAS in numpy and scipy wheels: numpy 2
+# ships ``scipy_openblas_*64_``, recent scipy ``scipy_openblas_*``, and the
+# older wheels that pyproject still admits the plain ``openblas_*`` names.
+_OPENBLAS_SYMBOLS = [(f"{prefix}_set_num_threads{suffix}", f"{prefix}_get_num_threads{suffix}")
+                     for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+
+
+def _pin_openblas() -> dict:
+    """Set each OpenBLAS that numpy or scipy has loaded to one thread.
+
+    Returns the thread-count getter of every pinned library, by file
+    name; empty when neither package bundles an OpenBLAS. RTLD_NOLOAD
+    reaches only libraries already in the process, never loads one.
+    """
+    getters = {}
+    for pkg in (np, scipy):
+        libs_dir = Path(pkg.__file__).parent.with_name(pkg.__name__ + ".libs")
+        for path in sorted(libs_dir.glob("*openblas*.so")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            except OSError:
+                continue
+            for set_name, get_name in _OPENBLAS_SYMBOLS:
+                if hasattr(lib, set_name) and hasattr(lib, get_name):
+                    setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    setter(1)
+                    getters[path.name] = getter
+                    break
+    return getters
+
+
+# Both libraries are loaded by now: numpy's with numpy, scipy's with the
+# scipy.linalg import of .linalg, which .estimation pulls in above.
+_PINNED_BLAS = _pin_openblas()
+
+
+def blas_threads() -> dict | None:
+    """Thread count each pinned OpenBLAS reports, by file; None if none was found."""
+    return {name: get() for name, get in _PINNED_BLAS.items()} or None
 
 
 def _run_chunks(plan: TrialPlan, purpose: int, work):

@@ -1,8 +1,40 @@
-"""Shared fixtures: small, fast system setups used across the suite."""
+"""Shared fixtures and helpers: small, fast system setups used across the suite."""
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 import ris_lab as rl
+from ris_lab.linalg import hermitize
+
+
+def max_asymmetry(a):
+    """Largest entrywise deviation from Hermitian symmetry."""
+    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+
+
+def min_relative_eigenvalue(a):
+    """Smallest eigenvalue of the Hermitian part relative to the spectral norm."""
+    w = eigh(hermitize(a), eigvals_only=True)
+    scale = max(abs(float(w[0])), abs(float(w[-1])), 1.0e-300)
+    return float(w[0]) / scale
+
+
+def effective_ris_correlation(r_i, beta_i, rho, n):
+    """Phase-noise-averaged RIS correlation rho^2 R + beta (1 - rho^2) I.
+
+    ``r_i`` is the unit-diagonal N x N correlation (None means identity);
+    ``beta_i`` is the link gain. The blend preserves the trace beta_i * N.
+    """
+    if not 0.0 <= rho <= 1.0:
+        raise rl.InvalidParameterError("deviation factor must lie in [0, 1]")
+    base = np.eye(n) if r_i is None else r_i
+    return beta_i * (rho ** 2 * base + (1.0 - rho ** 2) * np.eye(n))
+
+
+def aggregate_covariance(r_bk, h1, phi, r_tilde):
+    """BS-side covariance of one aggregate link: R_bk + (H1 Phi) Rt (H1 Phi)^H."""
+    b = h1 * phi[None, :]
+    return hermitize(r_bk + b @ r_tilde @ b.conj().T)
 
 
 def dft_bridge(m, n, beta_1):

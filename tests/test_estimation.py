@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ris_lab as rl
 from ris_lab.errors import IllConditionedWarning
-from ris_lab.linalg import max_asymmetry, min_relative_eigenvalue
 
-from conftest import make_setup
+from conftest import make_setup, max_asymmetry, min_relative_eigenvalue
 
 
 def test_pilot_matrix_orthogonal_unit_modulus():
@@ -48,6 +49,44 @@ def test_psi_hermitian_positive_definite(small_setup):
     for psi in est.psi:
         assert max_asymmetry(psi) < 1e-12
         assert np.linalg.eigvalsh(psi).min() > 0
+
+
+# random small configurations (M > K, as null-space AN needs), any RIS grid shape
+setup_params = dict(
+    seed=st.integers(500, 599), m=st.integers(5, 24), n=st.sampled_from([4, 9, 12, 16, 25]),
+    k=st.integers(1, 4), correlated=st.booleans(), sigma_p2=st.floats(0.0, 0.5),
+    kappa_ul=st.floats(0.0, 0.05), sigma_u2=st.floats(0.1, 2.0))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(rho=st.floats(1e-2, 1e3), **setup_params)
+def test_psi_hermitian_positive_definite_on_random_configs(rho, seed, m, n, k, correlated,
+                                                           sigma_p2, kappa_ul, sigma_u2):
+    stats = make_setup(seed=seed, m=m, n=n, k=k, m_e=1, correlated=correlated,
+                       sigma_p2=sigma_p2, kappa_ul=kappa_ul)[0]
+    pilots = rl.PilotConfig(tau_u=k, rho=rho, sigma_u2=sigma_u2,
+                            kappa_t_ue=kappa_ul, kappa_r_bs=kappa_ul)
+    for psi in rl.build_psi(stats, pilots):
+        w = np.linalg.eigvalsh(psi)
+        assert max_asymmetry(psi) <= 1e-12 * w[-1]
+        # Psi_k is a PSD sum plus sigma_u^2 I, so no eigenvalue is below sigma_u^2
+        assert w[0] >= sigma_u2 - 1e-10 * w[-1]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(rhos=st.lists(st.floats(1e-2, 1e5), min_size=2, max_size=5), **setup_params)
+def test_nmse_in_unit_interval_and_nonincreasing_in_rho(rhos, seed, m, n, k, correlated,
+                                                        sigma_p2, kappa_ul, sigma_u2):
+    stats = make_setup(seed=seed, m=m, n=n, k=k, m_e=1, correlated=correlated,
+                       sigma_p2=sigma_p2, kappa_ul=kappa_ul)[0]
+    prev = None
+    for rho in sorted(rhos):
+        est = rl.ChannelEstimator(stats, rl.PilotConfig(
+            tau_u=k, rho=rho, sigma_u2=sigma_u2, kappa_t_ue=kappa_ul, kappa_r_bs=kappa_ul))
+        assert np.all((est.nmse >= 0.0) & (est.nmse <= 1.0))
+        if prev is not None:
+            assert np.all(est.nmse <= prev + 1e-12)
+        prev = est.nmse
 
 
 def diagonal_estimator(r_diag, pilots):

@@ -106,6 +106,7 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     assert env["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
                               "RIS_LAB_THREADS": "3"}
     assert env["worker_count"] == 3
+    assert set(env["blas_threads"].values()) == {1}
     assert set(env["blas"]) == {"name", "version"}
     assert manifest["config_hash"] == config.config_hash()
     assert manifest["rows"] == 1

@@ -4,9 +4,14 @@ import pytest
 from scipy.special import i0e, i1e
 
 import ris_lab as rl
-from ris_lab.linalg import max_asymmetry, min_relative_eigenvalue
 
-from conftest import make_setup
+from conftest import (
+    aggregate_covariance,
+    effective_ris_correlation,
+    make_setup,
+    max_asymmetry,
+    min_relative_eigenvalue,
+)
 
 
 # --------------------------------------------------------------------------
@@ -165,10 +170,10 @@ def test_effective_ris_correlation_endpoints():
     dims = rl.SystemDimensions.square_ris(m=4, n=16, k=2, m_e=1)
     r_i = rl.build_ris_correlation(dims, rl.CorrelationSpec())
     beta = 0.8
-    assert np.allclose(rl.effective_ris_correlation(r_i, beta, 1.0, 16), beta * r_i)
-    assert np.allclose(rl.effective_ris_correlation(r_i, beta, 0.0, 16), beta * np.eye(16))
+    assert np.allclose(effective_ris_correlation(r_i, beta, 1.0, 16), beta * r_i)
+    assert np.allclose(effective_ris_correlation(r_i, beta, 0.0, 16), beta * np.eye(16))
     # identity template is a fixed point for any deviation factor
-    blended = rl.effective_ris_correlation(None, beta, 0.6366, 16)
+    blended = effective_ris_correlation(None, beta, 0.6366, 16)
     assert np.allclose(blended, beta * np.eye(16))
 
 
@@ -176,7 +181,7 @@ def test_effective_ris_correlation_trace_preserved():
     dims = rl.SystemDimensions.square_ris(m=4, n=36, k=2, m_e=1)
     r_i = rl.build_ris_correlation(dims, rl.CorrelationSpec())
     for rho in (0.0, 0.3, 0.95):
-        r_t = rl.effective_ris_correlation(r_i, 0.7, rho, 36)
+        r_t = effective_ris_correlation(r_i, 0.7, rho, 36)
         assert np.trace(r_t).real == pytest.approx(0.7 * 36, rel=1e-9)
         assert min_relative_eigenvalue(r_t) > -1e-10
 
@@ -186,7 +191,7 @@ def test_aggregate_covariance_no_ris_path():
     h1 = rl.build_los_channel(dims, rl.CorrelationSpec(), 1.0, np.random.default_rng(0))
     r_bk = 0.9 * rl.build_bs_correlation(4, 0.5)
     phi = np.exp(1j * np.full(9, 0.3))
-    got = rl.aggregate_covariance(r_bk, h1, phi, np.zeros((9, 9)))
+    got = aggregate_covariance(r_bk, h1, phi, np.zeros((9, 9)))
     assert np.allclose(got, r_bk)
 
 
@@ -209,8 +214,8 @@ def test_covariances_hermitian_psd_invariants(small_setup):
     n, fading = stats.dims.n, stats.fading
     mats = list(stats.r_k) + [
         stats.q_e,
-        rl.effective_ris_correlation(stats.r_i, fading.beta_i[0], stats.rho, n),
-        rl.effective_ris_correlation(stats.r_i, fading.beta_ie, stats.rho, n)]
+        effective_ris_correlation(stats.r_i, fading.beta_i[0], stats.rho, n),
+        effective_ris_correlation(stats.r_i, fading.beta_ie, stats.rho, n)]
     for mat in mats:
         assert max_asymmetry(mat) < 1e-12
         assert min_relative_eigenvalue(mat) > -1e-10

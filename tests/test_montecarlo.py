@@ -1,7 +1,11 @@
 """Monte Carlo oracle: reproducibility, term validation, bound property."""
 import dataclasses
+import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,61 @@ def test_worker_count_env_parsing():
             worker_count()
     finally:
         del os.environ["RIS_LAB_THREADS"]
+
+
+def test_worker_count_follows_the_cpu_mask(monkeypatch):
+    monkeypatch.delenv("RIS_LAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    assert worker_count() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
+    assert worker_count() == 8
+    monkeypatch.setenv("RIS_LAB_THREADS", "2")
+    assert worker_count() == 2
+    # without an affinity call the CPU count decides
+    monkeypatch.delenv("RIS_LAB_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert worker_count() == 5
+
+
+# Reads every OpenBLAS bundled with numpy and scipy through its own
+# thread-count getter, independently of ris_lab's lookup.
+BLAS_THREADS_SCRIPT = """
+import ctypes, json, sys
+from pathlib import Path
+{imports}
+import numpy, scipy
+counts = {{}}
+for pkg in (numpy, scipy):
+    for path in Path(pkg.__file__).parent.with_name(pkg.__name__ + ".libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        names = [n for n in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                             "openblas_get_num_threads64_", "openblas_get_num_threads")
+                 if hasattr(lib, n)]
+        counts[path.name] = getattr(lib, names[0])()
+json.dump(counts, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("imports", [
+    "import numpy, scipy.linalg\nimport ris_lab",
+    "import ris_lab",
+], ids=["numpy_first", "ris_lab_first"])
+def test_import_pins_every_bundled_openblas_to_one_thread(imports):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(rl.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT.format(imports=imports)],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    counts = json.loads(out.stdout)
+    if not counts:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    assert counts == {name: 1 for name in counts}
+    assert counts == rl.montecarlo.blas_threads()
 
 
 def test_standard_errors_shrink_with_block_count(small_setup):
