@@ -7,6 +7,12 @@ the sweep grid, and the Monte Carlo budget. Every run writes one CSV
 (sweep variable first, closed-form columns, oracle columns with ``_se``
 companions, then seed and config hash) plus a manifest.
 
+A grid point is the config with its swept fields replaced
+(``config.replace(n=...)``), and ``build_setup`` reads everything from
+that one config; the seed and hash columns are the base config's.
+``nmse_vs_snr`` sweeps the pilot SNR (``pilot_snr_db``), the only SNR the
+estimate depends on; its column keeps the name ``snr_db``.
+
 SNR convention: the downlink axis is P_t / sigma_k^2 in dB with
 sigma_k^2 = 1, the uplink pilot axis is rho / sigma_u^2; path gains are
 rescaled so the mean direct-link gain is one (see generate_scenario), so
@@ -138,12 +144,7 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
-        if self.m <= self.k:
-            raise ConfigValidationError(f"M={self.m} must exceed K={self.k}")
-        if self.tau_u is not None and self.tau_u < self.k:
-            raise ConfigValidationError("pilot length shorter than user count")
-        if self.k < 1 or self.m_e < 1 or self.n < 1:
-            raise ConfigValidationError("counts must be positive")
+        self.dimensions()
         if not 0.0 < self.xi <= 1.0:
             raise ConfigValidationError("xi must lie in (0, 1]")
         if not 0.0 <= self.bs_corr < 1.0:
@@ -215,11 +216,10 @@ class ExperimentConfig:
     def j0(self) -> float:
         return 10.0 ** (self.path_gain_ref_db / 10.0)
 
-    def dimensions(self, m=None, n=None) -> SystemDimensions:
+    def dimensions(self) -> SystemDimensions:
         try:
-            return SystemDimensions.square_ris(
-                m=self.m if m is None else m, n=self.n if n is None else n,
-                k=self.k, m_e=self.m_e, tau_u=self.tau_u)
+            return SystemDimensions.square_ris(m=self.m, n=self.n, k=self.k,
+                                               m_e=self.m_e, tau_u=self.tau_u)
         except InvalidParameterError as exc:
             raise ConfigValidationError(str(exc)) from exc
 
@@ -227,16 +227,14 @@ class ExperimentConfig:
         return CorrelationSpec(l=self.bs_corr, wavelength=self.wavelength,
                                d_h=self.ris_spacing_h, d_v=self.ris_spacing_v)
 
-    def hardware(self, sigma_p2=None, kappa_t_bs=None) -> HardwareProfile:
-        return HardwareProfile(
-            kappa_t_bs=self.kappa_t_bs if kappa_t_bs is None else kappa_t_bs,
-            kappa_r_ue=self.kappa_r_ue, sigma_k2=self.sigma_k2,
-            phase_noise=self.phase_noise(sigma_p2))
+    def hardware(self) -> HardwareProfile:
+        kind = "none" if self.sigma_p2 == 0.0 else self.phase_noise_kind
+        return HardwareProfile(kappa_t_bs=self.kappa_t_bs, kappa_r_ue=self.kappa_r_ue,
+                               sigma_k2=self.sigma_k2,
+                               phase_noise=PhaseNoiseModel(kind=kind, sigma_p2=self.sigma_p2))
 
-    def phase_noise(self, sigma_p2=None) -> PhaseNoiseModel:
-        sp2 = self.sigma_p2 if sigma_p2 is None else sigma_p2
-        kind = "none" if sp2 == 0.0 else self.phase_noise_kind
-        return PhaseNoiseModel(kind=kind, sigma_p2=sp2)
+    def allocation(self) -> PowerAllocation:
+        return PowerAllocation(p_t=self.p_t, xi=self.xi, k=self.k, m=self.m)
 
 
 _JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
@@ -264,14 +262,14 @@ def _check_type(name: str, value, hint) -> None:
                                     f"got {json.dumps(value)}")
 
 
-def generate_scenario(config: ExperimentConfig, seed: int):
+def generate_scenario(config: ExperimentConfig) -> LargeScaleFading:
     """Place users and the eavesdropper on the circle; compute path gains.
 
     Users and Eve occupy K+1 evenly spaced points on the 50 m circle
     centered at the origin; the rotation of the pattern is drawn from the
-    seed. The BS and the RIS sit on the positive x-axis at their standoff
-    distances. RIS-side links use the reflected-path exponent, direct
-    links the direct exponent.
+    config's seed. The BS and the RIS sit on the positive x-axis at their
+    standoff distances. RIS-side links use the reflected-path exponent,
+    direct links the direct exponent.
 
     With ``normalize_gains`` the direct gains are divided by their mean g
     and the RIS-side gains by sqrt(g), which rescales every aggregate
@@ -279,7 +277,7 @@ def generate_scenario(config: ExperimentConfig, seed: int):
     RIS-side gains appear everywhere), so SNR = P_t / sigma_k^2 is
     measured through an average direct link.
     """
-    rng = derive_rng(seed, SCENARIO)
+    rng = derive_rng(config.seed, SCENARIO)
     offset = rng.uniform(0.0, 2.0 * np.pi)
     angles = offset + 2.0 * np.pi * np.arange(config.k + 1) / (config.k + 1)
     points = config.circle_radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -294,7 +292,6 @@ def generate_scenario(config: ExperimentConfig, seed: int):
     beta_3 = path_loss(float(np.linalg.norm(bs - eve)), config.zeta_d, j0, j1)
     beta_ie = path_loss(float(np.linalg.norm(ris - eve)), config.zeta_r, j0, j1)
 
-    norm = 1.0
     if config.normalize_gains:
         norm = 1.0 / float(np.mean(beta_2))
         root = math.sqrt(norm)
@@ -303,14 +300,10 @@ def generate_scenario(config: ExperimentConfig, seed: int):
         beta_2 = [b * norm for b in beta_2]
         beta_3 = beta_3 * norm
 
-    fading = LargeScaleFading(
+    return LargeScaleFading(
         beta_1=beta_1, beta_i=tuple(beta_i), beta_2=tuple(beta_2),
         beta_3=beta_3, beta_ie=beta_ie, j0=j0, j1=j1,
         zeta_r=config.zeta_r, zeta_d=config.zeta_d)
-    meta = {"user_positions": users.tolist(), "eve_position": eve.tolist(),
-            "bs_position": bs.tolist(), "ris_position": ris.tolist(),
-            "gain_normalization": norm}
-    return fading, meta
 
 
 @dataclass
@@ -322,37 +315,29 @@ class SystemSetup:
     est: ChannelEstimator
     hw: HardwareProfile
     alloc: PowerAllocation
-    fading: LargeScaleFading
-    h1: np.ndarray
 
 
-def build_setup(config: ExperimentConfig, m=None, n=None, sigma_p2=None,
-                xi=None, kappa_t_bs=None, snr_db=None, p_t=None,
-                identity_correlations=False) -> SystemSetup:
-    """Assemble statistics and the estimator for one grid point."""
-    dims = config.dimensions(m=m, n=n)
-    spec = config.correlation_spec()
-    fading, _ = generate_scenario(config, config.seed)
-    h1 = build_los_channel(dims, spec, fading.beta_1,
+def _scenario(config: ExperimentConfig):
+    """Dimensions, large-scale fading and the BS-RIS LoS channel: (dims, fading, h1)."""
+    dims = config.dimensions()
+    fading = generate_scenario(config)
+    h1 = build_los_channel(dims, config.correlation_spec(), fading.beta_1,
                            derive_rng(config.seed, LOS_ANGLES, dims.n))
-    if identity_correlations:
-        r_b = r_i = None
-    else:
-        r_b = build_bs_correlation(dims.m, config.bs_corr) if config.bs_corr > 0 else None
-        r_i = build_ris_correlation(dims, spec)
-    hw = config.hardware(sigma_p2=sigma_p2, kappa_t_bs=kappa_t_bs)
+    return dims, fading, h1
+
+
+def build_setup(config: ExperimentConfig) -> SystemSetup:
+    """Assemble statistics and the estimator for the grid point ``config``."""
+    dims, fading, h1 = _scenario(config)
+    r_b = build_bs_correlation(dims.m, config.bs_corr) if config.bs_corr > 0 else None
+    r_i = build_ris_correlation(dims, config.correlation_spec())
+    hw = config.hardware()
     stats = build_channel_statistics(dims, fading, hw.phase_noise, h1,
                                      phi=config.ris_phase, r_b=r_b, r_i=r_i)
-    rho = config.rho if snr_db is None else 10.0 ** (snr_db / 10.0) * config.sigma_u2
-    pilots = PilotConfig(tau_u=dims.tau_u, rho=rho, sigma_u2=config.sigma_u2,
+    pilots = PilotConfig(tau_u=dims.tau_u, rho=config.rho, sigma_u2=config.sigma_u2,
                          kappa_t_ue=config.kappa_t_ue, kappa_r_bs=config.kappa_r_bs)
-    est = ChannelEstimator(stats, pilots)
-    p_total = p_t if p_t is not None else (
-        config.p_t if snr_db is None else 10.0 ** (snr_db / 10.0) * config.sigma_k2)
-    alloc = PowerAllocation(p_t=p_total, xi=config.xi if xi is None else xi,
-                            k=dims.k, m=dims.m)
-    return SystemSetup(dims=dims, stats=stats, est=est, hw=hw, alloc=alloc,
-                       fading=fading, h1=h1)
+    return SystemSetup(dims=dims, stats=stats, est=ChannelEstimator(stats, pilots),
+                       hw=hw, alloc=config.allocation())
 
 
 # --------------------------------------------------------------------------
@@ -482,19 +467,17 @@ def _run_nmse_vs_snr(config: ExperimentConfig) -> ResultTable:
     grid = config.sweep or [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
     rows = []
     for snr in grid:
-        setup = build_setup(config, snr_db=float(snr))
+        setup = build_setup(config.replace(pilot_snr_db=float(snr)))
         plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
         orc = estimate_nmse(setup.est, plan)
         floor = np.mean([nmse_high_power_limit(setup.stats, setup.est.pilots, k)
                          for k in range(setup.dims.k)])
         rows.append([float(snr), float(np.mean(setup.est.nmse)), float(floor),
                      float(np.mean(orc.nmse)),
-                     float(np.sqrt(np.sum(orc.nmse_se ** 2)) / setup.dims.k),
-                     config.seed, config.config_hash()])
+                     float(np.sqrt(np.sum(orc.nmse_se ** 2)) / setup.dims.k)])
     return ResultTable(
         "nmse_vs_snr",
-        ["snr_db", "nmse_cf", "nmse_floor_cf", "nmse_mc", "nmse_mc_se",
-         "seed", "config_hash"],
+        ["snr_db", "nmse_cf", "nmse_floor_cf", "nmse_mc", "nmse_mc_se"],
         rows)
 
 
@@ -502,92 +485,88 @@ def _run_nmse_vs_n(config: ExperimentConfig) -> ResultTable:
     grid = config.sweep or [16, 36, 64, 100, 196, 400]
     rows = []
     for n in grid:
-        setup = build_setup(config, n=int(n))
+        n = int(n)
+        setup = build_setup(config.replace(n=n))
         plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
         orc = estimate_nmse(setup.est, plan)
+        fading = setup.stats.fading
         large_n = np.mean([
-            nmse_large_n_limit(setup.fading.beta_2[k], setup.fading.beta_i[k],
-                               setup.fading.beta_1, int(n), config.rho,
-                               setup.dims.tau_u, config.sigma_u2)
+            nmse_large_n_limit(fading.beta_2[k], fading.beta_i[k], fading.beta_1, n,
+                               config.rho, setup.dims.tau_u, config.sigma_u2)
             for k in range(setup.dims.k)])
-        rows.append([int(n), float(np.mean(setup.est.nmse)), float(large_n),
+        rows.append([n, float(np.mean(setup.est.nmse)), float(large_n),
                      float(np.mean(orc.nmse)),
-                     float(np.sqrt(np.sum(orc.nmse_se ** 2)) / setup.dims.k),
-                     config.seed, config.config_hash()])
+                     float(np.sqrt(np.sum(orc.nmse_se ** 2)) / setup.dims.k)])
     return ResultTable(
         "nmse_vs_N",
-        ["n", "nmse_cf", "nmse_large_n_cf", "nmse_mc", "nmse_mc_se",
-         "seed", "config_hash"],
+        ["n", "nmse_cf", "nmse_large_n_cf", "nmse_mc", "nmse_mc_se"],
         rows)
 
 
-def _secrecy_sweep(config: ExperimentConfig, name, column, grid, setup_kwargs) -> ResultTable:
+def _secrecy_sweep(config: ExperimentConfig, name, column, grid) -> ResultTable:
+    """Secrecy, closed form and Monte Carlo, with the config field ``column`` swept."""
     rows = []
     for value in grid:
-        setup = build_setup(config, **setup_kwargs(value))
+        value = int(value) if column in ("m", "n") else float(value)
+        setup = build_setup(config.replace(**{column: value}))
         r_user, c_eve, r_sec = _closed_secrecy(_rate_terms(setup), setup.alloc)
         mc, mc_se = _mc_secrecy(setup, config)
-        row_value = int(value) if column in ("m", "n") else float(value)
-        rows.append([row_value, r_user, c_eve, r_sec, mc, mc_se,
-                     config.seed, config.config_hash()])
+        rows.append([value, r_user, c_eve, r_sec, mc, mc_se])
     return ResultTable(
         name,
-        [column, "r_user_cf", "c_eve_cf", "r_sec_cf", "r_sec_mc", "r_sec_mc_se",
-         "seed", "config_hash"],
+        [column, "r_user_cf", "c_eve_cf", "r_sec_cf", "r_sec_mc", "r_sec_mc_se"],
         rows)
 
 
 def _run_secrecy_vs_snr(config: ExperimentConfig) -> ResultTable:
     grid = config.sweep or [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]
-    return _secrecy_sweep(config, "secrecy_vs_snr", "snr_db", grid,
-                          lambda v: {"snr_db": float(v)})
+    return _secrecy_sweep(config, "secrecy_vs_snr", "snr_db", grid)
 
 
 def _run_secrecy_vs_m(config: ExperimentConfig) -> ResultTable:
     grid = config.sweep or [16, 32, 64, 96, 128]
-    return _secrecy_sweep(config, "secrecy_vs_M", "m", grid,
-                          lambda v: {"m": int(v)})
+    return _secrecy_sweep(config, "secrecy_vs_M", "m", grid)
 
 
 def _run_secrecy_vs_n(config: ExperimentConfig) -> ResultTable:
     grid = config.sweep or [36, 64, 100, 144, 196, 256]
-    return _secrecy_sweep(config, "secrecy_vs_N", "n", grid,
-                          lambda v: {"n": int(v)})
+    return _secrecy_sweep(config, "secrecy_vs_N", "n", grid)
+
+
+def _run_kappa_t_sweep(config: ExperimentConfig) -> ResultTable:
+    grid = config.sweep or [0.0, 0.05 ** 2, 0.1 ** 2, 0.15 ** 2]
+    return _secrecy_sweep(config, "kappa_t_sweep", "kappa_t_bs", grid)
 
 
 def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
     """Uncorrelated-fading asymptotics: exact, large-N, limit, power-scaled."""
     grid = config.sweep or [64, 144, 256, 576, 1024, 2048, 4096]
     e_u = 10.0 ** (config.power_scaling_eu_db / 10.0) * config.sigma_k2
+    hw, alloc = config.hardware(), config.allocation()
     rows = []
     for n in grid:
         n = int(n)
-        setup = build_setup(config, n=n, identity_correlations=True)
+        dims, fading, h1 = _scenario(config.replace(n=n))
         # the uncorrelated special case assumes ideal uplink hardware
         _, _, r_prop = secrecy_uncorrelated(
-            setup.dims, setup.fading, setup.h1, config.rho, setup.dims.tau_u,
-            config.sigma_u2, setup.hw, setup.alloc, setup.dims.m_e, k=0)
+            dims, fading, h1, config.rho, dims.tau_u, config.sigma_u2, hw, alloc,
+            dims.m_e, k=0)
         _, _, r_48 = secrecy_large_n(
-            setup.fading.beta_2[0], setup.fading.beta_i[0], setup.fading.beta_1,
-            setup.fading.beta_3, setup.fading.beta_ie, n, setup.dims.m,
-            setup.dims.k, setup.dims.m_e, setup.alloc.p_t, setup.alloc.xi,
-            config.rho, setup.dims.tau_u, config.sigma_u2, setup.hw)
-        _, _, r_50 = secrecy_limit(setup.dims.m, setup.dims.k, setup.dims.m_e,
-                                   setup.alloc.xi, setup.hw)
-        alloc_scaled = PowerAllocation.power_scaled(e_u, n, setup.alloc.xi,
-                                                    setup.dims.k, setup.dims.m)
+            fading.beta_2[0], fading.beta_i[0], fading.beta_1, fading.beta_3,
+            fading.beta_ie, n, dims.m, dims.k, dims.m_e, alloc.p_t, alloc.xi,
+            config.rho, dims.tau_u, config.sigma_u2, hw)
+        _, _, r_50 = secrecy_limit(dims.m, dims.k, dims.m_e, alloc.xi, hw)
+        alloc_scaled = PowerAllocation.power_scaled(e_u, n, alloc.xi, dims.k, dims.m)
         _, _, r_scaled = secrecy_uncorrelated(
-            setup.dims, setup.fading, setup.h1, config.rho, setup.dims.tau_u,
-            config.sigma_u2, setup.hw, alloc_scaled, setup.dims.m_e, k=0)
-        _, _, r_49 = secrecy_power_scaled(
-            e_u, setup.dims.m, setup.dims.k, setup.dims.m_e,
-            setup.fading.beta_i[0], setup.fading.beta_1, setup.alloc.xi, setup.hw)
-        rows.append([n, r_prop, r_48, r_50, r_scaled, r_49,
-                     config.seed, config.config_hash()])
+            dims, fading, h1, config.rho, dims.tau_u, config.sigma_u2, hw, alloc_scaled,
+            dims.m_e, k=0)
+        _, _, r_49 = secrecy_power_scaled(e_u, dims.m, dims.k, dims.m_e, fading.beta_i[0],
+                                          fading.beta_1, alloc.xi, hw)
+        rows.append([n, r_prop, r_48, r_50, r_scaled, r_49])
     return ResultTable(
         "asymptotic_vs_N",
         ["n", "r_sec_prop_cf", "r_sec_large_n_cf", "r_sec_limit_cf",
-         "r_sec_scaled_cf", "r_sec_scaled_limit_cf", "seed", "config_hash"],
+         "r_sec_scaled_cf", "r_sec_scaled_limit_cf"],
         rows)
 
 
@@ -596,7 +575,7 @@ def _run_xi_sweep(config: ExperimentConfig) -> ResultTable:
     rows = []
     for xi in grid:
         xi = float(xi)
-        setup = build_setup(config, xi=xi)
+        setup = build_setup(config.replace(xi=xi))
         terms = _rate_terms(setup)
         _, _, r_closed = _closed_secrecy(terms, setup.alloc)
         try:
@@ -604,28 +583,10 @@ def _run_xi_sweep(config: ExperimentConfig) -> ResultTable:
         except InfiniteEveCapacityError:
             r_eq = 0.0
         mc, mc_se = _mc_secrecy(setup, config)
-        rows.append([xi, float(r_closed), float(r_eq), mc, mc_se,
-                     config.seed, config.config_hash()])
+        rows.append([xi, float(r_closed), float(r_eq), mc, mc_se])
     return ResultTable(
         "xi_sweep",
-        ["xi", "r_sec_closed", "r_sec_eq40", "r_sec_mc", "r_sec_mc_se",
-         "seed", "config_hash"],
-        rows)
-
-
-def _run_kappa_t_sweep(config: ExperimentConfig) -> ResultTable:
-    grid = config.sweep or [0.0, 0.05 ** 2, 0.1 ** 2, 0.15 ** 2]
-    rows = []
-    for kappa in grid:
-        setup = build_setup(config, kappa_t_bs=float(kappa))
-        r_user, c_eve, r_sec = _closed_secrecy(_rate_terms(setup), setup.alloc)
-        mc, mc_se = _mc_secrecy(setup, config)
-        rows.append([float(kappa), r_user, c_eve, r_sec, mc, mc_se,
-                     config.seed, config.config_hash()])
-    return ResultTable(
-        "kappa_t_sweep",
-        ["kappa_t_bs", "r_user_cf", "c_eve_cf", "r_sec_cf", "r_sec_mc",
-         "r_sec_mc_se", "seed", "config_hash"],
+        ["xi", "r_sec_closed", "r_sec_eq40", "r_sec_mc", "r_sec_mc_se"],
         rows)
 
 
@@ -634,15 +595,13 @@ def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
     rows = []
     for n in grid:
         for sp2 in config.phase_noise_levels:
-            setup = build_setup(config, n=int(n), sigma_p2=float(sp2))
+            setup = build_setup(config.replace(n=int(n), sigma_p2=float(sp2)))
             _, _, r_sec = _closed_secrecy(_rate_terms(setup), setup.alloc)
             mc, mc_se = _mc_secrecy(setup, config)
-            rows.append([int(n), float(sp2), r_sec, mc, mc_se,
-                         config.seed, config.config_hash()])
+            rows.append([int(n), float(sp2), r_sec, mc, mc_se])
     return ResultTable(
         "phase_noise_sweep",
-        ["n", "sigma_p2", "r_sec_cf", "r_sec_mc", "r_sec_mc_se",
-         "seed", "config_hash"],
+        ["n", "sigma_p2", "r_sec_cf", "r_sec_mc", "r_sec_mc_se"],
         rows)
 
 
@@ -665,9 +624,11 @@ def run_experiment(name: str, config: ExperimentConfig) -> ResultTable:
         raise ConfigValidationError(
             f"unknown experiment {name!r}; available: {', '.join(EXPERIMENT_NAMES)}")
     config.validate()
-    config.dimensions()  # fail fast on infeasible sizes
     table = _RUNNERS[name](config)
-    table.meta.update({"config_hash": config.config_hash(), "seed": config.seed,
+    config_hash = config.config_hash()
+    table.columns += ["seed", "config_hash"]
+    table.rows = [row + [config.seed, config_hash] for row in table.rows]
+    table.meta.update({"config_hash": config_hash, "seed": config.seed,
                        "config": config.to_dict()})
     return table
 

@@ -65,8 +65,9 @@ def test_cli_bad_type_exits_2_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("experiment, sweep", [("kappa_t_sweep", 0.0), ("xi_sweep", 0.5)],
-                         ids=["kappa_t_sweep", "xi_sweep"])
+@pytest.mark.parametrize("experiment, sweep",
+                         [("kappa_t_sweep", 0.0), ("xi_sweep", 0.5), ("secrecy_vs_snr", 0.0)],
+                         ids=["kappa_t_sweep", "xi_sweep", "secrecy_vs_snr"])
 def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys, experiment, sweep):
     # pilot power so small that E||h_hat_k||^2 underflows to zero: MRT is
     # undefined, and compute_rate_terms meets it first
@@ -79,17 +80,27 @@ def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys, experimen
     assert "zero-power channel estimate" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", [0, -4])
-@pytest.mark.parametrize("experiment",
-                         ["nmse_vs_N", "secrecy_vs_N", "secrecy_vs_M", "asymptotic_vs_N"])
-def test_cli_nonpositive_size_in_sweep_exits_2(tmp_path, capsys, experiment, value):
-    # a sweep value of 0 once fell back to the config default while the row said 0
-    config = write_config(tmp_path, {**TINY, "sweep": [value]})
+@pytest.mark.parametrize("experiment, changes, message", [
+    *[pytest.param(experiment, {"sweep": [value]}, f"must be positive, got {value}",
+                   id=f"{experiment}-{value}")
+      for experiment in ("nmse_vs_N", "secrecy_vs_N", "secrecy_vs_M", "asymptotic_vs_N")
+      for value in (0, -4)],
+    pytest.param("xi_sweep", {"sweep": [0.0]}, "xi must lie in (0, 1]", id="xi_sweep-0.0"),
+    pytest.param("xi_sweep", {"sweep": [1.5]}, "xi must lie in (0, 1]", id="xi_sweep-1.5"),
+    pytest.param("kappa_t_sweep", {"sweep": [-0.01]}, "kappa factors must be non-negative",
+                 id="kappa_t_sweep--0.01"),
+    pytest.param("phase_noise_sweep", {"sweep": [4], "phase_noise_levels": [-0.1]},
+                 "sigma_p2 must be non-negative", id="phase_noise_sweep--0.1"),
+])
+def test_cli_nonpositive_size_in_sweep_exits_2(tmp_path, capsys, experiment, changes, message):
+    # an out-of-range sweep value fails its grid point's config, before any output;
+    # a size of 0 once fell back to the config default while the row said 0
+    config = write_config(tmp_path, {**TINY, **changes})
     assert cli.main([experiment, "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert f"must be positive, got {value}" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

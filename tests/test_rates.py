@@ -369,7 +369,7 @@ def test_secrecy_insensitive_to_phase_noise_at_half_wavelength():
                            kappa_r_bs=0.0, kappa_t_bs=0.0, kappa_r_ue=0.0)
     vals = []
     for sp2 in (0.0, 0.1, 1.0):
-        setup = build_setup(cfg, sigma_p2=sp2)
+        setup = build_setup(cfg.replace(sigma_p2=sp2))
         vals.append(_closed_secrecy(_rate_terms(setup), setup.alloc)[2])
     assert vals[0] > 0
     assert np.ptp(vals) / vals[0] < 0.03
