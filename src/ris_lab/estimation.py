@@ -141,14 +141,13 @@ def nmse_large_n_limit(beta_2k: float, beta_ik: float, beta_1: float, n: int,
 
 
 def simulate_pilot_phase(h: np.ndarray, stats: ChannelStatistics, pilots: PilotConfig,
-                         rng: np.random.Generator, return_yp: bool = False):
+                         rng: np.random.Generator) -> np.ndarray:
     """Impaired pilot phase for stacked channel blocks.
 
     ``h`` has shape (B, K, M): the aggregate user channels of B coherence
     blocks. Draws user transmit distortion, BS receive distortion with the
     instantaneous per-antenna power profile, and AWGN, then despreads with
-    each user's pilot. Returns (B, M, K) despread vectors, plus the raw
-    (B, M, tau_u) received matrix when ``return_yp`` is set.
+    each user's pilot. Returns the (B, M, K) despread vectors.
     """
     b, k, m = h.shape
     phi_p = pilots.pilot_matrix(k)                       # (tau, K)
@@ -164,7 +163,4 @@ def simulate_pilot_phase(h: np.ndarray, stats: ChannelStatistics, pilots: PilotC
     noise = complex_normal(rng, (b, m, pilots.tau_u), scale=np.sqrt(pilots.sigma_u2))
 
     y_p = h_t @ p_eff + ups_r + noise                    # (B, M, tau)
-    y_pk = y_p @ phi_p                                   # (B, M, K)
-    if return_yp:
-        return y_pk, y_p
-    return y_pk
+    return y_p @ phi_p                                   # (B, M, K)

@@ -36,6 +36,7 @@ from . import __version__ as _pkg_version
 from .errors import ConfigValidationError, InfiniteEveCapacityError, InvalidParameterError
 from .estimation import ChannelEstimator, PilotConfig, nmse_high_power_limit, nmse_large_n_limit
 from .geometry import (
+    ChannelStatistics,
     CorrelationSpec,
     LargeScaleFading,
     PhaseNoiseModel,
@@ -155,6 +156,11 @@ class ExperimentConfig:
             raise ConfigValidationError("sigma_p2 must be non-negative")
         if self.n_blocks < 1:
             raise ConfigValidationError("n_blocks must be positive")
+        if self.seed < 0:
+            raise ConfigValidationError(f"seed must be non-negative, got {self.seed}")
+        if self.ref_distance <= 0:
+            raise ConfigValidationError(
+                f"ref_distance must be positive, got {self.ref_distance}")
         if min(self.kappa_t_ue, self.kappa_r_bs, self.kappa_t_bs, self.kappa_r_ue) < 0:
             raise ConfigValidationError("kappa factors must be non-negative")
 
@@ -245,7 +251,8 @@ def _check_type(name: str, value, hint) -> None:
     """Reject a config value that does not fit its field annotation.
 
     An int is accepted where a float is expected; a bool only where a bool
-    is expected; list fields hold numbers.
+    is expected; list fields hold numbers. A float, alone or in a list, must
+    be finite: JSON parsing lets NaN and Infinity through.
     """
     declared = typing.get_args(hint) or (hint,)
     allowed = set(declared) | ({int} if float in declared else set())
@@ -259,6 +266,10 @@ def _check_type(name: str, value, hint) -> None:
     if not fits:
         expected = " or ".join(_JSON_NAMES[t] for t in declared)
         raise ConfigValidationError(f"config field {name!r} must be {expected}, "
+                                    f"got {json.dumps(value)}")
+    values = value if isinstance(value, list) else [value]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise ConfigValidationError(f"config field {name!r} must be finite, "
                                     f"got {json.dumps(value)}")
 
 
@@ -302,16 +313,14 @@ def generate_scenario(config: ExperimentConfig) -> LargeScaleFading:
 
     return LargeScaleFading(
         beta_1=beta_1, beta_i=tuple(beta_i), beta_2=tuple(beta_2),
-        beta_3=beta_3, beta_ie=beta_ie, j0=j0, j1=j1,
-        zeta_r=config.zeta_r, zeta_d=config.zeta_d)
+        beta_3=beta_3, beta_ie=beta_ie)
 
 
 @dataclass
 class SystemSetup:
     """Everything needed to evaluate one grid point."""
 
-    dims: SystemDimensions
-    stats: object
+    stats: ChannelStatistics
     est: ChannelEstimator
     hw: HardwareProfile
     alloc: PowerAllocation
@@ -336,7 +345,7 @@ def build_setup(config: ExperimentConfig) -> SystemSetup:
                                      phi=config.ris_phase, r_b=r_b, r_i=r_i)
     pilots = PilotConfig(tau_u=dims.tau_u, rho=config.rho, sigma_u2=config.sigma_u2,
                          kappa_t_ue=config.kappa_t_ue, kappa_r_bs=config.kappa_r_bs)
-    return SystemSetup(dims=dims, stats=stats, est=ChannelEstimator(stats, pilots),
+    return SystemSetup(stats=stats, est=ChannelEstimator(stats, pilots),
                        hw=hw, alloc=config.allocation())
 
 
@@ -438,8 +447,9 @@ def _mc_secrecy(setup: SystemSetup, config: ExperimentConfig):
 
 def _rate_terms(setup: SystemSetup) -> list:
     """One RateTerms per user: the single source of every closed form."""
-    return [compute_rate_terms(setup.est, setup.hw, setup.alloc.p_t, setup.dims.m_e, k=k)
-            for k in range(setup.dims.k)]
+    dims = setup.stats.dims
+    return [compute_rate_terms(setup.est, setup.hw, setup.alloc.p_t, dims.m_e, k=k)
+            for k in range(dims.k)]
 
 
 def _closed_secrecy(terms: list, alloc: PowerAllocation):
@@ -470,11 +480,12 @@ def _run_nmse_vs_snr(config: ExperimentConfig) -> ResultTable:
         setup = build_setup(config.replace(pilot_snr_db=float(snr)))
         plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
         orc = estimate_nmse(setup.est, plan)
+        k_users = setup.stats.dims.k
         floor = np.mean([nmse_high_power_limit(setup.stats, setup.est.pilots, k)
-                         for k in range(setup.dims.k)])
+                         for k in range(k_users)])
         rows.append([float(snr), float(np.mean(setup.est.nmse)), float(floor),
                      float(np.mean(orc.nmse)),
-                     float(np.sqrt(np.sum(orc.nmse_se ** 2)) / setup.dims.k)])
+                     float(np.sqrt(np.sum(orc.nmse_se ** 2)) / k_users)])
     return ResultTable(
         "nmse_vs_snr",
         ["snr_db", "nmse_cf", "nmse_floor_cf", "nmse_mc", "nmse_mc_se"],
@@ -489,14 +500,14 @@ def _run_nmse_vs_n(config: ExperimentConfig) -> ResultTable:
         setup = build_setup(config.replace(n=n))
         plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
         orc = estimate_nmse(setup.est, plan)
-        fading = setup.stats.fading
+        dims, fading = setup.stats.dims, setup.stats.fading
         large_n = np.mean([
             nmse_large_n_limit(fading.beta_2[k], fading.beta_i[k], fading.beta_1, n,
-                               config.rho, setup.dims.tau_u, config.sigma_u2)
-            for k in range(setup.dims.k)])
+                               config.rho, dims.tau_u, config.sigma_u2)
+            for k in range(dims.k)])
         rows.append([n, float(np.mean(setup.est.nmse)), float(large_n),
                      float(np.mean(orc.nmse)),
-                     float(np.sqrt(np.sum(orc.nmse_se ** 2)) / setup.dims.k)])
+                     float(np.sqrt(np.sum(orc.nmse_se ** 2)) / dims.k)])
     return ResultTable(
         "nmse_vs_N",
         ["n", "nmse_cf", "nmse_large_n_cf", "nmse_mc", "nmse_mc_se"],

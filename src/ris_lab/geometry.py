@@ -98,10 +98,6 @@ class PhaseNoiseModel:
     def iota_p(self) -> float:
         return float(np.sqrt(3.0 * self.sigma_p2))
 
-    @property
-    def rho(self) -> float:
-        return phase_deviation_factor(self)
-
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """Exact phase-error angles (von Mises via rejection sampling)."""
         if self.kind == "none" or self.sigma_p2 == 0.0:
@@ -164,17 +160,13 @@ class CorrelationSpec:
 
 @dataclass(frozen=True)
 class LargeScaleFading:
-    """Path-loss coefficients of every link, plus the model constants."""
+    """Path-loss coefficients of every link."""
 
     beta_1: float                       # BS-RIS
     beta_i: tuple                       # RIS-user, length K
     beta_2: tuple                       # BS-user, length K
     beta_3: float                       # BS-Eve
     beta_ie: float                      # RIS-Eve
-    j0: float = 0.01                    # gain at the reference distance (-20 dB)
-    j1: float = 1.0                     # reference distance [m]
-    zeta_r: float = 2.1                 # exponent, RIS-side links
-    zeta_d: float = 3.2                 # exponent, direct links
 
     def __post_init__(self):
         for name in ("beta_1", "beta_3", "beta_ie"):
@@ -182,12 +174,6 @@ class LargeScaleFading:
                 raise InvalidParameterError(f"{name} must be positive")
         if any(b <= 0 for b in self.beta_i) or any(b <= 0 for b in self.beta_2):
             raise InvalidParameterError("per-user path losses must be positive")
-
-    @classmethod
-    def uniform(cls, k: int, beta_1=1.0, beta_i=1.0, beta_2=1.0, beta_3=1.0, beta_ie=1.0):
-        """Identical gains for every user; handy for normalized test setups."""
-        return cls(beta_1=beta_1, beta_i=(beta_i,) * k, beta_2=(beta_2,) * k,
-                   beta_3=beta_3, beta_ie=beta_ie)
 
 
 # --------------------------------------------------------------------------
@@ -264,8 +250,8 @@ class ChannelStatistics:
 
     r_b and r_i are unit-diagonal correlation templates (None = identity).
     r_k[k] is the M x M aggregate covariance of user k; q_e is the
-    eavesdropper's. The cascade congruences through H1 are shared across
-    users, so they are computed once and scaled by the per-user gains.
+    eavesdropper's. ``build_channel_statistics`` computes the cascade
+    congruences through H1 once and scales them by the per-user gains.
     """
 
     dims: SystemDimensions
@@ -278,8 +264,6 @@ class ChannelStatistics:
     r_k: list = field(default_factory=list)
     q_e: np.ndarray | None = None
     rho: float = 1.0
-    cascade_corr: np.ndarray | None = None   # (H1 Phi) R_I (H1 Phi)^H, unit gain
-    cascade_iden: np.ndarray | None = None   # (H1 Phi) (H1 Phi)^H
 
     @cached_property
     def sqrt_r_b(self) -> np.ndarray | None:
@@ -325,7 +309,6 @@ def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
     stats = ChannelStatistics(
         dims=dims, fading=fading, phase_model=phase_model, phi=phi_vec, h1=h1,
         r_b=r_b, r_i=r_i, rho=rho,
-        cascade_corr=cascade_corr, cascade_iden=cascade_iden,
     )
     stats.r_k = [hermitize(b2 * base_b + bi * blend)
                  for b2, bi in zip(fading.beta_2, fading.beta_i)]

@@ -49,8 +49,6 @@ class HermitianSolver:
 
     def __init__(self, a: np.ndarray, name: str = "matrix"):
         a = np.asarray(a)
-        self.name = name
-        self.shape = a.shape
         try:
             self._factor = cho_factor(a, lower=True)
         except np.linalg.LinAlgError as exc:

@@ -35,13 +35,12 @@ standard error is built from per-block pairs by the delta method.
 ``estimate_user_rate``, ``estimate_eve_capacity`` and
 ``estimate_wishart_moments`` remain as term-by-term oracles.
 
-Model note: the downlink HWI powers entering the user-rate terms use the
-per-antenna transmit covariance in its large-array deterministic limit
-P_t/M * I (the regime in which the closed forms are derived); the
-per-realization covariance p W W^H + q V V^H is still used everywhere it
-appears as an actual matrix (the eavesdropper's interference and the
-power-budget accounting), and the realized HWI powers are reported as
-diagnostics alongside.
+Model note: the user-rate terms keep the channel-hardening bookkeeping of
+the Theorem-1 bound. The downlink HWI power uses the per-antenna transmit
+covariance in its large-array deterministic limit P_t/M * I (the regime in
+which the closed forms are derived) with the measured channel energy; the
+per-realization covariance p W W^H + q V V^H is used where it appears as
+an actual matrix, in the eavesdropper's interference.
 """
 from __future__ import annotations
 
@@ -185,10 +184,10 @@ class OracleEstimates:
     """Monte Carlo estimates; every field pairs with a standard error.
 
     Per-user arrays have length K. Which sections are filled depends on
-    which estimator produced the object.
+    which estimator produced the object: the NMSE, the user-rate terms of
+    the Theorem-1 decomposition, Eve's capacity and the secrecy rate.
     """
 
-    n_blocks: int
     nmse: np.ndarray | None = None
     nmse_se: np.ndarray | None = None
     rate: np.ndarray | None = None
@@ -205,18 +204,8 @@ class OracleEstimates:
     hwi_se: np.ndarray | None = None
     c_e: np.ndarray | None = None
     c_e_se: np.ndarray | None = None
-    tr_t: float | None = None
-    tr_t_se: float | None = None
     r_sec: float | None = None         # user average of max(0, rate - c_e)
     r_sec_se: float | None = None
-    # Diagnostics outside the hardened bookkeeping: the raw effective-channel
-    # variance (including the estimate-norm fluctuation that large-array
-    # analysis suppresses), the per-realization HWI powers, and the rate
-    # assembled from those raw quantities.
-    variance_total: np.ndarray | None = None
-    rate_raw: np.ndarray | None = None
-    hwi_t_realized: np.ndarray | None = None
-    hwi_r_realized: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
 
@@ -240,7 +229,7 @@ def estimate_nmse(est: ChannelEstimator, plan: TrialPlan) -> OracleEstimates:
     parts = _run_chunks(plan, NMSE_BLOCK, work)
     err2, mag2 = _stack(parts, "err2"), _stack(parts, "mag2")
     nmse_hat, nmse_se = _ratio_se(err2, mag2)
-    return OracleEstimates(n_blocks=plan.n_blocks, nmse=nmse_hat, nmse_se=nmse_se,
+    return OracleEstimates(nmse=nmse_hat, nmse_se=nmse_se,
                            meta={"seed": plan.master_seed})
 
 
@@ -288,9 +277,8 @@ def _transmit_diag(blk: _Blocks, alloc: PowerAllocation) -> np.ndarray:
     return alloc.p * _row_power(blk.w) + alloc.q * (1.0 - _row_power(blk.q_hat))
 
 
-def _user_terms(est: ChannelEstimator, alloc: PowerAllocation, blk: _Blocks) -> dict:
+def _user_terms(est: ChannelEstimator, blk: _Blocks) -> dict:
     """Per-block SINR terms of every user."""
-    m, k_users = est.stats.dims.m, est.stats.dims.k
     h_conj = blk.h.conj()                             # (B, K, M)
     h = np.swapaxes(blk.h, 1, 2)                      # (B, M, K)
 
@@ -305,14 +293,7 @@ def _user_terms(est: ChannelEstimator, alloc: PowerAllocation, blk: _Blocks) -> 
     err = h - blk.h_hat
     ehat = np.einsum("bmk,bmk->bk", err.conj(), blk.h_hat)
     var_err = np.abs(ehat) ** 2 / mrt_normalizers(est)[None, :]
-
-    diag_t = _transmit_diag(blk, alloc)
-    hwi_t_real = (np.abs(blk.h) ** 2 @ diag_t[:, :, None])[:, :, 0]
-    hwi_r_real = alloc.p * np.sum(abs_g2, axis=2) + alloc.q * an
-    tr_t = alloc.p * np.sum(np.abs(blk.w) ** 2, axis=(1, 2)) + alloc.q * (m - k_users)
-
-    return {"s1": s1, "inter": inter, "an": an, "hn2": hn2, "tr_t": tr_t,
-            "var_err": var_err, "hwi_t_real": hwi_t_real, "hwi_r_real": hwi_r_real}
+    return {"s1": s1, "inter": inter, "an": an, "hn2": hn2, "var_err": var_err}
 
 
 def _eve_interference(blk: _Blocks, alloc: PowerAllocation,
@@ -353,17 +334,15 @@ def _reduce_user_terms(parts: list, hw: HardwareProfile, alloc: PowerAllocation,
 
     Returns the estimates and the per-block delta-method linearization of
     each user's rate about the block means, shape (B, K), whose mean is zero.
+    The rate's standard error is that of the linearization, so it carries
+    the correlations between the terms of one block.
     """
     s1 = _stack(parts, "s1")
     inter = _stack(parts, "inter")
     an = _stack(parts, "an")
     hn2 = _stack(parts, "hn2")
-    tr_t = _stack(parts, "tr_t")
     var_err = _stack(parts, "var_err")
-    hwi_t_real = _stack(parts, "hwi_t_real")
-    hwi_r_real = _stack(parts, "hwi_r_real")
 
-    n = s1.shape[0]
     s1_mean = np.mean(s1, axis=0)
     signal = np.abs(s1_mean) ** 2
     # Delta method for |mean|^2: project fluctuations on the mean direction.
@@ -372,50 +351,31 @@ def _reduce_user_terms(parts: list, hw: HardwareProfile, alloc: PowerAllocation,
     signal_se = 2.0 * np.abs(s1_mean) * _se(proj)
 
     variance, variance_se = _mean_se(var_err)
-    dev2 = np.abs(s1 - s1_mean) ** 2
-    variance_total = (np.sum(dev2, axis=0) / (n - 1) if n > 1
-                      else np.full(dev2.shape[1:], np.nan))
-
     inter_mean, inter_se = _mean_se(inter)
     an_mean, an_se = _mean_se(an)
     hn2_mean, hn2_se = _mean_se(hn2)
-    kappa_dl = hw.kappa_t_bs + hw.kappa_r_ue
-    hwi = kappa_dl * alloc.p_t / m * hn2_mean
-    hwi_se = kappa_dl * alloc.p_t / m * hn2_se
-    tr_t_mean, tr_t_se = _mean_se(tr_t)
-    hwi_t_realized = hw.kappa_t_bs * np.mean(hwi_t_real, axis=0)
-    hwi_r_realized = hw.kappa_r_ue * np.mean(hwi_r_real, axis=0)
+    hwi_scale = (hw.kappa_t_bs + hw.kappa_r_ue) * alloc.p_t / m
+    hwi = hwi_scale * hn2_mean
+    hwi_se = hwi_scale * hn2_se
 
     den = (alloc.p * inter_mean + alloc.p * variance + alloc.q * an_mean
            + hwi + hw.sigma_k2)
     gamma = alloc.p * signal / den
     rate = np.log2(1.0 + gamma)
-    den_se = np.sqrt((alloc.p * inter_se) ** 2 + (alloc.p * variance_se) ** 2
-                     + (alloc.q * an_se) ** 2 + hwi_se ** 2)
-    signal_floor = np.maximum(signal, 1e-300)
-    gamma_se = gamma * np.sqrt((signal_se / signal_floor) ** 2 + (den_se / den) ** 2)
-    rate_se = gamma_se / ((1.0 + gamma) * np.log(2.0))
 
     d_signal = 2.0 * np.abs(s1_mean) * (proj - np.mean(proj, axis=0))
     d_den = (alloc.p * (inter - inter_mean) + alloc.p * (var_err - variance)
-             + alloc.q * (an - an_mean) + kappa_dl * alloc.p_t / m * (hn2 - hn2_mean))
+             + alloc.q * (an - an_mean) + hwi_scale * (hn2 - hn2_mean))
     d_rate = (gamma / ((1.0 + gamma) * np.log(2.0))
-              * (d_signal / signal_floor - d_den / den))
-
-    den_raw = (alloc.p * inter_mean + alloc.p * variance_total + alloc.q * an_mean
-               + hwi_t_realized + hwi_r_realized + hw.sigma_k2)
-    rate_raw = np.log2(1.0 + alloc.p * signal / den_raw)
+              * (d_signal / np.maximum(signal, 1e-300) - d_den / den))
 
     orc = OracleEstimates(
-        n_blocks=n, rate=rate, rate_se=rate_se,
+        rate=rate, rate_se=_se(d_rate),
         signal=signal, signal_se=signal_se,
         interference=inter_mean, interference_se=inter_se,
         variance=variance, variance_se=variance_se,
         an_leakage=an_mean, an_leakage_se=an_se,
         hwi=hwi, hwi_se=hwi_se,
-        tr_t=float(tr_t_mean), tr_t_se=float(tr_t_se),
-        variance_total=variance_total, rate_raw=rate_raw,
-        hwi_t_realized=hwi_t_realized, hwi_r_realized=hwi_r_realized,
     )
     return orc, d_rate
 
@@ -428,14 +388,14 @@ def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
     AN-leakage expectations from the realized channels and precoders,
     keeping the channel-hardening bookkeeping of the rate decomposition:
     the signal-uncertainty term is the error-driven fluctuation
-    |e_k^H h_hat_k|^2 (the estimate-norm fluctuation is hardened away and
-    reported separately as ``variance_total``), and the HWI power uses the
-    deterministic-limit transmit profile with the measured channel energy
-    (see the module note). ``rate_raw`` re-assembles the SINR from the
-    un-hardened diagnostics.
+    |e_k^H h_hat_k|^2 (the estimate-norm fluctuation is hardened away),
+    and the HWI power uses the deterministic-limit transmit profile with
+    the measured channel energy (see the module note). The rate is
+    assembled from the term means; its standard error comes from the
+    per-block delta-method linearization of that rate.
     """
     def work(size, rng):
-        return _user_terms(est, alloc, _draw_blocks(est, size, rng))
+        return _user_terms(est, _draw_blocks(est, size, rng))
 
     parts = _run_chunks(plan, CHANNEL_BLOCK, work)
     orc, _ = _reduce_user_terms(parts, hw, alloc, est.stats.dims.m)
@@ -460,7 +420,7 @@ def estimate_secrecy(est: ChannelEstimator, hw: HardwareProfile,
 
     def work(size, rng):
         blk = _draw_blocks(est, size, rng)
-        terms = _user_terms(est, alloc, blk)
+        terms = _user_terms(est, blk)
         terms["log_rate"] = _eve_log_rate(blk, alloc, hw.kappa_t_bs, sigma_e2)
         return terms
 
@@ -497,7 +457,7 @@ def estimate_eve_capacity(est: ChannelEstimator, hw: HardwareProfile,
     parts = _run_chunks(plan, EVE_BLOCK, work)
     log_rate = _stack(parts, "log_rate")
     c_e, c_e_se = _mean_se(log_rate)
-    return OracleEstimates(n_blocks=plan.n_blocks, c_e=c_e, c_e_se=c_e_se,
+    return OracleEstimates(c_e=c_e, c_e_se=c_e_se,
                            meta={"seed": plan.master_seed, "sigma_e2": sigma_e2})
 
 
@@ -509,7 +469,6 @@ class WishartMoments:
     tr_x_over_me_se: float
     offdiag_m2: float
     offdiag_m2_se: float
-    n_blocks: int
 
 
 def estimate_wishart_moments(est: ChannelEstimator, hw: HardwareProfile,
@@ -539,5 +498,4 @@ def estimate_wishart_moments(est: ChannelEstimator, hw: HardwareProfile,
     return WishartMoments(
         tr_x_over_me=float(tr_mean), tr_x_over_me_se=float(tr_se),
         offdiag_m2=float(off_mean), offdiag_m2_se=float(off_se),
-        n_blocks=plan.n_blocks,
     )

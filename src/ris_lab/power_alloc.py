@@ -53,12 +53,9 @@ def secrecy_derivative(terms: RateTerms, xi: float) -> float:
 
 @dataclass(frozen=True)
 class XiSolution:
-    """Closed-form optimal power split with its quadratic provenance."""
+    """Closed-form optimal power split and how far it can be trusted."""
 
     xi_star: float
-    a: float
-    b: float
-    c: float
     derivative_at_solution: float    # residual of the approximate derivative
     valid: bool                      # xi_star inside (0, 1]
     in_regime: bool                  # M_E K / M^2 small enough to trust
@@ -131,7 +128,7 @@ def optimal_xi(terms: RateTerms) -> XiSolution:
             f"all roots outside (0, 1] (roots: {', '.join(f'{x:.4f}' for x in candidates)})")
 
     return XiSolution(
-        xi_star=float(chosen), a=a, b=b, c=c,
+        xi_star=float(chosen),
         derivative_at_solution=secrecy_derivative(terms, float(min(chosen, 1.0 - 1e-9))),
         valid=valid, in_regime=in_regime, note=note,
     )

@@ -45,14 +45,13 @@ WISHART_DOF_MARGIN = 1.0
 
 @dataclass(frozen=True)
 class RateTerms:
-    """Power-normalized constants entering the rate and secrecy formulas.
+    """Power-normalized constants of one user for the rate and secrecy formulas.
 
     All fields are invariant to the data/AN power split, which makes the
     xi-parameterized secrecy expression and the power-split optimizer
     cheap to evaluate on fine grids.
     """
 
-    k: int                 # target user
     m: int
     k_users: int
     m_e: int
@@ -124,7 +123,7 @@ def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, p_t: float,
     l1 = tr_q ** 2 - m_e * m / (m - k_users) * tr_q2
 
     return RateTerms(
-        k=k, m=m, k_users=k_users, m_e=m_e, p_t=p_t, kappa_t_bs=hw.kappa_t_bs,
+        m=m, k_users=k_users, m_e=m_e, p_t=p_t, kappa_t_bs=hw.kappa_t_bs,
         s_ddot=s_ddot, i_ddot=i_ddot, n_ddot=n_ddot, d_ddot=d_ddot,
         psi_const=psi_const, tr_c=tr_c, zeta=zeta,
         tr_q=tr_q, tr_q2=tr_q2, tr_rpr_q=tr_rpr_q, lambda_k=lambda_k,
@@ -167,12 +166,7 @@ class EveBound:
     """Upper bound on the eavesdropper's ergodic capacity, both forms."""
 
     c_e_bar: float        # log2(1 + s_e / i_e)
-    s_e: float
-    i_e: float
-    chi: float
-    phi_w: float          # moment-matched Wishart scale
-    eta_w: float          # moment-matched Wishart degrees of freedom
-    c_e_appendix: float   # equivalent value via the (phi_w, eta_w) route
+    c_e_appendix: float   # equivalent value via the matched Wishart (phi_w, eta_w)
 
 
 def wishart_match(tr_q: float, tr_q2: float, q: float, kappa_t_bs: float,
@@ -226,10 +220,8 @@ def eve_capacity_bound(terms: RateTerms, alloc: PowerAllocation) -> EveBound:
     i_e = chi * terms.zeta
 
     gamma_appendix = alloc.p * m_e * terms.tr_rpr_q / (phi_w * (eta_w - m_e) * terms.zeta)
-    return EveBound(
-        c_e_bar=float(np.log2(1.0 + s_e / i_e)), s_e=s_e, i_e=i_e, chi=chi,
-        phi_w=phi_w, eta_w=eta_w, c_e_appendix=float(np.log2(1.0 + gamma_appendix)),
-    )
+    return EveBound(c_e_bar=float(np.log2(1.0 + s_e / i_e)),
+                    c_e_appendix=float(np.log2(1.0 + gamma_appendix)))
 
 
 def eve_capacity_no_an(terms: RateTerms) -> float:

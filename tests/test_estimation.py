@@ -290,14 +290,3 @@ def test_pilot_phase_covariance_matches_psi(small_setup):
     cov = np.einsum("bi,bj->ij", yk, yk.conj()) / yk.shape[0]
     expect = est.pilots.tau_u * est.psi[k]
     assert np.linalg.norm(cov - expect) / np.linalg.norm(expect) < 0.03
-
-
-def test_pilot_phase_returns_received_matrix(small_setup):
-    stats, est, _, _ = small_setup
-    rng = np.random.default_rng(14)
-    draws = rl.sample_realizations(stats, rng, 3)
-    y_pk, y_p = rl.simulate_pilot_phase(draws["h"], stats, est.pilots, rng,
-                                        return_yp=True)
-    assert y_p.shape == (3, stats.dims.m, est.pilots.tau_u)
-    phi = est.pilots.pilot_matrix(stats.dims.k)
-    assert np.allclose(y_pk, y_p @ phi)

@@ -38,6 +38,12 @@ def test_config_hash_ignores_out_dir(tmp_path):
     {"sweep": 400},
     {"sweep": ["400"]},
     {"phase_noise_kind": None},
+    {"sigma_p2": float("nan")},
+    {"kappa_t_bs": float("inf")},
+    {"sweep": [0.0, float("-inf")]},
+    {"seed": -5},
+    {"ref_distance": 0},
+    {"ref_distance": -1.0},
 ])
 def test_from_dict_rejects_wrong_types(data):
     with pytest.raises(ConfigValidationError, match=next(iter(data))):
@@ -80,24 +86,43 @@ def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys, experimen
     assert "zero-power channel estimate" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("experiment, changes, message", [
-    *[pytest.param(experiment, {"sweep": [value]}, f"must be positive, got {value}",
+@pytest.mark.parametrize("experiment, changes, message, args", [
+    *[pytest.param(experiment, {"sweep": [value]}, f"must be positive, got {value}", [],
                    id=f"{experiment}-{value}")
       for experiment in ("nmse_vs_N", "secrecy_vs_N", "secrecy_vs_M", "asymptotic_vs_N")
       for value in (0, -4)],
-    pytest.param("xi_sweep", {"sweep": [0.0]}, "xi must lie in (0, 1]", id="xi_sweep-0.0"),
-    pytest.param("xi_sweep", {"sweep": [1.5]}, "xi must lie in (0, 1]", id="xi_sweep-1.5"),
+    pytest.param("xi_sweep", {"sweep": [0.0]}, "xi must lie in (0, 1]", [],
+                 id="xi_sweep-0.0"),
+    pytest.param("xi_sweep", {"sweep": [1.5]}, "xi must lie in (0, 1]", [],
+                 id="xi_sweep-1.5"),
     pytest.param("kappa_t_sweep", {"sweep": [-0.01]}, "kappa factors must be non-negative",
-                 id="kappa_t_sweep--0.01"),
+                 [], id="kappa_t_sweep--0.01"),
     pytest.param("phase_noise_sweep", {"sweep": [4], "phase_noise_levels": [-0.1]},
-                 "sigma_p2 must be non-negative", id="phase_noise_sweep--0.1"),
+                 "sigma_p2 must be non-negative", [], id="phase_noise_sweep--0.1"),
+    pytest.param("nmse_vs_snr", {"ref_distance": 0}, "ref_distance must be positive", [],
+                 id="ref_distance-0"),
+    pytest.param("nmse_vs_snr", {"ref_distance": -1.0}, "ref_distance must be positive",
+                 [], id="ref_distance--1.0"),
+    pytest.param("nmse_vs_snr", {"seed": -5}, "seed must be non-negative", [],
+                 id="seed--5"),
+    pytest.param("nmse_vs_snr", {}, "seed must be non-negative", ["--seed", "-3"],
+                 id="cli-seed--3"),
+    # json.dumps writes NaN and Infinity as bare literals, which json.loads accepts
+    pytest.param("nmse_vs_snr", {"sigma_p2": float("nan")}, "'sigma_p2' must be finite",
+                 [], id="sigma_p2-NaN"),
+    pytest.param("secrecy_vs_snr", {"kappa_t_bs": float("nan")},
+                 "'kappa_t_bs' must be finite", [], id="kappa_t_bs-NaN"),
+    pytest.param("secrecy_vs_snr", {"sweep": [float("inf")]}, "'sweep' must be finite",
+                 [], id="secrecy_vs_snr-Infinity"),
 ])
-def test_cli_nonpositive_size_in_sweep_exits_2(tmp_path, capsys, experiment, changes, message):
-    # an out-of-range sweep value fails its grid point's config, before any output;
-    # a size of 0 once fell back to the config default while the row said 0
+def test_cli_nonpositive_size_in_sweep_exits_2(tmp_path, capsys, experiment, changes,
+                                               message, args):
+    # an out-of-range sweep value or config field fails its grid point's config,
+    # before any output; a size of 0 once fell back to the config default while
+    # the row said 0
     config = write_config(tmp_path, {**TINY, **changes})
     assert cli.main([experiment, "--config", config,
-                     "--out", str(tmp_path / "out")]) == 2
+                     "--out", str(tmp_path / "out"), *args]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err and "Traceback" not in err

@@ -57,8 +57,7 @@ def einsum_realizations(stats, rng, n_draws):
             "h_be": h_be, "h": h, "h_e": h_e}
 
 
-def einsum_user_terms(est, alloc, blk):
-    m, k_users = est.stats.dims.m, est.stats.dims.k
+def einsum_user_terms(est, blk):
     h = np.swapaxes(blk.h, 1, 2)
     v = null_space_an_batch(blk.h_hat)
     g = np.einsum("bmk,bmi->bki", h.conj(), blk.w)
@@ -67,17 +66,11 @@ def einsum_user_terms(est, alloc, blk):
     abs_g2 = np.abs(g) ** 2
     s1 = np.einsum("bkk->bk", g)
     ehat = np.einsum("bmk,bmk->bk", (h - blk.h_hat).conj(), blk.h_hat)
-    diag_t = (alloc.p * np.sum(np.abs(blk.w) ** 2, axis=2)
-              + alloc.q * np.sum(np.abs(v) ** 2, axis=2))
     return {"s1": s1,
             "inter": np.sum(abs_g2, axis=2) - np.abs(s1) ** 2,
             "an": an,
             "hn2": np.sum(np.abs(h) ** 2, axis=1),
-            "tr_t": (alloc.p * np.sum(np.abs(blk.w) ** 2, axis=(1, 2))
-                     + alloc.q * (m - k_users)),
-            "var_err": np.abs(ehat) ** 2 / mrt_normalizers(est)[None, :],
-            "hwi_t_real": np.einsum("bm,bmk->bk", diag_t, np.abs(h) ** 2),
-            "hwi_r_real": alloc.p * np.sum(abs_g2, axis=2) + alloc.q * an}
+            "var_err": np.abs(ehat) ** 2 / mrt_normalizers(est)[None, :]}
 
 
 def einsum_eve(blk, alloc, kappa_t_bs):
@@ -107,8 +100,8 @@ def test_sampler_matches_einsum_forms(correlated):
 def test_block_terms_match_einsum_forms():
     _, est, hw, alloc = make_setup(seed=12, m=8, n=16, k=2, m_e=2)
     blk = _draw_blocks(est, 64, np.random.default_rng(5))
-    got = _user_terms(est, alloc, blk)
-    want = einsum_user_terms(est, alloc, blk)
+    got = _user_terms(est, blk)
+    want = einsum_user_terms(est, blk)
     assert set(got) == set(want)
     for key in want:
         assert_close(got[key], want[key])

@@ -4,6 +4,7 @@ import pytest
 
 import ris_lab as rl
 from ris_lab.precoding import mrt_normalizers, null_space_an_batch
+from ris_lab.streams import CHANNEL_BLOCK, derive_rng
 
 from conftest import make_setup
 
@@ -68,10 +69,19 @@ def test_null_space_batch_matches_single():
 
 
 def test_transmit_power_budget(small_setup):
+    # E{tr(p W W^H + q V V^H)} = E{p ||W||^2} + q (M - K) = P_t over the
+    # Monte Carlo oracle's own blocks
     stats, est, _, alloc = small_setup
-    orc = rl.estimate_user_rate(est, rl.HardwareProfile(), alloc,
-                                rl.TrialPlan(n_blocks=20_000, master_seed=8))
-    assert abs(orc.tr_t - alloc.p_t) / alloc.p_t < 0.02
+    plan = rl.TrialPlan(n_blocks=20_000, master_seed=8)
+    powers = []
+    for idx, size in plan.chunks():
+        rng = derive_rng(plan.master_seed, CHANNEL_BLOCK, idx)
+        draws = rl.sample_realizations(stats, rng, size)
+        y = rl.simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
+        w = rl.mrt_precoder(est.estimate(y), est)
+        powers.append(alloc.p * np.sum(np.abs(w) ** 2, axis=(1, 2))
+                      + alloc.q * (stats.dims.m - stats.dims.k))
+    assert abs(np.mean(np.concatenate(powers)) - alloc.p_t) / alloc.p_t < 0.02
 
 
 def test_an_invisible_under_perfect_csi(small_setup):
