@@ -88,23 +88,22 @@ class ChannelEstimator:
         self.stats = stats
         self.pilots = pilots
         self.psi = build_psi(stats, pilots)
-        self.solvers = [HermitianSolver(p, name=f"Psi_{k}") for k, p in enumerate(self.psi)]
-        self.ill_conditioned = any(not s.is_well_conditioned for s in self.solvers)
-        if self.ill_conditioned:
-            worst = max(s.cond_estimate for s in self.solvers)
+        solvers = [HermitianSolver(p, name=f"Psi_{k}") for k, p in enumerate(self.psi)]
+        if any(not s.is_well_conditioned for s in solvers):
+            worst = max(s.cond_estimate for s in solvers)
             warnings.warn(
                 f"worst pilot covariance condition number ~{worst:.3e} exceeds "
                 f"{COND_LIMIT:.0e}", IllConditionedWarning, stacklevel=2)
 
         tr = pilots.tau_u * pilots.rho
         # psi_inv_r[k] = Psi_k^{-1} R_k; everything else is a trace away.
-        self.psi_inv_r = [s.solve(rk) for s, rk in zip(self.solvers, stats.r_k)]
-        self.est_cov = [hermitize(tr * rk @ x) for rk, x in zip(stats.r_k, self.psi_inv_r)]
+        psi_inv_r = [s.solve(rk) for s, rk in zip(solvers, stats.r_k)]
+        self.est_cov = [hermitize(tr * rk @ x) for rk, x in zip(stats.r_k, psi_inv_r)]
         self.c = [hermitize(rk - ec) for rk, ec in zip(stats.r_k, self.est_cov)]
         # sqrt(rho) R_k Psi_k^{-1} = sqrt(rho) (Psi_k^{-1} R_k)^H; not Hermitian itself.
-        self.gain = [np.sqrt(pilots.rho) * x.conj().T for x in self.psi_inv_r]
+        self.gain = [np.sqrt(pilots.rho) * x.conj().T for x in psi_inv_r]
         self.tr_r = [float(np.real(np.trace(rk))) for rk in stats.r_k]
-        self.tr_rpr = [herm_trace_prod(rk, x) for rk, x in zip(stats.r_k, self.psi_inv_r)]
+        self.tr_rpr = [herm_trace_prod(rk, x) for rk, x in zip(stats.r_k, psi_inv_r)]
         self.nmse = np.array([nmse(rk, ck) for rk, ck in zip(stats.r_k, self.c)])
 
     def estimate(self, y_pk: np.ndarray) -> np.ndarray:

@@ -36,7 +36,6 @@ from . import __version__ as _pkg_version
 from .errors import ConfigValidationError, InfiniteEveCapacityError, InvalidParameterError
 from .estimation import ChannelEstimator, PilotConfig, nmse_high_power_limit, nmse_large_n_limit
 from .geometry import (
-    ChannelStatistics,
     CorrelationSpec,
     LargeScaleFading,
     PhaseNoiseModel,
@@ -72,19 +71,6 @@ from .rates import (
     user_rate,
 )
 from .streams import LOS_ANGLES, SCENARIO, derive_rng
-
-EXPERIMENT_NAMES = (
-    "nmse_vs_snr",
-    "nmse_vs_N",
-    "secrecy_vs_snr",
-    "secrecy_vs_M",
-    "secrecy_vs_N",
-    "asymptotic_vs_N",
-    "xi_sweep",
-    "kappa_t_sweep",
-    "phase_noise_sweep",
-)
-
 
 @dataclass
 class ExperimentConfig:
@@ -158,9 +144,15 @@ class ExperimentConfig:
             raise ConfigValidationError("n_blocks must be positive")
         if self.seed < 0:
             raise ConfigValidationError(f"seed must be non-negative, got {self.seed}")
-        if self.ref_distance <= 0:
-            raise ConfigValidationError(
-                f"ref_distance must be positive, got {self.ref_distance}")
+        for name in ("ref_distance", "zeta_r", "zeta_d"):
+            if getattr(self, name) <= 0:
+                raise ConfigValidationError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("snr_db", "pilot_snr_db", "path_gain_ref_db", "power_scaling_eu_db"):
+            value = getattr(self, name)
+            try:
+                _db_to_linear(value or 0.0)     # pilot_snr_db may be None
+            except OverflowError:
+                raise ConfigValidationError(f"{name} = {value} dB overflows") from None
         if min(self.kappa_t_ue, self.kappa_r_bs, self.kappa_t_bs, self.kappa_r_ue) < 0:
             raise ConfigValidationError("kappa factors must be non-negative")
 
@@ -211,16 +203,16 @@ class ExperimentConfig:
 
     @property
     def p_t(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0) * self.sigma_k2
+        return _db_to_linear(self.snr_db) * self.sigma_k2
 
     @property
     def rho(self) -> float:
         snr = self.snr_db if self.pilot_snr_db is None else self.pilot_snr_db
-        return 10.0 ** (snr / 10.0) * self.sigma_u2
+        return _db_to_linear(snr) * self.sigma_u2
 
     @property
     def j0(self) -> float:
-        return 10.0 ** (self.path_gain_ref_db / 10.0)
+        return _db_to_linear(self.path_gain_ref_db)
 
     def dimensions(self) -> SystemDimensions:
         try:
@@ -234,13 +226,16 @@ class ExperimentConfig:
                                d_h=self.ris_spacing_h, d_v=self.ris_spacing_v)
 
     def hardware(self) -> HardwareProfile:
-        kind = "none" if self.sigma_p2 == 0.0 else self.phase_noise_kind
         return HardwareProfile(kappa_t_bs=self.kappa_t_bs, kappa_r_ue=self.kappa_r_ue,
-                               sigma_k2=self.sigma_k2,
-                               phase_noise=PhaseNoiseModel(kind=kind, sigma_p2=self.sigma_p2))
+                               sigma_k2=self.sigma_k2)
 
     def allocation(self) -> PowerAllocation:
         return PowerAllocation(p_t=self.p_t, xi=self.xi, k=self.k, m=self.m)
+
+
+def _db_to_linear(value_db: float) -> float:
+    """10^(x/10); raises OverflowError where the linear value is not a float."""
+    return 10.0 ** (value_db / 10.0)
 
 
 _JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
@@ -318,9 +313,8 @@ def generate_scenario(config: ExperimentConfig) -> LargeScaleFading:
 
 @dataclass
 class SystemSetup:
-    """Everything needed to evaluate one grid point."""
+    """Everything needed to evaluate one grid point; the statistics are ``est.stats``."""
 
-    stats: ChannelStatistics
     est: ChannelEstimator
     hw: HardwareProfile
     alloc: PowerAllocation
@@ -340,13 +334,13 @@ def build_setup(config: ExperimentConfig) -> SystemSetup:
     dims, fading, h1 = _scenario(config)
     r_b = build_bs_correlation(dims.m, config.bs_corr) if config.bs_corr > 0 else None
     r_i = build_ris_correlation(dims, config.correlation_spec())
-    hw = config.hardware()
-    stats = build_channel_statistics(dims, fading, hw.phase_noise, h1,
+    phase_model = PhaseNoiseModel(kind=config.phase_noise_kind, sigma_p2=config.sigma_p2)
+    stats = build_channel_statistics(dims, fading, phase_model, h1,
                                      phi=config.ris_phase, r_b=r_b, r_i=r_i)
     pilots = PilotConfig(tau_u=dims.tau_u, rho=config.rho, sigma_u2=config.sigma_u2,
                          kappa_t_ue=config.kappa_t_ue, kappa_r_bs=config.kappa_r_bs)
-    return SystemSetup(stats=stats, est=ChannelEstimator(stats, pilots),
-                       hw=hw, alloc=config.allocation())
+    return SystemSetup(est=ChannelEstimator(stats, pilots),
+                       hw=config.hardware(), alloc=config.allocation())
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +441,7 @@ def _mc_secrecy(setup: SystemSetup, config: ExperimentConfig):
 
 def _rate_terms(setup: SystemSetup) -> list:
     """One RateTerms per user: the single source of every closed form."""
-    dims = setup.stats.dims
+    dims = setup.est.stats.dims
     return [compute_rate_terms(setup.est, setup.hw, setup.alloc.p_t, dims.m_e, k=k)
             for k in range(dims.k)]
 
@@ -480,8 +474,8 @@ def _run_nmse_vs_snr(config: ExperimentConfig) -> ResultTable:
         setup = build_setup(config.replace(pilot_snr_db=float(snr)))
         plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
         orc = estimate_nmse(setup.est, plan)
-        k_users = setup.stats.dims.k
-        floor = np.mean([nmse_high_power_limit(setup.stats, setup.est.pilots, k)
+        k_users = setup.est.stats.dims.k
+        floor = np.mean([nmse_high_power_limit(setup.est.stats, setup.est.pilots, k)
                          for k in range(k_users)])
         rows.append([float(snr), float(np.mean(setup.est.nmse)), float(floor),
                      float(np.mean(orc.nmse)),
@@ -500,7 +494,7 @@ def _run_nmse_vs_n(config: ExperimentConfig) -> ResultTable:
         setup = build_setup(config.replace(n=n))
         plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
         orc = estimate_nmse(setup.est, plan)
-        dims, fading = setup.stats.dims, setup.stats.fading
+        dims, fading = setup.est.stats.dims, setup.est.stats.fading
         large_n = np.mean([
             nmse_large_n_limit(fading.beta_2[k], fading.beta_i[k], fading.beta_1, n,
                                config.rho, dims.tau_u, config.sigma_u2)
@@ -552,7 +546,7 @@ def _run_kappa_t_sweep(config: ExperimentConfig) -> ResultTable:
 def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
     """Uncorrelated-fading asymptotics: exact, large-N, limit, power-scaled."""
     grid = config.sweep or [64, 144, 256, 576, 1024, 2048, 4096]
-    e_u = 10.0 ** (config.power_scaling_eu_db / 10.0) * config.sigma_k2
+    e_u = _db_to_linear(config.power_scaling_eu_db) * config.sigma_k2
     hw, alloc = config.hardware(), config.allocation()
     rows = []
     for n in grid:
@@ -627,6 +621,7 @@ _RUNNERS = {
     "kappa_t_sweep": _run_kappa_t_sweep,
     "phase_noise_sweep": _run_phase_noise_sweep,
 }
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_experiment(name: str, config: ExperimentConfig) -> ResultTable:

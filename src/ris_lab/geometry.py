@@ -18,7 +18,7 @@ Conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -113,8 +113,6 @@ def phase_deviation_factor(model: PhaseNoiseModel) -> float:
     Von Mises uses the exponentially scaled Bessel ratio I1/I0, stable
     for concentrations far beyond 1e4.
     """
-    if model.sigma_p2 < 0:
-        raise InvalidParameterError("phase noise power must be non-negative")
     if model.kind == "none" or model.sigma_p2 == 0.0:
         return 1.0
     if model.kind == "uniform":
@@ -132,8 +130,6 @@ class CorrelationSpec:
     wavelength: float = 0.1      # carrier wavelength [m]
     d_h: float | None = None     # RIS horizontal spacing [m]; default wavelength/2
     d_v: float | None = None     # RIS vertical spacing [m]; default wavelength/2
-    d_bs: float | None = None    # BS antenna spacing for the LoS model; default wavelength/2
-    d_ris: float | None = None   # RIS spacing for the LoS model; default wavelength/4
 
     def __post_init__(self):
         if not 0.0 <= self.l < 1.0:
@@ -148,14 +144,6 @@ class CorrelationSpec:
     @property
     def spacing_v(self) -> float:
         return self.wavelength / 2 if self.d_v is None else self.d_v
-
-    @property
-    def spacing_bs(self) -> float:
-        return self.wavelength / 2 if self.d_bs is None else self.d_bs
-
-    @property
-    def spacing_ris(self) -> float:
-        return self.wavelength / 4 if self.d_ris is None else self.d_ris
 
 
 @dataclass(frozen=True)
@@ -222,10 +210,11 @@ def build_los_channel(dims: SystemDimensions, spec: CorrelationSpec,
     (elevation U[0, pi], azimuth U[0, 2 pi]) is drawn per RIS element and
     one departure pair per BS antenna; the departure laws are the
     reflected ones (pi - elevation, pi + azimuth), which leave the
-    distributions unchanged. Independent per-row draws make the row
-    gram concentrate on beta_1 N I, the property the large-RIS limits
-    build on; angles are frozen per rng, so the matrix is deterministic
-    for a given seed.
+    distributions unchanged. The spacings are fixed: wavelength/2 between BS
+    antennas, wavelength/4 between RIS elements (``d_h``/``d_v`` do not
+    enter). Independent per-row draws make the row gram concentrate on
+    beta_1 N I, the property the large-RIS limits build on; angles are
+    frozen per rng, so the matrix is deterministic for a given seed.
     """
     theta1 = rng.uniform(0.0, np.pi, dims.n)
     phi1 = rng.uniform(0.0, 2.0 * np.pi, dims.n)
@@ -236,7 +225,7 @@ def build_los_channel(dims: SystemDimensions, spec: CorrelationSpec,
     a = np.arange(dims.m)[:, None]
     b = np.arange(dims.n)[None, :]
     phase = (2.0 * np.pi / spec.wavelength) * (
-        a * spec.spacing_bs * u[None, :] + b * spec.spacing_ris * v[:, None])
+        a * (spec.wavelength / 2) * u[None, :] + b * (spec.wavelength / 4) * v[:, None])
     return np.sqrt(beta_1) * np.exp(1j * phase)
 
 
@@ -248,22 +237,21 @@ def build_los_channel(dims: SystemDimensions, spec: CorrelationSpec,
 class ChannelStatistics:
     """Everything deterministic the estimator and rate formulas need.
 
-    r_b and r_i are unit-diagonal correlation templates (None = identity).
-    r_k[k] is the M x M aggregate covariance of user k; q_e is the
-    eavesdropper's. ``build_channel_statistics`` computes the cascade
-    congruences through H1 once and scales them by the per-user gains.
+    Built in one piece by ``build_channel_statistics``, which computes the
+    cascade congruences through H1 once and scales them by the per-user
+    gains. The covariances see the phase-error law only through its circular
+    mean ``phase_deviation_factor(phase_model)``; the sampler draws from it.
     """
 
     dims: SystemDimensions
     fading: LargeScaleFading
-    phase_model: PhaseNoiseModel
+    phase_model: PhaseNoiseModel         # RIS phase-error law; its only home
     phi: np.ndarray                      # (N,) unit-modulus RIS phases
     h1: np.ndarray                       # (M, N) LoS bridge
-    r_b: np.ndarray | None               # (M, M) or None for identity
-    r_i: np.ndarray | None               # (N, N) or None for identity
-    r_k: list = field(default_factory=list)
-    q_e: np.ndarray | None = None
-    rho: float = 1.0
+    r_b: np.ndarray | None               # (M, M) unit-diagonal BS template; None = identity
+    r_i: np.ndarray | None               # (N, N) unit-diagonal RIS template; None = identity
+    r_k: list                            # K aggregate user covariances, each (M, M)
+    q_e: np.ndarray                      # (M, M) aggregate eavesdropper covariance
 
     @cached_property
     def sqrt_r_b(self) -> np.ndarray | None:
@@ -306,14 +294,13 @@ def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
     blend = rho ** 2 * cascade_corr + (1.0 - rho ** 2) * cascade_iden
     base_b = np.eye(dims.m) if r_b is None else r_b
 
-    stats = ChannelStatistics(
+    return ChannelStatistics(
         dims=dims, fading=fading, phase_model=phase_model, phi=phi_vec, h1=h1,
-        r_b=r_b, r_i=r_i, rho=rho,
+        r_b=r_b, r_i=r_i,
+        r_k=[hermitize(b2 * base_b + bi * blend)
+             for b2, bi in zip(fading.beta_2, fading.beta_i)],
+        q_e=hermitize(fading.beta_3 * base_b + fading.beta_ie * blend),
     )
-    stats.r_k = [hermitize(b2 * base_b + bi * blend)
-                 for b2, bi in zip(fading.beta_2, fading.beta_i)]
-    stats.q_e = hermitize(fading.beta_3 * base_b + fading.beta_ie * blend)
-    return stats
 
 
 # --------------------------------------------------------------------------

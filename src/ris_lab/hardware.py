@@ -1,30 +1,29 @@
 """Downlink transceiver hardware profile.
 
 Residual RF distortion is modeled as additive Gaussian noise whose power
-is proportional to the signal power. The downlink factors (BS transmit,
-user receive) live here; the RIS contributes its own phase-error law.
+is proportional to the signal power. Only the downlink factors (BS
+transmit, user receive) live here; the RIS phase-error law is not
+transceiver hardware and lives in ``ChannelStatistics.phase_model``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .geometry import PhaseNoiseModel
 
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """Downlink distortion factors, user noise power and RIS phase noise.
+    """Downlink distortion factors and the user noise power, nothing else.
 
-    The uplink factors (user transmit kappa_t_ue, BS receive kappa_r_bs)
-    and the uplink noise power sigma_u2 shape only the pilot phase, so
-    they live in ``estimation.PilotConfig`` and nowhere else.
+    The uplink factors (user transmit kappa_t_ue, BS receive kappa_r_bs) and
+    the uplink noise power sigma_u2 live in ``estimation.PilotConfig``; the
+    RIS phase-error law lives in the channel statistics.
     """
 
     kappa_t_bs: float = 0.0        # BS transmit distortion
     kappa_r_ue: float = 0.0        # user receive distortion
     sigma_k2: float = 1.0          # downlink noise power at each user
-    phase_noise: PhaseNoiseModel = field(default_factory=PhaseNoiseModel)
 
     def __post_init__(self):
         for name in ("kappa_t_bs", "kappa_r_ue"):

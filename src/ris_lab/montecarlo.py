@@ -47,7 +47,7 @@ from __future__ import annotations
 import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -185,7 +185,8 @@ class OracleEstimates:
 
     Per-user arrays have length K. Which sections are filled depends on
     which estimator produced the object: the NMSE, the user-rate terms of
-    the Theorem-1 decomposition, Eve's capacity and the secrecy rate.
+    the Theorem-1 decomposition, Eve's capacity and the secrecy rate. It holds
+    estimates only; Eve's thermal floor is ``_eve_floor(hw, alloc)``.
     """
 
     nmse: np.ndarray | None = None
@@ -206,7 +207,6 @@ class OracleEstimates:
     c_e_se: np.ndarray | None = None
     r_sec: float | None = None         # user average of max(0, rate - c_e)
     r_sec_se: float | None = None
-    meta: dict = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -229,8 +229,7 @@ def estimate_nmse(est: ChannelEstimator, plan: TrialPlan) -> OracleEstimates:
     parts = _run_chunks(plan, NMSE_BLOCK, work)
     err2, mag2 = _stack(parts, "err2"), _stack(parts, "mag2")
     nmse_hat, nmse_se = _ratio_se(err2, mag2)
-    return OracleEstimates(nmse=nmse_hat, nmse_se=nmse_se,
-                           meta={"seed": plan.master_seed})
+    return OracleEstimates(nmse=nmse_hat, nmse_se=nmse_se)
 
 
 # --------------------------------------------------------------------------
@@ -398,9 +397,7 @@ def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
         return _user_terms(est, _draw_blocks(est, size, rng))
 
     parts = _run_chunks(plan, CHANNEL_BLOCK, work)
-    orc, _ = _reduce_user_terms(parts, hw, alloc, est.stats.dims.m)
-    orc.meta["seed"] = plan.master_seed
-    return orc
+    return _reduce_user_terms(parts, hw, alloc, est.stats.dims.m)[0]
 
 
 def estimate_secrecy(est: ChannelEstimator, hw: HardwareProfile,
@@ -431,7 +428,6 @@ def estimate_secrecy(est: ChannelEstimator, hw: HardwareProfile,
     psi = np.mean(d_rate - (log_rate - orc.c_e), axis=1)
     orc.r_sec = float(np.mean(np.maximum(0.0, orc.rate - orc.c_e)))
     orc.r_sec_se = float(_se(psi))
-    orc.meta.update(seed=plan.master_seed, sigma_e2=sigma_e2)
     return orc
 
 
@@ -446,7 +442,7 @@ def estimate_eve_capacity(est: ChannelEstimator, hw: HardwareProfile,
     Solves the M_E x M_E interference-whitening system per block with the
     realized AN covariance and transmit-distortion profile. In the corner
     with neither AN nor transmit distortion the system is singular and a
-    tiny thermal floor 1e-12 P_t is added (reported in meta).
+    tiny thermal floor 1e-12 P_t, ``_eve_floor(hw, alloc)``, is added.
     """
     sigma_e2 = _eve_floor(hw, alloc)
 
@@ -457,8 +453,7 @@ def estimate_eve_capacity(est: ChannelEstimator, hw: HardwareProfile,
     parts = _run_chunks(plan, EVE_BLOCK, work)
     log_rate = _stack(parts, "log_rate")
     c_e, c_e_se = _mean_se(log_rate)
-    return OracleEstimates(c_e=c_e, c_e_se=c_e_se,
-                           meta={"seed": plan.master_seed, "sigma_e2": sigma_e2})
+    return OracleEstimates(c_e=c_e, c_e_se=c_e_se)
 
 
 @dataclass

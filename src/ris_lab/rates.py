@@ -395,24 +395,8 @@ def secrecy_large_n(beta_2k: float, beta_ik: float, beta_1: float, beta_3: float
            + (hw.kappa_t_bs + hw.kappa_r_ue) * p_t * gain + hw.sigma_k2)
     r_user = float(np.log2(1.0 + num / den))
 
-    c_eve = _eve_bound_isotropic(m, k_users, m_e, p_t, xi, hw.kappa_t_bs)
+    c_eve = _eve_bound_isotropic(m, k_users, m_e, xi, hw.kappa_t_bs)
     return r_user, c_eve, max(0.0, r_user - c_eve)
-
-
-def _eve_bound_isotropic(m: int, k_users: int, m_e: int, p_t: float, xi: float,
-                         kappa_t_bs: float) -> float:
-    """Eve bound when Q_E is a scaled identity; the scale cancels."""
-    q = (1.0 - xi) * p_t / (m - k_users)
-    drive = q * (m - k_users) + kappa_t_bs * p_t
-    if drive <= 0:
-        raise InfiniteEveCapacityError("no AN and no transmit distortion")
-    varpi_unit = m_e * ((kappa_t_bs * p_t) ** 2 + q ** 2 * m * (m - k_users)
-                        + 2.0 * q * (m - k_users) * kappa_t_bs * p_t)
-    den = m * drive ** 2 - varpi_unit
-    if den <= 0:
-        raise BoundInvalidError("isotropic bound denominator non-positive")
-    num = (xi * p_t / k_users) * m_e * m * drive
-    return float(np.log2(1.0 + num / den))
 
 
 def secrecy_power_scaled(e_u: float, m: int, k_users: int, m_e: int,
@@ -428,12 +412,13 @@ def secrecy_power_scaled(e_u: float, m: int, k_users: int, m_e: int,
     den = (xi * e_u * (k_users - 1) * beta_ik * beta_1 / k_users
            + kappa_dl * e_u * beta_ik * beta_1 + hw.sigma_k2)
     r_user = float(np.log2(1.0 + num / den))
-    c_eve = _eve_scaled_limit(m, k_users, m_e, xi, hw.kappa_t_bs)
+    c_eve = _eve_bound_isotropic(m, k_users, m_e, xi, hw.kappa_t_bs)
     return r_user, c_eve, max(0.0, r_user - c_eve)
 
 
-def _eve_scaled_limit(m: int, k_users: int, m_e: int, xi: float,
-                      kappa_t_bs: float) -> float:
+def _eve_bound_isotropic(m: int, k_users: int, m_e: int, xi: float,
+                         kappa_t_bs: float) -> float:
+    """Eve bound when Q_E is a scaled identity; its scale and P_t both cancel."""
     upsilon = 1.0 - xi + kappa_t_bs
     if upsilon <= 0:
         raise InvalidParameterError("xi = 1 with ideal BS transmitter: undefined limit")
@@ -441,7 +426,7 @@ def _eve_scaled_limit(m: int, k_users: int, m_e: int, xi: float,
                                     + m * (1.0 - xi) ** 2 / (m - k_users)
                                     + 2.0 * (1.0 - xi) * kappa_t_bs)
     if den <= 0:
-        raise BoundInvalidError("scaled-limit bound denominator non-positive")
+        raise BoundInvalidError("isotropic bound denominator non-positive")
     num = xi * m_e * m * upsilon / k_users
     return float(np.log2(1.0 + num / den))
 

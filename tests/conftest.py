@@ -80,8 +80,7 @@ def make_setup(seed=0, m=16, n=16, k=3, m_e=2, correlated=True, sigma_p2=0.1,
     pilots = rl.PilotConfig(tau_u=dims.tau_u, rho=rho, sigma_u2=sigma_u2,
                             kappa_t_ue=kappa_ul, kappa_r_bs=kappa_ul)
     est = rl.ChannelEstimator(stats, pilots)
-    hw = rl.HardwareProfile(kappa_t_bs=kappa_dl, kappa_r_ue=kappa_dl,
-                            sigma_k2=sigma_k2, phase_noise=pm)
+    hw = rl.HardwareProfile(kappa_t_bs=kappa_dl, kappa_r_ue=kappa_dl, sigma_k2=sigma_k2)
     alloc = rl.PowerAllocation(p_t=p_t, xi=xi, k=k, m=m)
     return stats, est, hw, alloc
 

@@ -114,6 +114,18 @@ def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys, experimen
                  "'kappa_t_bs' must be finite", [], id="kappa_t_bs-NaN"),
     pytest.param("secrecy_vs_snr", {"sweep": [float("inf")]}, "'sweep' must be finite",
                  [], id="secrecy_vs_snr-Infinity"),
+    # values whose linear powers or path gains overflow a float
+    pytest.param("secrecy_vs_snr", {"zeta_r": -50}, "zeta_r must be positive", [],
+                 id="zeta_r--50"),
+    pytest.param("asymptotic_vs_N", {"power_scaling_eu_db": 1e6},
+                 "power_scaling_eu_db = 1000000.0 dB overflows", [],
+                 id="power_scaling_eu_db-1e6"),
+    pytest.param("secrecy_vs_N", {"snr_db": 1e6, "sweep": [16]},
+                 "snr_db = 1000000.0 dB overflows", [], id="snr_db-1e6"),
+    pytest.param("nmse_vs_N", {"pilot_snr_db": 1e6, "sweep": [16]},
+                 "pilot_snr_db = 1000000.0 dB overflows", [], id="pilot_snr_db-1e6"),
+    pytest.param("nmse_vs_N", {"path_gain_ref_db": 1e6, "sweep": [16]},
+                 "path_gain_ref_db = 1000000.0 dB overflows", [], id="path_gain_ref_db-1e6"),
 ])
 def test_cli_nonpositive_size_in_sweep_exits_2(tmp_path, capsys, experiment, changes,
                                                message, args):

@@ -24,6 +24,19 @@ def test_phase_deviation_zero_noise_is_one():
     assert rl.phase_deviation_factor(rl.PhaseNoiseModel()) == 1.0
 
 
+@pytest.mark.parametrize("kind", ["von_mises", "uniform", "none"])
+def test_zero_phase_noise_power_is_no_phase_noise(kind):
+    # sigma_p2 = 0 means no phase noise whatever the law: zero angles drawn
+    # without touching the generator, and a circular mean of exactly one
+    model = rl.PhaseNoiseModel(kind, 0.0)
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    theta = model.draw(rng, (3, 5))
+    assert theta.shape == (3, 5) and np.array_equal(theta, np.zeros((3, 5)))
+    assert rng.bit_generator.state == state
+    assert rl.phase_deviation_factor(model) == 1.0
+
+
 def test_phase_deviation_uniform_value():
     # oracle: direct evaluation of sin(iota)/iota at iota = sqrt(0.3)
     iota = np.sqrt(0.3)
@@ -212,10 +225,11 @@ def test_aggregate_covariance_phase_cancels_for_identity_template():
 def test_covariances_hermitian_psd_invariants(small_setup):
     stats = small_setup[0]
     n, fading = stats.dims.n, stats.fading
+    rho = rl.phase_deviation_factor(stats.phase_model)
     mats = list(stats.r_k) + [
         stats.q_e,
-        effective_ris_correlation(stats.r_i, fading.beta_i[0], stats.rho, n),
-        effective_ris_correlation(stats.r_i, fading.beta_ie, stats.rho, n)]
+        effective_ris_correlation(stats.r_i, fading.beta_i[0], rho, n),
+        effective_ris_correlation(stats.r_i, fading.beta_ie, rho, n)]
     for mat in mats:
         assert max_asymmetry(mat) < 1e-12
         assert min_relative_eigenvalue(mat) > -1e-10
@@ -255,7 +269,8 @@ def test_sampler_phase_errors():
     stats_vm = make_setup(seed=1, sigma_p2=0.1)[0]
     draws = rl.sample_realizations(stats_vm, np.random.default_rng(0), 7000)
     mean = np.mean(np.exp(1j * draws["theta"]))
-    assert abs(mean - stats_vm.rho) < 0.005   # ~1e5 angle draws in total
+    rho = rl.phase_deviation_factor(stats_vm.phase_model)
+    assert abs(mean - rho) < 0.005   # ~1e5 angle draws in total
 
 
 def test_sampler_aggregate_identity(small_setup):

@@ -7,8 +7,12 @@ attribute chain. ``__init__.py`` (whose imports are the public API) and
 ``from __future__`` imports are skipped; a ``# noqa: F401`` comment on the
 statement's first line or on the name's own line exempts a name, which is
 how the bindings that the benchmark tracer wraps are kept.
+
+The checks further down find stored values that nothing reads: record
+fields, and the instance attributes an ``__init__`` sets.
 """
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -124,3 +128,68 @@ def test_unread_field_check_on_a_small_source():
               "    a.stored = t.x\n"
               "    return a.read\n")
     assert unread_fields([source], [source]) == [("A", "stored"), ("B", "never"), ("T", "y")]
+
+
+# --------------------------------------------------------------------------
+# unread instance attributes
+# --------------------------------------------------------------------------
+
+def _loads(node: ast.AST) -> collections.Counter:
+    """How often each attribute name is read below ``node``."""
+    return collections.Counter(n.attr for n in ast.walk(node)
+                               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def _init_attributes(source: str) -> list:
+    """(class, attribute, __init__ node) for every ``self.<name> = ...`` in an ``__init__``."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for init in cls.body:
+            if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                continue
+            for node in ast.walk(init):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                found += [(cls.name, t.attr, init) for t in targets
+                          if isinstance(t, ast.Attribute)
+                          and getattr(t.value, "id", None) == "self"]
+    return found
+
+
+def unread_attributes(package_sources: list, reader_sources: list) -> list:
+    """Attributes an ``__init__`` stores that nothing outside that ``__init__`` reads.
+
+    ``reader_sources`` must include ``package_sources``: the loads inside
+    the storing ``__init__`` are subtracted from the loads of all readers.
+    Matching is by attribute name, as in ``unread_fields``.
+    """
+    loaded = sum(map(_loads, map(ast.parse, reader_sources)), collections.Counter())
+    return sorted({(cls, name) for source in package_sources
+                   for cls, name, init in _init_attributes(source)
+                   if loaded[name] - _loads(init)[name] <= 0})
+
+
+def test_every_instance_attribute_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in READERS]
+    package = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_attributes(package, sources) == []
+
+
+def test_unread_attribute_check_on_a_small_source():
+    source = ("class A:\n"
+              "    def __init__(self, x):\n"
+              "        self.kept = x\n"
+              "        self.only_here = x\n"
+              "        self.stored = self.only_here + 1\n"
+              "        other.field = x\n"
+              "    def use(self):\n"
+              "        return self.kept\n"
+              "class B:\n"
+              "    def __init__(self):\n"
+              "        self.read_elsewhere: int = 0\n"
+              "    def setup(self):\n"
+              "        self.late = 1\n"
+              "print(B().read_elsewhere)\n")
+    assert unread_attributes([source], [source]) == [("A", "only_here"), ("A", "stored")]

@@ -39,9 +39,8 @@ def test_user_rate_vanishes_without_signal_power(small_setup):
 
 def test_user_rate_hwi_term_linear_in_kappa(small_setup):
     _, est, _, alloc = small_setup
-    pm = est.stats.phase_model
-    hw1 = rl.HardwareProfile(kappa_t_bs=0.02, kappa_r_ue=0.01, phase_noise=pm)
-    hw2 = rl.HardwareProfile(kappa_t_bs=0.04, kappa_r_ue=0.02, phase_noise=pm)
+    hw1 = rl.HardwareProfile(kappa_t_bs=0.02, kappa_r_ue=0.01)
+    hw2 = rl.HardwareProfile(kappa_t_bs=0.04, kappa_r_ue=0.02)
     _, _, i1 = rl.user_rate(rate_terms(est, hw1, alloc.p_t), alloc)
     _, _, i2 = rl.user_rate(rate_terms(est, hw2, alloc.p_t), alloc)
     hwi1 = 0.03 * alloc.p_t / 16 * est.tr_r[0]
@@ -183,14 +182,13 @@ def make_threshold_setup(seed, m, kt, p_t=100.0):
                                   p_t=p_t, rho=50.0, kappa_ul=0.0)
     stats2, est2 = rebuilt(stats, est,
                            beta_2=tuple(5.0 * b for b in stats.fading.beta_2))
-    hw = rl.HardwareProfile(kappa_t_bs=kt, kappa_r_ue=kt, phase_noise=stats.phase_model)
+    hw = rl.HardwareProfile(kappa_t_bs=kt, kappa_r_ue=kt)
     return est2, hw
 
 
 def test_prop1_zero_without_transmit_distortion(small_setup):
     _, est, _, _ = small_setup
-    hw0 = rl.HardwareProfile(kappa_t_bs=0.0, kappa_r_ue=0.01,
-                             phase_noise=est.stats.phase_model)
+    hw0 = rl.HardwareProfile(kappa_t_bs=0.0, kappa_r_ue=0.01)
     delta, me = rl.max_eve_antennas_no_an(rate_terms(est, hw0, 10.0))
     assert delta == 0.0 and me == 0
 
@@ -230,11 +228,10 @@ def test_prop2_threshold_brackets_split_form_sign_change():
 def test_prop2_threshold_monotonicities():
     # the kappa_t_bs benefit shows when the noise floor dominates D (low SNR)
     base = dict(seed=13, m=48, n=16, k=3, m_e=1, p_t=0.05)
-    pm = make_setup(**base)[0].phase_model
 
     def delta_for(kt, kr):
         _, est, _, _ = make_setup(**base)
-        hw = rl.HardwareProfile(kappa_t_bs=kt, kappa_r_ue=kr, phase_noise=pm)
+        hw = rl.HardwareProfile(kappa_t_bs=kt, kappa_r_ue=kr)
         return rl.max_eve_antennas_an(rate_terms(est, hw, 0.05))[0]
 
     # decreasing in the user receive distortion, increasing in the BS transmit one
@@ -251,8 +248,7 @@ def uncorrelated_setup(seed=51, m=24, n=64, k=3, m_e=2, rho=10.0, p_t=10.0,
     stats, est, _, _ = make_setup(seed=seed, m=m, n=n, k=k, m_e=m_e,
                                   correlated=False, kappa_ul=0.0, rho=rho,
                                   p_t=p_t, xi=xi, kappa_dl=kappa_dl)
-    hw = rl.HardwareProfile(kappa_t_bs=kappa_dl, kappa_r_ue=kappa_dl,
-                            phase_noise=stats.phase_model)
+    hw = rl.HardwareProfile(kappa_t_bs=kappa_dl, kappa_r_ue=kappa_dl)
     alloc = rl.PowerAllocation(p_t=p_t, xi=xi, k=k, m=m)
     return stats, est, hw, alloc
 
@@ -274,8 +270,7 @@ def test_prop3_invariant_to_phase_configuration():
     for phi in (np.pi / 4, 0.0, rng.uniform(0, 2 * np.pi, 64)):
         stats, est, hw, alloc = make_setup(seed=52, m=24, n=64, k=3, m_e=2,
                                            correlated=False, kappa_ul=0.0, phi=phi)
-        hw = rl.HardwareProfile(kappa_t_bs=0.01, kappa_r_ue=0.01,
-                                phase_noise=stats.phase_model)
+        hw = rl.HardwareProfile(kappa_t_bs=0.01, kappa_r_ue=0.01)
         vals.append(rl.secrecy_uncorrelated(
             stats.dims, stats.fading, stats.h1, est.pilots.rho, est.pilots.tau_u,
             est.pilots.sigma_u2, hw, alloc, m_e=2, k=0)[2])
