@@ -58,8 +58,8 @@ from .power_alloc import (
     secrecy_derivative_exact,
 )
 from .precoding import (
-    PowerAllocation,
     mrt_precoder,
+    stream_powers,
 )
 from .rates import (
     EveBound,

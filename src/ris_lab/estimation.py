@@ -139,7 +139,7 @@ def nmse_large_n_limit(beta_2k: float, beta_ik: float, beta_1: float, n: int,
     return float(1.0 - gain / (gain + sigma_u2 / (tau_u * rho)))
 
 
-def simulate_pilot_phase(h: np.ndarray, stats: ChannelStatistics, pilots: PilotConfig,
+def simulate_pilot_phase(h: np.ndarray, pilots: PilotConfig,
                          rng: np.random.Generator) -> np.ndarray:
     """Impaired pilot phase for stacked channel blocks.
 

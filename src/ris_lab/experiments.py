@@ -59,7 +59,6 @@ from .montecarlo import (  # noqa: F401 -- bench/tracer.py wraps these bindings
     estimate_eve_capacity,
     estimate_user_rate,
 )
-from .precoding import PowerAllocation
 from .rates import (
     compute_rate_terms,
     secrecy_gap_split,
@@ -136,10 +135,10 @@ class ExperimentConfig:
             raise ConfigValidationError("xi must lie in (0, 1]")
         if not 0.0 <= self.bs_corr < 1.0:
             raise ConfigValidationError("bs_corr must lie in [0, 1)")
-        if self.phase_noise_kind not in ("von_mises", "uniform", "none"):
-            raise ConfigValidationError(f"unknown phase noise kind {self.phase_noise_kind!r}")
-        if self.sigma_p2 < 0:
-            raise ConfigValidationError("sigma_p2 must be non-negative")
+        try:
+            PhaseNoiseModel(kind=self.phase_noise_kind, sigma_p2=self.sigma_p2)
+        except InvalidParameterError as exc:
+            raise ConfigValidationError(str(exc)) from exc
         if self.n_blocks < 1:
             raise ConfigValidationError("n_blocks must be positive")
         if self.seed < 0:
@@ -147,12 +146,15 @@ class ExperimentConfig:
         for name in ("ref_distance", "zeta_r", "zeta_d"):
             if getattr(self, name) <= 0:
                 raise ConfigValidationError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("snr_db", "pilot_snr_db", "path_gain_ref_db", "power_scaling_eu_db"):
-            value = getattr(self, name)
+        pilot_field = "snr_db" if self.pilot_snr_db is None else "pilot_snr_db"
+        for name, linear in (("snr_db", "p_t"), (pilot_field, "rho"),
+                             ("path_gain_ref_db", "j0"), ("power_scaling_eu_db", "e_u")):
             try:
-                _db_to_linear(value or 0.0)     # pilot_snr_db may be None
+                finite = math.isfinite(getattr(self, linear))
             except OverflowError:
-                raise ConfigValidationError(f"{name} = {value} dB overflows") from None
+                finite = False
+            if not finite:
+                raise ConfigValidationError(f"{name} = {getattr(self, name)} dB overflows")
         if min(self.kappa_t_ue, self.kappa_r_bs, self.kappa_t_bs, self.kappa_r_ue) < 0:
             raise ConfigValidationError("kappa factors must be non-negative")
 
@@ -214,6 +216,11 @@ class ExperimentConfig:
     def j0(self) -> float:
         return _db_to_linear(self.path_gain_ref_db)
 
+    @property
+    def e_u(self) -> float:
+        """Energy E_u of the 1/N-scaled budget P_t = E_u / N of ``asymptotic_vs_N``."""
+        return _db_to_linear(self.power_scaling_eu_db) * self.sigma_k2
+
     def dimensions(self) -> SystemDimensions:
         try:
             return SystemDimensions.square_ris(m=self.m, n=self.n, k=self.k,
@@ -222,15 +229,12 @@ class ExperimentConfig:
             raise ConfigValidationError(str(exc)) from exc
 
     def correlation_spec(self) -> CorrelationSpec:
-        return CorrelationSpec(l=self.bs_corr, wavelength=self.wavelength,
+        return CorrelationSpec(wavelength=self.wavelength,
                                d_h=self.ris_spacing_h, d_v=self.ris_spacing_v)
 
     def hardware(self) -> HardwareProfile:
-        return HardwareProfile(kappa_t_bs=self.kappa_t_bs, kappa_r_ue=self.kappa_r_ue,
-                               sigma_k2=self.sigma_k2)
-
-    def allocation(self) -> PowerAllocation:
-        return PowerAllocation(p_t=self.p_t, xi=self.xi, k=self.k, m=self.m)
+        return HardwareProfile(p_t=self.p_t, kappa_t_bs=self.kappa_t_bs,
+                               kappa_r_ue=self.kappa_r_ue, sigma_k2=self.sigma_k2)
 
 
 def _db_to_linear(value_db: float) -> float:
@@ -313,11 +317,14 @@ def generate_scenario(config: ExperimentConfig) -> LargeScaleFading:
 
 @dataclass
 class SystemSetup:
-    """Everything needed to evaluate one grid point; the statistics are ``est.stats``."""
+    """Everything needed to evaluate one grid point; the statistics are ``est.stats``.
+
+    ``xi`` is the data fraction of the hardware profile's P_t.
+    """
 
     est: ChannelEstimator
     hw: HardwareProfile
-    alloc: PowerAllocation
+    xi: float
 
 
 def _scenario(config: ExperimentConfig):
@@ -339,8 +346,7 @@ def build_setup(config: ExperimentConfig) -> SystemSetup:
                                      phi=config.ris_phase, r_b=r_b, r_i=r_i)
     pilots = PilotConfig(tau_u=dims.tau_u, rho=config.rho, sigma_u2=config.sigma_u2,
                          kappa_t_ue=config.kappa_t_ue, kappa_r_bs=config.kappa_r_bs)
-    return SystemSetup(est=ChannelEstimator(stats, pilots),
-                       hw=config.hardware(), alloc=config.allocation())
+    return SystemSetup(est=ChannelEstimator(stats, pilots), hw=config.hardware(), xi=config.xi)
 
 
 # --------------------------------------------------------------------------
@@ -435,18 +441,17 @@ def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
 def _mc_secrecy(setup: SystemSetup, config: ExperimentConfig):
     """Monte Carlo secrecy estimate averaged over users: (value, se)."""
     plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
-    orc = estimate_secrecy(setup.est, setup.hw, setup.alloc, plan)
+    orc = estimate_secrecy(setup.est, setup.hw, setup.xi, plan)
     return orc.r_sec, orc.r_sec_se
 
 
 def _rate_terms(setup: SystemSetup) -> list:
     """One RateTerms per user: the single source of every closed form."""
-    dims = setup.est.stats.dims
-    return [compute_rate_terms(setup.est, setup.hw, setup.alloc.p_t, dims.m_e, k=k)
-            for k in range(dims.k)]
+    return [compute_rate_terms(setup.est, setup.hw, k=k)
+            for k in range(setup.est.stats.dims.k)]
 
 
-def _closed_secrecy(terms: list, alloc: PowerAllocation):
+def _closed_secrecy(terms: list, xi: float):
     """Closed-form (user rate, eve bound, secrecy) averaged over users.
 
     The no-AN/no-distortion corner has a defined answer (Eve's SINR
@@ -455,12 +460,12 @@ def _closed_secrecy(terms: list, alloc: PowerAllocation):
     r_u, c_e, r_s = [], [], []
     for user in terms:
         try:
-            rep = secrecy_rate(user, alloc)
+            rep = secrecy_rate(user, xi)
             r_u.append(rep.r_k)
             c_e.append(rep.c_e_bar)
             r_s.append(rep.r_sec)
         except InfiniteEveCapacityError:
-            rate, _, _ = user_rate(user, alloc)
+            rate, _, _ = user_rate(user, xi)
             r_u.append(rate)
             c_e.append(float("inf"))
             r_s.append(0.0)
@@ -514,7 +519,7 @@ def _secrecy_sweep(config: ExperimentConfig, name, column, grid) -> ResultTable:
     for value in grid:
         value = int(value) if column in ("m", "n") else float(value)
         setup = build_setup(config.replace(**{column: value}))
-        r_user, c_eve, r_sec = _closed_secrecy(_rate_terms(setup), setup.alloc)
+        r_user, c_eve, r_sec = _closed_secrecy(_rate_terms(setup), setup.xi)
         mc, mc_se = _mc_secrecy(setup, config)
         rows.append([value, r_user, c_eve, r_sec, mc, mc_se])
     return ResultTable(
@@ -546,27 +551,23 @@ def _run_kappa_t_sweep(config: ExperimentConfig) -> ResultTable:
 def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
     """Uncorrelated-fading asymptotics: exact, large-N, limit, power-scaled."""
     grid = config.sweep or [64, 144, 256, 576, 1024, 2048, 4096]
-    e_u = _db_to_linear(config.power_scaling_eu_db) * config.sigma_k2
-    hw, alloc = config.hardware(), config.allocation()
+    e_u, xi, hw = config.e_u, config.xi, config.hardware()
     rows = []
     for n in grid:
         n = int(n)
         dims, fading, h1 = _scenario(config.replace(n=n))
         # the uncorrelated special case assumes ideal uplink hardware
         _, _, r_prop = secrecy_uncorrelated(
-            dims, fading, h1, config.rho, dims.tau_u, config.sigma_u2, hw, alloc,
-            dims.m_e, k=0)
+            dims, fading, h1, config.rho, config.sigma_u2, hw, xi, k=0)
         _, _, r_48 = secrecy_large_n(
-            fading.beta_2[0], fading.beta_i[0], fading.beta_1, fading.beta_3,
-            fading.beta_ie, n, dims.m, dims.k, dims.m_e, alloc.p_t, alloc.xi,
-            config.rho, dims.tau_u, config.sigma_u2, hw)
-        _, _, r_50 = secrecy_limit(dims.m, dims.k, dims.m_e, alloc.xi, hw)
-        alloc_scaled = PowerAllocation.power_scaled(e_u, n, alloc.xi, dims.k, dims.m)
+            fading.beta_2[0], fading.beta_i[0], fading.beta_1, n, dims.m, dims.k,
+            dims.m_e, xi, config.rho, dims.tau_u, config.sigma_u2, hw)
+        _, _, r_50 = secrecy_limit(dims.m, dims.k, dims.m_e, xi, hw)
+        hw_scaled = dataclasses.replace(hw, p_t=e_u / n)     # budget shrinking as 1/N
         _, _, r_scaled = secrecy_uncorrelated(
-            dims, fading, h1, config.rho, dims.tau_u, config.sigma_u2, hw, alloc_scaled,
-            dims.m_e, k=0)
+            dims, fading, h1, config.rho, config.sigma_u2, hw_scaled, xi, k=0)
         _, _, r_49 = secrecy_power_scaled(e_u, dims.m, dims.k, dims.m_e, fading.beta_i[0],
-                                          fading.beta_1, alloc.xi, hw)
+                                          fading.beta_1, xi, hw)
         rows.append([n, r_prop, r_48, r_50, r_scaled, r_49])
     return ResultTable(
         "asymptotic_vs_N",
@@ -582,7 +583,7 @@ def _run_xi_sweep(config: ExperimentConfig) -> ResultTable:
         xi = float(xi)
         setup = build_setup(config.replace(xi=xi))
         terms = _rate_terms(setup)
-        _, _, r_closed = _closed_secrecy(terms, setup.alloc)
+        _, _, r_closed = _closed_secrecy(terms, xi)
         try:
             r_eq = np.mean([max(0.0, secrecy_gap_split(t, xi)) for t in terms])
         except InfiniteEveCapacityError:
@@ -601,7 +602,7 @@ def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
     for n in grid:
         for sp2 in config.phase_noise_levels:
             setup = build_setup(config.replace(n=int(n), sigma_p2=float(sp2)))
-            _, _, r_sec = _closed_secrecy(_rate_terms(setup), setup.alloc)
+            _, _, r_sec = _closed_secrecy(_rate_terms(setup), setup.xi)
             mc, mc_se = _mc_secrecy(setup, config)
             rows.append([int(n), float(sp2), r_sec, mc, mc_se])
     return ResultTable(

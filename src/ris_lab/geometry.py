@@ -41,18 +41,17 @@ class SystemDimensions:
     n: int            # RIS elements
     k: int            # legitimate users
     m_e: int          # eavesdropper antennas
-    n_h: int          # RIS elements per row
-    n_v: int          # RIS rows
+    n_h: int          # RIS elements per row; N / n_h rows
     tau_u: int        # pilot length in symbols
 
     def __post_init__(self):
-        for name in ("m", "n", "k", "m_e"):
+        for name in ("m", "n", "k", "m_e", "n_h"):
             count = getattr(self, name)
             if count < 1:
                 raise InvalidParameterError(f"{name} must be positive, got {count}")
-        if self.n_h * self.n_v != self.n:
+        if self.n % self.n_h != 0:
             raise InvalidParameterError(
-                f"RIS grid {self.n_h}x{self.n_v} does not hold {self.n} elements")
+                f"RIS rows of {self.n_h} elements do not tile {self.n} elements")
         if self.m <= self.k:
             raise InvalidParameterError(
                 f"need more BS antennas than users for null-space AN (M={self.m}, K={self.k})")
@@ -68,8 +67,7 @@ class SystemDimensions:
         n_h = int(round(np.sqrt(n)))
         while n_h > 1 and n % n_h != 0:
             n_h -= 1
-        return cls(m=m, n=n, k=k, m_e=m_e, n_h=n_h, n_v=n // n_h,
-                   tau_u=k if tau_u is None else tau_u)
+        return cls(m=m, n=n, k=k, m_e=m_e, n_h=n_h, tau_u=k if tau_u is None else tau_u)
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ class PhaseNoiseModel:
         if self.kind not in ("von_mises", "uniform", "none"):
             raise InvalidParameterError(f"unknown phase noise kind {self.kind!r}")
         if self.sigma_p2 < 0:
-            raise InvalidParameterError("phase noise power must be non-negative")
+            raise InvalidParameterError("sigma_p2 must be non-negative")
 
     @property
     def nu_p(self) -> float:
@@ -124,16 +122,13 @@ def phase_deviation_factor(model: PhaseNoiseModel) -> float:
 
 @dataclass(frozen=True)
 class CorrelationSpec:
-    """Spatial-correlation knobs for the BS array and the RIS panel."""
+    """Carrier wavelength and RIS element spacings."""
 
-    l: float = 0.6               # BS exponential correlation index
     wavelength: float = 0.1      # carrier wavelength [m]
     d_h: float | None = None     # RIS horizontal spacing [m]; default wavelength/2
     d_v: float | None = None     # RIS vertical spacing [m]; default wavelength/2
 
     def __post_init__(self):
-        if not 0.0 <= self.l < 1.0:
-            raise InvalidParameterError("BS correlation index must lie in [0, 1)")
         if self.wavelength <= 0:
             raise InvalidParameterError("wavelength must be positive")
 

@@ -1,9 +1,15 @@
-"""Downlink transceiver hardware profile.
+"""Downlink operating point: transmit budget and transceiver hardware.
 
-Residual RF distortion is modeled as additive Gaussian noise whose power
-is proportional to the signal power. Only the downlink factors (BS
-transmit, user receive) live here; the RIS phase-error law is not
-transceiver hardware and lives in ``ChannelStatistics.phase_model``.
+``HardwareProfile`` holds the total transmit power P_t, the residual RF
+distortion factors of the BS transmitter and the user receivers, and the
+user noise power. It is the downlink counterpart of
+``estimation.PilotConfig``, which holds the pilot power rho and the uplink
+noise and distortion. Residual RF distortion is modeled as additive
+Gaussian noise whose power is proportional to the signal power. The
+data/AN split of P_t is not stored: closed forms and oracles take it as
+the plain fraction xi (see ``precoding.stream_powers``). The RIS
+phase-error law is not transceiver hardware and lives in
+``ChannelStatistics.phase_model``.
 """
 from __future__ import annotations
 
@@ -14,18 +20,16 @@ from .errors import InvalidParameterError
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """Downlink distortion factors and the user noise power, nothing else.
+    """Total transmit power, downlink distortion factors and the user noise power."""
 
-    The uplink factors (user transmit kappa_t_ue, BS receive kappa_r_bs) and
-    the uplink noise power sigma_u2 live in ``estimation.PilotConfig``; the
-    RIS phase-error law lives in the channel statistics.
-    """
-
+    p_t: float                     # total transmit power
     kappa_t_bs: float = 0.0        # BS transmit distortion
     kappa_r_ue: float = 0.0        # user receive distortion
     sigma_k2: float = 1.0          # downlink noise power at each user
 
     def __post_init__(self):
+        if self.p_t <= 0:
+            raise InvalidParameterError("total power must be positive")
         for name in ("kappa_t_bs", "kappa_r_ue"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be non-negative")

@@ -29,6 +29,11 @@ Eve's AN term is q P^H P with P = (I - Q Q^H) H_E, and
 diag(V V^H) = 1 - |rows of Q|^2. The projection form keeps the leakage
 exactly zero under perfect CSI and every quadratic form PSD.
 
+The downlink oracles take ``(est, hw, xi, plan)``: K, M and M_E come from
+``est.stats.dims``, P_t from the ``HardwareProfile`` ``hw``, and each
+oracle computes the per-stream powers (p, q) once with
+``precoding.stream_powers``. ``estimate_nmse`` takes ``(est, plan)``.
+
 ``estimate_secrecy`` runs one pass per secrecy point: each block's user
 terms and eavesdropper log-rate come from the same draw, and the secrecy
 standard error is built from per-block pairs by the delta method.
@@ -58,7 +63,7 @@ from .errors import InvalidParameterError
 from .estimation import ChannelEstimator, simulate_pilot_phase
 from .geometry import sample_realizations
 from .hardware import HardwareProfile
-from .precoding import PowerAllocation, mrt_normalizers, mrt_precoder
+from .precoding import mrt_normalizers, mrt_precoder, stream_powers
 from .precoding import null_space_an_batch  # noqa: F401 -- bench/tracer.py wraps this binding
 from .streams import CHANNEL_BLOCK, EVE_BLOCK, NMSE_BLOCK, derive_rng
 
@@ -186,7 +191,7 @@ class OracleEstimates:
     Per-user arrays have length K. Which sections are filled depends on
     which estimator produced the object: the NMSE, the user-rate terms of
     the Theorem-1 decomposition, Eve's capacity and the secrecy rate. It holds
-    estimates only; Eve's thermal floor is ``_eve_floor(hw, alloc)``.
+    estimates only; Eve's thermal floor is ``_eve_floor(hw, q)``.
     """
 
     nmse: np.ndarray | None = None
@@ -219,7 +224,7 @@ def estimate_nmse(est: ChannelEstimator, plan: TrialPlan) -> OracleEstimates:
 
     def work(size, rng):
         draws = sample_realizations(stats, rng, size)
-        y = simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
+        y = simulate_pilot_phase(draws["h"], est.pilots, rng)
         h_hat = est.estimate(y)                       # (B, M, K)
         h = np.swapaxes(draws["h"], 1, 2)             # (B, M, K)
         err2 = np.sum(np.abs(h - h_hat) ** 2, axis=1)
@@ -253,7 +258,7 @@ def _draw_blocks(est: ChannelEstimator, size, rng) -> _Blocks:
     """Channels, pilot phase, estimates, MRT precoder and Q for one chunk."""
     stats = est.stats
     draws = sample_realizations(stats, rng, size)
-    y = simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
+    y = simulate_pilot_phase(draws["h"], est.pilots, rng)
     h_hat = est.estimate(y)
     w = mrt_precoder(h_hat, est)
     q_hat = np.linalg.qr(h_hat)[0]
@@ -271,9 +276,9 @@ def _an_component(q_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x - q_hat @ (np.swapaxes(q_hat, 1, 2).conj() @ x)
 
 
-def _transmit_diag(blk: _Blocks, alloc: PowerAllocation) -> np.ndarray:
+def _transmit_diag(blk: _Blocks, p: float, q: float) -> np.ndarray:
     """Per-antenna transmit power diag(p W W^H + q V V^H), shape (B, M)."""
-    return alloc.p * _row_power(blk.w) + alloc.q * (1.0 - _row_power(blk.q_hat))
+    return p * _row_power(blk.w) + q * (1.0 - _row_power(blk.q_hat))
 
 
 def _user_terms(est: ChannelEstimator, blk: _Blocks) -> dict:
@@ -295,39 +300,40 @@ def _user_terms(est: ChannelEstimator, blk: _Blocks) -> dict:
     return {"s1": s1, "inter": inter, "an": an, "hn2": hn2, "var_err": var_err}
 
 
-def _eve_interference(blk: _Blocks, alloc: PowerAllocation,
+def _eve_interference(blk: _Blocks, p: float, q: float,
                       kappa_t_bs: float) -> np.ndarray:
     """Eve's interference matrix X = H_E^H (q V V^H + Ups_t) H_E, (B, M_E, M_E)."""
     h_e_h = np.swapaxes(blk.h_e, 1, 2).conj()         # (B, M_E, M)
     p_e = _an_component(blk.q_hat, blk.h_e)           # P = (I - Q Q^H) H_E
-    x = alloc.q * (np.swapaxes(p_e, 1, 2).conj() @ p_e)
-    x += kappa_t_bs * ((h_e_h * _transmit_diag(blk, alloc)[:, None, :]) @ blk.h_e)
+    x = q * (np.swapaxes(p_e, 1, 2).conj() @ p_e)
+    x += kappa_t_bs * ((h_e_h * _transmit_diag(blk, p, q)[:, None, :]) @ blk.h_e)
     return x
 
 
-def _eve_floor(hw: HardwareProfile, alloc: PowerAllocation) -> float:
+def _eve_floor(hw: HardwareProfile, q: float) -> float:
     """Thermal floor of Eve's whitening solve: 1e-12 P_t where it is singular.
 
-    With neither AN nor transmit distortion Eve's interference matrix is zero.
+    With neither AN (q = 0) nor transmit distortion Eve's interference
+    matrix is zero.
     """
-    if alloc.q == 0.0 and hw.kappa_t_bs == 0.0:
-        return 1e-12 * alloc.p_t
+    if q == 0.0 and hw.kappa_t_bs == 0.0:
+        return 1e-12 * hw.p_t
     return 0.0
 
 
-def _eve_log_rate(blk: _Blocks, alloc: PowerAllocation, kappa_t_bs: float,
+def _eve_log_rate(blk: _Blocks, p: float, q: float, kappa_t_bs: float,
                   sigma_e2: float) -> np.ndarray:
     """Per-block log2(1 + SINR) of Eve under optimal combining, shape (B, K)."""
-    x = _eve_interference(blk, alloc, kappa_t_bs)
+    x = _eve_interference(blk, p, q, kappa_t_bs)
     f = np.swapaxes(blk.h_e, 1, 2).conj() @ blk.w     # H_E^H w_k
     if sigma_e2 > 0.0:
         x += sigma_e2 * np.eye(x.shape[-1])[None, :, :]
     sol = np.linalg.solve(x, f)
-    gamma = alloc.p * np.real(np.einsum("bek,bek->bk", f.conj(), sol))
+    gamma = p * np.real(np.einsum("bek,bek->bk", f.conj(), sol))
     return np.log2(1.0 + np.maximum(gamma, 0.0))
 
 
-def _reduce_user_terms(parts: list, hw: HardwareProfile, alloc: PowerAllocation,
+def _reduce_user_terms(parts: list, hw: HardwareProfile, p: float, q: float,
                        m: int) -> tuple[OracleEstimates, np.ndarray]:
     """Rate estimates from the chunks' per-block user terms.
 
@@ -353,18 +359,18 @@ def _reduce_user_terms(parts: list, hw: HardwareProfile, alloc: PowerAllocation,
     inter_mean, inter_se = _mean_se(inter)
     an_mean, an_se = _mean_se(an)
     hn2_mean, hn2_se = _mean_se(hn2)
-    hwi_scale = (hw.kappa_t_bs + hw.kappa_r_ue) * alloc.p_t / m
+    hwi_scale = (hw.kappa_t_bs + hw.kappa_r_ue) * hw.p_t / m
     hwi = hwi_scale * hn2_mean
     hwi_se = hwi_scale * hn2_se
 
-    den = (alloc.p * inter_mean + alloc.p * variance + alloc.q * an_mean
+    den = (p * inter_mean + p * variance + q * an_mean
            + hwi + hw.sigma_k2)
-    gamma = alloc.p * signal / den
+    gamma = p * signal / den
     rate = np.log2(1.0 + gamma)
 
     d_signal = 2.0 * np.abs(s1_mean) * (proj - np.mean(proj, axis=0))
-    d_den = (alloc.p * (inter - inter_mean) + alloc.p * (var_err - variance)
-             + alloc.q * (an - an_mean) + hwi_scale * (hn2 - hn2_mean))
+    d_den = (p * (inter - inter_mean) + p * (var_err - variance)
+             + q * (an - an_mean) + hwi_scale * (hn2 - hn2_mean))
     d_rate = (gamma / ((1.0 + gamma) * np.log(2.0))
               * (d_signal / np.maximum(signal, 1e-300) - d_den / den))
 
@@ -379,8 +385,8 @@ def _reduce_user_terms(parts: list, hw: HardwareProfile, alloc: PowerAllocation,
     return orc, d_rate
 
 
-def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
-                       alloc: PowerAllocation, plan: TrialPlan) -> OracleEstimates:
+def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile, xi: float,
+                       plan: TrialPlan) -> OracleEstimates:
     """Term-by-term estimate of the downlink SINR for every user.
 
     Estimates the signal, interference, estimation-uncertainty and
@@ -393,15 +399,17 @@ def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile,
     assembled from the term means; its standard error comes from the
     per-block delta-method linearization of that rate.
     """
+    p, q = stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
+
     def work(size, rng):
         return _user_terms(est, _draw_blocks(est, size, rng))
 
     parts = _run_chunks(plan, CHANNEL_BLOCK, work)
-    return _reduce_user_terms(parts, hw, alloc, est.stats.dims.m)[0]
+    return _reduce_user_terms(parts, hw, p, q, est.stats.dims.m)[0]
 
 
-def estimate_secrecy(est: ChannelEstimator, hw: HardwareProfile,
-                     alloc: PowerAllocation, plan: TrialPlan) -> OracleEstimates:
+def estimate_secrecy(est: ChannelEstimator, hw: HardwareProfile, xi: float,
+                     plan: TrialPlan) -> OracleEstimates:
     """User rates, eavesdropper capacities and the secrecy rate from one pass.
 
     Each block is drawn once, on the ``CHANNEL_BLOCK`` stream, and its user
@@ -413,16 +421,17 @@ def estimate_secrecy(est: ChannelEstimator, hw: HardwareProfile,
     so it carries the user/Eve and user/user correlations of the shared
     draw; it ignores the clip at zero.
     """
-    sigma_e2 = _eve_floor(hw, alloc)
+    p, q = stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
+    sigma_e2 = _eve_floor(hw, q)
 
     def work(size, rng):
         blk = _draw_blocks(est, size, rng)
         terms = _user_terms(est, blk)
-        terms["log_rate"] = _eve_log_rate(blk, alloc, hw.kappa_t_bs, sigma_e2)
+        terms["log_rate"] = _eve_log_rate(blk, p, q, hw.kappa_t_bs, sigma_e2)
         return terms
 
     parts = _run_chunks(plan, CHANNEL_BLOCK, work)
-    orc, d_rate = _reduce_user_terms(parts, hw, alloc, est.stats.dims.m)
+    orc, d_rate = _reduce_user_terms(parts, hw, p, q, est.stats.dims.m)
     log_rate = _stack(parts, "log_rate")
     orc.c_e, orc.c_e_se = _mean_se(log_rate)
     psi = np.mean(d_rate - (log_rate - orc.c_e), axis=1)
@@ -435,20 +444,21 @@ def estimate_secrecy(est: ChannelEstimator, hw: HardwareProfile,
 # eavesdropper oracle
 # --------------------------------------------------------------------------
 
-def estimate_eve_capacity(est: ChannelEstimator, hw: HardwareProfile,
-                          alloc: PowerAllocation, plan: TrialPlan) -> OracleEstimates:
+def estimate_eve_capacity(est: ChannelEstimator, hw: HardwareProfile, xi: float,
+                          plan: TrialPlan) -> OracleEstimates:
     """Per-user ergodic eavesdropper capacity under optimal combining.
 
     Solves the M_E x M_E interference-whitening system per block with the
     realized AN covariance and transmit-distortion profile. In the corner
     with neither AN nor transmit distortion the system is singular and a
-    tiny thermal floor 1e-12 P_t, ``_eve_floor(hw, alloc)``, is added.
+    tiny thermal floor 1e-12 P_t, ``_eve_floor(hw, q)``, is added.
     """
-    sigma_e2 = _eve_floor(hw, alloc)
+    p, q = stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
+    sigma_e2 = _eve_floor(hw, q)
 
     def work(size, rng):
         blk = _draw_blocks(est, size, rng)
-        return {"log_rate": _eve_log_rate(blk, alloc, hw.kappa_t_bs, sigma_e2)}
+        return {"log_rate": _eve_log_rate(blk, p, q, hw.kappa_t_bs, sigma_e2)}
 
     parts = _run_chunks(plan, EVE_BLOCK, work)
     log_rate = _stack(parts, "log_rate")
@@ -466,8 +476,8 @@ class WishartMoments:
     offdiag_m2_se: float
 
 
-def estimate_wishart_moments(est: ChannelEstimator, hw: HardwareProfile,
-                             alloc: PowerAllocation, plan: TrialPlan) -> WishartMoments:
+def estimate_wishart_moments(est: ChannelEstimator, hw: HardwareProfile, xi: float,
+                             plan: TrialPlan) -> WishartMoments:
     """Moments of X = H_E^H (q V V^H + Ups_t) H_E for the matching check.
 
     Returns the first functional E{tr X}/M_E and the mean squared
@@ -476,8 +486,10 @@ def estimate_wishart_moments(est: ChannelEstimator, hw: HardwareProfile,
     ``wishart_match`` only where its isotropy assumptions hold, i.e. when
     Q_E is a multiple of I.
     """
+    p, q = stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
+
     def work(size, rng):
-        x = _eve_interference(_draw_blocks(est, size, rng), alloc, hw.kappa_t_bs)
+        x = _eve_interference(_draw_blocks(est, size, rng), p, q, hw.kappa_t_bs)
         m_e = x.shape[-1]
         tr_x = np.real(np.einsum("bee->b", x))
         off = np.abs(x) ** 2

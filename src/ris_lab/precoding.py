@@ -1,5 +1,11 @@
 """Downlink precoding: MRT for data, null-space projection for AN.
 
+``stream_powers`` is the only place that splits the total power P_t into
+the per-stream data power p and AN power q, and the only check that the
+data fraction xi lies in (0, 1]. The Monte Carlo oracles and every
+closed form that works with p and q call it with the P_t of their
+``HardwareProfile`` and the K and M of their statistics.
+
 The MRT columns are normalized by the statistical norm of the channel
 estimate (not the instantaneous one), which is what makes the closed-form
 rate expressions exact. The AN precoder V is an orthonormal basis of the
@@ -11,45 +17,21 @@ as the reference the tests compare the oracle against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateConfigError, InvalidParameterError
 from .estimation import ChannelEstimator
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Split of the total budget between data streams and AN streams."""
+def stream_powers(p_t: float, xi: float, k: int, m: int) -> tuple[float, float]:
+    """Per-stream data and AN powers (p, q) when a fraction xi of P_t carries data.
 
-    p_t: float                     # total transmit power
-    xi: float                      # fraction given to the information signal
-    k: int                         # data streams
-    m: int                         # BS antennas
-
-    def __post_init__(self):
-        if not 0.0 < self.xi <= 1.0:
-            raise InvalidParameterError("power fraction xi must lie in (0, 1]")
-        if self.p_t <= 0:
-            raise InvalidParameterError("total power must be positive")
-        if self.m <= self.k:
-            raise InvalidParameterError("need M > K for the AN precoder")
-
-    @property
-    def p(self) -> float:
-        """Per-stream data power."""
-        return self.xi * self.p_t / self.k
-
-    @property
-    def q(self) -> float:
-        """Per-stream AN power."""
-        return (1.0 - self.xi) * self.p_t / (self.m - self.k)
-
-    @classmethod
-    def power_scaled(cls, e_u: float, n: int, xi: float, k: int, m: int):
-        """Budget shrinking as 1/N with the RIS size."""
-        return cls(p_t=e_u / n, xi=xi, k=k, m=m)
+    K data streams share xi P_t and M - K AN streams share the rest, so
+    K p + (M - K) q = P_t.
+    """
+    if not 0.0 < xi <= 1.0:
+        raise InvalidParameterError("power fraction xi must lie in (0, 1]")
+    return xi * p_t / k, (1.0 - xi) * p_t / (m - k)
 
 
 def mrt_precoder(h_hat: np.ndarray, est: ChannelEstimator) -> np.ndarray:

@@ -4,13 +4,16 @@ Everything here is a deterministic function of the channel statistics.
 One per-user ``RateTerms``, built by ``compute_rate_terms``, is the only
 source of the statistics the closed forms share: tr(R Psi^-1 R),
 tr Q_E, tr Q_E^2, tr(R Psi^-1 R Q_E) and the power-normalized signal,
-interference and noise blocks built from them. The legitimate user's
-achievable rate with MRT + null-space AN, the moment-matched upper bound
-on the eavesdropper capacity (with and without AN), the ergodic secrecy
-rate in its composed and its power-split form, and the antenna-count
-thresholds are small pure functions of ``(terms, alloc)``; none of them
-touches a matrix. Callers build the terms once per (setup, user) and
-reuse them across every quantity.
+interference and noise blocks built from them. The terms take K, M and
+M_E from the statistics' dimensions and P_t from the ``HardwareProfile``,
+so every closed form is f(terms, xi), with xi the data fraction of P_t as
+a plain float: the legitimate user's achievable rate with MRT +
+null-space AN, the moment-matched upper bound on the eavesdropper
+capacity, and the ergodic secrecy rate in its composed and its
+power-split form. The no-AN bound and the antenna-count thresholds fix
+the split themselves and take the terms alone. None of them touches a
+matrix. Callers build the terms once per (setup, user) and reuse them
+across every quantity and every xi.
 
 The uncorrelated special case (``secrecy_uncorrelated``) works from the
 raw matrices on purpose: it is an independent cross-check of this path.
@@ -32,7 +35,7 @@ from .errors import BoundInvalidError, InfiniteEveCapacityError, InvalidParamete
 from .estimation import ChannelEstimator
 from .hardware import HardwareProfile
 from .linalg import HermitianSolver, herm_trace_prod, hermitize
-from .precoding import PowerAllocation, mrt_normalizers
+from .precoding import mrt_normalizers, stream_powers
 
 # Moment-matched inverse-Wishart mean needs dof > M_E; require a one-unit
 # margin so the bound is not evaluated on the edge of its validity region.
@@ -49,7 +52,8 @@ class RateTerms:
 
     All fields are invariant to the data/AN power split, which makes the
     xi-parameterized secrecy expression and the power-split optimizer
-    cheap to evaluate on fine grids.
+    cheap to evaluate on fine grids. M, K and M_E are those of the
+    statistics, P_t and kappa_t_bs those of the hardware profile.
     """
 
     m: int
@@ -76,8 +80,7 @@ class RateTerms:
     l1: float              # [tr Q]^2 - M_E M/(M-K) tr(Q^2)
 
 
-def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, p_t: float,
-                       m_e: int, k: int = 0) -> RateTerms:
+def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, k: int = 0) -> RateTerms:
     """Assemble every scalar the rate formulas need for user ``k``.
 
     The only place where the trace products are computed. The E||h_hat_i||^2
@@ -85,12 +88,10 @@ def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, p_t: float,
     DegenerateConfigError for a zero-power estimate.
     """
     stats = est.stats
-    m = stats.dims.m
-    k_users = stats.dims.k
+    m, k_users, m_e = stats.dims.m, stats.dims.k, stats.dims.m_e
+    p_t = hw.p_t
     if not 0 <= k < k_users:
         raise InvalidParameterError(f"user index {k} out of range")
-    if p_t <= 0:
-        raise InvalidParameterError("total power must be positive")
     norms = mrt_normalizers(est)                  # tau_u rho tr(R_i Psi_i^-1 R_i)
     tr_pilot = est.pilots.tau_u * est.pilots.rho
 
@@ -131,29 +132,21 @@ def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, p_t: float,
     )
 
 
-def _check_alloc(terms: RateTerms, alloc: PowerAllocation) -> None:
-    """The terms fix P_t, K and M; the allocation must use the same ones."""
-    if (alloc.p_t, alloc.k, alloc.m) != (terms.p_t, terms.k_users, terms.m):
-        raise InvalidParameterError(
-            f"allocation (P_t={alloc.p_t}, K={alloc.k}, M={alloc.m}) does not match "
-            f"the rate terms (P_t={terms.p_t}, K={terms.k_users}, M={terms.m})")
-
-
 # --------------------------------------------------------------------------
 # legitimate user (Theorem-1 form)
 # --------------------------------------------------------------------------
 
-def user_rate(terms: RateTerms, alloc: PowerAllocation):
+def user_rate(terms: RateTerms, xi: float):
     """Achievable rate of the terms' user with MRT and null-space AN.
 
     Returns (rate_bits, signal_power, interference_power). The denominator
     collects multiuser interference and estimation uncertainty (p i_ddot),
     AN leakage q (M-K)/M tr(C), and the downlink HWI and noise (n_ddot).
     """
-    _check_alloc(terms, alloc)
-    s_k = alloc.p * terms.s_ddot
-    i_k = (alloc.p * terms.i_ddot
-           + alloc.q * (terms.m - terms.k_users) / terms.m * terms.tr_c + terms.n_ddot)
+    p, q = stream_powers(terms.p_t, xi, terms.k_users, terms.m)
+    s_k = p * terms.s_ddot
+    i_k = (p * terms.i_ddot
+           + q * (terms.m - terms.k_users) / terms.m * terms.tr_c + terms.n_ddot)
     return float(np.log2(1.0 + s_k / i_k)), s_k, i_k
 
 
@@ -193,7 +186,7 @@ def wishart_match(tr_q: float, tr_q2: float, q: float, kappa_t_bs: float,
     return phi_w, eta_w
 
 
-def eve_capacity_bound(terms: RateTerms, alloc: PowerAllocation) -> EveBound:
+def eve_capacity_bound(terms: RateTerms, xi: float) -> EveBound:
     """Moment-matched upper bound on the eavesdropper capacity for the terms' user.
 
     Raises InfiniteEveCapacityError when neither AN nor transmit
@@ -201,17 +194,17 @@ def eve_capacity_bound(terms: RateTerms, alloc: PowerAllocation) -> EveBound:
     matched Wishart degrees of freedom are too close to M_E for the
     inverse mean to exist.
     """
-    _check_alloc(terms, alloc)
     m, k_users, m_e = terms.m, terms.k_users, terms.m_e
     tr_q, tr_q2 = terms.tr_q, terms.tr_q2
-    kt, p_t, q = terms.kappa_t_bs, alloc.p_t, alloc.q
+    kt, p_t = terms.kappa_t_bs, terms.p_t
+    p, q = stream_powers(p_t, xi, k_users, m)
     drive = q * (m - k_users) + kt * p_t
     phi_w, eta_w = wishart_match(tr_q, tr_q2, q, kt, p_t, m, k_users)
     if eta_w <= m_e + WISHART_DOF_MARGIN:
         raise BoundInvalidError(
             f"matched Wishart dof {eta_w:.3f} must exceed M_E + 1 = {m_e + 1}")
 
-    s_e = alloc.p * m_e * m * drive * terms.tr_rpr_q * tr_q
+    s_e = p * m_e * m * drive * terms.tr_rpr_q * tr_q
     chi = (drive ** 2 * tr_q ** 2
            - m_e * ((kt * p_t) ** 2 + q ** 2 * m * (m - k_users)
                     + 2.0 * q * (m - k_users) * kt * p_t) * tr_q2)
@@ -219,7 +212,7 @@ def eve_capacity_bound(terms: RateTerms, alloc: PowerAllocation) -> EveBound:
         raise BoundInvalidError("bound denominator non-positive; too many Eve antennas")
     i_e = chi * terms.zeta
 
-    gamma_appendix = alloc.p * m_e * terms.tr_rpr_q / (phi_w * (eta_w - m_e) * terms.zeta)
+    gamma_appendix = p * m_e * terms.tr_rpr_q / (phi_w * (eta_w - m_e) * terms.zeta)
     return EveBound(c_e_bar=float(np.log2(1.0 + s_e / i_e)),
                     c_e_appendix=float(np.log2(1.0 + gamma_appendix)))
 
@@ -275,15 +268,15 @@ class SecrecyReport:
     r_sec: float           # clipped secrecy rate
 
 
-def secrecy_rate(terms: RateTerms, alloc: PowerAllocation) -> SecrecyReport:
+def secrecy_rate(terms: RateTerms, xi: float) -> SecrecyReport:
     """Ergodic secrecy rate [R_k - C_E]^+ of the terms' user.
 
     The direct composition, user rate minus capacity bound. The split
-    form ``secrecy_gap_split(terms, alloc.xi)`` equals ``gap``
-    analytically; the tests hold the two to each other.
+    form ``secrecy_gap_split(terms, xi)`` equals ``gap`` analytically;
+    the tests hold the two to each other.
     """
-    r_k, _, _ = user_rate(terms, alloc)
-    c_e_bar = eve_capacity_bound(terms, alloc).c_e_bar
+    r_k, _, _ = user_rate(terms, xi)
+    c_e_bar = eve_capacity_bound(terms, xi).c_e_bar
     gap = r_k - c_e_bar
     return SecrecyReport(r_k=r_k, c_e_bar=c_e_bar, gap=gap, r_sec=max(0.0, gap))
 
@@ -325,16 +318,17 @@ def max_eve_antennas_an(terms: RateTerms):
 # uncorrelated special case and large-system limits
 # --------------------------------------------------------------------------
 
-def secrecy_uncorrelated(dims, fading, h1: np.ndarray, rho: float, tau_u: int,
-                         sigma_u2: float, hw: HardwareProfile,
-                         alloc: PowerAllocation, m_e: int, k: int = 0):
+def secrecy_uncorrelated(dims, fading, h1: np.ndarray, rho: float, sigma_u2: float,
+                         hw: HardwareProfile, xi: float, k: int = 0):
     """Secrecy rate under uncorrelated fading and ideal uplink hardware.
 
     Independent evaluation path: works directly with the rank structure
     beta_2 I + beta_i H1 H1^H, so it cross-checks the general pipeline.
     Returns (user_rate, eve_bound, clipped secrecy rate).
     """
-    m, k_users = dims.m, dims.k
+    m, k_users, m_e, tau_u = dims.m, dims.k, dims.m_e, dims.tau_u
+    kt, p_t = hw.kappa_t_bs, hw.p_t
+    p, q = stream_powers(p_t, xi, k_users, m)
     hh = hermitize(h1 @ h1.conj().T)
     eye = np.eye(m)
 
@@ -355,21 +349,20 @@ def secrecy_uncorrelated(dims, fading, h1: np.ndarray, rho: float, tau_u: int,
     tr_resid = float(np.real(np.trace(resid)))
     tr_b = float(np.real(np.trace(b_k)))
 
-    num = alloc.p * tau_u * rho * tr_ups_k
-    den = (alloc.p * interf + alloc.q * (m - k_users) / m * tr_resid
-           + (hw.kappa_t_bs + hw.kappa_r_ue) * alloc.p_t / m * tr_b + hw.sigma_k2)
+    num = p * tau_u * rho * tr_ups_k
+    den = (p * interf + q * (m - k_users) / m * tr_resid
+           + (hw.kappa_t_bs + hw.kappa_r_ue) * p_t / m * tr_b + hw.sigma_k2)
     r_user = float(np.log2(1.0 + num / den))
 
     b_eve = fading.beta_3 * eye + fading.beta_ie * hh
     tr_be = float(np.real(np.trace(b_eve)))
     tr_be2 = herm_trace_prod(b_eve, b_eve)
-    kt, p_t, q = hw.kappa_t_bs, alloc.p_t, alloc.q
     drive = q * (m - k_users) + kt * p_t
     if drive <= 0:
         raise InfiniteEveCapacityError("no AN and no transmit distortion")
     varpi = m_e * ((kt * p_t) ** 2 + q ** 2 * m * (m - k_users)
                    + 2.0 * q * (m - k_users) * kt * p_t)
-    e_num = alloc.p * m_e * m * drive * tr_be * herm_trace_prod(b_eve, ups_k) / tr_ups_k
+    e_num = p * m_e * m * drive * tr_be * herm_trace_prod(b_eve, ups_k) / tr_ups_k
     e_den = drive ** 2 * tr_be ** 2 - varpi * tr_be2
     if e_den <= 0:
         raise BoundInvalidError("uncorrelated bound denominator non-positive")
@@ -377,15 +370,16 @@ def secrecy_uncorrelated(dims, fading, h1: np.ndarray, rho: float, tau_u: int,
     return r_user, c_eve, max(0.0, r_user - c_eve)
 
 
-def secrecy_large_n(beta_2k: float, beta_ik: float, beta_1: float, beta_3: float,
-                    beta_ie: float, n: int, m: int, k_users: int, m_e: int,
-                    p_t: float, xi: float, rho: float, tau_u: int,
+def secrecy_large_n(beta_2k: float, beta_ik: float, beta_1: float, n: int, m: int,
+                    k_users: int, m_e: int, xi: float, rho: float, tau_u: int,
                     sigma_u2: float, hw: HardwareProfile):
     """Large-RIS secrecy rate: the bridge congruence replaced by its limit.
 
     Returns (user_rate, eve_bound, clipped secrecy rate). The eavesdropper
-    term is independent of the aggregate gain, which cancels exactly.
+    term is independent of its gains beta_3 and beta_ie, which cancel
+    exactly, so they are not arguments.
     """
+    p_t = hw.p_t
     gain = beta_2k + beta_ik * beta_1 * n
     gamma_bar = gain ** 2 / (gain + sigma_u2 / (tau_u * rho))
     cap_xi = k_users * gain - gamma_bar

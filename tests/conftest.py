@@ -1,4 +1,6 @@
 """Shared fixtures and helpers: small, fast system setups used across the suite."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -52,7 +54,7 @@ def make_setup(seed=0, m=16, n=16, k=3, m_e=2, correlated=True, sigma_p2=0.1,
                kind="von_mises", kappa_ul=0.01, kappa_dl=0.01, rho=10.0,
                p_t=10.0, xi=0.5, sigma_u2=1.0, sigma_k2=1.0, tau_u=None,
                phi=np.pi / 4, beta_scale=1.0, bridge="los"):
-    """One random system configuration: stats, estimator, hardware, allocation.
+    """One random system configuration: stats, estimator, hardware, data fraction xi.
 
     ``correlated=False`` drops R_B and R_I only: the rank-N cascade
     (H1 Phi)(H1 Phi)^H stays in every covariance, so with the default
@@ -63,7 +65,7 @@ def make_setup(seed=0, m=16, n=16, k=3, m_e=2, correlated=True, sigma_p2=0.1,
     """
     rng = np.random.default_rng(seed)
     dims = rl.SystemDimensions.square_ris(m=m, n=n, k=k, m_e=m_e, tau_u=tau_u)
-    spec = rl.CorrelationSpec(l=0.6 if correlated else 0.0)
+    spec = rl.CorrelationSpec()
     r_b = rl.build_bs_correlation(m, 0.6) if correlated else None
     r_i = rl.build_ris_correlation(dims, spec) if correlated else None
     if bridge == "dft":
@@ -80,9 +82,19 @@ def make_setup(seed=0, m=16, n=16, k=3, m_e=2, correlated=True, sigma_p2=0.1,
     pilots = rl.PilotConfig(tau_u=dims.tau_u, rho=rho, sigma_u2=sigma_u2,
                             kappa_t_ue=kappa_ul, kappa_r_bs=kappa_ul)
     est = rl.ChannelEstimator(stats, pilots)
-    hw = rl.HardwareProfile(kappa_t_bs=kappa_dl, kappa_r_ue=kappa_dl, sigma_k2=sigma_k2)
-    alloc = rl.PowerAllocation(p_t=p_t, xi=xi, k=k, m=m)
-    return stats, est, hw, alloc
+    hw = rl.HardwareProfile(p_t=p_t, kappa_t_bs=kappa_dl, kappa_r_ue=kappa_dl,
+                            sigma_k2=sigma_k2)
+    return stats, est, hw, xi
+
+
+def with_eve_antennas(est, m_e):
+    """The same link with an M_E-antenna eavesdropper: a new estimator on replaced dims.
+
+    Q_E does not depend on M_E, so only the dimensions change.
+    """
+    stats = est.stats
+    stats = dataclasses.replace(stats, dims=dataclasses.replace(stats.dims, m_e=m_e))
+    return rl.ChannelEstimator(stats, est.pilots)
 
 
 @pytest.fixture

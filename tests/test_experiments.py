@@ -126,6 +126,15 @@ def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys, experimen
                  "pilot_snr_db = 1000000.0 dB overflows", [], id="pilot_snr_db-1e6"),
     pytest.param("nmse_vs_N", {"path_gain_ref_db": 1e6, "sweep": [16]},
                  "path_gain_ref_db = 1000000.0 dB overflows", [], id="path_gain_ref_db-1e6"),
+    # dB values whose linear value fits a float but overflows once scaled by the noise power
+    pytest.param("secrecy_vs_N", {"snr_db": 3080, "sigma_k2": 100, "sweep": [16]},
+                 "snr_db = 3080 dB overflows", [], id="snr_db-3080-sigma_k2-100"),
+    pytest.param("nmse_vs_N", {"pilot_snr_db": 3080, "sigma_u2": 100, "sweep": [16]},
+                 "pilot_snr_db = 3080 dB overflows", [], id="pilot_snr_db-3080-sigma_u2-100"),
+    pytest.param("asymptotic_vs_N",
+                 {"power_scaling_eu_db": 3080, "sigma_k2": 100, "sweep": [16]},
+                 "power_scaling_eu_db = 3080 dB overflows", [],
+                 id="power_scaling_eu_db-3080-sigma_k2-100"),
 ])
 def test_cli_nonpositive_size_in_sweep_exits_2(tmp_path, capsys, experiment, changes,
                                                message, args):

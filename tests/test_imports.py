@@ -8,8 +8,8 @@ attribute chain. ``__init__.py`` (whose imports are the public API) and
 statement's first line or on the name's own line exempts a name, which is
 how the bindings that the benchmark tracer wraps are kept.
 
-The checks further down find stored values that nothing reads: record
-fields, and the instance attributes an ``__init__`` sets.
+The checks further down find values that nothing reads: record fields,
+the instance attributes an ``__init__`` sets, and function parameters.
 """
 import ast
 import collections
@@ -75,31 +75,36 @@ def _is_record(node: ast.ClassDef) -> bool:
                for base in node.bases)
 
 
-def record_fields(source: str) -> list:
-    """(class, field) for every annotated field of a dataclass or NamedTuple."""
-    return [(node.name, stmt.target.id)
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ClassDef) and _is_record(node)
-            for stmt in node.body
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
-
-
-def loaded_attributes(source: str) -> set:
-    """Every attribute name the source reads, as in ``obj.name``."""
-    return {node.attr for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+def _loads(node: ast.AST) -> collections.Counter:
+    """How often each attribute name is read below ``node``."""
+    return collections.Counter(n.attr for n in ast.walk(node)
+                               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
 
 
 def unread_fields(package_sources: list, reader_sources: list) -> list:
-    """Fields of the package's records that no reader loads as an attribute.
+    """Fields of the package's records that nothing outside their own ``__post_init__`` reads.
 
-    Matching is by attribute name alone, so a field passes when any object
-    anywhere has a loaded attribute of the same name; the check finds
-    fields whose name nothing reads, not every field that is never read.
+    A field is an annotated name in the body of a dataclass or NamedTuple.
+    ``reader_sources`` must include ``package_sources``: the loads inside
+    the record's ``__post_init__``, which only validate the field, are
+    subtracted from the loads of all readers. Matching is by attribute name
+    alone, so a field passes when any object anywhere has a loaded attribute
+    of the same name; the check finds fields whose name nothing reads, not
+    every field that is never read.
     """
-    loaded = set().union(*map(loaded_attributes, reader_sources))
-    return sorted(f for source in package_sources for f in record_fields(source)
-                  if f[1] not in loaded)
+    loaded = sum(map(_loads, map(ast.parse, reader_sources)), collections.Counter())
+    unread = []
+    for source in package_sources:
+        for cls in ast.walk(ast.parse(source)):
+            if not (isinstance(cls, ast.ClassDef) and _is_record(cls)):
+                continue
+            own = sum((_loads(f) for f in cls.body
+                       if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"),
+                      collections.Counter())
+            unread += [(cls.name, stmt.target.id) for stmt in cls.body
+                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                       and loaded[stmt.target.id] - own[stmt.target.id] <= 0]
+    return sorted(unread)
 
 
 def test_every_record_field_is_read():
@@ -124,21 +129,23 @@ def test_unread_field_check_on_a_small_source():
               "    y: int\n"
               "class Plain:\n"
               "    ignored: int\n"
-              "def use(a, t):\n"
+              "@dataclass\n"
+              "class C:\n"
+              "    checked: int\n"
+              "    used: int\n"
+              "    def __post_init__(self):\n"
+              "        if self.checked < 0 or self.used < 0:\n"
+              "            raise ValueError\n"
+              "def use(a, t, c):\n"
               "    a.stored = t.x\n"
-              "    return a.read\n")
-    assert unread_fields([source], [source]) == [("A", "stored"), ("B", "never"), ("T", "y")]
+              "    return a.read + c.used\n")
+    assert unread_fields([source], [source]) == [
+        ("A", "stored"), ("B", "never"), ("C", "checked"), ("T", "y")]
 
 
 # --------------------------------------------------------------------------
 # unread instance attributes
 # --------------------------------------------------------------------------
-
-def _loads(node: ast.AST) -> collections.Counter:
-    """How often each attribute name is read below ``node``."""
-    return collections.Counter(n.attr for n in ast.walk(node)
-                               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
-
 
 def _init_attributes(source: str) -> list:
     """(class, attribute, __init__ node) for every ``self.<name> = ...`` in an ``__init__``."""
@@ -163,7 +170,8 @@ def unread_attributes(package_sources: list, reader_sources: list) -> list:
 
     ``reader_sources`` must include ``package_sources``: the loads inside
     the storing ``__init__`` are subtracted from the loads of all readers.
-    Matching is by attribute name, as in ``unread_fields``.
+    Matching is by attribute name, as in ``unread_fields``, which subtracts
+    the loads of a record's ``__post_init__`` the same way.
     """
     loaded = sum(map(_loads, map(ast.parse, reader_sources)), collections.Counter())
     return sorted({(cls, name) for source in package_sources
@@ -193,3 +201,50 @@ def test_unread_attribute_check_on_a_small_source():
               "        self.late = 1\n"
               "print(B().read_elsewhere)\n")
     assert unread_attributes([source], [source]) == [("A", "only_here"), ("A", "stored")]
+
+
+# --------------------------------------------------------------------------
+# unread function parameters
+# --------------------------------------------------------------------------
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) for every parameter its function never reads.
+
+    Covers functions, methods (``self`` and ``cls`` included) and lambdas.
+    A parameter is read when its name is loaded anywhere in the function's
+    body, nested functions included; defaults and annotations do not count.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), a.arg)
+                  for a in params if a.arg not in read]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_unread_parameter_check_on_a_small_source():
+    source = ("def f(a, b, /, c, *args, d=1, e: int = 2, **kw):\n"
+              "    return a + c + e\n"
+              "class A:\n"
+              "    def method(self, x):\n"
+              "        def inner(y):\n"
+              "            return x\n"
+              "        return inner\n"
+              "    async def uses_self(self):\n"
+              "        return self\n"
+              "g = lambda u, v=0: u\n")
+    assert unread_parameters(source) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "d"), (1, "f", "kw"),
+        (4, "method", "self"), (5, "inner", "y"), (10, "<lambda>", "v")]

@@ -17,7 +17,7 @@ from ris_lab.montecarlo import (
     _transmit_diag,
     _user_terms,
 )
-from ris_lab.precoding import mrt_normalizers, null_space_an_batch
+from ris_lab.precoding import mrt_normalizers, null_space_an_batch, stream_powers
 from ris_lab.streams import complex_normal
 
 from conftest import make_setup
@@ -73,17 +73,17 @@ def einsum_user_terms(est, blk):
             "var_err": np.abs(ehat) ** 2 / mrt_normalizers(est)[None, :]}
 
 
-def einsum_eve(blk, alloc, kappa_t_bs):
+def einsum_eve(blk, p, q, kappa_t_bs):
     """Eve's interference matrix and per-block log-rates."""
     v = null_space_an_batch(blk.h_hat)
-    diag_t = (alloc.p * np.sum(np.abs(blk.w) ** 2, axis=2)
-              + alloc.q * np.sum(np.abs(v) ** 2, axis=2))
+    diag_t = (p * np.sum(np.abs(blk.w) ** 2, axis=2)
+              + q * np.sum(np.abs(v) ** 2, axis=2))
     f = np.einsum("bme,bmk->bek", blk.h_e.conj(), blk.w)
     vhe = np.einsum("bmj,bme->bje", v.conj(), blk.h_e)
-    x = alloc.q * np.einsum("bje,bjf->bef", vhe.conj(), vhe)
+    x = q * np.einsum("bje,bjf->bef", vhe.conj(), vhe)
     x += kappa_t_bs * np.einsum("bme,bm,bmf->bef", blk.h_e.conj(), diag_t, blk.h_e)
     sol = np.linalg.solve(x, f)
-    gamma = alloc.p * np.real(np.einsum("bek,bek->bk", f.conj(), sol))
+    gamma = p * np.real(np.einsum("bek,bek->bk", f.conj(), sol))
     return x, np.log2(1.0 + np.maximum(gamma, 0.0))
 
 
@@ -98,7 +98,8 @@ def test_sampler_matches_einsum_forms(correlated):
 
 
 def test_block_terms_match_einsum_forms():
-    _, est, hw, alloc = make_setup(seed=12, m=8, n=16, k=2, m_e=2)
+    _, est, hw, xi = make_setup(seed=12, m=8, n=16, k=2, m_e=2)
+    p, q = stream_powers(hw.p_t, xi, 2, 8)
     blk = _draw_blocks(est, 64, np.random.default_rng(5))
     got = _user_terms(est, blk)
     want = einsum_user_terms(est, blk)
@@ -106,10 +107,10 @@ def test_block_terms_match_einsum_forms():
     for key in want:
         assert_close(got[key], want[key])
     v = null_space_an_batch(blk.h_hat)
-    assert_close(_transmit_diag(blk, alloc),
-                 alloc.p * np.sum(np.abs(blk.w) ** 2, axis=2)
-                 + alloc.q * np.sum(np.abs(v) ** 2, axis=2))
+    assert_close(_transmit_diag(blk, p, q),
+                 p * np.sum(np.abs(blk.w) ** 2, axis=2)
+                 + q * np.sum(np.abs(v) ** 2, axis=2))
 
-    x_want, log_rate_want = einsum_eve(blk, alloc, hw.kappa_t_bs)
-    assert_close(_eve_interference(blk, alloc, hw.kappa_t_bs), x_want)
-    assert_close(_eve_log_rate(blk, alloc, hw.kappa_t_bs, 0.0), log_rate_want)
+    x_want, log_rate_want = einsum_eve(blk, p, q, hw.kappa_t_bs)
+    assert_close(_eve_interference(blk, p, q, hw.kappa_t_bs), x_want)
+    assert_close(_eve_log_rate(blk, p, q, hw.kappa_t_bs, 0.0), log_rate_want)

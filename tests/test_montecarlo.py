@@ -17,11 +17,6 @@ from ris_lab.montecarlo import _eve_floor, worker_count
 from conftest import make_setup
 
 
-def rate_terms(est, hw, alloc, k):
-    """The closed-form RateTerms of user k at the setup's own M_E."""
-    return rl.compute_rate_terms(est, hw, alloc.p_t, est.stats.dims.m_e, k=k)
-
-
 def closed_form_terms(est, k):
     """Appendix-level closed forms for the five SINR expectations of user k."""
     stats = est.stats
@@ -36,15 +31,15 @@ def closed_form_terms(est, k):
 
 
 def test_thread_count_does_not_change_results(small_setup):
-    _, est, hw, alloc = small_setup
+    _, est, hw, xi = small_setup
     plan = rl.TrialPlan(n_blocks=1500, master_seed=99)   # spans several chunks
     results = {}
     for threads in ("1", "7"):
         os.environ["RIS_LAB_THREADS"] = threads
         try:
-            results[threads] = (rl.estimate_user_rate(est, hw, alloc, plan),
-                                rl.estimate_eve_capacity(est, hw, alloc, plan),
-                                rl.estimate_secrecy(est, hw, alloc, plan))
+            results[threads] = (rl.estimate_user_rate(est, hw, xi, plan),
+                                rl.estimate_eve_capacity(est, hw, xi, plan),
+                                rl.estimate_secrecy(est, hw, xi, plan))
         finally:
             del os.environ["RIS_LAB_THREADS"]
     (a, eve_a, sec_a), (b, eve_b, sec_b) = results["1"], results["7"]
@@ -59,10 +54,10 @@ def test_thread_count_does_not_change_results(small_setup):
 def test_secrecy_user_half_equals_user_rate(small_setup):
     # one pass draws the user blocks on the user-rate stream, so every
     # user-side field is bit-identical to the term-by-term oracle
-    _, est, hw, alloc = small_setup
+    _, est, hw, xi = small_setup
     plan = rl.TrialPlan(n_blocks=700, master_seed=12)    # two chunks
-    user = rl.estimate_user_rate(est, hw, alloc, plan)
-    sec = rl.estimate_secrecy(est, hw, alloc, plan)
+    user = rl.estimate_user_rate(est, hw, xi, plan)
+    sec = rl.estimate_secrecy(est, hw, xi, plan)
     compared = 0
     for field in dataclasses.fields(user):
         want = getattr(user, field.name)
@@ -80,10 +75,10 @@ def test_secrecy_standard_error_is_calibrated(small_setup):
     # true SE follows chi_39 / sqrt(39): the band [0.7, 1.4] lies 2.7 and
     # 3.5 of its SDs (0.11) from 1. The users' secrecy gaps stay far above
     # zero, so the clip the SE ignores never acts.
-    _, est, hw, alloc = small_setup
+    _, est, hw, xi = small_setup
     values, ses, rates, rate_ses = [], [], [], []
     for seed in range(1000, 1040):
-        orc = rl.estimate_secrecy(est, hw, alloc, rl.TrialPlan(200, master_seed=seed))
+        orc = rl.estimate_secrecy(est, hw, xi, rl.TrialPlan(200, master_seed=seed))
         assert np.all(orc.rate - orc.c_e > 10 * orc.r_sec_se)
         values.append(orc.r_sec)
         ses.append(orc.r_sec_se)
@@ -96,14 +91,14 @@ def test_secrecy_standard_error_is_calibrated(small_setup):
 
 
 def test_single_block_standard_errors_are_infinite(small_setup):
-    _, est, hw, alloc = small_setup
+    _, est, hw, xi = small_setup
     plan = rl.TrialPlan(n_blocks=1, master_seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         nmse = rl.estimate_nmse(est, plan)
-        user = rl.estimate_user_rate(est, hw, alloc, plan)
-        eve = rl.estimate_eve_capacity(est, hw, alloc, plan)
-        sec = rl.estimate_secrecy(est, hw, alloc, plan)
+        user = rl.estimate_user_rate(est, hw, xi, plan)
+        eve = rl.estimate_eve_capacity(est, hw, xi, plan)
+        sec = rl.estimate_secrecy(est, hw, xi, plan)
     assert np.all(np.isfinite(nmse.nmse)) and np.all(nmse.nmse_se == np.inf)
     assert np.isfinite(sec.r_sec)
     for se in (user.rate_se, user.signal_se, user.interference_se, eve.c_e_se,
@@ -178,9 +173,9 @@ def test_import_pins_every_bundled_openblas_to_one_thread(imports):
 
 
 def test_standard_errors_shrink_with_block_count(small_setup):
-    _, est, hw, alloc = small_setup
-    small = rl.estimate_user_rate(est, hw, alloc, rl.TrialPlan(4000, master_seed=5))
-    big = rl.estimate_user_rate(est, hw, alloc, rl.TrialPlan(16000, master_seed=5))
+    _, est, hw, xi = small_setup
+    small = rl.estimate_user_rate(est, hw, xi, rl.TrialPlan(4000, master_seed=5))
+    big = rl.estimate_user_rate(est, hw, xi, rl.TrialPlan(16000, master_seed=5))
     ratio = small.interference_se / big.interference_se
     # quadrupling the blocks should halve the standard error
     assert np.all(ratio > 1.5) and np.all(ratio < 2.7)
@@ -189,19 +184,19 @@ def test_standard_errors_shrink_with_block_count(small_setup):
 def test_terms_match_closed_forms_with_ideal_uplink():
     # with ideal uplink hardware every independence step behind the closed
     # forms is exact, so each term estimate must sit within 3 sigma
-    stats, est, hw, alloc = make_setup(seed=8, m=24, n=16, k=3, m_e=2,
-                                       correlated=False, kappa_ul=0.0,
-                                       kappa_dl=0.01, p_t=10.0)
-    orc = rl.estimate_user_rate(est, hw, alloc, rl.TrialPlan(20000, master_seed=17))
+    stats, est, hw, xi = make_setup(seed=8, m=24, n=16, k=3, m_e=2,
+                                    correlated=False, kappa_ul=0.0,
+                                    kappa_dl=0.01, p_t=10.0)
+    orc = rl.estimate_user_rate(est, hw, xi, rl.TrialPlan(20000, master_seed=17))
     for k in range(3):
         sig, inter, var, an = closed_form_terms(est, k)
-        hwi = (hw.kappa_t_bs + hw.kappa_r_ue) * alloc.p_t / 24 * est.tr_r[k]
+        hwi = (hw.kappa_t_bs + hw.kappa_r_ue) * hw.p_t / 24 * est.tr_r[k]
         assert abs(orc.signal[k] - sig) < 3 * orc.signal_se[k]
         assert abs(orc.interference[k] - inter) < 3 * orc.interference_se[k]
         assert abs(orc.variance[k] - var) < 3 * orc.variance_se[k]
         assert abs(orc.an_leakage[k] - an) < 3 * orc.an_leakage_se[k]
         assert abs(orc.hwi[k] - hwi) < 3 * orc.hwi_se[k]
-        rate_cf, _, _ = rl.user_rate(rate_terms(est, hw, alloc, k), alloc)
+        rate_cf, _, _ = rl.user_rate(rl.compute_rate_terms(est, hw, k=k), xi)
         assert abs(orc.rate[k] - rate_cf) / rate_cf < 0.05
 
 
@@ -209,14 +204,14 @@ def test_distortion_couplings_bias_the_closed_forms():
     # documented limitation: with uplink distortion the estimate/channel
     # fourth-moment couplings (neglected by the closed forms) push the
     # interference and uncertainty terms beyond Monte Carlo noise
-    stats, est, hw, alloc = make_setup(seed=8, m=24, n=16, k=3, m_e=2,
-                                       correlated=False, kappa_ul=0.01,
-                                       kappa_dl=0.01, p_t=10.0)
-    orc = rl.estimate_user_rate(est, hw, alloc, rl.TrialPlan(20000, master_seed=17))
+    stats, est, hw, xi = make_setup(seed=8, m=24, n=16, k=3, m_e=2,
+                                    correlated=False, kappa_ul=0.01,
+                                    kappa_dl=0.01, p_t=10.0)
+    orc = rl.estimate_user_rate(est, hw, xi, rl.TrialPlan(20000, master_seed=17))
     _, inter, var, _ = closed_form_terms(est, 0)
     assert orc.variance[0] - var > 3 * orc.variance_se[0]
     # the rate itself stays accurate: the biased terms are small in I_k
-    rate_cf, _, _ = rl.user_rate(rate_terms(est, hw, alloc, 0), alloc)
+    rate_cf, _, _ = rl.user_rate(rl.compute_rate_terms(est, hw, k=0), xi)
     assert abs(orc.rate[0] - rate_cf) / rate_cf < 0.05
 
 
@@ -233,32 +228,32 @@ def test_nmse_oracle_reproducible(small_setup):
 # --------------------------------------------------------------------------
 
 def test_eve_capacity_below_bound(small_setup):
-    _, est, hw, alloc = small_setup
-    orc = rl.estimate_eve_capacity(est, hw, alloc, rl.TrialPlan(8000, master_seed=31))
+    _, est, hw, xi = small_setup
+    orc = rl.estimate_eve_capacity(est, hw, xi, rl.TrialPlan(8000, master_seed=31))
     for k in range(3):
-        bound = rl.eve_capacity_bound(rate_terms(est, hw, alloc, k), alloc).c_e_bar
+        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=k), xi).c_e_bar
         assert orc.c_e[k] <= bound + 3 * orc.c_e_se[k]
 
 
 def test_eve_gap_shrinks_with_antennas():
     gaps = []
     for m in (16, 32, 64):
-        stats, est, hw, alloc = make_setup(seed=55, m=m, n=16, k=2, m_e=2,
-                                           p_t=10.0, kappa_dl=0.01)
-        orc = rl.estimate_eve_capacity(est, hw, alloc, rl.TrialPlan(6000, master_seed=7))
-        bound = rl.eve_capacity_bound(rate_terms(est, hw, alloc, 0), alloc).c_e_bar
+        stats, est, hw, xi = make_setup(seed=55, m=m, n=16, k=2, m_e=2,
+                                        p_t=10.0, kappa_dl=0.01)
+        orc = rl.estimate_eve_capacity(est, hw, xi, rl.TrialPlan(6000, master_seed=7))
+        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=0), xi).c_e_bar
         gaps.append(bound - orc.c_e[0])
     assert gaps[0] > gaps[-1]
 
 
 def test_eve_rank_one_reduction():
     # M_E = 1 with pure AN: gamma_E = p |f|^2 / (q ||V^H h_E||^2)
-    stats, est, hw, alloc = make_setup(seed=56, m=12, n=9, k=2, m_e=1,
-                                       kappa_dl=0.0, p_t=10.0)
-    hw0 = rl.HardwareProfile()
+    stats, est, hw, xi = make_setup(seed=56, m=12, n=9, k=2, m_e=1,
+                                    kappa_dl=0.0, p_t=10.0)
+    p, q = rl.stream_powers(hw.p_t, xi, 2, 12)
     rng = np.random.default_rng(2)
     draws = rl.sample_realizations(stats, rng, 2000)
-    y = rl.simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
+    y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
     h_hat = est.estimate(y)
     w = rl.mrt_precoder(h_hat, est)
     from ris_lab.precoding import null_space_an_batch
@@ -266,19 +261,19 @@ def test_eve_rank_one_reduction():
     h_e = draws["h_e"]
     f = np.einsum("bme,bmk->bek", h_e.conj(), w)[:, 0, 0]
     vh = np.einsum("bmj,bme->bje", v.conj(), h_e)[:, :, 0]
-    gamma_manual = alloc.p * np.abs(f) ** 2 / (alloc.q * np.sum(np.abs(vh) ** 2, axis=1))
+    gamma_manual = p * np.abs(f) ** 2 / (q * np.sum(np.abs(vh) ** 2, axis=1))
     manual = float(np.mean(np.log2(1.0 + gamma_manual)))
 
-    orc = rl.estimate_eve_capacity(est, hw0, alloc, rl.TrialPlan(2000, master_seed=77))
+    orc = rl.estimate_eve_capacity(est, hw, xi, rl.TrialPlan(2000, master_seed=77))
     assert abs(orc.c_e[0] - manual) < 5 * orc.c_e_se[0] + 0.05 * manual
 
 
 def test_eve_singular_corner_regularized():
     _, est, _, _ = make_setup(seed=57, m=12, n=9, k=2, m_e=1, kappa_dl=0.0)
-    hw0 = rl.HardwareProfile()
-    full = rl.PowerAllocation(p_t=10.0, xi=1.0, k=2, m=12)   # q = 0, kappa_t = 0
-    orc = rl.estimate_eve_capacity(est, hw0, full, rl.TrialPlan(500, master_seed=1))
-    assert _eve_floor(hw0, full) == pytest.approx(1e-12 * 10.0)
+    hw0 = rl.HardwareProfile(p_t=10.0)
+    # xi = 1 gives q = 0, and kappa_t = 0
+    orc = rl.estimate_eve_capacity(est, hw0, 1.0, rl.TrialPlan(500, master_seed=1))
+    assert _eve_floor(hw0, 0.0) == pytest.approx(1e-12 * 10.0)
     assert np.all(np.isfinite(orc.c_e))
     assert np.all(orc.c_e > 10.0)   # essentially unmasked: huge capacity
 
@@ -298,16 +293,17 @@ def test_wishart_moments_pure_an_corner():
     # kappa_t = 0 and isotropic Q_E: X is exactly a scaled Wishart matrix.
     # R_B = R_I = I and an orthogonal-row bridge make Q_E a multiple of I
     # and leave V independent of H_E; the RIS path and phase noise stay on.
-    _, est, _, alloc = make_setup(seed=58, m=24, n=36, k=2, m_e=2,
-                                  correlated=False, p_t=10.0, bridge="dft")
-    hw0 = rl.HardwareProfile()
+    _, est, hw, xi = make_setup(seed=58, m=24, n=36, k=2, m_e=2,
+                                correlated=False, p_t=10.0, bridge="dft")
+    hw0 = rl.HardwareProfile(p_t=hw.p_t)
+    _, q = rl.stream_powers(hw.p_t, xi, 2, 24)
     from ris_lab.rates import wishart_match
     q_e = est.stats.q_e
     assert_isotropic(q_e)
     tr_q = float(np.real(np.trace(q_e)))
     tr_q2 = herm_trace_prod(q_e, q_e)
-    phi_w, eta_w = wishart_match(tr_q, tr_q2, alloc.q, 0.0, alloc.p_t, 24, 2)
-    mom = rl.estimate_wishart_moments(est, hw0, alloc, rl.TrialPlan(12000, master_seed=3))
+    phi_w, eta_w = wishart_match(tr_q, tr_q2, q, 0.0, hw.p_t, 24, 2)
+    mom = rl.estimate_wishart_moments(est, hw0, xi, rl.TrialPlan(12000, master_seed=3))
     assert abs(mom.tr_x_over_me - eta_w * phi_w) < 3 * mom.tr_x_over_me_se
     assert abs(mom.offdiag_m2 - eta_w * phi_w ** 2) < 3 * mom.offdiag_m2_se
 
@@ -315,16 +311,17 @@ def test_wishart_moments_pure_an_corner():
 def test_wishart_first_moment_with_transmit_distortion():
     # isotropic Q_E as above; E{diag T} = P_t/M I then makes the matched
     # first moment exact with transmit distortion too
-    stats, est, hw, alloc = make_setup(seed=59, m=24, n=36, k=2, m_e=2,
-                                       correlated=False, kappa_dl=0.01, p_t=10.0,
-                                       bridge="dft")
+    stats, est, hw, xi = make_setup(seed=59, m=24, n=36, k=2, m_e=2,
+                                    correlated=False, kappa_dl=0.01, p_t=10.0,
+                                    bridge="dft")
     from ris_lab.rates import wishart_match
     q_e = est.stats.q_e
     assert_isotropic(q_e)
     tr_q = float(np.real(np.trace(q_e)))
     tr_q2 = herm_trace_prod(q_e, q_e)
-    phi_w, eta_w = wishart_match(tr_q, tr_q2, alloc.q, hw.kappa_t_bs, alloc.p_t, 24, 2)
-    mom = rl.estimate_wishart_moments(est, hw, alloc, rl.TrialPlan(12000, master_seed=9))
+    _, q = rl.stream_powers(hw.p_t, xi, 2, 24)
+    phi_w, eta_w = wishart_match(tr_q, tr_q2, q, hw.kappa_t_bs, hw.p_t, 24, 2)
+    mom = rl.estimate_wishart_moments(est, hw, xi, rl.TrialPlan(12000, master_seed=9))
     assert abs(mom.tr_x_over_me - eta_w * phi_w) < 3 * mom.tr_x_over_me_se
 
 
@@ -335,34 +332,35 @@ def test_cascade_anisotropy_biases_the_wishart_match(seed, kappa_t_bs, master_se
     # share that cascade, so the AN null space V avoids Q_E's dominant
     # subspace and E{tr X} falls below the isotropic match; the bound on
     # Eve's capacity still holds
-    stats, est, _, alloc = make_setup(seed=seed, m=24, n=16, k=2, m_e=2,
-                                      correlated=False, p_t=10.0)
-    hw = rl.HardwareProfile(kappa_t_bs=kappa_t_bs)
+    stats, est, _, xi = make_setup(seed=seed, m=24, n=16, k=2, m_e=2,
+                                   correlated=False, p_t=10.0)
+    hw = rl.HardwareProfile(p_t=10.0, kappa_t_bs=kappa_t_bs)
+    p, q = rl.stream_powers(hw.p_t, xi, 2, 24)
     from ris_lab.precoding import null_space_an_batch
     from ris_lab.rates import wishart_match
     q_e = est.stats.q_e
     tr_q = float(np.real(np.trace(q_e)))
     tr_q2 = herm_trace_prod(q_e, q_e)
-    phi_w, eta_w = wishart_match(tr_q, tr_q2, alloc.q, kappa_t_bs, alloc.p_t, 24, 2)
+    phi_w, eta_w = wishart_match(tr_q, tr_q2, q, kappa_t_bs, hw.p_t, 24, 2)
     plan = rl.TrialPlan(12000, master_seed=master_seed)
-    mom = rl.estimate_wishart_moments(est, hw, alloc, plan)
+    mom = rl.estimate_wishart_moments(est, hw, xi, plan)
     assert eta_w * phi_w - mom.tr_x_over_me > 3 * mom.tr_x_over_me_se
 
     # E{tr X | V, T}/M_E = q tr(V^H Q_E V) + kappa_t tr(diag(T) Q_E)
     rng = np.random.default_rng(4)
     draws = rl.sample_realizations(stats, rng, 4000)
-    y = rl.simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
+    y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
     h_hat = est.estimate(y)
     w = rl.mrt_precoder(h_hat, est)
     v = null_space_an_batch(h_hat)
     an = np.real(np.einsum("bmj,mn,bnj->b", v.conj(), q_e, v))
-    diag_t = (alloc.p * np.sum(np.abs(w) ** 2, axis=2)
-              + alloc.q * np.sum(np.abs(v) ** 2, axis=2))
-    cond = alloc.q * an + kappa_t_bs * diag_t @ np.real(np.diag(q_e))
+    diag_t = (p * np.sum(np.abs(w) ** 2, axis=2)
+              + q * np.sum(np.abs(v) ** 2, axis=2))
+    cond = q * an + kappa_t_bs * diag_t @ np.real(np.diag(q_e))
     cond_se = np.std(cond, ddof=1) / np.sqrt(cond.size)
     assert abs(mom.tr_x_over_me - np.mean(cond)) < 3 * np.hypot(mom.tr_x_over_me_se, cond_se)
 
-    orc = rl.estimate_eve_capacity(est, hw, alloc, plan)
+    orc = rl.estimate_eve_capacity(est, hw, xi, plan)
     for k in range(2):
-        bound = rl.eve_capacity_bound(rate_terms(est, hw, alloc, k), alloc).c_e_bar
+        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=k), xi).c_e_bar
         assert bound >= orc.c_e[k] - 3 * orc.c_e_se[k]

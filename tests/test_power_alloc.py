@@ -1,4 +1,6 @@
 """Power-split optimizer: derivatives, quadratic roots, grid search."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,14 @@ from conftest import make_setup
 def terms_for(seed, m=32, n=16, k=3, m_e=2, p_t=10.0, kappa_dl=0.01, **kw):
     _, est, hw, _ = make_setup(seed=seed, m=m, n=n, k=k, m_e=m_e,
                                kappa_dl=kappa_dl, p_t=p_t, **kw)
-    return rl.compute_rate_terms(est, hw, p_t, m_e, k=0)
+    return rl.compute_rate_terms(est, hw, k=0)
 
 
 def fig8_terms(m, n, snr_db=0.0):
     from ris_lab.experiments import ExperimentConfig, build_setup
     cfg = ExperimentConfig(m=m, n=n, k=10, m_e=4, snr_db=snr_db)
     setup = build_setup(cfg)
-    return rl.compute_rate_terms(setup.est, setup.hw, setup.alloc.p_t, 4, k=0)
+    return rl.compute_rate_terms(setup.est, setup.hw, k=0)
 
 
 # --------------------------------------------------------------------------
@@ -124,10 +126,13 @@ def test_grid_profile_unimodal_on_reference_configs():
 def test_grid_argmax_full_power_without_eavesdropper():
     # the noise-free eavesdropper bound is invariant to her path-gain
     # scale, so 'no eavesdropper' means M_E = 0: every bound constant
-    # vanishes and all power goes to data
+    # vanishes and all power goes to data. A system needs M_E >= 1, so the
+    # M_E = 0 constants are set on the terms of the M_E = 1 setup.
     _, est, hw, _ = make_setup(seed=71, m=32, n=16, k=3, m_e=1, p_t=10.0,
                                kappa_dl=0.01)
-    terms = rl.compute_rate_terms(est, hw, 10.0, m_e=0, k=0)
+    terms = rl.compute_rate_terms(est, hw, k=0)
+    terms = dataclasses.replace(terms, m_e=0, a1=0.0, a3=0.0, a4=0.0, a5=0.0,
+                                l1=terms.tr_q ** 2)
     xi_hat, _, _ = grid_search_xi(terms, 1e-2)
     assert xi_hat == pytest.approx(1.0)
 

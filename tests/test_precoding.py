@@ -1,4 +1,4 @@
-"""MRT + null-space AN precoders and the power allocation."""
+"""MRT + null-space AN precoders and the data/AN power split."""
 import numpy as np
 import pytest
 
@@ -9,23 +9,24 @@ from ris_lab.streams import CHANNEL_BLOCK, derive_rng
 from conftest import make_setup
 
 
-def test_power_allocation_budget_identity():
-    alloc = rl.PowerAllocation(p_t=7.0, xi=0.35, k=3, m=16)
-    assert alloc.p * 3 + alloc.q * 13 == pytest.approx(7.0)
-    assert rl.PowerAllocation(p_t=1.0, xi=1.0, k=2, m=4).q == 0.0
+def test_stream_powers_budget_identity():
+    p, q = rl.stream_powers(7.0, 0.35, 3, 16)
+    assert p * 3 + q * 13 == pytest.approx(7.0)
+    assert rl.stream_powers(1.0, 1.0, 2, 4)[1] == 0.0
     with pytest.raises(rl.InvalidParameterError):
-        rl.PowerAllocation(p_t=1.0, xi=0.0, k=2, m=4)
+        rl.stream_powers(1.0, 0.0, 2, 4)
     with pytest.raises(rl.InvalidParameterError):
-        rl.PowerAllocation(p_t=1.0, xi=1.2, k=2, m=4)
-    scaled = rl.PowerAllocation.power_scaled(e_u=100.0, n=400, xi=0.5, k=2, m=8)
-    assert scaled.p_t == pytest.approx(0.25)
+        rl.stream_powers(1.0, 1.2, 2, 4)
+    for p_t in (0.0, -1.0):
+        with pytest.raises(rl.InvalidParameterError, match="total power must be positive"):
+            rl.HardwareProfile(p_t=p_t)
 
 
 def test_mrt_columns_normalized_statistically(small_setup):
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(3)
     draws = rl.sample_realizations(stats, rng, 50_000)
-    y = rl.simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
+    y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
     w = rl.mrt_precoder(est.estimate(y), est)
     norms = np.mean(np.sum(np.abs(w) ** 2, axis=1), axis=0)
     assert np.all(np.abs(norms - 1.0) < 0.02)
@@ -71,17 +72,18 @@ def test_null_space_batch_matches_single():
 def test_transmit_power_budget(small_setup):
     # E{tr(p W W^H + q V V^H)} = E{p ||W||^2} + q (M - K) = P_t over the
     # Monte Carlo oracle's own blocks
-    stats, est, _, alloc = small_setup
+    stats, est, hw, xi = small_setup
+    p, q = rl.stream_powers(hw.p_t, xi, stats.dims.k, stats.dims.m)
     plan = rl.TrialPlan(n_blocks=20_000, master_seed=8)
     powers = []
     for idx, size in plan.chunks():
         rng = derive_rng(plan.master_seed, CHANNEL_BLOCK, idx)
         draws = rl.sample_realizations(stats, rng, size)
-        y = rl.simulate_pilot_phase(draws["h"], stats, est.pilots, rng)
+        y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
         w = rl.mrt_precoder(est.estimate(y), est)
-        powers.append(alloc.p * np.sum(np.abs(w) ** 2, axis=(1, 2))
-                      + alloc.q * (stats.dims.m - stats.dims.k))
-    assert abs(np.mean(np.concatenate(powers)) - alloc.p_t) / alloc.p_t < 0.02
+        powers.append(p * np.sum(np.abs(w) ** 2, axis=(1, 2))
+                      + q * (stats.dims.m - stats.dims.k))
+    assert abs(np.mean(np.concatenate(powers)) - hw.p_t) / hw.p_t < 0.02
 
 
 def test_an_invisible_under_perfect_csi(small_setup):
@@ -96,9 +98,9 @@ def test_an_invisible_under_perfect_csi(small_setup):
 
 def test_an_leakage_matches_error_trace():
     # imperfect CSI: E{h^H V V^H h} ~ (M-K)/M tr(C_k) within 5 percent
-    stats, est, hw, alloc = make_setup(seed=15, m=24, n=16, k=3, m_e=2,
-                                       correlated=False, kappa_ul=0.0)
-    orc = rl.estimate_user_rate(est, hw, alloc,
+    stats, est, hw, xi = make_setup(seed=15, m=24, n=16, k=3, m_e=2,
+                                    correlated=False, kappa_ul=0.0)
+    orc = rl.estimate_user_rate(est, hw, xi,
                                 rl.TrialPlan(n_blocks=40_000, master_seed=4))
     m, k_users = stats.dims.m, stats.dims.k
     for k in range(k_users):
