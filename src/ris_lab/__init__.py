@@ -31,6 +31,7 @@ from .geometry import (
     LargeScaleFading,
     PhaseNoiseModel,
     SystemDimensions,
+    aggregate_channels,
     build_bs_correlation,
     build_channel_statistics,
     build_los_channel,

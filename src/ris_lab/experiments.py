@@ -310,6 +310,14 @@ def generate_scenario(config: ExperimentConfig) -> LargeScaleFading:
         beta_2 = [b * norm for b in beta_2]
         beta_3 = beta_3 * norm
 
+    # Every covariance carries the cascade gain beta_1 beta_i N, and the
+    # closed forms its square: both must be floats.
+    peak = max(*beta_2, beta_3) + beta_1 * max(*beta_i, beta_ie) * config.n
+    if not math.isfinite(peak * peak):
+        raise ConfigValidationError(
+            f"path_gain_ref_db = {config.path_gain_ref_db} dB at ref_distance = "
+            f"{config.ref_distance} m gives link gains whose second moments "
+            f"overflow at n = {config.n}")
     return LargeScaleFading(
         beta_1=beta_1, beta_i=tuple(beta_i), beta_2=tuple(beta_2),
         beta_3=beta_3, beta_ie=beta_ie)
@@ -328,24 +336,28 @@ class SystemSetup:
 
 
 def _scenario(config: ExperimentConfig):
-    """Dimensions, large-scale fading and the BS-RIS LoS channel: (dims, fading, h1)."""
+    """Grid point basics every runner starts from: (dims, pilots, fading, h1).
+
+    ``pilots`` is the uplink ``PilotConfig``, the one home of the rule
+    rho > 0; ``h1`` is the BS-RIS LoS channel.
+    """
     dims = config.dimensions()
+    pilots = PilotConfig(tau_u=dims.tau_u, rho=config.rho, sigma_u2=config.sigma_u2,
+                         kappa_t_ue=config.kappa_t_ue, kappa_r_bs=config.kappa_r_bs)
     fading = generate_scenario(config)
     h1 = build_los_channel(dims, config.correlation_spec(), fading.beta_1,
                            derive_rng(config.seed, LOS_ANGLES, dims.n))
-    return dims, fading, h1
+    return dims, pilots, fading, h1
 
 
 def build_setup(config: ExperimentConfig) -> SystemSetup:
     """Assemble statistics and the estimator for the grid point ``config``."""
-    dims, fading, h1 = _scenario(config)
+    dims, pilots, fading, h1 = _scenario(config)
     r_b = build_bs_correlation(dims.m, config.bs_corr) if config.bs_corr > 0 else None
     r_i = build_ris_correlation(dims, config.correlation_spec())
     phase_model = PhaseNoiseModel(kind=config.phase_noise_kind, sigma_p2=config.sigma_p2)
     stats = build_channel_statistics(dims, fading, phase_model, h1,
                                      phi=config.ris_phase, r_b=r_b, r_i=r_i)
-    pilots = PilotConfig(tau_u=dims.tau_u, rho=config.rho, sigma_u2=config.sigma_u2,
-                         kappa_t_ue=config.kappa_t_ue, kappa_r_bs=config.kappa_r_bs)
     return SystemSetup(est=ChannelEstimator(stats, pilots), hw=config.hardware(), xi=config.xi)
 
 
@@ -438,11 +450,14 @@ def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
 # per-experiment runners
 # --------------------------------------------------------------------------
 
-def _mc_secrecy(setup: SystemSetup, config: ExperimentConfig):
-    """Monte Carlo secrecy estimate averaged over users: (value, se)."""
+def _mc_secrecy(setups: list, config: ExperimentConfig) -> list:
+    """Monte Carlo secrecy averaged over users, (value, se) per setup, from one oracle call.
+
+    The setups may differ only in their phase-error law; they share hw and xi.
+    """
     plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
-    orc = estimate_secrecy(setup.est, setup.hw, setup.xi, plan)
-    return orc.r_sec, orc.r_sec_se
+    orcs = estimate_secrecy([s.est for s in setups], setups[0].hw, setups[0].xi, plan)
+    return [(orc.r_sec, orc.r_sec_se) for orc in orcs]
 
 
 def _rate_terms(setup: SystemSetup) -> list:
@@ -520,7 +535,7 @@ def _secrecy_sweep(config: ExperimentConfig, name, column, grid) -> ResultTable:
         value = int(value) if column in ("m", "n") else float(value)
         setup = build_setup(config.replace(**{column: value}))
         r_user, c_eve, r_sec = _closed_secrecy(_rate_terms(setup), setup.xi)
-        mc, mc_se = _mc_secrecy(setup, config)
+        [(mc, mc_se)] = _mc_secrecy([setup], config)
         rows.append([value, r_user, c_eve, r_sec, mc, mc_se])
     return ResultTable(
         name,
@@ -555,17 +570,17 @@ def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
     rows = []
     for n in grid:
         n = int(n)
-        dims, fading, h1 = _scenario(config.replace(n=n))
+        dims, pilots, fading, h1 = _scenario(config.replace(n=n))
         # the uncorrelated special case assumes ideal uplink hardware
-        _, _, r_prop = secrecy_uncorrelated(
-            dims, fading, h1, config.rho, config.sigma_u2, hw, xi, k=0)
+        rho, sigma_u2 = pilots.rho, pilots.sigma_u2
+        _, _, r_prop = secrecy_uncorrelated(dims, fading, h1, rho, sigma_u2, hw, xi, k=0)
         _, _, r_48 = secrecy_large_n(
             fading.beta_2[0], fading.beta_i[0], fading.beta_1, n, dims.m, dims.k,
-            dims.m_e, xi, config.rho, dims.tau_u, config.sigma_u2, hw)
+            dims.m_e, xi, rho, dims.tau_u, sigma_u2, hw)
         _, _, r_50 = secrecy_limit(dims.m, dims.k, dims.m_e, xi, hw)
         hw_scaled = dataclasses.replace(hw, p_t=e_u / n)     # budget shrinking as 1/N
         _, _, r_scaled = secrecy_uncorrelated(
-            dims, fading, h1, config.rho, config.sigma_u2, hw_scaled, xi, k=0)
+            dims, fading, h1, rho, sigma_u2, hw_scaled, xi, k=0)
         _, _, r_49 = secrecy_power_scaled(e_u, dims.m, dims.k, dims.m_e, fading.beta_i[0],
                                           fading.beta_1, xi, hw)
         rows.append([n, r_prop, r_48, r_50, r_scaled, r_49])
@@ -588,7 +603,7 @@ def _run_xi_sweep(config: ExperimentConfig) -> ResultTable:
             r_eq = np.mean([max(0.0, secrecy_gap_split(t, xi)) for t in terms])
         except InfiniteEveCapacityError:
             r_eq = 0.0
-        mc, mc_se = _mc_secrecy(setup, config)
+        [(mc, mc_se)] = _mc_secrecy([setup], config)
         rows.append([xi, float(r_closed), float(r_eq), mc, mc_se])
     return ResultTable(
         "xi_sweep",
@@ -597,14 +612,15 @@ def _run_xi_sweep(config: ExperimentConfig) -> ResultTable:
 
 
 def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
+    """Secrecy per (N, sigma_p2); the levels of one N share one Monte Carlo draw."""
     grid = config.sweep or [64, 100, 196, 400, 784, 1600]
+    levels = [float(sp2) for sp2 in config.phase_noise_levels]
     rows = []
     for n in grid:
-        for sp2 in config.phase_noise_levels:
-            setup = build_setup(config.replace(n=int(n), sigma_p2=float(sp2)))
-            _, _, r_sec = _closed_secrecy(_rate_terms(setup), setup.xi)
-            mc, mc_se = _mc_secrecy(setup, config)
-            rows.append([int(n), float(sp2), r_sec, mc, mc_se])
+        setups = [build_setup(config.replace(n=int(n), sigma_p2=sp2)) for sp2 in levels]
+        closed = [_closed_secrecy(_rate_terms(setup), setup.xi)[2] for setup in setups]
+        rows += [[int(n), sp2, r_sec, mc, mc_se] for sp2, r_sec, (mc, mc_se)
+                 in zip(levels, closed, _mc_secrecy(setups, config))]
     return ResultTable(
         "phase_noise_sweep",
         ["n", "sigma_p2", "r_sec_cf", "r_sec_mc", "r_sec_mc_se"],

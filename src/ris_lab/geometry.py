@@ -3,10 +3,12 @@
 Builds every deterministic second-order object of the link model
 (BS/RIS spatial correlation, LoS bridge matrix, path losses, aggregate
 covariances seen at the BS) and draws random channel realizations that
-are consistent with those statistics, including RIS phase errors. The
-sampler's correlation and bridge products are single BLAS GEMMs, with the
-block axis folded into the GEMM rows wherever the array layout makes the
-fold free.
+are consistent with those statistics. The draw comes in two steps: the
+correlated Gaussian links (``sample_realizations``), which do not depend
+on the RIS phase-error law, and the aggregate channels for given phase
+errors (``aggregate_channels``). The correlation and bridge products are
+single BLAS GEMMs, with the block axis folded into the GEMM rows wherever
+the array layout makes the fold free.
 
 Conventions:
   * sinc is the normalized one, sinc(x) = sin(pi x)/(pi x), so
@@ -313,21 +315,21 @@ def _rows_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
                         n_draws: int) -> dict:
-    """Stacked channel draws; axis 0 is the block index.
+    """Stacked small-scale fading draws; axis 0 is the block index.
 
-    Returns a dict with keys theta (B, N), h (B, K, M), h_b (B, K, M),
-    h_i (B, K, N), h_ie (B, N, M_E), h_be (B, M, M_E), h_e (B, M, M_E).
-    One phase-error vector is drawn per block and shared by users and the
-    eavesdropper within that block.
+    Returns a dict with the scaled links h_i (B, K, N), h_b (B, K, M),
+    h_ie (B, N, M_E) and h_be (B, M, M_E). The Gaussians g_i, g_b, g_ie and
+    g_be are drawn from ``rng`` in that order. Nothing here depends on the
+    phase-error law, so one draw serves every law with the same dims,
+    fading and correlations; ``aggregate_channels`` applies the phase
+    errors.
 
-    Every correlation and bridge product is one GEMM over all blocks at
-    once. The eavesdropper arrays are built antenna-major, (B, M_E, .),
-    so that block and antenna axes fold into the GEMM rows; they are
-    returned as transposed views of that layout.
+    Every correlation product is one GEMM over all blocks at once. The
+    eavesdropper arrays are built antenna-major, (B, M_E, .), so that block
+    and antenna axes fold into the GEMM rows; they are returned as
+    transposed views of that layout.
     """
     dims = stats.dims
-    theta = stats.phase_model.draw(rng, (n_draws, dims.n))
-
     g_i = complex_normal(rng, (n_draws, dims.k, dims.n))
     g_b = complex_normal(rng, (n_draws, dims.k, dims.m))
     g_ie = np.swapaxes(complex_normal(rng, (n_draws, dims.n, dims.m_e)), 1, 2)
@@ -341,16 +343,23 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
 
     scale_i = np.sqrt(np.asarray(stats.fading.beta_i))[None, :, None]
     scale_2 = np.sqrt(np.asarray(stats.fading.beta_2))[None, :, None]
-    h_i = h_i * scale_i
-    h_b = h_b * scale_2
-    h_ie = h_ie * np.sqrt(stats.fading.beta_ie)
-    h_be = h_be * np.sqrt(stats.fading.beta_3)
+    return {"h_i": h_i * scale_i, "h_b": h_b * scale_2,
+            "h_ie": np.swapaxes(h_ie * np.sqrt(stats.fading.beta_ie), 1, 2),
+            "h_be": np.swapaxes(h_be * np.sqrt(stats.fading.beta_3), 1, 2)}
 
+
+def aggregate_channels(stats: ChannelStatistics, draws: dict,
+                       theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Aggregate channels (h, h_e) of ``sample_realizations`` draws.
+
+    ``theta`` (B, N) holds one phase-error vector per block, shared by the
+    users and the eavesdropper of that block. Returns h (B, K, M) and
+    h_e (B, M, M_E): the direct links plus the RIS path through the
+    rotation exp(j theta) and the bridge H1 Phi, each one GEMM.
+    """
     bridge = stats.h1 * stats.phi[None, :]             # (M, N)
     rot = np.exp(1j * theta)[:, None, :]               # (B, 1, N)
-    h = h_b + _rows_times(rot * h_i, bridge)
-    h_e = h_be + _rows_times(rot * h_ie, bridge)       # (B, M_E, M)
-
-    return {"theta": theta, "h_i": h_i, "h_b": h_b,
-            "h_ie": np.swapaxes(h_ie, 1, 2), "h_be": np.swapaxes(h_be, 1, 2),
-            "h": h, "h_e": np.swapaxes(h_e, 1, 2)}
+    h_ie = np.swapaxes(draws["h_ie"], 1, 2)            # (B, M_E, N), contiguous
+    h = draws["h_b"] + _rows_times(rot * draws["h_i"], bridge)
+    h_e = np.swapaxes(draws["h_be"], 1, 2) + _rows_times(rot * h_ie, bridge)
+    return h, np.swapaxes(h_e, 1, 2)

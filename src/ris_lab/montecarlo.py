@@ -9,6 +9,14 @@ Blocks are processed in fixed-size chunks, each with its own counter
 derived substream, and chunk results are combined in index order, so the
 output is bit-identical for any worker count.
 
+Stream layout of one chunk, the same for every oracle: the chunk stream
+``derive_rng(master_seed, purpose, chunk)`` first gives the correlated
+Gaussian links (``geometry.sample_realizations``), then the pilot phase's
+distortion and noise. The RIS phase errors come from their own substream,
+``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, and are applied
+by ``geometry.aggregate_channels``. A law without phase errors draws
+nothing there.
+
 The chunk thread pool is the only level of parallelism. Importing this
 module sets every OpenBLAS that numpy and scipy have loaded to one
 thread, so BLAS threads never compete with the pool's workers for the
@@ -29,15 +37,20 @@ Eve's AN term is q P^H P with P = (I - Q Q^H) H_E, and
 diag(V V^H) = 1 - |rows of Q|^2. The projection form keeps the leakage
 exactly zero under perfect CSI and every quadratic form PSD.
 
-The downlink oracles take ``(est, hw, xi, plan)``: K, M and M_E come from
+The downlink oracles take ``(est, hw, xi, plan)``, ``estimate_secrecy``
+a sequence ``ests`` in place of ``est``: K, M and M_E come from
 ``est.stats.dims``, P_t from the ``HardwareProfile`` ``hw``, and each
 oracle computes the per-stream powers (p, q) once with
 ``precoding.stream_powers``. ``estimate_nmse`` takes ``(est, plan)``.
 
-``estimate_secrecy`` runs one pass per secrecy point: each block's user
-terms and eavesdropper log-rate come from the same draw, and the secrecy
-standard error is built from per-block pairs by the delta method.
-``estimate_user_rate``, ``estimate_eve_capacity`` and
+``estimate_secrecy`` takes a sequence of estimators that differ at most in
+their phase-error law, and draws each chunk once for all of them: the
+Gaussians, the square roots of R_I and R_B and the pilot noise are
+shared, and each estimator gets its own rotation exp(j theta) from the
+phase-error substream, which starts afresh for every estimator. Each
+block's user terms and eavesdropper log-rate come from the same draw, and
+the secrecy standard error is built from per-block pairs by the delta
+method. ``estimate_user_rate``, ``estimate_eve_capacity`` and
 ``estimate_wishart_moments`` remain as term-by-term oracles.
 
 Model note: the user-rate terms keep the channel-hardening bookkeeping of
@@ -61,11 +74,11 @@ import scipy
 
 from .errors import InvalidParameterError
 from .estimation import ChannelEstimator, simulate_pilot_phase
-from .geometry import sample_realizations
+from .geometry import aggregate_channels, sample_realizations
 from .hardware import HardwareProfile
 from .precoding import mrt_normalizers, mrt_precoder, stream_powers
 from .precoding import null_space_an_batch  # noqa: F401 -- bench/tracer.py wraps this binding
-from .streams import CHANNEL_BLOCK, EVE_BLOCK, NMSE_BLOCK, derive_rng
+from .streams import CHANNEL_BLOCK, EVE_BLOCK, NMSE_BLOCK, PHASE_ERRORS, derive_rng
 
 CHUNK_BLOCKS = 512          # fixed: chunking must not depend on the worker count
 THREADS_ENV = "RIS_LAB_THREADS"
@@ -147,16 +160,57 @@ def blas_threads() -> dict | None:
 
 
 def _run_chunks(plan: TrialPlan, purpose: int, work):
-    """Run ``work(chunk_size, rng)`` over all chunks, results in chunk order."""
+    """Run ``work(chunk_size, key)`` over all chunks, results in chunk order.
+
+    ``key`` is the chunk's spawn key (master_seed, purpose, chunk index).
+    """
     chunks = plan.chunks()
     threads = worker_count()
     if threads == 1 or len(chunks) == 1:
-        return [work(size, derive_rng(plan.master_seed, purpose, idx))
-                for idx, size in chunks]
+        return [work(size, (plan.master_seed, purpose, idx)) for idx, size in chunks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(work, size, derive_rng(plan.master_seed, purpose, idx))
+        futures = [pool.submit(work, size, (plan.master_seed, purpose, idx))
                    for idx, size in chunks]
         return [f.result() for f in futures]
+
+
+def _check_shared_draw(ests) -> None:
+    """Raise unless the estimators differ at most in their phase-error law."""
+    first = ests[0].stats
+    for est in ests[1:]:
+        stats = est.stats
+        same = (stats.dims == first.dims and stats.fading == first.fading
+                and np.array_equal(stats.h1, first.h1)
+                and np.array_equal(stats.phi, first.phi)
+                and all((a is None and b is None)
+                        or (a is not None and b is not None and np.array_equal(a, b))
+                        for a, b in ((stats.r_i, first.r_i), (stats.r_b, first.r_b))))
+        if not same:
+            raise InvalidParameterError(
+                "estimators of one oracle call may differ only in their phase-error law")
+
+
+def _chunk_channels(ests, size: int, key: tuple):
+    """Per estimator: the aggregate channels of one chunk and their LMMSE estimates.
+
+    Yields (h, h_e, h_hat) for each estimator in turn, from one stream
+    layout. The Gaussians are drawn once, from ``ests[0].stats``, at the
+    start of the chunk stream ``derive_rng(*key)``. Each estimator's phase
+    errors come from a fresh ``derive_rng(*key, PHASE_ERRORS)``, and its
+    pilot phase continues the chunk stream from the state the Gaussians
+    left. So the estimators share every random number but the phase errors,
+    and a law without phase errors sees exactly the chunk stream.
+    """
+    rng = derive_rng(*key)
+    draws = sample_realizations(ests[0].stats, rng, size)
+    pilot_state = rng.bit_generator.state
+    for est in ests:
+        stats = est.stats
+        theta = stats.phase_model.draw(derive_rng(*key, PHASE_ERRORS), (size, stats.dims.n))
+        h, h_e = aggregate_channels(stats, draws, theta)
+        rng.bit_generator.state = pilot_state
+        y = simulate_pilot_phase(h, est.pilots, rng)
+        yield h, h_e, est.estimate(y)
 
 
 def _stack(parts, key):
@@ -220,13 +274,10 @@ class OracleEstimates:
 
 def estimate_nmse(est: ChannelEstimator, plan: TrialPlan) -> OracleEstimates:
     """Empirical NMSE of the LMMSE estimator over impaired pilot blocks."""
-    stats = est.stats
 
-    def work(size, rng):
-        draws = sample_realizations(stats, rng, size)
-        y = simulate_pilot_phase(draws["h"], est.pilots, rng)
-        h_hat = est.estimate(y)                       # (B, M, K)
-        h = np.swapaxes(draws["h"], 1, 2)             # (B, M, K)
+    def work(size, key):
+        [(h, _, h_hat)] = _chunk_channels([est], size, key)
+        h = np.swapaxes(h, 1, 2)                      # (B, M, K)
         err2 = np.sum(np.abs(h - h_hat) ** 2, axis=1)
         mag2 = np.sum(np.abs(h) ** 2, axis=1)
         return {"err2": err2, "mag2": mag2}
@@ -254,15 +305,12 @@ class _Blocks(NamedTuple):
     q_hat: np.ndarray      # (B, M, K) thin orthonormal basis Q of span(h_hat)
 
 
-def _draw_blocks(est: ChannelEstimator, size, rng) -> _Blocks:
-    """Channels, pilot phase, estimates, MRT precoder and Q for one chunk."""
-    stats = est.stats
-    draws = sample_realizations(stats, rng, size)
-    y = simulate_pilot_phase(draws["h"], est.pilots, rng)
-    h_hat = est.estimate(y)
-    w = mrt_precoder(h_hat, est)
-    q_hat = np.linalg.qr(h_hat)[0]
-    return _Blocks(h=draws["h"], h_e=draws["h_e"], h_hat=h_hat, w=w, q_hat=q_hat)
+def _chunk_blocks(ests, size: int, key: tuple):
+    """Per estimator: one chunk's ``_Blocks``, from the layout of ``_chunk_channels``."""
+    for est, (h, h_e, h_hat) in zip(ests, _chunk_channels(ests, size, key)):
+        w = mrt_precoder(h_hat, est)
+        q_hat = np.linalg.qr(h_hat)[0]
+        yield _Blocks(h=h, h_e=h_e, h_hat=h_hat, w=w, q_hat=q_hat)
 
 
 def _row_power(a: np.ndarray) -> np.ndarray:
@@ -401,43 +449,64 @@ def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile, xi: float,
     """
     p, q = stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
 
-    def work(size, rng):
-        return _user_terms(est, _draw_blocks(est, size, rng))
+    def work(size, key):
+        [blk] = _chunk_blocks([est], size, key)
+        return _user_terms(est, blk)
 
     parts = _run_chunks(plan, CHANNEL_BLOCK, work)
     return _reduce_user_terms(parts, hw, p, q, est.stats.dims.m)[0]
 
 
-def estimate_secrecy(est: ChannelEstimator, hw: HardwareProfile, xi: float,
-                     plan: TrialPlan) -> OracleEstimates:
-    """User rates, eavesdropper capacities and the secrecy rate from one pass.
+def estimate_secrecy(ests, hw: HardwareProfile, xi: float,
+                     plan: TrialPlan) -> list[OracleEstimates]:
+    """User rates, eavesdropper capacities and the secrecy rate, one pass per chunk.
 
-    Each block is drawn once, on the ``CHANNEL_BLOCK`` stream, and its user
-    terms and Eve's log-rate come from the same channels and precoders, so
-    the user-rate fields equal those of ``estimate_user_rate`` at the same
-    plan. ``r_sec`` is the user average of max(0, R_k - C_k). Its standard
-    error is that of the per-block pairs psi_b = mean_k(dR_bk - dC_bk), with
-    dR the delta-method linearization of the rate and dC_bk = log_rate_bk - C_k,
-    so it carries the user/Eve and user/user correlations of the shared
-    draw; it ignores the clip at zero.
+    ``ests`` is a sequence of estimators that may differ only in their
+    phase-error law (``InvalidParameterError`` otherwise); one
+    ``OracleEstimates`` is returned per estimator, in order. Each chunk is
+    drawn once for all of them on the ``CHANNEL_BLOCK`` stream (see
+    ``_chunk_channels``): they share the Gaussians, the square roots of
+    R_I and R_B (built once, from ``ests[0].stats``) and the pilot noise,
+    and only the phase errors and what follows from them differ. These
+    common random numbers make the differences between the estimates far
+    less noisy than their standard errors. A one-element list gives the
+    user-rate fields of ``estimate_user_rate`` at the same plan.
+
+    Each block's user terms and Eve's log-rate come from the same channels
+    and precoders. ``r_sec`` is the user average of max(0, R_k - C_k). Its
+    standard error is that of the per-block pairs psi_b = mean_k(dR_bk - dC_bk),
+    with dR the delta-method linearization of the rate and
+    dC_bk = log_rate_bk - C_k, so it carries the user/Eve and user/user
+    correlations of the shared draw; it ignores the clip at zero.
     """
-    p, q = stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
+    ests = list(ests)
+    if not ests:
+        raise InvalidParameterError("need at least one estimator")
+    _check_shared_draw(ests)
+    dims = ests[0].stats.dims
+    p, q = stream_powers(hw.p_t, xi, dims.k, dims.m)
     sigma_e2 = _eve_floor(hw, q)
 
-    def work(size, rng):
-        blk = _draw_blocks(est, size, rng)
-        terms = _user_terms(est, blk)
-        terms["log_rate"] = _eve_log_rate(blk, p, q, hw.kappa_t_bs, sigma_e2)
-        return terms
+    def work(size, key):
+        parts = []
+        for est, blk in zip(ests, _chunk_blocks(ests, size, key)):
+            terms = _user_terms(est, blk)
+            terms["log_rate"] = _eve_log_rate(blk, p, q, hw.kappa_t_bs, sigma_e2)
+            parts.append(terms)
+        return parts
 
-    parts = _run_chunks(plan, CHANNEL_BLOCK, work)
-    orc, d_rate = _reduce_user_terms(parts, hw, p, q, est.stats.dims.m)
-    log_rate = _stack(parts, "log_rate")
-    orc.c_e, orc.c_e_se = _mean_se(log_rate)
-    psi = np.mean(d_rate - (log_rate - orc.c_e), axis=1)
-    orc.r_sec = float(np.mean(np.maximum(0.0, orc.rate - orc.c_e)))
-    orc.r_sec_se = float(_se(psi))
-    return orc
+    chunks = _run_chunks(plan, CHANNEL_BLOCK, work)
+    out = []
+    for level in range(len(ests)):
+        parts = [chunk[level] for chunk in chunks]
+        orc, d_rate = _reduce_user_terms(parts, hw, p, q, dims.m)
+        log_rate = _stack(parts, "log_rate")
+        orc.c_e, orc.c_e_se = _mean_se(log_rate)
+        psi = np.mean(d_rate - (log_rate - orc.c_e), axis=1)
+        orc.r_sec = float(np.mean(np.maximum(0.0, orc.rate - orc.c_e)))
+        orc.r_sec_se = float(_se(psi))
+        out.append(orc)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -456,8 +525,8 @@ def estimate_eve_capacity(est: ChannelEstimator, hw: HardwareProfile, xi: float,
     p, q = stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
     sigma_e2 = _eve_floor(hw, q)
 
-    def work(size, rng):
-        blk = _draw_blocks(est, size, rng)
+    def work(size, key):
+        [blk] = _chunk_blocks([est], size, key)
         return {"log_rate": _eve_log_rate(blk, p, q, hw.kappa_t_bs, sigma_e2)}
 
     parts = _run_chunks(plan, EVE_BLOCK, work)
@@ -488,8 +557,9 @@ def estimate_wishart_moments(est: ChannelEstimator, hw: HardwareProfile, xi: flo
     """
     p, q = stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
 
-    def work(size, rng):
-        x = _eve_interference(_draw_blocks(est, size, rng), p, q, hw.kappa_t_bs)
+    def work(size, key):
+        [blk] = _chunk_blocks([est], size, key)
+        x = _eve_interference(blk, p, q, hw.kappa_t_bs)
         m_e = x.shape[-1]
         tr_x = np.real(np.einsum("bee->b", x))
         off = np.abs(x) ** 2

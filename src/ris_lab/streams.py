@@ -16,6 +16,11 @@ SCENARIO = 2
 CHANNEL_BLOCK = 3
 EVE_BLOCK = 4
 NMSE_BLOCK = 5
+# RIS phase errors of one Monte Carlo chunk: the last element of the key
+# (master_seed, oracle purpose, chunk index, PHASE_ERRORS). Their own
+# substream keeps the chunk stream, with its Gaussians and pilot noise, the
+# same for every phase-error law, so the levels of a sweep share it.
+PHASE_ERRORS = 6
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:

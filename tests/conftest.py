@@ -87,6 +87,18 @@ def make_setup(seed=0, m=16, n=16, k=3, m_e=2, correlated=True, sigma_p2=0.1,
     return stats, est, hw, xi
 
 
+def draw_channels(stats, rng, n_draws):
+    """Phase errors, Gaussian links and aggregate channels of ``n_draws`` blocks, in one dict.
+
+    Keys: theta, h_i, h_b, h_ie, h_be, h and h_e. All come from ``rng``:
+    the phase errors first, then the Gaussians of ``sample_realizations``.
+    """
+    theta = stats.phase_model.draw(rng, (n_draws, stats.dims.n))
+    draws = rl.sample_realizations(stats, rng, n_draws)
+    h, h_e = rl.aggregate_channels(stats, draws, theta)
+    return {**draws, "theta": theta, "h": h, "h_e": h_e}
+
+
 def with_eve_antennas(est, m_e):
     """The same link with an M_E-antenna eavesdropper: a new estimator on replaced dims.
 

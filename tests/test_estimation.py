@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ris_lab as rl
 from ris_lab.errors import IllConditionedWarning
 
-from conftest import make_setup, max_asymmetry, min_relative_eigenvalue
+from conftest import draw_channels, make_setup, max_asymmetry, min_relative_eigenvalue
 
 
 def test_pilot_matrix_orthogonal_unit_modulus():
@@ -167,7 +167,7 @@ def test_estimate_covariance_and_orthogonality(small_setup):
     # E{hhat hhat^H} = tau rho R Psi^-1 R and E{e hhat^H} = 0 empirically
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(11)
-    draws = rl.sample_realizations(stats, rng, 100_000)
+    draws = draw_channels(stats, rng, 100_000)
     y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
     h_hat = est.estimate(y)
     h = np.swapaxes(draws["h"], 1, 2)
@@ -196,7 +196,7 @@ def test_lmmse_beats_perturbed_linear_estimators():
     for trial in range(10):
         stats, est, _, _ = make_setup(seed=100 + trial, m=8, n=9, k=2, m_e=1,
                                       rho=float(rng.uniform(1.0, 20.0)))
-        draws = rl.sample_realizations(stats, rng, 4000)
+        draws = draw_channels(stats, rng, 4000)
         y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
         h = np.swapaxes(draws["h"], 1, 2)
         k = 0
@@ -263,7 +263,7 @@ def test_pilot_phase_noiseless_single_user():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rng = np.random.default_rng(0)
-        draws = rl.sample_realizations(stats, rng, 8)
+        draws = draw_channels(stats, rng, 8)
         y = rl.simulate_pilot_phase(draws["h"], pil, rng)
     expect = pil.tau_u * np.sqrt(pil.rho) * np.swapaxes(draws["h"], 1, 2)
     assert np.allclose(y, expect)
@@ -274,7 +274,7 @@ def test_pilot_phase_orthogonality_isolates_users():
     stats = make_setup(seed=22, m=6, n=4, k=2, m_e=1, kappa_ul=0.0)[0]
     pil = rl.PilotConfig(tau_u=2, rho=1.0, sigma_u2=0.0)
     rng = np.random.default_rng(0)
-    draws = rl.sample_realizations(stats, rng, 8)
+    draws = draw_channels(stats, rng, 8)
     y = rl.simulate_pilot_phase(draws["h"], pil, rng)
     expect = pil.tau_u * np.swapaxes(draws["h"], 1, 2)
     assert np.allclose(y, expect, atol=1e-10)
@@ -283,7 +283,7 @@ def test_pilot_phase_orthogonality_isolates_users():
 def test_pilot_phase_covariance_matches_psi(small_setup):
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(13)
-    draws = rl.sample_realizations(stats, rng, 100_000)
+    draws = draw_channels(stats, rng, 100_000)
     y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
     k = 1
     yk = y[:, :, k]

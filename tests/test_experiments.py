@@ -1,11 +1,14 @@
 """Experiment configs, the CLI and the files a run writes."""
+import collections
 import json
 
 import pytest
 
+import ris_lab.montecarlo
 from ris_lab import cli
 from ris_lab.errors import ConfigValidationError
-from ris_lab.experiments import ExperimentConfig, run_and_write
+from ris_lab.experiments import ExperimentConfig, run_and_write, run_experiment
+from ris_lab.montecarlo import CHUNK_BLOCKS
 
 # A run small enough for the test suite: one grid point, two blocks.
 TINY = {"m": 8, "n": 4, "k": 2, "m_e": 2, "sweep": [0.0], "n_blocks": 2}
@@ -135,6 +138,15 @@ def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys, experimen
                  {"power_scaling_eu_db": 3080, "sigma_k2": 100, "sweep": [16]},
                  "power_scaling_eu_db = 3080 dB overflows", [],
                  id="power_scaling_eu_db-3080-sigma_k2-100"),
+    # path gains whose cascade second moments overflow, once a NaN traceback
+    *[pytest.param(experiment,
+                   {"sweep": [16], "path_gain_ref_db": 3000, "normalize_gains": False},
+                   "path_gain_ref_db = 3000 dB", [], id=f"{experiment}-path_gain_ref_db-3000")
+      for experiment in ("nmse_vs_N", "secrecy_vs_snr", "secrecy_vs_N", "asymptotic_vs_N")],
+    # rho = 0: every runner reaches the pilot configuration, the rule's one home
+    *[pytest.param(experiment, {"sweep": [16], "sigma_u2": 0}, "pilot power must be positive",
+                   [], id=f"{experiment}-sigma_u2-0")
+      for experiment in ("asymptotic_vs_N", "secrecy_vs_N")],
 ])
 def test_cli_nonpositive_size_in_sweep_exits_2(tmp_path, capsys, experiment, changes,
                                                message, args):
@@ -167,3 +179,21 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     assert set(env["blas"]) == {"name", "version"}
     assert manifest["config_hash"] == config.config_hash()
     assert manifest["rows"] == 1
+
+
+def test_phase_noise_sweep_draws_once_per_n_and_chunk(monkeypatch):
+    # the phase-noise levels of one N share each chunk's channel draw
+    draws = collections.Counter()
+    sample = ris_lab.montecarlo.sample_realizations
+
+    def counted(stats, rng, n_draws):
+        draws[stats.dims.n, n_draws] += 1
+        return sample(stats, rng, n_draws)
+
+    monkeypatch.setattr(ris_lab.montecarlo, "sample_realizations", counted)
+    config = ExperimentConfig.from_dict({
+        **TINY, "m_e": 1, "sweep": [4, 9], "phase_noise_levels": [0.0, 0.1, 1.0],
+        "n_blocks": CHUNK_BLOCKS + 8})
+    table = run_experiment("phase_noise_sweep", config)
+    assert len(table.rows) == 6
+    assert draws == {(n, size): 1 for n in (4, 9) for size in (CHUNK_BLOCKS, 8)}

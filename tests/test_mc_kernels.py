@@ -9,9 +9,8 @@ results agree to roundoff.
 import numpy as np
 import pytest
 
-from ris_lab.geometry import sample_realizations
 from ris_lab.montecarlo import (
-    _draw_blocks,
+    _chunk_blocks,
     _eve_interference,
     _eve_log_rate,
     _transmit_diag,
@@ -20,7 +19,7 @@ from ris_lab.montecarlo import (
 from ris_lab.precoding import mrt_normalizers, null_space_an_batch, stream_powers
 from ris_lab.streams import complex_normal
 
-from conftest import make_setup
+from conftest import draw_channels, make_setup
 
 RTOL = 1e-12
 
@@ -90,7 +89,7 @@ def einsum_eve(blk, p, q, kappa_t_bs):
 @pytest.mark.parametrize("correlated", [True, False])
 def test_sampler_matches_einsum_forms(correlated):
     stats, _, _, _ = make_setup(seed=11, m=8, n=16, k=2, m_e=2, correlated=correlated)
-    got = sample_realizations(stats, np.random.default_rng(4), 64)
+    got = draw_channels(stats, np.random.default_rng(4), 64)
     want = einsum_realizations(stats, np.random.default_rng(4), 64)
     assert set(got) == set(want)
     for key in want:
@@ -100,7 +99,7 @@ def test_sampler_matches_einsum_forms(correlated):
 def test_block_terms_match_einsum_forms():
     _, est, hw, xi = make_setup(seed=12, m=8, n=16, k=2, m_e=2)
     p, q = stream_powers(hw.p_t, xi, 2, 8)
-    blk = _draw_blocks(est, 64, np.random.default_rng(5))
+    [blk] = _chunk_blocks([est], 64, (5, 0))
     got = _user_terms(est, blk)
     want = einsum_user_terms(est, blk)
     assert set(got) == set(want)

@@ -14,7 +14,7 @@ import ris_lab as rl
 from ris_lab.linalg import herm_trace_prod
 from ris_lab.montecarlo import _eve_floor, worker_count
 
-from conftest import make_setup
+from conftest import draw_channels, make_setup
 
 
 def closed_form_terms(est, k):
@@ -30,8 +30,18 @@ def closed_form_terms(est, k):
     return sig, inter, var, an
 
 
+def with_phase_noise(est, sigma_p2):
+    """The same link under a von Mises phase-error law of power ``sigma_p2``: a new estimator."""
+    model = rl.PhaseNoiseModel("von_mises", sigma_p2) if sigma_p2 > 0 else rl.PhaseNoiseModel()
+    s = est.stats
+    stats = rl.build_channel_statistics(s.dims, s.fading, model, s.h1, phi=np.angle(s.phi),
+                                        r_b=s.r_b, r_i=s.r_i)
+    return rl.ChannelEstimator(stats, est.pilots)
+
+
 def test_thread_count_does_not_change_results(small_setup):
     _, est, hw, xi = small_setup
+    levels = [est, with_phase_noise(est, 1.0)]     # one shared draw, two laws
     plan = rl.TrialPlan(n_blocks=1500, master_seed=99)   # spans several chunks
     results = {}
     for threads in ("1", "7"):
@@ -39,16 +49,60 @@ def test_thread_count_does_not_change_results(small_setup):
         try:
             results[threads] = (rl.estimate_user_rate(est, hw, xi, plan),
                                 rl.estimate_eve_capacity(est, hw, xi, plan),
-                                rl.estimate_secrecy(est, hw, xi, plan))
+                                rl.estimate_secrecy(levels, hw, xi, plan))
         finally:
             del os.environ["RIS_LAB_THREADS"]
-    (a, eve_a, sec_a), (b, eve_b, sec_b) = results["1"], results["7"]
+    (a, eve_a, secs_a), (b, eve_b, secs_b) = results["1"], results["7"]
     for field in ("rate", "signal", "interference", "variance", "an_leakage", "hwi"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert np.array_equal(eve_a.c_e, eve_b.c_e)
     assert np.array_equal(eve_a.c_e_se, eve_b.c_e_se)
-    for field in ("rate", "rate_se", "c_e", "c_e_se", "r_sec", "r_sec_se"):
-        assert np.array_equal(getattr(sec_a, field), getattr(sec_b, field))
+    assert len(secs_a) == len(secs_b) == 2
+    for sec_a, sec_b in zip(secs_a, secs_b):
+        for field in ("rate", "rate_se", "c_e", "c_e_se", "r_sec", "r_sec_se"):
+            assert np.array_equal(getattr(sec_a, field), getattr(sec_b, field))
+
+
+def test_shared_draw_leaves_the_phase_free_level_unchanged():
+    # a level without phase errors draws nothing from the phase substream,
+    # so sharing its chunks with other levels does not move it
+    _, est, hw, xi = make_setup(seed=3, sigma_p2=0.0)
+    plan = rl.TrialPlan(n_blocks=700, master_seed=14)    # two chunks
+    [alone] = rl.estimate_secrecy([est], hw, xi, plan)
+    noisy = with_phase_noise(est, 1.0)
+    shared = rl.estimate_secrecy([noisy, est, noisy], hw, xi, plan)
+    for field in dataclasses.fields(alone):
+        want = getattr(alone, field.name)
+        if want is not None:
+            assert np.array_equal(getattr(shared[1], field.name), want), field.name
+    # every level restarts the phase substream: repeats give the same estimate
+    assert shared[0].r_sec == shared[2].r_sec
+    assert shared[0].r_sec != alone.r_sec
+
+
+def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy():
+    # common random numbers: at sigma_p2 = 1e-8 the phase errors are ~1e-4 rad,
+    # so r_sec moves by about 1e-4 of its standard error (measured: 1e-7 to
+    # 4e-6 relative across fixtures and seeds); independent draws would
+    # move it by about one standard error
+    _, est, hw, xi = make_setup(seed=3, sigma_p2=0.0)
+    zero, tiny = rl.estimate_secrecy([est, with_phase_noise(est, 1e-8)], hw, xi,
+                                     rl.TrialPlan(n_blocks=600, master_seed=15))
+    assert zero.r_sec != tiny.r_sec
+    assert abs(tiny.r_sec - zero.r_sec) < 1e-3 * zero.r_sec_se
+    assert zero.r_sec_se > 0.01 * zero.r_sec
+
+
+@pytest.mark.parametrize("change", ["n", "r_i"])
+def test_shared_draw_rejects_estimators_beyond_the_phase_law(change):
+    _, est, hw, xi = make_setup(seed=3)
+    if change == "n":
+        other = make_setup(seed=3, n=25)[1]
+    else:
+        stats = dataclasses.replace(est.stats, r_i=np.eye(est.stats.dims.n))
+        other = rl.ChannelEstimator(stats, est.pilots)
+    with pytest.raises(rl.InvalidParameterError, match="phase-error law"):
+        rl.estimate_secrecy([est, other], hw, xi, rl.TrialPlan(4, master_seed=1))
 
 
 def test_secrecy_user_half_equals_user_rate(small_setup):
@@ -57,7 +111,7 @@ def test_secrecy_user_half_equals_user_rate(small_setup):
     _, est, hw, xi = small_setup
     plan = rl.TrialPlan(n_blocks=700, master_seed=12)    # two chunks
     user = rl.estimate_user_rate(est, hw, xi, plan)
-    sec = rl.estimate_secrecy(est, hw, xi, plan)
+    [sec] = rl.estimate_secrecy([est], hw, xi, plan)
     compared = 0
     for field in dataclasses.fields(user):
         want = getattr(user, field.name)
@@ -78,7 +132,7 @@ def test_secrecy_standard_error_is_calibrated(small_setup):
     _, est, hw, xi = small_setup
     values, ses, rates, rate_ses = [], [], [], []
     for seed in range(1000, 1040):
-        orc = rl.estimate_secrecy(est, hw, xi, rl.TrialPlan(200, master_seed=seed))
+        [orc] = rl.estimate_secrecy([est], hw, xi, rl.TrialPlan(200, master_seed=seed))
         assert np.all(orc.rate - orc.c_e > 10 * orc.r_sec_se)
         values.append(orc.r_sec)
         ses.append(orc.r_sec_se)
@@ -98,7 +152,7 @@ def test_single_block_standard_errors_are_infinite(small_setup):
         nmse = rl.estimate_nmse(est, plan)
         user = rl.estimate_user_rate(est, hw, xi, plan)
         eve = rl.estimate_eve_capacity(est, hw, xi, plan)
-        sec = rl.estimate_secrecy(est, hw, xi, plan)
+        [sec] = rl.estimate_secrecy([est], hw, xi, plan)
     assert np.all(np.isfinite(nmse.nmse)) and np.all(nmse.nmse_se == np.inf)
     assert np.isfinite(sec.r_sec)
     for se in (user.rate_se, user.signal_se, user.interference_se, eve.c_e_se,
@@ -240,7 +294,7 @@ def test_eve_gap_shrinks_with_antennas():
     for m in (16, 32, 64):
         stats, est, hw, xi = make_setup(seed=55, m=m, n=16, k=2, m_e=2,
                                         p_t=10.0, kappa_dl=0.01)
-        orc = rl.estimate_eve_capacity(est, hw, xi, rl.TrialPlan(6000, master_seed=7))
+        orc = rl.estimate_eve_capacity(est, hw, xi, rl.TrialPlan(24000, master_seed=7))
         bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=0), xi).c_e_bar
         gaps.append(bound - orc.c_e[0])
     assert gaps[0] > gaps[-1]
@@ -252,7 +306,7 @@ def test_eve_rank_one_reduction():
                                     kappa_dl=0.0, p_t=10.0)
     p, q = rl.stream_powers(hw.p_t, xi, 2, 12)
     rng = np.random.default_rng(2)
-    draws = rl.sample_realizations(stats, rng, 2000)
+    draws = draw_channels(stats, rng, 2000)
     y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
     h_hat = est.estimate(y)
     w = rl.mrt_precoder(h_hat, est)
@@ -348,7 +402,7 @@ def test_cascade_anisotropy_biases_the_wishart_match(seed, kappa_t_bs, master_se
 
     # E{tr X | V, T}/M_E = q tr(V^H Q_E V) + kappa_t tr(diag(T) Q_E)
     rng = np.random.default_rng(4)
-    draws = rl.sample_realizations(stats, rng, 4000)
+    draws = draw_channels(stats, rng, 4000)
     y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
     h_hat = est.estimate(y)
     w = rl.mrt_precoder(h_hat, est)

@@ -4,9 +4,10 @@ import pytest
 
 import ris_lab as rl
 from ris_lab.precoding import mrt_normalizers, null_space_an_batch
-from ris_lab.streams import CHANNEL_BLOCK, derive_rng
+from ris_lab.montecarlo import _chunk_blocks
+from ris_lab.streams import CHANNEL_BLOCK
 
-from conftest import make_setup
+from conftest import draw_channels, make_setup
 
 
 def test_stream_powers_budget_identity():
@@ -25,7 +26,7 @@ def test_stream_powers_budget_identity():
 def test_mrt_columns_normalized_statistically(small_setup):
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(3)
-    draws = rl.sample_realizations(stats, rng, 50_000)
+    draws = draw_channels(stats, rng, 50_000)
     y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
     w = rl.mrt_precoder(est.estimate(y), est)
     norms = np.mean(np.sum(np.abs(w) ** 2, axis=1), axis=0)
@@ -77,11 +78,8 @@ def test_transmit_power_budget(small_setup):
     plan = rl.TrialPlan(n_blocks=20_000, master_seed=8)
     powers = []
     for idx, size in plan.chunks():
-        rng = derive_rng(plan.master_seed, CHANNEL_BLOCK, idx)
-        draws = rl.sample_realizations(stats, rng, size)
-        y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
-        w = rl.mrt_precoder(est.estimate(y), est)
-        powers.append(p * np.sum(np.abs(w) ** 2, axis=(1, 2))
+        [blk] = _chunk_blocks([est], size, (plan.master_seed, CHANNEL_BLOCK, idx))
+        powers.append(p * np.sum(np.abs(blk.w) ** 2, axis=(1, 2))
                       + q * (stats.dims.m - stats.dims.k))
     assert abs(np.mean(np.concatenate(powers)) - hw.p_t) / hw.p_t < 0.02
 
@@ -89,7 +87,7 @@ def test_transmit_power_budget(small_setup):
 def test_an_invisible_under_perfect_csi(small_setup):
     # with hhat = h the AN leakage h^H V V^H h vanishes identically
     stats = small_setup[0]
-    draws = rl.sample_realizations(stats, np.random.default_rng(9), 1)
+    draws = draw_channels(stats, np.random.default_rng(9), 1)
     h = np.swapaxes(draws["h"], 1, 2)[0]
     v = null_space_an_batch(h[None])[0]
     leak = np.sum(np.abs(h.conj().T @ v) ** 2, axis=1)
