@@ -179,12 +179,10 @@ def _check_shared_draw(ests) -> None:
     first = ests[0].stats
     for est in ests[1:]:
         stats = est.stats
+        # np.array_equal also compares the None of an identity template
         same = (stats.dims == first.dims and stats.fading == first.fading
-                and np.array_equal(stats.h1, first.h1)
-                and np.array_equal(stats.phi, first.phi)
-                and all((a is None and b is None)
-                        or (a is not None and b is not None and np.array_equal(a, b))
-                        for a, b in ((stats.r_i, first.r_i), (stats.r_b, first.r_b))))
+                and all(np.array_equal(getattr(stats, name), getattr(first, name))
+                        for name in ("h1", "phi", "r_i", "r_b")))
         if not same:
             raise InvalidParameterError(
                 "estimators of one oracle call may differ only in their phase-error law")
