@@ -313,6 +313,16 @@ def _rows_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ a.T).reshape(*x.shape[:-1], a.shape[0])
 
 
+def _colored(g: np.ndarray, sqrt_r: np.ndarray | None, gain) -> np.ndarray:
+    """sqrt(gain) * g @ sqrt_r.T: rows of the white draw g colored (None = white) and scaled.
+
+    Scales in place, so g or the GEMM result is the only array it allocates.
+    """
+    h = g if sqrt_r is None else _rows_times(g, sqrt_r)
+    h *= np.sqrt(gain)
+    return h
+
+
 def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
                         n_draws: int) -> dict:
     """Stacked small-scale fading draws; axis 0 is the block index.
@@ -329,23 +339,18 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
     and antenna axes fold into the GEMM rows; they are returned as
     transposed views of that layout.
     """
-    dims = stats.dims
-    g_i = complex_normal(rng, (n_draws, dims.k, dims.n))
-    g_b = complex_normal(rng, (n_draws, dims.k, dims.m))
-    g_ie = np.swapaxes(complex_normal(rng, (n_draws, dims.n, dims.m_e)), 1, 2)
-    g_be = np.swapaxes(complex_normal(rng, (n_draws, dims.m, dims.m_e)), 1, 2)
-
+    dims, fading = stats.dims, stats.fading
     s_i, s_b = stats.sqrt_r_i, stats.sqrt_r_b
-    h_i = g_i if s_i is None else _rows_times(g_i, s_i)    # rows ~ CN(0, R_I)
-    h_b = g_b if s_b is None else _rows_times(g_b, s_b)
-    h_ie = g_ie if s_i is None else _rows_times(g_ie, s_i)   # (B, M_E, N)
-    h_be = g_be if s_b is None else _rows_times(g_be, s_b)   # (B, M_E, M)
-
-    scale_i = np.sqrt(np.asarray(stats.fading.beta_i))[None, :, None]
-    scale_2 = np.sqrt(np.asarray(stats.fading.beta_2))[None, :, None]
-    return {"h_i": h_i * scale_i, "h_b": h_b * scale_2,
-            "h_ie": np.swapaxes(h_ie * np.sqrt(stats.fading.beta_ie), 1, 2),
-            "h_be": np.swapaxes(h_be * np.sqrt(stats.fading.beta_3), 1, 2)}
+    h_i = _colored(complex_normal(rng, (n_draws, dims.k, dims.n)), s_i,
+                   np.asarray(fading.beta_i)[None, :, None])       # rows ~ CN(0, beta_i R_I)
+    h_b = _colored(complex_normal(rng, (n_draws, dims.k, dims.m)), s_b,
+                   np.asarray(fading.beta_2)[None, :, None])
+    h_ie = _colored(np.swapaxes(complex_normal(rng, (n_draws, dims.n, dims.m_e)), 1, 2),
+                    s_i, fading.beta_ie)                            # (B, M_E, N)
+    h_be = _colored(np.swapaxes(complex_normal(rng, (n_draws, dims.m, dims.m_e)), 1, 2),
+                    s_b, fading.beta_3)                             # (B, M_E, M)
+    return {"h_i": h_i, "h_b": h_b,
+            "h_ie": np.swapaxes(h_ie, 1, 2), "h_be": np.swapaxes(h_be, 1, 2)}
 
 
 def aggregate_channels(stats: ChannelStatistics, draws: dict,
@@ -359,7 +364,8 @@ def aggregate_channels(stats: ChannelStatistics, draws: dict,
     """
     bridge = stats.h1 * stats.phi[None, :]             # (M, N)
     rot = np.exp(1j * theta)[:, None, :]               # (B, 1, N)
-    h_ie = np.swapaxes(draws["h_ie"], 1, 2)            # (B, M_E, N), contiguous
-    h = draws["h_b"] + _rows_times(rot * draws["h_i"], bridge)
-    h_e = np.swapaxes(draws["h_be"], 1, 2) + _rows_times(rot * h_ie, bridge)
+    h = _rows_times(rot * draws["h_i"], bridge)
+    h += draws["h_b"]
+    h_e = _rows_times(rot * np.swapaxes(draws["h_ie"], 1, 2), bridge)   # (B, M_E, M)
+    h_e += np.swapaxes(draws["h_be"], 1, 2)
     return h, np.swapaxes(h_e, 1, 2)

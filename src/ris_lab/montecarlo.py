@@ -202,13 +202,14 @@ def _chunk_channels(ests, size: int, key: tuple):
     rng = derive_rng(*key)
     draws = sample_realizations(ests[0].stats, rng, size)
     pilot_state = rng.bit_generator.state
-    for est in ests:
+    for i, est in enumerate(ests):
         stats = est.stats
         theta = stats.phase_model.draw(derive_rng(*key, PHASE_ERRORS), (size, stats.dims.n))
         h, h_e = aggregate_channels(stats, draws, theta)
+        if i == len(ests) - 1:
+            del draws, theta        # the caller's work on the last level runs without them
         rng.bit_generator.state = pilot_state
-        y = simulate_pilot_phase(h, est.pilots, rng)
-        yield h, h_e, est.estimate(y)
+        yield h, h_e, est.estimate(simulate_pilot_phase(h, est.pilots, rng))
 
 
 def _stack(parts, key):
