@@ -316,7 +316,7 @@ def _rows_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _colored(g: np.ndarray, sqrt_r: np.ndarray | None, gain) -> np.ndarray:
     """sqrt(gain) * g @ sqrt_r.T: rows of the white draw g colored (None = white) and scaled.
 
-    Scales in place, so g or the GEMM result is the only array it allocates.
+    Scales in place, so the GEMM result is the only array it allocates.
     """
     h = g if sqrt_r is None else _rows_times(g, sqrt_r)
     h *= np.sqrt(gain)

@@ -494,10 +494,8 @@ def estimate_secrecy(ests, hw: HardwareProfile, xi: float,
             parts.append(terms)
         return parts
 
-    chunks = _run_chunks(plan, CHANNEL_BLOCK, work)
     out = []
-    for level in range(len(ests)):
-        parts = [chunk[level] for chunk in chunks]
+    for parts in zip(*_run_chunks(plan, CHANNEL_BLOCK, work)):     # one level's chunks
         orc, d_rate = _reduce_user_terms(parts, hw, p, q, dims.m)
         log_rate = _stack(parts, "log_rate")
         orc.c_e, orc.c_e_se = _mean_se(log_rate)
