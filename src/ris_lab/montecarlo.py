@@ -44,10 +44,7 @@ oracle computes the per-stream powers (p, q) once with
 ``precoding.stream_powers``. ``estimate_nmse`` takes ``(est, plan)``.
 
 ``estimate_secrecy`` takes a sequence of estimators that differ at most in
-their phase-error law, and draws each chunk once for all of them: the
-Gaussians, the square roots of R_I and R_B and the pilot noise are
-shared, and each estimator gets its own rotation exp(j theta) from the
-phase-error substream, which starts afresh for every estimator. Each
+their phase-error law and draws each chunk once for all of them. Each
 block's user terms and eavesdropper log-rate come from the same draw, and
 the secrecy standard error is built from per-block pairs by the delta
 method. ``estimate_user_rate``, ``estimate_eve_capacity`` and
@@ -189,15 +186,12 @@ def _check_shared_draw(ests) -> None:
 
 
 def _chunk_channels(ests, size: int, key: tuple):
-    """Per estimator: the aggregate channels of one chunk and their LMMSE estimates.
+    """Per estimator in turn: (h, h_e, h_hat) of one chunk, in the module's stream layout.
 
-    Yields (h, h_e, h_hat) for each estimator in turn, from one stream
-    layout. The Gaussians are drawn once, from ``ests[0].stats``, at the
-    start of the chunk stream ``derive_rng(*key)``. Each estimator's phase
-    errors come from a fresh ``derive_rng(*key, PHASE_ERRORS)``, and its
-    pilot phase continues the chunk stream from the state the Gaussians
-    left. So the estimators share every random number but the phase errors,
-    and a law without phase errors sees exactly the chunk stream.
+    The Gaussians are drawn once, from ``ests[0].stats``. Each estimator
+    restarts the phase-error substream, and its pilot phase replays the
+    chunk stream from the state the Gaussians left, so the estimators
+    share every random number but the phase errors.
     """
     rng = derive_rng(*key)
     draws = sample_realizations(ests[0].stats, rng, size)

@@ -30,18 +30,10 @@ def closed_form_terms(est, k):
     return sig, inter, var, an
 
 
-def with_phase_noise(est, sigma_p2):
-    """The same link under a von Mises phase-error law of power ``sigma_p2``: a new estimator."""
-    model = rl.PhaseNoiseModel("von_mises", sigma_p2) if sigma_p2 > 0 else rl.PhaseNoiseModel()
-    s = est.stats
-    stats = rl.build_channel_statistics(s.dims, s.fading, model, s.h1, phi=np.angle(s.phi),
-                                        r_b=s.r_b, r_i=s.r_i)
-    return rl.ChannelEstimator(stats, est.pilots)
-
-
 def test_thread_count_does_not_change_results(small_setup):
     _, est, hw, xi = small_setup
-    levels = [est, with_phase_noise(est, 1.0)]     # one shared draw, two laws
+    # the same link under two phase-error laws: one shared draw
+    levels = [est, make_setup(seed=3, sigma_p2=1.0)[1]]
     plan = rl.TrialPlan(n_blocks=1500, master_seed=99)   # spans several chunks
     results = {}
     for threads in ("1", "7"):
@@ -69,7 +61,7 @@ def test_shared_draw_leaves_the_phase_free_level_unchanged():
     _, est, hw, xi = make_setup(seed=3, sigma_p2=0.0)
     plan = rl.TrialPlan(n_blocks=700, master_seed=14)    # two chunks
     [alone] = rl.estimate_secrecy([est], hw, xi, plan)
-    noisy = with_phase_noise(est, 1.0)
+    noisy = make_setup(seed=3, sigma_p2=1.0)[1]
     shared = rl.estimate_secrecy([noisy, est, noisy], hw, xi, plan)
     for field in dataclasses.fields(alone):
         want = getattr(alone, field.name)
@@ -86,7 +78,7 @@ def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy():
     # 4e-6 relative across fixtures and seeds); independent draws would
     # move it by about one standard error
     _, est, hw, xi = make_setup(seed=3, sigma_p2=0.0)
-    zero, tiny = rl.estimate_secrecy([est, with_phase_noise(est, 1e-8)], hw, xi,
+    zero, tiny = rl.estimate_secrecy([est, make_setup(seed=3, sigma_p2=1e-8)[1]], hw, xi,
                                      rl.TrialPlan(n_blocks=600, master_seed=15))
     assert zero.r_sec != tiny.r_sec
     assert abs(tiny.r_sec - zero.r_sec) < 1e-3 * zero.r_sec_se
