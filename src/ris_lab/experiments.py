@@ -425,15 +425,13 @@ def _run_environment() -> dict:
 
 def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
     """Write the run's manifest atomically, with its environment."""
-    import scipy
     manifest = {
         "experiment": table.experiment,
         "config_hash": table.meta.get("config_hash"),
         "seed": table.meta.get("seed"),
         "rows": len(table.rows),
         "wall_time_s": round(wall_time_s, 3),
-        "versions": {"ris_lab": _pkg_version, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"ris_lab": _pkg_version, "numpy": np.__version__},
         "environment": _run_environment(),
         "extra": {k: v for k, v in table.meta.items()
                   if k not in ("config_hash", "seed")},

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import i0e, i1e
 
 from .errors import InvalidParameterError
 from .linalg import herm_sqrt, hermitize
@@ -107,19 +106,50 @@ class PhaseNoiseModel:
         return rng.vonmises(0.0, self.nu_p, size)
 
 
+def _bessel_ratio(nu: float) -> float:
+    """I1(nu)/I0(nu) for nu > 0, to a few ulps, without overflow at any nu.
+
+    Below 30 the ratio of the two power series; from 30 on the ratio of
+    Hankel's asymptotic series, whose terms fall below 1e-17 long before
+    they would start to grow. Every term of each sum has one sign.
+    """
+    if nu < 30.0:
+        # I_n(nu) = sum_k (nu/2)^(2k+n) / (k! (k+n)!)
+        q = 0.25 * nu * nu
+        term = s0 = s1 = 1.0
+        k = 0
+        while term > 1e-17 * s0:
+            k += 1
+            term *= q / (k * k)
+            s0 += term
+            s1 += term / (k + 1)
+        return 0.5 * nu * s1 / s0
+    # I_n(nu) ~ e^nu / sqrt(2 pi nu) * sum_k prod_{j<=k} ((2j-1)^2 - 4n^2) / (8 j nu)
+    r = 0.125 / nu
+    t0 = t1 = s0 = s1 = 1.0
+    k = 0
+    while t0 > 1e-17:
+        k += 1
+        c = (2 * k - 1) ** 2
+        t0 *= c * r / k
+        t1 *= (c - 4) * r / k
+        s0 += t0
+        s1 += t1
+    return s1 / s0
+
+
 def phase_deviation_factor(model: PhaseNoiseModel) -> float:
     """Circular mean E{exp(j theta)} of the phase-error law, in [0, 1].
 
-    Von Mises uses the exponentially scaled Bessel ratio I1/I0, stable
-    for concentrations far beyond 1e4.
+    Von Mises gives the Bessel ratio I1(nu)/I0(nu), computed so that it
+    stays finite for concentrations far beyond 1e4.
     """
     if model.kind == "none" or model.sigma_p2 == 0.0:
         return 1.0
     if model.kind == "uniform":
         iota = model.iota_p
         return float(np.sinc(iota / np.pi))
-    nu = model.nu_p
-    return float(i1e(nu) / i0e(nu))
+    return _bessel_ratio(float(model.nu_p))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@
 All covariance matrices in this codebase are Hermitian PSD by
 construction, but floating point and rank-deficient correlation models
 (dense RIS spacings) require a tolerant square root and guarded solves.
+
+Everything here runs on numpy's LAPACK, so ``ris_lab`` imports no scipy
+module on its runtime path. A future use of scipy (a root finder, say)
+is imported inside the one function that needs it, never at module level.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .errors import IllConditionedError
 
@@ -27,7 +30,7 @@ def herm_sqrt(a: np.ndarray, clip_tol: float = 1e-10) -> np.ndarray:
     to zero; sinc-type RIS correlation matrices are rank deficient for
     dense element spacings, so small negative eigenvalues are expected.
     """
-    w, v = eigh(hermitize(a))
+    w, v = np.linalg.eigh(hermitize(a))
     lam_max = float(w[-1]) if w.size else 0.0
     if lam_max <= 0.0:
         return np.zeros_like(np.asarray(a, dtype=complex))
@@ -41,24 +44,25 @@ def herm_trace_prod(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class HermitianSolver:
-    """Cached Cholesky factorization of a Hermitian positive definite matrix.
+    """Guarded solves with a Hermitian positive definite matrix.
 
-    Falls back to an eigenvalue-based report when the matrix is not
-    numerically positive definite.
+    A Cholesky factorization tests positive definiteness and gives the
+    condition estimate; when it fails, the eigenvalues give the reported
+    condition number instead.
     """
 
     def __init__(self, a: np.ndarray, name: str = "matrix"):
-        a = np.asarray(a)
+        self._a = np.asarray(a)
         try:
-            self._factor = cho_factor(a, lower=True)
+            chol = np.linalg.cholesky(self._a)
         except np.linalg.LinAlgError as exc:
-            w = eigh(hermitize(a), eigvals_only=True)
+            w = np.linalg.eigvalsh(hermitize(self._a))
             cond = float(np.inf if w[0] <= 0 else w[-1] / w[0])
             raise IllConditionedError(
                 f"{name} is not positive definite (condition number ~{cond:.3e})",
                 cond=cond,
             ) from exc
-        d = np.abs(np.diag(self._factor[0]))
+        d = np.abs(np.diagonal(chol))
         # Condition estimate from the Cholesky diagonal: cheap and adequate
         # for the 1e12 red line used here.
         self.cond_estimate = float((d.max() / d.min()) ** 2) if d.min() > 0 else np.inf
@@ -68,5 +72,4 @@ class HermitianSolver:
         return self.cond_estimate <= COND_LIMIT
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor, b)
-
+        return np.linalg.solve(self._a, b)

@@ -18,9 +18,9 @@ by ``geometry.aggregate_channels``. A law without phase errors draws
 nothing there.
 
 The chunk thread pool is the only level of parallelism. Importing this
-module sets every OpenBLAS that numpy and scipy have loaded to one
-thread, so BLAS threads never compete with the pool's workers for the
-CPUs. The pool runs one worker per CPU this process may use, at most 8;
+module sets numpy's OpenBLAS to one thread, and scipy's too if the
+process has already loaded it (ris_lab itself never imports scipy), so
+BLAS threads never compete with the pool's workers for the CPUs. The pool runs one worker per CPU this process may use, at most 8;
 the RIS_LAB_THREADS environment variable sets the worker count instead.
 
 Every pass shares one prefix per chunk (channel draw, pilot phase,
@@ -60,6 +60,7 @@ an actual matrix, in the eavesdropper's interference.
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,7 +68,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .errors import InvalidParameterError
 from .estimation import ChannelEstimator, simulate_pilot_phase
@@ -120,16 +120,27 @@ _OPENBLAS_SYMBOLS = [(f"{prefix}_set_num_threads{suffix}", f"{prefix}_get_num_th
                      for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
 
 
+def _openblas_dirs() -> list:
+    """The ``.libs`` directories of the numpy and, if installed, scipy wheels.
+
+    scipy is located without importing it.
+    """
+    dirs = [Path(np.__file__).parent.with_name("numpy.libs")]
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.origin:
+        dirs.append(Path(spec.origin).parent.with_name("scipy.libs"))
+    return dirs
+
+
 def _pin_openblas() -> dict:
     """Set each OpenBLAS that numpy or scipy has loaded to one thread.
 
     Returns the thread-count getter of every pinned library, by file
-    name; empty when neither package bundles an OpenBLAS. RTLD_NOLOAD
-    reaches only libraries already in the process, never loads one.
+    name; empty when no bundled OpenBLAS is loaded. RTLD_NOLOAD reaches
+    only libraries already in the process, never loads one.
     """
     getters = {}
-    for pkg in (np, scipy):
-        libs_dir = Path(pkg.__file__).parent.with_name(pkg.__name__ + ".libs")
+    for libs_dir in _openblas_dirs():
         for path in sorted(libs_dir.glob("*openblas*.so")):
             try:
                 lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
@@ -146,8 +157,8 @@ def _pin_openblas() -> dict:
     return getters
 
 
-# Both libraries are loaded by now: numpy's with numpy, scipy's with the
-# scipy.linalg import of .linalg, which .estimation pulls in above.
+# numpy's library is loaded with numpy; scipy's only if the process
+# imported a compiled part of scipy before ris_lab.
 _PINNED_BLAS = _pin_openblas()
 
 

@@ -55,6 +55,24 @@ def test_phase_deviation_von_mises_value():
     assert got == pytest.approx(0.9485998259548459, rel=1e-12)
 
 
+# log grid over the whole range, plus both sides of the switch from the
+# power series to the asymptotic series at nu = 30
+BESSEL_GRID = np.concatenate([np.logspace(-8, 12, 201),
+                              [29.0, 29.999999, np.nextafter(30.0, 0.0), 30.0, 30.000001, 31.0]])
+
+
+def test_phase_deviation_von_mises_matches_scaled_bessel_ratio():
+    # oracle: scipy's exponentially scaled Bessel functions, I1(nu)/I0(nu)
+    nus = []
+    for nu in BESSEL_GRID:
+        model = rl.PhaseNoiseModel("von_mises", 1.0 / nu)
+        nu = model.nu_p
+        nus.append(nu)
+        got = rl.phase_deviation_factor(model)
+        assert got == pytest.approx(i1e(nu) / i0e(nu), rel=1e-14), nu
+    assert any(29.9 < nu < 30.0 for nu in nus) and any(30.0 <= nu < 30.1 for nu in nus)
+
+
 def test_phase_deviation_large_concentration_stable():
     # nu up to 1e4 and beyond must not overflow the Bessel ratio
     for sigma_p2 in (1e-4, 1e-6, 1e-8):

@@ -10,10 +10,16 @@ how the bindings that the benchmark tracer wraps are kept.
 
 The checks further down find values that nothing reads: record fields,
 the instance attributes an ``__init__`` sets, and function parameters.
+The last one runs an experiment in a fresh interpreter and checks that
+the package never imports scipy, which is a test-only dependency.
 """
 import ast
 import collections
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -248,3 +254,34 @@ def test_unread_parameter_check_on_a_small_source():
     assert unread_parameters(source) == [
         (1, "f", "args"), (1, "f", "b"), (1, "f", "d"), (1, "f", "kw"),
         (4, "method", "self"), (5, "inner", "y"), (10, "<lambda>", "v")]
+
+
+# --------------------------------------------------------------------------
+# no scipy at run time
+# --------------------------------------------------------------------------
+
+# A phase-noise sweep with a von Mises level touches every module: the
+# Bessel ratio, both correlation square roots, the guarded LMMSE solves,
+# the closed forms and the Monte Carlo oracle.
+NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import ris_lab.cli
+out = Path(sys.argv[1])
+out.mkdir()
+(out / "config.json").write_text(json.dumps({
+    "m": 8, "n": 4, "k": 2, "m_e": 2, "sweep": [4],
+    "phase_noise_levels": [0.0, 0.5], "n_blocks": 2}))
+rc = ris_lab.cli.main(["phase_noise_sweep", "--config", str(out / "config.json"),
+                       "--out", str(out / "run")])
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules
+                                            if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "w")],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout.splitlines()[-1]) == {"rc": 0, "scipy": []}

@@ -1,0 +1,43 @@
+"""Guarded Hermitian solves: residual, condition estimate, singular input."""
+import numpy as np
+import pytest
+
+import ris_lab as rl
+from ris_lab.linalg import HermitianSolver
+
+
+def random_hpd(n, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g @ g.conj().T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_solve_residual_is_roundoff(n):
+    a = random_hpd(n, seed=n)
+    rng = np.random.default_rng(100 + n)
+    b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    x = HermitianSolver(a).solve(b)
+    assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_condition_estimate_is_squared_cholesky_diagonal_ratio():
+    a = random_hpd(12, seed=3)
+    d = np.abs(np.diag(np.linalg.cholesky(a)))
+    solver = HermitianSolver(a)
+    assert solver.cond_estimate == pytest.approx((d.max() / d.min()) ** 2, rel=1e-14)
+    assert solver.is_well_conditioned
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((3, 3)),
+    np.diag([1.0, 1.0, 0.0]),
+    np.outer([1.0, 2.0j, -1.0], np.conj([1.0, 2.0j, -1.0])),
+    np.diag([1.0, -1e-3]),
+], ids=["zero", "rank_two", "rank_one", "indefinite"])
+def test_singular_input_raises_with_its_condition_number(a):
+    with pytest.raises(rl.IllConditionedError) as err:
+        HermitianSolver(a, name="A")
+    assert err.value.cond == np.inf or err.value.cond > 1e12
+    assert str(err.value).startswith("A is not positive definite")
+

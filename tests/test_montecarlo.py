@@ -181,22 +181,28 @@ def test_worker_count_follows_the_cpu_mask(monkeypatch):
     assert worker_count() == 5
 
 
-# Reads every OpenBLAS bundled with numpy and scipy through its own
-# thread-count getter, independently of ris_lab's lookup.
+# Reads every OpenBLAS bundled with numpy and scipy that the process has
+# loaded, through its own thread-count getter and independently of
+# ris_lab's lookup, next to what ris_lab reports. RTLD_NOLOAD keeps the
+# script from loading a library itself, at its default thread count.
 BLAS_THREADS_SCRIPT = """
-import ctypes, json, sys
+import ctypes, json, os, sys
 from pathlib import Path
 {imports}
 import numpy, scipy
+from ris_lab import montecarlo
 counts = {{}}
 for pkg in (numpy, scipy):
     for path in Path(pkg.__file__).parent.with_name(pkg.__name__ + ".libs").glob("*openblas*"):
-        lib = ctypes.CDLL(str(path))
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
         names = [n for n in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                              "openblas_get_num_threads64_", "openblas_get_num_threads")
                  if hasattr(lib, n)]
         counts[path.name] = getattr(lib, names[0])()
-json.dump(counts, sys.stdout)
+json.dump({{"counts": counts, "pinned": montecarlo.blas_threads()}}, sys.stdout)
 """
 
 
@@ -211,11 +217,12 @@ def test_import_pins_every_bundled_openblas_to_one_thread(imports):
         [str(Path(rl.__file__).parents[1]), env.get("PYTHONPATH", "")])
     out = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT.format(imports=imports)],
                          env=env, capture_output=True, text=True, check=True, timeout=120)
-    counts = json.loads(out.stdout)
+    result = json.loads(out.stdout)
+    counts = result["counts"]
     if not counts:
         pytest.skip("numpy and scipy bundle no OpenBLAS here")
     assert counts == {name: 1 for name in counts}
-    assert counts == rl.montecarlo.blas_threads()
+    assert counts == result["pinned"]
 
 
 def test_standard_errors_shrink_with_block_count(small_setup):
