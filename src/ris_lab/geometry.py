@@ -110,8 +110,8 @@ def _bessel_ratio(nu: float) -> float:
     """I1(nu)/I0(nu) for nu > 0, to a few ulps, without overflow at any nu.
 
     Below 30 the ratio of the two power series; from 30 on the ratio of
-    Hankel's asymptotic series, whose terms fall below 1e-17 long before
-    they would start to grow. Every term of each sum has one sign.
+    Hankel's asymptotic series, cut once its terms fall below 1e-17, long
+    before that divergent series would start to grow.
     """
     if nu < 30.0:
         # I_n(nu) = sum_k (nu/2)^(2k+n) / (k! (k+n)!)
@@ -149,7 +149,7 @@ def phase_deviation_factor(model: PhaseNoiseModel) -> float:
     if model.kind == "uniform":
         iota = model.iota_p
         return float(np.sinc(iota / np.pi))
-    return _bessel_ratio(float(model.nu_p))
+    return _bessel_ratio(model.nu_p)
 
 
 @dataclass(frozen=True)

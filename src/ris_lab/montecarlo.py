@@ -20,8 +20,9 @@ nothing there.
 The chunk thread pool is the only level of parallelism. Importing this
 module sets numpy's OpenBLAS to one thread, and scipy's too if the
 process has already loaded it (ris_lab itself never imports scipy), so
-BLAS threads never compete with the pool's workers for the CPUs. The pool runs one worker per CPU this process may use, at most 8;
-the RIS_LAB_THREADS environment variable sets the worker count instead.
+BLAS threads never compete with the pool's workers for the CPUs. The
+pool runs one worker per CPU this process may use, at most 8; the
+RIS_LAB_THREADS environment variable sets the worker count instead.
 
 Every pass shares one prefix per chunk (channel draw, pilot phase,
 estimate, MRT precoder and the thin QR factor Q of the estimate); the
@@ -120,18 +121,6 @@ _OPENBLAS_SYMBOLS = [(f"{prefix}_set_num_threads{suffix}", f"{prefix}_get_num_th
                      for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
 
 
-def _openblas_dirs() -> list:
-    """The ``.libs`` directories of the numpy and, if installed, scipy wheels.
-
-    scipy is located without importing it.
-    """
-    dirs = [Path(np.__file__).parent.with_name("numpy.libs")]
-    spec = importlib.util.find_spec("scipy")
-    if spec is not None and spec.origin:
-        dirs.append(Path(spec.origin).parent.with_name("scipy.libs"))
-    return dirs
-
-
 def _pin_openblas() -> dict:
     """Set each OpenBLAS that numpy or scipy has loaded to one thread.
 
@@ -139,8 +128,12 @@ def _pin_openblas() -> dict:
     name; empty when no bundled OpenBLAS is loaded. RTLD_NOLOAD reaches
     only libraries already in the process, never loads one.
     """
+    libs_dirs = [Path(np.__file__).parent.with_name("numpy.libs")]
+    scipy_spec = importlib.util.find_spec("scipy")     # locates scipy, does not import it
+    if scipy_spec is not None and scipy_spec.origin:
+        libs_dirs.append(Path(scipy_spec.origin).parent.with_name("scipy.libs"))
     getters = {}
-    for libs_dir in _openblas_dirs():
+    for libs_dir in libs_dirs:
         for path in sorted(libs_dir.glob("*openblas*.so")):
             try:
                 lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
