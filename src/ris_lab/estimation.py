@@ -87,8 +87,8 @@ class ChannelEstimator:
             raise InvalidParameterError("pilot length shorter than user count")
         self.stats = stats
         self.pilots = pilots
-        self.psi = build_psi(stats, pilots)
-        solvers = [HermitianSolver(p, name=f"Psi_{k}") for k, p in enumerate(self.psi)]
+        solvers = [HermitianSolver(p, name=f"Psi_{k}")
+                   for k, p in enumerate(build_psi(stats, pilots))]
         if any(not s.is_well_conditioned for s in solvers):
             worst = max(s.cond_estimate for s in solvers)
             warnings.warn(

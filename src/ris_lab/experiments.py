@@ -12,6 +12,10 @@ A grid point is the config with its swept fields replaced
 that one config; the seed and hash columns are the base config's.
 ``nmse_vs_snr`` sweeps the pilot SNR (``pilot_snr_db``), the only SNR the
 estimate depends on; its column keeps the name ``snr_db``.
+Consecutive secrecy grid points whose statistics differ at most in the
+phase-error law share one ``estimate_secrecy`` call, so one Monte Carlo
+draw: ``xi_sweep``, ``kappa_t_sweep`` and ``secrecy_vs_snr`` draw once,
+``phase_noise_sweep`` once per N.
 
 SNR convention: the downlink axis is P_t / sigma_k^2 in dB with
 sigma_k^2 = 1, the uplink pilot axis is rho / sigma_u^2; path gains are
@@ -47,12 +51,14 @@ from .geometry import (
     path_loss,
 )
 from .hardware import HardwareProfile
+from .precoding import check_power_fraction
 from .montecarlo import (
     THREADS_ENV,
     TrialPlan,
     blas_threads,
     estimate_nmse,
     estimate_secrecy,
+    shares_draw,
     worker_count,
 )
 from .montecarlo import (  # noqa: F401 -- bench/tracer.py wraps these bindings
@@ -131,14 +137,13 @@ class ExperimentConfig:
 
     def validate(self):
         self.dimensions()
-        if not 0.0 < self.xi <= 1.0:
-            raise ConfigValidationError("xi must lie in (0, 1]")
-        if not 0.0 <= self.bs_corr < 1.0:
-            raise ConfigValidationError("bs_corr must lie in [0, 1)")
         try:
+            check_power_fraction(self.xi)
             PhaseNoiseModel(kind=self.phase_noise_kind, sigma_p2=self.sigma_p2)
         except InvalidParameterError as exc:
             raise ConfigValidationError(str(exc)) from exc
+        if not 0.0 <= self.bs_corr < 1.0:
+            raise ConfigValidationError("bs_corr must lie in [0, 1)")
         if self.n_blocks < 1:
             raise ConfigValidationError("n_blocks must be positive")
         if self.seed < 0:
@@ -448,14 +453,33 @@ def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
 # per-experiment runners
 # --------------------------------------------------------------------------
 
-def _mc_secrecy(setups: list, config: ExperimentConfig) -> list:
-    """Monte Carlo secrecy averaged over users, (value, se) per setup, from one oracle call.
+def _secrecy_rows(config: ExperimentConfig, points, closed) -> list:
+    """Rows ``[*lead, *closed(setup), r_sec_mc, r_sec_mc_se]`` of the ``(lead, config)`` points.
 
-    The setups may differ only in their phase-error law; they share hw and xi.
+    Closed forms run as each point is built, so the first bad point decides
+    the error. A point whose statistics, phase law and pilots equal the
+    previous point's takes over its estimator, so a run holds one estimator
+    per distinct link; each run of points that share a draw is one oracle call.
     """
     plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
-    orcs = estimate_secrecy([s.est for s in setups], setups[0].hw, setups[0].xi, plan)
-    return [(orc.r_sec, orc.r_sec_se) for orc in orcs]
+    rows, run = [], []          # run: (row, setup) of the points that share the draw
+
+    def finish_run():
+        orcs = estimate_secrecy([(s.est, s.hw, s.xi) for _, s in run], plan)
+        rows.extend(row + [orc.r_sec, orc.r_sec_se] for (row, _), orc in zip(run, orcs))
+        run.clear()
+
+    for lead, point in points:
+        setup = build_setup(point)
+        if run:
+            last, stats = run[-1][1].est, setup.est.stats
+            if not shares_draw(last.stats, stats):
+                finish_run()
+            elif last.stats.phase_model == stats.phase_model and last.pilots == setup.est.pilots:
+                setup.est = last
+        run.append((lead + closed(setup), setup))
+    finish_run()
+    return rows
 
 
 def _rate_terms(setup: SystemSetup) -> list:
@@ -465,80 +489,67 @@ def _rate_terms(setup: SystemSetup) -> list:
 
 
 def _closed_secrecy(terms: list, xi: float):
-    """Closed-form (user rate, eve bound, secrecy) averaged over users.
+    """Closed-form [user rate, eve bound, secrecy] averaged over users.
 
     The no-AN/no-distortion corner has a defined answer (Eve's SINR
     diverges, so the secrecy rate is zero) and is reported as such.
     """
-    r_u, c_e, r_s = [], [], []
+    per_user = []
     for user in terms:
         try:
             rep = secrecy_rate(user, xi)
-            r_u.append(rep.r_k)
-            c_e.append(rep.c_e_bar)
-            r_s.append(rep.r_sec)
+            per_user.append((rep.r_k, rep.c_e_bar, rep.r_sec))
         except InfiniteEveCapacityError:
-            rate, _, _ = user_rate(user, xi)
-            r_u.append(rate)
-            c_e.append(float("inf"))
-            r_s.append(0.0)
-    return float(np.mean(r_u)), float(np.mean(c_e)), float(np.mean(r_s))
+            per_user.append((user_rate(user, xi)[0], float("inf"), 0.0))
+    return [float(np.mean(column)) for column in zip(*per_user)]
+
+
+def _axis_value(column: str, value):
+    """A sweep value as its config field's type: int for the sizes M and N."""
+    return int(value) if column in ("m", "n") else float(value)
+
+
+def _nmse_sweep(config: ExperimentConfig, name, column, grid, limit_column,
+                limit) -> ResultTable:
+    """NMSE, closed form with the user average of ``limit(setup, k)``, and Monte Carlo."""
+    plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
+    field_name = "pilot_snr_db" if column == "snr_db" else column
+    rows = []
+    for value in (_axis_value(column, v) for v in grid):
+        setup = build_setup(config.replace(**{field_name: value}))
+        orc, k_users = estimate_nmse(setup.est, plan), setup.est.stats.dims.k
+        rows.append([value, float(np.mean(setup.est.nmse)),
+                     float(np.mean([limit(setup, k) for k in range(k_users)])),
+                     float(np.mean(orc.nmse)), float(np.sqrt(np.sum(orc.nmse_se ** 2)) / k_users)])
+    return ResultTable(name, [column, "nmse_cf", limit_column, "nmse_mc", "nmse_mc_se"], rows)
 
 
 def _run_nmse_vs_snr(config: ExperimentConfig) -> ResultTable:
     grid = config.sweep or [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
-    rows = []
-    for snr in grid:
-        setup = build_setup(config.replace(pilot_snr_db=float(snr)))
-        plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
-        orc = estimate_nmse(setup.est, plan)
-        k_users = setup.est.stats.dims.k
-        floor = np.mean([nmse_high_power_limit(setup.est.stats, setup.est.pilots, k)
-                         for k in range(k_users)])
-        rows.append([float(snr), float(np.mean(setup.est.nmse)), float(floor),
-                     float(np.mean(orc.nmse)),
-                     float(np.sqrt(np.sum(orc.nmse_se ** 2)) / k_users)])
-    return ResultTable(
-        "nmse_vs_snr",
-        ["snr_db", "nmse_cf", "nmse_floor_cf", "nmse_mc", "nmse_mc_se"],
-        rows)
+    return _nmse_sweep(config, "nmse_vs_snr", "snr_db", grid, "nmse_floor_cf",
+                       lambda s, k: nmse_high_power_limit(s.est.stats, s.est.pilots, k))
 
 
 def _run_nmse_vs_n(config: ExperimentConfig) -> ResultTable:
     grid = config.sweep or [16, 36, 64, 100, 196, 400]
-    rows = []
-    for n in grid:
-        n = int(n)
-        setup = build_setup(config.replace(n=n))
-        plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
-        orc = estimate_nmse(setup.est, plan)
-        dims, fading = setup.est.stats.dims, setup.est.stats.fading
-        large_n = np.mean([
-            nmse_large_n_limit(fading.beta_2[k], fading.beta_i[k], fading.beta_1, n,
-                               config.rho, dims.tau_u, config.sigma_u2)
-            for k in range(dims.k)])
-        rows.append([n, float(np.mean(setup.est.nmse)), float(large_n),
-                     float(np.mean(orc.nmse)),
-                     float(np.sqrt(np.sum(orc.nmse_se ** 2)) / dims.k)])
-    return ResultTable(
-        "nmse_vs_N",
-        ["n", "nmse_cf", "nmse_large_n_cf", "nmse_mc", "nmse_mc_se"],
-        rows)
+
+    def large_n(setup, k):
+        fading, pilots = setup.est.stats.fading, setup.est.pilots
+        return nmse_large_n_limit(fading.beta_2[k], fading.beta_i[k], fading.beta_1,
+                                  setup.est.stats.dims.n, pilots.rho, pilots.tau_u,
+                                  pilots.sigma_u2)
+
+    return _nmse_sweep(config, "nmse_vs_N", "n", grid, "nmse_large_n_cf", large_n)
 
 
 def _secrecy_sweep(config: ExperimentConfig, name, column, grid) -> ResultTable:
     """Secrecy, closed form and Monte Carlo, with the config field ``column`` swept."""
-    rows = []
-    for value in grid:
-        value = int(value) if column in ("m", "n") else float(value)
-        setup = build_setup(config.replace(**{column: value}))
-        r_user, c_eve, r_sec = _closed_secrecy(_rate_terms(setup), setup.xi)
-        [(mc, mc_se)] = _mc_secrecy([setup], config)
-        rows.append([value, r_user, c_eve, r_sec, mc, mc_se])
-    return ResultTable(
-        name,
-        [column, "r_user_cf", "c_eve_cf", "r_sec_cf", "r_sec_mc", "r_sec_mc_se"],
-        rows)
+    points = (([value], config.replace(**{column: value}))
+              for value in (_axis_value(column, v) for v in grid))
+    rows = _secrecy_rows(config, points,
+                         lambda setup: _closed_secrecy(_rate_terms(setup), setup.xi))
+    return ResultTable(name, [column, "r_user_cf", "c_eve_cf", "r_sec_cf", "r_sec_mc",
+                              "r_sec_mc_se"], rows)
 
 
 def _run_secrecy_vs_snr(config: ExperimentConfig) -> ResultTable:
@@ -575,12 +586,13 @@ def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
         _, _, r_48 = secrecy_large_n(
             fading.beta_2[0], fading.beta_i[0], fading.beta_1, n, dims.m, dims.k,
             dims.m_e, xi, rho, dims.tau_u, sigma_u2, hw)
-        _, _, r_50 = secrecy_limit(dims.m, dims.k, dims.m_e, xi, hw)
+        _, _, r_50 = secrecy_limit(dims.m, dims.k, dims.m_e, xi, hw.kappa_t_bs, hw.kappa_r_ue)
         hw_scaled = dataclasses.replace(hw, p_t=e_u / n)     # budget shrinking as 1/N
         _, _, r_scaled = secrecy_uncorrelated(
             dims, fading, h1, rho, sigma_u2, hw_scaled, xi, k=0)
         _, _, r_49 = secrecy_power_scaled(e_u, dims.m, dims.k, dims.m_e, fading.beta_i[0],
-                                          fading.beta_1, xi, hw)
+                                          fading.beta_1, xi, hw.kappa_t_bs, hw.kappa_r_ue,
+                                          hw.sigma_k2)
         rows.append([n, r_prop, r_48, r_50, r_scaled, r_49])
     return ResultTable(
         "asymptotic_vs_N",
@@ -591,38 +603,33 @@ def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
 
 def _run_xi_sweep(config: ExperimentConfig) -> ResultTable:
     grid = config.sweep or [round(0.05 * i, 2) for i in range(1, 21)]
-    rows = []
-    for xi in grid:
-        xi = float(xi)
-        setup = build_setup(config.replace(xi=xi))
+
+    def closed(setup):
         terms = _rate_terms(setup)
-        _, _, r_closed = _closed_secrecy(terms, xi)
+        r_closed = _closed_secrecy(terms, setup.xi)[2]
         try:
-            r_eq = np.mean([max(0.0, secrecy_gap_split(t, xi)) for t in terms])
+            r_eq = np.mean([max(0.0, secrecy_gap_split(t, setup.xi)) for t in terms])
         except InfiniteEveCapacityError:
             r_eq = 0.0
-        [(mc, mc_se)] = _mc_secrecy([setup], config)
-        rows.append([xi, float(r_closed), float(r_eq), mc, mc_se])
+        return [r_closed, float(r_eq)]
+
+    points = (([xi], config.replace(xi=xi)) for xi in map(float, grid))
     return ResultTable(
         "xi_sweep",
         ["xi", "r_sec_closed", "r_sec_eq40", "r_sec_mc", "r_sec_mc_se"],
-        rows)
+        _secrecy_rows(config, points, closed))
 
 
 def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
     """Secrecy per (N, sigma_p2); the levels of one N share one Monte Carlo draw."""
     grid = config.sweep or [64, 100, 196, 400, 784, 1600]
-    levels = [float(sp2) for sp2 in config.phase_noise_levels]
-    rows = []
-    for n in grid:
-        setups = [build_setup(config.replace(n=int(n), sigma_p2=sp2)) for sp2 in levels]
-        closed = [_closed_secrecy(_rate_terms(setup), setup.xi)[2] for setup in setups]
-        rows += [[int(n), sp2, r_sec, mc, mc_se] for sp2, r_sec, (mc, mc_se)
-                 in zip(levels, closed, _mc_secrecy(setups, config))]
+    points = (([int(n), float(sp2)], config.replace(n=int(n), sigma_p2=float(sp2)))
+              for n in grid for sp2 in config.phase_noise_levels)
     return ResultTable(
         "phase_noise_sweep",
         ["n", "sigma_p2", "r_sec_cf", "r_sec_mc", "r_sec_mc_se"],
-        rows)
+        _secrecy_rows(config, points,
+                      lambda setup: [_closed_secrecy(_rate_terms(setup), setup.xi)[2]]))
 
 
 _RUNNERS = {

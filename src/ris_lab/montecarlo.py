@@ -26,8 +26,8 @@ RIS_LAB_THREADS environment variable sets the worker count instead.
 
 Every pass shares one prefix per chunk (channel draw, pilot phase,
 estimate, MRT precoder and the thin QR factor Q of the estimate); the
-user-rate, eavesdropper and Wishart passes then compute only their own
-terms. All batched contractions are BLAS matmuls over the block axis.
+secrecy and Wishart passes then compute only their own terms. All batched
+contractions are BLAS matmuls over the block axis.
 
 The AN precoder V, an orthonormal basis of the null space of the
 estimate, enters the model only through the AN covariance
@@ -38,18 +38,13 @@ Eve's AN term is q P^H P with P = (I - Q Q^H) H_E, and
 diag(V V^H) = 1 - |rows of Q|^2. The projection form keeps the leakage
 exactly zero under perfect CSI and every quadratic form PSD.
 
-The downlink oracles take ``(est, hw, xi, plan)``, ``estimate_secrecy``
-a sequence ``ests`` in place of ``est``: K, M and M_E come from
-``est.stats.dims``, P_t from the ``HardwareProfile`` ``hw``, and each
-oracle computes the per-stream powers (p, q) once with
-``precoding.stream_powers``. ``estimate_nmse`` takes ``(est, plan)``.
-
-``estimate_secrecy`` takes a sequence of estimators that differ at most in
-their phase-error law and draws each chunk once for all of them. Each
-block's user terms and eavesdropper log-rate come from the same draw, and
-the secrecy standard error is built from per-block pairs by the delta
-method. ``estimate_user_rate``, ``estimate_eve_capacity`` and
-``estimate_wishart_moments`` remain as term-by-term oracles.
+``estimate_secrecy(points, plan)`` is the one downlink oracle. Its
+operating points ``(est, hw, xi)`` take K, M and M_E from
+``est.stats.dims``, P_t from the ``HardwareProfile`` ``hw`` and the powers
+(p, q) from ``precoding.stream_powers``; points whose statistics differ at
+most in the phase-error law (``shares_draw``) share one draw per chunk.
+``estimate_nmse(est, plan)`` and ``estimate_wishart_moments(est, hw, xi,
+plan)`` draw on their own streams.
 
 Model note: the user-rate terms keep the channel-hardening bookkeeping of
 the Theorem-1 bound. The downlink HWI power uses the per-antenna transmit
@@ -72,7 +67,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .estimation import ChannelEstimator, simulate_pilot_phase
-from .geometry import aggregate_channels, sample_realizations
+from .geometry import ChannelStatistics, aggregate_channels, sample_realizations
 from .hardware import HardwareProfile
 from .precoding import mrt_normalizers, mrt_precoder, stream_powers
 from .precoding import null_space_an_batch  # noqa: F401 -- bench/tracer.py wraps this binding
@@ -175,39 +170,39 @@ def _run_chunks(plan: TrialPlan, purpose: int, work):
         return [f.result() for f in futures]
 
 
-def _check_shared_draw(ests) -> None:
-    """Raise unless the estimators differ at most in their phase-error law."""
-    first = ests[0].stats
-    for est in ests[1:]:
-        stats = est.stats
-        # np.array_equal also compares the None of an identity template
-        same = (stats.dims == first.dims and stats.fading == first.fading
-                and all(np.array_equal(getattr(stats, name), getattr(first, name))
-                        for name in ("h1", "phi", "r_i", "r_b")))
-        if not same:
-            raise InvalidParameterError(
-                "estimators of one oracle call may differ only in their phase-error law")
+def shares_draw(a: ChannelStatistics, b: ChannelStatistics) -> bool:
+    """Whether one chunk draw serves both statistics: they differ at most in the phase law."""
+    # np.array_equal also compares the None of an identity template
+    return (a.dims == b.dims and a.fading == b.fading
+            and all(np.array_equal(getattr(a, name), getattr(b, name))
+                    for name in ("h1", "phi", "r_i", "r_b")))
 
 
 def _chunk_channels(ests, size: int, key: tuple):
     """Per estimator in turn: (h, h_e, h_hat) of one chunk, in the module's stream layout.
 
-    The Gaussians are drawn once, from ``ests[0].stats``. Each estimator
-    restarts the phase-error substream, and its pilot phase replays the
-    chunk stream from the state the Gaussians left, so the estimators
-    share every random number but the phase errors.
+    The Gaussians are drawn once, from ``ests[0].stats``. Where the
+    phase-error law changes, the phase-error substream restarts and the
+    channels are rebuilt; each pilot phase replays the chunk stream from
+    the state the Gaussians left. The previous estimate and the previous
+    law's channels are released before the next ones are built.
     """
     rng = derive_rng(*key)
     draws = sample_realizations(ests[0].stats, rng, size)
     pilot_state = rng.bit_generator.state
+    laws = [est.stats.phase_model for est in ests]
+    law = channels = None
     for i, est in enumerate(ests):
-        stats = est.stats
-        theta = stats.phase_model.draw(derive_rng(*key, PHASE_ERRORS), (size, stats.dims.n))
-        h, h_e = aggregate_channels(stats, draws, theta)
-        if i == len(ests) - 1:
-            del draws, theta        # the caller's work on the last level runs without them
+        if laws[i] != law:
+            law, channels = laws[i], None
+            channels = aggregate_channels(est.stats, draws, law.draw(
+                derive_rng(*key, PHASE_ERRORS), (size, est.stats.dims.n)))
+            if all(later == law for later in laws[i + 1:]):
+                del draws           # the later estimators run without the Gaussians
         rng.bit_generator.state = pilot_state
-        yield h, h_e, est.estimate(simulate_pilot_phase(h, est.pilots, rng))
+        h_hat = est.estimate(simulate_pilot_phase(channels[0], est.pilots, rng))
+        yield *channels, h_hat
+        del h_hat
 
 
 def _stack(parts, key):
@@ -239,10 +234,10 @@ def _ratio_se(num: np.ndarray, den: np.ndarray):
 class OracleEstimates:
     """Monte Carlo estimates; every field pairs with a standard error.
 
-    Per-user arrays have length K. Which sections are filled depends on
-    which estimator produced the object: the NMSE, the user-rate terms of
-    the Theorem-1 decomposition, Eve's capacity and the secrecy rate. It holds
-    estimates only; Eve's thermal floor is ``_eve_floor(hw, q)``.
+    Per-user arrays have length K. ``estimate_nmse`` fills the NMSE;
+    ``estimate_secrecy`` the user-rate terms of the Theorem-1 decomposition,
+    Eve's capacity and the secrecy rate. It holds estimates only; Eve's
+    thermal floor is ``_eve_floor(hw, q)``.
     """
 
     nmse: np.ndarray | None = None
@@ -286,7 +281,7 @@ def estimate_nmse(est: ChannelEstimator, plan: TrialPlan) -> OracleEstimates:
 
 
 # --------------------------------------------------------------------------
-# downlink SINR term oracle
+# secrecy oracle: user-rate terms, Eve's capacity and the secrecy rate
 # --------------------------------------------------------------------------
 
 class _Blocks(NamedTuple):
@@ -303,11 +298,18 @@ class _Blocks(NamedTuple):
 
 
 def _chunk_blocks(ests, size: int, key: tuple):
-    """Per estimator: one chunk's ``_Blocks``, from the layout of ``_chunk_channels``."""
-    for est, (h, h_e, h_hat) in zip(ests, _chunk_channels(ests, size, key)):
-        w = mrt_precoder(h_hat, est)
-        q_hat = np.linalg.qr(h_hat)[0]
-        yield _Blocks(h=h, h_e=h_e, h_hat=h_hat, w=w, q_hat=q_hat)
+    """Per estimator: one chunk's ``_Blocks``, from the layout of ``_chunk_channels``.
+
+    Keeps no reference to one estimator's blocks while building the next.
+    """
+    channels = _chunk_channels(ests, size, key)
+    for est in ests:
+        h, h_e, h_hat = next(channels)
+        blk = _Blocks(h=h, h_e=h_e, h_hat=h_hat, w=mrt_precoder(h_hat, est),
+                      q_hat=np.linalg.qr(h_hat)[0])
+        del h, h_e, h_hat
+        yield blk
+        del blk
 
 
 def _row_power(a: np.ndarray) -> np.ndarray:
@@ -430,70 +432,54 @@ def _reduce_user_terms(parts: list, hw: HardwareProfile, p: float, q: float,
     return orc, d_rate
 
 
-def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile, xi: float,
-                       plan: TrialPlan) -> OracleEstimates:
-    """Term-by-term estimate of the downlink SINR for every user.
+def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
+    """User-rate terms, eavesdropper capacities and secrecy rates of operating points.
 
-    Estimates the signal, interference, estimation-uncertainty and
-    AN-leakage expectations from the realized channels and precoders,
-    keeping the channel-hardening bookkeeping of the rate decomposition:
-    the signal-uncertainty term is the error-driven fluctuation
-    |e_k^H h_hat_k|^2 (the estimate-norm fluctuation is hardened away),
-    and the HWI power uses the deterministic-limit transmit profile with
-    the measured channel energy (see the module note). The rate is
-    assembled from the term means; its standard error comes from the
-    per-block delta-method linearization of that rate.
+    ``points`` holds operating points ``(est, hw, xi)`` whose statistics pass
+    ``shares_draw``; one ``OracleEstimates`` is returned per point, in order,
+    each bit-identical to the estimate of that point alone. The points share
+    every random number but the phase errors (see ``_chunk_channels``), so
+    their differences are far less noisy than their standard errors. The
+    user terms run once per run of consecutive points with one estimator.
+
+    Eve's log-rate comes from the M_E x M_E interference-whitening solve,
+    with ``_eve_floor(hw, q)`` where that system is singular. ``r_sec`` is
+    the user average of max(0, R_k - C_k); its standard error is that of the
+    per-block psi_b = mean_k(dR_bk - dC_bk), dR the delta-method
+    linearization of the rate and dC_bk = log_rate_bk - C_k, so it carries
+    the user/Eve and user/user correlations of the draw; it ignores the clip.
     """
-    p, q = stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
-
-    def work(size, key):
-        [blk] = _chunk_blocks([est], size, key)
-        return _user_terms(est, blk)
-
-    parts = _run_chunks(plan, CHANNEL_BLOCK, work)
-    return _reduce_user_terms(parts, hw, p, q, est.stats.dims.m)[0]
-
-
-def estimate_secrecy(ests, hw: HardwareProfile, xi: float,
-                     plan: TrialPlan) -> list[OracleEstimates]:
-    """User rates, eavesdropper capacities and the secrecy rate, one pass per chunk.
-
-    ``ests`` is a sequence of estimators that may differ only in their
-    phase-error law (``InvalidParameterError`` otherwise); one
-    ``OracleEstimates`` is returned per estimator, in order. Each chunk is
-    drawn once for all of them on the ``CHANNEL_BLOCK`` stream (see
-    ``_chunk_channels``): they share the Gaussians, the square roots of
-    R_I and R_B (built once, from ``ests[0].stats``) and the pilot noise,
-    and only the phase errors and what follows from them differ. These
-    common random numbers make the differences between the estimates far
-    less noisy than their standard errors. A one-element list gives the
-    user-rate fields of ``estimate_user_rate`` at the same plan.
-
-    Each block's user terms and Eve's log-rate come from the same channels
-    and precoders. ``r_sec`` is the user average of max(0, R_k - C_k). Its
-    standard error is that of the per-block pairs psi_b = mean_k(dR_bk - dC_bk),
-    with dR the delta-method linearization of the rate and
-    dC_bk = log_rate_bk - C_k, so it carries the user/Eve and user/user
-    correlations of the shared draw; it ignores the clip at zero.
-    """
-    ests = list(ests)
-    if not ests:
-        raise InvalidParameterError("need at least one estimator")
-    _check_shared_draw(ests)
-    dims = ests[0].stats.dims
-    p, q = stream_powers(hw.p_t, xi, dims.k, dims.m)
-    sigma_e2 = _eve_floor(hw, q)
+    points = list(points)
+    if not points:
+        raise InvalidParameterError("need at least one operating point")
+    first = points[0][0].stats
+    if not all(shares_draw(first, est.stats) for est, _, _ in points[1:]):
+        raise InvalidParameterError("the statistics of one call's operating points "
+                                    "may differ only in their phase-error law")
+    dims = first.dims
+    runs = []       # (estimator, [(hw, p, q), ...]): consecutive points with one estimator
+    for est, hw, xi in points:
+        op = (hw, *stream_powers(hw.p_t, xi, dims.k, dims.m))
+        if runs and runs[-1][0] is est:
+            runs[-1][1].append(op)
+        else:
+            runs.append((est, [op]))
 
     def work(size, key):
         parts = []
-        for est, blk in zip(ests, _chunk_blocks(ests, size, key)):
+        blocks = _chunk_blocks([est for est, _ in runs], size, key)
+        for est, ops in runs:
+            blk = next(blocks)
             terms = _user_terms(est, blk)
-            terms["log_rate"] = _eve_log_rate(blk, p, q, hw.kappa_t_bs, sigma_e2)
-            parts.append(terms)
+            parts += [{**terms, "log_rate": _eve_log_rate(blk, p, q, hw.kappa_t_bs,
+                                                          _eve_floor(hw, q))}
+                      for hw, p, q in ops]
+            del blk
         return parts
 
     out = []
-    for parts in zip(*_run_chunks(plan, CHANNEL_BLOCK, work)):     # one level's chunks
+    ops = [op for _, run_ops in runs for op in run_ops]
+    for (hw, p, q), parts in zip(ops, zip(*_run_chunks(plan, CHANNEL_BLOCK, work))):
         orc, d_rate = _reduce_user_terms(parts, hw, p, q, dims.m)
         log_rate = _stack(parts, "log_rate")
         orc.c_e, orc.c_e_se = _mean_se(log_rate)
@@ -504,31 +490,21 @@ def estimate_secrecy(ests, hw: HardwareProfile, xi: float,
     return out
 
 
-# --------------------------------------------------------------------------
-# eavesdropper oracle
-# --------------------------------------------------------------------------
+def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile, xi: float,
+                       plan: TrialPlan) -> OracleEstimates:
+    """``estimate_secrecy`` at one point; kept because the benchmark tracer wraps it."""
+    return estimate_secrecy([(est, hw, xi)], plan)[0]
+
 
 def estimate_eve_capacity(est: ChannelEstimator, hw: HardwareProfile, xi: float,
                           plan: TrialPlan) -> OracleEstimates:
-    """Per-user ergodic eavesdropper capacity under optimal combining.
+    """``estimate_secrecy`` at one point; kept because the benchmark tracer wraps it."""
+    return estimate_secrecy([(est, hw, xi)], plan)[0]
 
-    Solves the M_E x M_E interference-whitening system per block with the
-    realized AN covariance and transmit-distortion profile. In the corner
-    with neither AN nor transmit distortion the system is singular and a
-    tiny thermal floor 1e-12 P_t, ``_eve_floor(hw, q)``, is added.
-    """
-    p, q = stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
-    sigma_e2 = _eve_floor(hw, q)
 
-    def work(size, key):
-        [blk] = _chunk_blocks([est], size, key)
-        return {"log_rate": _eve_log_rate(blk, p, q, hw.kappa_t_bs, sigma_e2)}
-
-    parts = _run_chunks(plan, EVE_BLOCK, work)
-    log_rate = _stack(parts, "log_rate")
-    c_e, c_e_se = _mean_se(log_rate)
-    return OracleEstimates(c_e=c_e, c_e_se=c_e_se)
-
+# --------------------------------------------------------------------------
+# eavesdropper interference moments
+# --------------------------------------------------------------------------
 
 @dataclass
 class WishartMoments:

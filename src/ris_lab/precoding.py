@@ -1,10 +1,11 @@
 """Downlink precoding: MRT for data, null-space projection for AN.
 
 ``stream_powers`` is the only place that splits the total power P_t into
-the per-stream data power p and AN power q, and the only check that the
-data fraction xi lies in (0, 1]. The Monte Carlo oracles and every
-closed form that works with p and q call it with the P_t of their
-``HardwareProfile`` and the K and M of their statistics.
+the per-stream data power p and AN power q, and ``check_power_fraction``
+the only check that the data fraction xi lies in (0, 1]. The Monte Carlo
+oracles and every closed form that works with p and q call
+``stream_powers`` with the P_t of their ``HardwareProfile`` and the K and M
+of their statistics.
 
 The MRT columns are normalized by the statistical norm of the channel
 estimate (not the instantaneous one), which is what makes the closed-form
@@ -23,14 +24,19 @@ from .errors import DegenerateConfigError, InvalidParameterError
 from .estimation import ChannelEstimator
 
 
+def check_power_fraction(xi: float) -> None:
+    """Raise unless the data fraction xi of P_t lies in (0, 1]."""
+    if not 0.0 < xi <= 1.0:
+        raise InvalidParameterError("power fraction xi must lie in (0, 1]")
+
+
 def stream_powers(p_t: float, xi: float, k: int, m: int) -> tuple[float, float]:
     """Per-stream data and AN powers (p, q) when a fraction xi of P_t carries data.
 
     K data streams share xi P_t and M - K AN streams share the rest, so
     K p + (M - K) q = P_t.
     """
-    if not 0.0 < xi <= 1.0:
-        raise InvalidParameterError("power fraction xi must lie in (0, 1]")
+    check_power_fraction(xi)
     return xi * p_t / k, (1.0 - xi) * p_t / (m - k)
 
 

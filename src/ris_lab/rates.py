@@ -395,18 +395,18 @@ def secrecy_large_n(beta_2k: float, beta_ik: float, beta_1: float, n: int, m: in
 
 def secrecy_power_scaled(e_u: float, m: int, k_users: int, m_e: int,
                          beta_ik: float, beta_1: float, xi: float,
-                         hw: HardwareProfile):
+                         kappa_t_bs: float, kappa_r_ue: float, sigma_k2: float):
     """Secrecy-rate limit when the budget shrinks as E_u / N.
 
     Returns (user_rate, eve_bound, clipped secrecy rate); direct-link
     gains drop out of the limit.
     """
-    kappa_dl = hw.kappa_t_bs + hw.kappa_r_ue
+    kappa_dl = kappa_t_bs + kappa_r_ue
     num = xi * e_u * m * beta_ik * beta_1 / k_users
     den = (xi * e_u * (k_users - 1) * beta_ik * beta_1 / k_users
-           + kappa_dl * e_u * beta_ik * beta_1 + hw.sigma_k2)
+           + kappa_dl * e_u * beta_ik * beta_1 + sigma_k2)
     r_user = float(np.log2(1.0 + num / den))
-    c_eve = _eve_bound_isotropic(m, k_users, m_e, xi, hw.kappa_t_bs)
+    c_eve = _eve_bound_isotropic(m, k_users, m_e, xi, kappa_t_bs)
     return r_user, c_eve, max(0.0, r_user - c_eve)
 
 
@@ -425,15 +425,16 @@ def _eve_bound_isotropic(m: int, k_users: int, m_e: int, xi: float,
     return float(np.log2(1.0 + num / den))
 
 
-def secrecy_limit(m: int, k_users: int, m_e: int, xi: float, hw: HardwareProfile):
+def secrecy_limit(m: int, k_users: int, m_e: int, xi: float, kappa_t_bs: float,
+                  kappa_r_ue: float):
     """Asymptotic secrecy rate for huge arrays and unbounded RIS size.
 
     Returns (user_rate, eve_bound, clipped secrecy rate).
     """
-    upsilon = 1.0 - xi + hw.kappa_t_bs
+    upsilon = 1.0 - xi + kappa_t_bs
     if upsilon <= 0:
         raise InvalidParameterError("xi = 1 with ideal BS transmitter: undefined limit")
-    den_user = xi * (k_users - 1) / k_users + hw.kappa_t_bs + hw.kappa_r_ue
+    den_user = xi * (k_users - 1) / k_users + kappa_t_bs + kappa_r_ue
     if den_user <= 0:
         r_user = float("inf")
     else:

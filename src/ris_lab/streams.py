@@ -19,7 +19,7 @@ NMSE_BLOCK = 5
 # RIS phase errors of one Monte Carlo chunk: the last element of the key
 # (master_seed, oracle purpose, chunk index, PHASE_ERRORS). Their own
 # substream keeps the chunk stream, with its Gaussians and pilot noise, the
-# same for every phase-error law, so the levels of a sweep share it.
+# same for all operating points of one oracle call; each law restarts it.
 PHASE_ERRORS = 6
 
 

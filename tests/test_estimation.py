@@ -46,7 +46,7 @@ def test_build_psi_diagonal_fixed_point(small_setup):
 
 def test_psi_hermitian_positive_definite(small_setup):
     _, est, _, _ = small_setup
-    for psi in est.psi:
+    for psi in rl.build_psi(est.stats, est.pilots):
         assert max_asymmetry(psi) < 1e-12
         assert np.linalg.eigvalsh(psi).min() > 0
 
@@ -288,5 +288,5 @@ def test_pilot_phase_covariance_matches_psi(small_setup):
     k = 1
     yk = y[:, :, k]
     cov = np.einsum("bi,bj->ij", yk, yk.conj()) / yk.shape[0]
-    expect = est.pilots.tau_u * est.psi[k]
+    expect = est.pilots.tau_u * rl.build_psi(est.stats, est.pilots)[k]
     assert np.linalg.norm(cov - expect) / np.linalg.norm(expect) < 0.03

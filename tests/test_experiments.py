@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import ris_lab.experiments
 import ris_lab.montecarlo
 from ris_lab import cli
 from ris_lab.errors import ConfigValidationError
@@ -181,19 +182,38 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     assert manifest["rows"] == 1
 
 
-def test_phase_noise_sweep_draws_once_per_n_and_chunk(monkeypatch):
-    # the phase-noise levels of one N share each chunk's channel draw
+@pytest.mark.parametrize("experiment, changes, calls", [
+    # the phase-noise levels of one N share each chunk's draw, not their estimators
+    ("phase_noise_sweep", {"sweep": [4, 9], "phase_noise_levels": [0.0, 0.1, 1.0]},
+     {4: 3, 9: 3}),
+    # xi and kappa_t_bs shape neither the draw nor the estimate
+    ("xi_sweep", {"sweep": [0.3, 0.7, 1.0]}, {4: 1}),
+    ("kappa_t_sweep", {"sweep": [0.0, 0.01]}, {4: 1}),
+], ids=["phase_noise_sweep", "xi_sweep", "kappa_t_sweep"])
+def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, changes,
+                                                     calls):
+    # ``calls`` maps N to the estimator count of its one oracle call
     draws = collections.Counter()
+    estimators = {}
     sample = ris_lab.montecarlo.sample_realizations
+    oracle = ris_lab.experiments.estimate_secrecy
 
     def counted(stats, rng, n_draws):
         draws[stats.dims.n, n_draws] += 1
         return sample(stats, rng, n_draws)
 
+    def recorded(points, plan):
+        points = list(points)
+        n = points[0][0].stats.dims.n
+        assert n not in estimators
+        estimators[n] = len({id(est) for est, _, _ in points})
+        return oracle(points, plan)
+
     monkeypatch.setattr(ris_lab.montecarlo, "sample_realizations", counted)
+    monkeypatch.setattr(ris_lab.experiments, "estimate_secrecy", recorded)
     config = ExperimentConfig.from_dict({
-        **TINY, "m_e": 1, "sweep": [4, 9], "phase_noise_levels": [0.0, 0.1, 1.0],
-        "n_blocks": CHUNK_BLOCKS + 8})
-    table = run_experiment("phase_noise_sweep", config)
-    assert len(table.rows) == 6
-    assert draws == {(n, size): 1 for n in (4, 9) for size in (CHUNK_BLOCKS, 8)}
+        **TINY, "m_e": 1, **changes, "n_blocks": CHUNK_BLOCKS + 8})
+    table = run_experiment(experiment, config)
+    assert len(table.rows) == len(changes["sweep"]) * len(changes.get("phase_noise_levels", [0]))
+    assert estimators == calls
+    assert draws == {(n, size): 1 for n in calls for size in (CHUNK_BLOCKS, 8)}

@@ -5,14 +5,17 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ris_lab as rl
+from ris_lab import montecarlo
 from ris_lab.linalg import herm_trace_prod
-from ris_lab.montecarlo import _eve_floor, worker_count
+from ris_lab.montecarlo import _chunk_blocks, _eve_floor, worker_count
+from ris_lab.streams import CHANNEL_BLOCK
 
 from conftest import draw_channels, make_setup
 
@@ -30,46 +33,92 @@ def closed_form_terms(est, k):
     return sig, inter, var, an
 
 
-def test_thread_count_does_not_change_results(small_setup):
-    _, est, hw, xi = small_setup
-    # the same link under two phase-error laws: one shared draw
-    levels = [est, make_setup(seed=3, sigma_p2=1.0)[1]]
+def mixed_points(est, hw, xi):
+    """Operating points that share one draw with ``est`` and mix everything else.
+
+    ``est`` is on the link of ``make_setup(seed=3)``, at any phase-error law
+    but sigma_p2 = 1. The points mix two xi, two kappa_t_bs, two P_t, two
+    pilot powers and two phase-error laws; ``est`` appears in a run of two
+    points and again later, not next to that run.
+    """
+    noisy = make_setup(seed=3, sigma_p2=1.0)[1]
+    loud = rl.ChannelEstimator(est.stats,
+                               dataclasses.replace(est.pilots, rho=2 * est.pilots.rho))
+    hot = dataclasses.replace(hw, kappa_t_bs=0.05, p_t=2 * hw.p_t)
+    return [(est, hw, xi), (est, hot, 0.8), (noisy, hw, 0.8), (loud, hot, xi),
+            (est, hw, 0.8), (noisy, hot, xi)]
+
+
+def assert_same_estimates(a, b):
+    for field in dataclasses.fields(a):
+        want = getattr(b, field.name)
+        if want is None:
+            assert getattr(a, field.name) is None, field.name
+        else:
+            assert np.array_equal(getattr(a, field.name), want), field.name
+
+
+def test_thread_count_does_not_change_results(small_setup, monkeypatch):
+    points = mixed_points(*small_setup[1:])
     plan = rl.TrialPlan(n_blocks=1500, master_seed=99)   # spans several chunks
     results = {}
     for threads in ("1", "7"):
-        os.environ["RIS_LAB_THREADS"] = threads
-        try:
-            results[threads] = (rl.estimate_user_rate(est, hw, xi, plan),
-                                rl.estimate_eve_capacity(est, hw, xi, plan),
-                                rl.estimate_secrecy(levels, hw, xi, plan))
-        finally:
-            del os.environ["RIS_LAB_THREADS"]
-    (a, eve_a, secs_a), (b, eve_b, secs_b) = results["1"], results["7"]
-    for field in ("rate", "signal", "interference", "variance", "an_leakage", "hwi"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
-    assert np.array_equal(eve_a.c_e, eve_b.c_e)
-    assert np.array_equal(eve_a.c_e_se, eve_b.c_e_se)
-    assert len(secs_a) == len(secs_b) == 2
-    for sec_a, sec_b in zip(secs_a, secs_b):
-        for field in ("rate", "rate_se", "c_e", "c_e_se", "r_sec", "r_sec_se"):
-            assert np.array_equal(getattr(sec_a, field), getattr(sec_b, field))
+        monkeypatch.setenv("RIS_LAB_THREADS", threads)
+        results[threads] = rl.estimate_secrecy(points, plan)
+    assert len(results["1"]) == len(results["7"]) == len(points)
+    for a, b in zip(results["1"], results["7"]):
+        assert_same_estimates(a, b)
 
 
-def test_shared_draw_leaves_the_phase_free_level_unchanged():
+def test_shared_draw_leaves_the_phase_free_level_unchanged(monkeypatch):
     # a level without phase errors draws nothing from the phase substream,
     # so sharing its chunks with other levels does not move it
     _, est, hw, xi = make_setup(seed=3, sigma_p2=0.0)
     plan = rl.TrialPlan(n_blocks=700, master_seed=14)    # two chunks
-    [alone] = rl.estimate_secrecy([est], hw, xi, plan)
+    [alone] = rl.estimate_secrecy([(est, hw, xi)], plan)
     noisy = make_setup(seed=3, sigma_p2=1.0)[1]
-    shared = rl.estimate_secrecy([noisy, est, noisy], hw, xi, plan)
-    for field in dataclasses.fields(alone):
-        want = getattr(alone, field.name)
-        if want is not None:
-            assert np.array_equal(getattr(shared[1], field.name), want), field.name
+    shared = rl.estimate_secrecy([(noisy, hw, xi), (est, hw, xi), (noisy, hw, xi)], plan)
+    assert_same_estimates(shared[1], alone)
     # every level restarts the phase substream: repeats give the same estimate
     assert shared[0].r_sec == shared[2].r_sec
     assert shared[0].r_sec != alone.r_sec
+    # so every point of a mixed call equals that point alone, at any worker count
+    points = mixed_points(est, hw, xi)
+    for threads in ("1", "7"):
+        monkeypatch.setenv("RIS_LAB_THREADS", threads)
+        for point, orc in zip(points, rl.estimate_secrecy(points, plan), strict=True):
+            assert_same_estimates(orc, rl.estimate_secrecy([point], plan)[0])
+
+
+def test_chunk_blocks_free_the_previous_estimators_blocks(small_setup, monkeypatch):
+    # a consumer that drops each estimator's blocks holds one estimator's at
+    # a time: the previous estimate and precoders are freed before the next
+    # pilot phase runs, and the previous law's channels before the next
+    # law's are built, so a call over many estimators peaks like one over one
+    _, est, _, _ = small_setup
+    noisy = make_setup(seed=3, sigma_p2=1.0)[1]
+    loud = rl.ChannelEstimator(est.stats,
+                               dataclasses.replace(est.pilots, rho=2 * est.pilots.rho))
+    dropped = {"estimate": [], "channels": []}      # weak references to dropped blocks
+
+    def freed_before(fn, kinds):
+        def checked(*args):
+            for kind in kinds:
+                assert all(ref() is None for ref in dropped[kind]), kind
+            return fn(*args)
+        return checked
+
+    monkeypatch.setattr(montecarlo, "simulate_pilot_phase",
+                        freed_before(montecarlo.simulate_pilot_phase, ["estimate"]))
+    monkeypatch.setattr(montecarlo, "aggregate_channels",
+                        freed_before(montecarlo.aggregate_channels, ["estimate", "channels"]))
+    built = 0
+    for blk in _chunk_blocks([est, loud, noisy], 8, (1, CHANNEL_BLOCK, 0)):
+        dropped["estimate"] += [weakref.ref(a) for a in (blk.h_hat, blk.w, blk.q_hat)]
+        dropped["channels"] += [weakref.ref(a) for a in (blk.h, blk.h_e)]
+        del blk
+        built += 1
+    assert built == 3
 
 
 def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy():
@@ -78,7 +127,8 @@ def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy():
     # 4e-6 relative across fixtures and seeds); independent draws would
     # move it by about one standard error
     _, est, hw, xi = make_setup(seed=3, sigma_p2=0.0)
-    zero, tiny = rl.estimate_secrecy([est, make_setup(seed=3, sigma_p2=1e-8)[1]], hw, xi,
+    tiny_est = make_setup(seed=3, sigma_p2=1e-8)[1]
+    zero, tiny = rl.estimate_secrecy([(est, hw, xi), (tiny_est, hw, xi)],
                                      rl.TrialPlan(n_blocks=600, master_seed=15))
     assert zero.r_sec != tiny.r_sec
     assert abs(tiny.r_sec - zero.r_sec) < 1e-3 * zero.r_sec_se
@@ -94,25 +144,7 @@ def test_shared_draw_rejects_estimators_beyond_the_phase_law(change):
         stats = dataclasses.replace(est.stats, r_i=np.eye(est.stats.dims.n))
         other = rl.ChannelEstimator(stats, est.pilots)
     with pytest.raises(rl.InvalidParameterError, match="phase-error law"):
-        rl.estimate_secrecy([est, other], hw, xi, rl.TrialPlan(4, master_seed=1))
-
-
-def test_secrecy_user_half_equals_user_rate(small_setup):
-    # one pass draws the user blocks on the user-rate stream, so every
-    # user-side field is bit-identical to the term-by-term oracle
-    _, est, hw, xi = small_setup
-    plan = rl.TrialPlan(n_blocks=700, master_seed=12)    # two chunks
-    user = rl.estimate_user_rate(est, hw, xi, plan)
-    [sec] = rl.estimate_secrecy([est], hw, xi, plan)
-    compared = 0
-    for field in dataclasses.fields(user):
-        want = getattr(user, field.name)
-        if want is None:
-            continue
-        assert np.array_equal(getattr(sec, field.name), want), field.name
-        compared += 1
-    assert compared == 12
-    assert sec.r_sec == np.mean(np.maximum(0.0, sec.rate - sec.c_e))
+        rl.estimate_secrecy([(est, hw, xi), (other, hw, xi)], rl.TrialPlan(4, master_seed=1))
 
 
 def test_secrecy_standard_error_is_calibrated(small_setup):
@@ -124,7 +156,7 @@ def test_secrecy_standard_error_is_calibrated(small_setup):
     _, est, hw, xi = small_setup
     values, ses, rates, rate_ses = [], [], [], []
     for seed in range(1000, 1040):
-        [orc] = rl.estimate_secrecy([est], hw, xi, rl.TrialPlan(200, master_seed=seed))
+        [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(200, master_seed=seed))
         assert np.all(orc.rate - orc.c_e > 10 * orc.r_sec_se)
         values.append(orc.r_sec)
         ses.append(orc.r_sec_se)
@@ -144,7 +176,7 @@ def test_single_block_standard_errors_are_infinite(small_setup):
         nmse = rl.estimate_nmse(est, plan)
         user = rl.estimate_user_rate(est, hw, xi, plan)
         eve = rl.estimate_eve_capacity(est, hw, xi, plan)
-        [sec] = rl.estimate_secrecy([est], hw, xi, plan)
+        [sec] = rl.estimate_secrecy([(est, hw, xi)], plan)
     assert np.all(np.isfinite(nmse.nmse)) and np.all(nmse.nmse_se == np.inf)
     assert np.isfinite(sec.r_sec)
     for se in (user.rate_se, user.signal_se, user.interference_se, eve.c_e_se,

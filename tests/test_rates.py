@@ -278,15 +278,14 @@ def test_large_n_form_reaches_asymptotic_limit():
     _, _, big_n = rl.secrecy_large_n(
         fading.beta_2[0], fading.beta_i[0], fading.beta_1, dims.n, dims.m, dims.k,
         dims.m_e, xi, 1.0, dims.tau_u, 1.0, hw)
-    _, _, limit = rl.secrecy_limit(dims.m, dims.k, dims.m_e, xi, hw)
+    _, _, limit = rl.secrecy_limit(dims.m, dims.k, dims.m_e, xi, hw.kappa_t_bs, hw.kappa_r_ue)
     assert abs(big_n - limit) / limit < 0.05
 
 
 def test_power_scaled_formula_reduction():
     # with ideal hardware the user branch collapses to the stated fraction
-    hw0 = rl.HardwareProfile(p_t=1.0)
     e_u, m, k, m_e, bi, b1, xi = 100.0, 64, 6, 4, 0.05, 0.03, 0.5
-    r_u, _, _ = rl.secrecy_power_scaled(e_u, m, k, m_e, bi, b1, xi, hw0)
+    r_u, _, _ = rl.secrecy_power_scaled(e_u, m, k, m_e, bi, b1, xi, 0.0, 0.0, 1.0)
     num = xi * e_u * m * bi * b1 / k
     den = xi * e_u * (k - 1) * bi * b1 / k + 1.0
     assert r_u == pytest.approx(np.log2(1 + num / den), rel=1e-12)
@@ -300,24 +299,24 @@ def test_power_scaled_convergence_of_full_pipeline():
     hw_scaled = dataclasses.replace(hw, p_t=e_u / dims.n)
     _, _, exact = rl.secrecy_uncorrelated(dims, fading, h1, 1.0, 1.0, hw_scaled, 0.5, k=0)
     _, _, limit = rl.secrecy_power_scaled(e_u, dims.m, dims.k, dims.m_e,
-                                          fading.beta_i[0], fading.beta_1, 0.5, hw)
+                                          fading.beta_i[0], fading.beta_1, 0.5,
+                                          hw.kappa_t_bs, hw.kappa_r_ue, hw.sigma_k2)
     assert exact > 0 and limit > 0
     assert abs(exact - limit) / limit < 0.10
 
 
 def test_limit_rate_scales_log2_in_antennas():
-    hw0 = rl.HardwareProfile(p_t=1.0)
     for m in (64, 128, 256):
-        r1, _, s1 = rl.secrecy_limit(m, 6, 4, 0.5, hw0)
-        r2, _, s2 = rl.secrecy_limit(2 * m, 6, 4, 0.5, hw0)
+        r1, _, s1 = rl.secrecy_limit(m, 6, 4, 0.5, 0.0, 0.0)
+        r2, _, s2 = rl.secrecy_limit(2 * m, 6, 4, 0.5, 0.0, 0.0)
         assert s2 - s1 == pytest.approx(1.0, abs=0.1)
 
 
 def test_limit_rate_guards():
     with pytest.raises(rl.InvalidParameterError):
-        rl.secrecy_limit(64, 6, 4, 1.0, rl.HardwareProfile(p_t=1.0))
+        rl.secrecy_limit(64, 6, 4, 1.0, 0.0, 0.0)
     with pytest.raises(rl.InvalidParameterError):
-        rl.secrecy_power_scaled(100.0, 64, 6, 4, 0.05, 0.03, 1.0, rl.HardwareProfile(p_t=1.0))
+        rl.secrecy_power_scaled(100.0, 64, 6, 4, 0.05, 0.03, 1.0, 0.0, 0.0, 1.0)
 
 
 # --------------------------------------------------------------------------
