@@ -23,6 +23,7 @@ from .estimation import (
     nmse,
     nmse_high_power_limit,
     nmse_large_n_limit,
+    pilot_gaussians,
     simulate_pilot_phase,
 )
 from .geometry import (

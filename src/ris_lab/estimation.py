@@ -15,7 +15,6 @@ import numpy as np
 from .errors import IllConditionedWarning, InvalidParameterError
 from .geometry import ChannelStatistics
 from .linalg import COND_LIMIT, HermitianSolver, herm_trace_prod, hermitize
-from .streams import complex_normal
 
 
 @dataclass(frozen=True)
@@ -139,27 +138,44 @@ def nmse_large_n_limit(beta_2k: float, beta_ik: float, beta_1: float, n: int,
     return float(1.0 - gain / (gain + sigma_u2 / (tau_u * rho)))
 
 
-def simulate_pilot_phase(h: np.ndarray, pilots: PilotConfig,
-                         rng: np.random.Generator) -> np.ndarray:
+def pilot_gaussians(rng: np.random.Generator, shape, tau_u: int) -> tuple:
+    """Unscaled complex Gaussians g_re + j g_im of the pilot phase of (B, K, M) channels.
+
+    Returns the user transmit distortion (B, K, tau_u), then the BS receive
+    distortion and the noise, each (B, M, tau_u), drawn from ``rng`` in that
+    order. ``simulate_pilot_phase`` scales them, so one draw serves every
+    pilot configuration with the same pilot length.
+    """
+    b, k, m = shape
+    out = []
+    for part_shape in ((b, k, tau_u), (b, m, tau_u), (b, m, tau_u)):
+        g = rng.standard_normal((2, *part_shape))
+        out.append(g[0] + 1j * g[1])
+    return tuple(out)
+
+
+def simulate_pilot_phase(h: np.ndarray, pilots: PilotConfig, gaussians: tuple) -> np.ndarray:
     """Impaired pilot phase for stacked channel blocks.
 
     ``h`` has shape (B, K, M): the aggregate user channels of B coherence
-    blocks. Draws user transmit distortion, BS receive distortion with the
-    instantaneous per-antenna power profile, and AWGN, then despreads with
-    each user's pilot. Returns the (B, M, K) despread vectors.
+    blocks. ``gaussians`` is the ``pilot_gaussians`` draw for ``h``; it
+    becomes user transmit distortion, BS receive distortion with the
+    instantaneous per-antenna power profile, and AWGN, each CN(0, power).
+    The received pilots are despread with each user's pilot. Returns the
+    (B, M, K) despread vectors.
     """
     b, k, m = h.shape
+    g_t, g_r, g_n = gaussians
     phi_p = pilots.pilot_matrix(k)                       # (tau, K)
     h_t = np.swapaxes(h, 1, 2)                           # (B, M, K)
 
-    eta = complex_normal(rng, (b, k, pilots.tau_u),
-                         scale=np.sqrt(pilots.rho * pilots.kappa_t_ue))
+    eta = (np.sqrt(pilots.rho * pilots.kappa_t_ue) / np.sqrt(2.0)) * g_t
     p_eff = np.sqrt(pilots.rho) * phi_p.conj().T[None, :, :] + eta.conj()
 
     d_r = np.sum(np.abs(h) ** 2, axis=1)                 # (B, M) instantaneous powers
     ups_r = (np.sqrt(pilots.rho * pilots.kappa_r_bs * d_r)[:, :, None]
-             * complex_normal(rng, (b, m, pilots.tau_u)))
-    noise = complex_normal(rng, (b, m, pilots.tau_u), scale=np.sqrt(pilots.sigma_u2))
+             * ((1.0 / np.sqrt(2.0)) * g_r))
+    noise = (np.sqrt(pilots.sigma_u2) / np.sqrt(2.0)) * g_n
 
     y_p = h_t @ p_eff + ups_r + noise                    # (B, M, tau)
     return y_p @ phi_p                                   # (B, M, K)

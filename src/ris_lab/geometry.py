@@ -8,7 +8,10 @@ correlated Gaussian links (``sample_realizations``), which do not depend
 on the RIS phase-error law, and the aggregate channels for given phase
 errors (``aggregate_channels``). The correlation and bridge products are
 single BLAS GEMMs, with the block axis folded into the GEMM rows wherever
-the array layout makes the fold free.
+the array layout makes the fold free. The R_B and R_I templates are real,
+so their square roots are too: the sampler draws the real and imaginary
+parts of each link as one real array and colors both with one real GEMM
+(dgemm) over the stacked parts; only the bridge products are complex.
 
 Conventions:
   * sinc is the normalized one, sinc(x) = sin(pi x)/(pi x), so
@@ -21,13 +24,12 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .linalg import herm_sqrt, hermitize
-from .streams import complex_normal
 
 
 # --------------------------------------------------------------------------
@@ -219,14 +221,22 @@ def ris_element_positions(dims: SystemDimensions, spec: CorrelationSpec) -> np.n
     return pos
 
 
+@lru_cache(maxsize=1)
 def build_ris_correlation(dims: SystemDimensions, spec: CorrelationSpec) -> np.ndarray:
-    """Isotropic-scattering RIS correlation, sinc(2 ||c_x - c_y|| / wavelength)."""
+    """Isotropic-scattering RIS correlation, sinc(2 ||c_x - c_y|| / wavelength).
+
+    Memoized on its frozen arguments, since the grid points of a sweep
+    over anything but the RIS share it; the array is read-only, because
+    every caller of one (dims, spec) gets the same object.
+    """
     if spec.spacing_h <= 0 or spec.spacing_v <= 0:
         raise InvalidParameterError("RIS spacings must be positive")
     pos = ris_element_positions(dims, spec)
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    return np.sinc(2.0 * dist / spec.wavelength)
+    r = np.sinc(2.0 * dist / spec.wavelength)
+    r.flags.writeable = False
+    return r
 
 
 def build_los_channel(dims: SystemDimensions, spec: CorrelationSpec,
@@ -268,6 +278,8 @@ class ChannelStatistics:
     cascade congruences through H1 once and scales them by the per-user
     gains. The covariances see the phase-error law only through its circular
     mean ``phase_deviation_factor(phase_model)``; the sampler draws from it.
+    The ``r_b``/``r_i`` templates are real (exponential and sinc), which the
+    sampler's real GEMMs against their square roots rely on.
     """
 
     dims: SystemDimensions
@@ -344,12 +356,18 @@ def _rows_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _colored(g: np.ndarray, sqrt_r: np.ndarray | None, gain) -> np.ndarray:
-    """sqrt(gain) * g @ sqrt_r.T: rows of the white draw g colored (None = white) and scaled.
+    """sqrt(gain/2) (g[0] + j g[1]) @ sqrt_r.T, the complex link of a real (2, ...) white draw.
 
-    Scales in place, so the GEMM result is the only array it allocates.
+    The real and imaginary parts are colored by one real GEMM against the
+    real ``sqrt_r`` (None = white), and the complex link is written once,
+    already scaled; no complex temporary is made.
     """
-    h = g if sqrt_r is None else _rows_times(g, sqrt_r)
-    h *= np.sqrt(gain)
+    if sqrt_r is not None:
+        g = _rows_times(g, sqrt_r)
+    scale = np.sqrt(np.multiply(gain, 0.5))
+    h = np.empty(g.shape[1:], dtype=complex)
+    np.multiply(g[0], scale, out=h.real)
+    np.multiply(g[1], scale, out=h.imag)
     return h
 
 
@@ -359,25 +377,26 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
 
     Returns a dict with the scaled links h_i (B, K, N), h_b (B, K, M),
     h_ie (B, N, M_E) and h_be (B, M, M_E). The Gaussians g_i, g_b, g_ie and
-    g_be are drawn from ``rng`` in that order. Nothing here depends on the
+    g_be are drawn from ``rng`` in that order, each as one real (2, ...)
+    array of its real and imaginary parts. Nothing here depends on the
     phase-error law, so one draw serves every law with the same dims,
     fading and correlations; ``aggregate_channels`` applies the phase
     errors.
 
-    Every correlation product is one GEMM over all blocks at once. The
-    eavesdropper arrays are built antenna-major, (B, M_E, .), so that block
-    and antenna axes fold into the GEMM rows; they are returned as
-    transposed views of that layout.
+    Every correlation product is one real GEMM over the stacked parts of
+    all blocks at once. The eavesdropper arrays are built antenna-major,
+    (B, M_E, .), so that part, block and antenna axes fold into the GEMM
+    rows; they are returned as transposed views of that layout.
     """
     dims, fading = stats.dims, stats.fading
     s_i, s_b = stats.sqrt_r_i, stats.sqrt_r_b
-    h_i = _colored(complex_normal(rng, (n_draws, dims.k, dims.n)), s_i,
+    h_i = _colored(rng.standard_normal((2, n_draws, dims.k, dims.n)), s_i,
                    np.asarray(fading.beta_i)[None, :, None])       # rows ~ CN(0, beta_i R_I)
-    h_b = _colored(complex_normal(rng, (n_draws, dims.k, dims.m)), s_b,
+    h_b = _colored(rng.standard_normal((2, n_draws, dims.k, dims.m)), s_b,
                    np.asarray(fading.beta_2)[None, :, None])
-    h_ie = _colored(np.swapaxes(complex_normal(rng, (n_draws, dims.n, dims.m_e)), 1, 2),
+    h_ie = _colored(np.swapaxes(rng.standard_normal((2, n_draws, dims.n, dims.m_e)), 2, 3),
                     s_i, fading.beta_ie)                            # (B, M_E, N)
-    h_be = _colored(np.swapaxes(complex_normal(rng, (n_draws, dims.m, dims.m_e)), 1, 2),
+    h_be = _colored(np.swapaxes(rng.standard_normal((2, n_draws, dims.m, dims.m_e)), 2, 3),
                     s_b, fading.beta_3)                             # (B, M_E, M)
     return {"h_i": h_i, "h_b": h_b,
             "h_ie": np.swapaxes(h_ie, 1, 2), "h_be": np.swapaxes(h_be, 1, 2)}

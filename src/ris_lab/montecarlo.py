@@ -5,24 +5,29 @@ errors, uplink distortion, noise), runs the pilot phase and the precoder
 exactly as the system model defines them, and averages the per-block
 quantities. Every estimate carries a standard error.
 
-Blocks are processed in fixed-size chunks, each with its own counter
-derived substream, and chunk results are combined in index order, so the
-output is bit-identical for any worker count.
+Blocks are processed in chunks of ``CHUNK_BLOCKS`` = 100 blocks (the last
+one may be shorter), each with its own counter derived substream, and
+chunk results are combined in index order, so the output is bit-identical
+for any worker count.
 
 Stream layout of one chunk, the same for every oracle: the chunk stream
 ``derive_rng(master_seed, purpose, chunk)`` first gives the correlated
 Gaussian links (``geometry.sample_realizations``), then the pilot phase's
-distortion and noise. The RIS phase errors come from their own substream,
+distortion and noise Gaussians (``estimation.pilot_gaussians``), drawn
+once and scaled by the pilot phase of every estimator of the chunk. The
+RIS phase errors come from their own substream,
 ``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, and are applied
 by ``geometry.aggregate_channels``. A law without phase errors draws
 nothing there.
 
-The chunk thread pool is the only level of parallelism. Importing this
-module sets numpy's OpenBLAS to one thread, and scipy's too if the
-process has already loaded it (ris_lab itself never imports scipy), so
-BLAS threads never compete with the pool's workers for the CPUs. The
-pool runs one worker per CPU this process may use, at most 8; the
-RIS_LAB_THREADS environment variable sets the worker count instead.
+The chunk thread pool is the only level of parallelism, and it runs at
+every default size: the default 400-block run is four chunks, a 1024-block
+paper-scale run ten chunks and one of 24 blocks. Importing this module
+sets numpy's OpenBLAS to one thread, and scipy's too if the process has
+already loaded it (ris_lab itself never imports scipy), so BLAS threads
+never compete with the pool's workers for the CPUs. The pool runs one
+worker per CPU this process may use, at most 8; the RIS_LAB_THREADS
+environment variable sets the worker count instead.
 
 Every pass shares one prefix per chunk (channel draw, pilot phase,
 estimate, MRT precoder and the thin QR factor Q of the estimate); the
@@ -66,14 +71,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .estimation import ChannelEstimator, simulate_pilot_phase
+from .estimation import ChannelEstimator, pilot_gaussians, simulate_pilot_phase
 from .geometry import ChannelStatistics, aggregate_channels, sample_realizations
 from .hardware import HardwareProfile
 from .precoding import mrt_normalizers, mrt_precoder, stream_powers
 from .precoding import null_space_an_batch  # noqa: F401 -- bench/tracer.py wraps this binding
 from .streams import CHANNEL_BLOCK, EVE_BLOCK, NMSE_BLOCK, PHASE_ERRORS, derive_rng
 
-CHUNK_BLOCKS = 512          # fixed: chunking must not depend on the worker count
+# Fixed, so the chunking and with it every stream is the same for any worker
+# count. 100 blocks split the default 400-block run into 4 equal chunks, so
+# the pool runs at desk scale; 128 splits it 3 x 128 + 16, unevenly over two
+# workers, and 50 ran no faster than 100 and slower on paper-scale runs.
+CHUNK_BLOCKS = 100
 THREADS_ENV = "RIS_LAB_THREADS"
 
 
@@ -181,26 +190,26 @@ def shares_draw(a: ChannelStatistics, b: ChannelStatistics) -> bool:
 def _chunk_channels(ests, size: int, key: tuple):
     """Per estimator in turn: (h, h_e, h_hat) of one chunk, in the module's stream layout.
 
-    The Gaussians are drawn once, from ``ests[0].stats``. Where the
+    The Gaussians are drawn once, from ``ests[0].stats``: the links, then
+    the pilot phase's, which every estimator's pilot phase scales. Where the
     phase-error law changes, the phase-error substream restarts and the
-    channels are rebuilt; each pilot phase replays the chunk stream from
-    the state the Gaussians left. The previous estimate and the previous
-    law's channels are released before the next ones are built.
+    channels are rebuilt. The previous estimate and the previous law's
+    channels are released before the next ones are built.
     """
     rng = derive_rng(*key)
     draws = sample_realizations(ests[0].stats, rng, size)
-    pilot_state = rng.bit_generator.state
+    dims = ests[0].stats.dims
+    pilot_draw = pilot_gaussians(rng, (size, dims.k, dims.m), ests[0].pilots.tau_u)
     laws = [est.stats.phase_model for est in ests]
     law = channels = None
     for i, est in enumerate(ests):
         if laws[i] != law:
             law, channels = laws[i], None
             channels = aggregate_channels(est.stats, draws, law.draw(
-                derive_rng(*key, PHASE_ERRORS), (size, est.stats.dims.n)))
+                derive_rng(*key, PHASE_ERRORS), (size, dims.n)))
             if all(later == law for later in laws[i + 1:]):
                 del draws           # the later estimators run without the Gaussians
-        rng.bit_generator.state = pilot_state
-        h_hat = est.estimate(simulate_pilot_phase(channels[0], est.pilots, rng))
+        h_hat = est.estimate(simulate_pilot_phase(channels[0], est.pilots, pilot_draw))
         yield *channels, h_hat
         del h_hat
 
@@ -452,11 +461,13 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     points = list(points)
     if not points:
         raise InvalidParameterError("need at least one operating point")
-    first = points[0][0].stats
-    if not all(shares_draw(first, est.stats) for est, _, _ in points[1:]):
-        raise InvalidParameterError("the statistics of one call's operating points "
-                                    "may differ only in their phase-error law")
-    dims = first.dims
+    first = points[0][0]
+    if not all(shares_draw(first.stats, est.stats) and est.pilots.tau_u == first.pilots.tau_u
+               for est, _, _ in points[1:]):
+        raise InvalidParameterError("the operating points of one call must share the pilot "
+                                    "length, and their statistics may differ only in their "
+                                    "phase-error law")
+    dims = first.stats.dims
     runs = []       # (estimator, [(hw, p, q), ...]): consecutive points with one estimator
     for est, hw, xi in points:
         op = (hw, *stream_powers(hw.p_t, xi, dims.k, dims.m))

@@ -4,6 +4,10 @@ One master seed drives everything. Each consumer derives an independent
 substream from ``(master_seed, purpose, index...)`` via a SeedSequence
 spawn key, so results are bit-identical no matter how work is scheduled
 across threads.
+
+A complex Gaussian array of ``shape`` is drawn as one real
+``standard_normal((2, *shape))`` call, the real parts before the imaginary
+parts; its consumer scales and colors the parts itself.
 """
 from __future__ import annotations
 
@@ -28,9 +32,3 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
 
-
-def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
-    """Circularly symmetric complex Gaussian CN(0, scale^2) samples."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (scale / np.sqrt(2.0)) * (re + 1j * im)

@@ -39,6 +39,13 @@ def aggregate_covariance(r_bk, h1, phi, r_tilde):
     return hermitize(r_bk + b @ r_tilde @ b.conj().T)
 
 
+def complex_normal(rng, shape, scale=1.0):
+    """Circularly symmetric complex Gaussian CN(0, scale^2) samples, re then im from ``rng``."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (scale / np.sqrt(2.0)) * (re + 1j * im)
+
+
 def dft_bridge(m, n, beta_1):
     """First M rows of the N-point DFT, scaled to entry modulus sqrt(beta_1).
 

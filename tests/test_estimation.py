@@ -168,7 +168,8 @@ def test_estimate_covariance_and_orthogonality(small_setup):
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(11)
     draws = draw_channels(stats, rng, 100_000)
-    y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
+    y = rl.simulate_pilot_phase(
+        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
     h_hat = est.estimate(y)
     h = np.swapaxes(draws["h"], 1, 2)
     k = 0
@@ -197,7 +198,8 @@ def test_lmmse_beats_perturbed_linear_estimators():
         stats, est, _, _ = make_setup(seed=100 + trial, m=8, n=9, k=2, m_e=1,
                                       rho=float(rng.uniform(1.0, 20.0)))
         draws = draw_channels(stats, rng, 4000)
-        y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
+        y = rl.simulate_pilot_phase(
+            draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
         h = np.swapaxes(draws["h"], 1, 2)
         k = 0
         a_opt = est.gain[k]
@@ -264,7 +266,8 @@ def test_pilot_phase_noiseless_single_user():
         warnings.simplefilter("ignore")
         rng = np.random.default_rng(0)
         draws = draw_channels(stats, rng, 8)
-        y = rl.simulate_pilot_phase(draws["h"], pil, rng)
+        y = rl.simulate_pilot_phase(
+            draws["h"], pil, rl.pilot_gaussians(rng, draws["h"].shape, pil.tau_u))
     expect = pil.tau_u * np.sqrt(pil.rho) * np.swapaxes(draws["h"], 1, 2)
     assert np.allclose(y, expect)
 
@@ -275,7 +278,8 @@ def test_pilot_phase_orthogonality_isolates_users():
     pil = rl.PilotConfig(tau_u=2, rho=1.0, sigma_u2=0.0)
     rng = np.random.default_rng(0)
     draws = draw_channels(stats, rng, 8)
-    y = rl.simulate_pilot_phase(draws["h"], pil, rng)
+    y = rl.simulate_pilot_phase(
+        draws["h"], pil, rl.pilot_gaussians(rng, draws["h"].shape, pil.tau_u))
     expect = pil.tau_u * np.swapaxes(draws["h"], 1, 2)
     assert np.allclose(y, expect, atol=1e-10)
 
@@ -284,7 +288,8 @@ def test_pilot_phase_covariance_matches_psi(small_setup):
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(13)
     draws = draw_channels(stats, rng, 100_000)
-    y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
+    y = rl.simulate_pilot_phase(
+        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
     k = 1
     yk = y[:, :, k]
     cov = np.einsum("bi,bj->ij", yk, yk.conj()) / yk.shape[0]

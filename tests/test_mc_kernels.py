@@ -17,9 +17,8 @@ from ris_lab.montecarlo import (
     _user_terms,
 )
 from ris_lab.precoding import mrt_normalizers, null_space_an_batch, stream_powers
-from ris_lab.streams import complex_normal
 
-from conftest import draw_channels, make_setup
+from conftest import complex_normal, draw_channels, make_setup
 
 RTOL = 1e-12
 

@@ -13,6 +13,7 @@ import pytest
 
 import ris_lab as rl
 from ris_lab import montecarlo
+from ris_lab.experiments import ExperimentConfig
 from ris_lab.linalg import herm_trace_prod
 from ris_lab.montecarlo import _chunk_blocks, _eve_floor, worker_count
 from ris_lab.streams import CHANNEL_BLOCK
@@ -74,7 +75,7 @@ def test_shared_draw_leaves_the_phase_free_level_unchanged(monkeypatch):
     # a level without phase errors draws nothing from the phase substream,
     # so sharing its chunks with other levels does not move it
     _, est, hw, xi = make_setup(seed=3, sigma_p2=0.0)
-    plan = rl.TrialPlan(n_blocks=700, master_seed=14)    # two chunks
+    plan = rl.TrialPlan(n_blocks=700, master_seed=14)    # seven chunks
     [alone] = rl.estimate_secrecy([(est, hw, xi)], plan)
     noisy = make_setup(seed=3, sigma_p2=1.0)[1]
     shared = rl.estimate_secrecy([(noisy, hw, xi), (est, hw, xi), (noisy, hw, xi)], plan)
@@ -135,14 +136,17 @@ def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy():
     assert zero.r_sec_se > 0.01 * zero.r_sec
 
 
-@pytest.mark.parametrize("change", ["n", "r_i"])
+@pytest.mark.parametrize("change", ["n", "r_i", "tau_u"])
 def test_shared_draw_rejects_estimators_beyond_the_phase_law(change):
+    # one chunk draws one set of pilot Gaussians, so the pilot length is shared too
     _, est, hw, xi = make_setup(seed=3)
     if change == "n":
         other = make_setup(seed=3, n=25)[1]
-    else:
+    elif change == "r_i":
         stats = dataclasses.replace(est.stats, r_i=np.eye(est.stats.dims.n))
         other = rl.ChannelEstimator(stats, est.pilots)
+    else:
+        other = rl.ChannelEstimator(est.stats, dataclasses.replace(est.pilots, tau_u=4))
     with pytest.raises(rl.InvalidParameterError, match="phase-error law"):
         rl.estimate_secrecy([(est, hw, xi), (other, hw, xi)], rl.TrialPlan(4, master_seed=1))
 
@@ -223,6 +227,7 @@ from pathlib import Path
 {imports}
 import numpy, scipy
 from ris_lab import montecarlo
+from ris_lab.experiments import ExperimentConfig
 counts = {{}}
 for pkg in (numpy, scipy):
     for path in Path(pkg.__file__).parent.with_name(pkg.__name__ + ".libs").glob("*openblas*"):
@@ -300,12 +305,23 @@ def test_distortion_couplings_bias_the_closed_forms():
     assert abs(orc.rate[0] - rate_cf) / rate_cf < 0.05
 
 
-def test_nmse_oracle_reproducible(small_setup):
+def test_nmse_oracle_reproducible(small_setup, monkeypatch):
     _, est, _, _ = small_setup
-    a = rl.estimate_nmse(est, rl.TrialPlan(3000, master_seed=21))
-    b = rl.estimate_nmse(est, rl.TrialPlan(3000, master_seed=21))
+    plan = rl.TrialPlan(3000, master_seed=21)                 # spans several chunks
+    assert len(plan.chunks()) > 1
+    results = {}
+    for threads in ("1", "7"):
+        monkeypatch.setenv("RIS_LAB_THREADS", threads)
+        results[threads] = rl.estimate_nmse(est, plan)
+    a, b = results["1"], results["7"]
     assert np.array_equal(a.nmse, b.nmse)
+    assert np.array_equal(a.nmse_se, b.nmse_se)
     assert np.all(a.nmse_se > 0)
+
+
+def test_default_run_spans_several_chunks():
+    # the chunk pool is the only parallelism: a default run must give it work
+    assert len(rl.TrialPlan(ExperimentConfig().n_blocks, master_seed=0).chunks()) >= 2
 
 
 # --------------------------------------------------------------------------
@@ -338,7 +354,8 @@ def test_eve_rank_one_reduction():
     p, q = rl.stream_powers(hw.p_t, xi, 2, 12)
     rng = np.random.default_rng(2)
     draws = draw_channels(stats, rng, 2000)
-    y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
+    y = rl.simulate_pilot_phase(
+        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
     h_hat = est.estimate(y)
     w = rl.mrt_precoder(h_hat, est)
     from ris_lab.precoding import null_space_an_batch
@@ -434,7 +451,8 @@ def test_cascade_anisotropy_biases_the_wishart_match(seed, kappa_t_bs, master_se
     # E{tr X | V, T}/M_E = q tr(V^H Q_E V) + kappa_t tr(diag(T) Q_E)
     rng = np.random.default_rng(4)
     draws = draw_channels(stats, rng, 4000)
-    y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
+    y = rl.simulate_pilot_phase(
+        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
     h_hat = est.estimate(y)
     w = rl.mrt_precoder(h_hat, est)
     v = null_space_an_batch(h_hat)

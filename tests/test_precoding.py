@@ -27,7 +27,8 @@ def test_mrt_columns_normalized_statistically(small_setup):
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(3)
     draws = draw_channels(stats, rng, 50_000)
-    y = rl.simulate_pilot_phase(draws["h"], est.pilots, rng)
+    y = rl.simulate_pilot_phase(
+        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
     w = rl.mrt_precoder(est.estimate(y), est)
     norms = np.mean(np.sum(np.abs(w) ** 2, axis=1), axis=0)
     assert np.all(np.abs(norms - 1.0) < 0.02)
