@@ -164,9 +164,8 @@ def simulate_pilot_phase(h: np.ndarray, pilots: PilotConfig, gaussians: tuple) -
     The received pilots are despread with each user's pilot. Returns the
     (B, M, K) despread vectors.
     """
-    b, k, m = h.shape
     g_t, g_r, g_n = gaussians
-    phi_p = pilots.pilot_matrix(k)                       # (tau, K)
+    phi_p = pilots.pilot_matrix(h.shape[1])              # (tau, K)
     h_t = np.swapaxes(h, 1, 2)                           # (B, M, K)
 
     eta = (np.sqrt(pilots.rho * pilots.kappa_t_ue) / np.sqrt(2.0)) * g_t

@@ -364,7 +364,7 @@ def _colored(g: np.ndarray, sqrt_r: np.ndarray | None, gain) -> np.ndarray:
     """
     if sqrt_r is not None:
         g = _rows_times(g, sqrt_r)
-    scale = np.sqrt(np.multiply(gain, 0.5))
+    scale = np.sqrt(gain / 2)
     h = np.empty(g.shape[1:], dtype=complex)
     np.multiply(g[0], scale, out=h.real)
     np.multiply(g[1], scale, out=h.imag)

@@ -81,7 +81,7 @@ from .streams import CHANNEL_BLOCK, EVE_BLOCK, NMSE_BLOCK, PHASE_ERRORS, derive_
 # Fixed, so the chunking and with it every stream is the same for any worker
 # count. 100 blocks split the default 400-block run into 4 equal chunks, so
 # the pool runs at desk scale; 128 splits it 3 x 128 + 16, unevenly over two
-# workers, and 50 ran no faster than 100 and slower on paper-scale runs.
+# workers, and ran slower, and 50 ran no faster with twice the chunks.
 CHUNK_BLOCKS = 100
 THREADS_ENV = "RIS_LAB_THREADS"
 

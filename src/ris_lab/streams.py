@@ -31,4 +31,3 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Generator for substream ``key`` of ``master_seed``."""
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
-
