@@ -227,7 +227,6 @@ from pathlib import Path
 {imports}
 import numpy, scipy
 from ris_lab import montecarlo
-from ris_lab.experiments import ExperimentConfig
 counts = {{}}
 for pkg in (numpy, scipy):
     for path in Path(pkg.__file__).parent.with_name(pkg.__name__ + ".libs").glob("*openblas*"):
