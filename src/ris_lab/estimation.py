@@ -150,7 +150,9 @@ def pilot_gaussians(rng: np.random.Generator, shape, tau_u: int) -> tuple:
     out = []
     for part_shape in ((b, k, tau_u), (b, m, tau_u), (b, m, tau_u)):
         g = rng.standard_normal((2, *part_shape))
-        out.append(g[0] + 1j * g[1])
+        part = np.empty(part_shape, dtype=complex)
+        part.real, part.imag = g
+        out.append(part)
     return tuple(out)
 
 

@@ -453,20 +453,21 @@ def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
 # per-experiment runners
 # --------------------------------------------------------------------------
 
-def _secrecy_rows(config: ExperimentConfig, points, closed) -> list:
-    """Rows ``[*lead, *closed(setup), r_sec_mc, r_sec_mc_se]`` of the ``(lead, config)`` points.
+def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
+    """Rows ``[*lead, *closed(setup), *cells]`` of the ``(lead, config)`` points.
 
-    Closed forms run as each point is built, so the first bad point decides
-    the error. A point whose statistics, phase law and pilots equal the
-    previous point's takes over its estimator, so a run holds one estimator
-    per distinct link; each run of points that share a draw is one oracle call.
+    ``oracle(setups, plan)`` gives the Monte Carlo cells of a run of setups
+    that share one draw, a list per setup. Closed forms run as each point
+    is built, so the first bad point decides the error. A point whose
+    statistics, phase law and pilots equal the previous point's takes over
+    its estimator, so a run holds one estimator per distinct link; each run
+    of points that share a draw is one oracle call.
     """
     plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
     rows, run = [], []          # run: (row, setup) of the points that share the draw
 
     def finish_run():
-        orcs = estimate_secrecy([(s.est, s.hw, s.xi) for _, s in run], plan)
-        rows.extend(row + [orc.r_sec, orc.r_sec_se] for (row, _), orc in zip(run, orcs))
+        rows.extend(row + cells for (row, _), cells in zip(run, oracle([s for _, s in run], plan)))
         run.clear()
 
     for lead, point in points:
@@ -480,6 +481,19 @@ def _secrecy_rows(config: ExperimentConfig, points, closed) -> list:
         run.append((lead + closed(setup), setup))
     finish_run()
     return rows
+
+
+def _secrecy_cells(setups, plan: TrialPlan) -> list:
+    """[r_sec_mc, r_sec_mc_se] of each setup, from one ``estimate_secrecy`` call."""
+    orcs = estimate_secrecy([(s.est, s.hw, s.xi) for s in setups], plan)
+    return [[orc.r_sec, orc.r_sec_se] for orc in orcs]
+
+
+def _nmse_cells(setups, plan: TrialPlan) -> list:
+    """[nmse_mc, nmse_mc_se] of each setup, user averages, from one ``estimate_nmse`` call."""
+    k_users = setups[0].est.stats.dims.k
+    return [[float(np.mean(orc.nmse)), float(np.sqrt(np.sum(orc.nmse_se ** 2)) / k_users)]
+            for orc in estimate_nmse([s.est for s in setups], plan)]
 
 
 def _rate_terms(setup: SystemSetup) -> list:
@@ -511,17 +525,22 @@ def _axis_value(column: str, value):
 
 def _nmse_sweep(config: ExperimentConfig, name, column, grid, limit_column,
                 limit) -> ResultTable:
-    """NMSE, closed form with the user average of ``limit(setup, k)``, and Monte Carlo."""
-    plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
+    """NMSE, closed form with the user average of ``limit(setup, k)``, and Monte Carlo.
+
+    Consecutive points that share a draw, such as the pilot powers of
+    ``nmse_vs_snr``, share one oracle call.
+    """
     field_name = "pilot_snr_db" if column == "snr_db" else column
-    rows = []
-    for value in (_axis_value(column, v) for v in grid):
-        setup = build_setup(config.replace(**{field_name: value}))
-        orc, k_users = estimate_nmse(setup.est, plan), setup.est.stats.dims.k
-        rows.append([value, float(np.mean(setup.est.nmse)),
-                     float(np.mean([limit(setup, k) for k in range(k_users)])),
-                     float(np.mean(orc.nmse)), float(np.sqrt(np.sum(orc.nmse_se ** 2)) / k_users)])
-    return ResultTable(name, [column, "nmse_cf", limit_column, "nmse_mc", "nmse_mc_se"], rows)
+    points = (([value], config.replace(**{field_name: value}))
+              for value in (_axis_value(column, v) for v in grid))
+
+    def closed(setup):
+        k_users = setup.est.stats.dims.k
+        return [float(np.mean(setup.est.nmse)),
+                float(np.mean([limit(setup, k) for k in range(k_users)]))]
+
+    return ResultTable(name, [column, "nmse_cf", limit_column, "nmse_mc", "nmse_mc_se"],
+                       _shared_draw_rows(config, points, closed, _nmse_cells))
 
 
 def _run_nmse_vs_snr(config: ExperimentConfig) -> ResultTable:
@@ -546,8 +565,9 @@ def _secrecy_sweep(config: ExperimentConfig, name, column, grid) -> ResultTable:
     """Secrecy, closed form and Monte Carlo, with the config field ``column`` swept."""
     points = (([value], config.replace(**{column: value}))
               for value in (_axis_value(column, v) for v in grid))
-    rows = _secrecy_rows(config, points,
-                         lambda setup: _closed_secrecy(_rate_terms(setup), setup.xi))
+    rows = _shared_draw_rows(config, points,
+                             lambda setup: _closed_secrecy(_rate_terms(setup), setup.xi),
+                             _secrecy_cells)
     return ResultTable(name, [column, "r_user_cf", "c_eve_cf", "r_sec_cf", "r_sec_mc",
                               "r_sec_mc_se"], rows)
 
@@ -617,7 +637,7 @@ def _run_xi_sweep(config: ExperimentConfig) -> ResultTable:
     return ResultTable(
         "xi_sweep",
         ["xi", "r_sec_closed", "r_sec_eq40", "r_sec_mc", "r_sec_mc_se"],
-        _secrecy_rows(config, points, closed))
+        _shared_draw_rows(config, points, closed, _secrecy_cells))
 
 
 def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
@@ -628,8 +648,9 @@ def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
     return ResultTable(
         "phase_noise_sweep",
         ["n", "sigma_p2", "r_sec_cf", "r_sec_mc", "r_sec_mc_se"],
-        _secrecy_rows(config, points,
-                      lambda setup: [_closed_secrecy(_rate_terms(setup), setup.xi)[2]]))
+        _shared_draw_rows(config, points,
+                          lambda setup: [_closed_secrecy(_rate_terms(setup), setup.xi)[2]],
+                          _secrecy_cells))
 
 
 _RUNNERS = {

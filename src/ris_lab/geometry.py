@@ -372,16 +372,18 @@ def _colored(g: np.ndarray, sqrt_r: np.ndarray | None, gain) -> np.ndarray:
 
 
 def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
-                        n_draws: int) -> dict:
+                        n_draws: int, *, eve: bool) -> dict:
     """Stacked small-scale fading draws; axis 0 is the block index.
 
-    Returns a dict with the scaled links h_i (B, K, N), h_b (B, K, M),
-    h_ie (B, N, M_E) and h_be (B, M, M_E). The Gaussians g_i, g_b, g_ie and
-    g_be are drawn from ``rng`` in that order, each as one real (2, ...)
-    array of its real and imaginary parts. Nothing here depends on the
-    phase-error law, so one draw serves every law with the same dims,
-    fading and correlations; ``aggregate_channels`` applies the phase
-    errors.
+    Returns a dict with the scaled user links h_i (B, K, N) and h_b (B, K, M)
+    and, with ``eve``, the eavesdropper's links h_ie (B, N, M_E) and
+    h_be (B, M, M_E). The Gaussians g_i, g_b and then, with ``eve``, g_ie
+    and g_be are drawn from ``rng`` in that order, each as one real (2, ...)
+    array of its real and imaginary parts. The secrecy and Wishart oracles
+    draw Eve's links; the NMSE oracle reads only the users' and does not.
+    Nothing here depends on the phase-error law, so one draw serves every
+    law with the same dims, fading and correlations; ``aggregate_channels``
+    applies the phase errors.
 
     Every correlation product is one real GEMM over the stacked parts of
     all blocks at once. The eavesdropper arrays are built antenna-major,
@@ -390,31 +392,37 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
     """
     dims, fading = stats.dims, stats.fading
     s_i, s_b = stats.sqrt_r_i, stats.sqrt_r_b
-    h_i = _colored(rng.standard_normal((2, n_draws, dims.k, dims.n)), s_i,
-                   np.asarray(fading.beta_i)[None, :, None])       # rows ~ CN(0, beta_i R_I)
-    h_b = _colored(rng.standard_normal((2, n_draws, dims.k, dims.m)), s_b,
-                   np.asarray(fading.beta_2)[None, :, None])
-    h_ie = _colored(np.swapaxes(rng.standard_normal((2, n_draws, dims.n, dims.m_e)), 2, 3),
-                    s_i, fading.beta_ie)                            # (B, M_E, N)
-    h_be = _colored(np.swapaxes(rng.standard_normal((2, n_draws, dims.m, dims.m_e)), 2, 3),
-                    s_b, fading.beta_3)                             # (B, M_E, M)
-    return {"h_i": h_i, "h_b": h_b,
-            "h_ie": np.swapaxes(h_ie, 1, 2), "h_be": np.swapaxes(h_be, 1, 2)}
+    draws = {
+        "h_i": _colored(rng.standard_normal((2, n_draws, dims.k, dims.n)), s_i,
+                        np.asarray(fading.beta_i)[None, :, None]),  # rows ~ CN(0, beta_i R_I)
+        "h_b": _colored(rng.standard_normal((2, n_draws, dims.k, dims.m)), s_b,
+                        np.asarray(fading.beta_2)[None, :, None]),
+    }
+    if eve:
+        h_ie = _colored(np.swapaxes(rng.standard_normal((2, n_draws, dims.n, dims.m_e)), 2, 3),
+                        s_i, fading.beta_ie)                        # (B, M_E, N)
+        h_be = _colored(np.swapaxes(rng.standard_normal((2, n_draws, dims.m, dims.m_e)), 2, 3),
+                        s_b, fading.beta_3)                         # (B, M_E, M)
+        draws.update(h_ie=np.swapaxes(h_ie, 1, 2), h_be=np.swapaxes(h_be, 1, 2))
+    return draws
 
 
 def aggregate_channels(stats: ChannelStatistics, draws: dict,
-                       theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                       theta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Aggregate channels (h, h_e) of ``sample_realizations`` draws.
 
     ``theta`` (B, N) holds one phase-error vector per block, shared by the
     users and the eavesdropper of that block. Returns h (B, K, M) and
     h_e (B, M, M_E): the direct links plus the RIS path through the
-    rotation exp(j theta) and the bridge H1 Phi, each one GEMM.
+    rotation exp(j theta) and the bridge H1 Phi, each one GEMM. h_e is
+    None when the draw holds no eavesdropper links.
     """
     bridge = stats.h1 * stats.phi[None, :]             # (M, N)
     rot = np.exp(1j * theta)[:, None, :]               # (B, 1, N)
     h = _rows_times(rot * draws["h_i"], bridge)
     h += draws["h_b"]
+    if "h_ie" not in draws:
+        return h, None
     h_e = _rows_times(rot * np.swapaxes(draws["h_ie"], 1, 2), bridge)   # (B, M_E, M)
     h_e += np.swapaxes(draws["h_be"], 1, 2)
     return h, np.swapaxes(h_e, 1, 2)

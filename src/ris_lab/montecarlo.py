@@ -10,12 +10,15 @@ one may be shorter), each with its own counter derived substream, and
 chunk results are combined in index order, so the output is bit-identical
 for any worker count.
 
-Stream layout of one chunk, the same for every oracle: the chunk stream
+Stream layout of one chunk: the chunk stream
 ``derive_rng(master_seed, purpose, chunk)`` first gives the correlated
 Gaussian links (``geometry.sample_realizations``), then the pilot phase's
 distortion and noise Gaussians (``estimation.pilot_gaussians``), drawn
 once and scaled by the pilot phase of every estimator of the chunk. The
-RIS phase errors come from their own substream,
+links are the users' g_i and g_b, followed by Eve's g_ie and g_be in the
+secrecy and Wishart oracles, which read Eve's channel; the NMSE oracle
+draws only the users' links, so its pilot Gaussians follow g_b. The RIS
+phase errors come from their own substream,
 ``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, and are applied
 by ``geometry.aggregate_channels``. A law without phase errors draws
 nothing there.
@@ -48,8 +51,9 @@ operating points ``(est, hw, xi)`` take K, M and M_E from
 ``est.stats.dims``, P_t from the ``HardwareProfile`` ``hw`` and the powers
 (p, q) from ``precoding.stream_powers``; points whose statistics differ at
 most in the phase-error law (``shares_draw``) share one draw per chunk.
-``estimate_nmse(est, plan)`` and ``estimate_wishart_moments(est, hw, xi,
-plan)`` draw on their own streams.
+``estimate_nmse(ests, plan)`` takes the estimators of one draw in the same
+way; it and ``estimate_wishart_moments(est, hw, xi, plan)`` draw on their
+own streams.
 
 Model note: the user-rate terms keep the channel-hardening bookkeeping of
 the Theorem-1 bound. The downlink HWI power uses the per-antenna transmit
@@ -187,17 +191,28 @@ def shares_draw(a: ChannelStatistics, b: ChannelStatistics) -> bool:
                     for name in ("h1", "phi", "r_i", "r_b")))
 
 
-def _chunk_channels(ests, size: int, key: tuple):
+def _check_shared_draw(ests) -> None:
+    """Raise unless one chunk draw serves all estimators: ``shares_draw`` and one pilot length."""
+    first = ests[0]
+    if not all(shares_draw(first.stats, est.stats) and est.pilots.tau_u == first.pilots.tau_u
+               for est in ests[1:]):
+        raise InvalidParameterError("the estimators of one call must share the pilot length, "
+                                    "and their statistics may differ only in their "
+                                    "phase-error law")
+
+
+def _chunk_channels(ests, size: int, key: tuple, eve: bool):
     """Per estimator in turn: (h, h_e, h_hat) of one chunk, in the module's stream layout.
 
-    The Gaussians are drawn once, from ``ests[0].stats``: the links, then
-    the pilot phase's, which every estimator's pilot phase scales. Where the
-    phase-error law changes, the phase-error substream restarts and the
-    channels are rebuilt. The previous estimate and the previous law's
-    channels are released before the next ones are built.
+    The Gaussians are drawn once, from ``ests[0].stats``: the links (Eve's
+    only with ``eve``; h_e is None without), then the pilot phase's, which
+    every estimator's pilot phase scales. Where the phase-error law changes,
+    the phase-error substream restarts and the channels are rebuilt. The
+    previous estimate and the previous law's channels are released before
+    the next ones are built.
     """
     rng = derive_rng(*key)
-    draws = sample_realizations(ests[0].stats, rng, size)
+    draws = sample_realizations(ests[0].stats, rng, size, eve=eve)
     dims = ests[0].stats.dims
     pilot_draw = pilot_gaussians(rng, (size, dims.k, dims.m), ests[0].pilots.tau_u)
     laws = [est.stats.phase_model for est in ests]
@@ -273,20 +288,33 @@ class OracleEstimates:
 # channel estimation oracle
 # --------------------------------------------------------------------------
 
-def estimate_nmse(est: ChannelEstimator, plan: TrialPlan) -> OracleEstimates:
-    """Empirical NMSE of the LMMSE estimator over impaired pilot blocks."""
+def estimate_nmse(ests, plan: TrialPlan) -> list[OracleEstimates]:
+    """Empirical NMSE of LMMSE estimators over impaired pilot blocks.
+
+    ``ests`` holds estimators whose statistics pass ``shares_draw`` and
+    whose pilots have one length, such as those of one link at several
+    pilot powers; one ``OracleEstimates`` is returned per estimator, in
+    order, each bit-identical to the estimate of that estimator alone.
+    Each chunk draws only the users' links, once for all of them.
+    """
+    ests = list(ests)
+    if not ests:
+        raise InvalidParameterError("need at least one estimator")
+    _check_shared_draw(ests)
 
     def work(size, key):
-        [(h, _, h_hat)] = _chunk_channels([est], size, key)
-        h = np.swapaxes(h, 1, 2)                      # (B, M, K)
-        err2 = np.sum(np.abs(h - h_hat) ** 2, axis=1)
-        mag2 = np.sum(np.abs(h) ** 2, axis=1)
-        return {"err2": err2, "mag2": mag2}
+        parts = []
+        for h, _, h_hat in _chunk_channels(ests, size, key, eve=False):
+            h = np.swapaxes(h, 1, 2)                  # (B, M, K)
+            parts.append({"err2": np.sum(np.abs(h - h_hat) ** 2, axis=1),
+                          "mag2": np.sum(np.abs(h) ** 2, axis=1)})
+        return parts
 
-    parts = _run_chunks(plan, NMSE_BLOCK, work)
-    err2, mag2 = _stack(parts, "err2"), _stack(parts, "mag2")
-    nmse_hat, nmse_se = _ratio_se(err2, mag2)
-    return OracleEstimates(nmse=nmse_hat, nmse_se=nmse_se)
+    out = []
+    for parts in zip(*_run_chunks(plan, NMSE_BLOCK, work)):
+        nmse_hat, nmse_se = _ratio_se(_stack(parts, "err2"), _stack(parts, "mag2"))
+        out.append(OracleEstimates(nmse=nmse_hat, nmse_se=nmse_se))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -311,7 +339,7 @@ def _chunk_blocks(ests, size: int, key: tuple):
 
     Keeps no reference to one estimator's blocks while building the next.
     """
-    channels = _chunk_channels(ests, size, key)
+    channels = _chunk_channels(ests, size, key, eve=True)
     for est in ests:
         h, h_e, h_hat = next(channels)
         blk = _Blocks(h=h, h_e=h_e, h_hat=h_hat, w=mrt_precoder(h_hat, est),
@@ -461,13 +489,8 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     points = list(points)
     if not points:
         raise InvalidParameterError("need at least one operating point")
-    first = points[0][0]
-    if not all(shares_draw(first.stats, est.stats) and est.pilots.tau_u == first.pilots.tau_u
-               for est, _, _ in points[1:]):
-        raise InvalidParameterError("the operating points of one call must share the pilot "
-                                    "length, and their statistics may differ only in their "
-                                    "phase-error law")
-    dims = first.stats.dims
+    _check_shared_draw([est for est, _, _ in points])
+    dims = points[0][0].stats.dims
     runs = []       # (estimator, [(hw, p, q), ...]): consecutive points with one estimator
     for est, hw, xi in points:
         op = (hw, *stream_powers(hw.p_t, xi, dims.k, dims.m))

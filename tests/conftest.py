@@ -101,7 +101,7 @@ def draw_channels(stats, rng, n_draws):
     the phase errors first, then the Gaussians of ``sample_realizations``.
     """
     theta = stats.phase_model.draw(rng, (n_draws, stats.dims.n))
-    draws = rl.sample_realizations(stats, rng, n_draws)
+    draws = rl.sample_realizations(stats, rng, n_draws, eve=True)
     h, h_e = rl.aggregate_channels(stats, draws, theta)
     return {**draws, "theta": theta, "h": h, "h_e": h_e}
 

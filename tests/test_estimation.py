@@ -187,7 +187,7 @@ def test_estimate_covariance_and_orthogonality(small_setup):
 
 def test_empirical_nmse_matches_closed_form(small_setup):
     _, est, _, _ = small_setup
-    orc = rl.estimate_nmse(est, rl.TrialPlan(n_blocks=100_000, master_seed=2))
+    [orc] = rl.estimate_nmse([est], rl.TrialPlan(n_blocks=100_000, master_seed=2))
     assert np.all(np.abs(orc.nmse - est.nmse) / est.nmse < 0.03)
 
 
@@ -258,6 +258,17 @@ def test_closed_form_approaches_large_n_limit():
 # --------------------------------------------------------------------------
 # pilot-phase simulator
 # --------------------------------------------------------------------------
+
+def test_pilot_gaussians_equal_the_two_part_expression():
+    # each part is written through .real/.imag into one complex array: the
+    # same values as g[0] + 1j * g[1] from the same (2, ...) draw
+    b, k, m, tau_u = 5, 3, 4, 6
+    got = rl.pilot_gaussians(np.random.default_rng(11), (b, k, m), tau_u)
+    rng = np.random.default_rng(11)
+    for part, shape in zip(got, [(b, k, tau_u), (b, m, tau_u), (b, m, tau_u)], strict=True):
+        g = rng.standard_normal((2, *shape))
+        assert np.array_equal(part, g[0] + 1j * g[1])
+
 
 def test_pilot_phase_noiseless_single_user():
     stats = make_setup(seed=21, m=6, n=4, k=1, m_e=1, kappa_ul=0.0)[0]

@@ -2,6 +2,7 @@
 import collections
 import json
 
+import numpy as np
 import pytest
 
 import ris_lab.experiments
@@ -182,6 +183,19 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     assert manifest["rows"] == 1
 
 
+def counted_draws(monkeypatch):
+    """Counter of the Monte Carlo sampler's calls by (N, blocks), from now on."""
+    draws = collections.Counter()
+    sample = ris_lab.montecarlo.sample_realizations
+
+    def counted(stats, rng, n_draws, *, eve):
+        draws[stats.dims.n, n_draws] += 1
+        return sample(stats, rng, n_draws, eve=eve)
+
+    monkeypatch.setattr(ris_lab.montecarlo, "sample_realizations", counted)
+    return draws
+
+
 @pytest.mark.parametrize("experiment, changes, calls", [
     # the phase-noise levels of one N share each chunk's draw, not their estimators
     ("phase_noise_sweep", {"sweep": [4, 9], "phase_noise_levels": [0.0, 0.1, 1.0]},
@@ -193,14 +207,9 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
 def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, changes,
                                                      calls):
     # ``calls`` maps N to the estimator count of its one oracle call
-    draws = collections.Counter()
+    draws = counted_draws(monkeypatch)
     estimators = {}
-    sample = ris_lab.montecarlo.sample_realizations
     oracle = ris_lab.experiments.estimate_secrecy
-
-    def counted(stats, rng, n_draws):
-        draws[stats.dims.n, n_draws] += 1
-        return sample(stats, rng, n_draws)
 
     def recorded(points, plan):
         points = list(points)
@@ -209,7 +218,6 @@ def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, ch
         estimators[n] = len({id(est) for est, _, _ in points})
         return oracle(points, plan)
 
-    monkeypatch.setattr(ris_lab.montecarlo, "sample_realizations", counted)
     monkeypatch.setattr(ris_lab.experiments, "estimate_secrecy", recorded)
     config = ExperimentConfig.from_dict({
         **TINY, "m_e": 1, **changes, "n_blocks": CHUNK_BLOCKS + 8})
@@ -217,3 +225,67 @@ def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, ch
     assert len(table.rows) == len(changes["sweep"]) * len(changes.get("phase_noise_levels", [0]))
     assert estimators == calls
     assert draws == {(n, size): 1 for n in calls for size in (CHUNK_BLOCKS, 8)}
+
+
+@pytest.mark.parametrize("experiment, sweep, calls", [
+    # the pilot powers of one link share each chunk's draw
+    ("nmse_vs_snr", [0.0, 10.0, 20.0], {4: 3}),
+    # every N is a link of its own
+    ("nmse_vs_N", [4, 9], {4: 1, 9: 1}),
+], ids=["nmse_vs_snr", "nmse_vs_N"])
+def test_nmse_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, sweep, calls):
+    # ``calls`` maps N to the estimator count of its one oracle call
+    draws = counted_draws(monkeypatch)
+    estimators = {}
+    oracle = ris_lab.experiments.estimate_nmse
+
+    def recorded(ests, plan):
+        ests = list(ests)
+        n = ests[0].stats.dims.n
+        assert n not in estimators
+        estimators[n] = len(ests)
+        return oracle(ests, plan)
+
+    monkeypatch.setattr(ris_lab.experiments, "estimate_nmse", recorded)
+    config = ExperimentConfig.from_dict({**TINY, "sweep": sweep, "n_blocks": CHUNK_BLOCKS + 8})
+    table = run_experiment(experiment, config)
+    assert [row[0] for row in table.rows] == sweep
+    assert estimators == calls
+    assert draws == {(n, size): 1 for n in calls for size in (CHUNK_BLOCKS, 8)}
+
+
+# --------------------------------------------------------------------------
+# the paper's closed-form claims
+# --------------------------------------------------------------------------
+
+def columns_of(table):
+    return {name: np.array([row[i] for row in table.rows])
+            for i, name in enumerate(table.columns)}
+
+
+def test_asymptotic_secrecy_approaches_its_large_n_limits():
+    # E_u = 40 dB puts the power-scaled limit at 1.47 bit/s/Hz
+    config = ExperimentConfig.from_dict({"m": 8, "k": 2, "m_e": 1, "snr_db": 20.0,
+                                         "power_scaling_eu_db": 40.0,
+                                         "sweep": [64, 1024, 16384, 65536]})
+    col = columns_of(run_experiment("asymptotic_vs_N", config))
+    # secrecy survives a transmit power falling as 1/N
+    assert np.all(col["r_sec_scaled_cf"] > 0)
+    for value, limit in (("r_sec_scaled_cf", "r_sec_scaled_limit_cf"),
+                         ("r_sec_large_n_cf", "r_sec_limit_cf")):
+        gap = np.abs(col[value] - col[limit])
+        assert np.all(np.diff(gap) < 0), (value, gap)
+        # what is left of the large-N gap at N = 65536 (0.09) is mostly the
+        # finite-M term of the Eve bound, which only M -> infinity removes
+        assert gap[-1] < 0.05 * col[limit][-1], (value, gap)
+
+
+def test_secrecy_grows_like_log_m():
+    config = ExperimentConfig.from_dict({"n": 16, "k": 2, "m_e": 2, "snr_db": 10.0,
+                                         "n_blocks": 2, "sweep": [16, 32, 64, 128]})
+    col = columns_of(run_experiment("secrecy_vs_M", config))
+    r_sec = col["r_sec_cf"]
+    assert np.all(np.diff(r_sec) > 0)
+    # about one bit/s/Hz per doubling of M: log2 M growth
+    slope = np.polyfit(np.log2(col["m"].astype(float)), r_sec, 1)[0]
+    assert 0.5 < slope < 1.5, slope

@@ -149,6 +149,8 @@ def test_shared_draw_rejects_estimators_beyond_the_phase_law(change):
         other = rl.ChannelEstimator(est.stats, dataclasses.replace(est.pilots, tau_u=4))
     with pytest.raises(rl.InvalidParameterError, match="phase-error law"):
         rl.estimate_secrecy([(est, hw, xi), (other, hw, xi)], rl.TrialPlan(4, master_seed=1))
+    with pytest.raises(rl.InvalidParameterError, match="phase-error law"):
+        rl.estimate_nmse([est, other], rl.TrialPlan(4, master_seed=1))
 
 
 def test_secrecy_standard_error_is_calibrated(small_setup):
@@ -177,7 +179,7 @@ def test_single_block_standard_errors_are_infinite(small_setup):
     plan = rl.TrialPlan(n_blocks=1, master_seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nmse = rl.estimate_nmse(est, plan)
+        [nmse] = rl.estimate_nmse([est], plan)
         user = rl.estimate_user_rate(est, hw, xi, plan)
         eve = rl.estimate_eve_capacity(est, hw, xi, plan)
         [sec] = rl.estimate_secrecy([(est, hw, xi)], plan)
@@ -311,11 +313,50 @@ def test_nmse_oracle_reproducible(small_setup, monkeypatch):
     results = {}
     for threads in ("1", "7"):
         monkeypatch.setenv("RIS_LAB_THREADS", threads)
-        results[threads] = rl.estimate_nmse(est, plan)
+        [results[threads]] = rl.estimate_nmse([est], plan)
     a, b = results["1"], results["7"]
     assert np.array_equal(a.nmse, b.nmse)
     assert np.array_equal(a.nmse_se, b.nmse_se)
     assert np.all(a.nmse_se > 0)
+
+
+def test_shared_nmse_call_equals_each_estimator_alone(small_setup, monkeypatch):
+    # estimators at two pilot powers and two phase laws share each chunk's
+    # Gaussians; each estimate is still that estimator's alone, at any worker count
+    _, est, hw, xi = small_setup
+    ests = [e for e, _, _ in mixed_points(est, hw, xi)]
+    plan = rl.TrialPlan(n_blocks=250, master_seed=23)       # three chunks
+    assert len(plan.chunks()) > 1
+    for threads in ("1", "7"):
+        monkeypatch.setenv("RIS_LAB_THREADS", threads)
+        for e, orc in zip(ests, rl.estimate_nmse(ests, plan), strict=True):
+            assert_same_estimates(orc, rl.estimate_nmse([e], plan)[0])
+
+
+def test_nmse_oracle_draws_and_builds_only_the_users_links(small_setup, monkeypatch):
+    _, est, hw, xi = small_setup
+    sample, aggregate = montecarlo.sample_realizations, montecarlo.aggregate_channels
+    drawn, built = [], []
+
+    def sampled(stats, rng, n_draws, *, eve):
+        draws = sample(stats, rng, n_draws, eve=eve)
+        drawn.append(sorted(draws))
+        return draws
+
+    def aggregated(stats, draws, theta):
+        h, h_e = aggregate(stats, draws, theta)
+        built.append(h_e is not None)
+        return h, h_e
+
+    monkeypatch.setattr(montecarlo, "sample_realizations", sampled)
+    monkeypatch.setattr(montecarlo, "aggregate_channels", aggregated)
+    plan = rl.TrialPlan(n_blocks=montecarlo.CHUNK_BLOCKS + 8, master_seed=5)
+    rl.estimate_nmse([est], plan)
+    assert drawn == [["h_b", "h_i"]] * 2 and built == [False] * 2
+    # the secrecy oracle reads Eve's channel, so it draws and builds her links
+    drawn.clear(), built.clear()
+    rl.estimate_secrecy([(est, hw, xi)], plan)
+    assert drawn == [["h_b", "h_be", "h_i", "h_ie"]] * 2 and built == [True] * 2
 
 
 def test_default_run_spans_several_chunks():
