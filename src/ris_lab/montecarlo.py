@@ -193,6 +193,8 @@ def shares_draw(a: ChannelStatistics, b: ChannelStatistics) -> bool:
 
 def _check_shared_draw(ests) -> None:
     """Raise unless one chunk draw serves all estimators: ``shares_draw`` and one pilot length."""
+    if not ests:
+        raise InvalidParameterError("need at least one estimator")
     first = ests[0]
     if not all(shares_draw(first.stats, est.stats) and est.pilots.tau_u == first.pilots.tau_u
                for est in ests[1:]):
@@ -298,8 +300,6 @@ def estimate_nmse(ests, plan: TrialPlan) -> list[OracleEstimates]:
     Each chunk draws only the users' links, once for all of them.
     """
     ests = list(ests)
-    if not ests:
-        raise InvalidParameterError("need at least one estimator")
     _check_shared_draw(ests)
 
     def work(size, key):
@@ -487,8 +487,6 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     the user/Eve and user/user correlations of the draw; it ignores the clip.
     """
     points = list(points)
-    if not points:
-        raise InvalidParameterError("need at least one operating point")
     _check_shared_draw([est for est, _, _ in points])
     dims = points[0][0].stats.dims
     runs = []       # (estimator, [(hw, p, q), ...]): consecutive points with one estimator

@@ -8,6 +8,12 @@ across threads.
 A complex Gaussian array of ``shape`` is drawn as one real
 ``standard_normal((2, *shape))`` call, the real parts before the imaginary
 parts; its consumer scales and colors the parts itself.
+
+The chunk stream ``(master_seed, purpose, chunk)`` of a Monte Carlo oracle
+gives the users' links, then Eve's links where the oracle reads her channel
+(``CHANNEL_BLOCK`` for secrecy, ``EVE_BLOCK`` for the Wishart moments),
+then the pilot Gaussians. The ``NMSE_BLOCK`` stream holds no Eve links: its
+pilot Gaussians follow the users' links.
 """
 from __future__ import annotations
 

@@ -153,6 +153,12 @@ def test_shared_draw_rejects_estimators_beyond_the_phase_law(change):
         rl.estimate_nmse([est, other], rl.TrialPlan(4, master_seed=1))
 
 
+@pytest.mark.parametrize("oracle", [rl.estimate_secrecy, rl.estimate_nmse])
+def test_oracles_reject_an_empty_call(oracle):
+    with pytest.raises(rl.InvalidParameterError, match="at least one estimator"):
+        oracle([], rl.TrialPlan(4, master_seed=1))
+
+
 def test_secrecy_standard_error_is_calibrated(small_setup):
     # the spread of r_sec, and of each user's rate, over independent master
     # seeds must match the delta-method SE. With 40 seeds the sample SD /
