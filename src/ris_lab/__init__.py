@@ -53,11 +53,8 @@ from .montecarlo import (
     estimate_wishart_moments,
 )
 from .power_alloc import (
-    XiSolution,
-    grid_search_xi,
     optimal_xi,
     secrecy_derivative,
-    secrecy_derivative_exact,
 )
 from .precoding import (
     mrt_precoder,

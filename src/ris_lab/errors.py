@@ -46,7 +46,7 @@ class InfiniteEveCapacityError(RisLabError):
 
 
 class NoRealRootError(RisLabError):
-    """The closed-form power-split quadratic has no real root."""
+    """The secrecy gap falls from xi = 0 on: it is negative at every power split."""
 
 
 class IllConditionedWarning(UserWarning):

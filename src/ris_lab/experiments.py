@@ -518,9 +518,16 @@ def _closed_secrecy(terms: list, xi: float):
     return [float(np.mean(column)) for column in zip(*per_user)]
 
 
+def _size(column: str, value) -> int:
+    """A sweep value of the size M or N as an int; a fraction is a config error."""
+    if value != int(value):
+        raise ConfigValidationError(f"sweep value {value} of {column} must be a whole number")
+    return int(value)
+
+
 def _axis_value(column: str, value):
     """A sweep value as its config field's type: int for the sizes M and N."""
-    return int(value) if column in ("m", "n") else float(value)
+    return _size(column, value) if column in ("m", "n") else float(value)
 
 
 def _nmse_sweep(config: ExperimentConfig, name, column, grid, limit_column,
@@ -593,12 +600,20 @@ def _run_kappa_t_sweep(config: ExperimentConfig) -> ResultTable:
 
 
 def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
-    """Uncorrelated-fading asymptotics: exact, large-N, limit, power-scaled."""
-    grid = config.sweep or [64, 144, 256, 576, 1024, 2048, 4096]
+    """Uncorrelated-fading asymptotics per N, one closed form a column.
+
+    ``r_sec_prop_cf`` is the exact rate (``secrecy_uncorrelated``) and
+    ``r_sec_large_n_cf`` its large-N form at this M (``secrecy_large_n``).
+    ``r_sec_limit_cf`` (``secrecy_limit``) is the M, N -> infinity limit,
+    not the N -> infinity limit of ``r_sec_large_n_cf`` at finite M: its
+    eavesdropper bound is the M -> infinity one. ``r_sec_scaled_cf`` is
+    the exact rate with P_t = E_u / N, and ``r_sec_scaled_limit_cf``
+    (``secrecy_power_scaled``) its N -> infinity limit at this M.
+    """
+    grid = [_size("n", n) for n in config.sweep or [64, 144, 256, 576, 1024, 2048, 4096]]
     e_u, xi, hw = config.e_u, config.xi, config.hardware()
     rows = []
     for n in grid:
-        n = int(n)
         dims, pilots, fading, h1 = _scenario(config.replace(n=n))
         # the uncorrelated special case assumes ideal uplink hardware
         rho, sigma_u2 = pilots.rho, pilots.sigma_u2
@@ -642,8 +657,10 @@ def _run_xi_sweep(config: ExperimentConfig) -> ResultTable:
 
 def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
     """Secrecy per (N, sigma_p2); the levels of one N share one Monte Carlo draw."""
-    grid = config.sweep or [64, 100, 196, 400, 784, 1600]
-    points = (([int(n), float(sp2)], config.replace(n=int(n), sigma_p2=float(sp2)))
+    grid = [_size("n", n) for n in config.sweep or [64, 100, 196, 400, 784, 1600]]
+    if not config.phase_noise_levels:
+        raise ConfigValidationError("phase_noise_levels must hold at least one level")
+    points = (([n, float(sp2)], config.replace(n=n, sigma_p2=float(sp2)))
               for n in grid for sp2 in config.phase_noise_levels)
     return ResultTable(
         "phase_noise_sweep",

@@ -375,9 +375,10 @@ def secrecy_large_n(beta_2k: float, beta_ik: float, beta_1: float, n: int, m: in
                     sigma_u2: float, hw: HardwareProfile):
     """Large-RIS secrecy rate: the bridge congruence replaced by its limit.
 
-    Returns (user_rate, eve_bound, clipped secrecy rate). The eavesdropper
-    term is independent of its gains beta_3 and beta_ie, which cancel
-    exactly, so they are not arguments.
+    Returns (user_rate, eve_bound, clipped secrecy rate), at large N and
+    this M: the eavesdropper bound keeps the finite-M term that
+    ``secrecy_limit`` drops. It is independent of Eve's gains beta_3 and
+    beta_ie, which cancel exactly, so they are not arguments.
     """
     p_t = hw.p_t
     gain = beta_2k + beta_ik * beta_1 * n
@@ -429,7 +430,11 @@ def secrecy_limit(m: int, k_users: int, m_e: int, xi: float, kappa_t_bs: float,
                   kappa_r_ue: float):
     """Asymptotic secrecy rate for huge arrays and unbounded RIS size.
 
-    Returns (user_rate, eve_bound, clipped secrecy rate).
+    Returns (user_rate, eve_bound, clipped secrecy rate). This is the
+    M, N -> infinity limit, not the N -> infinity limit of
+    ``secrecy_large_n`` at finite M: the user rate is the N -> infinity
+    rate at this M (it grows as log2 M), but the eavesdropper bound is
+    the M -> infinity one, log2(1 + xi M_E / (K upsilon)).
     """
     upsilon = 1.0 - xi + kappa_t_bs
     if upsilon <= 0:

@@ -96,6 +96,15 @@ def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys, experimen
                    id=f"{experiment}-{value}")
       for experiment in ("nmse_vs_N", "secrecy_vs_N", "secrecy_vs_M", "asymptotic_vs_N")
       for value in (0, -4)],
+    # a fractional size was once truncated: 16.9 wrote a row of m = 16
+    *[pytest.param(experiment, {"sweep": [16.9]}, f"sweep value 16.9 of {column} must be a "
+                   "whole number", [], id=f"{experiment}-16.9")
+      for experiment, column in (("nmse_vs_N", "n"), ("secrecy_vs_N", "n"),
+                                 ("secrecy_vs_M", "m"), ("asymptotic_vs_N", "n"),
+                                 ("phase_noise_sweep", "n"))],
+    pytest.param("phase_noise_sweep", {"sweep": [4], "phase_noise_levels": []},
+                 "phase_noise_levels must hold at least one level", [],
+                 id="phase_noise_sweep-no-levels"),
     pytest.param("xi_sweep", {"sweep": [0.0]}, "xi must lie in (0, 1]", [],
                  id="xi_sweep-0.0"),
     pytest.param("xi_sweep", {"sweep": [1.5]}, "xi must lie in (0, 1]", [],
@@ -162,6 +171,13 @@ def test_cli_nonpositive_size_in_sweep_exits_2(tmp_path, capsys, experiment, cha
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_whole_number_size_as_float_is_accepted(tmp_path):
+    config = write_config(tmp_path, {**TINY, "sweep": [16.0]})
+    assert cli.main(["secrecy_vs_M", "--config", config, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "secrecy_vs_M.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["m", "16"]
 
 
 def test_manifest_records_environment(tmp_path, monkeypatch):

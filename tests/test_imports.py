@@ -10,7 +10,8 @@ how the bindings that the benchmark tracer wraps are kept.
 
 The checks further down find values that nothing reads: record fields,
 the instance attributes an ``__init__`` sets, and function parameters.
-The last one runs an experiment in a fresh interpreter and checks that
+Another holds the error hierarchy to the CLI: every ``RisLabError``
+subclass is raised somewhere and caught by name. The last one runs an experiment in a fresh interpreter and checks that
 the package never imports scipy, which is a test-only dependency.
 """
 import ast
@@ -254,6 +255,76 @@ def test_unread_parameter_check_on_a_small_source():
     assert unread_parameters(source) == [
         (1, "f", "args"), (1, "f", "b"), (1, "f", "d"), (1, "f", "kw"),
         (4, "method", "self"), (5, "inner", "y"), (10, "<lambda>", "v")]
+
+
+# --------------------------------------------------------------------------
+# every error is raised and mapped to an exit code
+# --------------------------------------------------------------------------
+
+def _names(node) -> set:
+    """Class names an exception expression or ``except`` clause refers to."""
+    nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in nodes}
+
+
+def unhandled_errors(errors_source: str, raiser_sources: list, cli_source: str) -> list:
+    """(class, gap) for each ``RisLabError`` subclass never raised or not caught by ``main``.
+
+    Subclasses are found through their bases within ``errors_source``. A
+    class is raised when a ``raise`` in ``raiser_sources`` names it, called
+    or bare; it is caught when an ``except`` clause of ``main`` in
+    ``cli_source`` names it, alone or in a tuple.
+    """
+    bases = {c.name: set().union(*map(_names, c.bases)) for c in ast.parse(errors_source).body
+             if isinstance(c, ast.ClassDef)}
+
+    def derives(name):
+        return any(b == "RisLabError" or (b in bases and derives(b)) for b in bases[name])
+
+    raised = set().union(*(_names(n.exc.func if isinstance(n.exc, ast.Call) else n.exc)
+                           for source in raiser_sources for n in ast.walk(ast.parse(source))
+                           if isinstance(n, ast.Raise) and n.exc is not None))
+    caught = set().union(*(_names(h.type) for f in ast.walk(ast.parse(cli_source))
+                           if isinstance(f, ast.FunctionDef) and f.name == "main"
+                           for h in ast.walk(f)
+                           if isinstance(h, ast.ExceptHandler) and h.type is not None))
+    return sorted([(c, "never raised") for c in bases if derives(c) and c not in raised]
+                  + [(c, "not caught") for c in bases if derives(c) and c not in caught])
+
+
+def test_every_error_is_raised_and_caught():
+    raisers = [p.read_text(encoding="utf-8") for p in MODULES if p.name != "errors.py"]
+    assert unhandled_errors((PACKAGE / "errors.py").read_text(encoding="utf-8"), raisers,
+                            (PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_unhandled_error_check_on_a_small_source():
+    errors = ("class RisLabError(Exception):\n    pass\n"
+              "class Config(RisLabError, ValueError):\n    pass\n"
+              "class Bound(RisLabError):\n    pass\n"
+              "class Narrow(Bound):\n    pass\n"
+              "class Unused(RisLabError):\n    pass\n"
+              "class Warn(UserWarning):\n    pass\n")
+    raiser = ("def f(x):\n"
+              "    if x:\n"
+              "        raise errors.Config('bad') from None\n"
+              "    raise Narrow\n"
+              "def g():\n"
+              "    raise Bound('edge')\n")
+    cli = ("def main():\n"
+           "    try:\n"
+           "        run()\n"
+           "    except Config:\n"
+           "        return 2\n"
+           "    except (Bound, OSError):\n"
+           "        return 3\n"
+           "def other():\n"
+           "    try:\n"
+           "        run()\n"
+           "    except Unused:\n"
+           "        pass\n")
+    assert unhandled_errors(errors, [raiser], cli) == [
+        ("Narrow", "not caught"), ("Unused", "never raised"), ("Unused", "not caught")]
 
 
 # --------------------------------------------------------------------------

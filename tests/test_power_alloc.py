@@ -1,20 +1,17 @@
-"""Power-split optimizer: derivatives, quadratic roots, grid search."""
+"""Power-split optimizer: the exact derivative and its bisected root."""
 import dataclasses
 
 import numpy as np
 import pytest
 
 import ris_lab as rl
-from ris_lab.power_alloc import (
-    _quadratic_constants,
-    grid_search_xi,
-    optimal_xi,
-    secrecy_derivative,
-    secrecy_derivative_exact,
-)
+from ris_lab.power_alloc import optimal_xi, secrecy_derivative
 from ris_lab.rates import secrecy_gap_split
 
 from conftest import make_setup
+
+FIG8 = [(64, 100), (128, 100), (64, 400), (128, 400)]
+KAPPAS = [0.0, 0.01, 0.0225]
 
 
 def terms_for(seed, m=32, n=16, k=3, m_e=2, p_t=10.0, kappa_dl=0.01, **kw):
@@ -23,15 +20,31 @@ def terms_for(seed, m=32, n=16, k=3, m_e=2, p_t=10.0, kappa_dl=0.01, **kw):
     return rl.compute_rate_terms(est, hw, k=0)
 
 
-def fig8_terms(m, n, snr_db=0.0):
+def fig8_terms(m, n, snr_db=0.0, kappa_t_bs=0.01):
     from ris_lab.experiments import ExperimentConfig, build_setup
-    cfg = ExperimentConfig(m=m, n=n, k=10, m_e=4, snr_db=snr_db)
+    cfg = ExperimentConfig(m=m, n=n, k=10, m_e=4, snr_db=snr_db, kappa_t_bs=kappa_t_bs)
     setup = build_setup(cfg)
     return rl.compute_rate_terms(setup.est, setup.hw, k=0)
 
 
+def gap_profile(terms, step):
+    """Unclipped secrecy gap on the grid step, 2 step, ..., 1: the optimizer's reference.
+
+    Grid points where the bound is invalid (e.g. xi = 1 with an ideal
+    transmitter) hold -inf and can never win.
+    """
+    grid = np.arange(1, int(round(1.0 / step)) + 1) * step
+    profile = np.empty_like(grid)
+    for i, xi in enumerate(grid):
+        try:
+            profile[i] = secrecy_gap_split(terms, float(xi))
+        except (rl.BoundInvalidError, rl.InfiniteEveCapacityError):
+            profile[i] = -np.inf
+    return grid, profile
+
+
 # --------------------------------------------------------------------------
-# derivatives
+# derivative
 # --------------------------------------------------------------------------
 
 def test_exact_derivative_matches_finite_differences():
@@ -44,79 +57,78 @@ def test_exact_derivative_matches_finite_differences():
         for xi in np.linspace(0.05, 0.95, 7):
             fd = (secrecy_gap_split(terms, xi + step)
                   - secrecy_gap_split(terms, xi - step)) / (2 * step)
-            exact = secrecy_derivative_exact(terms, xi)
+            exact = secrecy_derivative(terms, xi)
             assert exact == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
 
-def test_approximate_derivative_close_to_exact_for_large_arrays():
-    terms = fig8_terms(m=256, n=100)
-    assert terms.m_e * terms.k_users / terms.m ** 2 < 0.01
-    for xi in np.linspace(0.1, 0.9, 9):
-        exact = secrecy_derivative_exact(terms, xi)
-        approx = secrecy_derivative(terms, xi)
-        assert abs(approx - exact) <= 0.02 * abs(exact)
-
-
 def test_derivative_sign_change_brackets_the_optimum():
-    for m, n in [(64, 100), (128, 100), (64, 400), (128, 400)]:
+    for m, n in FIG8:
         terms = fig8_terms(m, n)
         assert secrecy_derivative(terms, 0.01) > 0.0
         assert secrecy_derivative(terms, 0.99) < 0.0
 
 
 # --------------------------------------------------------------------------
-# closed-form optimum
+# optimal split
 # --------------------------------------------------------------------------
 
+def test_optimal_xi_matches_brentq():
+    from scipy.optimize import brentq
+    configs = [(fig8_terms(m, n, kappa_t_bs=kt), kt) for m, n in FIG8 for kt in KAPPAS]
+    # a small array against its users and Eve: M_E K / M^2 = 0.023
+    configs += [(terms_for(seed=900, m=16, n=16, k=3, m_e=2, kappa_dl=kt), kt)
+                for kt in KAPPAS]
+    for terms, kt in configs:
+        assert terms.kappa_t_bs == kt
+        ref = brentq(lambda xi: secrecy_derivative(terms, xi), 1e-9, 1.0 - 1e-9,
+                     xtol=1e-15)
+        assert abs(optimal_xi(terms) - ref) <= 1e-9
+
+
 def test_optimal_xi_matches_grid_argmax_on_reference_configs():
-    for m, n in [(64, 100), (128, 100), (64, 400), (128, 400)]:
+    for m, n in FIG8:
         terms = fig8_terms(m, n)
-        sol = optimal_xi(terms)
-        xi_hat, _, _ = grid_search_xi(terms, 1e-3)
-        assert sol.valid and sol.in_regime
-        assert 0.0 < sol.xi_star <= 1.0
-        assert abs(sol.xi_star - xi_hat) <= 0.02
+        xi_star = optimal_xi(terms)
+        grid, profile = gap_profile(terms, 1e-3)
+        assert 0.0 < xi_star <= 1.0
+        assert abs(xi_star - grid[np.argmax(profile)]) <= 0.02
         # stationarity: the derivative residual is negligible at the root
         ref = secrecy_derivative(terms, 1e-6)
-        assert abs(sol.derivative_at_solution) < 1e-6 * abs(ref)
-
-
-def test_optimal_xi_root_branch_selection():
-    for m, n in [(64, 100), (128, 400)]:
-        terms = fig8_terms(m, n)
-        a, b, c = _quadratic_constants(terms)
-        disc = b * b - 4.0 * a * c
-        assert disc > 0.0
-        roots = sorted([(b - np.sqrt(disc)) / (2 * a), (b + np.sqrt(disc)) / (2 * a)])
-        inside = [r for r in roots if 0.0 < r <= 1.0]
-        assert len(inside) == 1            # exactly one admissible root
-        assert optimal_xi(terms).xi_star == pytest.approx(inside[0], rel=1e-12)
+        assert abs(secrecy_derivative(terms, xi_star)) < 1e-6 * abs(ref)
 
 
 def test_optimal_xi_achieves_grid_optimum():
     for m, n in [(64, 100), (128, 400)]:
-        terms = fig8_terms(m, n)
-        sol = optimal_xi(terms)
-        _, grid, profile = grid_search_xi(terms, 1e-3)
-        best = float(np.max(profile))
-        achieved = max(0.0, secrecy_gap_split(terms, sol.xi_star))
-        assert achieved >= best - 1e-3
+        for kt in KAPPAS:
+            terms = fig8_terms(m, n, kappa_t_bs=kt)
+            _, profile = gap_profile(terms, 1e-3)
+            best = max(0.0, float(np.max(profile)))
+            achieved = max(0.0, secrecy_gap_split(terms, optimal_xi(terms)))
+            assert achieved >= best - 1e-3
 
 
-def test_optimal_xi_flags_out_of_regime():
-    terms = terms_for(seed=900, m=16, n=16, k=3, m_e=2)   # M_E K / M^2 = 0.023
-    sol = optimal_xi(terms)
-    assert not sol.in_regime
-    assert "grid_search_xi" in sol.note
+def test_optimal_xi_raises_when_the_gap_is_negative_everywhere():
+    terms = fig8_terms(64, 100, snr_db=-10.0)
+    _, profile = gap_profile(terms, 1e-3)
+    assert np.max(profile) <= 0.0
+    with pytest.raises(rl.NoRealRootError):
+        optimal_xi(terms)
+
+
+def test_optimal_xi_rejects_nonpositive_l1():
+    terms = fig8_terms(16, 16)                 # K = 10 users on 16 antennas
+    assert terms.l1 <= 0.0
+    with pytest.raises(rl.BoundInvalidError, match="L1 <= 0"):
+        optimal_xi(terms)
 
 
 # --------------------------------------------------------------------------
-# grid search
+# the gap on a grid
 # --------------------------------------------------------------------------
 
 def test_grid_profile_unimodal_on_reference_configs():
     for m, n in [(64, 100), (128, 400)]:
-        _, grid, profile = grid_search_xi(fig8_terms(m, n), 1e-2)
+        _, profile = gap_profile(fig8_terms(m, n), 1e-2)
         pos = profile[profile > 0]
         rises = np.sign(np.diff(pos))
         switches = int(np.sum(np.abs(np.diff(rises)) > 0))
@@ -133,20 +145,6 @@ def test_grid_argmax_full_power_without_eavesdropper():
     terms = rl.compute_rate_terms(est, hw, k=0)
     terms = dataclasses.replace(terms, m_e=0, a1=0.0, a3=0.0, a4=0.0, a5=0.0,
                                 l1=terms.tr_q ** 2)
-    xi_hat, _, _ = grid_search_xi(terms, 1e-2)
-    assert xi_hat == pytest.approx(1.0)
-
-
-def test_grid_argmax_stable_under_refinement():
-    terms = fig8_terms(64, 100)
-    coarse, _, _ = grid_search_xi(terms, 1e-2)
-    fine, _, _ = grid_search_xi(terms, 1e-3)
-    assert abs(coarse - fine) <= 1e-2
-
-
-def test_grid_step_domain():
-    terms = fig8_terms(64, 100)
-    with pytest.raises(rl.InvalidParameterError):
-        grid_search_xi(terms, 0.2)
-    with pytest.raises(rl.InvalidParameterError):
-        grid_search_xi(terms, 0.0)
+    grid, profile = gap_profile(terms, 1e-2)
+    assert grid[np.argmax(profile)] == pytest.approx(1.0)
+    assert optimal_xi(terms) == 1.0
