@@ -72,17 +72,47 @@ def test_derivative_sign_change_brackets_the_optimum():
 # optimal split
 # --------------------------------------------------------------------------
 
-def test_optimal_xi_matches_brentq():
+def brentq_root(terms):
     from scipy.optimize import brentq
-    configs = [(fig8_terms(m, n, kappa_t_bs=kt), kt) for m, n in FIG8 for kt in KAPPAS]
-    # a small array against its users and Eve: M_E K / M^2 = 0.023
-    configs += [(terms_for(seed=900, m=16, n=16, k=3, m_e=2, kappa_dl=kt), kt)
-                for kt in KAPPAS]
-    for terms, kt in configs:
-        assert terms.kappa_t_bs == kt
-        ref = brentq(lambda xi: secrecy_derivative(terms, xi), 1e-9, 1.0 - 1e-9,
-                     xtol=1e-15)
-        assert abs(optimal_xi(terms) - ref) <= 1e-9
+    return brentq(lambda xi: secrecy_derivative(terms, xi), 1e-9, 1.0 - 1e-9,
+                  xtol=1e-15)
+
+
+def test_optimal_xi_matches_brentq():
+    for m, n in FIG8:
+        for kt in KAPPAS:
+            terms = fig8_terms(m, n, kappa_t_bs=kt)
+            assert terms.kappa_t_bs == kt
+            assert abs(optimal_xi(terms) - brentq_root(terms)) <= 1e-9
+
+
+def test_optimal_xi_root_branch_selection():
+    # the derivative changes sign once on (0, 1), from + to -, and the
+    # returned root lies in the grid cell of that sign change
+    for m, n in [(64, 100), (128, 400)]:
+        terms = fig8_terms(m, n)
+        grid = np.linspace(1e-3, 1.0 - 1e-3, 999)
+        signs = np.sign([secrecy_derivative(terms, float(xi)) for xi in grid])
+        changes = np.flatnonzero(np.diff(signs) != 0)
+        assert len(changes) == 1            # exactly one admissible root
+        i = int(changes[0])
+        assert signs[i] > 0.0 > signs[i + 1]
+        assert grid[i] <= optimal_xi(terms) <= grid[i + 1]
+
+
+def test_optimal_xi_flags_out_of_regime():
+    # a small array against its users and Eve, M_E K / M^2 = 0.023, lies
+    # outside the small-M_E K/M^2 regime; the exact root needs no flag
+    # there and still sits at the brentq root and the grid optimum
+    for kt in KAPPAS:
+        terms = terms_for(seed=900, m=16, n=16, k=3, m_e=2, kappa_dl=kt)
+        assert terms.m_e * terms.k_users / terms.m ** 2 > 0.01
+        xi_star = optimal_xi(terms)
+        assert isinstance(xi_star, float)
+        assert abs(xi_star - brentq_root(terms)) <= 1e-9
+        _, profile = gap_profile(terms, 1e-3)
+        achieved = max(0.0, secrecy_gap_split(terms, xi_star))
+        assert achieved >= max(0.0, float(np.max(profile))) - 1e-3
 
 
 def test_optimal_xi_matches_grid_argmax_on_reference_configs():
