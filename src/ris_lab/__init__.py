@@ -61,7 +61,6 @@ from .precoding import (
     stream_powers,
 )
 from .rates import (
-    EveBound,
     RateTerms,
     SecrecyReport,
     compute_rate_terms,
@@ -69,7 +68,6 @@ from .rates import (
     eve_capacity_no_an,
     max_eve_antennas_an,
     max_eve_antennas_no_an,
-    secrecy_gap_split,
     secrecy_large_n,
     secrecy_limit,
     secrecy_power_scaled,

@@ -8,7 +8,7 @@ power rides on the instantaneous per-antenna channel power), and AWGN.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,14 +118,13 @@ def nmse_high_power_limit(stats: ChannelStatistics, pilots: PilotConfig, k: int)
     """Error floor of user k's NMSE as the pilot power grows without bound.
 
     Zero for ideal hardware; otherwise the limit uses the reduced
-    covariance tau_u R_k + kappa_t sum R_i + kappa_r sum diag(R_i).
+    covariance tau_u R_k + kappa_t sum R_i + kappa_r sum diag(R_i), which is
+    ``build_psi`` at unit pilot power without noise.
     """
     if pilots.kappa_t_ue == 0.0 and pilots.kappa_r_bs == 0.0:
         return 0.0
-    sum_r = sum(stats.r_k)
-    psi_t = (pilots.tau_u * stats.r_k[k] + pilots.kappa_t_ue * sum_r
-             + pilots.kappa_r_bs * np.diag(np.real(np.diag(sum_r))))
-    solver = HermitianSolver(hermitize(psi_t), name="high-power pilot covariance")
+    psi_t = build_psi(stats, replace(pilots, rho=1.0, sigma_u2=0.0))[k]
+    solver = HermitianSolver(psi_t, name="high-power pilot covariance")
     rk = stats.r_k[k]
     resid = rk - pilots.tau_u * rk @ solver.solve(rk)
     return float(np.real(np.trace(resid)) / np.real(np.trace(rk)))

@@ -67,7 +67,6 @@ from .montecarlo import (  # noqa: F401 -- bench/tracer.py wraps these bindings
 )
 from .rates import (
     compute_rate_terms,
-    secrecy_gap_split,
     secrecy_large_n,
     secrecy_limit,
     secrecy_power_scaled,
@@ -514,8 +513,13 @@ def _closed_secrecy(terms: list, xi: float):
             rep = secrecy_rate(user, xi)
             per_user.append((rep.r_k, rep.c_e_bar, rep.r_sec))
         except InfiniteEveCapacityError:
-            per_user.append((user_rate(user, xi)[0], float("inf"), 0.0))
+            per_user.append((user_rate(user, xi), float("inf"), 0.0))
     return [float(np.mean(column)) for column in zip(*per_user)]
+
+
+def _closed_r_sec(setup: SystemSetup) -> list:
+    """[user-averaged closed-form secrecy rate] of one setup: a row's one closed-form cell."""
+    return [_closed_secrecy(_rate_terms(setup), setup.xi)[2]]
 
 
 def _size(column: str, value) -> int:
@@ -638,21 +642,11 @@ def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
 
 def _run_xi_sweep(config: ExperimentConfig) -> ResultTable:
     grid = config.sweep or [round(0.05 * i, 2) for i in range(1, 21)]
-
-    def closed(setup):
-        terms = _rate_terms(setup)
-        r_closed = _closed_secrecy(terms, setup.xi)[2]
-        try:
-            r_eq = np.mean([max(0.0, secrecy_gap_split(t, setup.xi)) for t in terms])
-        except InfiniteEveCapacityError:
-            r_eq = 0.0
-        return [r_closed, float(r_eq)]
-
     points = (([xi], config.replace(xi=xi)) for xi in map(float, grid))
     return ResultTable(
         "xi_sweep",
-        ["xi", "r_sec_closed", "r_sec_eq40", "r_sec_mc", "r_sec_mc_se"],
-        _shared_draw_rows(config, points, closed, _secrecy_cells))
+        ["xi", "r_sec_closed", "r_sec_mc", "r_sec_mc_se"],
+        _shared_draw_rows(config, points, _closed_r_sec, _secrecy_cells))
 
 
 def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
@@ -665,9 +659,7 @@ def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
     return ResultTable(
         "phase_noise_sweep",
         ["n", "sigma_p2", "r_sec_cf", "r_sec_mc", "r_sec_mc_se"],
-        _shared_draw_rows(config, points,
-                          lambda setup: [_closed_secrecy(_rate_terms(setup), setup.xi)[2]],
-                          _secrecy_cells))
+        _shared_draw_rows(config, points, _closed_r_sec, _secrecy_cells))
 
 
 _RUNNERS = {

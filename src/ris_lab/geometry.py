@@ -141,10 +141,12 @@ def _bessel_ratio(nu: float) -> float:
 
 
 def phase_deviation_factor(model: PhaseNoiseModel) -> float:
-    """Circular mean E{exp(j theta)} of the phase-error law, in [0, 1].
+    """Circular mean E{exp(j theta)} of the phase-error law, at most 1.
 
-    Von Mises gives the Bessel ratio I1(nu)/I0(nu), computed so that it
-    stays finite for concentrations far beyond 1e4.
+    Von Mises gives the Bessel ratio I1(nu)/I0(nu), in [0, 1), computed so
+    that it stays finite for concentrations far beyond 1e4. The uniform law
+    gives sin(iota_p)/iota_p, which turns negative once sigma_p2 > pi^2/3 ~ 3.29
+    (-0.0915 at sigma_p2 = 4). Only its square enters the covariances.
     """
     if model.kind == "none" or model.sigma_p2 == 0.0:
         return 1.0

@@ -1,7 +1,7 @@
 """Optimal split of the transmit budget between data and artificial noise.
 
 The data fraction xi* maximizes one user's unclipped secrecy gap
-R_k - C_E (``rates.secrecy_gap_split``) and solves the fixed-point
+R_k - C_E (``rates.secrecy_rate``) and solves the fixed-point
 equation d(gap)/d(xi) = 0. ``secrecy_derivative`` is that derivative with
 no approximation, so the root stays exact under transmit distortion
 (kappa_t^BS > 0); ``optimal_xi`` brackets it on (0, 1) and bisects.
@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 
 from .errors import BoundInvalidError, NoRealRootError
-from .rates import RateTerms, secrecy_gap_split
+from .rates import RateTerms, secrecy_rate
 
 LN2 = math.log(2.0)
 
 
 def secrecy_derivative(terms: RateTerms, xi: float) -> float:
-    """d/dxi of the unclipped secrecy gap ``secrecy_gap_split(terms, xi)``."""
+    """d/dxi of the unclipped secrecy gap ``secrecy_rate(terms, xi).gap``."""
     s, psi, d = terms.s_ddot, terms.psi_const, terms.d_ddot
     a1, a2, a3, a4, a5 = terms.a1, terms.a2, terms.a3, terms.a4, terms.a5
     kt = terms.kappa_t_bs
@@ -39,7 +39,7 @@ def optimal_xi(terms: RateTerms) -> float:
     is at most 1e-12 wide, and returns 1.0 (no AN) when the gap still
     rises at the upper end. Raises ``NoRealRootError`` when the gap falls
     from xi = 0 on, and ``BoundInvalidError`` when L1 <= 0 or the
-    split-form bound is invalid at the root.
+    eavesdropper bound is invalid at the root.
     """
     if terms.l1 <= 0:
         raise BoundInvalidError(
@@ -56,5 +56,5 @@ def optimal_xi(terms: RateTerms) -> float:
         else:
             hi = mid
     xi = 0.5 * (lo + hi)
-    secrecy_gap_split(terms, xi)        # raises where the split-form bound is invalid
+    secrecy_rate(terms, xi)             # raises where the eavesdropper bound is invalid
     return xi

@@ -3,17 +3,20 @@
 Everything here is a deterministic function of the channel statistics.
 One per-user ``RateTerms``, built by ``compute_rate_terms``, is the only
 source of the statistics the closed forms share: tr(R Psi^-1 R),
-tr Q_E, tr Q_E^2, tr(R Psi^-1 R Q_E) and the power-normalized signal,
-interference and noise blocks built from them. The terms take K, M and
-M_E from the statistics' dimensions and P_t from the ``HardwareProfile``,
-so every closed form is f(terms, xi), with xi the data fraction of P_t as
-a plain float: the legitimate user's achievable rate with MRT +
-null-space AN, the moment-matched upper bound on the eavesdropper
-capacity, and the ergodic secrecy rate in its composed and its
-power-split form. The no-AN bound and the antenna-count thresholds fix
-the split themselves and take the terms alone. None of them touches a
-matrix. Callers build the terms once per (setup, user) and reuse them
-across every quantity and every xi.
+tr Q_E, tr Q_E^2, tr(R Psi^-1 R Q_E) and the power-normalized blocks
+built from them. The terms take K, M and M_E from the statistics'
+dimensions and P_t from the ``HardwareProfile``, so every closed form is
+f(terms, xi), with xi the data fraction of P_t as a plain float.
+
+Each quantity has one expression, in the power-split form whose
+stationary point is the paper's fixed-point power allocation: the
+legitimate user's SINR xi s / (xi psi + d) (Theorem 1 with MRT and
+null-space AN), the eavesdropper SINR xi Upsilon a1 / denom of the
+moment-matched upper bound (Theorem 2), and the secrecy gap R_k - C_E
+that ``secrecy_rate`` composes from the two. The no-AN bound and the
+antenna-count thresholds fix the split themselves and take the terms
+alone. None of them touches a matrix. Callers build the terms once per
+(setup, user) and reuse them across every quantity and every xi.
 
 The uncorrelated special case (``secrecy_uncorrelated``) works from the
 raw matrices on purpose: it is an independent cross-check of this path.
@@ -35,7 +38,7 @@ from .errors import BoundInvalidError, InfiniteEveCapacityError, InvalidParamete
 from .estimation import ChannelEstimator
 from .hardware import HardwareProfile
 from .linalg import HermitianSolver, herm_trace_prod, hermitize
-from .precoding import mrt_normalizers, stream_powers
+from .precoding import check_power_fraction, mrt_normalizers, stream_powers
 
 # Moment-matched inverse-Wishart mean needs dof > M_E; require a one-unit
 # margin so the bound is not evaluated on the edge of its validity region.
@@ -50,9 +53,9 @@ WISHART_DOF_MARGIN = 1.0
 class RateTerms:
     """Power-normalized constants of one user for the rate and secrecy formulas.
 
-    All fields are invariant to the data/AN power split, which makes the
-    xi-parameterized secrecy expression and the power-split optimizer
-    cheap to evaluate on fine grids. M, K and M_E are those of the
+    All fields are invariant to the data/AN power split, which makes every
+    closed form and the power-split optimizer cheap to evaluate on fine
+    grids. M, K and M_E are those of the
     statistics, P_t and kappa_t_bs those of the hardware profile.
     """
 
@@ -62,17 +65,14 @@ class RateTerms:
     p_t: float
     kappa_t_bs: float
     s_ddot: float          # tau rho tr(R Psi^-1 R) = E||h_hat_k||^2: signal power
-    i_ddot: float          # interference + estimation-uncertainty power
-    n_ddot: float          # downlink HWI + noise floor of the no-AN form
-    d_ddot: float          # xi-free denominator block of the split form
-    psi_const: float       # i_ddot - (K/M) tr(C): xi-linear denominator slope
-    tr_c: float            # tr(C): estimation-error power
+    d_ddot: float          # xi-free user-SINR denominator: AN leakage at xi = 0, HWI, noise
+    psi_const: float       # interference + uncertainty - (K/M) tr(C): its xi slope
     zeta: float            # tr(R Psi^-1 R)
     tr_q: float            # tr(Q_E)
     tr_q2: float           # tr(Q_E^2)
     tr_rpr_q: float        # tr(R Psi^-1 R Q_E)
     lambda_k: float        # tr_rpr_q / zeta * tr_q
-    a1: float              # eavesdropper SINR constants of the split form
+    a1: float              # eavesdropper SINR constants
     a2: float
     a3: float
     a4: float
@@ -100,14 +100,12 @@ def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, k: int = 0) -
     interference = sum(herm_trace_prod(stats.r_k[k], est.est_cov[i]) / norms[i]
                        for i in range(k_users) if i != k)
     uncertainty = herm_trace_prod(est.c[k], est.est_cov[k]) / norms[k]
-    i_ddot = interference + uncertainty
 
     tr_r = est.tr_r[k]
     tr_c = float(np.real(np.trace(est.c[k])))
     kappa_dl = hw.kappa_t_bs + hw.kappa_r_ue
-    n_ddot = kappa_dl * p_t * tr_r / m + hw.sigma_k2
     d_ddot = (k_users / m) * (tr_c + kappa_dl * tr_r) + hw.sigma_k2 * k_users / p_t
-    psi_const = i_ddot - (k_users / m) * tr_c
+    psi_const = interference + uncertainty - (k_users / m) * tr_c
 
     q_e = stats.q_e
     tr_q = float(np.real(np.trace(q_e)))
@@ -125,42 +123,30 @@ def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, k: int = 0) -
 
     return RateTerms(
         m=m, k_users=k_users, m_e=m_e, p_t=p_t, kappa_t_bs=hw.kappa_t_bs,
-        s_ddot=s_ddot, i_ddot=i_ddot, n_ddot=n_ddot, d_ddot=d_ddot,
-        psi_const=psi_const, tr_c=tr_c, zeta=zeta,
+        s_ddot=s_ddot, d_ddot=d_ddot, psi_const=psi_const, zeta=zeta,
         tr_q=tr_q, tr_q2=tr_q2, tr_rpr_q=tr_rpr_q, lambda_k=lambda_k,
         a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, l1=l1,
     )
 
 
 # --------------------------------------------------------------------------
-# legitimate user (Theorem-1 form)
+# legitimate user (Theorem 1)
 # --------------------------------------------------------------------------
 
-def user_rate(terms: RateTerms, xi: float):
+def user_rate(terms: RateTerms, xi: float) -> float:
     """Achievable rate of the terms' user with MRT and null-space AN.
 
-    Returns (rate_bits, signal_power, interference_power). The denominator
-    collects multiuser interference and estimation uncertainty (p i_ddot),
-    AN leakage q (M-K)/M tr(C), and the downlink HWI and noise (n_ddot).
+    The SINR xi s_ddot / (xi psi + d_ddot) is Theorem 1's signal power over
+    multiuser interference, estimation uncertainty, AN leakage, downlink HWI
+    and noise, each divided by P_t / K.
     """
-    p, q = stream_powers(terms.p_t, xi, terms.k_users, terms.m)
-    s_k = p * terms.s_ddot
-    i_k = (p * terms.i_ddot
-           + q * (terms.m - terms.k_users) / terms.m * terms.tr_c + terms.n_ddot)
-    return float(np.log2(1.0 + s_k / i_k)), s_k, i_k
+    check_power_fraction(xi)
+    return float(np.log2(1.0 + xi * terms.s_ddot / (xi * terms.psi_const + terms.d_ddot)))
 
 
 # --------------------------------------------------------------------------
-# eavesdropper upper bound (moment-matched Wishart)
+# eavesdropper upper bound (moment-matched Wishart, Theorem 2)
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EveBound:
-    """Upper bound on the eavesdropper's ergodic capacity, both forms."""
-
-    c_e_bar: float        # log2(1 + s_e / i_e)
-    c_e_appendix: float   # equivalent value via the matched Wishart (phi_w, eta_w)
-
 
 def wishart_match(tr_q: float, tr_q2: float, q: float, kappa_t_bs: float,
                   p_t: float, m: int, k_users: int):
@@ -186,77 +172,44 @@ def wishart_match(tr_q: float, tr_q2: float, q: float, kappa_t_bs: float,
     return phi_w, eta_w
 
 
-def eve_capacity_bound(terms: RateTerms, xi: float) -> EveBound:
+def _eve_capacity(terms: RateTerms, xi: float) -> float:
+    """log2(1 + xi Upsilon a1 / denom), Theorem 2's SINR divided by P_t^2 / K."""
+    upsilon = 1.0 - xi + terms.kappa_t_bs
+    denom = (upsilon ** 2 * terms.a2 - (1.0 - xi) ** 2 * terms.a3
+             + xi * terms.a4 - terms.a5)
+    if denom <= 0:
+        raise BoundInvalidError("bound denominator non-positive; too many Eve antennas")
+    return float(np.log2(1.0 + xi * upsilon * terms.a1 / denom))
+
+
+def eve_capacity_bound(terms: RateTerms, xi: float) -> float:
     """Moment-matched upper bound on the eavesdropper capacity for the terms' user.
 
     Raises InfiniteEveCapacityError when neither AN nor transmit
     distortion masks the data streams, and BoundInvalidError when the
     matched Wishart degrees of freedom are too close to M_E for the
-    inverse mean to exist.
+    inverse mean to exist or the bound's denominator is non-positive.
     """
-    m, k_users, m_e = terms.m, terms.k_users, terms.m_e
-    tr_q, tr_q2 = terms.tr_q, terms.tr_q2
-    kt, p_t = terms.kappa_t_bs, terms.p_t
-    p, q = stream_powers(p_t, xi, k_users, m)
-    drive = q * (m - k_users) + kt * p_t
-    phi_w, eta_w = wishart_match(tr_q, tr_q2, q, kt, p_t, m, k_users)
-    if eta_w <= m_e + WISHART_DOF_MARGIN:
+    _, q = stream_powers(terms.p_t, xi, terms.k_users, terms.m)
+    _, eta_w = wishart_match(terms.tr_q, terms.tr_q2, q, terms.kappa_t_bs, terms.p_t,
+                             terms.m, terms.k_users)
+    if eta_w <= terms.m_e + WISHART_DOF_MARGIN:
         raise BoundInvalidError(
-            f"matched Wishart dof {eta_w:.3f} must exceed M_E + 1 = {m_e + 1}")
-
-    s_e = p * m_e * m * drive * terms.tr_rpr_q * tr_q
-    chi = (drive ** 2 * tr_q ** 2
-           - m_e * ((kt * p_t) ** 2 + q ** 2 * m * (m - k_users)
-                    + 2.0 * q * (m - k_users) * kt * p_t) * tr_q2)
-    if chi <= 0:
-        raise BoundInvalidError("bound denominator non-positive; too many Eve antennas")
-    i_e = chi * terms.zeta
-
-    gamma_appendix = p * m_e * terms.tr_rpr_q / (phi_w * (eta_w - m_e) * terms.zeta)
-    return EveBound(c_e_bar=float(np.log2(1.0 + s_e / i_e)),
-                    c_e_appendix=float(np.log2(1.0 + gamma_appendix)))
+            f"matched Wishart dof {eta_w:.3f} must exceed M_E + 1 = {terms.m_e + 1}")
+    return _eve_capacity(terms, xi)
 
 
 def eve_capacity_no_an(terms: RateTerms) -> float:
-    """Eavesdropper bound without AN; only transmit distortion masks the data."""
+    """Eavesdropper bound without AN (xi = 1); only transmit distortion masks the data."""
     if terms.kappa_t_bs <= 0:
         raise InfiniteEveCapacityError(
             "without AN, a zero transmit-distortion factor gives Eve unbounded SINR")
-    denom_core = terms.tr_q ** 2 - terms.m_e * terms.tr_q2
-    if denom_core <= 0:
-        raise BoundInvalidError(
-            "no-AN bound requires [tr Q]^2 > M_E tr(Q^2); too many Eve antennas")
-    sinr = (terms.m_e * terms.m * terms.tr_rpr_q * terms.tr_q
-            / (terms.kappa_t_bs * terms.zeta * terms.k_users * denom_core))
-    return float(np.log2(1.0 + sinr))
+    return _eve_capacity(terms, 1.0)
 
 
 # --------------------------------------------------------------------------
-# secrecy rate: composition and split-parameterized forms
+# secrecy rate and eavesdropper-antenna thresholds
 # --------------------------------------------------------------------------
-
-def user_sinr_split(terms: RateTerms, xi: float) -> float:
-    """User SINR as a function of the power split alone."""
-    return xi * terms.s_ddot / (xi * terms.psi_const + terms.d_ddot)
-
-
-def eve_sinr_split(terms: RateTerms, xi: float) -> float:
-    """Eavesdropper SINR of the split form; exact match of the bound."""
-    upsilon = 1.0 - xi + terms.kappa_t_bs
-    denom = (upsilon ** 2 * terms.a2 - (1.0 - xi) ** 2 * terms.a3
-             + xi * terms.a4 - terms.a5)
-    if denom <= 0:
-        raise BoundInvalidError("split-form bound denominator non-positive")
-    return xi * upsilon * terms.a1 / denom
-
-
-def secrecy_gap_split(terms: RateTerms, xi: float) -> float:
-    """Unclipped R_k - C_E in the split parameterization."""
-    if xi >= 1.0 and terms.kappa_t_bs <= 0:
-        raise InfiniteEveCapacityError("xi = 1 with ideal BS transmitter")
-    return float(np.log2(1.0 + user_sinr_split(terms, xi))
-                 - np.log2(1.0 + eve_sinr_split(terms, xi)))
-
 
 @dataclass(frozen=True)
 class SecrecyReport:
@@ -269,14 +222,9 @@ class SecrecyReport:
 
 
 def secrecy_rate(terms: RateTerms, xi: float) -> SecrecyReport:
-    """Ergodic secrecy rate [R_k - C_E]^+ of the terms' user.
-
-    The direct composition, user rate minus capacity bound. The split
-    form ``secrecy_gap_split(terms, xi)`` equals ``gap`` analytically;
-    the tests hold the two to each other.
-    """
-    r_k, _, _ = user_rate(terms, xi)
-    c_e_bar = eve_capacity_bound(terms, xi).c_e_bar
+    """Ergodic secrecy rate [R_k - C_E]^+ of the terms' user."""
+    r_k = user_rate(terms, xi)
+    c_e_bar = eve_capacity_bound(terms, xi)
     gap = r_k - c_e_bar
     return SecrecyReport(r_k=r_k, c_e_bar=c_e_bar, gap=gap, r_sec=max(0.0, gap))
 
@@ -291,8 +239,7 @@ def max_eve_antennas_no_an(terms: RateTerms):
         return 0.0, 0
     num = terms.s_ddot * terms.kappa_t_bs * (terms.k_users / terms.m) * terms.tr_q
     den = (terms.kappa_t_bs * terms.s_ddot * terms.k_users * terms.tr_q2 / terms.tr_q
-           + (terms.m / terms.zeta)
-           * (terms.i_ddot + terms.k_users * terms.n_ddot / terms.p_t) * terms.tr_rpr_q)
+           + (terms.m / terms.zeta) * (terms.psi_const + terms.d_ddot) * terms.tr_rpr_q)
     delta = num / den
     return float(delta), int(math.floor(delta * terms.m))
 
@@ -300,7 +247,7 @@ def max_eve_antennas_no_an(terms: RateTerms):
 def max_eve_antennas_an(terms: RateTerms):
     """Largest Eve array with positive secrecy when the AN power dominates.
 
-    Threshold of the split form as the data fraction goes to zero: the
+    Threshold of the secrecy gap as the data fraction goes to zero: the
     most AN-protected operating point. Returns (delta, floor(delta M));
     does not depend on the terms' M_E.
     """

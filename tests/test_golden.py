@@ -51,7 +51,7 @@ def run_case(name):
 
 
 def is_closed_form(column):
-    return column.endswith("_cf") or column == "r_sec_closed" or column.startswith("r_sec_eq")
+    return column.endswith("_cf") or column == "r_sec_closed"
 
 
 def closed_form_agrees(got, want):

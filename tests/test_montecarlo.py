@@ -293,7 +293,7 @@ def test_terms_match_closed_forms_with_ideal_uplink():
         assert abs(orc.variance[k] - var) < 3 * orc.variance_se[k]
         assert abs(orc.an_leakage[k] - an) < 3 * orc.an_leakage_se[k]
         assert abs(orc.hwi[k] - hwi) < 3 * orc.hwi_se[k]
-        rate_cf, _, _ = rl.user_rate(rl.compute_rate_terms(est, hw, k=k), xi)
+        rate_cf = rl.user_rate(rl.compute_rate_terms(est, hw, k=k), xi)
         assert abs(orc.rate[k] - rate_cf) / rate_cf < 0.05
 
 
@@ -308,7 +308,7 @@ def test_distortion_couplings_bias_the_closed_forms():
     _, inter, var, _ = closed_form_terms(est, 0)
     assert orc.variance[0] - var > 3 * orc.variance_se[0]
     # the rate itself stays accurate: the biased terms are small in I_k
-    rate_cf, _, _ = rl.user_rate(rl.compute_rate_terms(est, hw, k=0), xi)
+    rate_cf = rl.user_rate(rl.compute_rate_terms(est, hw, k=0), xi)
     assert abs(orc.rate[0] - rate_cf) / rate_cf < 0.05
 
 
@@ -378,7 +378,7 @@ def test_eve_capacity_below_bound(small_setup):
     _, est, hw, xi = small_setup
     orc = rl.estimate_eve_capacity(est, hw, xi, rl.TrialPlan(8000, master_seed=31))
     for k in range(3):
-        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=k), xi).c_e_bar
+        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=k), xi)
         assert orc.c_e[k] <= bound + 3 * orc.c_e_se[k]
 
 
@@ -388,7 +388,7 @@ def test_eve_gap_shrinks_with_antennas():
         stats, est, hw, xi = make_setup(seed=55, m=m, n=16, k=2, m_e=2,
                                         p_t=10.0, kappa_dl=0.01)
         orc = rl.estimate_eve_capacity(est, hw, xi, rl.TrialPlan(24000, master_seed=7))
-        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=0), xi).c_e_bar
+        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=0), xi)
         gaps.append(bound - orc.c_e[0])
     assert gaps[0] > gaps[-1]
 
@@ -511,5 +511,5 @@ def test_cascade_anisotropy_biases_the_wishart_match(seed, kappa_t_bs, master_se
 
     orc = rl.estimate_eve_capacity(est, hw, xi, plan)
     for k in range(2):
-        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=k), xi).c_e_bar
+        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=k), xi)
         assert bound >= orc.c_e[k] - 3 * orc.c_e_se[k]

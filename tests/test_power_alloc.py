@@ -6,7 +6,7 @@ import pytest
 
 import ris_lab as rl
 from ris_lab.power_alloc import optimal_xi, secrecy_derivative
-from ris_lab.rates import secrecy_gap_split
+from ris_lab.rates import secrecy_rate
 
 from conftest import make_setup
 
@@ -37,7 +37,7 @@ def gap_profile(terms, step):
     profile = np.empty_like(grid)
     for i, xi in enumerate(grid):
         try:
-            profile[i] = secrecy_gap_split(terms, float(xi))
+            profile[i] = secrecy_rate(terms, float(xi)).gap
         except (rl.BoundInvalidError, rl.InfiniteEveCapacityError):
             profile[i] = -np.inf
     return grid, profile
@@ -55,8 +55,8 @@ def test_exact_derivative_matches_finite_differences():
                           k=int(rng.integers(1, 5)),
                           p_t=float(rng.uniform(1.0, 20.0)))
         for xi in np.linspace(0.05, 0.95, 7):
-            fd = (secrecy_gap_split(terms, xi + step)
-                  - secrecy_gap_split(terms, xi - step)) / (2 * step)
+            fd = (secrecy_rate(terms, xi + step).gap
+                  - secrecy_rate(terms, xi - step).gap) / (2 * step)
             exact = secrecy_derivative(terms, xi)
             assert exact == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
@@ -111,7 +111,7 @@ def test_optimal_xi_flags_out_of_regime():
         assert isinstance(xi_star, float)
         assert abs(xi_star - brentq_root(terms)) <= 1e-9
         _, profile = gap_profile(terms, 1e-3)
-        achieved = max(0.0, secrecy_gap_split(terms, xi_star))
+        achieved = max(0.0, secrecy_rate(terms, xi_star).gap)
         assert achieved >= max(0.0, float(np.max(profile))) - 1e-3
 
 
@@ -133,7 +133,7 @@ def test_optimal_xi_achieves_grid_optimum():
             terms = fig8_terms(m, n, kappa_t_bs=kt)
             _, profile = gap_profile(terms, 1e-3)
             best = max(0.0, float(np.max(profile)))
-            achieved = max(0.0, secrecy_gap_split(terms, optimal_xi(terms)))
+            achieved = max(0.0, secrecy_rate(terms, optimal_xi(terms)).gap)
             assert achieved >= best - 1e-3
 
 

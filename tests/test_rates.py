@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ris_lab as rl
+from ris_lab.linalg import herm_trace_prod
+from ris_lab.rates import wishart_match
 
 from conftest import make_setup, with_eve_antennas
 
@@ -20,25 +22,90 @@ def rebuilt(stats, est, **fading_changes):
     return stats2, rl.ChannelEstimator(stats2, est.pilots)
 
 
+def theorem_rates(est, hw, xi, k=0):
+    """Reference (R_k, C_E, C_E via the appendix) of user k, from the matrices.
+
+    The composed Theorem-1 and Theorem-2 expressions in the per-stream
+    powers p and q, and the appendix form of the bound, gamma =
+    p M_E tr(R Psi^-1 R Q_E) / (phi_w (eta_w - M_E) zeta) with the matched
+    Wishart law. The one closed-form path in ``rates`` is held to them.
+    No validity guard: outside the bound's region the values mean nothing.
+    """
+    stats = est.stats
+    m, k_users, m_e = stats.dims.m, stats.dims.k, stats.dims.m_e
+    p_t, kt = hw.p_t, hw.kappa_t_bs
+    p, q = xi * p_t / k_users, (1.0 - xi) * p_t / (m - k_users)
+    tr_pilot = est.pilots.tau_u * est.pilots.rho
+    norms = [tr_pilot * z for z in est.tr_rpr]
+    zeta = est.tr_rpr[k]
+
+    # Theorem 1: signal over interference + uncertainty, AN leakage, HWI and noise
+    interference = sum(herm_trace_prod(stats.r_k[k], est.est_cov[i]) / norms[i]
+                       for i in range(k_users) if i != k)
+    uncertainty = herm_trace_prod(est.c[k], est.est_cov[k]) / norms[k]
+    tr_c = float(np.real(np.trace(est.c[k])))
+    s_k = p * norms[k]
+    i_k = (p * (interference + uncertainty) + q * (m - k_users) / m * tr_c
+           + (kt + hw.kappa_r_ue) * p_t * est.tr_r[k] / m + hw.sigma_k2)
+
+    # Theorem 2: s_e / (chi zeta)
+    q_e = stats.q_e
+    tr_q = float(np.real(np.trace(q_e)))
+    tr_q2 = herm_trace_prod(q_e, q_e)
+    tr_rpr_q = herm_trace_prod(est.est_cov[k], q_e) / tr_pilot
+    drive = q * (m - k_users) + kt * p_t
+    s_e = p * m_e * m * drive * tr_rpr_q * tr_q
+    chi = (drive ** 2 * tr_q ** 2
+           - m_e * ((kt * p_t) ** 2 + q ** 2 * m * (m - k_users)
+                    + 2.0 * q * (m - k_users) * kt * p_t) * tr_q2)
+
+    phi_w, eta_w = wishart_match(tr_q, tr_q2, q, kt, p_t, m, k_users)
+    gamma = p * m_e * tr_rpr_q / (phi_w * (eta_w - m_e) * zeta)
+    return (float(np.log2(1.0 + s_k / i_k)), float(np.log2(1.0 + s_e / (chi * zeta))),
+            float(np.log2(1.0 + gamma)))
+
+
+def reference_gap(est, hw, xi):
+    """Unclipped R_k - C_E of user 0 from ``theorem_rates``."""
+    r_k, c_e, _ = theorem_rates(est, hw, xi)
+    return r_k - c_e
+
+
 # --------------------------------------------------------------------------
 # Theorem-1 user rate
 # --------------------------------------------------------------------------
 
 def test_user_rate_vanishes_without_signal_power(small_setup):
     _, est, hw, _ = small_setup
-    rate, s_k, _ = rl.user_rate(rl.compute_rate_terms(est, hw), 1e-12)
+    terms = rl.compute_rate_terms(est, hw)
+    rate = rl.user_rate(terms, 1e-12)
+    p, _ = rl.stream_powers(hw.p_t, 1e-12, terms.k_users, terms.m)
     assert rate < 1e-9
-    assert s_k < 1e-9
+    assert p * terms.s_ddot < 1e-9
 
 
 def test_user_rate_hwi_term_linear_in_kappa(small_setup):
     _, est, hw, xi = small_setup
     hw1 = rl.HardwareProfile(p_t=hw.p_t, kappa_t_bs=0.02, kappa_r_ue=0.01)
     hw2 = rl.HardwareProfile(p_t=hw.p_t, kappa_t_bs=0.04, kappa_r_ue=0.02)
-    _, _, i1 = rl.user_rate(rl.compute_rate_terms(est, hw1), xi)
-    _, _, i2 = rl.user_rate(rl.compute_rate_terms(est, hw2), xi)
+    t1 = rl.compute_rate_terms(est, hw1)
+    t2 = rl.compute_rate_terms(est, hw2)
+    # the HWI power enters only the xi-free denominator block, scaled by K / P_t
+    assert (t1.s_ddot, t1.psi_const) == (t2.s_ddot, t2.psi_const)
     hwi1 = 0.03 * hw.p_t / 16 * est.tr_r[0]
-    assert i2 - i1 == pytest.approx(hwi1, rel=1e-9)   # doubling adds one copy
+    hwi_step = (t2.d_ddot - t1.d_ddot) * hw.p_t / t1.k_users
+    assert hwi_step == pytest.approx(hwi1, rel=1e-9)   # doubling adds one copy
+    assert rl.user_rate(t2, xi) < rl.user_rate(t1, xi)
+
+
+@pytest.mark.parametrize("xi", [0.0, -0.2, 1.5])
+@pytest.mark.parametrize("closed_form", [rl.user_rate, rl.eve_capacity_bound,
+                                         rl.secrecy_rate],
+                         ids=lambda f: f.__name__)
+def test_closed_forms_reject_xi_outside_unit_interval(small_setup, closed_form, xi):
+    _, est, hw, _ = small_setup
+    with pytest.raises(rl.InvalidParameterError, match=r"xi must lie in \(0, 1\]"):
+        closed_form(rl.compute_rate_terms(est, hw), xi)
 
 
 # --------------------------------------------------------------------------
@@ -58,15 +125,17 @@ def test_eve_bound_requires_masking(small_setup):
 def test_eve_bound_two_forms_agree(small_setup):
     _, est, hw, xi = small_setup
     for m_e in (1, 2):
-        bound = rl.eve_capacity_bound(rl.compute_rate_terms(with_eve_antennas(est, m_e), hw), xi)
-        assert abs(bound.c_e_bar - bound.c_e_appendix) <= 1e-9 * bound.c_e_bar
+        est_e = with_eve_antennas(est, m_e)
+        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est_e, hw), xi)
+        _, c_e, c_e_appendix = theorem_rates(est_e, hw, xi)
+        assert abs(bound - c_e) <= 1e-9 * c_e
+        assert abs(bound - c_e_appendix) <= 1e-9 * c_e_appendix
 
 
 def test_eve_no_an_matches_full_power_special_case(small_setup):
     _, est, hw, _ = small_setup
-    terms = rl.compute_rate_terms(est, hw)
-    via_theorem = rl.eve_capacity_bound(terms, 1.0).c_e_bar
-    direct = rl.eve_capacity_no_an(terms)
+    via_theorem = theorem_rates(est, hw, 1.0)[1]
+    direct = rl.eve_capacity_no_an(rl.compute_rate_terms(est, hw))
     assert abs(via_theorem - direct) <= 1e-9 * direct
 
 
@@ -93,7 +162,7 @@ def test_eve_bound_dof_guard():
 
 
 # --------------------------------------------------------------------------
-# secrecy rate: composition vs split parameterization
+# secrecy rate against the composed Theorem-1 and Theorem-2 reference
 # --------------------------------------------------------------------------
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -112,13 +181,14 @@ def test_secrecy_rate_forms_agree_on_random_configs(m, k, m_e, xi, p_t, kappa_dl
     terms = rl.compute_rate_terms(est, hw, k=0)
     try:
         rep = rl.secrecy_rate(terms, xi)
-        eve = rl.eve_capacity_bound(terms, xi)
     except rl.BoundInvalidError:
         assume(False)
+    r_k, c_e, c_e_appendix = theorem_rates(est, hw, xi)
     scale = max(abs(rep.gap), 1e-6)
-    assert abs(rep.gap - rl.secrecy_gap_split(terms, xi)) <= 1e-9 * scale
-    assert rep.c_e_bar == eve.c_e_bar
-    assert abs(eve.c_e_bar - eve.c_e_appendix) <= 1e-9 * eve.c_e_bar
+    assert abs(rep.gap - (r_k - c_e)) <= 1e-9 * scale
+    assert abs(rep.r_k - r_k) <= 1e-9 * r_k
+    assert rep.c_e_bar == rl.eve_capacity_bound(terms, xi)
+    assert abs(rep.c_e_bar - c_e_appendix) <= 1e-9 * rep.c_e_bar
     if uncorrelated:
         r_u, c_e, r_sec = rl.secrecy_uncorrelated(
             stats.dims, stats.fading, stats.h1, est.pilots.rho, est.pilots.sigma_u2,
@@ -138,7 +208,7 @@ def test_secrecy_rate_clipping():
     rep = rl.secrecy_rate(terms, 0.9)
     assert rep.gap < 0.0
     assert rep.r_sec == 0.0
-    assert rl.secrecy_gap_split(terms, 0.9) < 0.0
+    assert reference_gap(est2, hw, 0.9) < 0.0
 
 
 # --------------------------------------------------------------------------
@@ -148,7 +218,7 @@ def test_secrecy_rate_clipping():
 def no_an_gap(est, hw, m_e, k=0):
     """Unclipped no-AN secrecy gap at M_E Eve antennas; -inf when the bound is invalid."""
     terms = rl.compute_rate_terms(with_eve_antennas(est, m_e), hw, k=k)
-    rate, _, _ = rl.user_rate(terms, 1.0)
+    rate = rl.user_rate(terms, 1.0)
     try:
         return rate - rl.eve_capacity_no_an(terms)
     except rl.BoundInvalidError:
@@ -195,12 +265,13 @@ def test_prop2_threshold_brackets_split_form_sign_change():
                                        kappa_dl=0.01, p_t=10.0)
         delta, me_max = rl.max_eve_antennas_an(rl.compute_rate_terms(est, hw))
         assert 1 <= me_max < m
-        terms_lo = rl.compute_rate_terms(with_eve_antennas(est, me_max), hw)
-        terms_hi = rl.compute_rate_terms(with_eve_antennas(est, me_max + 1), hw)
+        est_lo, est_hi = with_eve_antennas(est, me_max), with_eve_antennas(est, me_max + 1)
         # the threshold is a property of the link, not of the assumed M_E
-        assert rl.max_eve_antennas_an(terms_hi) == (delta, me_max)
-        assert rl.secrecy_gap_split(terms_lo, xi_probe) > 0.0
-        assert rl.secrecy_gap_split(terms_hi, xi_probe) < 0.0
+        assert rl.max_eve_antennas_an(rl.compute_rate_terms(est_hi, hw)) == (delta, me_max)
+        # at M_E = me_max + 1 the matched dof is below M_E + 1, so the gap
+        # comes from the guard-free reference rather than ``secrecy_rate``
+        assert reference_gap(est_lo, hw, xi_probe) > 0.0
+        assert reference_gap(est_hi, hw, xi_probe) < 0.0
 
 
 def test_prop2_threshold_monotonicities():
