@@ -55,8 +55,8 @@ class RateTerms:
 
     All fields are invariant to the data/AN power split, which makes every
     closed form and the power-split optimizer cheap to evaluate on fine
-    grids. M, K and M_E are those of the
-    statistics, P_t and kappa_t_bs those of the hardware profile.
+    grids. M, K and M_E are those of the statistics, P_t and kappa_t_bs
+    those of the hardware profile.
     """
 
     m: int
@@ -173,7 +173,7 @@ def wishart_match(tr_q: float, tr_q2: float, q: float, kappa_t_bs: float,
 
 
 def _eve_capacity(terms: RateTerms, xi: float) -> float:
-    """log2(1 + xi Upsilon a1 / denom), Theorem 2's SINR divided by P_t^2 / K."""
+    """log2(1 + xi Upsilon a1 / denom): Theorem 2's SINR, both of its parts times K / P_t^2."""
     upsilon = 1.0 - xi + terms.kappa_t_bs
     denom = (upsilon ** 2 * terms.a2 - (1.0 - xi) ** 2 * terms.a3
              + xi * terms.a4 - terms.a5)
