@@ -99,9 +99,14 @@ class PhaseNoiseModel:
     def iota_p(self) -> float:
         return float(np.sqrt(3.0 * self.sigma_p2))
 
+    @property
+    def is_ideal(self) -> bool:
+        """Whether the law draws no phase errors: kind 'none' or zero power."""
+        return self.kind == "none" or self.sigma_p2 == 0.0
+
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """Exact phase-error angles (von Mises via rejection sampling)."""
-        if self.kind == "none" or self.sigma_p2 == 0.0:
+        if self.is_ideal:
             return np.zeros(size)
         if self.kind == "uniform":
             return rng.uniform(-self.iota_p, self.iota_p, size)
@@ -148,7 +153,7 @@ def phase_deviation_factor(model: PhaseNoiseModel) -> float:
     gives sin(iota_p)/iota_p, which turns negative once sigma_p2 > pi^2/3 ~ 3.29
     (-0.0915 at sigma_p2 = 4). Only its square enters the covariances.
     """
-    if model.kind == "none" or model.sigma_p2 == 0.0:
+    if model.is_ideal:
         return 1.0
     if model.kind == "uniform":
         iota = model.iota_p
@@ -393,38 +398,45 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
     rows; they are returned as transposed views of that layout.
     """
     dims, fading = stats.dims, stats.fading
-    s_i, s_b = stats.sqrt_r_i, stats.sqrt_r_b
+    # Each square root is read after the Gaussians it colors are drawn (call
+    # arguments evaluate in order): a cached_property holds one lock across
+    # all instances while it computes, and the draw need not wait for it.
     draws = {
-        "h_i": _colored(rng.standard_normal((2, n_draws, dims.k, dims.n)), s_i,
+        "h_i": _colored(rng.standard_normal((2, n_draws, dims.k, dims.n)), stats.sqrt_r_i,
                         np.asarray(fading.beta_i)[None, :, None]),  # rows ~ CN(0, beta_i R_I)
-        "h_b": _colored(rng.standard_normal((2, n_draws, dims.k, dims.m)), s_b,
+        "h_b": _colored(rng.standard_normal((2, n_draws, dims.k, dims.m)), stats.sqrt_r_b,
                         np.asarray(fading.beta_2)[None, :, None]),
     }
     if eve:
         h_ie = _colored(np.swapaxes(rng.standard_normal((2, n_draws, dims.n, dims.m_e)), 2, 3),
-                        s_i, fading.beta_ie)                        # (B, M_E, N)
+                        stats.sqrt_r_i, fading.beta_ie)             # (B, M_E, N)
         h_be = _colored(np.swapaxes(rng.standard_normal((2, n_draws, dims.m, dims.m_e)), 2, 3),
-                        s_b, fading.beta_3)                         # (B, M_E, M)
+                        stats.sqrt_r_b, fading.beta_3)              # (B, M_E, M)
         draws.update(h_ie=np.swapaxes(h_ie, 1, 2), h_be=np.swapaxes(h_be, 1, 2))
     return draws
 
 
 def aggregate_channels(stats: ChannelStatistics, draws: dict,
-                       theta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+                       theta: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
     """Aggregate channels (h, h_e) of ``sample_realizations`` draws.
 
     ``theta`` (B, N) holds one phase-error vector per block, shared by the
-    users and the eavesdropper of that block. Returns h (B, K, M) and
-    h_e (B, M, M_E): the direct links plus the RIS path through the
-    rotation exp(j theta) and the bridge H1 Phi, each one GEMM. h_e is
-    None when the draw holds no eavesdropper links.
+    users and the eavesdropper of that block; None means no phase errors,
+    and the rotation is skipped. Returns h (B, K, M) and h_e (B, M, M_E):
+    the direct links plus the RIS path through the rotation exp(j theta)
+    and the bridge H1 Phi, each one GEMM. h_e is None when the draw holds
+    no eavesdropper links.
     """
     bridge = stats.h1 * stats.phi[None, :]             # (M, N)
-    rot = np.exp(1j * theta)[:, None, :]               # (B, 1, N)
-    h = _rows_times(rot * draws["h_i"], bridge)
+    rot = None if theta is None else np.exp(1j * theta)[:, None, :]   # (B, 1, N)
+
+    def rotated(x):
+        return x if rot is None else rot * x
+
+    h = _rows_times(rotated(draws["h_i"]), bridge)
     h += draws["h_b"]
     if "h_ie" not in draws:
         return h, None
-    h_e = _rows_times(rot * np.swapaxes(draws["h_ie"], 1, 2), bridge)   # (B, M_E, M)
+    h_e = _rows_times(rotated(np.swapaxes(draws["h_ie"], 1, 2)), bridge)   # (B, M_E, M)
     h_e += np.swapaxes(draws["h_be"], 1, 2)
     return h, np.swapaxes(h_e, 1, 2)

@@ -21,7 +21,7 @@ draws only the users' links, so its pilot Gaussians follow g_b. The RIS
 phase errors come from their own substream,
 ``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, and are applied
 by ``geometry.aggregate_channels``. A law without phase errors draws
-nothing there.
+nothing there, and its channels skip the rotation.
 
 The chunk thread pool is the only level of parallelism, and it runs at
 every default size: the default 400-block run is four chunks, a 1024-block
@@ -222,8 +222,9 @@ def _chunk_channels(ests, size: int, key: tuple, eve: bool):
     for i, est in enumerate(ests):
         if laws[i] != law:
             law, channels = laws[i], None
-            channels = aggregate_channels(est.stats, draws, law.draw(
-                derive_rng(*key, PHASE_ERRORS), (size, dims.n)))
+            theta = (None if law.is_ideal
+                     else law.draw(derive_rng(*key, PHASE_ERRORS), (size, dims.n)))
+            channels = aggregate_channels(est.stats, draws, theta)
             if all(later == law for later in laws[i + 1:]):
                 del draws           # the later estimators run without the Gaussians
         h_hat = est.estimate(simulate_pilot_phase(channels[0], est.pilots, pilot_draw))

@@ -306,6 +306,17 @@ def test_sampler_aggregate_identity(small_setup):
         assert np.allclose(expect_e, draws["h_e"][b])
 
 
+def test_no_phase_errors_skip_the_rotation_bit_identically(small_setup):
+    # theta = None (a law that draws no phase errors) skips exp(j theta) and
+    # the rotation multiply; the channels equal those rotated by exp(j0)
+    stats = small_setup[0]
+    draws = rl.sample_realizations(stats, np.random.default_rng(3), 6, eve=True)
+    skipped = rl.aggregate_channels(stats, draws, None)
+    rotated = rl.aggregate_channels(stats, draws, np.zeros((6, stats.dims.n)))
+    for a, b in zip(skipped, rotated, strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_sampler_deterministic(small_setup):
     stats = small_setup[0]
     a = draw_channels(stats, np.random.default_rng(42), 5)
