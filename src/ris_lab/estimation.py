@@ -4,6 +4,14 @@ The estimator works on the pilot observations despread per user and
 knows the full second-order statistics of the impaired pilot phase:
 transmit distortion at the users, receive distortion at the BS (whose
 power rides on the instantaneous per-antenna channel power), and AWGN.
+
+The pilots are any orthogonal tau_u x K matrix Phi, Phi^H Phi = tau_u I.
+Despreading the tau_u received symbols with Phi turns the three
+impairments into i.i.d. complex Gaussians of known power, given the
+channels (the sufficient-statistic model of Bjornson, Hoydis and
+Sanguinetti, *Massive MIMO Networks*, 2017), so the pilot-phase
+simulator draws the despread observation directly and never forms Phi
+or the tau_u received symbols.
 """
 from __future__ import annotations
 
@@ -23,10 +31,8 @@ class PilotConfig:
 
     The only home of the uplink noise power and the uplink distortion
     factors: the estimator and the pilot-phase simulator read them here.
-
-    The pilot matrix defaults to the first K columns of a tau_u-point DFT
-    basis: unit-modulus entries, exactly orthogonal columns with squared
-    norm tau_u.
+    The pilots are orthogonal with squared norm tau_u; nothing else about
+    them enters the despread observation.
     """
 
     tau_u: int
@@ -42,12 +48,6 @@ class PilotConfig:
             raise InvalidParameterError("pilot power must be positive")
         if self.sigma_u2 < 0 or self.kappa_t_ue < 0 or self.kappa_r_bs < 0:
             raise InvalidParameterError("noise and distortion powers must be non-negative")
-
-    def pilot_matrix(self, k: int) -> np.ndarray:
-        if k > self.tau_u:
-            raise InvalidParameterError("more users than pilot symbols")
-        t = np.arange(self.tau_u)
-        return np.exp(-2j * np.pi * np.outer(t, np.arange(k)) / self.tau_u)
 
 
 def build_psi(stats: ChannelStatistics, pilots: PilotConfig) -> list:
@@ -137,17 +137,17 @@ def nmse_large_n_limit(beta_2k: float, beta_ik: float, beta_1: float, n: int,
     return float(1.0 - gain / (gain + sigma_u2 / (tau_u * rho)))
 
 
-def pilot_gaussians(rng: np.random.Generator, shape, tau_u: int) -> tuple:
-    """Unscaled complex Gaussians g_re + j g_im of the pilot phase of (B, K, M) channels.
+def pilot_gaussians(rng: np.random.Generator, shape) -> tuple:
+    """Unscaled complex Gaussians g_re + j g_im of the despread pilot phase of (B, K, M) channels.
 
-    Returns the user transmit distortion (B, K, tau_u), then the BS receive
-    distortion and the noise, each (B, M, tau_u), drawn from ``rng`` in that
-    order. ``simulate_pilot_phase`` scales them, so one draw serves every
-    pilot configuration with the same pilot length.
+    Returns the despread user transmit distortion (B, K, K), then the
+    despread BS receive distortion plus noise (B, M, K), drawn from ``rng``
+    in that order. ``simulate_pilot_phase`` scales them, so one draw serves
+    every pilot configuration: neither part depends on the pilot length.
     """
     b, k, m = shape
     out = []
-    for part_shape in ((b, k, tau_u), (b, m, tau_u), (b, m, tau_u)):
+    for part_shape in ((b, k, k), (b, m, k)):
         g = rng.standard_normal((2, *part_shape))
         part = np.empty(part_shape, dtype=complex)
         part.real, part.imag = g
@@ -156,26 +156,30 @@ def pilot_gaussians(rng: np.random.Generator, shape, tau_u: int) -> tuple:
 
 
 def simulate_pilot_phase(h: np.ndarray, pilots: PilotConfig, gaussians: tuple) -> np.ndarray:
-    """Impaired pilot phase for stacked channel blocks.
+    """Despread impaired pilot observations of stacked channel blocks.
 
     ``h`` has shape (B, K, M): the aggregate user channels of B coherence
-    blocks. ``gaussians`` is the ``pilot_gaussians`` draw for ``h``; it
-    becomes user transmit distortion, BS receive distortion with the
-    instantaneous per-antenna power profile, and AWGN, each CN(0, power).
-    The received pilots are despread with each user's pilot. Returns the
-    (B, M, K) despread vectors.
+    blocks. ``gaussians`` is the ``pilot_gaussians`` draw for ``h``.
+    Returns the (B, M, K) despread vectors y = sqrt(rho) tau_u h + h E + W:
+    E (B, K, K) is the user transmit distortion after despreading, i.i.d.
+    CN(0, rho kappa_t tau_u); W is the BS receive distortion plus AWGN
+    after despreading, independent across users and antennas, with power
+    tau_u (rho kappa_r d_r + sigma_u^2) on antenna m, where d_r is the
+    instantaneous channel power sum_k |h_km|^2 of that antenna. Given h this
+    is the law of despreading the tau_u received pilot symbols.
     """
-    g_t, g_r, g_n = gaussians
-    phi_p = pilots.pilot_matrix(h.shape[1])              # (tau, K)
-    h_t = np.swapaxes(h, 1, 2)                           # (B, M, K)
+    g_t, g_w = gaussians
+    k = h.shape[1]
+    tau = pilots.tau_u
+    # sqrt(rho) tau_u I + E, applied to the users' channels in one matmul
+    p_eff = np.sqrt(pilots.rho * pilots.kappa_t_ue * tau / 2.0) * g_t
+    p_eff[:, np.arange(k), np.arange(k)] += tau * np.sqrt(pilots.rho)
 
-    eta = (np.sqrt(pilots.rho * pilots.kappa_t_ue) / np.sqrt(2.0)) * g_t
-    p_eff = np.sqrt(pilots.rho) * phi_p.conj().T[None, :, :] + eta.conj()
+    d_r = np.sum(h.real ** 2 + h.imag ** 2, axis=1)     # (B, M)
+    w_std = np.sqrt((tau / 2.0) * (pilots.rho * pilots.kappa_r_bs * d_r + pilots.sigma_u2))
 
-    d_r = np.sum(np.abs(h) ** 2, axis=1)                 # (B, M) instantaneous powers
-    ups_r = (np.sqrt(pilots.rho * pilots.kappa_r_bs * d_r)[:, :, None]
-             * ((1.0 / np.sqrt(2.0)) * g_r))
-    noise = (np.sqrt(pilots.sigma_u2) / np.sqrt(2.0)) * g_n
-
-    y_p = h_t @ p_eff + ups_r + noise                    # (B, M, tau)
-    return y_p @ phi_p                                   # (B, M, K)
+    y = np.swapaxes(h, 1, 2) @ p_eff                     # (B, M, K)
+    # W = w_std g_w, as real products on the interleaved real/imaginary parts
+    y_parts = y.view(np.float64)
+    y_parts += w_std[:, :, None] * g_w.view(np.float64)
+    return y

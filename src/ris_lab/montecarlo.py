@@ -13,15 +13,17 @@ for any worker count.
 Stream layout of one chunk: the chunk stream
 ``derive_rng(master_seed, purpose, chunk)`` first gives the correlated
 Gaussian links (``geometry.sample_realizations``), then the pilot phase's
-distortion and noise Gaussians (``estimation.pilot_gaussians``), drawn
-once and scaled by the pilot phase of every estimator of the chunk. The
-links are the users' g_i and g_b, followed by Eve's g_ie and g_be in the
-secrecy and Wishart oracles, which read Eve's channel; the NMSE oracle
-draws only the users' links, so its pilot Gaussians follow g_b. The RIS
-phase errors come from their own substream,
-``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, and are applied
-by ``geometry.aggregate_channels``. A law without phase errors draws
-nothing there, and its channels skip the rotation.
+Gaussians (``estimation.pilot_gaussians``), drawn once and scaled by the
+pilot phase of every estimator of the chunk. The pilot phase is drawn
+where the estimator reads it, in the despread domain: per block a K x K
+transmit-distortion part, then an M x K part for receive distortion plus
+noise, whatever the pilot length. The links are the users' g_i and g_b,
+followed by Eve's g_ie and g_be in the secrecy and Wishart oracles, which
+read Eve's channel; the NMSE oracle draws only the users' links, so its
+pilot Gaussians follow g_b. The RIS phase errors come from their own
+substream, ``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, and
+are applied by ``geometry.aggregate_channels``. A law without phase errors
+draws nothing there, and its channels skip the rotation.
 
 The chunk thread pool is the only level of parallelism, and it runs at
 every default size: the default 400-block run is four chunks, a 1024-block
@@ -192,15 +194,13 @@ def shares_draw(a: ChannelStatistics, b: ChannelStatistics) -> bool:
 
 
 def _check_shared_draw(ests) -> None:
-    """Raise unless one chunk draw serves all estimators: ``shares_draw`` and one pilot length."""
+    """Raise unless one chunk draw serves all estimators: their statistics pass ``shares_draw``."""
     if not ests:
         raise InvalidParameterError("need at least one estimator")
     first = ests[0]
-    if not all(shares_draw(first.stats, est.stats) and est.pilots.tau_u == first.pilots.tau_u
-               for est in ests[1:]):
-        raise InvalidParameterError("the estimators of one call must share the pilot length, "
-                                    "and their statistics may differ only in their "
-                                    "phase-error law")
+    if not all(shares_draw(first.stats, est.stats) for est in ests[1:]):
+        raise InvalidParameterError("the statistics of the estimators of one call may differ "
+                                    "only in their phase-error law")
 
 
 def _chunk_channels(ests, size: int, key: tuple, eve: bool):
@@ -216,7 +216,7 @@ def _chunk_channels(ests, size: int, key: tuple, eve: bool):
     rng = derive_rng(*key)
     draws = sample_realizations(ests[0].stats, rng, size, eve=eve)
     dims = ests[0].stats.dims
-    pilot_draw = pilot_gaussians(rng, (size, dims.k, dims.m), ests[0].pilots.tau_u)
+    pilot_draw = pilot_gaussians(rng, (size, dims.k, dims.m))
     laws = [est.stats.phase_model for est in ests]
     law = channels = None
     for i, est in enumerate(ests):
@@ -294,11 +294,11 @@ class OracleEstimates:
 def estimate_nmse(ests, plan: TrialPlan) -> list[OracleEstimates]:
     """Empirical NMSE of LMMSE estimators over impaired pilot blocks.
 
-    ``ests`` holds estimators whose statistics pass ``shares_draw`` and
-    whose pilots have one length, such as those of one link at several
-    pilot powers; one ``OracleEstimates`` is returned per estimator, in
-    order, each bit-identical to the estimate of that estimator alone.
-    Each chunk draws only the users' links, once for all of them.
+    ``ests`` holds estimators whose statistics pass ``shares_draw``, such
+    as those of one link at several pilot powers or pilot lengths; one
+    ``OracleEstimates`` is returned per estimator, in order, each
+    bit-identical to the estimate of that estimator alone. Each chunk draws
+    only the users' links, once for all of them.
     """
     ests = list(ests)
     _check_shared_draw(ests)

@@ -13,7 +13,10 @@ The chunk stream ``(master_seed, purpose, chunk)`` of a Monte Carlo oracle
 gives the users' links, then Eve's links where the oracle reads her channel
 (``CHANNEL_BLOCK`` for secrecy, ``EVE_BLOCK`` for the Wishart moments),
 then the pilot Gaussians. The ``NMSE_BLOCK`` stream holds no Eve links: its
-pilot Gaussians follow the users' links.
+pilot Gaussians follow the users' links. The pilot Gaussians are those of
+the despread pilot observation, (B, K, K) transmit distortion and then
+(B, M, K) receive distortion plus noise, so their count does not depend on
+the pilot length.
 """
 from __future__ import annotations
 

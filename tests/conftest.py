@@ -94,16 +94,48 @@ def make_setup(seed=0, m=16, n=16, k=3, m_e=2, correlated=True, sigma_p2=0.1,
     return stats, est, hw, xi
 
 
-def draw_channels(stats, rng, n_draws):
+def draw_channels(stats, rng, n_draws, *, eve):
     """Phase errors, Gaussian links and aggregate channels of ``n_draws`` blocks, in one dict.
 
-    Keys: theta, h_i, h_b, h_ie, h_be, h and h_e. All come from ``rng``:
-    the phase errors first, then the Gaussians of ``sample_realizations``.
+    Keys: theta, h_i, h_b, h and h_e, and with ``eve`` also h_ie and h_be;
+    without ``eve`` h_e is None. All come from ``rng``: the phase errors
+    first, then the Gaussians of ``sample_realizations``, which draws Eve's
+    links only with ``eve``.
     """
     theta = stats.phase_model.draw(rng, (n_draws, stats.dims.n))
-    draws = rl.sample_realizations(stats, rng, n_draws, eve=True)
+    draws = rl.sample_realizations(stats, rng, n_draws, eve=eve)
     h, h_e = rl.aggregate_channels(stats, draws, theta)
     return {**draws, "theta": theta, "h": h, "h_e": h_e}
+
+
+def pilot_matrix(tau_u, k):
+    """First K columns of the tau_u-point DFT basis: unit modulus, Phi^H Phi = tau_u I."""
+    if k > tau_u:
+        raise rl.InvalidParameterError("more users than pilot symbols")
+    t = np.arange(tau_u)
+    return np.exp(-2j * np.pi * np.outer(t, np.arange(k)) / tau_u)
+
+
+def time_domain_pilot_phase(h, pilots, rng):
+    """Reference pilot phase: tau_u impaired pilot symbols, then despreading.
+
+    ``h`` (B, K, M) holds the user channels. User k sends the pilot row
+    sqrt(rho) phi_k^H plus transmit distortion CN(0, rho kappa_t) per symbol;
+    antenna m adds receive distortion CN(0, rho kappa_r sum_k |h_km|^2) and
+    noise CN(0, sigma_u^2) per symbol. The received (B, M, tau_u) symbols are
+    despread with ``pilot_matrix``; returns the (B, M, K) observations.
+    """
+    b, k, m = h.shape
+    tau = pilots.tau_u
+    phi_p = pilot_matrix(tau, k)                                       # (tau, K)
+    sent = (np.sqrt(pilots.rho) * phi_p.conj().T
+            + complex_normal(rng, (b, k, tau), np.sqrt(pilots.rho * pilots.kappa_t_ue)))
+    d_r = np.sum(np.abs(h) ** 2, axis=1)                               # (B, M)
+    ups_r = np.sqrt(pilots.rho * pilots.kappa_r_bs * d_r)[:, :, None] * complex_normal(
+        rng, (b, m, tau))
+    noise = complex_normal(rng, (b, m, tau), np.sqrt(pilots.sigma_u2))
+    y_p = np.swapaxes(h, 1, 2) @ sent + ups_r + noise                  # (B, M, tau)
+    return y_p @ phi_p
 
 
 def with_eve_antennas(est, m_e):

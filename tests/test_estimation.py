@@ -9,12 +9,19 @@ from hypothesis import strategies as st
 import ris_lab as rl
 from ris_lab.errors import IllConditionedWarning
 
-from conftest import draw_channels, make_setup, max_asymmetry, min_relative_eigenvalue
+from conftest import (
+    draw_channels,
+    make_setup,
+    max_asymmetry,
+    min_relative_eigenvalue,
+    pilot_matrix,
+    time_domain_pilot_phase,
+)
 
 
 def test_pilot_matrix_orthogonal_unit_modulus():
-    pil = rl.PilotConfig(tau_u=8, rho=1.0)
-    phi = pil.pilot_matrix(5)
+    # the time-domain reference's pilots: the orthogonality the despread draw assumes
+    phi = pilot_matrix(8, 5)
     assert np.allclose(np.abs(phi), 1.0)
     gram = phi.conj().T @ phi
     assert np.max(np.abs(gram - 8.0 * np.eye(5))) < 1e-10
@@ -167,9 +174,9 @@ def test_estimate_covariance_and_orthogonality(small_setup):
     # E{hhat hhat^H} = tau rho R Psi^-1 R and E{e hhat^H} = 0 empirically
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(11)
-    draws = draw_channels(stats, rng, 100_000)
+    draws = draw_channels(stats, rng, 100_000, eve=False)
     y = rl.simulate_pilot_phase(
-        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
+        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape))
     h_hat = est.estimate(y)
     h = np.swapaxes(draws["h"], 1, 2)
     k = 0
@@ -197,9 +204,9 @@ def test_lmmse_beats_perturbed_linear_estimators():
     for trial in range(10):
         stats, est, _, _ = make_setup(seed=100 + trial, m=8, n=9, k=2, m_e=1,
                                       rho=float(rng.uniform(1.0, 20.0)))
-        draws = draw_channels(stats, rng, 4000)
+        draws = draw_channels(stats, rng, 4000, eve=False)
         y = rl.simulate_pilot_phase(
-            draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
+            draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape))
         h = np.swapaxes(draws["h"], 1, 2)
         k = 0
         a_opt = est.gain[k]
@@ -262,10 +269,10 @@ def test_closed_form_approaches_large_n_limit():
 def test_pilot_gaussians_equal_the_two_part_expression():
     # each part is written through .real/.imag into one complex array: the
     # same values as g[0] + 1j * g[1] from the same (2, ...) draw
-    b, k, m, tau_u = 5, 3, 4, 6
-    got = rl.pilot_gaussians(np.random.default_rng(11), (b, k, m), tau_u)
+    b, k, m = 5, 3, 4
+    got = rl.pilot_gaussians(np.random.default_rng(11), (b, k, m))
     rng = np.random.default_rng(11)
-    for part, shape in zip(got, [(b, k, tau_u), (b, m, tau_u), (b, m, tau_u)], strict=True):
+    for part, shape in zip(got, [(b, k, k), (b, m, k)], strict=True):
         g = rng.standard_normal((2, *shape))
         assert np.array_equal(part, g[0] + 1j * g[1])
 
@@ -276,31 +283,45 @@ def test_pilot_phase_noiseless_single_user():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rng = np.random.default_rng(0)
-        draws = draw_channels(stats, rng, 8)
+        draws = draw_channels(stats, rng, 8, eve=False)
         y = rl.simulate_pilot_phase(
-            draws["h"], pil, rl.pilot_gaussians(rng, draws["h"].shape, pil.tau_u))
+            draws["h"], pil, rl.pilot_gaussians(rng, draws["h"].shape))
     expect = pil.tau_u * np.sqrt(pil.rho) * np.swapaxes(draws["h"], 1, 2)
     assert np.allclose(y, expect)
 
 
-def test_pilot_phase_orthogonality_isolates_users():
-    # zero distortion and noise: user i != k contributes nothing to y_pk
-    stats = make_setup(seed=22, m=6, n=4, k=2, m_e=1, kappa_ul=0.0)[0]
-    pil = rl.PilotConfig(tau_u=2, rho=1.0, sigma_u2=0.0)
-    rng = np.random.default_rng(0)
-    draws = draw_channels(stats, rng, 8)
-    y = rl.simulate_pilot_phase(
-        draws["h"], pil, rl.pilot_gaussians(rng, draws["h"].shape, pil.tau_u))
-    expect = pil.tau_u * np.swapaxes(draws["h"], 1, 2)
-    assert np.allclose(y, expect, atol=1e-10)
+def test_despread_pilot_phase_has_the_time_domain_law():
+    # given the channels, drawing the despread observation directly and
+    # despreading tau_u simulated pilot symbols give the same law: every
+    # entry of the joint covariance of all users' observations about
+    # sqrt(rho) tau_u h agrees within the combined SE, the per-user blocks
+    # (distortion riding on h, per-antenna noise) and the cross-user ones
+    # (zero by orthogonality) alike. tau_u > K: the pilots are not square
+    stats = make_setup(seed=22, m=4, n=4, k=2, m_e=1)[0]
+    pil = rl.PilotConfig(tau_u=3, rho=2.0, sigma_u2=0.5, kappa_t_ue=0.2, kappa_r_bs=0.3)
+    h = draw_channels(stats, np.random.default_rng(0), 1, eve=False)["h"]
+    n = 40_000
+    h = np.broadcast_to(h, (n, *h.shape[1:]))
+    signal = pil.tau_u * np.sqrt(pil.rho) * np.swapaxes(h, 1, 2)
+    rng = np.random.default_rng(1)
+    upper = np.triu_indices(h.shape[1] * h.shape[2], 1)
+    moments = []
+    for y in (rl.simulate_pilot_phase(h, pil, rl.pilot_gaussians(rng, h.shape)),
+              time_domain_pilot_phase(h, pil, rng)):
+        d = (y - signal).reshape(n, -1)                     # antenna-major, user-minor
+        cross = d[:, upper[0]] * d[:, upper[1]].conj()
+        samples = np.concatenate([np.abs(d) ** 2, cross.real, cross.imag], axis=1)
+        moments.append((samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(n)))
+    (mean_a, se_a), (mean_b, se_b) = moments
+    assert np.max(np.abs(mean_a - mean_b) / np.hypot(se_a, se_b)) < 4.5
 
 
 def test_pilot_phase_covariance_matches_psi(small_setup):
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(13)
-    draws = draw_channels(stats, rng, 100_000)
+    draws = draw_channels(stats, rng, 100_000, eve=False)
     y = rl.simulate_pilot_phase(
-        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
+        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape))
     k = 1
     yk = y[:, :, k]
     cov = np.einsum("bi,bj->ij", yk, yk.conj()) / yk.shape[0]

@@ -256,7 +256,7 @@ def test_covariances_hermitian_psd_invariants(small_setup):
 
 def test_sample_covariance_matches_aggregate(small_setup):
     stats = small_setup[0]
-    draws = draw_channels(stats, np.random.default_rng(2), 100_000)
+    draws = draw_channels(stats, np.random.default_rng(2), 100_000, eve=False)
     h0 = draws["h"][:, 0, :]
     cov = np.einsum("bi,bj->ij", h0, h0.conj()) / h0.shape[0]
     rel = np.linalg.norm(cov - stats.r_k[0]) / np.linalg.norm(stats.r_k[0])
@@ -265,7 +265,7 @@ def test_sample_covariance_matches_aggregate(small_setup):
 
 def test_sample_covariance_direct_link(small_setup):
     stats = small_setup[0]
-    draws = draw_channels(stats, np.random.default_rng(4), 100_000)
+    draws = draw_channels(stats, np.random.default_rng(4), 100_000, eve=False)
     hb = draws["h_b"][:, 1, :]
     cov = np.einsum("bi,bj->ij", hb, hb.conj()) / hb.shape[0]
     expect = stats.fading.beta_2[1] * stats.r_b
@@ -274,7 +274,7 @@ def test_sample_covariance_direct_link(small_setup):
 
 def test_sample_covariance_eve(small_setup):
     stats = small_setup[0]
-    draws = draw_channels(stats, np.random.default_rng(6), 60_000)
+    draws = draw_channels(stats, np.random.default_rng(6), 60_000, eve=True)
     he = draws["h_e"]
     cov = np.einsum("bme,bne->mn", he, he.conj()) / (he.shape[0] * he.shape[2])
     assert np.linalg.norm(cov - stats.q_e) / np.linalg.norm(stats.q_e) < 0.03
@@ -282,11 +282,11 @@ def test_sample_covariance_eve(small_setup):
 
 def test_sampler_phase_errors():
     stats = make_setup(seed=1, sigma_p2=0.0)[0]
-    draws = draw_channels(stats, np.random.default_rng(0), 10)
+    draws = draw_channels(stats, np.random.default_rng(0), 10, eve=False)
     assert np.array_equal(draws["theta"], np.zeros_like(draws["theta"]))
 
     stats_vm = make_setup(seed=1, sigma_p2=0.1)[0]
-    draws = draw_channels(stats_vm, np.random.default_rng(0), 7000)
+    draws = draw_channels(stats_vm, np.random.default_rng(0), 7000, eve=False)
     mean = np.mean(np.exp(1j * draws["theta"]))
     rho = rl.phase_deviation_factor(stats_vm.phase_model)
     assert abs(mean - rho) < 0.005   # ~1e5 angle draws in total
@@ -295,7 +295,7 @@ def test_sampler_phase_errors():
 def test_sampler_aggregate_identity(small_setup):
     # h = H1 Phi Theta h_I + h_B must hold draw by draw
     stats = small_setup[0]
-    draws = draw_channels(stats, np.random.default_rng(8), 4)
+    draws = draw_channels(stats, np.random.default_rng(8), 4, eve=True)
     bridge = stats.h1 * stats.phi[None, :]
     for b in range(4):
         rot = np.exp(1j * draws["theta"][b])
@@ -319,15 +319,15 @@ def test_no_phase_errors_skip_the_rotation_bit_identically(small_setup):
 
 def test_sampler_deterministic(small_setup):
     stats = small_setup[0]
-    a = draw_channels(stats, np.random.default_rng(42), 5)
-    b = draw_channels(stats, np.random.default_rng(42), 5)
+    a = draw_channels(stats, np.random.default_rng(42), 5, eve=True)
+    b = draw_channels(stats, np.random.default_rng(42), 5, eve=True)
     for key in a:
         assert np.array_equal(a[key], b[key])
 
 
 def test_single_realization_shapes(small_setup):
     stats = small_setup[0]
-    real = draw_channels(stats, np.random.default_rng(0), 1)
+    real = draw_channels(stats, np.random.default_rng(0), 1, eve=True)
     dims = stats.dims
     assert real["h"].shape == (1, dims.k, dims.m)
     assert real["h_e"].shape == (1, dims.m, dims.m_e)

@@ -88,7 +88,7 @@ def einsum_eve(blk, p, q, kappa_t_bs):
 @pytest.mark.parametrize("correlated", [True, False])
 def test_sampler_matches_einsum_forms(correlated):
     stats, _, _, _ = make_setup(seed=11, m=8, n=16, k=2, m_e=2, correlated=correlated)
-    got = draw_channels(stats, np.random.default_rng(4), 64)
+    got = draw_channels(stats, np.random.default_rng(4), 64, eve=True)
     want = einsum_realizations(stats, np.random.default_rng(4), 64)
     assert set(got) == set(want)
     for key in want:

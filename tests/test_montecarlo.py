@@ -136,21 +136,31 @@ def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy():
     assert zero.r_sec_se > 0.01 * zero.r_sec
 
 
-@pytest.mark.parametrize("change", ["n", "r_i", "tau_u"])
+@pytest.mark.parametrize("change", ["n", "r_i"])
 def test_shared_draw_rejects_estimators_beyond_the_phase_law(change):
-    # one chunk draws one set of pilot Gaussians, so the pilot length is shared too
     _, est, hw, xi = make_setup(seed=3)
     if change == "n":
         other = make_setup(seed=3, n=25)[1]
-    elif change == "r_i":
+    else:
         stats = dataclasses.replace(est.stats, r_i=np.eye(est.stats.dims.n))
         other = rl.ChannelEstimator(stats, est.pilots)
-    else:
-        other = rl.ChannelEstimator(est.stats, dataclasses.replace(est.pilots, tau_u=4))
     with pytest.raises(rl.InvalidParameterError, match="phase-error law"):
         rl.estimate_secrecy([(est, hw, xi), (other, hw, xi)], rl.TrialPlan(4, master_seed=1))
     with pytest.raises(rl.InvalidParameterError, match="phase-error law"):
         rl.estimate_nmse([est, other], rl.TrialPlan(4, master_seed=1))
+
+
+def test_shared_draw_serves_every_pilot_length(small_setup):
+    # the despread pilot Gaussians do not depend on the pilot length, so
+    # estimators of several lengths share one draw, each equal to itself alone
+    _, est, hw, xi = small_setup
+    longer = rl.ChannelEstimator(est.stats, dataclasses.replace(est.pilots, tau_u=5))
+    plan = rl.TrialPlan(n_blocks=montecarlo.CHUNK_BLOCKS + 8, master_seed=6)
+    for e, orc in zip([est, longer], rl.estimate_nmse([est, longer], plan), strict=True):
+        assert_same_estimates(orc, rl.estimate_nmse([e], plan)[0])
+    points = [(est, hw, xi), (longer, hw, xi)]
+    for point, orc in zip(points, rl.estimate_secrecy(points, plan), strict=True):
+        assert_same_estimates(orc, rl.estimate_secrecy([point], plan)[0])
 
 
 @pytest.mark.parametrize("oracle", [rl.estimate_secrecy, rl.estimate_nmse])
@@ -399,9 +409,9 @@ def test_eve_rank_one_reduction():
                                     kappa_dl=0.0, p_t=10.0)
     p, q = rl.stream_powers(hw.p_t, xi, 2, 12)
     rng = np.random.default_rng(2)
-    draws = draw_channels(stats, rng, 2000)
+    draws = draw_channels(stats, rng, 2000, eve=True)
     y = rl.simulate_pilot_phase(
-        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
+        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape))
     h_hat = est.estimate(y)
     w = rl.mrt_precoder(h_hat, est)
     from ris_lab.precoding import null_space_an_batch
@@ -496,9 +506,9 @@ def test_cascade_anisotropy_biases_the_wishart_match(seed, kappa_t_bs, master_se
 
     # E{tr X | V, T}/M_E = q tr(V^H Q_E V) + kappa_t tr(diag(T) Q_E)
     rng = np.random.default_rng(4)
-    draws = draw_channels(stats, rng, 4000)
+    draws = draw_channels(stats, rng, 4000, eve=False)
     y = rl.simulate_pilot_phase(
-        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
+        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape))
     h_hat = est.estimate(y)
     w = rl.mrt_precoder(h_hat, est)
     v = null_space_an_batch(h_hat)

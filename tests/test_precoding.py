@@ -26,9 +26,9 @@ def test_stream_powers_budget_identity():
 def test_mrt_columns_normalized_statistically(small_setup):
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(3)
-    draws = draw_channels(stats, rng, 50_000)
+    draws = draw_channels(stats, rng, 50_000, eve=False)
     y = rl.simulate_pilot_phase(
-        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape, est.pilots.tau_u))
+        draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape))
     w = rl.mrt_precoder(est.estimate(y), est)
     norms = np.mean(np.sum(np.abs(w) ** 2, axis=1), axis=0)
     assert np.all(np.abs(norms - 1.0) < 0.02)
@@ -88,7 +88,7 @@ def test_transmit_power_budget(small_setup):
 def test_an_invisible_under_perfect_csi(small_setup):
     # with hhat = h the AN leakage h^H V V^H h vanishes identically
     stats = small_setup[0]
-    draws = draw_channels(stats, np.random.default_rng(9), 1)
+    draws = draw_channels(stats, np.random.default_rng(9), 1, eve=False)
     h = np.swapaxes(draws["h"], 1, 2)[0]
     v = null_space_an_batch(h[None])[0]
     leak = np.sum(np.abs(h.conj().T @ v) ** 2, axis=1)
