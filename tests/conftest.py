@@ -109,9 +109,7 @@ def draw_channels(stats, rng, n_draws, *, eve):
 
 
 def pilot_matrix(tau_u, k):
-    """First K columns of the tau_u-point DFT basis: unit modulus, Phi^H Phi = tau_u I."""
-    if k > tau_u:
-        raise rl.InvalidParameterError("more users than pilot symbols")
+    """First K <= tau_u columns of the tau_u-point DFT basis: unit modulus, Phi^H Phi = tau_u I."""
     t = np.arange(tau_u)
     return np.exp(-2j * np.pi * np.outer(t, np.arange(k)) / tau_u)
 
