@@ -45,12 +45,10 @@ from .hardware import HardwareProfile
 from .montecarlo import (
     OracleEstimates,
     TrialPlan,
-    WishartMoments,
     estimate_eve_capacity,
     estimate_nmse,
     estimate_secrecy,
     estimate_user_rate,
-    estimate_wishart_moments,
 )
 from .power_alloc import (
     optimal_xi,

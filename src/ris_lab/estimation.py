@@ -29,10 +29,11 @@ from .linalg import COND_LIMIT, HermitianSolver, herm_trace_prod, hermitize
 class PilotConfig:
     """Uplink training configuration and the uplink hardware.
 
-    The only home of the uplink noise power and the uplink distortion
-    factors: the estimator and the pilot-phase simulator read them here.
-    The pilots are orthogonal with squared norm tau_u; nothing else about
-    them enters the despread observation.
+    The only home of the pilot length, the uplink noise power and the
+    uplink distortion factors: the estimator, the pilot-phase simulator
+    and the closed forms read them here. The pilots are orthogonal with
+    squared norm tau_u; nothing else about them enters the despread
+    observation. The estimator checks tau_u >= K, since K is an array size.
     """
 
     tau_u: int

@@ -11,7 +11,9 @@ A grid point is the config with its swept fields replaced
 (``config.replace(n=...)``), and ``build_setup`` reads everything from
 that one config; the seed and hash columns are the base config's.
 ``nmse_vs_snr`` sweeps the pilot SNR (``pilot_snr_db``), the only SNR the
-estimate depends on; its column keeps the name ``snr_db``.
+estimate depends on; its column keeps the name ``snr_db``. The config's
+pilot length reaches the model only through the grid point's
+``PilotConfig``; ``SystemDimensions`` holds array sizes alone.
 Consecutive secrecy grid points whose statistics differ at most in the
 phase-error law share one ``estimate_secrecy`` call, so one Monte Carlo
 draw: ``xi_sweep``, ``kappa_t_sweep`` and ``secrecy_vs_snr`` draw once,
@@ -136,6 +138,9 @@ class ExperimentConfig:
 
     def validate(self):
         self.dimensions()
+        if self.tau_u is not None and self.tau_u < self.k:
+            raise ConfigValidationError(
+                f"pilot length {self.tau_u} shorter than user count {self.k}")
         try:
             check_power_fraction(self.xi)
             PhaseNoiseModel(kind=self.phase_noise_kind, sigma_p2=self.sigma_p2)
@@ -227,8 +232,7 @@ class ExperimentConfig:
 
     def dimensions(self) -> SystemDimensions:
         try:
-            return SystemDimensions.square_ris(m=self.m, n=self.n, k=self.k,
-                                               m_e=self.m_e, tau_u=self.tau_u)
+            return SystemDimensions.square_ris(m=self.m, n=self.n, k=self.k, m_e=self.m_e)
         except InvalidParameterError as exc:
             raise ConfigValidationError(str(exc)) from exc
 
@@ -342,11 +346,13 @@ class SystemSetup:
 def _scenario(config: ExperimentConfig):
     """Grid point basics every runner starts from: (dims, pilots, fading, h1).
 
-    ``pilots`` is the uplink ``PilotConfig``, the one home of the rule
-    rho > 0; ``h1`` is the BS-RIS LoS channel.
+    ``pilots`` is the uplink ``PilotConfig``, the one home of the pilot
+    length (K where ``config.tau_u`` is None) and of the rule rho > 0;
+    ``h1`` is the BS-RIS LoS channel.
     """
     dims = config.dimensions()
-    pilots = PilotConfig(tau_u=dims.tau_u, rho=config.rho, sigma_u2=config.sigma_u2,
+    pilots = PilotConfig(tau_u=config.k if config.tau_u is None else config.tau_u,
+                         rho=config.rho, sigma_u2=config.sigma_u2,
                          kappa_t_ue=config.kappa_t_ue, kappa_r_bs=config.kappa_r_bs)
     fading = generate_scenario(config)
     h1 = build_los_channel(dims, config.correlation_spec(), fading.beta_1,
@@ -620,15 +626,15 @@ def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
     for n in grid:
         dims, pilots, fading, h1 = _scenario(config.replace(n=n))
         # the uncorrelated special case assumes ideal uplink hardware
-        rho, sigma_u2 = pilots.rho, pilots.sigma_u2
-        _, _, r_prop = secrecy_uncorrelated(dims, fading, h1, rho, sigma_u2, hw, xi, k=0)
+        rho, tau_u, sigma_u2 = pilots.rho, pilots.tau_u, pilots.sigma_u2
+        _, _, r_prop = secrecy_uncorrelated(dims, fading, h1, rho, tau_u, sigma_u2, hw, xi, k=0)
         _, _, r_48 = secrecy_large_n(
             fading.beta_2[0], fading.beta_i[0], fading.beta_1, n, dims.m, dims.k,
-            dims.m_e, xi, rho, dims.tau_u, sigma_u2, hw)
+            dims.m_e, xi, rho, tau_u, sigma_u2, hw)
         _, _, r_50 = secrecy_limit(dims.m, dims.k, dims.m_e, xi, hw.kappa_t_bs, hw.kappa_r_ue)
         hw_scaled = dataclasses.replace(hw, p_t=e_u / n)     # budget shrinking as 1/N
         _, _, r_scaled = secrecy_uncorrelated(
-            dims, fading, h1, rho, sigma_u2, hw_scaled, xi, k=0)
+            dims, fading, h1, rho, tau_u, sigma_u2, hw_scaled, xi, k=0)
         _, _, r_49 = secrecy_power_scaled(e_u, dims.m, dims.k, dims.m_e, fading.beta_i[0],
                                           fading.beta_1, xi, hw.kappa_t_bs, hw.kappa_r_ue,
                                           hw.sigma_k2)

@@ -38,14 +38,16 @@ from .linalg import herm_sqrt, hermitize
 
 @dataclass(frozen=True)
 class SystemDimensions:
-    """Antenna/element/user counts and pilot length."""
+    """Array sizes only: antenna, element and user counts and the RIS grid.
+
+    The pilot length, a setting of the training phase, is ``PilotConfig.tau_u``.
+    """
 
     m: int            # BS antennas
     n: int            # RIS elements
     k: int            # legitimate users
     m_e: int          # eavesdropper antennas
     n_h: int          # RIS elements per row; N / n_h rows
-    tau_u: int        # pilot length in symbols
 
     def __post_init__(self):
         for name in ("m", "n", "k", "m_e", "n_h"):
@@ -58,19 +60,16 @@ class SystemDimensions:
         if self.m <= self.k:
             raise InvalidParameterError(
                 f"need more BS antennas than users for null-space AN (M={self.m}, K={self.k})")
-        if self.tau_u < self.k:
-            raise InvalidParameterError(
-                f"pilot length {self.tau_u} shorter than user count {self.k}")
 
     @classmethod
-    def square_ris(cls, m: int, n: int, k: int, m_e: int, tau_u: int | None = None):
+    def square_ris(cls, m: int, n: int, k: int, m_e: int):
         """Dimensions with the most square RIS grid that factors n."""
         if n < 1:
             raise InvalidParameterError(f"n must be positive, got {n}")
         n_h = int(round(np.sqrt(n)))
         while n_h > 1 and n % n_h != 0:
             n_h -= 1
-        return cls(m=m, n=n, k=k, m_e=m_e, n_h=n_h, tau_u=k if tau_u is None else tau_u)
+        return cls(m=m, n=n, k=k, m_e=m_e, n_h=n_h)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from .errors import IllConditionedError
 
 # Condition number above which LMMSE solves are flagged as unreliable.
 COND_LIMIT = 1e12
+# Fraction of the largest eigenvalue below which herm_sqrt clamps to zero.
+SQRT_CLIP_TOL = 1e-10
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -23,18 +25,16 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def herm_sqrt(a: np.ndarray, clip_tol: float = 1e-10) -> np.ndarray:
+def herm_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
-    Eigenvalues below ``clip_tol * lambda_max`` in magnitude are clamped
-    to zero; sinc-type RIS correlation matrices are rank deficient for
-    dense element spacings, so small negative eigenvalues are expected.
+    Eigenvalues below ``SQRT_CLIP_TOL * lambda_max`` are clamped to zero;
+    sinc-type RIS correlation matrices are rank deficient for dense
+    element spacings, so small negative eigenvalues are expected. The
+    inputs are unit-diagonal correlation templates, so lambda_max >= 1.
     """
     w, v = np.linalg.eigh(hermitize(a))
-    lam_max = float(w[-1]) if w.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros_like(np.asarray(a, dtype=complex))
-    w = np.where(w > clip_tol * lam_max, w, 0.0)
+    w = np.where(w > SQRT_CLIP_TOL * w[-1], w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
 

@@ -18,9 +18,9 @@ pilot phase of every estimator of the chunk. The pilot phase is drawn
 where the estimator reads it, in the despread domain: per block a K x K
 transmit-distortion part, then an M x K part for receive distortion plus
 noise, whatever the pilot length. The links are the users' g_i and g_b,
-followed by Eve's g_ie and g_be in the secrecy and Wishart oracles, which
-read Eve's channel; the NMSE oracle draws only the users' links, so its
-pilot Gaussians follow g_b. The RIS phase errors come from their own
+followed by Eve's g_ie and g_be in the secrecy oracle, which reads Eve's
+channel; the NMSE oracle draws only the users' links, so its pilot
+Gaussians follow g_b. The RIS phase errors come from their own
 substream, ``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, and
 are applied by ``geometry.aggregate_channels``. A law without phase errors
 draws nothing there, and its channels skip the rotation.
@@ -34,10 +34,10 @@ never compete with the pool's workers for the CPUs. The pool runs one
 worker per CPU this process may use, at most 8; the RIS_LAB_THREADS
 environment variable sets the worker count instead.
 
-Every pass shares one prefix per chunk (channel draw, pilot phase,
-estimate, MRT precoder and the thin QR factor Q of the estimate); the
-secrecy and Wishart passes then compute only their own terms. All batched
-contractions are BLAS matmuls over the block axis.
+Every secrecy pass shares one prefix per chunk (channel draw, pilot
+phase, estimate, MRT precoder and the thin QR factor Q of the estimate),
+then computes the user terms and Eve's rate. All batched contractions
+are BLAS matmuls over the block axis.
 
 The AN precoder V, an orthonormal basis of the null space of the
 estimate, enters the model only through the AN covariance
@@ -54,8 +54,7 @@ operating points ``(est, hw, xi)`` take K, M and M_E from
 (p, q) from ``precoding.stream_powers``; points whose statistics differ at
 most in the phase-error law (``shares_draw``) share one draw per chunk.
 ``estimate_nmse(ests, plan)`` takes the estimators of one draw in the same
-way; it and ``estimate_wishart_moments(est, hw, xi, plan)`` draw on their
-own streams.
+way, on its own stream.
 
 Model note: the user-rate terms keep the channel-hardening bookkeeping of
 the Theorem-1 bound. The downlink HWI power uses the per-antenna transmit
@@ -82,7 +81,7 @@ from .geometry import ChannelStatistics, aggregate_channels, sample_realizations
 from .hardware import HardwareProfile
 from .precoding import mrt_normalizers, mrt_precoder, stream_powers
 from .precoding import null_space_an_batch  # noqa: F401 -- bench/tracer.py wraps this binding
-from .streams import CHANNEL_BLOCK, EVE_BLOCK, NMSE_BLOCK, PHASE_ERRORS, derive_rng
+from .streams import CHANNEL_BLOCK, NMSE_BLOCK, PHASE_ERRORS, derive_rng
 
 # Fixed, so the chunking and with it every stream is the same for any worker
 # count. 100 blocks split the default 400-block run into 4 equal chunks, so
@@ -295,10 +294,12 @@ def estimate_nmse(ests, plan: TrialPlan) -> list[OracleEstimates]:
     """Empirical NMSE of LMMSE estimators over impaired pilot blocks.
 
     ``ests`` holds estimators whose statistics pass ``shares_draw``, such
-    as those of one link at several pilot powers or pilot lengths; one
-    ``OracleEstimates`` is returned per estimator, in order, each
-    bit-identical to the estimate of that estimator alone. Each chunk draws
-    only the users' links, once for all of them.
+    as those of one link at several pilot powers or pilot lengths: both
+    live in the ``PilotConfig``, not in the statistics, and the despread
+    draw depends on neither. One ``OracleEstimates`` is returned per
+    estimator, in order, each bit-identical to the estimate of that
+    estimator alone. Each chunk draws only the users' links, once for all
+    of them.
     """
     ests = list(ests)
     _check_shared_draw(ests)
@@ -533,50 +534,3 @@ def estimate_eve_capacity(est: ChannelEstimator, hw: HardwareProfile, xi: float,
                           plan: TrialPlan) -> OracleEstimates:
     """``estimate_secrecy`` at one point; kept because the benchmark tracer wraps it."""
     return estimate_secrecy([(est, hw, xi)], plan)[0]
-
-
-# --------------------------------------------------------------------------
-# eavesdropper interference moments
-# --------------------------------------------------------------------------
-
-@dataclass
-class WishartMoments:
-    """Empirical first/second moments of the eavesdropper's interference matrix."""
-
-    tr_x_over_me: float
-    tr_x_over_me_se: float
-    offdiag_m2: float
-    offdiag_m2_se: float
-
-
-def estimate_wishart_moments(est: ChannelEstimator, hw: HardwareProfile, xi: float,
-                             plan: TrialPlan) -> WishartMoments:
-    """Moments of X = H_E^H (q V V^H + Ups_t) H_E for the matching check.
-
-    Returns the first functional E{tr X}/M_E and the mean squared
-    off-diagonal entry. For a Wishart law with scale phi and eta degrees
-    of freedom they are eta phi and eta phi^2; they equal those of
-    ``wishart_match`` only where its isotropy assumptions hold, i.e. when
-    Q_E is a multiple of I.
-    """
-    p, q = stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
-
-    def work(size, key):
-        [blk] = _chunk_blocks([est], size, key)
-        x = _eve_interference(blk, p, q, hw.kappa_t_bs)
-        m_e = x.shape[-1]
-        tr_x = np.real(np.einsum("bee->b", x))
-        off = np.abs(x) ** 2
-        off[:, np.arange(m_e), np.arange(m_e)] = 0.0
-        denom = max(m_e * (m_e - 1), 1)
-        return {"tr_x": tr_x / m_e, "off_m2": np.sum(off, axis=(1, 2)) / denom}
-
-    parts = _run_chunks(plan, EVE_BLOCK, work)
-    tr_x = _stack(parts, "tr_x")
-    off = _stack(parts, "off_m2")
-    tr_mean, tr_se = _mean_se(tr_x)
-    off_mean, off_se = _mean_se(off)
-    return WishartMoments(
-        tr_x_over_me=float(tr_mean), tr_x_over_me_se=float(tr_se),
-        offdiag_m2=float(off_mean), offdiag_m2_se=float(off_se),
-    )

@@ -265,15 +265,15 @@ def max_eve_antennas_an(terms: RateTerms):
 # uncorrelated special case and large-system limits
 # --------------------------------------------------------------------------
 
-def secrecy_uncorrelated(dims, fading, h1: np.ndarray, rho: float, sigma_u2: float,
-                         hw: HardwareProfile, xi: float, k: int = 0):
+def secrecy_uncorrelated(dims, fading, h1: np.ndarray, rho: float, tau_u: int,
+                         sigma_u2: float, hw: HardwareProfile, xi: float, k: int = 0):
     """Secrecy rate under uncorrelated fading and ideal uplink hardware.
 
     Independent evaluation path: works directly with the rank structure
     beta_2 I + beta_i H1 H1^H, so it cross-checks the general pipeline.
     Returns (user_rate, eve_bound, clipped secrecy rate).
     """
-    m, k_users, m_e, tau_u = dims.m, dims.k, dims.m_e, dims.tau_u
+    m, k_users, m_e = dims.m, dims.k, dims.m_e
     kt, p_t = hw.kappa_t_bs, hw.p_t
     p, q = stream_powers(p_t, xi, k_users, m)
     hh = hermitize(h1 @ h1.conj().T)

@@ -11,12 +11,11 @@ parts; its consumer scales and colors the parts itself.
 
 The chunk stream ``(master_seed, purpose, chunk)`` of a Monte Carlo oracle
 gives the users' links, then Eve's links where the oracle reads her channel
-(``CHANNEL_BLOCK`` for secrecy, ``EVE_BLOCK`` for the Wishart moments),
-then the pilot Gaussians. The ``NMSE_BLOCK`` stream holds no Eve links: its
-pilot Gaussians follow the users' links. The pilot Gaussians are those of
-the despread pilot observation, (B, K, K) transmit distortion and then
-(B, M, K) receive distortion plus noise, so their count does not depend on
-the pilot length.
+(``CHANNEL_BLOCK``, the secrecy oracle), then the pilot Gaussians. The
+``NMSE_BLOCK`` stream holds no Eve links: its pilot Gaussians follow the
+users' links. The pilot Gaussians are those of the despread pilot
+observation, (B, K, K) transmit distortion and then (B, M, K) receive
+distortion plus noise, so their count does not depend on the pilot length.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ import numpy as np
 LOS_ANGLES = 1
 SCENARIO = 2
 CHANNEL_BLOCK = 3
-EVE_BLOCK = 4
+# 4 is the Wishart-moment test oracle's stream (tests/test_montecarlo.py)
 NMSE_BLOCK = 5
 # RIS phase errors of one Monte Carlo chunk: the last element of the key
 # (master_seed, oracle purpose, chunk index, PHASE_ERRORS). Their own

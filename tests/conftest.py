@@ -59,7 +59,7 @@ def dft_bridge(m, n, beta_1):
 
 def make_setup(seed=0, m=16, n=16, k=3, m_e=2, correlated=True, sigma_p2=0.1,
                kind="von_mises", kappa_ul=0.01, kappa_dl=0.01, rho=10.0,
-               p_t=10.0, xi=0.5, sigma_u2=1.0, sigma_k2=1.0, tau_u=None,
+               p_t=10.0, xi=0.5, sigma_u2=1.0, sigma_k2=1.0,
                phi=np.pi / 4, beta_scale=1.0, bridge="los"):
     """One random system configuration: stats, estimator, hardware, data fraction xi.
 
@@ -71,7 +71,7 @@ def make_setup(seed=0, m=16, n=16, k=3, m_e=2, correlated=True, sigma_p2=0.1,
     Q_E = (beta_3 + beta_ie beta_1 N) I exactly.
     """
     rng = np.random.default_rng(seed)
-    dims = rl.SystemDimensions.square_ris(m=m, n=n, k=k, m_e=m_e, tau_u=tau_u)
+    dims = rl.SystemDimensions.square_ris(m=m, n=n, k=k, m_e=m_e)
     spec = rl.CorrelationSpec()
     r_b = rl.build_bs_correlation(m, 0.6) if correlated else None
     r_i = rl.build_ris_correlation(dims, spec) if correlated else None
@@ -86,7 +86,7 @@ def make_setup(seed=0, m=16, n=16, k=3, m_e=2, correlated=True, sigma_p2=0.1,
         beta_3=1.1 * beta_scale, beta_ie=0.6 * beta_scale)
     pm = rl.PhaseNoiseModel(kind=kind, sigma_p2=sigma_p2) if sigma_p2 > 0 else rl.PhaseNoiseModel()
     stats = rl.build_channel_statistics(dims, fading, pm, h1, phi=phi, r_b=r_b, r_i=r_i)
-    pilots = rl.PilotConfig(tau_u=dims.tau_u, rho=rho, sigma_u2=sigma_u2,
+    pilots = rl.PilotConfig(tau_u=k, rho=rho, sigma_u2=sigma_u2,
                             kappa_t_ue=kappa_ul, kappa_r_bs=kappa_ul)
     est = rl.ChannelEstimator(stats, pilots)
     hw = rl.HardwareProfile(p_t=p_t, kappa_t_bs=kappa_dl, kappa_r_ue=kappa_dl,

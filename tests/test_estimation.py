@@ -133,6 +133,13 @@ def test_singular_psi_raises_with_condition_number():
     assert err.value.cond is None or err.value.cond > 1e12
 
 
+def test_estimator_rejects_fewer_pilots_than_users(small_setup):
+    # the pilot length lives in PilotConfig, the user count in the statistics
+    stats = small_setup[0]
+    with pytest.raises(rl.InvalidParameterError, match="pilot length shorter than user count"):
+        rl.ChannelEstimator(stats, rl.PilotConfig(tau_u=stats.dims.k - 1, rho=1.0))
+
+
 def test_error_covariance_limits(small_setup):
     stats = small_setup[0]
     k = 0
@@ -250,7 +257,7 @@ def test_large_n_limit_scalar_properties():
 
 
 def test_closed_form_approaches_large_n_limit():
-    dims = rl.SystemDimensions.square_ris(m=8, n=4096, k=1, m_e=1, tau_u=1)
+    dims = rl.SystemDimensions.square_ris(m=8, n=4096, k=1, m_e=1)
     spec = rl.CorrelationSpec()
     b1, bi, b2 = 0.03, 0.08, 1.0
     h1 = rl.build_los_channel(dims, spec, b1, np.random.default_rng(3))

@@ -158,6 +158,10 @@ def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys, experimen
     *[pytest.param(experiment, {"sweep": [16], "sigma_u2": 0}, "pilot power must be positive",
                    [], id=f"{experiment}-sigma_u2-0")
       for experiment in ("asymptotic_vs_N", "secrecy_vs_N")],
+    # fewer pilots than users, with an estimator and without one
+    *[pytest.param(experiment, {"tau_u": 1}, "pilot length 1 shorter than user count 2", [],
+                   id=f"{experiment}-tau_u-1")
+      for experiment in ("nmse_vs_snr", "asymptotic_vs_N")],
 ])
 def test_cli_nonpositive_size_in_sweep_exits_2(tmp_path, capsys, experiment, changes,
                                                message, args):

@@ -149,7 +149,7 @@ def test_ris_correlation_quarter_wavelength_value():
 
 
 def test_ris_correlation_row_major_positions():
-    dims = rl.SystemDimensions(m=4, n=6, k=2, m_e=1, n_h=3, tau_u=2)
+    dims = rl.SystemDimensions(m=4, n=6, k=2, m_e=1, n_h=3)
     pos = rl.geometry.ris_element_positions(dims, rl.CorrelationSpec(wavelength=0.1))
     assert np.allclose(pos[4], [0.0, 0.05, 0.05])  # element 4: column 1, row 1
 
@@ -341,10 +341,8 @@ def test_single_realization_shapes(small_setup):
 
 def test_dimension_invariants():
     with pytest.raises(rl.InvalidParameterError):
-        rl.SystemDimensions(m=4, n=6, k=4, m_e=1, n_h=3, tau_u=4)   # M <= K
+        rl.SystemDimensions(m=4, n=6, k=4, m_e=1, n_h=3)   # M <= K
     with pytest.raises(rl.InvalidParameterError):
-        rl.SystemDimensions(m=8, n=6, k=4, m_e=1, n_h=3, tau_u=2)   # tau < K
+        rl.SystemDimensions(m=8, n=7, k=2, m_e=1, n_h=3)   # grid mismatch
     with pytest.raises(rl.InvalidParameterError):
-        rl.SystemDimensions(m=8, n=7, k=2, m_e=1, n_h=3, tau_u=2)   # grid mismatch
-    with pytest.raises(rl.InvalidParameterError):
-        rl.SystemDimensions(m=8, n=6, k=2, m_e=1, n_h=0, tau_u=2)   # empty rows
+        rl.SystemDimensions(m=8, n=6, k=2, m_e=1, n_h=0)   # empty rows

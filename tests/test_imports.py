@@ -6,7 +6,9 @@ appears anywhere else in the module as a name or as the root of an
 attribute chain. ``__init__.py`` (whose imports are the public API) and
 ``from __future__`` imports are skipped; a ``# noqa: F401`` comment on the
 statement's first line or on the name's own line exempts a name, which is
-how the bindings that the benchmark tracer wraps are kept.
+how the bindings that the benchmark tracer wraps are kept; a second check
+holds each exempted name to a binding that ``bench/tracer.py`` wraps in
+that module, so the exemption cannot hide a dead import.
 
 The checks further down find values that nothing reads: record fields,
 the instance attributes an ``__init__`` sets, and function parameters.
@@ -28,22 +30,20 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ris_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def module_imports(source: str) -> list:
+    """(line, bound name, exempt) of every module-level import but ``__future__``'s."""
+    noqa = {i + 1 for i, line in enumerate(source.splitlines()) if "# noqa: F401" in line}
+    return [(alias.lineno, alias.asname or alias.name.split(".")[0],
+             node.lineno in noqa or alias.lineno in noqa)
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names]
+
+
 def unused_imports(source: str) -> list:
-    tree = ast.parse(source)
-    lines = source.splitlines()
-    exempt = {i + 1 for i, line in enumerate(lines) if "# noqa: F401" in line}
-    imported = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        for alias in node.names:
-            if node.lineno in exempt or alias.lineno in exempt:
-                continue
-            name = alias.asname or alias.name.split(".")[0]
-            imported[name] = alias.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    imported = {name: line for line, name, exempt in module_imports(source) if not exempt}
+    used = {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -62,6 +62,47 @@ def test_checker_flags_an_unused_import_and_honours_noqa():
               "from typing import Any, List\n"
               "x: List = []\n")
     assert unused_imports(source) == [(2, "os"), (7, "Any")]
+
+
+TRACER = PACKAGE.parents[1] / "bench" / "tracer.py"
+
+
+def untraced_exemptions(sources: dict, tracer_source: str) -> list:
+    """(module, line, name) of each ``# noqa: F401`` import the tracer does not wrap there.
+
+    ``sources`` maps module names, as the tracer's ``_FUNCTIONS`` table
+    writes them, to their text. The table is read with ``ast``, so the
+    tracer is never imported.
+    """
+    [table] = [node.value for node in ast.parse(tracer_source).body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["_FUNCTIONS"]]
+    wrapped = {(row.elts[0].value, row.elts[1].value) for row in table.elts}
+    return sorted((module, line, name) for module, source in sources.items()
+                  for line, name, exempt in module_imports(source)
+                  if exempt and (module, name) not in wrapped)
+
+
+def test_noqa_exempts_only_traced_bindings():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert untraced_exemptions(sources, TRACER.read_text(encoding="utf-8")) == []
+
+
+def test_untraced_exemption_check_on_a_small_source():
+    tracer = ("_FUNCTIONS = [\n"
+              "    (\"experiments\", \"build_setup\", \"experiments.build_setup\", None),\n"
+              "    (\"montecarlo\", \"kept\", \"a.kept\", _blocks),\n"
+              "]\n"
+              "_METHODS = [(\"estimation\", \"Estimator\", \"estimate\", \"e\")]\n")
+    sources = {"montecarlo": ("from .a import kept  # noqa: F401 -- traced\n"
+                              "from .a import dead  # noqa: F401\n"
+                              "import os\n"),
+               "experiments": ("from .b import (  # noqa: F401\n"
+                               "    build_setup,\n"
+                               "    kept,\n"
+                               ")\n")}
+    assert untraced_exemptions(sources, tracer) == [
+        ("experiments", 3, "kept"), ("montecarlo", 2, "dead")]
 
 
 # --------------------------------------------------------------------------

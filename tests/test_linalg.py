@@ -1,9 +1,23 @@
-"""Guarded Hermitian solves: residual, condition estimate, singular input."""
+"""Hermitian square root and guarded solves: residual, condition estimate, singular input."""
 import numpy as np
 import pytest
 
 import ris_lab as rl
-from ris_lab.linalg import HermitianSolver
+from ris_lab.linalg import HermitianSolver, herm_sqrt
+
+
+def test_herm_sqrt_of_a_rank_deficient_ris_correlation():
+    # lambda/4 spacing at N = 196: R_I has eigenvalues at roundoff, some
+    # negative, that the square root clamps
+    lam = 0.1
+    dims = rl.SystemDimensions.square_ris(m=4, n=196, k=2, m_e=1)
+    r = rl.build_ris_correlation(dims, rl.CorrelationSpec(wavelength=lam, d_h=lam / 4,
+                                                          d_v=lam / 4))
+    assert np.linalg.eigvalsh(r)[0] < 1e-10 * np.linalg.eigvalsh(r)[-1]
+    s = herm_sqrt(r)
+    assert np.isrealobj(s)
+    assert np.max(np.abs(s - s.T)) <= 1e-14 * np.max(np.abs(s))
+    assert np.linalg.norm(s @ s - r, 2) <= 1e-9 * np.linalg.norm(r, 2)
 
 
 def random_hpd(n, seed):

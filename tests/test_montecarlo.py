@@ -13,9 +13,17 @@ import pytest
 
 import ris_lab as rl
 from ris_lab import montecarlo
-from ris_lab.experiments import ExperimentConfig
+from ris_lab.experiments import ExperimentConfig, build_setup
 from ris_lab.linalg import herm_trace_prod
-from ris_lab.montecarlo import _chunk_blocks, _eve_floor, worker_count
+from ris_lab.montecarlo import (
+    _chunk_blocks,
+    _eve_floor,
+    _eve_interference,
+    _mean_se,
+    _run_chunks,
+    _stack,
+    worker_count,
+)
 from ris_lab.streams import CHANNEL_BLOCK
 
 from conftest import draw_channels, make_setup
@@ -161,6 +169,10 @@ def test_shared_draw_serves_every_pilot_length(small_setup):
     points = [(est, hw, xi), (longer, hw, xi)]
     for point, orc in zip(points, rl.estimate_secrecy(points, plan), strict=True):
         assert_same_estimates(orc, rl.estimate_secrecy([point], plan)[0])
+    # grid points of configs that differ only in the pilot length share it too
+    config = ExperimentConfig(m=8, n=4, k=2, m_e=2)
+    short, long_ = (build_setup(config.replace(tau_u=tau)).est.stats for tau in (None, 5))
+    assert montecarlo.shares_draw(short, long_)
 
 
 @pytest.mark.parametrize("oracle", [rl.estimate_secrecy, rl.estimate_nmse])
@@ -440,6 +452,52 @@ def test_eve_singular_corner_regularized():
 # Wishart moment matching
 # --------------------------------------------------------------------------
 
+# Purpose tag of the Wishart-moment oracle's chunk stream; ris_lab.streams
+# leaves 4 to it.
+EVE_BLOCK = 4
+
+
+@dataclasses.dataclass
+class WishartMoments:
+    """Empirical first/second moments of the eavesdropper's interference matrix."""
+
+    tr_x_over_me: float
+    tr_x_over_me_se: float
+    offdiag_m2: float
+    offdiag_m2_se: float
+
+
+def estimate_wishart_moments(est, hw, xi, plan) -> WishartMoments:
+    """Moments of X = H_E^H (q V V^H + Ups_t) H_E for the matching check.
+
+    Returns the first functional E{tr X}/M_E and the mean squared
+    off-diagonal entry. For a Wishart law with scale phi and eta degrees
+    of freedom they are eta phi and eta phi^2; they equal those of
+    ``wishart_match`` only where its isotropy assumptions hold, i.e. when
+    Q_E is a multiple of I. The chunks are the secrecy oracle's
+    (``_chunk_blocks``) on the ``EVE_BLOCK`` stream.
+    """
+    p, q = rl.stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
+
+    def work(size, key):
+        [blk] = _chunk_blocks([est], size, key)
+        x = _eve_interference(blk, p, q, hw.kappa_t_bs)
+        m_e = x.shape[-1]
+        tr_x = np.real(np.einsum("bee->b", x))
+        off = np.abs(x) ** 2
+        off[:, np.arange(m_e), np.arange(m_e)] = 0.0
+        denom = max(m_e * (m_e - 1), 1)
+        return {"tr_x": tr_x / m_e, "off_m2": np.sum(off, axis=(1, 2)) / denom}
+
+    parts = _run_chunks(plan, EVE_BLOCK, work)
+    tr_mean, tr_se = _mean_se(_stack(parts, "tr_x"))
+    off_mean, off_se = _mean_se(_stack(parts, "off_m2"))
+    return WishartMoments(
+        tr_x_over_me=float(tr_mean), tr_x_over_me_se=float(tr_se),
+        offdiag_m2=float(off_mean), offdiag_m2_se=float(off_se),
+    )
+
+
 def assert_isotropic(q_e):
     """Q_E = c I for some c > 0, to roundoff."""
     c = float(np.real(q_e[0, 0]))
@@ -461,7 +519,7 @@ def test_wishart_moments_pure_an_corner():
     tr_q = float(np.real(np.trace(q_e)))
     tr_q2 = herm_trace_prod(q_e, q_e)
     phi_w, eta_w = wishart_match(tr_q, tr_q2, q, 0.0, hw.p_t, 24, 2)
-    mom = rl.estimate_wishart_moments(est, hw0, xi, rl.TrialPlan(12000, master_seed=3))
+    mom = estimate_wishart_moments(est, hw0, xi, rl.TrialPlan(12000, master_seed=3))
     assert abs(mom.tr_x_over_me - eta_w * phi_w) < 3 * mom.tr_x_over_me_se
     assert abs(mom.offdiag_m2 - eta_w * phi_w ** 2) < 3 * mom.offdiag_m2_se
 
@@ -479,7 +537,7 @@ def test_wishart_first_moment_with_transmit_distortion():
     tr_q2 = herm_trace_prod(q_e, q_e)
     _, q = rl.stream_powers(hw.p_t, xi, 2, 24)
     phi_w, eta_w = wishart_match(tr_q, tr_q2, q, hw.kappa_t_bs, hw.p_t, 24, 2)
-    mom = rl.estimate_wishart_moments(est, hw, xi, rl.TrialPlan(12000, master_seed=9))
+    mom = estimate_wishart_moments(est, hw, xi, rl.TrialPlan(12000, master_seed=9))
     assert abs(mom.tr_x_over_me - eta_w * phi_w) < 3 * mom.tr_x_over_me_se
 
 
@@ -501,7 +559,7 @@ def test_cascade_anisotropy_biases_the_wishart_match(seed, kappa_t_bs, master_se
     tr_q2 = herm_trace_prod(q_e, q_e)
     phi_w, eta_w = wishart_match(tr_q, tr_q2, q, kappa_t_bs, hw.p_t, 24, 2)
     plan = rl.TrialPlan(12000, master_seed=master_seed)
-    mom = rl.estimate_wishart_moments(est, hw, xi, plan)
+    mom = estimate_wishart_moments(est, hw, xi, plan)
     assert eta_w * phi_w - mom.tr_x_over_me > 3 * mom.tr_x_over_me_se
 
     # E{tr X | V, T}/M_E = q tr(V^H Q_E V) + kappa_t tr(diag(T) Q_E)

@@ -191,8 +191,8 @@ def test_secrecy_rate_forms_agree_on_random_configs(m, k, m_e, xi, p_t, kappa_dl
     assert abs(rep.c_e_bar - c_e_appendix) <= 1e-9 * rep.c_e_bar
     if uncorrelated:
         r_u, c_e, r_sec = rl.secrecy_uncorrelated(
-            stats.dims, stats.fading, stats.h1, est.pilots.rho, est.pilots.sigma_u2,
-            hw, xi, k=0)
+            stats.dims, stats.fading, stats.h1, est.pilots.rho, est.pilots.tau_u,
+            est.pilots.sigma_u2, hw, xi, k=0)
         assert abs(r_u - rep.r_k) <= 1e-9 * rep.r_k
         assert abs(c_e - rep.c_e_bar) <= 1e-9 * rep.c_e_bar
         assert abs(r_sec - rep.r_sec) <= 1e-9 * max(rep.r_sec, 1e-9)
@@ -304,7 +304,8 @@ def uncorrelated_setup(seed=51, m=24, n=64, k=3, m_e=2, rho=10.0, p_t=10.0,
 def test_prop3_matches_general_pipeline():
     stats, est, hw, xi = uncorrelated_setup()
     r_u, c_e, r_sec = rl.secrecy_uncorrelated(
-        stats.dims, stats.fading, stats.h1, est.pilots.rho, est.pilots.sigma_u2, hw, xi, k=0)
+        stats.dims, stats.fading, stats.h1, est.pilots.rho, est.pilots.tau_u,
+        est.pilots.sigma_u2, hw, xi, k=0)
     rep = rl.secrecy_rate(rl.compute_rate_terms(est, hw), xi)
     assert abs(r_u - rep.r_k) <= 1e-9 * rep.r_k
     assert abs(c_e - rep.c_e_bar) <= 1e-9 * rep.c_e_bar
@@ -318,8 +319,8 @@ def test_prop3_invariant_to_phase_configuration():
         stats, est, hw, xi = make_setup(seed=52, m=24, n=64, k=3, m_e=2,
                                         correlated=False, kappa_ul=0.0, phi=phi)
         vals.append(rl.secrecy_uncorrelated(
-            stats.dims, stats.fading, stats.h1, est.pilots.rho, est.pilots.sigma_u2,
-            hw, xi, k=0)[2])
+            stats.dims, stats.fading, stats.h1, est.pilots.rho, est.pilots.tau_u,
+            est.pilots.sigma_u2, hw, xi, k=0)[2])
     assert np.ptp(vals) < 1e-10 * max(vals)
 
 
@@ -337,10 +338,10 @@ def make_large_n_inputs(m=16, n=4096, k=6, m_e=4, seed=3, ris_gain=1.0):
 
 def test_large_n_form_matches_prop3_at_big_ris():
     dims, fading, h1, hw, xi = make_large_n_inputs()
-    _, _, exact = rl.secrecy_uncorrelated(dims, fading, h1, 1.0, 1.0, hw, xi, k=0)
+    _, _, exact = rl.secrecy_uncorrelated(dims, fading, h1, 1.0, dims.k, 1.0, hw, xi, k=0)
     _, _, approx = rl.secrecy_large_n(
         fading.beta_2[0], fading.beta_i[0], fading.beta_1, dims.n, dims.m, dims.k,
-        dims.m_e, xi, 1.0, dims.tau_u, 1.0, hw)
+        dims.m_e, xi, 1.0, dims.k, 1.0, hw)
     assert abs(approx - exact) / exact < 0.05
 
 
@@ -348,7 +349,7 @@ def test_large_n_form_reaches_asymptotic_limit():
     dims, fading, h1, hw, xi = make_large_n_inputs(m=256, n=10_000, k=6, m_e=4)
     _, _, big_n = rl.secrecy_large_n(
         fading.beta_2[0], fading.beta_i[0], fading.beta_1, dims.n, dims.m, dims.k,
-        dims.m_e, xi, 1.0, dims.tau_u, 1.0, hw)
+        dims.m_e, xi, 1.0, dims.k, 1.0, hw)
     _, _, limit = rl.secrecy_limit(dims.m, dims.k, dims.m_e, xi, hw.kappa_t_bs, hw.kappa_r_ue)
     assert abs(big_n - limit) / limit < 0.05
 
@@ -368,7 +369,8 @@ def test_power_scaled_convergence_of_full_pipeline():
     dims, fading, h1, hw, _ = make_large_n_inputs(m=64, n=4096, ris_gain=6.0)
     e_u = 100.0
     hw_scaled = dataclasses.replace(hw, p_t=e_u / dims.n)
-    _, _, exact = rl.secrecy_uncorrelated(dims, fading, h1, 1.0, 1.0, hw_scaled, 0.5, k=0)
+    _, _, exact = rl.secrecy_uncorrelated(dims, fading, h1, 1.0, dims.k, 1.0, hw_scaled, 0.5,
+                                          k=0)
     _, _, limit = rl.secrecy_power_scaled(e_u, dims.m, dims.k, dims.m_e,
                                           fading.beta_i[0], fading.beta_1, 0.5,
                                           hw.kappa_t_bs, hw.kappa_r_ue, hw.sigma_k2)
