@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IllConditionedWarning, InvalidParameterError
 from .geometry import ChannelStatistics
-from .linalg import COND_LIMIT, HermitianSolver, herm_trace_prod, hermitize
+from .linalg import COND_LIMIT, herm_trace_prod, hermitize, solve_pd
 
 
 @dataclass(frozen=True)
@@ -87,17 +87,15 @@ class ChannelEstimator:
             raise InvalidParameterError("pilot length shorter than user count")
         self.stats = stats
         self.pilots = pilots
-        solvers = [HermitianSolver(p, name=f"Psi_{k}")
-                   for k, p in enumerate(build_psi(stats, pilots))]
-        if any(not s.is_well_conditioned for s in solvers):
-            worst = max(s.cond_estimate for s in solvers)
+        # psi_inv_r[k] = Psi_k^{-1} R_k; everything else is a trace away.
+        psi_inv_r, conds = zip(*(solve_pd(psi, rk, name=f"Psi_{k}") for k, (psi, rk)
+                                 in enumerate(zip(build_psi(stats, pilots), stats.r_k))))
+        if max(conds) > COND_LIMIT:
             warnings.warn(
-                f"worst pilot covariance condition number ~{worst:.3e} exceeds "
+                f"worst pilot covariance condition number ~{max(conds):.3e} exceeds "
                 f"{COND_LIMIT:.0e}", IllConditionedWarning, stacklevel=2)
 
         tr = pilots.tau_u * pilots.rho
-        # psi_inv_r[k] = Psi_k^{-1} R_k; everything else is a trace away.
-        psi_inv_r = [s.solve(rk) for s, rk in zip(solvers, stats.r_k)]
         self.est_cov = [hermitize(tr * rk @ x) for rk, x in zip(stats.r_k, psi_inv_r)]
         self.c = [hermitize(rk - ec) for rk, ec in zip(stats.r_k, self.est_cov)]
         # sqrt(rho) R_k Psi_k^{-1} = sqrt(rho) (Psi_k^{-1} R_k)^H; not Hermitian itself.
@@ -125,9 +123,9 @@ def nmse_high_power_limit(stats: ChannelStatistics, pilots: PilotConfig, k: int)
     if pilots.kappa_t_ue == 0.0 and pilots.kappa_r_bs == 0.0:
         return 0.0
     psi_t = build_psi(stats, replace(pilots, rho=1.0, sigma_u2=0.0))[k]
-    solver = HermitianSolver(psi_t, name="high-power pilot covariance")
     rk = stats.r_k[k]
-    resid = rk - pilots.tau_u * rk @ solver.solve(rk)
+    x, _ = solve_pd(psi_t, rk, name="high-power pilot covariance")
+    resid = rk - pilots.tau_u * rk @ x
     return float(np.real(np.trace(resid)) / np.real(np.trace(rk)))
 
 

@@ -9,15 +9,16 @@ companions, then seed and config hash) plus a manifest.
 
 A grid point is the config with its swept fields replaced
 (``config.replace(n=...)``), and ``build_setup`` reads everything from
-that one config; the seed and hash columns are the base config's.
+that one config; the seed and hash columns are the base config's. Each of
+the seven one-axis experiments is defined by one ``_SWEEPS`` record (swept
+field, default grid, closed-form and Monte Carlo cells) run by ``_run_sweep``;
+``asymptotic_vs_N`` and ``phase_noise_sweep`` have runners of their own.
 ``nmse_vs_snr`` sweeps the pilot SNR (``pilot_snr_db``), the only SNR the
-estimate depends on; its column keeps the name ``snr_db``. The config's
-pilot length reaches the model only through the grid point's
-``PilotConfig``; ``SystemDimensions`` holds array sizes alone.
-Consecutive secrecy grid points whose statistics differ at most in the
-phase-error law share one ``estimate_secrecy`` call, so one Monte Carlo
-draw: ``xi_sweep``, ``kappa_t_sweep`` and ``secrecy_vs_snr`` draw once,
-``phase_noise_sweep`` once per N.
+estimate depends on; its column keeps the name ``snr_db``. Consecutive
+secrecy grid points whose statistics differ at most in the phase-error law
+share one ``estimate_secrecy`` call, so one Monte Carlo draw: ``xi_sweep``,
+``kappa_t_sweep`` and ``secrecy_vs_snr`` draw once, ``phase_noise_sweep``
+once per N.
 
 SNR convention: the downlink axis is P_t / sigma_k^2 in dB with
 sigma_k^2 = 1, the uplink pilot axis is rho / sigma_u^2; path gains are
@@ -523,9 +524,30 @@ def _closed_secrecy(terms: list, xi: float):
     return [float(np.mean(column)) for column in zip(*per_user)]
 
 
+def _closed_rates(setup: SystemSetup) -> list:
+    """[r_user_cf, c_eve_cf, r_sec_cf] of one setup: the secrecy rows' closed-form cells."""
+    return _closed_secrecy(_rate_terms(setup), setup.xi)
+
+
 def _closed_r_sec(setup: SystemSetup) -> list:
     """[user-averaged closed-form secrecy rate] of one setup: a row's one closed-form cell."""
-    return [_closed_secrecy(_rate_terms(setup), setup.xi)[2]]
+    return [_closed_rates(setup)[2]]
+
+
+def _closed_nmse_floor(setup: SystemSetup) -> list:
+    """[nmse_cf, nmse_floor_cf]: user means of the NMSE and of its high-pilot-power floor."""
+    est = setup.est
+    floors = [nmse_high_power_limit(est.stats, est.pilots, k) for k in range(est.stats.dims.k)]
+    return [float(np.mean(est.nmse)), float(np.mean(floors))]
+
+
+def _closed_nmse_large_n(setup: SystemSetup) -> list:
+    """[nmse_cf, nmse_large_n_cf]: user means of the NMSE and of its large-RIS form."""
+    est, fading, pilots = setup.est, setup.est.stats.fading, setup.est.pilots
+    limits = [nmse_large_n_limit(fading.beta_2[k], fading.beta_i[k], fading.beta_1,
+                                 est.stats.dims.n, pilots.rho, pilots.tau_u, pilots.sigma_u2)
+              for k in range(est.stats.dims.k)]
+    return [float(np.mean(est.nmse)), float(np.mean(limits))]
 
 
 def _size(column: str, value) -> int:
@@ -535,78 +557,55 @@ def _size(column: str, value) -> int:
     return int(value)
 
 
-def _axis_value(column: str, value):
-    """A sweep value as its config field's type: int for the sizes M and N."""
-    return _size(column, value) if column in ("m", "n") else float(value)
+@dataclass(frozen=True)
+class _OneAxis:
+    """A one-axis experiment: the sweep of one config field. See ``_run_sweep``."""
+
+    column: str
+    field: str
+    grid: tuple
+    closed_columns: tuple
+    closed: typing.Callable
+    cells: typing.Callable
 
 
-def _nmse_sweep(config: ExperimentConfig, name, column, grid, limit_column,
-                limit) -> ResultTable:
-    """NMSE, closed form with the user average of ``limit(setup, k)``, and Monte Carlo.
+# the closed forms and oracle of the rows reporting all three rates
+_RATES = {"closed_columns": ("r_user_cf", "c_eve_cf", "r_sec_cf"), "closed": _closed_rates,
+          "cells": _secrecy_cells}
+_SWEEPS = {
+    "nmse_vs_snr": _OneAxis("snr_db", "pilot_snr_db",
+                            (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+                            ("nmse_cf", "nmse_floor_cf"), _closed_nmse_floor, _nmse_cells),
+    "nmse_vs_N": _OneAxis("n", "n", (16, 36, 64, 100, 196, 400),
+                          ("nmse_cf", "nmse_large_n_cf"), _closed_nmse_large_n, _nmse_cells),
+    "secrecy_vs_snr": _OneAxis("snr_db", "snr_db",
+                               (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0), **_RATES),
+    "secrecy_vs_M": _OneAxis("m", "m", (16, 32, 64, 96, 128), **_RATES),
+    "secrecy_vs_N": _OneAxis("n", "n", (36, 64, 100, 144, 196, 256), **_RATES),
+    "xi_sweep": _OneAxis("xi", "xi", tuple(round(0.05 * i, 2) for i in range(1, 21)),
+                         ("r_sec_closed",), _closed_r_sec, _secrecy_cells),
+    "kappa_t_sweep": _OneAxis("kappa_t_bs", "kappa_t_bs",
+                              (0.0, 0.05 ** 2, 0.1 ** 2, 0.15 ** 2), **_RATES),
+}
+_MC_COLUMNS = {_nmse_cells: ["nmse_mc", "nmse_mc_se"], _secrecy_cells: ["r_sec_mc", "r_sec_mc_se"]}
 
-    Consecutive points that share a draw, such as the pilot powers of
-    ``nmse_vs_snr``, share one oracle call.
+
+def _run_sweep(name: str, config: ExperimentConfig) -> ResultTable:
+    """The one-axis experiment ``name``: its ``_SWEEPS`` record is its whole definition.
+
+    The record holds the CSV ``column`` of the swept value, the config
+    ``field`` each grid point sets (``pilot_snr_db`` for ``nmse_vs_snr``,
+    otherwise the column), the default ``grid`` for an empty ``config.sweep``,
+    the ``closed_columns`` with ``closed(setup)`` giving their cells, and
+    ``cells(setups, plan)``, the Monte Carlo cells of a run of points sharing
+    a draw (``_nmse_cells`` or ``_secrecy_cells``). M and N must be whole.
     """
-    field_name = "pilot_snr_db" if column == "snr_db" else column
-    points = (([value], config.replace(**{field_name: value}))
-              for value in (_axis_value(column, v) for v in grid))
-
-    def closed(setup):
-        k_users = setup.est.stats.dims.k
-        return [float(np.mean(setup.est.nmse)),
-                float(np.mean([limit(setup, k) for k in range(k_users)]))]
-
-    return ResultTable(name, [column, "nmse_cf", limit_column, "nmse_mc", "nmse_mc_se"],
-                       _shared_draw_rows(config, points, closed, _nmse_cells))
-
-
-def _run_nmse_vs_snr(config: ExperimentConfig) -> ResultTable:
-    grid = config.sweep or [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
-    return _nmse_sweep(config, "nmse_vs_snr", "snr_db", grid, "nmse_floor_cf",
-                       lambda s, k: nmse_high_power_limit(s.est.stats, s.est.pilots, k))
-
-
-def _run_nmse_vs_n(config: ExperimentConfig) -> ResultTable:
-    grid = config.sweep or [16, 36, 64, 100, 196, 400]
-
-    def large_n(setup, k):
-        fading, pilots = setup.est.stats.fading, setup.est.pilots
-        return nmse_large_n_limit(fading.beta_2[k], fading.beta_i[k], fading.beta_1,
-                                  setup.est.stats.dims.n, pilots.rho, pilots.tau_u,
-                                  pilots.sigma_u2)
-
-    return _nmse_sweep(config, "nmse_vs_N", "n", grid, "nmse_large_n_cf", large_n)
-
-
-def _secrecy_sweep(config: ExperimentConfig, name, column, grid) -> ResultTable:
-    """Secrecy, closed form and Monte Carlo, with the config field ``column`` swept."""
-    points = (([value], config.replace(**{column: value}))
-              for value in (_axis_value(column, v) for v in grid))
-    rows = _shared_draw_rows(config, points,
-                             lambda setup: _closed_secrecy(_rate_terms(setup), setup.xi),
-                             _secrecy_cells)
-    return ResultTable(name, [column, "r_user_cf", "c_eve_cf", "r_sec_cf", "r_sec_mc",
-                              "r_sec_mc_se"], rows)
-
-
-def _run_secrecy_vs_snr(config: ExperimentConfig) -> ResultTable:
-    grid = config.sweep or [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]
-    return _secrecy_sweep(config, "secrecy_vs_snr", "snr_db", grid)
-
-
-def _run_secrecy_vs_m(config: ExperimentConfig) -> ResultTable:
-    grid = config.sweep or [16, 32, 64, 96, 128]
-    return _secrecy_sweep(config, "secrecy_vs_M", "m", grid)
-
-
-def _run_secrecy_vs_n(config: ExperimentConfig) -> ResultTable:
-    grid = config.sweep or [36, 64, 100, 144, 196, 256]
-    return _secrecy_sweep(config, "secrecy_vs_N", "n", grid)
-
-
-def _run_kappa_t_sweep(config: ExperimentConfig) -> ResultTable:
-    grid = config.sweep or [0.0, 0.05 ** 2, 0.1 ** 2, 0.15 ** 2]
-    return _secrecy_sweep(config, "kappa_t_sweep", "kappa_t_bs", grid)
+    row = _SWEEPS[name]
+    cast = (lambda value: _size(row.column, value)) if row.field in ("m", "n") else float
+    points = (([value], config.replace(**{row.field: value}))
+              for value in map(cast, config.sweep or row.grid))
+    return ResultTable(name, [row.column, *row.closed_columns, *_MC_COLUMNS[row.cells]],
+                       _shared_draw_rows(config, points, row.closed, row.cells))
 
 
 def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
@@ -646,15 +645,6 @@ def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
         rows)
 
 
-def _run_xi_sweep(config: ExperimentConfig) -> ResultTable:
-    grid = config.sweep or [round(0.05 * i, 2) for i in range(1, 21)]
-    points = (([xi], config.replace(xi=xi)) for xi in map(float, grid))
-    return ResultTable(
-        "xi_sweep",
-        ["xi", "r_sec_closed", "r_sec_mc", "r_sec_mc_se"],
-        _shared_draw_rows(config, points, _closed_r_sec, _secrecy_cells))
-
-
 def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
     """Secrecy per (N, sigma_p2); the levels of one N share one Monte Carlo draw."""
     grid = [_size("n", n) for n in config.sweep or [64, 100, 196, 400, 784, 1600]]
@@ -668,27 +658,17 @@ def _run_phase_noise_sweep(config: ExperimentConfig) -> ResultTable:
         _shared_draw_rows(config, points, _closed_r_sec, _secrecy_cells))
 
 
-_RUNNERS = {
-    "nmse_vs_snr": _run_nmse_vs_snr,
-    "nmse_vs_N": _run_nmse_vs_n,
-    "secrecy_vs_snr": _run_secrecy_vs_snr,
-    "secrecy_vs_M": _run_secrecy_vs_m,
-    "secrecy_vs_N": _run_secrecy_vs_n,
-    "asymptotic_vs_N": _run_asymptotic_vs_n,
-    "xi_sweep": _run_xi_sweep,
-    "kappa_t_sweep": _run_kappa_t_sweep,
-    "phase_noise_sweep": _run_phase_noise_sweep,
-}
-EXPERIMENT_NAMES = tuple(_RUNNERS)
+_RUNNERS = {"asymptotic_vs_N": _run_asymptotic_vs_n, "phase_noise_sweep": _run_phase_noise_sweep}
+EXPERIMENT_NAMES = (*_SWEEPS, *_RUNNERS)
 
 
 def run_experiment(name: str, config: ExperimentConfig) -> ResultTable:
     """Produce the named experiment's ResultTable (no files written)."""
-    if name not in _RUNNERS:
+    if name not in EXPERIMENT_NAMES:
         raise ConfigValidationError(
             f"unknown experiment {name!r}; available: {', '.join(EXPERIMENT_NAMES)}")
     config.validate()
-    table = _RUNNERS[name](config)
+    table = _RUNNERS[name](config) if name in _RUNNERS else _run_sweep(name, config)
     config_hash = config.config_hash()
     table.columns += ["seed", "config_hash"]
     table.rows = [row + [config.seed, config_hash] for row in table.rows]

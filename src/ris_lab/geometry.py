@@ -24,7 +24,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -227,22 +227,27 @@ def ris_element_positions(dims: SystemDimensions, spec: CorrelationSpec) -> np.n
     return pos
 
 
-@lru_cache(maxsize=1)
+_RIS_CORRELATION: dict = {}     # the last R_I built, keyed on (n, n_h, spec)
+
+
 def build_ris_correlation(dims: SystemDimensions, spec: CorrelationSpec) -> np.ndarray:
     """Isotropic-scattering RIS correlation, sinc(2 ||c_x - c_y|| / wavelength).
 
-    Memoized on its frozen arguments, since the grid points of a sweep
-    over anything but the RIS share it; the array is read-only, because
-    every caller of one (dims, spec) gets the same object.
+    It depends on the RIS grid alone, so the last one built is kept, keyed on
+    (n, n_h, spec), for every grid point of a sweep over anything but the RIS;
+    the array is read-only, because every caller of one key gets that object.
     """
-    if spec.spacing_h <= 0 or spec.spacing_v <= 0:
-        raise InvalidParameterError("RIS spacings must be positive")
-    pos = ris_element_positions(dims, spec)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    r = np.sinc(2.0 * dist / spec.wavelength)
-    r.flags.writeable = False
-    return r
+    key = (dims.n, dims.n_h, spec)
+    if key not in _RIS_CORRELATION:
+        if spec.spacing_h <= 0 or spec.spacing_v <= 0:
+            raise InvalidParameterError("RIS spacings must be positive")
+        pos = ris_element_positions(dims, spec)
+        diff = pos[:, None, :] - pos[None, :, :]
+        r = np.sinc(2.0 * np.sqrt(np.sum(diff * diff, axis=-1)) / spec.wavelength)
+        r.flags.writeable = False
+        _RIS_CORRELATION.clear()
+        _RIS_CORRELATION[key] = r
+    return _RIS_CORRELATION[key]
 
 
 def build_los_channel(dims: SystemDimensions, spec: CorrelationSpec,

@@ -2,7 +2,8 @@
 
 All covariance matrices in this codebase are Hermitian PSD by
 construction, but floating point and rank-deficient correlation models
-(dense RIS spacings) require a tolerant square root and guarded solves.
+(dense RIS spacings) require a tolerant square root and a guarded solve,
+``solve_pd``, which returns a condition estimate with the solution.
 
 Everything here runs on numpy's LAPACK, so ``ris_lab`` imports no scipy
 module on its runtime path. A future use of scipy (a root finder, say)
@@ -43,33 +44,22 @@ def herm_trace_prod(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.sum(a * b.T)))
 
 
-class HermitianSolver:
-    """Guarded solves with a Hermitian positive definite matrix.
+def solve_pd(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> tuple:
+    """Solve A X = B for Hermitian positive definite A; returns (X, condition estimate).
 
     A Cholesky factorization tests positive definiteness and gives the
-    condition estimate; when it fails, the eigenvalues give the reported
-    condition number instead.
+    condition estimate; when it fails, the eigenvalues give the condition
+    number of the raised ``IllConditionedError`` instead.
     """
-
-    def __init__(self, a: np.ndarray, name: str = "matrix"):
-        self._a = np.asarray(a)
-        try:
-            chol = np.linalg.cholesky(self._a)
-        except np.linalg.LinAlgError as exc:
-            w = np.linalg.eigvalsh(hermitize(self._a))
-            cond = float(np.inf if w[0] <= 0 else w[-1] / w[0])
-            raise IllConditionedError(
-                f"{name} is not positive definite (condition number ~{cond:.3e})",
-                cond=cond,
-            ) from exc
-        d = np.abs(np.diagonal(chol))
-        # Condition estimate from the Cholesky diagonal: cheap and adequate
-        # for the 1e12 red line used here.
-        self.cond_estimate = float((d.max() / d.min()) ** 2) if d.min() > 0 else np.inf
-
-    @property
-    def is_well_conditioned(self) -> bool:
-        return self.cond_estimate <= COND_LIMIT
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self._a, b)
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        w = np.linalg.eigvalsh(hermitize(a))
+        cond = float(np.inf if w[0] <= 0 else w[-1] / w[0])
+        raise IllConditionedError(f"{name} is not positive definite (condition number "
+                                  f"~{cond:.3e})", cond=cond) from exc
+    d = np.abs(np.diagonal(chol))
+    # Condition estimate from the Cholesky diagonal: cheap and adequate
+    # for the 1e12 red line used here.
+    cond = float((d.max() / d.min()) ** 2) if d.min() > 0 else np.inf
+    return np.linalg.solve(a, b), cond

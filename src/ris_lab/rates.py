@@ -37,7 +37,7 @@ import numpy as np
 from .errors import BoundInvalidError, InfiniteEveCapacityError, InvalidParameterError
 from .estimation import ChannelEstimator
 from .hardware import HardwareProfile
-from .linalg import HermitianSolver, herm_trace_prod, hermitize
+from .linalg import herm_trace_prod, hermitize, solve_pd
 from .precoding import check_power_fraction, mrt_normalizers, stream_powers
 
 # Moment-matched inverse-Wishart mean needs dof > M_E; require a one-unit
@@ -282,9 +282,9 @@ def secrecy_uncorrelated(dims, fading, h1: np.ndarray, rho: float, tau_u: int,
     b_user = [b2 * eye + bi * hh for b2, bi in zip(fading.beta_2, fading.beta_i)]
     upsilons = []
     for b_k in b_user:
-        solver = HermitianSolver(hermitize(tau_u * rho * b_k + sigma_u2 * eye),
-                                 name="uncorrelated pilot covariance")
-        upsilons.append(hermitize(b_k @ solver.solve(b_k)))
+        x, _ = solve_pd(hermitize(tau_u * rho * b_k + sigma_u2 * eye), b_k,
+                        name="uncorrelated pilot covariance")
+        upsilons.append(hermitize(b_k @ x))
 
     b_k = b_user[k]
     ups_k = upsilons[k]

@@ -274,6 +274,34 @@ def test_nmse_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, sweep
     assert draws == {(n, size): 1 for n in calls for size in (CHUNK_BLOCKS, 8)}
 
 
+SNR_GRID = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]
+
+
+@pytest.mark.parametrize("experiment, grid", [
+    ("nmse_vs_snr", [[snr] for snr in SNR_GRID + [25.0, 30.0]]),
+    ("nmse_vs_N", [[n] for n in (16, 36, 64, 100, 196, 400)]),
+    ("secrecy_vs_snr", [[snr] for snr in SNR_GRID]),
+    ("secrecy_vs_M", [[m] for m in (16, 32, 64, 96, 128)]),
+    ("secrecy_vs_N", [[n] for n in (36, 64, 100, 144, 196, 256)]),
+    ("xi_sweep", [[xi] for xi in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
+                                  0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)]),
+    ("kappa_t_sweep", [[kappa] for kappa in (0.0, 0.05 ** 2, 0.1 ** 2, 0.15 ** 2)]),
+    ("phase_noise_sweep", [[n, level] for n in (64, 100, 196, 400, 784, 1600)
+                           for level in (0.0, 0.1, 1.0)]),
+    ("asymptotic_vs_N", [[n] for n in (64, 144, 256, 576, 1024, 2048, 4096)]),
+])
+def test_default_grid(monkeypatch, experiment, grid):
+    # an empty sweep runs the experiment's default grid; the swept columns
+    # come first, and each point's lead cells stand in for its whole row,
+    # so no statistics are built (asymptotic_vs_N has none and runs as is)
+    monkeypatch.setattr(ris_lab.experiments, "_shared_draw_rows",
+                        lambda config, points, closed, oracle: [lead for lead, _ in points])
+    table = run_experiment(experiment, ExperimentConfig(sweep=[]))
+    assert [row[:len(grid[0])] for row in table.rows] == grid
+    assert all(type(a) is type(b) for row, lead in zip(table.rows, grid)
+               for a, b in zip(row, lead))
+
+
 # --------------------------------------------------------------------------
 # the paper's closed-form claims
 # --------------------------------------------------------------------------
