@@ -78,8 +78,9 @@ class ChannelEstimator:
     """Cached per-configuration estimator.
 
     Factorizes every Psi_k once and exposes the estimation gain matrices,
-    error covariances and NMSEs. This is the object the precoder, the
-    closed-form rates and the Monte Carlo oracle all share.
+    estimate covariances and NMSEs. This is the object the precoder, the
+    closed-form rates and the Monte Carlo oracle all share. The error
+    covariance C_k = R_k - ``est_cov[k]`` is not stored: its readers form it.
     """
 
     def __init__(self, stats: ChannelStatistics, pilots: PilotConfig):
@@ -97,12 +98,12 @@ class ChannelEstimator:
 
         tr = pilots.tau_u * pilots.rho
         self.est_cov = [hermitize(tr * rk @ x) for rk, x in zip(stats.r_k, psi_inv_r)]
-        self.c = [hermitize(rk - ec) for rk, ec in zip(stats.r_k, self.est_cov)]
         # sqrt(rho) R_k Psi_k^{-1} = sqrt(rho) (Psi_k^{-1} R_k)^H; not Hermitian itself.
         self.gain = [np.sqrt(pilots.rho) * x.conj().T for x in psi_inv_r]
         self.tr_r = [float(np.real(np.trace(rk))) for rk in stats.r_k]
         self.tr_rpr = [herm_trace_prod(rk, x) for rk, x in zip(stats.r_k, psi_inv_r)]
-        self.nmse = np.array([nmse(rk, ck) for rk, ck in zip(stats.r_k, self.c)])
+        self.nmse = np.array([nmse(rk, hermitize(rk - ec))
+                              for rk, ec in zip(stats.r_k, self.est_cov)])
 
     def estimate(self, y_pk: np.ndarray) -> np.ndarray:
         """Estimates for stacked despread observations, shape (..., M, K)."""

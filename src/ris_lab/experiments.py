@@ -15,10 +15,12 @@ field, default grid, closed-form and Monte Carlo cells) run by ``_run_sweep``;
 ``asymptotic_vs_N`` and ``phase_noise_sweep`` have runners of their own.
 ``nmse_vs_snr`` sweeps the pilot SNR (``pilot_snr_db``), the only SNR the
 estimate depends on; its column keeps the name ``snr_db``. Consecutive
-secrecy grid points whose statistics differ at most in the phase-error law
-share one ``estimate_secrecy`` call, so one Monte Carlo draw: ``xi_sweep``,
-``kappa_t_sweep`` and ``secrecy_vs_snr`` draw once, ``phase_noise_sweep``
-once per N.
+grid points that one draw serves (``montecarlo.shares_draw``: they differ at
+most in the phase-error law, the pilots and nested array sizes) share one
+oracle call, so one Monte Carlo draw at their largest arrays: every default
+grid draws once, and a point is bit-identical to itself alone at the same
+draw grid. An N grid that does not nest (N = 128, an 8 x 16 grid, beside
+N = 196, 14 x 14) draws once per run of points that do.
 
 SNR convention: the downlink axis is P_t / sigma_k^2 in dB with
 sigma_k^2 = 1, the uplink pilot axis is rho / sigma_u^2; path gains are
@@ -61,6 +63,7 @@ from .montecarlo import (
     blas_threads,
     estimate_nmse,
     estimate_secrecy,
+    same_channels,
     shares_draw,
     worker_count,
 )
@@ -77,7 +80,7 @@ from .rates import (
     secrecy_uncorrelated,
     user_rate,
 )
-from .streams import LOS_ANGLES, SCENARIO, derive_rng
+from .streams import LOS_ANGLES, SCENARIO, STREAM_LAYOUT, derive_rng
 
 @dataclass
 class ExperimentConfig:
@@ -435,7 +438,7 @@ def _run_environment() -> dict:
 
 
 def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
-    """Write the run's manifest atomically, with its environment."""
+    """Write the run's manifest atomically, with its environment and stream layout."""
     manifest = {
         "experiment": table.experiment,
         "config_hash": table.meta.get("config_hash"),
@@ -443,6 +446,7 @@ def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
         "rows": len(table.rows),
         "wall_time_s": round(wall_time_s, 3),
         "versions": {"ris_lab": _pkg_version, "numpy": np.__version__},
+        "stream_layout": STREAM_LAYOUT,
         "environment": _run_environment(),
         "extra": {k: v for k, v in table.meta.items()
                   if k not in ("config_hash", "seed")},
@@ -464,13 +468,16 @@ def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
 
     ``oracle(setups, plan)`` gives the Monte Carlo cells of a run of setups
     that share one draw, a list per setup. Closed forms run as each point
-    is built, so the first bad point decides the error. A point whose
-    statistics, phase law and pilots equal the previous point's takes over
-    its estimator, so a run holds one estimator per distinct link; each run
-    of points that share a draw is one oracle call.
+    is built, so the first bad point decides the error. Consecutive points
+    share a draw while each nests in the run's largest arrays, which draw
+    it (``shares_draw``); a point that does not starts the next run. A
+    point whose channels, phase law and pilots equal the previous point's
+    takes over its estimator, so a run holds one estimator per distinct
+    link; each run is one oracle call.
     """
     plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
     rows, run = [], []          # run: (row, setup) of the points that share the draw
+    grid = None                 # the run's statistics with the largest arrays
 
     def finish_run():
         rows.extend(row + cells for (row, _), cells in zip(run, oracle([s for _, s in run], plan)))
@@ -478,11 +485,14 @@ def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
 
     for lead, point in points:
         setup = build_setup(point)
+        stats = setup.est.stats
+        if run and not shares_draw(grid, stats):
+            finish_run()
+        if not run or (stats.dims.n, stats.dims.m) > (grid.dims.n, grid.dims.m):
+            grid = stats
         if run:
-            last, stats = run[-1][1].est, setup.est.stats
-            if not shares_draw(last.stats, stats):
-                finish_run()
-            elif last.stats.phase_model == stats.phase_model and last.pilots == setup.est.pilots:
+            last = run[-1][1].est
+            if last.pilots == setup.est.pilots and same_channels(last.stats, stats):
                 setup.est = last
         run.append((lead + closed(setup), setup))
     finish_run()

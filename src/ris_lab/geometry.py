@@ -9,9 +9,17 @@ on the RIS phase-error law, and the aggregate channels for given phase
 errors (``aggregate_channels``). The correlation and bridge products are
 single BLAS GEMMs, with the block axis folded into the GEMM rows wherever
 the array layout makes the fold free. The R_B and R_I templates are real,
-so their square roots are too: the sampler draws the real and imaginary
-parts of each link as one real array and colors both with one real GEMM
-(dgemm) over the stacked parts; only the bridge products are complex.
+so their square roots are too: the sampler draws the real part of each
+link, colors it with one real GEMM (dgemm) and writes it into the link,
+then does the same for the imaginary part; only the bridge products are
+complex.
+
+The templates nest: a RIS grid that fits in a larger one at the same
+spacings has the larger R_I's principal sub-block at its elements
+(``nested_elements``) as its R_I, and the leading M x M block of an
+exponential R_B is R_B of M antennas. So the entries of a draw at the larger
+arrays that sit at the smaller arrays' elements have the smaller arrays'
+exact law.
 
 Conventions:
   * sinc is the normalized one, sinc(x) = sin(pi x)/(pi x), so
@@ -218,6 +226,20 @@ def build_bs_correlation(m: int, l: float) -> np.ndarray:
     return l ** np.abs(idx[:, None] - idx[None, :]).astype(float)
 
 
+def nested_elements(small: SystemDimensions, large: SystemDimensions) -> np.ndarray | None:
+    """Indices of the elements of ``small``'s RIS grid in ``large``'s; None if it does not fit.
+
+    Both grids are row-major from the same corner, so element x of the small
+    grid, at row x // n_h and column x % n_h, is element
+    (x // n_h) * n_h' + x % n_h of the large one. The small grid fits when
+    neither its row length n_h nor its row count N / n_h exceeds the large one's.
+    """
+    if small.n_h > large.n_h or small.n // small.n_h > large.n // large.n_h:
+        return None
+    x = np.arange(small.n)
+    return (x // small.n_h) * large.n_h + x % small.n_h
+
+
 def ris_element_positions(dims: SystemDimensions, spec: CorrelationSpec) -> np.ndarray:
     """(N, 3) element coordinates on the RIS panel, row-major over n_h."""
     x = np.arange(dims.n)
@@ -366,19 +388,25 @@ def _rows_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ a.T).reshape(*x.shape[:-1], a.shape[0])
 
 
-def _colored(g: np.ndarray, sqrt_r: np.ndarray | None, gain) -> np.ndarray:
-    """sqrt(gain/2) (g[0] + j g[1]) @ sqrt_r.T, the complex link of a real (2, ...) white draw.
+def _colored(white, root, gain) -> np.ndarray:
+    """sqrt(gain/2) (g_re + j g_im) @ sqrt_r.T, the complex link of two real white parts.
 
-    The real and imaginary parts are colored by one real GEMM against the
-    real ``sqrt_r`` (None = white), and the complex link is written once,
-    already scaled; no complex temporary is made.
+    ``white()`` draws one real part: the real part first, then the imaginary
+    one. Each part is colored by one real GEMM against the real square root
+    ``root()`` (None = white) and written, scaled, into its half of the link
+    before the next part is drawn; no complex temporary is made. ``root`` is
+    read after the real part is drawn: a cached_property holds one lock across
+    all instances while it computes, and the draw need not wait for it.
     """
-    if sqrt_r is not None:
-        g = _rows_times(g, sqrt_r)
-    scale = np.sqrt(gain / 2)
-    h = np.empty(g.shape[1:], dtype=complex)
-    np.multiply(g[0], scale, out=h.real)
-    np.multiply(g[1], scale, out=h.imag)
+    h = None
+    for half in ("real", "imag"):
+        g = white()
+        sqrt_r = root()
+        if sqrt_r is not None:
+            g = _rows_times(g, sqrt_r)
+        if h is None:
+            h = np.empty(g.shape, dtype=complex)
+        np.multiply(g, np.sqrt(gain / 2), out=getattr(h, half))
     return h
 
 
@@ -389,39 +417,38 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
     Returns a dict with the scaled user links h_i (B, K, N) and h_b (B, K, M)
     and, with ``eve``, the eavesdropper's links h_ie (B, N, M_E) and
     h_be (B, M, M_E). The Gaussians g_i, g_b and then, with ``eve``, g_ie
-    and g_be are drawn from ``rng`` in that order, each as one real (2, ...)
-    array of its real and imaginary parts. The secrecy and Wishart oracles
-    draw Eve's links; the NMSE oracle reads only the users' and does not.
-    Nothing here depends on the phase-error law, so one draw serves every
-    law with the same dims, fading and correlations; ``aggregate_channels``
-    applies the phase errors.
+    and g_be are drawn from ``rng`` in that order, each as two real arrays:
+    all real parts, then all imaginary parts. The secrecy and Wishart
+    oracles draw Eve's links; the NMSE oracle reads only the users' and does
+    not. Nothing here depends on the phase-error law, so one draw serves
+    every law with the same dims, fading and correlations, and, through its
+    sub-grids and leading antennas, every smaller nested array;
+    ``aggregate_channels`` applies the phase errors.
 
-    Every correlation product is one real GEMM over the stacked parts of
-    all blocks at once. The eavesdropper arrays are built antenna-major,
-    (B, M_E, .), so that part, block and antenna axes fold into the GEMM
-    rows; they are returned as transposed views of that layout.
+    Every correlation product is one real GEMM over a part of all blocks at
+    once. The eavesdropper arrays are built antenna-major, (B, M_E, .), so
+    that block and antenna axes fold into the GEMM rows; they are returned
+    as transposed views of that layout.
     """
     dims, fading = stats.dims, stats.fading
-    # Each square root is read after the Gaussians it colors are drawn (call
-    # arguments evaluate in order): a cached_property holds one lock across
-    # all instances while it computes, and the draw need not wait for it.
     draws = {
-        "h_i": _colored(rng.standard_normal((2, n_draws, dims.k, dims.n)), stats.sqrt_r_i,
-                        np.asarray(fading.beta_i)[None, :, None]),  # rows ~ CN(0, beta_i R_I)
-        "h_b": _colored(rng.standard_normal((2, n_draws, dims.k, dims.m)), stats.sqrt_r_b,
-                        np.asarray(fading.beta_2)[None, :, None]),
+        "h_i": _colored(lambda: rng.standard_normal((n_draws, dims.k, dims.n)),
+                        lambda: stats.sqrt_r_i,
+                        np.asarray(fading.beta_i)[None, :, None]),   # rows ~ CN(0, beta_i R_I)
+        "h_b": _colored(lambda: rng.standard_normal((n_draws, dims.k, dims.m)),
+                        lambda: stats.sqrt_r_b, np.asarray(fading.beta_2)[None, :, None]),
     }
     if eve:
-        h_ie = _colored(np.swapaxes(rng.standard_normal((2, n_draws, dims.n, dims.m_e)), 2, 3),
-                        stats.sqrt_r_i, fading.beta_ie)             # (B, M_E, N)
-        h_be = _colored(np.swapaxes(rng.standard_normal((2, n_draws, dims.m, dims.m_e)), 2, 3),
-                        stats.sqrt_r_b, fading.beta_3)              # (B, M_E, M)
+        h_ie = _colored(lambda: np.swapaxes(rng.standard_normal((n_draws, dims.n, dims.m_e)), 1, 2),
+                        lambda: stats.sqrt_r_i, fading.beta_ie)             # (B, M_E, N)
+        h_be = _colored(lambda: np.swapaxes(rng.standard_normal((n_draws, dims.m, dims.m_e)), 1, 2),
+                        lambda: stats.sqrt_r_b, fading.beta_3)              # (B, M_E, M)
         draws.update(h_ie=np.swapaxes(h_ie, 1, 2), h_be=np.swapaxes(h_be, 1, 2))
     return draws
 
 
-def aggregate_channels(stats: ChannelStatistics, draws: dict,
-                       theta: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+def aggregate_channels(stats: ChannelStatistics, draws: dict, theta: np.ndarray | None,
+                       *, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Aggregate channels (h, h_e) of ``sample_realizations`` draws.
 
     ``theta`` (B, N) holds one phase-error vector per block, shared by the
@@ -429,13 +456,15 @@ def aggregate_channels(stats: ChannelStatistics, draws: dict,
     and the rotation is skipped. Returns h (B, K, M) and h_e (B, M, M_E):
     the direct links plus the RIS path through the rotation exp(j theta)
     and the bridge H1 Phi, each one GEMM. h_e is None when the draw holds
-    no eavesdropper links.
+    no eavesdropper links. With ``overwrite`` the rotation is written into
+    the RIS-side links of ``draws``, which the caller no longer reads.
     """
     bridge = stats.h1 * stats.phi[None, :]             # (M, N)
     rot = None if theta is None else np.exp(1j * theta)[:, None, :]   # (B, 1, N)
 
     def rotated(x):
-        return x if rot is None else rot * x
+        # rot first: the operand order of the product fixes its last bits
+        return x if rot is None else np.multiply(rot, x, out=x if overwrite else None)
 
     h = _rows_times(rotated(draws["h_i"]), bridge)
     h += draws["h_b"]

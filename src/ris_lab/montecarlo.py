@@ -10,7 +10,16 @@ one may be shorter), each with its own counter derived substream, and
 chunk results are combined in index order, so the output is bit-identical
 for any worker count.
 
-Stream layout of one chunk: the chunk stream
+One call draws once per chunk, at its largest arrays: the RIS grid and BS
+array of the point with the most elements and antennas. A smaller point
+reads the draw's entries at its own elements (``geometry.nested_elements``)
+and its leading antennas, which have its exact law when its R_I and R_B are
+principal blocks of the largest (``shares_draw``); half-wavelength square
+grids and exponential R_B nest exactly. So a point is bit-identical to
+itself alone at the same draw grid, not to itself alone: alone it would
+draw at its own arrays.
+
+Stream layout of one chunk, at the largest arrays: the chunk stream
 ``derive_rng(master_seed, purpose, chunk)`` first gives the correlated
 Gaussian links (``geometry.sample_realizations``), then the pilot phase's
 Gaussians (``estimation.pilot_gaussians``), drawn once and scaled by the
@@ -21,9 +30,10 @@ noise, whatever the pilot length. The links are the users' g_i and g_b,
 followed by Eve's g_ie and g_be in the secrecy oracle, which reads Eve's
 channel; the NMSE oracle draws only the users' links, so its pilot
 Gaussians follow g_b. The RIS phase errors come from their own
-substream, ``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, and
-are applied by ``geometry.aggregate_channels``. A law without phase errors
-draws nothing there, and its channels skip the rotation.
+substream, ``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, one
+(B, N) draw per law at the largest grid, and are applied by
+``geometry.aggregate_channels``. A law without phase errors draws nothing
+there, and its channels skip the rotation.
 
 The chunk thread pool is the only level of parallelism, and it runs at
 every default size: the default 400-block run is four chunks, a 1024-block
@@ -51,10 +61,9 @@ exactly zero under perfect CSI and every quadratic form PSD.
 ``estimate_secrecy(points, plan)`` is the one downlink oracle. Its
 operating points ``(est, hw, xi)`` take K, M and M_E from
 ``est.stats.dims``, P_t from the ``HardwareProfile`` ``hw`` and the powers
-(p, q) from ``precoding.stream_powers``; points whose statistics differ at
-most in the phase-error law (``shares_draw``) share one draw per chunk.
-``estimate_nmse(ests, plan)`` takes the estimators of one draw in the same
-way, on its own stream.
+(p, q) from ``precoding.stream_powers``; all points must nest in the
+largest arrays of the call, which draw for them. ``estimate_nmse(ests,
+plan)`` takes the estimators of one draw in the same way, on its own stream.
 
 Model note: the user-rate terms keep the channel-hardening bookkeeping of
 the Theorem-1 bound. The downlink HWI power uses the per-antenna transmit
@@ -77,7 +86,13 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .estimation import ChannelEstimator, pilot_gaussians, simulate_pilot_phase
-from .geometry import ChannelStatistics, aggregate_channels, sample_realizations
+from .geometry import (
+    ChannelStatistics,
+    SystemDimensions,
+    aggregate_channels,
+    nested_elements,
+    sample_realizations,
+)
 from .hardware import HardwareProfile
 from .precoding import mrt_normalizers, mrt_precoder, stream_powers
 from .precoding import null_space_an_batch  # noqa: F401 -- bench/tracer.py wraps this binding
@@ -184,48 +199,119 @@ def _run_chunks(plan: TrialPlan, purpose: int, work):
         return [f.result() for f in futures]
 
 
-def shares_draw(a: ChannelStatistics, b: ChannelStatistics) -> bool:
-    """Whether one chunk draw serves both statistics: they differ at most in the phase law."""
+def _principal_block(full: np.ndarray | None, index) -> np.ndarray | None:
+    """Rows and columns ``index`` (a slice or an index array) of a template; None stays None."""
+    if full is None or isinstance(index, slice):
+        return full if full is None else full[index, index]
+    return full[np.ix_(index, index)]
+
+
+def _nests(small: ChannelStatistics, large: ChannelStatistics) -> bool:
+    """Whether a draw at ``large``'s arrays gives ``small`` its exact law.
+
+    K, M_E and the fading must be equal and small's arrays no larger: its
+    RIS grid fits in large's (``nested_elements``) and M <= M'. At those
+    elements and the leading M antennas, large's R_I, phases phi and R_B
+    must equal small's exactly.
+    """
+    a, b = small.dims, large.dims
+    if (a.k, a.m_e) != (b.k, b.m_e) or a.m > b.m or small.fading != large.fading:
+        return False
+    ris = nested_elements(a, b)
+    if ris is None:
+        return False
+    if a.n == b.n:
+        ris = slice(None)           # the same grid: compare without copies
     # np.array_equal also compares the None of an identity template
-    return (a.dims == b.dims and a.fading == b.fading
-            and all(np.array_equal(getattr(a, name), getattr(b, name))
-                    for name in ("h1", "phi", "r_i", "r_b")))
+    return (np.array_equal(small.phi, large.phi[ris])
+            and np.array_equal(small.r_i, _principal_block(large.r_i, ris))
+            and np.array_equal(small.r_b, _principal_block(large.r_b, slice(a.m))))
 
 
-def _check_shared_draw(ests) -> None:
-    """Raise unless one chunk draw serves all estimators: their statistics pass ``shares_draw``."""
+def shares_draw(a: ChannelStatistics, b: ChannelStatistics) -> bool:
+    """Whether one chunk draw serves both statistics: the draw at the larger arrays.
+
+    They may differ in the phase-error law, the LoS bridge and the array
+    sizes, as long as the smaller arrays nest in the larger (``_nests``).
+    """
+    return _nests(a, b) or _nests(b, a)
+
+
+def same_channels(a: ChannelStatistics, b: ChannelStatistics) -> bool:
+    """Whether statistics that share a draw build the same channels from it.
+
+    The channels depend on the phase-error law, the arrays, the LoS bridge
+    and the RIS phases; the rest of a shared draw's statistics is equal.
+    """
+    return (a.phase_model == b.phase_model and a.dims == b.dims
+            and np.array_equal(a.h1, b.h1) and np.array_equal(a.phi, b.phi))
+
+
+def _draw_grid(ests) -> ChannelStatistics:
+    """The statistics whose draw serves every estimator: those with the largest arrays.
+
+    Raises unless every estimator's statistics nest in them (``_nests``).
+    """
     if not ests:
         raise InvalidParameterError("need at least one estimator")
-    first = ests[0]
-    if not all(shares_draw(first.stats, est.stats) for est in ests[1:]):
+    grid = max((est.stats for est in ests), key=lambda stats: (stats.dims.n, stats.dims.m))
+    if not all(est.stats is grid or _nests(est.stats, grid) for est in ests):
         raise InvalidParameterError("the statistics of the estimators of one call may differ "
-                                    "only in their phase-error law")
+                                    "only in their phase-error law, LoS bridge and nested "
+                                    "array sizes")
+    return grid
 
 
-def _chunk_channels(ests, size: int, key: tuple, eve: bool):
+def _nested_channels(stats: ChannelStatistics, grid: SystemDimensions, draws: dict,
+                     theta: np.ndarray | None):
+    """Channels (h, h_e) of ``stats`` from a draw and phase errors at the arrays ``grid``.
+
+    ``stats`` reads the draw's elements of its RIS grid (``nested_elements``)
+    and its leading M antennas. The RIS-side parts of a smaller grid are
+    copies, which the rotation overwrites.
+    """
+    m = stats.dims.m
+    links = {"h_b": draws["h_b"][:, :, :m]}
+    if "h_be" in draws:
+        links["h_be"] = draws["h_be"][:, :m]
+    if stats.dims.n == grid.n:
+        return aggregate_channels(stats, {**draws, **links}, theta)
+    ris = nested_elements(stats.dims, grid)
+    links["h_i"] = draws["h_i"][:, :, ris]
+    if "h_ie" in draws:          # sliced in its antenna-major layout, as the sampler built it
+        links["h_ie"] = np.swapaxes(np.swapaxes(draws["h_ie"], 1, 2)[:, :, ris], 1, 2)
+    return aggregate_channels(stats, links, None if theta is None else theta[:, ris],
+                              overwrite=True)
+
+
+def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: bool):
     """Per estimator in turn: (h, h_e, h_hat) of one chunk, in the module's stream layout.
 
-    The Gaussians are drawn once, from ``ests[0].stats``: the links (Eve's
-    only with ``eve``; h_e is None without), then the pilot phase's, which
-    every estimator's pilot phase scales. Where the phase-error law changes,
-    the phase-error substream restarts and the channels are rebuilt. The
-    previous estimate and the previous law's channels are released before
-    the next ones are built.
+    The Gaussians are drawn once, from ``grid``, the statistics with the
+    largest arrays (``_draw_grid``): the links (Eve's only with ``eve``; h_e
+    is None without), then the pilot phase's. Each estimator reads its
+    elements and antennas of them. Channels are rebuilt where
+    ``same_channels`` fails between consecutive estimators; each phase-error
+    law draws its errors at the grid once, from the restarted substream. The
+    previous estimate and channels are released before the next are built.
     """
     rng = derive_rng(*key)
-    draws = sample_realizations(ests[0].stats, rng, size, eve=eve)
-    dims = ests[0].stats.dims
-    pilot_draw = pilot_gaussians(rng, (size, dims.k, dims.m))
-    laws = [est.stats.phase_model for est in ests]
-    law = channels = None
+    draws = sample_realizations(grid, rng, size, eve=eve)
+    g_t, g_w = pilot_gaussians(rng, (size, grid.dims.k, grid.dims.m))
+    builds = [i for i, est in enumerate(ests)
+              if i == 0 or not same_channels(ests[i - 1].stats, est.stats)]
+    thetas = {}             # phase-error law -> its (B, N) errors at the grid
     for i, est in enumerate(ests):
-        if laws[i] != law:
-            law, channels = laws[i], None
-            theta = (None if law.is_ideal
-                     else law.draw(derive_rng(*key, PHASE_ERRORS), (size, dims.n)))
-            channels = aggregate_channels(est.stats, draws, theta)
-            if all(later == law for later in laws[i + 1:]):
-                del draws           # the later estimators run without the Gaussians
+        stats = est.stats
+        if i in builds:
+            channels = None
+            law = stats.phase_model
+            if not law.is_ideal and law not in thetas:
+                thetas[law] = law.draw(derive_rng(*key, PHASE_ERRORS), (size, grid.dims.n))
+            channels = _nested_channels(stats, grid.dims, draws, thetas.get(law))
+            if i == builds[-1]:
+                del draws, thetas   # the later estimators run without them
+        pilot_draw = (g_t, g_w[:, :stats.dims.m])
         h_hat = est.estimate(simulate_pilot_phase(channels[0], est.pilots, pilot_draw))
         yield *channels, h_hat
         del h_hat
@@ -293,20 +379,20 @@ class OracleEstimates:
 def estimate_nmse(ests, plan: TrialPlan) -> list[OracleEstimates]:
     """Empirical NMSE of LMMSE estimators over impaired pilot blocks.
 
-    ``ests`` holds estimators whose statistics pass ``shares_draw``, such
-    as those of one link at several pilot powers or pilot lengths: both
+    ``ests`` holds estimators that one draw serves (``shares_draw``), such
+    as those of one link at several pilot powers or pilot lengths (both
     live in the ``PilotConfig``, not in the statistics, and the despread
-    draw depends on neither. One ``OracleEstimates`` is returned per
-    estimator, in order, each bit-identical to the estimate of that
-    estimator alone. Each chunk draws only the users' links, once for all
-    of them.
+    draw depends on neither), or of nested RIS grids. One
+    ``OracleEstimates`` is returned per estimator, in order, each
+    bit-identical to the estimate of that estimator alone at the same draw
+    grid. Each chunk draws only the users' links, once for all of them.
     """
     ests = list(ests)
-    _check_shared_draw(ests)
+    grid = _draw_grid(ests)
 
     def work(size, key):
         parts = []
-        for h, _, h_hat in _chunk_channels(ests, size, key, eve=False):
+        for h, _, h_hat in _chunk_channels(ests, grid, size, key, eve=False):
             h = np.swapaxes(h, 1, 2)                  # (B, M, K)
             parts.append({"err2": np.sum(np.abs(h - h_hat) ** 2, axis=1),
                           "mag2": np.sum(np.abs(h) ** 2, axis=1)})
@@ -336,12 +422,12 @@ class _Blocks(NamedTuple):
     q_hat: np.ndarray      # (B, M, K) thin orthonormal basis Q of span(h_hat)
 
 
-def _chunk_blocks(ests, size: int, key: tuple):
+def _chunk_blocks(ests, grid: ChannelStatistics, size: int, key: tuple):
     """Per estimator: one chunk's ``_Blocks``, from the layout of ``_chunk_channels``.
 
     Keeps no reference to one estimator's blocks while building the next.
     """
-    channels = _chunk_channels(ests, size, key, eve=True)
+    channels = _chunk_channels(ests, grid, size, key, eve=True)
     for est in ests:
         h, h_e, h_hat = next(channels)
         blk = _Blocks(h=h, h_e=h_e, h_hat=h_hat, w=mrt_precoder(h_hat, est),
@@ -474,12 +560,13 @@ def _reduce_user_terms(parts: list, hw: HardwareProfile, p: float, q: float,
 def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     """User-rate terms, eavesdropper capacities and secrecy rates of operating points.
 
-    ``points`` holds operating points ``(est, hw, xi)`` whose statistics pass
-    ``shares_draw``; one ``OracleEstimates`` is returned per point, in order,
-    each bit-identical to the estimate of that point alone. The points share
-    every random number but the phase errors (see ``_chunk_channels``), so
-    their differences are far less noisy than their standard errors. The
-    user terms run once per run of consecutive points with one estimator.
+    ``points`` holds operating points ``(est, hw, xi)`` that one draw serves
+    (``shares_draw``); one ``OracleEstimates`` is returned per point, in
+    order, each bit-identical to the estimate of that point alone at the
+    same draw grid. The points share every random number but the phase
+    errors (see ``_chunk_channels``), so their differences are far less
+    noisy than their standard errors. The user terms run once per run of
+    consecutive points with one estimator.
 
     Eve's log-rate comes from the M_E x M_E interference-whitening solve,
     with ``_eve_floor(hw, q)`` where that system is singular. ``r_sec`` is
@@ -489,10 +576,10 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     the user/Eve and user/user correlations of the draw; it ignores the clip.
     """
     points = list(points)
-    _check_shared_draw([est for est, _, _ in points])
-    dims = points[0][0].stats.dims
+    grid = _draw_grid([est for est, _, _ in points])
     runs = []       # (estimator, [(hw, p, q), ...]): consecutive points with one estimator
     for est, hw, xi in points:
+        dims = est.stats.dims
         op = (hw, *stream_powers(hw.p_t, xi, dims.k, dims.m))
         if runs and runs[-1][0] is est:
             runs[-1][1].append(op)
@@ -501,7 +588,7 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
 
     def work(size, key):
         parts = []
-        blocks = _chunk_blocks([est for est, _ in runs], size, key)
+        blocks = _chunk_blocks([est for est, _ in runs], grid, size, key)
         for est, ops in runs:
             blk = next(blocks)
             terms = _user_terms(est, blk)
@@ -512,9 +599,9 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
         return parts
 
     out = []
-    ops = [op for _, run_ops in runs for op in run_ops]
-    for (hw, p, q), parts in zip(ops, zip(*_run_chunks(plan, CHANNEL_BLOCK, work))):
-        orc, d_rate = _reduce_user_terms(parts, hw, p, q, dims.m)
+    ops = [(est.stats.dims.m, op) for est, run_ops in runs for op in run_ops]
+    for (m, (hw, p, q)), parts in zip(ops, zip(*_run_chunks(plan, CHANNEL_BLOCK, work))):
+        orc, d_rate = _reduce_user_terms(parts, hw, p, q, m)
         log_rate = _stack(parts, "log_rate")
         orc.c_e, orc.c_e_se = _mean_se(log_rate)
         psi = np.mean(d_rate - (log_rate - orc.c_e), axis=1)

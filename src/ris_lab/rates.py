@@ -99,10 +99,11 @@ def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, k: int = 0) -
     s_ddot = norms[k]
     interference = sum(herm_trace_prod(stats.r_k[k], est.est_cov[i]) / norms[i]
                        for i in range(k_users) if i != k)
-    uncertainty = herm_trace_prod(est.c[k], est.est_cov[k]) / norms[k]
+    c_k = hermitize(stats.r_k[k] - est.est_cov[k])     # error covariance
+    uncertainty = herm_trace_prod(c_k, est.est_cov[k]) / norms[k]
 
     tr_r = est.tr_r[k]
-    tr_c = float(np.real(np.trace(est.c[k])))
+    tr_c = float(np.real(np.trace(c_k)))
     kappa_dl = hw.kappa_t_bs + hw.kappa_r_ue
     d_ddot = (k_users / m) * (tr_c + kappa_dl * tr_r) + hw.sigma_k2 * k_users / p_t
     psi_const = interference + uncertainty - (k_users / m) * tr_c

@@ -5,9 +5,10 @@ substream from ``(master_seed, purpose, index...)`` via a SeedSequence
 spawn key, so results are bit-identical no matter how work is scheduled
 across threads.
 
-A complex Gaussian array of ``shape`` is drawn as one real
-``standard_normal((2, *shape))`` call, the real parts before the imaginary
-parts; its consumer scales and colors the parts itself.
+A complex Gaussian array of ``shape`` is drawn as the numbers of one real
+``standard_normal((2, *shape))`` call, all real parts before all imaginary
+parts, in one call or one per part; its consumer scales and colors the
+parts itself.
 
 The chunk stream ``(master_seed, purpose, chunk)`` of a Monte Carlo oracle
 gives the users' links, then Eve's links where the oracle reads her channel
@@ -16,10 +17,23 @@ gives the users' links, then Eve's links where the oracle reads her channel
 users' links. The pilot Gaussians are those of the despread pilot
 observation, (B, K, K) transmit distortion and then (B, M, K) receive
 distortion plus noise, so their count does not depend on the pilot length.
+All of them are drawn at the largest arrays of the oracle call, and each
+point reads its RIS sub-grid and leading antennas of them, so a point is
+bit-identical to itself alone at the same draw grid: in any call whose
+largest arrays are the same.
+
+``STREAM_LAYOUT`` names this layout. A CSV carries the seed and the config
+hash, not the layout, so two runs of one config under different layouts can
+differ in every Monte Carlo cell; the manifest records the layout.
 """
 from __future__ import annotations
 
 import numpy as np
+
+# Raised by every deliberate change of which random numbers a Monte Carlo
+# cell reads. Layout 6: the points of a sweep over nested array sizes read
+# one draw at its largest arrays.
+STREAM_LAYOUT = 6
 
 # Purpose tags for spawn keys. Fixed values: changing them changes every
 # derived stream, which invalidates frozen regression values.

@@ -39,6 +39,11 @@ def aggregate_covariance(r_bk, h1, phi, r_tilde):
     return hermitize(r_bk + b @ r_tilde @ b.conj().T)
 
 
+def error_covariance(est, k):
+    """User k's LMMSE error covariance R_k - E[h_hat h_hat^H], as in ``compute_rate_terms``."""
+    return hermitize(est.stats.r_k[k] - est.est_cov[k])
+
+
 def complex_normal(rng, shape, scale=1.0):
     """Circularly symmetric complex Gaussian CN(0, scale^2) samples, re then im from ``rng``."""
     re = rng.standard_normal(shape)

@@ -11,6 +11,7 @@ from ris_lab.errors import IllConditionedWarning
 
 from conftest import (
     draw_channels,
+    error_covariance,
     make_setup,
     max_asymmetry,
     min_relative_eigenvalue,
@@ -117,7 +118,8 @@ def test_lmmse_scalar_reduction():
     got = est.estimate(y)
     expect = np.sqrt(rho) * r[:, None] * y / (tau * rho * r[:, None] + sigma2)
     assert np.allclose(got, expect)
-    assert np.allclose(np.diag(est.c[0]).real, r - tau * rho * r ** 2 / (tau * rho * r + sigma2))
+    assert np.allclose(np.diag(error_covariance(est, 0)).real,
+                       r - tau * rho * r ** 2 / (tau * rho * r + sigma2))
 
 
 def test_lmmse_estimate_warns_when_ill_conditioned():
@@ -158,7 +160,8 @@ def test_error_covariance_limits(small_setup):
 
 def test_error_covariance_psd(small_setup):
     _, est, _, _ = small_setup
-    for c_k, r_k in zip(est.c, est.stats.r_k):
+    for k, r_k in enumerate(est.stats.r_k):
+        c_k = error_covariance(est, k)
         assert min_relative_eigenvalue(c_k) > -1e-10
         # estimate covariance R - C is PSD as well
         assert min_relative_eigenvalue(r_k - c_k) > -1e-10
@@ -195,7 +198,8 @@ def test_estimate_covariance_and_orthogonality(small_setup):
     err = h[:, :, k] - hh
     cross = np.einsum("bi,bj->ij", err, hh.conj()) / hh.shape[0]
     # entrywise 3x standard-error band around zero
-    scale = np.sqrt(np.outer(np.diag(est.c[k]).real, np.diag(est.est_cov[k]).real))
+    scale = np.sqrt(np.outer(np.diag(error_covariance(est, k)).real,
+                             np.diag(est.est_cov[k]).real))
     assert np.max(np.abs(cross) / (scale + 1e-300)) < 3.0 / np.sqrt(hh.shape[0]) * 3
 
 

@@ -10,7 +10,8 @@ import ris_lab.montecarlo
 from ris_lab import cli
 from ris_lab.errors import ConfigValidationError
 from ris_lab.experiments import ExperimentConfig, run_and_write, run_experiment
-from ris_lab.montecarlo import CHUNK_BLOCKS
+from ris_lab.montecarlo import CHUNK_BLOCKS, OracleEstimates
+from ris_lab.streams import STREAM_LAYOUT
 
 # A run small enough for the test suite: one grid point, two blocks.
 TINY = {"m": 8, "n": 4, "k": 2, "m_e": 2, "sweep": [0.0], "n_blocks": 2}
@@ -201,41 +202,44 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     assert set(env["blas"]) == {"name", "version"}
     assert manifest["config_hash"] == config.config_hash()
     assert manifest["rows"] == 1
+    assert manifest["stream_layout"] == STREAM_LAYOUT
 
 
 def counted_draws(monkeypatch):
-    """Counter of the Monte Carlo sampler's calls by (N, blocks), from now on."""
+    """Counter of the Monte Carlo sampler's calls by (N, M, blocks), from now on."""
     draws = collections.Counter()
     sample = ris_lab.montecarlo.sample_realizations
 
     def counted(stats, rng, n_draws, *, eve):
-        draws[stats.dims.n, n_draws] += 1
+        draws[stats.dims.n, stats.dims.m, n_draws] += 1
         return sample(stats, rng, n_draws, eve=eve)
 
     monkeypatch.setattr(ris_lab.montecarlo, "sample_realizations", counted)
     return draws
 
 
-@pytest.mark.parametrize("experiment, changes, calls", [
-    # the phase-noise levels of one N share each chunk's draw, not their estimators
-    ("phase_noise_sweep", {"sweep": [4, 9], "phase_noise_levels": [0.0, 0.1, 1.0]},
-     {4: 3, 9: 3}),
+@pytest.mark.parametrize("experiment, changes, estimators, grid", [
+    # the phase-noise levels of every N share each chunk's draw at the
+    # largest N, not their estimators
+    ("phase_noise_sweep", {"sweep": [4, 9], "phase_noise_levels": [0.0, 0.1, 1.0]}, 6, (9, 8)),
     # xi and kappa_t_bs shape neither the draw nor the estimate
-    ("xi_sweep", {"sweep": [0.3, 0.7, 1.0]}, {4: 1}),
-    ("kappa_t_sweep", {"sweep": [0.0, 0.01]}, {4: 1}),
-], ids=["phase_noise_sweep", "xi_sweep", "kappa_t_sweep"])
+    ("xi_sweep", {"sweep": [0.3, 0.7, 1.0]}, 1, (4, 8)),
+    ("kappa_t_sweep", {"sweep": [0.0, 0.01]}, 1, (4, 8)),
+    # a smaller RIS grid or BS array reads its part of the largest one's draw
+    ("secrecy_vs_N", {"sweep": [4, 9]}, 2, (9, 8)),
+    ("secrecy_vs_M", {"sweep": [12, 8]}, 2, (4, 12)),
+], ids=["phase_noise_sweep", "xi_sweep", "kappa_t_sweep", "secrecy_vs_N", "secrecy_vs_M"])
 def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, changes,
-                                                     calls):
-    # ``calls`` maps N to the estimator count of its one oracle call
+                                                     estimators, grid):
+    # one oracle call per sweep, holding ``estimators`` estimators; each
+    # chunk draws once, at the arrays ``grid`` = (N, M) of its largest point
     draws = counted_draws(monkeypatch)
-    estimators = {}
+    calls = []
     oracle = ris_lab.experiments.estimate_secrecy
 
     def recorded(points, plan):
         points = list(points)
-        n = points[0][0].stats.dims.n
-        assert n not in estimators
-        estimators[n] = len({id(est) for est, _, _ in points})
+        calls.append(len({id(est) for est, _, _ in points}))
         return oracle(points, plan)
 
     monkeypatch.setattr(ris_lab.experiments, "estimate_secrecy", recorded)
@@ -243,35 +247,84 @@ def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, ch
         **TINY, "m_e": 1, **changes, "n_blocks": CHUNK_BLOCKS + 8})
     table = run_experiment(experiment, config)
     assert len(table.rows) == len(changes["sweep"]) * len(changes.get("phase_noise_levels", [0]))
-    assert estimators == calls
-    assert draws == {(n, size): 1 for n in calls for size in (CHUNK_BLOCKS, 8)}
+    assert calls == [estimators]
+    assert draws == {(*grid, size): 1 for size in (CHUNK_BLOCKS, 8)}
 
 
-@pytest.mark.parametrize("experiment, sweep, calls", [
+@pytest.mark.parametrize("experiment, sweep, grid", [
     # the pilot powers of one link share each chunk's draw
-    ("nmse_vs_snr", [0.0, 10.0, 20.0], {4: 3}),
-    # every N is a link of its own
-    ("nmse_vs_N", [4, 9], {4: 1, 9: 1}),
+    ("nmse_vs_snr", [0.0, 10.0, 20.0], 4),
+    # the N of a nested grid share one draw at the largest N
+    ("nmse_vs_N", [4, 9], 9),
 ], ids=["nmse_vs_snr", "nmse_vs_N"])
-def test_nmse_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, sweep, calls):
-    # ``calls`` maps N to the estimator count of its one oracle call
+def test_nmse_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, sweep, grid):
+    # one oracle call over the sweep's estimators; each chunk draws once, at N = ``grid``
     draws = counted_draws(monkeypatch)
-    estimators = {}
+    calls = []
     oracle = ris_lab.experiments.estimate_nmse
 
     def recorded(ests, plan):
         ests = list(ests)
-        n = ests[0].stats.dims.n
-        assert n not in estimators
-        estimators[n] = len(ests)
+        calls.append(len(ests))
         return oracle(ests, plan)
 
     monkeypatch.setattr(ris_lab.experiments, "estimate_nmse", recorded)
     config = ExperimentConfig.from_dict({**TINY, "sweep": sweep, "n_blocks": CHUNK_BLOCKS + 8})
     table = run_experiment(experiment, config)
     assert [row[0] for row in table.rows] == sweep
-    assert estimators == calls
-    assert draws == {(n, size): 1 for n in calls for size in (CHUNK_BLOCKS, 8)}
+    assert calls == [len(sweep)]
+    assert draws == {(grid, TINY["m"], size): 1 for size in (CHUNK_BLOCKS, 8)}
+
+
+@pytest.mark.parametrize("experiment", ["nmse_vs_N", "secrecy_vs_N", "secrecy_vs_M",
+                                        "phase_noise_sweep"])
+def test_default_size_grid_is_one_oracle_call(monkeypatch, experiment):
+    # every default N grid is square at half-wavelength spacing and every
+    # M grid exponential, so each point nests in the largest: one draw serves
+    # the sweep. The oracles are stubbed: only their calls are counted.
+    calls = []
+
+    def stub(items, plan):
+        calls.append(len(list(items)))
+        return [OracleEstimates(nmse=np.zeros(2), nmse_se=np.ones(2), r_sec=0.0, r_sec_se=1.0)
+                for _ in range(calls[-1])]
+
+    for oracle in ("estimate_nmse", "estimate_secrecy"):
+        monkeypatch.setattr(ris_lab.experiments, oracle, stub)
+    table = run_experiment(experiment, ExperimentConfig(m=8, k=2, m_e=1, sweep=[]))
+    assert calls == [len(table.rows)]
+
+
+def test_default_m_sweep_takes_two_square_roots(monkeypatch):
+    # R_B and R_I of the largest M only: the smaller arrays read that draw
+    roots = []
+    herm_sqrt = ris_lab.geometry.herm_sqrt
+    monkeypatch.setattr(ris_lab.geometry, "herm_sqrt",
+                        lambda a: roots.append(a.shape) or herm_sqrt(a))
+    run_experiment("secrecy_vs_M", ExperimentConfig(sweep=[], n_blocks=8))
+    assert sorted(roots) == [(100, 100), (128, 128)]
+
+
+def test_grid_that_does_not_nest_draws_each_point_alone():
+    # N = 128 is an 8 x 16 grid and N = 196 is 14 x 14: the smaller does not
+    # fit in the larger, so each draws on its own, as it would alone
+    config = ExperimentConfig.from_dict({**TINY, "m_e": 1, "snr_db": 10.0, "n_blocks": 8})
+    together = run_experiment("secrecy_vs_N", config.replace(sweep=[128, 196])).rows
+    alone = [run_experiment("secrecy_vs_N", config.replace(sweep=[n])).rows[0]
+             for n in (128, 196)]
+    # every cell but the config hash, which hashes the sweep
+    assert [row[:-1] for row in together] == [row[:-1] for row in alone]
+    assert all(row[4] > 0 for row in together)      # r_sec_mc
+
+
+def test_nested_sweep_is_bit_identical_across_worker_counts(monkeypatch):
+    config = ExperimentConfig.from_dict({**TINY, "m_e": 1, "sweep": [4, 9, 16],
+                                         "n_blocks": 2 * CHUNK_BLOCKS + 8})
+    tables = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RIS_LAB_THREADS", threads)
+        tables[threads] = run_experiment("phase_noise_sweep", config).rows
+    assert tables["1"] == tables["2"]
 
 
 SNR_GRID = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]

@@ -11,6 +11,9 @@ and the config hash must be identical.
 Regenerate the goldens (only when a change is meant to move them) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+and set ``GOLDEN_STREAM_LAYOUT`` to the ``STREAM_LAYOUT`` they were written
+under.
 """
 import csv
 import math
@@ -20,9 +23,12 @@ import sys
 import pytest
 
 from ris_lab.experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
+from ris_lab.streams import STREAM_LAYOUT
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 RTOL = 1e-12
+# the random-stream layout the Monte Carlo cells of the goldens were drawn under
+GOLDEN_STREAM_LAYOUT = 6
 
 BASE = {"m": 8, "n": 4, "k": 2, "m_e": 1, "snr_db": 10.0, "n_blocks": 64,
         "seed": 20240917}
@@ -89,6 +95,11 @@ def read_golden(name):
     with open(golden_path(name), encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def test_goldens_were_written_under_the_current_stream_layout():
+    # a deliberate stream move raises STREAM_LAYOUT and regenerates the goldens
+    assert GOLDEN_STREAM_LAYOUT == STREAM_LAYOUT
 
 
 def test_every_experiment_has_a_case():

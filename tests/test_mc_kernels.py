@@ -98,7 +98,7 @@ def test_sampler_matches_einsum_forms(correlated):
 def test_block_terms_match_einsum_forms():
     _, est, hw, xi = make_setup(seed=12, m=8, n=16, k=2, m_e=2)
     p, q = stream_powers(hw.p_t, xi, 2, 8)
-    [blk] = _chunk_blocks([est], 64, (5, 0))
+    [blk] = _chunk_blocks([est], est.stats, 64, (5, 0))
     got = _user_terms(est, blk)
     want = einsum_user_terms(est, blk)
     assert set(got) == set(want)

@@ -26,7 +26,7 @@ from ris_lab.montecarlo import (
 )
 from ris_lab.streams import CHANNEL_BLOCK
 
-from conftest import draw_channels, make_setup
+from conftest import draw_channels, error_covariance, make_setup
 
 
 def closed_form_terms(est, k):
@@ -37,8 +37,9 @@ def closed_form_terms(est, k):
     sig = trp * est.tr_rpr[k]
     inter = sum(herm_trace_prod(stats.r_k[k], est.est_cov[i]) / (trp * est.tr_rpr[i])
                 for i in range(k_users) if i != k)
-    var = herm_trace_prod(est.c[k], est.est_cov[k]) / (trp * est.tr_rpr[k])
-    an = (m - k_users) / m * float(np.real(np.trace(est.c[k])))
+    c_k = error_covariance(est, k)
+    var = herm_trace_prod(c_k, est.est_cov[k]) / (trp * est.tr_rpr[k])
+    an = (m - k_users) / m * float(np.real(np.trace(c_k)))
     return sig, inter, var, an
 
 
@@ -122,7 +123,7 @@ def test_chunk_blocks_free_the_previous_estimators_blocks(small_setup, monkeypat
     monkeypatch.setattr(montecarlo, "aggregate_channels",
                         freed_before(montecarlo.aggregate_channels, ["estimate", "channels"]))
     built = 0
-    for blk in _chunk_blocks([est, loud, noisy], 8, (1, CHANNEL_BLOCK, 0)):
+    for blk in _chunk_blocks([est, loud, noisy], est.stats, 8, (1, CHANNEL_BLOCK, 0)):
         dropped["estimate"] += [weakref.ref(a) for a in (blk.h_hat, blk.w, blk.q_hat)]
         dropped["channels"] += [weakref.ref(a) for a in (blk.h, blk.h_e)]
         del blk
@@ -173,6 +174,75 @@ def test_shared_draw_serves_every_pilot_length(small_setup):
     config = ExperimentConfig(m=8, n=4, k=2, m_e=2)
     short, long_ = (build_setup(config.replace(tau_u=tau)).est.stats for tau in (None, 5))
     assert montecarlo.shares_draw(short, long_)
+
+
+def nested_points(sizes):
+    """Operating points of the default scenario at (N, M) array sizes.
+
+    The fading does not depend on the sizes, and the square half-wavelength
+    grids and exponential R_B nest, so each point nests in any larger one.
+    """
+    base = ExperimentConfig(m=8, n=4, k=2, m_e=1, snr_db=10.0)
+    setups = [build_setup(base.replace(n=n, m=m)) for n, m in sizes]
+    return [(s.est, s.hw, s.xi) for s in setups]
+
+
+def test_nested_point_equals_itself_alone_at_the_same_draw_grid(monkeypatch):
+    # every point reads its part of one draw at the call's largest arrays,
+    # so it is bit-identical to itself alone at that draw grid, at any
+    # worker count; the largest point draws as it would alone
+    points = nested_points([(4, 6), (9, 8), (16, 8)])
+    plan = rl.TrialPlan(n_blocks=montecarlo.CHUNK_BLOCKS + 8, master_seed=31)
+    ests = [est for est, _, _ in points]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RIS_LAB_THREADS", threads)
+        shared = rl.estimate_secrecy(points, plan)
+        for point, orc in zip(points, shared, strict=True):
+            assert_same_estimates(orc, rl.estimate_secrecy([point, points[-1]], plan)[0])
+        for est, orc in zip(ests, rl.estimate_nmse(ests, plan), strict=True):
+            assert_same_estimates(orc, rl.estimate_nmse([est, ests[-1]], plan)[0])
+    assert_same_estimates(shared[-1], rl.estimate_secrecy(points[-1:], plan)[0])
+    # alone, a smaller point draws at its own arrays: another sample
+    assert shared[0].r_sec != rl.estimate_secrecy(points[:1], plan)[0].r_sec
+
+
+def test_nested_links_have_the_smaller_arrays_law(monkeypatch):
+    # a 2 x 2 sub-grid and the leading 6 of 8 antennas of a draw at 5 x 5
+    # elements: each link's sample covariance matches beta R of the smaller
+    # arrays, and the aggregate channels' match R_k and Q_E of the smaller
+    # statistics. The bound is twice the sample covariance's rms Frobenius
+    # error tr(R)/sqrt(B) (measured: 0.74 to 1.14 times it); reading the
+    # first 4 elements of a row instead of the sub-grid misses R_I by 15 times it.
+    [(small, _, _), (large, _, _)] = nested_points([(4, 6), (25, 8)])
+    small, large = small.stats, large.stats
+    assert montecarlo.shares_draw(small, large)
+    links = {}
+    aggregate = montecarlo.aggregate_channels
+
+    def captured(stats, draws, theta, **kwargs):
+        links.update({name: x.copy() for name, x in draws.items()})   # before the rotation
+        return aggregate(stats, draws, theta, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "aggregate_channels", captured)
+    b = 20_000
+    rng = np.random.default_rng(8)
+    draws = rl.sample_realizations(large, rng, b, eve=True)
+    theta = small.phase_model.draw(rng, (b, large.dims.n))
+    h, h_e = montecarlo._nested_channels(small, large.dims, draws, theta)
+
+    def assert_covariance(rows, want):
+        """``rows`` (B, d) are draws of CN(0, want)."""
+        got = rows.T @ rows.conj() / rows.shape[0]
+        assert np.linalg.norm(got - want) < 2 * np.trace(want).real / np.sqrt(rows.shape[0])
+
+    fading = small.fading
+    for k in range(small.dims.k):
+        assert_covariance(links["h_i"][:, k], fading.beta_i[k] * small.r_i)
+        assert_covariance(links["h_b"][:, k], fading.beta_2[k] * small.r_b)
+        assert_covariance(h[:, k], small.r_k[k])
+    assert_covariance(links["h_ie"][:, :, 0], fading.beta_ie * small.r_i)
+    assert_covariance(links["h_be"][:, :, 0], fading.beta_3 * small.r_b)
+    assert_covariance(h_e[:, :, 0], small.q_e)
 
 
 @pytest.mark.parametrize("oracle", [rl.estimate_secrecy, rl.estimate_nmse])
@@ -480,7 +550,7 @@ def estimate_wishart_moments(est, hw, xi, plan) -> WishartMoments:
     p, q = rl.stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
 
     def work(size, key):
-        [blk] = _chunk_blocks([est], size, key)
+        [blk] = _chunk_blocks([est], est.stats, size, key)
         x = _eve_interference(blk, p, q, hw.kappa_t_bs)
         m_e = x.shape[-1]
         tr_x = np.real(np.einsum("bee->b", x))

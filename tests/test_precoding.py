@@ -7,7 +7,7 @@ from ris_lab.precoding import mrt_normalizers, null_space_an_batch
 from ris_lab.montecarlo import _chunk_blocks
 from ris_lab.streams import CHANNEL_BLOCK
 
-from conftest import draw_channels, make_setup
+from conftest import draw_channels, error_covariance, make_setup
 
 
 def test_stream_powers_budget_identity():
@@ -79,7 +79,7 @@ def test_transmit_power_budget(small_setup):
     plan = rl.TrialPlan(n_blocks=20_000, master_seed=8)
     powers = []
     for idx, size in plan.chunks():
-        [blk] = _chunk_blocks([est], size, (plan.master_seed, CHANNEL_BLOCK, idx))
+        [blk] = _chunk_blocks([est], est.stats, size, (plan.master_seed, CHANNEL_BLOCK, idx))
         powers.append(p * np.sum(np.abs(blk.w) ** 2, axis=(1, 2))
                       + q * (stats.dims.m - stats.dims.k))
     assert abs(np.mean(np.concatenate(powers)) - hw.p_t) / hw.p_t < 0.02
@@ -103,5 +103,5 @@ def test_an_leakage_matches_error_trace():
                                 rl.TrialPlan(n_blocks=40_000, master_seed=4))
     m, k_users = stats.dims.m, stats.dims.k
     for k in range(k_users):
-        expect = (m - k_users) / m * np.trace(est.c[k]).real
+        expect = (m - k_users) / m * np.trace(error_covariance(est, k)).real
         assert abs(orc.an_leakage[k] - expect) / expect < 0.05

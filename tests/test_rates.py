@@ -10,7 +10,7 @@ import ris_lab as rl
 from ris_lab.linalg import herm_trace_prod
 from ris_lab.rates import wishart_match
 
-from conftest import make_setup, with_eve_antennas
+from conftest import error_covariance, make_setup, with_eve_antennas
 
 
 def rebuilt(stats, est, **fading_changes):
@@ -42,8 +42,9 @@ def theorem_rates(est, hw, xi, k=0):
     # Theorem 1: signal over interference + uncertainty, AN leakage, HWI and noise
     interference = sum(herm_trace_prod(stats.r_k[k], est.est_cov[i]) / norms[i]
                        for i in range(k_users) if i != k)
-    uncertainty = herm_trace_prod(est.c[k], est.est_cov[k]) / norms[k]
-    tr_c = float(np.real(np.trace(est.c[k])))
+    c_k = error_covariance(est, k)
+    uncertainty = herm_trace_prod(c_k, est.est_cov[k]) / norms[k]
+    tr_c = float(np.real(np.trace(c_k)))
     s_k = p * norms[k]
     i_k = (p * (interference + uncertainty) + q * (m - k_users) / m * tr_c
            + (kt + hw.kappa_r_ue) * p_t * est.tr_r[k] / m + hw.sigma_k2)
