@@ -263,19 +263,20 @@ def _draw_grid(ests) -> ChannelStatistics:
 
 
 def _nested_channels(stats: ChannelStatistics, grid: SystemDimensions, draws: dict,
-                     theta: np.ndarray | None):
+                     theta: np.ndarray | None, overwrite: bool):
     """Channels (h, h_e) of ``stats`` from a draw and phase errors at the arrays ``grid``.
 
     ``stats`` reads the draw's elements of its RIS grid (``nested_elements``)
     and its leading M antennas. The RIS-side parts of a smaller grid are
-    copies, which the rotation overwrites.
+    copies, which the rotation overwrites; at the grid itself the rotation
+    overwrites the draw only with ``overwrite``.
     """
     m = stats.dims.m
     links = {"h_b": draws["h_b"][:, :, :m]}
     if "h_be" in draws:
         links["h_be"] = draws["h_be"][:, :m]
     if stats.dims.n == grid.n:
-        return aggregate_channels(stats, {**draws, **links}, theta)
+        return aggregate_channels(stats, {**draws, **links}, theta, overwrite=overwrite)
     ris = nested_elements(stats.dims, grid)
     links["h_i"] = draws["h_i"][:, :, ris]
     if "h_ie" in draws:          # sliced in its antenna-major layout, as the sampler built it
@@ -294,7 +295,13 @@ def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: b
     ``same_channels`` fails between consecutive estimators; each phase-error
     law draws its errors at the grid once, from the restarted substream. The
     previous estimate and channels are released before the next are built.
+
+    A call over nested arrays also holds the smaller arrays' estimators, so
+    its last build rotates the draw in place instead of copying it, which
+    keeps its peak near that of a call over one array size; a call over one
+    array size keeps the copy.
     """
+    nested = any(est.stats.dims != grid.dims for est in ests)
     rng = derive_rng(*key)
     draws = sample_realizations(grid, rng, size, eve=eve)
     g_t, g_w = pilot_gaussians(rng, (size, grid.dims.k, grid.dims.m))
@@ -308,7 +315,8 @@ def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: b
             law = stats.phase_model
             if not law.is_ideal and law not in thetas:
                 thetas[law] = law.draw(derive_rng(*key, PHASE_ERRORS), (size, grid.dims.n))
-            channels = _nested_channels(stats, grid.dims, draws, thetas.get(law))
+            channels = _nested_channels(stats, grid.dims, draws, thetas.get(law),
+                                        overwrite=nested and i == builds[-1])
             if i == builds[-1]:
                 del draws, thetas   # the later estimators run without them
         pilot_draw = (g_t, g_w[:, :stats.dims.m])

@@ -112,10 +112,10 @@ def test_chunk_blocks_free_the_previous_estimators_blocks(small_setup, monkeypat
     dropped = {"estimate": [], "channels": []}      # weak references to dropped blocks
 
     def freed_before(fn, kinds):
-        def checked(*args):
+        def checked(*args, **kwargs):
             for kind in kinds:
                 assert all(ref() is None for ref in dropped[kind]), kind
-            return fn(*args)
+            return fn(*args, **kwargs)
         return checked
 
     monkeypatch.setattr(montecarlo, "simulate_pilot_phase",
@@ -228,7 +228,7 @@ def test_nested_links_have_the_smaller_arrays_law(monkeypatch):
     rng = np.random.default_rng(8)
     draws = rl.sample_realizations(large, rng, b, eve=True)
     theta = small.phase_model.draw(rng, (b, large.dims.n))
-    h, h_e = montecarlo._nested_channels(small, large.dims, draws, theta)
+    h, h_e = montecarlo._nested_channels(small, large.dims, draws, theta, overwrite=False)
 
     def assert_covariance(rows, want):
         """``rows`` (B, d) are draws of CN(0, want)."""
@@ -441,8 +441,8 @@ def test_nmse_oracle_draws_and_builds_only_the_users_links(small_setup, monkeypa
         drawn.append(sorted(draws))
         return draws
 
-    def aggregated(stats, draws, theta):
-        h, h_e = aggregate(stats, draws, theta)
+    def aggregated(stats, draws, theta, **kwargs):
+        h, h_e = aggregate(stats, draws, theta, **kwargs)
         built.append(h_e is not None)
         return h, h_e
 
