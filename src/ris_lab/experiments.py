@@ -15,7 +15,7 @@ field, default grid, closed-form and Monte Carlo cells) run by ``_run_sweep``;
 ``asymptotic_vs_N`` and ``phase_noise_sweep`` have runners of their own.
 ``nmse_vs_snr`` sweeps the pilot SNR (``pilot_snr_db``), the only SNR the
 estimate depends on; its column keeps the name ``snr_db``. Consecutive
-grid points that one draw serves (``montecarlo.shares_draw``: they differ at
+grid points that one draw serves (``montecarlo.draw_grid``: they differ at
 most in the phase-error law, the pilots and nested array sizes) share one
 oracle call, so one Monte Carlo draw at their largest arrays: every default
 grid draws once, and a point is bit-identical to itself alone at the same
@@ -61,10 +61,10 @@ from .montecarlo import (
     THREADS_ENV,
     TrialPlan,
     blas_threads,
+    draw_grid,
     estimate_nmse,
     estimate_secrecy,
     same_channels,
-    shares_draw,
     worker_count,
 )
 from .montecarlo import (  # noqa: F401 -- bench/tracer.py wraps these bindings
@@ -470,7 +470,7 @@ def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
     that share one draw, a list per setup. Closed forms run as each point
     is built, so the first bad point decides the error. Consecutive points
     share a draw while each nests in the run's largest arrays, which draw
-    it (``shares_draw``); a point that does not starts the next run. A
+    it (``draw_grid``); a point that does not starts the next run. A
     point whose channels, phase law and pilots equal the previous point's
     takes over its estimator, so a run holds one estimator per distinct
     link; each run is one oracle call.
@@ -486,9 +486,9 @@ def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
     for lead, point in points:
         setup = build_setup(point)
         stats = setup.est.stats
-        if run and not shares_draw(grid, stats):
+        grid = draw_grid(grid, stats) if run else stats
+        if grid is None:
             finish_run()
-        if not run or (stats.dims.n, stats.dims.m) > (grid.dims.n, grid.dims.m):
             grid = stats
         if run:
             last = run[-1][1].est

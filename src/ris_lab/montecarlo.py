@@ -14,7 +14,7 @@ One call draws once per chunk, at its largest arrays: the RIS grid and BS
 array of the point with the most elements and antennas. A smaller point
 reads the draw's entries at its own elements (``geometry.nested_elements``)
 and its leading antennas, which have its exact law when its R_I and R_B are
-principal blocks of the largest (``shares_draw``); half-wavelength square
+principal blocks of the largest (``draw_grid``); half-wavelength square
 grids and exponential R_B nest exactly. So a point is bit-identical to
 itself alone at the same draw grid, not to itself alone: alone it would
 draw at its own arrays.
@@ -228,13 +228,17 @@ def _nests(small: ChannelStatistics, large: ChannelStatistics) -> bool:
             and np.array_equal(small.r_b, _principal_block(large.r_b, slice(a.m))))
 
 
-def shares_draw(a: ChannelStatistics, b: ChannelStatistics) -> bool:
-    """Whether one chunk draw serves both statistics: the draw at the larger arrays.
+def draw_grid(a: ChannelStatistics, b: ChannelStatistics) -> ChannelStatistics | None:
+    """The statistics whose draw serves both, those with the larger arrays; None if none does.
 
-    They may differ in the phase-error law, the LoS bridge and the array
-    sizes, as long as the smaller arrays nest in the larger (``_nests``).
+    The smaller arrays must nest in the larger (``_nests``); the statistics
+    may also differ in the phase-error law and the LoS bridge. Of equal
+    arrays, ``a`` draws.
     """
-    return _nests(a, b) or _nests(b, a)
+    if a is b:
+        return a
+    small, large = (a, b) if (b.dims.n, b.dims.m) > (a.dims.n, a.dims.m) else (b, a)
+    return large if _nests(small, large) else None
 
 
 def same_channels(a: ChannelStatistics, b: ChannelStatistics) -> bool:
@@ -248,17 +252,16 @@ def same_channels(a: ChannelStatistics, b: ChannelStatistics) -> bool:
 
 
 def _draw_grid(ests) -> ChannelStatistics:
-    """The statistics whose draw serves every estimator: those with the largest arrays.
-
-    Raises unless every estimator's statistics nest in them (``_nests``).
-    """
+    """The statistics whose draw serves every estimator (``draw_grid``); raises if none does."""
     if not ests:
         raise InvalidParameterError("need at least one estimator")
-    grid = max((est.stats for est in ests), key=lambda stats: (stats.dims.n, stats.dims.m))
-    if not all(est.stats is grid or _nests(est.stats, grid) for est in ests):
-        raise InvalidParameterError("the statistics of the estimators of one call may differ "
-                                    "only in their phase-error law, LoS bridge and nested "
-                                    "array sizes")
+    grid = ests[0].stats
+    for est in ests[1:]:
+        grid = draw_grid(grid, est.stats)
+        if grid is None:
+            raise InvalidParameterError("the statistics of the estimators of one call may "
+                                        "differ only in their phase-error law, LoS bridge "
+                                        "and nested array sizes")
     return grid
 
 
@@ -269,7 +272,7 @@ def _nested_channels(stats: ChannelStatistics, grid: SystemDimensions, draws: di
     ``stats`` reads the draw's elements of its RIS grid (``nested_elements``)
     and its leading M antennas. The RIS-side parts of a smaller grid are
     copies, which the rotation overwrites; at the grid itself the rotation
-    overwrites the draw only with ``overwrite``.
+    overwrites the draw only with ``overwrite``, at its last use.
     """
     m = stats.dims.m
     links = {"h_b": draws["h_b"][:, :, :m]}
@@ -294,14 +297,9 @@ def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: b
     elements and antennas of them. Channels are rebuilt where
     ``same_channels`` fails between consecutive estimators; each phase-error
     law draws its errors at the grid once, from the restarted substream. The
-    previous estimate and channels are released before the next are built.
-
-    A call over nested arrays also holds the smaller arrays' estimators, so
-    its last build rotates the draw in place instead of copying it, which
-    keeps its peak near that of a call over one array size; a call over one
-    array size keeps the copy.
+    previous estimate and channels are released before the next are built,
+    and the last build rotates the draw in place.
     """
-    nested = any(est.stats.dims != grid.dims for est in ests)
     rng = derive_rng(*key)
     draws = sample_realizations(grid, rng, size, eve=eve)
     g_t, g_w = pilot_gaussians(rng, (size, grid.dims.k, grid.dims.m))
@@ -316,7 +314,7 @@ def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: b
             if not law.is_ideal and law not in thetas:
                 thetas[law] = law.draw(derive_rng(*key, PHASE_ERRORS), (size, grid.dims.n))
             channels = _nested_channels(stats, grid.dims, draws, thetas.get(law),
-                                        overwrite=nested and i == builds[-1])
+                                        overwrite=i == builds[-1])
             if i == builds[-1]:
                 del draws, thetas   # the later estimators run without them
         pilot_draw = (g_t, g_w[:, :stats.dims.m])
@@ -387,7 +385,7 @@ class OracleEstimates:
 def estimate_nmse(ests, plan: TrialPlan) -> list[OracleEstimates]:
     """Empirical NMSE of LMMSE estimators over impaired pilot blocks.
 
-    ``ests`` holds estimators that one draw serves (``shares_draw``), such
+    ``ests`` holds estimators that one draw serves (``draw_grid``), such
     as those of one link at several pilot powers or pilot lengths (both
     live in the ``PilotConfig``, not in the statistics, and the despread
     draw depends on neither), or of nested RIS grids. One
@@ -569,7 +567,7 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     """User-rate terms, eavesdropper capacities and secrecy rates of operating points.
 
     ``points`` holds operating points ``(est, hw, xi)`` that one draw serves
-    (``shares_draw``); one ``OracleEstimates`` is returned per point, in
+    (``draw_grid``); one ``OracleEstimates`` is returned per point, in
     order, each bit-identical to the estimate of that point alone at the
     same draw grid. The points share every random number but the phase
     errors (see ``_chunk_channels``), so their differences are far less

@@ -145,18 +145,29 @@ def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy():
     assert zero.r_sec_se > 0.01 * zero.r_sec
 
 
-@pytest.mark.parametrize("change", ["n", "r_i"])
+@pytest.mark.parametrize("change", ["n", "m", "r_i"])
 def test_shared_draw_rejects_estimators_beyond_the_phase_law(change):
-    _, est, hw, xi = make_setup(seed=3)
-    if change == "n":
-        other = make_setup(seed=3, n=25)[1]
-    else:
+    # the sizes share one fading (nested_points), so only the arrays or R_I
+    # decide: 8 x 8 elements fit in 14 x 14 but the 8 x 16 of N = 128 do
+    # not, and a larger RIS cannot draw for a larger BS array
+    if change == "r_i":
+        _, est, _, _ = make_setup(seed=3)
         stats = dataclasses.replace(est.stats, r_i=np.eye(est.stats.dims.n))
-        other = rl.ChannelEstimator(stats, est.pilots)
+        apart = [est, rl.ChannelEstimator(stats, est.pilots)]
+    else:
+        sizes = {"n": ([(64, 8), (196, 8)], [(128, 8), (196, 8)]),
+                 "m": ([(16, 6), (25, 8)], [(16, 8), (25, 6)])}[change]
+        nesting, apart = ([est for est, _, _ in nested_points(pair)] for pair in sizes)
+        assert montecarlo.draw_grid(*(e.stats for e in nesting)) is nesting[1].stats
+        assert len(rl.estimate_nmse(nesting, rl.TrialPlan(4, master_seed=1))) == 2
+    a, b = (est.stats for est in apart)
+    assert a.fading == b.fading
+    assert montecarlo.draw_grid(a, b) is None
+    hw, xi = make_setup(seed=3)[2:]
     with pytest.raises(rl.InvalidParameterError, match="phase-error law"):
-        rl.estimate_secrecy([(est, hw, xi), (other, hw, xi)], rl.TrialPlan(4, master_seed=1))
+        rl.estimate_secrecy([(est, hw, xi) for est in apart], rl.TrialPlan(4, master_seed=1))
     with pytest.raises(rl.InvalidParameterError, match="phase-error law"):
-        rl.estimate_nmse([est, other], rl.TrialPlan(4, master_seed=1))
+        rl.estimate_nmse(apart, rl.TrialPlan(4, master_seed=1))
 
 
 def test_shared_draw_serves_every_pilot_length(small_setup):
@@ -173,7 +184,7 @@ def test_shared_draw_serves_every_pilot_length(small_setup):
     # grid points of configs that differ only in the pilot length share it too
     config = ExperimentConfig(m=8, n=4, k=2, m_e=2)
     short, long_ = (build_setup(config.replace(tau_u=tau)).est.stats for tau in (None, 5))
-    assert montecarlo.shares_draw(short, long_)
+    assert montecarlo.draw_grid(short, long_) is short
 
 
 def nested_points(sizes):
@@ -215,7 +226,7 @@ def test_nested_links_have_the_smaller_arrays_law(monkeypatch):
     # first 4 elements of a row instead of the sub-grid misses R_I by 15 times it.
     [(small, _, _), (large, _, _)] = nested_points([(4, 6), (25, 8)])
     small, large = small.stats, large.stats
-    assert montecarlo.shares_draw(small, large)
+    assert montecarlo.draw_grid(small, large) is large
     links = {}
     aggregate = montecarlo.aggregate_channels
 
