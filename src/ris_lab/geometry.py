@@ -6,9 +6,10 @@ covariances seen at the BS) and draws random channel realizations that
 are consistent with those statistics. The draw comes in two steps: the
 correlated Gaussian links (``sample_realizations``), which do not depend
 on the RIS phase-error law, and the aggregate channels for given phase
-errors (``aggregate_channels``). The correlation and bridge products are
-single BLAS GEMMs, with the block axis folded into the GEMM rows wherever
-the array layout makes the fold free. The R_B and R_I templates are real,
+errors (``aggregate_channels``). The correlation products are single BLAS
+GEMMs and the bridge products one GEMM per slab of blocks, with the block
+axis folded into the GEMM rows wherever the array layout makes the fold
+free. The R_B and R_I templates are real,
 so their square roots are too: the sampler draws the real part of each
 link, colors it with one real GEMM (dgemm) and writes it into the link,
 then does the same for the imaginary part; only the bridge products are
@@ -447,29 +448,61 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
     return draws
 
 
+# Blocks per slab of ``aggregate_channels``: a chunk of B blocks is built in
+# ceil(B / SLAB_BLOCKS) slabs whose sizes differ by at most one, so no slab is
+# a single block unless B is (a one-row product takes another BLAS path and
+# changes last bits). The sampler's colouring GEMMs stay whole: real dgemm
+# rows, unlike complex zgemm rows, change last bits with the rows beside them.
+SLAB_BLOCKS = 25
+
+
+def _slabs(b: int) -> list[slice]:
+    """ceil(b / SLAB_BLOCKS) near-equal slices that cover the block axis of length b."""
+    n = -(-b // SLAB_BLOCKS)
+    return [slice(b * i // n, b * (i + 1) // n) for i in range(n)]
+
+
 def aggregate_channels(stats: ChannelStatistics, draws: dict, theta: np.ndarray | None,
-                       *, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Aggregate channels (h, h_e) of ``sample_realizations`` draws.
+                       *, elements: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Aggregate channels (h, h_e) of ``stats`` from ``sample_realizations`` draws.
 
-    ``theta`` (B, N) holds one phase-error vector per block, shared by the
-    users and the eavesdropper of that block; None means no phase errors,
-    and the rotation is skipped. Returns h (B, K, M) and h_e (B, M, M_E):
-    the direct links plus the RIS path through the rotation exp(j theta)
-    and the bridge H1 Phi, each one GEMM. h_e is None when the draw holds
-    no eavesdropper links. With ``overwrite`` the rotation is written into
-    the RIS-side links of ``draws``, which the caller no longer reads.
+    The draws may be at larger nested arrays: ``elements`` indexes the RIS
+    elements of ``stats`` in the draw's grid (``nested_elements``; None means
+    the whole grid), and the direct links are read at their leading M
+    antennas. ``theta`` (B, N) holds one phase-error vector per block at the
+    draw's grid, shared by the users and the eavesdropper of that block;
+    None means no phase errors, and the rotation is skipped. Returns
+    h (B, K, M) and h_e (B, M, M_E): the direct links plus the RIS path
+    through the rotation exp(j theta) and the bridge H1 Phi. h_e is None when
+    the draw holds no eavesdropper links.
+
+    The RIS path is built in slabs of blocks (``_slabs``): each slab's
+    elements are gathered, rotated and multiplied by the bridge in one GEMM
+    into the output, so no full-size rotated copy of a link is made and the
+    draw is never written. A complex GEMM row does not depend on how many
+    rows share the call, so the channels equal those of one GEMM over all
+    blocks, bit for bit.
     """
+    m = stats.dims.m
     bridge = stats.h1 * stats.phi[None, :]             # (M, N)
-    rot = None if theta is None else np.exp(1j * theta)[:, None, :]   # (B, 1, N)
 
-    def rotated(x):
-        # rot first: the operand order of the product fixes its last bits
-        return x if rot is None else np.multiply(rot, x, out=x if overwrite else None)
+    def take(x):
+        return x if elements is None else x[..., elements]
 
-    h = _rows_times(rotated(draws["h_i"]), bridge)
-    h += draws["h_b"]
-    if "h_ie" not in draws:
-        return h, None
-    h_e = _rows_times(rotated(np.swapaxes(draws["h_ie"], 1, 2)), bridge)   # (B, M_E, M)
-    h_e += np.swapaxes(draws["h_be"], 1, 2)
-    return h, np.swapaxes(h_e, 1, 2)
+    # (RIS-side rows, direct links) per link; Eve's antenna-major (B, M_E, .),
+    # the sampler's layout, so that block and antenna fold into the GEMM rows
+    links = [(draws["h_i"], draws["h_b"][:, :, :m])]
+    if "h_ie" in draws:
+        links.append((np.swapaxes(draws["h_ie"], 1, 2), np.swapaxes(draws["h_be"], 1, 2)[:, :, :m]))
+    outs = [np.empty(x.shape[:2] + (m,), dtype=complex) for x, _ in links]
+    for s in _slabs(len(draws["h_i"])):
+        rot = None if theta is None else np.exp(1j * take(theta[s]))[:, None, :]
+        for (x, direct), out in zip(links, outs, strict=True):
+            xs = take(x[s])
+            if rot is not None:
+                xs = np.multiply(rot, xs)   # rot first: the operand order fixes the last bits
+            out[s] = _rows_times(xs, bridge)
+            out[s] += direct[s]
+    h, *h_e = outs
+    return h, (np.swapaxes(h_e[0], 1, 2) if h_e else None)

@@ -32,8 +32,11 @@ channel; the NMSE oracle draws only the users' links, so its pilot
 Gaussians follow g_b. The RIS phase errors come from their own
 substream, ``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, one
 (B, N) draw per law at the largest grid, and are applied by
-``geometry.aggregate_channels``. A law without phase errors draws nothing
-there, and its channels skip the rotation.
+``geometry.aggregate_channels``, which builds each point's channels from
+its part of the draw in slabs of blocks and writes nothing into the draw,
+so the draw is the only full-size copy of the links a chunk holds. A law
+without phase errors draws nothing there, and its channels skip the
+rotation.
 
 The chunk thread pool is the only level of parallelism, and it runs at
 every default size: the default 400-block run is four chunks, a 1024-block
@@ -266,26 +269,15 @@ def _draw_grid(ests) -> ChannelStatistics:
 
 
 def _nested_channels(stats: ChannelStatistics, grid: SystemDimensions, draws: dict,
-                     theta: np.ndarray | None, overwrite: bool):
+                     theta: np.ndarray | None):
     """Channels (h, h_e) of ``stats`` from a draw and phase errors at the arrays ``grid``.
 
-    ``stats`` reads the draw's elements of its RIS grid (``nested_elements``)
-    and its leading M antennas. The RIS-side parts of a smaller grid are
-    copies, which the rotation overwrites; at the grid itself the rotation
-    overwrites the draw only with ``overwrite``, at its last use.
+    ``stats`` reads the draw's elements of its RIS grid (``nested_elements``;
+    all of them at the grid itself) and its leading M antennas, which
+    ``aggregate_channels`` gathers slab by slab; the draw is left as it is.
     """
-    m = stats.dims.m
-    links = {"h_b": draws["h_b"][:, :, :m]}
-    if "h_be" in draws:
-        links["h_be"] = draws["h_be"][:, :m]
-    if stats.dims.n == grid.n:
-        return aggregate_channels(stats, {**draws, **links}, theta, overwrite=overwrite)
-    ris = nested_elements(stats.dims, grid)
-    links["h_i"] = draws["h_i"][:, :, ris]
-    if "h_ie" in draws:          # sliced in its antenna-major layout, as the sampler built it
-        links["h_ie"] = np.swapaxes(np.swapaxes(draws["h_ie"], 1, 2)[:, :, ris], 1, 2)
-    return aggregate_channels(stats, links, None if theta is None else theta[:, ris],
-                              overwrite=True)
+    elements = None if stats.dims.n == grid.n else nested_elements(stats.dims, grid)
+    return aggregate_channels(stats, draws, theta, elements=elements)
 
 
 def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: bool):
@@ -297,8 +289,8 @@ def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: b
     elements and antennas of them. Channels are rebuilt where
     ``same_channels`` fails between consecutive estimators; each phase-error
     law draws its errors at the grid once, from the restarted substream. The
-    previous estimate and channels are released before the next are built,
-    and the last build rotates the draw in place.
+    previous estimate and channels are released before the next are built.
+    No build writes into the draw, which is released after the last build.
     """
     rng = derive_rng(*key)
     draws = sample_realizations(grid, rng, size, eve=eve)
@@ -313,8 +305,7 @@ def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: b
             law = stats.phase_model
             if not law.is_ideal and law not in thetas:
                 thetas[law] = law.draw(derive_rng(*key, PHASE_ERRORS), (size, grid.dims.n))
-            channels = _nested_channels(stats, grid.dims, draws, thetas.get(law),
-                                        overwrite=i == builds[-1])
+            channels = _nested_channels(stats, grid.dims, draws, thetas.get(law))
             if i == builds[-1]:
                 del draws, thetas   # the later estimators run without them
         pilot_draw = (g_t, g_w[:, :stats.dims.m])

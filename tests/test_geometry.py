@@ -1,9 +1,12 @@
 """Channel statistics builders and the realization sampler."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import i0e, i1e
 
 import ris_lab as rl
+from ris_lab.geometry import _rows_times, nested_elements
 
 from conftest import (
     aggregate_covariance,
@@ -326,6 +329,61 @@ def test_no_phase_errors_skip_the_rotation_bit_identically(small_setup):
     rotated = rl.aggregate_channels(stats, draws, np.zeros((6, stats.dims.n)))
     for a, b in zip(skipped, rotated, strict=True):
         assert np.array_equal(a, b)
+
+
+def whole_array_channels(stats, draws, theta, elements):
+    """Reference: one GEMM over all blocks of the rotated links, plus the direct links."""
+    m, ris = stats.dims.m, slice(None) if elements is None else elements
+    bridge = stats.h1 * stats.phi[None, :]
+
+    def path(x, direct):
+        x = x[:, :, ris]
+        if theta is not None:
+            x = np.multiply(np.exp(1j * theta[:, ris])[:, None, :], x)
+        return _rows_times(x, bridge) + direct
+
+    h = path(draws["h_i"], draws["h_b"][:, :, :m])
+    h_e = path(np.swapaxes(draws["h_ie"], 1, 2), np.swapaxes(draws["h_be"], 1, 2)[:, :, :m])
+    return h, np.swapaxes(h_e, 1, 2)
+
+
+@pytest.mark.parametrize("m_e", [1, 4])
+@pytest.mark.parametrize("blocks", [1, 2, 26, 100])
+def test_slabbed_channels_equal_one_gemm_over_all_blocks(blocks, m_e):
+    # aggregate_channels multiplies by the bridge one slab of blocks at a time;
+    # a complex GEMM row does not depend on the rows beside it, so the
+    # channels equal the whole-array product bit for bit, at the draw's grid
+    # and at a 3 x 3 sub-grid with 6 of its 8 antennas, and the draw is left
+    # as it was. Slabs of 25 and 1 blocks would fail the [26-1] case: its
+    # one-row product takes another BLAS path
+    grid = make_setup(seed=4, m=8, n=16, m_e=m_e)[0]
+    small = make_setup(seed=5, m=6, n=9, m_e=m_e)[0]
+    rng = np.random.default_rng(blocks)
+    draws = rl.sample_realizations(grid, rng, blocks, eve=True)
+    before = {name: x.copy() for name, x in draws.items()}
+    for theta in (None, grid.phase_model.draw(rng, (blocks, grid.dims.n))):
+        for stats, elements in ((grid, None), (small, nested_elements(small.dims, grid.dims))):
+            got = rl.aggregate_channels(stats, draws, theta, elements=elements)
+            want = whole_array_channels(stats, draws, theta, elements)
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape and np.array_equal(a, b)
+    assert all(np.array_equal(draws[name], x) for name, x in before.items())
+
+
+def test_slabbed_channels_make_no_full_size_rotated_copy():
+    # with phase errors at B = 100 and N = 400 the call peaks below the size
+    # of one link's draw, which a full-size rotated copy of h_i alone reaches
+    stats = make_setup(seed=4, n=400)[0]
+    rng = np.random.default_rng(0)
+    draws = rl.sample_realizations(stats, rng, 100, eve=True)
+    theta = stats.phase_model.draw(rng, (100, stats.dims.n))
+    tracemalloc.start()
+    try:
+        rl.aggregate_channels(stats, draws, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < draws["h_i"].nbytes
 
 
 def test_sampler_deterministic(small_setup):

@@ -14,6 +14,7 @@ import pytest
 import ris_lab as rl
 from ris_lab import montecarlo
 from ris_lab.experiments import ExperimentConfig, build_setup
+from ris_lab.geometry import nested_elements
 from ris_lab.linalg import herm_trace_prod
 from ris_lab.montecarlo import (
     _chunk_blocks,
@@ -227,11 +228,11 @@ def test_nested_links_have_the_smaller_arrays_law(monkeypatch):
     [(small, _, _), (large, _, _)] = nested_points([(4, 6), (25, 8)])
     small, large = small.stats, large.stats
     assert montecarlo.draw_grid(small, large) is large
-    links = {}
+    seen = {}
     aggregate = montecarlo.aggregate_channels
 
     def captured(stats, draws, theta, **kwargs):
-        links.update({name: x.copy() for name, x in draws.items()})   # before the rotation
+        seen.update(draws=draws, elements=kwargs["elements"])   # the grid's draw
         return aggregate(stats, draws, theta, **kwargs)
 
     monkeypatch.setattr(montecarlo, "aggregate_channels", captured)
@@ -239,7 +240,11 @@ def test_nested_links_have_the_smaller_arrays_law(monkeypatch):
     rng = np.random.default_rng(8)
     draws = rl.sample_realizations(large, rng, b, eve=True)
     theta = small.phase_model.draw(rng, (b, large.dims.n))
-    h, h_e = montecarlo._nested_channels(small, large.dims, draws, theta, overwrite=False)
+    h, h_e = montecarlo._nested_channels(small, large.dims, draws, theta)
+    ris, m = nested_elements(small.dims, large.dims), small.dims.m
+    assert np.array_equal(seen["elements"], ris)
+    links = {"h_i": seen["draws"]["h_i"][:, :, ris], "h_b": seen["draws"]["h_b"][:, :, :m],
+             "h_ie": seen["draws"]["h_ie"][:, ris], "h_be": seen["draws"]["h_be"][:, :m]}
 
     def assert_covariance(rows, want):
         """``rows`` (B, d) are draws of CN(0, want)."""
