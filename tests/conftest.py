@@ -1,5 +1,15 @@
-"""Shared fixtures and helpers: small, fast system setups used across the suite."""
+"""Shared fixtures and helpers: small, fast system setups used across the suite.
+
+Statistical tests assert through the ``within`` fixture, which also records
+each check's value and bound in a margin ledger; ``pytest --ledger=PATH``
+writes the ledger as JSON at the end of the session, and
+``tests/ledger_diff.py`` compares two ledgers. Write the option with ``=``:
+pytest learns it only from this file, so before that it would take a
+separate PATH that exists for a test path and choose another root
+directory, without this file.
+"""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +17,73 @@ from scipy.linalg import eigh
 
 import ris_lab as rl
 from ris_lab.linalg import hermitize
+
+LEDGER = pytest.StashKey[dict]()
+
+
+def pytest_addoption(parser):
+    parser.addoption("--ledger", metavar="PATH", default=None,
+                     help="write the value, bound and margin of every within() check to PATH")
+
+
+def pytest_configure(config):
+    config.stash[LEDGER] = {}
+
+
+def pytest_sessionfinish(session):
+    path = session.config.getoption("--ledger")
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(session.config.stash[LEDGER], fh, indent=1, sort_keys=True)
+            fh.write("\n")
+
+
+def recorder(records):
+    """``within(name, value, below=..., above=..., inclusive=False)``, recording into ``records``.
+
+    ``within`` asserts ``above < value < below`` elementwise (``<=`` with
+    ``inclusive``; either side may be omitted) and records the check's
+    value, bound and margin under ``name``. The margin is the slack to the
+    nearer bound, over that bound in a one-sided check and over the
+    half-width in a two-sided one: ``within("z", abs(x - y), below=3 * se)``
+    reads 1 at x = y, 0.5 at 1.5 se and 0 at the bound. An array records
+    its worst element, and a name checked more than once keeps its
+    smallest margin.
+    """
+    def within(name, value, *, below=None, above=None, inclusive=False):
+        sides = {side: bound for side, bound in (("below", below), ("above", above))
+                 if bound is not None}
+        value, *bounds = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                               for v in (value, *sides.values())))
+        bounds = dict(zip(sides, bounds))
+        less = np.less_equal if inclusive else np.less
+        ok = np.ones(value.shape, dtype=bool)
+        slack = np.full(value.shape, np.inf)
+        if below is not None:
+            ok &= less(value, bounds["below"])
+            slack = np.minimum(slack, bounds["below"] - value)
+        if above is not None:
+            ok &= less(bounds["above"], value)
+            slack = np.minimum(slack, value - bounds["above"])
+        if len(bounds) == 2:
+            scale = (bounds["below"] - bounds["above"]) / 2
+        else:
+            scale = np.abs(*bounds.values())
+        margin = slack / scale
+        worst = np.unravel_index(np.argmin(margin), margin.shape)
+        record = {"value": float(value[worst]), "margin": float(margin[worst]),
+                  **{side: float(bound[worst]) for side, bound in bounds.items()}}
+        if name not in records or record["margin"] < records[name]["margin"]:
+            records[name] = record
+        assert np.all(ok), f"{name}: {value} not within ({above}, {below})"
+
+    return within
+
+
+@pytest.fixture
+def within(request):
+    """The ``recorder`` check of the margin ledger, under the test's node id."""
+    return recorder(request.config.stash[LEDGER].setdefault(request.node.nodeid, {}))
 
 
 def max_asymmetry(a):

@@ -203,10 +203,10 @@ def test_estimate_covariance_and_orthogonality(small_setup):
     assert np.max(np.abs(cross) / (scale + 1e-300)) < 3.0 / np.sqrt(hh.shape[0]) * 3
 
 
-def test_empirical_nmse_matches_closed_form(small_setup):
+def test_empirical_nmse_matches_closed_form(small_setup, within):
     _, est, _, _ = small_setup
     [orc] = rl.estimate_nmse([est], rl.TrialPlan(n_blocks=100_000, master_seed=2))
-    assert np.all(np.abs(orc.nmse - est.nmse) / est.nmse < 0.03)
+    within("relative nmse error", np.abs(orc.nmse - est.nmse) / est.nmse, below=0.03)
 
 
 def test_lmmse_beats_perturbed_linear_estimators():
