@@ -5,7 +5,7 @@ errors, uplink distortion, noise), runs the pilot phase and the precoder
 exactly as the system model defines them, and averages the per-block
 quantities. Every estimate carries a standard error.
 
-Blocks are processed in chunks of ``CHUNK_BLOCKS`` = 100 blocks (the last
+Blocks are processed in chunks of ``CHUNK_BLOCKS`` = 50 blocks (the last
 one may be shorter), each with its own counter derived substream, and
 chunk results are combined in index order, so the output is bit-identical
 for any worker count.
@@ -39,8 +39,8 @@ without phase errors draws nothing there, and its channels skip the
 rotation.
 
 The chunk thread pool is the only level of parallelism, and it runs at
-every default size: the default 400-block run is four chunks, a 1024-block
-paper-scale run ten chunks and one of 24 blocks. Importing this module
+every default size: the default 400-block run is eight chunks, a 1024-block
+paper-scale run twenty chunks and one of 24 blocks. Importing this module
 sets numpy's OpenBLAS to one thread, and scipy's too if the process has
 already loaded it (ris_lab itself never imports scipy), so BLAS threads
 never compete with the pool's workers for the CPUs. The pool runs one
@@ -102,10 +102,14 @@ from .precoding import null_space_an_batch  # noqa: F401 -- bench/tracer.py wrap
 from .streams import CHANNEL_BLOCK, NMSE_BLOCK, PHASE_ERRORS, derive_rng
 
 # Fixed, so the chunking and with it every stream is the same for any worker
-# count. 100 blocks split the default 400-block run into 4 equal chunks, so
-# the pool runs at desk scale; 128 splits it 3 x 128 + 16, unevenly over two
-# workers, and ran slower, and 50 ran no faster with twice the chunks.
-CHUNK_BLOCKS = 100
+# count. 50 blocks split the default 400-block run into 8 equal chunks, so a
+# pool of up to 8 workers (the worker_count() cap) has work for each; 128
+# split it 3 x 128 + 16, unevenly over two workers, and ran slower. A
+# worker's memory peak is one chunk's draw and its per-point temporaries:
+# against 100 blocks, 50 cut the bench workloads' peak RSS by 12-15% with
+# CPU time flat, and 25 cut it 7-9% more but raised secrecy_paper's CPU
+# time by 6%.
+CHUNK_BLOCKS = 50
 THREADS_ENV = "RIS_LAB_THREADS"
 
 

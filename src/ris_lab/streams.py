@@ -32,8 +32,9 @@ import numpy as np
 
 # Raised by every deliberate change of which random numbers a Monte Carlo
 # cell reads. Layout 6: the points of a sweep over nested array sizes read
-# one draw at its largest arrays.
-STREAM_LAYOUT = 6
+# one draw at its largest arrays. Layout 7: chunks of 50 blocks
+# (montecarlo.CHUNK_BLOCKS), not 100, so every chunk stream moved.
+STREAM_LAYOUT = 7
 
 # Purpose tags for spawn keys. Fixed values: changing them changes every
 # derived stream, which invalidates frozen regression values.

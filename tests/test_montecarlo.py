@@ -85,7 +85,7 @@ def test_shared_draw_leaves_the_phase_free_level_unchanged(monkeypatch):
     # a level without phase errors draws nothing from the phase substream,
     # so sharing its chunks with other levels does not move it
     _, est, hw, xi = make_setup(seed=3, sigma_p2=0.0)
-    plan = rl.TrialPlan(n_blocks=700, master_seed=14)    # seven chunks
+    plan = rl.TrialPlan(n_blocks=700, master_seed=14)    # 14 chunks
     [alone] = rl.estimate_secrecy([(est, hw, xi)], plan)
     noisy = make_setup(seed=3, sigma_p2=1.0)[1]
     shared = rl.estimate_secrecy([(noisy, hw, xi), (est, hw, xi), (noisy, hw, xi)], plan)
@@ -441,7 +441,7 @@ def test_shared_nmse_call_equals_each_estimator_alone(small_setup, monkeypatch):
     # Gaussians; each estimate is still that estimator's alone, at any worker count
     _, est, hw, xi = small_setup
     ests = [e for e, _, _ in mixed_points(est, hw, xi)]
-    plan = rl.TrialPlan(n_blocks=250, master_seed=23)       # three chunks
+    plan = rl.TrialPlan(n_blocks=250, master_seed=23)       # 5 chunks
     assert len(plan.chunks()) > 1
     for threads in ("1", "7"):
         monkeypatch.setenv("RIS_LAB_THREADS", threads)
@@ -475,9 +475,14 @@ def test_nmse_oracle_draws_and_builds_only_the_users_links(small_setup, monkeypa
     assert drawn == [["h_b", "h_be", "h_i", "h_ie"]] * 2 and built == [True] * 2
 
 
-def test_default_run_spans_several_chunks():
-    # the chunk pool is the only parallelism: a default run must give it work
-    assert len(rl.TrialPlan(ExperimentConfig().n_blocks, master_seed=0).chunks()) >= 2
+def test_default_run_spans_several_chunks(monkeypatch):
+    # the chunk pool is the only parallelism: a default run must give every
+    # worker work, in chunks of equal size, even on a host with many CPUs
+    monkeypatch.delenv("RIS_LAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    sizes = [size for _, size in rl.TrialPlan(ExperimentConfig().n_blocks, master_seed=0).chunks()]
+    assert len(sizes) >= worker_count() == 8
+    assert set(sizes) == {montecarlo.CHUNK_BLOCKS}
 
 
 # --------------------------------------------------------------------------
