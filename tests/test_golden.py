@@ -28,7 +28,7 @@ from ris_lab.streams import STREAM_LAYOUT
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 RTOL = 1e-12
 # the random-stream layout the Monte Carlo cells of the goldens were drawn under
-GOLDEN_STREAM_LAYOUT = 6
+GOLDEN_STREAM_LAYOUT = 7
 
 BASE = {"m": 8, "n": 4, "k": 2, "m_e": 1, "snr_db": 10.0, "n_blocks": 64,
         "seed": 20240917}
