@@ -106,9 +106,9 @@ from .streams import CHANNEL_BLOCK, NMSE_BLOCK, PHASE_ERRORS, derive_rng
 # pool of up to 8 workers (the worker_count() cap) has work for each; 128
 # split it 3 x 128 + 16, unevenly over two workers, and ran slower. A
 # worker's memory peak is one chunk's draw and its per-point temporaries:
-# against 100 blocks, 50 cut the bench workloads' peak RSS by 12-15% with
-# CPU time flat, and 25 cut it 7-9% more but raised secrecy_paper's CPU
-# time by 6%.
+# against 100 blocks, 50 cut the bench workloads' peak RSS by 11-15% with
+# CPU time flat, and 25 cut it 5-9% more but raised CPU time by up to 6%
+# (BENCH_chunk_blocks.json).
 CHUNK_BLOCKS = 50
 THREADS_ENV = "RIS_LAB_THREADS"
 
