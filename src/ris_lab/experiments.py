@@ -64,7 +64,6 @@ from .montecarlo import (
     draw_grid,
     estimate_nmse,
     estimate_secrecy,
-    same_channels,
     worker_count,
 )
 from .montecarlo import (  # noqa: F401 -- bench/tracer.py wraps these bindings
@@ -364,15 +363,34 @@ def _scenario(config: ExperimentConfig):
     return dims, pilots, fading, h1
 
 
+_LINK: dict = {}    # the last (statistics, estimator) built, keyed on the statistics' inputs
+
+
 def build_setup(config: ExperimentConfig) -> SystemSetup:
-    """Assemble statistics and the estimator for the grid point ``config``."""
+    """Assemble statistics and the estimator for the grid point ``config``.
+
+    The last pair built is kept, keyed on every input of
+    ``build_channel_statistics`` (seed, arrays, RIS spacing, path gains,
+    phase-error law, RIS phase, BS correlation). A point of that key reuses
+    the statistics, and the estimator where its ``PilotConfig`` is equal:
+    consecutive points of a P_t, xi or kappa_t^BS sweep share one of each,
+    so a sweep holds one copy of R_k, Q_E and H1 per link, not per point.
+    """
     dims, pilots, fading, h1 = _scenario(config)
-    r_b = build_bs_correlation(dims.m, config.bs_corr) if config.bs_corr > 0 else None
-    r_i = build_ris_correlation(dims, config.correlation_spec())
     phase_model = PhaseNoiseModel(kind=config.phase_noise_kind, sigma_p2=config.sigma_p2)
-    stats = build_channel_statistics(dims, fading, phase_model, h1,
-                                     phi=config.ris_phase, r_b=r_b, r_i=r_i)
-    return SystemSetup(est=ChannelEstimator(stats, pilots), hw=config.hardware(), xi=config.xi)
+    key = (config.seed, dims, config.correlation_spec(), fading, phase_model,
+           config.ris_phase, config.bs_corr)
+    stats, est = _LINK.pop(key, (None, None))
+    _LINK.clear()
+    if stats is None:
+        r_b = build_bs_correlation(dims.m, config.bs_corr) if config.bs_corr > 0 else None
+        r_i = build_ris_correlation(dims, config.correlation_spec())
+        stats = build_channel_statistics(dims, fading, phase_model, h1,
+                                         phi=config.ris_phase, r_b=r_b, r_i=r_i)
+    if est is None or est.pilots != pilots:
+        est = ChannelEstimator(stats, pilots)
+    _LINK[key] = stats, est
+    return SystemSetup(est=est, hw=config.hardware(), xi=config.xi)
 
 
 # --------------------------------------------------------------------------
@@ -470,10 +488,12 @@ def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
     that share one draw, a list per setup. Closed forms run as each point
     is built, so the first bad point decides the error. Consecutive points
     share a draw while each nests in the run's largest arrays, which draw
-    it (``draw_grid``); a point that does not starts the next run. A
-    point whose channels, phase law and pilots equal the previous point's
-    takes over its estimator, so a run holds one estimator per distinct
-    link; each run is one oracle call.
+    it (``draw_grid``); a point that does not starts the next run. Each
+    run is one oracle call. ``build_setup`` hands consecutive points of one
+    link (equal statistics inputs) one statistics object, and those with
+    equal pilots one estimator, so a run holds one estimator per distinct
+    link and pilot setting, whose pilot phase and precoders the oracle
+    computes once.
     """
     plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
     rows, run = [], []          # run: (row, setup) of the points that share the draw
@@ -490,10 +510,6 @@ def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
         if grid is None:
             finish_run()
             grid = stats
-        if run:
-            last = run[-1][1].est
-            if last.pilots == setup.est.pilots and same_channels(last.stats, stats):
-                setup.est = last
         run.append((lead + closed(setup), setup))
     finish_run()
     return rows

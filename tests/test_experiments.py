@@ -9,7 +9,7 @@ import ris_lab.experiments
 import ris_lab.montecarlo
 from ris_lab import cli
 from ris_lab.errors import ConfigValidationError
-from ris_lab.experiments import ExperimentConfig, run_and_write, run_experiment
+from ris_lab.experiments import ExperimentConfig, build_setup, run_and_write, run_experiment
 from ris_lab.montecarlo import CHUNK_BLOCKS, OracleEstimates
 from ris_lab.streams import STREAM_LAYOUT
 
@@ -315,6 +315,81 @@ def test_grid_that_does_not_nest_draws_each_point_alone():
     # every cell but the config hash, which hashes the sweep
     assert [row[:-1] for row in together] == [row[:-1] for row in alone]
     assert all(row[4] > 0 for row in together)      # r_sec_mc
+
+
+# A valid other value of every config field; a new field must add its own.
+PERTURBED = {
+    "m": 12, "n": 9, "k": 3, "m_e": 1, "tau_u": 5, "snr_db": 10.0, "pilot_snr_db": 5.0,
+    "sigma_k2": 2.0, "sigma_u2": 0.5, "xi": 0.3, "kappa_t_ue": 0.02, "kappa_r_bs": 0.02,
+    "kappa_t_bs": 0.02, "kappa_r_ue": 0.02, "phase_noise_kind": "uniform", "sigma_p2": 0.5,
+    "ris_phase": 0.3, "bs_corr": 0.3, "wavelength": 0.2, "ris_spacing_h": 0.03,
+    "ris_spacing_v": 0.03, "circle_radius": 40.0, "ris_distance": 90.0, "bs_distance": 150.0,
+    "zeta_r": 2.5, "zeta_d": 3.0, "path_gain_ref_db": -30.0, "ref_distance": 2.0,
+    "normalize_gains": False, "sweep": [1.0], "phase_noise_levels": [0.5],
+    "power_scaling_eu_db": 10.0, "n_blocks": 8, "seed": 7, "out_dir": "elsewhere",
+}
+STATS_ARRAYS = ("r_k", "q_e", "h1", "phi", "r_i", "r_b")
+ESTIMATOR_ARRAYS = ("gain", "est_cov", "nmse", "tr_rpr")
+
+
+def link_arrays(setup):
+    """Every statistics array, then every estimator array, of a setup."""
+    return ([getattr(setup.est.stats, name) for name in STATS_ARRAYS],
+            [getattr(setup.est, name) for name in ESTIMATOR_ARRAYS])
+
+
+def all_equal(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+@pytest.mark.parametrize("name", list(ExperimentConfig().to_dict()))
+def test_build_setup_shares_objects_only_between_equal_links(name):
+    # the kept statistics and estimator are keyed on every field that
+    # shapes them: a point built after another equals the point built
+    # alone, and it shares an object with the other only where that
+    # object's arrays are equal
+    base = ExperimentConfig(**{**TINY, "sweep": []})
+    point = base.replace(**{name: PERTURBED[name]})
+    ris_lab.experiments._LINK.clear()
+    first = build_setup(base)
+    after = build_setup(point)
+    ris_lab.experiments._LINK.clear()
+    alone = build_setup(point)
+    (stats, est), (stats_alone, est_alone) = link_arrays(after), link_arrays(alone)
+    assert all_equal(stats, stats_alone) and all_equal(est, est_alone)
+    stats_first, est_first = link_arrays(first)
+    if after.est.stats is first.est.stats:
+        assert all_equal(stats_alone, stats_first)
+    if after.est is first.est:
+        assert all_equal(est_alone, est_first)
+
+
+@pytest.mark.parametrize("experiment, changes, statistics, estimators", [
+    # the grid points of one link share its statistics, and of one pilot
+    # setting its estimator: the pilot SNR follows snr_db unless it is set
+    ("secrecy_vs_snr", {}, 1, 7),
+    ("nmse_vs_snr", {}, 1, 9),
+    ("xi_sweep", {}, 1, 1),
+    ("kappa_t_sweep", {}, 1, 1),
+    # the phase-error law shapes the covariances: each (N, level) is a link
+    ("phase_noise_sweep", {"sweep": [4, 9], "phase_noise_levels": [0.0, 0.1]}, 4, 4),
+])
+def test_sweep_builds_each_link_once(monkeypatch, experiment, changes, statistics, estimators):
+    built = collections.Counter()
+    build_statistics = ris_lab.experiments.build_channel_statistics
+    estimator = ris_lab.experiments.ChannelEstimator
+
+    def counted(name, build):
+        return lambda *args, **kwargs: built.update([name]) or build(*args, **kwargs)
+
+    monkeypatch.setattr(ris_lab.experiments, "build_channel_statistics",
+                        counted("statistics", build_statistics))
+    monkeypatch.setattr(ris_lab.experiments, "ChannelEstimator",
+                        counted("estimators", estimator))
+    ris_lab.experiments._LINK.clear()
+    config = ExperimentConfig.from_dict({**TINY, "m_e": 1, "sweep": [], **changes})
+    run_experiment(experiment, config)
+    assert built == {"statistics": statistics, "estimators": estimators}
 
 
 def test_nested_sweep_is_bit_identical_across_worker_counts(monkeypatch):

@@ -23,7 +23,7 @@ def test_stream_powers_budget_identity():
             rl.HardwareProfile(p_t=p_t)
 
 
-def test_mrt_columns_normalized_statistically(small_setup):
+def test_mrt_columns_normalized_statistically(small_setup, within):
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(3)
     draws = draw_channels(stats, rng, 50_000, eve=False)
@@ -31,9 +31,9 @@ def test_mrt_columns_normalized_statistically(small_setup):
         draws["h"], est.pilots, rl.pilot_gaussians(rng, draws["h"].shape))
     w = rl.mrt_precoder(est.estimate(y), est)
     norms = np.mean(np.sum(np.abs(w) ** 2, axis=1), axis=0)
-    assert np.all(np.abs(norms - 1.0) < 0.02)
+    within("relative column power error", np.abs(norms - 1.0), below=0.02)
     tr_ww = np.mean(np.sum(np.abs(w) ** 2, axis=(1, 2)))
-    assert abs(tr_ww - stats.dims.k) / stats.dims.k < 0.02
+    within("relative total power error", abs(tr_ww - stats.dims.k) / stats.dims.k, below=0.02)
 
 
 def test_mrt_scalar_direction():
