@@ -77,10 +77,17 @@ def nmse(r_k: np.ndarray, c_k: np.ndarray) -> float:
 class ChannelEstimator:
     """Cached per-configuration estimator.
 
-    Factorizes every Psi_k once and exposes the estimation gain matrices,
-    estimate covariances and NMSEs. This is the object the precoder, the
-    closed-form rates and the Monte Carlo oracle all share. The error
-    covariance C_k = R_k - ``est_cov[k]`` is not stored: its readers form it.
+    Factorizes every Psi_k once. This is the object the precoder, the
+    closed-form rates and the Monte Carlo oracle all share. It holds the
+    K (M, M) gains ``gain``, which the oracle applies, and O(K^2) scalars:
+    the NMSEs and the trace products the closed forms read, taken from the
+    estimate covariances Phi_k = tau_u rho R_k Psi_k^-1 R_k and the error
+    covariances C_k = R_k - Phi_k, which are not kept:
+
+    - ``tr_r[k]`` = tr R_k and ``tr_rpr[k]`` = tr(R_k Psi_k^-1 R_k);
+    - ``tr_r_phi[k, i]`` = tr(R_k Phi_i), a (K, K) array;
+    - ``tr_c_phi[k]`` = tr(C_k Phi_k) and ``tr_c[k]`` = tr C_k;
+    - ``tr_phi_q[k]`` = tr(Phi_k Q_E).
     """
 
     def __init__(self, stats: ChannelStatistics, pilots: PilotConfig):
@@ -97,13 +104,18 @@ class ChannelEstimator:
                 f"{COND_LIMIT:.0e}", IllConditionedWarning, stacklevel=2)
 
         tr = pilots.tau_u * pilots.rho
-        self.est_cov = [hermitize(tr * rk @ x) for rk, x in zip(stats.r_k, psi_inv_r)]
+        est_cov = [hermitize(tr * rk @ x) for rk, x in zip(stats.r_k, psi_inv_r)]
         # sqrt(rho) R_k Psi_k^{-1} = sqrt(rho) (Psi_k^{-1} R_k)^H; not Hermitian itself.
         self.gain = [np.sqrt(pilots.rho) * x.conj().T for x in psi_inv_r]
         self.tr_r = [float(np.real(np.trace(rk))) for rk in stats.r_k]
         self.tr_rpr = [herm_trace_prod(rk, x) for rk, x in zip(stats.r_k, psi_inv_r)]
-        self.nmse = np.array([nmse(rk, hermitize(rk - ec))
-                              for rk, ec in zip(stats.r_k, self.est_cov)])
+        self.tr_r_phi = np.array([[herm_trace_prod(rk, ec) for ec in est_cov]
+                                  for rk in stats.r_k])
+        self.tr_phi_q = [herm_trace_prod(ec, stats.q_e) for ec in est_cov]
+        err_cov = [hermitize(rk - ec) for rk, ec in zip(stats.r_k, est_cov)]
+        self.tr_c_phi = [herm_trace_prod(c, ec) for c, ec in zip(err_cov, est_cov)]
+        self.tr_c = [float(np.real(np.trace(c))) for c in err_cov]
+        self.nmse = np.array([nmse(rk, c) for rk, c in zip(stats.r_k, err_cov)])
 
     def estimate(self, y_pk: np.ndarray) -> np.ndarray:
         """Estimates for stacked despread observations, shape (..., M, K)."""

@@ -347,20 +347,22 @@ class SystemSetup:
 
 
 def _scenario(config: ExperimentConfig):
-    """Grid point basics every runner starts from: (dims, pilots, fading, h1).
+    """Grid point basics every runner starts from: (dims, pilots, fading).
 
     ``pilots`` is the uplink ``PilotConfig``, the one home of the pilot
-    length (K where ``config.tau_u`` is None) and of the rule rho > 0;
-    ``h1`` is the BS-RIS LoS channel.
+    length (K where ``config.tau_u`` is None) and of the rule rho > 0.
     """
     dims = config.dimensions()
     pilots = PilotConfig(tau_u=config.k if config.tau_u is None else config.tau_u,
                          rho=config.rho, sigma_u2=config.sigma_u2,
                          kappa_t_ue=config.kappa_t_ue, kappa_r_bs=config.kappa_r_bs)
-    fading = generate_scenario(config)
-    h1 = build_los_channel(dims, config.correlation_spec(), fading.beta_1,
-                           derive_rng(config.seed, LOS_ANGLES, dims.n))
-    return dims, pilots, fading, h1
+    return dims, pilots, generate_scenario(config)
+
+
+def _los_channel(config: ExperimentConfig, dims, fading) -> np.ndarray:
+    """The grid point's (M, N) BS-RIS LoS channel H1."""
+    return build_los_channel(dims, config.correlation_spec(), fading.beta_1,
+                             derive_rng(config.seed, LOS_ANGLES, dims.n))
 
 
 _LINK: dict = {}    # the last (statistics, estimator) built, keyed on the statistics' inputs
@@ -374,9 +376,10 @@ def build_setup(config: ExperimentConfig) -> SystemSetup:
     phase-error law, RIS phase, BS correlation). A point of that key reuses
     the statistics, and the estimator where its ``PilotConfig`` is equal:
     consecutive points of a P_t, xi or kappa_t^BS sweep share one of each,
-    so a sweep holds one copy of R_k, Q_E and H1 per link, not per point.
+    so a sweep holds one copy of R_k, Q_E and H1 per link, not per point,
+    and builds H1 only with the statistics.
     """
-    dims, pilots, fading, h1 = _scenario(config)
+    dims, pilots, fading = _scenario(config)
     phase_model = PhaseNoiseModel(kind=config.phase_noise_kind, sigma_p2=config.sigma_p2)
     key = (config.seed, dims, config.correlation_spec(), fading, phase_model,
            config.ris_phase, config.bs_corr)
@@ -385,7 +388,8 @@ def build_setup(config: ExperimentConfig) -> SystemSetup:
     if stats is None:
         r_b = build_bs_correlation(dims.m, config.bs_corr) if config.bs_corr > 0 else None
         r_i = build_ris_correlation(dims, config.correlation_spec())
-        stats = build_channel_statistics(dims, fading, phase_model, h1,
+        stats = build_channel_statistics(dims, fading, phase_model,
+                                         _los_channel(config, dims, fading),
                                          phi=config.ris_phase, r_b=r_b, r_i=r_i)
     if est is None or est.pilots != pilots:
         est = ChannelEstimator(stats, pilots)
@@ -649,7 +653,9 @@ def _run_asymptotic_vs_n(config: ExperimentConfig) -> ResultTable:
     e_u, xi, hw = config.e_u, config.xi, config.hardware()
     rows = []
     for n in grid:
-        dims, pilots, fading, h1 = _scenario(config.replace(n=n))
+        point = config.replace(n=n)
+        dims, pilots, fading = _scenario(point)
+        h1 = _los_channel(point, dims, fading)
         # the uncorrelated special case assumes ideal uplink hardware
         rho, tau_u, sigma_u2 = pilots.rho, pilots.tau_u, pilots.sigma_u2
         _, _, r_prop = secrecy_uncorrelated(dims, fading, h1, rho, tau_u, sigma_u2, hw, xi, k=0)

@@ -43,9 +43,11 @@ every default size: the default 400-block run is eight chunks, a 1024-block
 paper-scale run twenty chunks and one of 24 blocks. Importing this module
 sets numpy's OpenBLAS to one thread, and scipy's too if the process has
 already loaded it (ris_lab itself never imports scipy), so BLAS threads
-never compete with the pool's workers for the CPUs. The pool runs one
-worker per CPU this process may use, at most 8; the RIS_LAB_THREADS
-environment variable sets the worker count instead.
+never compete with the pool's workers for the CPUs. One thread works
+chunks per CPU this process may use, at most 8; the RIS_LAB_THREADS
+environment variable sets that count instead. The calling thread is one
+of them, so one worker starts no pool, and W workers hold W malloc
+arenas, not W + 1.
 
 Every secrecy pass shares one prefix per chunk (channel draw, pilot
 phase, estimate, MRT precoder and the thin QR factor Q of the estimate),
@@ -80,6 +82,8 @@ from __future__ import annotations
 import ctypes
 import importlib.util
 import os
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,6 +136,7 @@ class TrialPlan:
 
 
 def worker_count() -> int:
+    """Threads that work Monte Carlo chunks, the calling thread included."""
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
@@ -195,15 +200,37 @@ def _run_chunks(plan: TrialPlan, purpose: int, work):
     """Run ``work(chunk_size, key)`` over all chunks, results in chunk order.
 
     ``key`` is the chunk's spawn key (master_seed, purpose, chunk index).
+    The calling thread and up to ``worker_count() - 1`` pool threads take
+    the chunks in index order from one queue. A chunk that raises empties
+    the queue, and its exception propagates.
     """
-    chunks = plan.chunks()
-    threads = worker_count()
-    if threads == 1 or len(chunks) == 1:
-        return [work(size, (plan.master_seed, purpose, idx)) for idx, size in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(work, size, (plan.master_seed, purpose, idx))
-                   for idx, size in chunks]
-        return [f.result() for f in futures]
+    pending = deque(plan.chunks())
+    results = [None] * len(pending)
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                if not pending:
+                    return
+                idx, size = pending.popleft()
+            try:
+                results[idx] = work(size, (plan.master_seed, purpose, idx))
+            except BaseException:
+                with lock:
+                    pending.clear()
+                raise
+
+    helpers = min(worker_count(), len(pending)) - 1
+    if helpers == 0:
+        drain()
+        return results
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for future in futures:
+            future.result()
+    return results
 
 
 def _principal_block(full: np.ndarray | None, index) -> np.ndarray | None:

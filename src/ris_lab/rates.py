@@ -4,7 +4,9 @@ Everything here is a deterministic function of the channel statistics.
 One per-user ``RateTerms``, built by ``compute_rate_terms``, is the only
 source of the statistics the closed forms share: tr(R Psi^-1 R),
 tr Q_E, tr Q_E^2, tr(R Psi^-1 R Q_E) and the power-normalized blocks
-built from them. The terms take K, M and M_E from the statistics'
+built from them. The trace products of the estimate and error
+covariances come from the ``ChannelEstimator``, which takes them once
+and keeps no covariance. The terms take K, M and M_E from the statistics'
 dimensions and P_t from the ``HardwareProfile``, so every closed form is
 f(terms, xi), with xi the data fraction of P_t as a plain float.
 
@@ -83,8 +85,9 @@ class RateTerms:
 def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, k: int = 0) -> RateTerms:
     """Assemble every scalar the rate formulas need for user ``k``.
 
-    The only place where the trace products are computed. The E||h_hat_i||^2
-    denominators come from ``mrt_normalizers``, which raises
+    The trace products of the estimate and error covariances are the
+    estimator's (``ChannelEstimator``); the Q_E traces are taken here. The
+    E||h_hat_i||^2 denominators come from ``mrt_normalizers``, which raises
     DegenerateConfigError for a zero-power estimate.
     """
     stats = est.stats
@@ -97,13 +100,11 @@ def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, k: int = 0) -
 
     zeta = est.tr_rpr[k]
     s_ddot = norms[k]
-    interference = sum(herm_trace_prod(stats.r_k[k], est.est_cov[i]) / norms[i]
-                       for i in range(k_users) if i != k)
-    c_k = hermitize(stats.r_k[k] - est.est_cov[k])     # error covariance
-    uncertainty = herm_trace_prod(c_k, est.est_cov[k]) / norms[k]
+    interference = sum(est.tr_r_phi[k, i] / norms[i] for i in range(k_users) if i != k)
+    uncertainty = est.tr_c_phi[k] / norms[k]
 
     tr_r = est.tr_r[k]
-    tr_c = float(np.real(np.trace(c_k)))
+    tr_c = est.tr_c[k]
     kappa_dl = hw.kappa_t_bs + hw.kappa_r_ue
     d_ddot = (k_users / m) * (tr_c + kappa_dl * tr_r) + hw.sigma_k2 * k_users / p_t
     psi_const = interference + uncertainty - (k_users / m) * tr_c
@@ -111,7 +112,7 @@ def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, k: int = 0) -
     q_e = stats.q_e
     tr_q = float(np.real(np.trace(q_e)))
     tr_q2 = herm_trace_prod(q_e, q_e)
-    tr_rpr_q = herm_trace_prod(est.est_cov[k], q_e) / tr_pilot
+    tr_rpr_q = est.tr_phi_q[k] / tr_pilot
     lambda_k = tr_rpr_q / zeta * tr_q
 
     kt = hw.kappa_t_bs

@@ -16,7 +16,8 @@ import pytest
 from scipy.linalg import eigh
 
 import ris_lab as rl
-from ris_lab.linalg import hermitize
+from ris_lab.estimation import build_psi
+from ris_lab.linalg import hermitize, solve_pd
 
 LEDGER = pytest.StashKey[dict]()
 
@@ -116,9 +117,20 @@ def aggregate_covariance(r_bk, h1, phi, r_tilde):
     return hermitize(r_bk + b @ r_tilde @ b.conj().T)
 
 
+def estimate_covariance(est, k):
+    """User k's estimate covariance E[h_hat h_hat^H] = tau_u rho R_k Psi_k^-1 R_k.
+
+    Formed by the same calls on the same operands as in ``ChannelEstimator``,
+    which keeps only its trace products.
+    """
+    r_k = est.stats.r_k[k]
+    x, _ = solve_pd(build_psi(est.stats, est.pilots)[k], r_k)
+    return hermitize(est.pilots.tau_u * est.pilots.rho * r_k @ x)
+
+
 def error_covariance(est, k):
-    """User k's LMMSE error covariance R_k - E[h_hat h_hat^H], as in ``compute_rate_terms``."""
-    return hermitize(est.stats.r_k[k] - est.est_cov[k])
+    """User k's LMMSE error covariance R_k - E[h_hat h_hat^H], as in ``ChannelEstimator``."""
+    return hermitize(est.stats.r_k[k] - estimate_covariance(est, k))
 
 
 def complex_normal(rng, shape, scale=1.0):

@@ -329,7 +329,7 @@ PERTURBED = {
     "power_scaling_eu_db": 10.0, "n_blocks": 8, "seed": 7, "out_dir": "elsewhere",
 }
 STATS_ARRAYS = ("r_k", "q_e", "h1", "phi", "r_i", "r_b")
-ESTIMATOR_ARRAYS = ("gain", "est_cov", "nmse", "tr_rpr")
+ESTIMATOR_ARRAYS = ("gain", "nmse", "tr_rpr", "tr_r_phi", "tr_c_phi", "tr_c", "tr_phi_q")
 
 
 def link_arrays(setup):
@@ -375,21 +375,21 @@ def test_build_setup_shares_objects_only_between_equal_links(name):
     ("phase_noise_sweep", {"sweep": [4, 9], "phase_noise_levels": [0.0, 0.1]}, 4, 4),
 ])
 def test_sweep_builds_each_link_once(monkeypatch, experiment, changes, statistics, estimators):
+    # the LoS bridge H1 is built with the statistics, not per grid point
     built = collections.Counter()
-    build_statistics = ris_lab.experiments.build_channel_statistics
-    estimator = ris_lab.experiments.ChannelEstimator
 
     def counted(name, build):
         return lambda *args, **kwargs: built.update([name]) or build(*args, **kwargs)
 
-    monkeypatch.setattr(ris_lab.experiments, "build_channel_statistics",
-                        counted("statistics", build_statistics))
-    monkeypatch.setattr(ris_lab.experiments, "ChannelEstimator",
-                        counted("estimators", estimator))
+    for name, counter in (("build_los_channel", "los"),
+                          ("build_channel_statistics", "statistics"),
+                          ("ChannelEstimator", "estimators")):
+        monkeypatch.setattr(ris_lab.experiments, name,
+                            counted(counter, getattr(ris_lab.experiments, name)))
     ris_lab.experiments._LINK.clear()
     config = ExperimentConfig.from_dict({**TINY, "m_e": 1, "sweep": [], **changes})
     run_experiment(experiment, config)
-    assert built == {"statistics": statistics, "estimators": estimators}
+    assert built == {"los": statistics, "statistics": statistics, "estimators": estimators}
 
 
 def test_nested_sweep_is_bit_identical_across_worker_counts(monkeypatch):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 from pathlib import Path
@@ -27,7 +28,7 @@ from ris_lab.montecarlo import (
 )
 from ris_lab.streams import CHANNEL_BLOCK
 
-from conftest import draw_channels, error_covariance, make_setup
+from conftest import draw_channels, error_covariance, estimate_covariance, make_setup
 
 
 def closed_form_terms(est, k):
@@ -36,10 +37,10 @@ def closed_form_terms(est, k):
     m, k_users = stats.dims.m, stats.dims.k
     trp = est.pilots.tau_u * est.pilots.rho
     sig = trp * est.tr_rpr[k]
-    inter = sum(herm_trace_prod(stats.r_k[k], est.est_cov[i]) / (trp * est.tr_rpr[i])
+    inter = sum(herm_trace_prod(stats.r_k[k], estimate_covariance(est, i)) / (trp * est.tr_rpr[i])
                 for i in range(k_users) if i != k)
     c_k = error_covariance(est, k)
-    var = herm_trace_prod(c_k, est.est_cov[k]) / (trp * est.tr_rpr[k])
+    var = herm_trace_prod(c_k, estimate_covariance(est, k)) / (trp * est.tr_rpr[k])
     an = (m - k_users) / m * float(np.real(np.trace(c_k)))
     return sig, inter, var, an
 
@@ -302,6 +303,69 @@ def test_single_block_standard_errors_are_infinite(small_setup):
     for se in (user.rate_se, user.signal_se, user.interference_se, eve.c_e_se,
                sec.r_sec_se):
         assert np.all(se == np.inf)
+
+
+FOUR_CHUNKS = rl.TrialPlan(n_blocks=3 * montecarlo.CHUNK_BLOCKS + 8, master_seed=5)
+
+
+@pytest.mark.parametrize("threads, helpers", [("1", []), ("2", [1]), ("9", [3])])
+def test_run_chunks_works_each_chunk_once_in_chunk_order(monkeypatch, threads, helpers):
+    # the caller works chunks beside at most one helper per other chunk;
+    # one worker starts no pool
+    pools = []
+
+    class Pool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+    monkeypatch.setenv("RIS_LAB_THREADS", threads)
+    worked = []
+
+    def work(size, key):
+        worked.append(key)
+        return size, key
+
+    results = _run_chunks(FOUR_CHUNKS, 6, work)
+    assert results == [(size, (5, 6, idx)) for idx, size in FOUR_CHUNKS.chunks()]
+    assert sorted(worked) == [(5, 6, idx) for idx in range(4)]
+    assert pools == helpers
+
+
+def test_calling_thread_works_chunks_beside_its_helpers(monkeypatch):
+    monkeypatch.setenv("RIS_LAB_THREADS", "2")
+    caller = threading.get_ident()
+    caller_worked = threading.Event()
+    runners = []
+
+    def work(size, key):
+        if threading.get_ident() == caller:
+            caller_worked.set()
+        else:
+            caller_worked.wait(timeout=2.0)     # a helper leaves the caller a chunk
+        runners.append(threading.get_ident())
+        return key
+
+    _run_chunks(FOUR_CHUNKS, 6, work)
+    assert len(runners) == 4 and caller in runners
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_chunk_exception_propagates_from_either_thread(monkeypatch, failing):
+    monkeypatch.setenv("RIS_LAB_THREADS", "2")
+    caller = threading.get_ident()
+    failed = threading.Event()
+
+    def work(size, key):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            failed.set()
+            raise RuntimeError(f"chunk {key[-1]} failed on the {failing}")
+        failed.wait(timeout=2.0)        # the failing thread takes a chunk too
+        return key
+
+    with pytest.raises(RuntimeError, match=f"failed on the {failing}"):
+        _run_chunks(FOUR_CHUNKS, 6, work)
 
 
 def test_worker_count_env_parsing():

@@ -10,7 +10,7 @@ import ris_lab as rl
 from ris_lab.linalg import herm_trace_prod
 from ris_lab.rates import wishart_match
 
-from conftest import error_covariance, make_setup, with_eve_antennas
+from conftest import error_covariance, estimate_covariance, make_setup, with_eve_antennas
 
 
 def rebuilt(stats, est, **fading_changes):
@@ -40,10 +40,11 @@ def theorem_rates(est, hw, xi, k=0):
     zeta = est.tr_rpr[k]
 
     # Theorem 1: signal over interference + uncertainty, AN leakage, HWI and noise
-    interference = sum(herm_trace_prod(stats.r_k[k], est.est_cov[i]) / norms[i]
+    est_cov = [estimate_covariance(est, i) for i in range(k_users)]
+    interference = sum(herm_trace_prod(stats.r_k[k], est_cov[i]) / norms[i]
                        for i in range(k_users) if i != k)
     c_k = error_covariance(est, k)
-    uncertainty = herm_trace_prod(c_k, est.est_cov[k]) / norms[k]
+    uncertainty = herm_trace_prod(c_k, est_cov[k]) / norms[k]
     tr_c = float(np.real(np.trace(c_k)))
     s_k = p * norms[k]
     i_k = (p * (interference + uncertainty) + q * (m - k_users) / m * tr_c
@@ -53,7 +54,7 @@ def theorem_rates(est, hw, xi, k=0):
     q_e = stats.q_e
     tr_q = float(np.real(np.trace(q_e)))
     tr_q2 = herm_trace_prod(q_e, q_e)
-    tr_rpr_q = herm_trace_prod(est.est_cov[k], q_e) / tr_pilot
+    tr_rpr_q = herm_trace_prod(est_cov[k], q_e) / tr_pilot
     drive = q * (m - k_users) + kt * p_t
     s_e = p * m_e * m * drive * tr_rpr_q * tr_q
     chi = (drive ** 2 * tr_q ** 2
