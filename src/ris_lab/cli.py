@@ -5,11 +5,11 @@
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical-validity
 problem (e.g. the eavesdropper bound outside its region), 4 I/O failure.
-Monte Carlo chunks run on one thread pool, the only parallelism: importing
-ris_lab sets numpy's bundled OpenBLAS (and scipy's, if the process has
-already loaded it) to one thread. The pool has one worker per CPU this
-process may use, at most 8; the RIS_LAB_THREADS environment variable sets
-the worker count instead.
+Monte Carlo chunks run on the calling thread and a thread pool, the only
+parallelism: importing ris_lab sets numpy's bundled OpenBLAS (and scipy's,
+if the process has already loaded it) to one thread. One thread, the
+calling one included, works chunks per CPU this process may use, at most
+8; the RIS_LAB_THREADS environment variable sets that count instead.
 """
 from __future__ import annotations
 

@@ -201,8 +201,8 @@ def _run_chunks(plan: TrialPlan, purpose: int, work):
 
     ``key`` is the chunk's spawn key (master_seed, purpose, chunk index).
     The calling thread and up to ``worker_count() - 1`` pool threads take
-    the chunks in index order from one queue. A chunk that raises empties
-    the queue, and its exception propagates.
+    the chunks in index order from one queue. An exception raised in a
+    chunk propagates once the other threads have emptied the queue.
     """
     pending = deque(plan.chunks())
     results = [None] * len(pending)
@@ -214,12 +214,7 @@ def _run_chunks(plan: TrialPlan, purpose: int, work):
                 if not pending:
                     return
                 idx, size = pending.popleft()
-            try:
-                results[idx] = work(size, (plan.master_seed, purpose, idx))
-            except BaseException:
-                with lock:
-                    pending.clear()
-                raise
+            results[idx] = work(size, (plan.master_seed, purpose, idx))
 
     helpers = min(worker_count(), len(pending)) - 1
     if helpers == 0:
