@@ -16,11 +16,14 @@ field, default grid, closed-form and Monte Carlo cells) run by ``_run_sweep``;
 ``nmse_vs_snr`` sweeps the pilot SNR (``pilot_snr_db``), the only SNR the
 estimate depends on; its column keeps the name ``snr_db``. Consecutive
 grid points that one draw serves (``montecarlo.draw_grid``: they differ at
-most in the phase-error law, the pilots and nested array sizes) share one
-oracle call, so one Monte Carlo draw at their largest arrays: every default
-grid draws once, and a point is bit-identical to itself alone at the same
-draw grid. An N grid that does not nest (N = 128, an 8 x 16 grid, beside
-N = 196, 14 x 14) draws once per run of points that do.
+most in the phase-error law, RIS phases, pilots and nested array sizes)
+share one oracle call, so one Monte Carlo draw at their largest arrays:
+every default grid draws once, and a point is bit-identical to itself
+alone at the same draw grid. An N grid that does not nest (N = 128, an
+8 x 16 grid, beside N = 196, 14 x 14) draws once per run of points that do.
+``build_setup`` alone decides what points share below the draw: it hands
+consecutive points of one link one statistics object, and the oracle
+shares channels and estimates by object identity.
 
 SNR convention: the downlink axis is P_t / sigma_k^2 in dB with
 sigma_k^2 = 1, the uplink pilot axis is rho / sigma_u^2; path gains are
@@ -59,6 +62,7 @@ from .hardware import HardwareProfile
 from .precoding import check_power_fraction
 from .montecarlo import (
     THREADS_ENV,
+    OperatingPoint,
     TrialPlan,
     blas_threads,
     draw_grid,
@@ -334,18 +338,6 @@ def generate_scenario(config: ExperimentConfig) -> LargeScaleFading:
         beta_3=beta_3, beta_ie=beta_ie)
 
 
-@dataclass
-class SystemSetup:
-    """Everything needed to evaluate one grid point; the statistics are ``est.stats``.
-
-    ``xi`` is the data fraction of the hardware profile's P_t.
-    """
-
-    est: ChannelEstimator
-    hw: HardwareProfile
-    xi: float
-
-
 def _scenario(config: ExperimentConfig):
     """Grid point basics every runner starts from: (dims, pilots, fading).
 
@@ -368,8 +360,8 @@ def _los_channel(config: ExperimentConfig, dims, fading) -> np.ndarray:
 _LINK: dict = {}    # the last (statistics, estimator) built, keyed on the statistics' inputs
 
 
-def build_setup(config: ExperimentConfig) -> SystemSetup:
-    """Assemble statistics and the estimator for the grid point ``config``.
+def build_setup(config: ExperimentConfig) -> OperatingPoint:
+    """The ``OperatingPoint`` (estimator, hardware, xi) of the grid point ``config``.
 
     The last pair built is kept, keyed on every input of
     ``build_channel_statistics`` (seed, arrays, RIS spacing, path gains,
@@ -377,7 +369,9 @@ def build_setup(config: ExperimentConfig) -> SystemSetup:
     the statistics, and the estimator where its ``PilotConfig`` is equal:
     consecutive points of a P_t, xi or kappa_t^BS sweep share one of each,
     so a sweep holds one copy of R_k, Q_E and H1 per link, not per point,
-    and builds H1 only with the statistics.
+    and builds H1 only with the statistics. This is the one place that
+    decides what points share: the oracle builds channels once per
+    statistics object and estimates once per estimator object.
     """
     dims, pilots, fading = _scenario(config)
     phase_model = PhaseNoiseModel(kind=config.phase_noise_kind, sigma_p2=config.sigma_p2)
@@ -394,7 +388,7 @@ def build_setup(config: ExperimentConfig) -> SystemSetup:
     if est is None or est.pilots != pilots:
         est = ChannelEstimator(stats, pilots)
     _LINK[key] = stats, est
-    return SystemSetup(est=est, hw=config.hardware(), xi=config.xi)
+    return OperatingPoint(est, config.hardware(), config.xi)
 
 
 # --------------------------------------------------------------------------
@@ -488,16 +482,16 @@ def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
 def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
     """Rows ``[*lead, *closed(setup), *cells]`` of the ``(lead, config)`` points.
 
-    ``oracle(setups, plan)`` gives the Monte Carlo cells of a run of setups
-    that share one draw, a list per setup. Closed forms run as each point
-    is built, so the first bad point decides the error. Consecutive points
-    share a draw while each nests in the run's largest arrays, which draw
-    it (``draw_grid``); a point that does not starts the next run. Each
-    run is one oracle call. ``build_setup`` hands consecutive points of one
-    link (equal statistics inputs) one statistics object, and those with
-    equal pilots one estimator, so a run holds one estimator per distinct
-    link and pilot setting, whose pilot phase and precoders the oracle
-    computes once.
+    ``oracle(setups, plan)`` gives the Monte Carlo cells of a run of
+    ``OperatingPoint``s that share one draw, a list per setup. Closed forms
+    run as each point is built, so the first bad point decides the error.
+    Consecutive points share a draw while each nests in the run's largest
+    arrays, which draw it (``draw_grid``); a point that does not starts the
+    next run. Each run is one oracle call. The setups go to the oracle as
+    ``build_setup`` made them: consecutive points of one link hold one
+    statistics object, whose channels the oracle builds once, and those with
+    equal pilots one estimator, whose pilot phase and precoders it computes
+    once.
     """
     plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
     rows, run = [], []          # run: (row, setup) of the points that share the draw
@@ -521,8 +515,7 @@ def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
 
 def _secrecy_cells(setups, plan: TrialPlan) -> list:
     """[r_sec_mc, r_sec_mc_se] of each setup, from one ``estimate_secrecy`` call."""
-    orcs = estimate_secrecy([(s.est, s.hw, s.xi) for s in setups], plan)
-    return [[orc.r_sec, orc.r_sec_se] for orc in orcs]
+    return [[orc.r_sec, orc.r_sec_se] for orc in estimate_secrecy(setups, plan)]
 
 
 def _nmse_cells(setups, plan: TrialPlan) -> list:
@@ -532,7 +525,7 @@ def _nmse_cells(setups, plan: TrialPlan) -> list:
             for orc in estimate_nmse([s.est for s in setups], plan)]
 
 
-def _rate_terms(setup: SystemSetup) -> list:
+def _rate_terms(setup: OperatingPoint) -> list:
     """One RateTerms per user: the single source of every closed form."""
     return [compute_rate_terms(setup.est, setup.hw, k=k)
             for k in range(setup.est.stats.dims.k)]
@@ -554,24 +547,24 @@ def _closed_secrecy(terms: list, xi: float):
     return [float(np.mean(column)) for column in zip(*per_user)]
 
 
-def _closed_rates(setup: SystemSetup) -> list:
+def _closed_rates(setup: OperatingPoint) -> list:
     """[r_user_cf, c_eve_cf, r_sec_cf] of one setup: the secrecy rows' closed-form cells."""
     return _closed_secrecy(_rate_terms(setup), setup.xi)
 
 
-def _closed_r_sec(setup: SystemSetup) -> list:
+def _closed_r_sec(setup: OperatingPoint) -> list:
     """[user-averaged closed-form secrecy rate] of one setup: a row's one closed-form cell."""
     return [_closed_rates(setup)[2]]
 
 
-def _closed_nmse_floor(setup: SystemSetup) -> list:
+def _closed_nmse_floor(setup: OperatingPoint) -> list:
     """[nmse_cf, nmse_floor_cf]: user means of the NMSE and of its high-pilot-power floor."""
     est = setup.est
     floors = [nmse_high_power_limit(est.stats, est.pilots, k) for k in range(est.stats.dims.k)]
     return [float(np.mean(est.nmse)), float(np.mean(floors))]
 
 
-def _closed_nmse_large_n(setup: SystemSetup) -> list:
+def _closed_nmse_large_n(setup: OperatingPoint) -> list:
     """[nmse_cf, nmse_large_n_cf]: user means of the NMSE and of its large-RIS form."""
     est, fading, pilots = setup.est, setup.est.stats.fading, setup.est.pilots
     limits = [nmse_large_n_limit(fading.beta_2[k], fading.beta_i[k], fading.beta_1,

@@ -15,9 +15,16 @@ array of the point with the most elements and antennas. A smaller point
 reads the draw's entries at its own elements (``geometry.nested_elements``)
 and its leading antennas, which have its exact law when its R_I and R_B are
 principal blocks of the largest (``draw_grid``); half-wavelength square
-grids and exponential R_B nest exactly. So a point is bit-identical to
-itself alone at the same draw grid, not to itself alone: alone it would
-draw at its own arrays.
+grids and exponential R_B nest exactly. The draw reads nothing else of the
+statistics, so points may differ in their RIS phases, LoS bridge and
+phase-error law: each applies its own to the draw. So a point is
+bit-identical to itself alone at the same draw grid, not to itself alone:
+alone it would draw at its own arrays.
+
+What points share below the draw is decided by object identity, once, by
+whoever builds them (``experiments.build_setup``): consecutive points on
+one statistics object share their channels, and consecutive points on one
+estimator object share their pilot phase, estimate and precoders.
 
 Stream layout of one chunk, at the largest arrays: the chunk stream
 ``derive_rng(master_seed, purpose, chunk)`` first gives the correlated
@@ -64,11 +71,12 @@ diag(V V^H) = 1 - |rows of Q|^2. The projection form keeps the leakage
 exactly zero under perfect CSI and every quadratic form PSD.
 
 ``estimate_secrecy(points, plan)`` is the one downlink oracle. Its
-operating points ``(est, hw, xi)`` take K, M and M_E from
-``est.stats.dims``, P_t from the ``HardwareProfile`` ``hw`` and the powers
-(p, q) from ``precoding.stream_powers``; all points must nest in the
-largest arrays of the call, which draw for them. ``estimate_nmse(ests,
-plan)`` takes the estimators of one draw in the same way, on its own stream.
+operating points (``OperatingPoint(est, hw, xi)`` or plain tuples) take K,
+M and M_E from ``est.stats.dims``, P_t from the ``HardwareProfile`` ``hw``
+and the powers (p, q) from ``precoding.stream_powers``; all points must
+nest in the largest arrays of the call, which draw for them.
+``estimate_nmse(ests, plan)`` takes the estimators of one draw in the same
+way, on its own stream.
 
 Model note: the user-rate terms keep the channel-hardening bookkeeping of
 the Theorem-1 bound. The downlink HWI power uses the per-antenna transmit
@@ -86,6 +94,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -95,7 +104,6 @@ from .errors import InvalidParameterError
 from .estimation import ChannelEstimator, pilot_gaussians, simulate_pilot_phase
 from .geometry import (
     ChannelStatistics,
-    SystemDimensions,
     aggregate_channels,
     nested_elements,
     sample_realizations,
@@ -240,8 +248,9 @@ def _nests(small: ChannelStatistics, large: ChannelStatistics) -> bool:
 
     K, M_E and the fading must be equal and small's arrays no larger: its
     RIS grid fits in large's (``nested_elements``) and M <= M'. At those
-    elements and the leading M antennas, large's R_I, phases phi and R_B
-    must equal small's exactly.
+    elements and the leading M antennas, large's R_I and R_B must equal
+    small's exactly. The draw reads nothing else: each point applies its own
+    bridge H1 Phi and phase errors to it (``aggregate_channels``).
     """
     a, b = small.dims, large.dims
     if (a.k, a.m_e) != (b.k, b.m_e) or a.m > b.m or small.fading != large.fading:
@@ -252,58 +261,32 @@ def _nests(small: ChannelStatistics, large: ChannelStatistics) -> bool:
     if a.n == b.n:
         ris = slice(None)           # the same grid: compare without copies
     # np.array_equal also compares the None of an identity template
-    return (np.array_equal(small.phi, large.phi[ris])
-            and np.array_equal(small.r_i, _principal_block(large.r_i, ris))
+    return (np.array_equal(small.r_i, _principal_block(large.r_i, ris))
             and np.array_equal(small.r_b, _principal_block(large.r_b, slice(a.m))))
 
 
-def draw_grid(a: ChannelStatistics, b: ChannelStatistics) -> ChannelStatistics | None:
-    """The statistics whose draw serves both, those with the larger arrays; None if none does.
+def draw_grid(*stats: ChannelStatistics) -> ChannelStatistics | None:
+    """The statistics whose draw serves all of ``stats``; None if none does.
 
-    The smaller arrays must nest in the larger (``_nests``); the statistics
-    may also differ in the phase-error law and the LoS bridge. Of equal
-    arrays, ``a`` draws.
+    That is the statistics with the largest (N, M), the first of them on a
+    tie, provided every other nests in it (``_nests``). So the statistics
+    may also differ in the phase-error law, the RIS phases and the LoS
+    bridge.
     """
-    if a is b:
-        return a
-    small, large = (a, b) if (b.dims.n, b.dims.m) > (a.dims.n, a.dims.m) else (b, a)
-    return large if _nests(small, large) else None
-
-
-def same_channels(a: ChannelStatistics, b: ChannelStatistics) -> bool:
-    """Whether statistics that share a draw build the same channels from it.
-
-    The channels depend on the phase-error law, the arrays, the LoS bridge
-    and the RIS phases; the rest of a shared draw's statistics is equal.
-    """
-    return (a.phase_model == b.phase_model and a.dims == b.dims
-            and np.array_equal(a.h1, b.h1) and np.array_equal(a.phi, b.phi))
+    grid = max(stats, key=lambda s: (s.dims.n, s.dims.m))
+    return grid if all(s is grid or _nests(s, grid) for s in stats) else None
 
 
 def _draw_grid(ests) -> ChannelStatistics:
     """The statistics whose draw serves every estimator (``draw_grid``); raises if none does."""
     if not ests:
         raise InvalidParameterError("need at least one estimator")
-    grid = ests[0].stats
-    for est in ests[1:]:
-        grid = draw_grid(grid, est.stats)
-        if grid is None:
-            raise InvalidParameterError("the statistics of the estimators of one call may "
-                                        "differ only in their phase-error law, LoS bridge "
-                                        "and nested array sizes")
+    grid = draw_grid(*(est.stats for est in ests))
+    if grid is None:
+        raise InvalidParameterError("the statistics of the estimators of one call may "
+                                    "differ only in their phase-error law, RIS phases, "
+                                    "LoS bridge and nested array sizes")
     return grid
-
-
-def _nested_channels(stats: ChannelStatistics, grid: SystemDimensions, draws: dict,
-                     theta: np.ndarray | None):
-    """Channels (h, h_e) of ``stats`` from a draw and phase errors at the arrays ``grid``.
-
-    ``stats`` reads the draw's elements of its RIS grid (``nested_elements``;
-    all of them at the grid itself) and its leading M antennas, which
-    ``aggregate_channels`` gathers slab by slab; the draw is left as it is.
-    """
-    elements = None if stats.dims.n == grid.n else nested_elements(stats.dims, grid)
-    return aggregate_channels(stats, draws, theta, elements=elements)
 
 
 def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: bool):
@@ -312,17 +295,20 @@ def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: b
     The Gaussians are drawn once, from ``grid``, the statistics with the
     largest arrays (``_draw_grid``): the links (Eve's only with ``eve``; h_e
     is None without), then the pilot phase's. Each estimator reads its
-    elements and antennas of them. Channels are rebuilt where
-    ``same_channels`` fails between consecutive estimators; each phase-error
-    law draws its errors at the grid once, from the restarted substream. The
+    elements of the grid's RIS (``nested_elements``; all of them at the grid
+    itself) and its leading antennas. Channels are rebuilt wherever an
+    estimator's statistics are another object than the previous one's.
+    Identity is enough: ``experiments.build_setup`` hands consecutive points
+    of one link one statistics object, and equal statistics held as two
+    objects build bit-identical channels, only twice. Each phase-error law
+    draws its errors at the grid once, from the restarted substream. The
     previous estimate and channels are released before the next are built.
     No build writes into the draw, which is released after the last build.
     """
     rng = derive_rng(*key)
     draws = sample_realizations(grid, rng, size, eve=eve)
     g_t, g_w = pilot_gaussians(rng, (size, grid.dims.k, grid.dims.m))
-    builds = [i for i, est in enumerate(ests)
-              if i == 0 or not same_channels(ests[i - 1].stats, est.stats)]
+    builds = [i for i, est in enumerate(ests) if i == 0 or est.stats is not ests[i - 1].stats]
     thetas = {}             # phase-error law -> its (B, N) errors at the grid
     for i, est in enumerate(ests):
         stats = est.stats
@@ -331,7 +317,9 @@ def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: b
             law = stats.phase_model
             if not law.is_ideal and law not in thetas:
                 thetas[law] = law.draw(derive_rng(*key, PHASE_ERRORS), (size, grid.dims.n))
-            channels = _nested_channels(stats, grid.dims, draws, thetas.get(law))
+            elements = (None if stats.dims.n == grid.dims.n
+                        else nested_elements(stats.dims, grid.dims))
+            channels = aggregate_channels(stats, draws, thetas.get(law), elements=elements)
             if i == builds[-1]:
                 del draws, thetas   # the later estimators run without them
         pilot_draw = (g_t, g_w[:, :stats.dims.m])
@@ -580,16 +568,28 @@ def _reduce_user_terms(parts: list, hw: HardwareProfile, p: float, q: float,
     return orc, d_rate
 
 
+class OperatingPoint(NamedTuple):
+    """One grid point of the secrecy oracle; the statistics are ``est.stats``.
+
+    ``xi`` is the data fraction of the hardware profile's P_t.
+    """
+
+    est: ChannelEstimator
+    hw: HardwareProfile
+    xi: float
+
+
 def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     """User-rate terms, eavesdropper capacities and secrecy rates of operating points.
 
-    ``points`` holds operating points ``(est, hw, xi)`` that one draw serves
-    (``draw_grid``); one ``OracleEstimates`` is returned per point, in
-    order, each bit-identical to the estimate of that point alone at the
-    same draw grid. The points share every random number but the phase
-    errors (see ``_chunk_channels``), so their differences are far less
-    noisy than their standard errors. The user terms run once per run of
-    consecutive points with one estimator.
+    ``points`` holds ``OperatingPoint``s, or plain ``(est, hw, xi)`` tuples,
+    that one draw serves (``draw_grid``); one ``OracleEstimates`` is
+    returned per point, in order, each bit-identical to the estimate of that
+    point alone at the same draw grid. The points share every random number
+    but the phase errors (see ``_chunk_channels``), so their differences are
+    far less noisy than their standard errors. Consecutive points with one
+    estimator object form a run, whose pilot phase, precoders and user terms
+    are computed once.
 
     Eve's log-rate comes from the M_E x M_E interference-whitening solve,
     with ``_eve_floor(hw, q)`` where that system is singular. ``r_sec`` is
@@ -599,32 +599,30 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     the user/Eve and user/user correlations of the draw; it ignores the clip.
     """
     points = list(points)
-    grid = _draw_grid([est for est, _, _ in points])
-    runs = []       # (estimator, [(hw, p, q), ...]): consecutive points with one estimator
-    for est, hw, xi in points:
-        dims = est.stats.dims
-        op = (hw, *stream_powers(hw.p_t, xi, dims.k, dims.m))
-        if runs and runs[-1][0] is est:
-            runs[-1][1].append(op)
-        else:
-            runs.append((est, [op]))
+    runs = [list(run) for _, run in groupby(points, key=lambda point: id(point[0]))]
+    ests = [run[0][0] for run in runs]
+    grid = _draw_grid(ests)
+    ops = [[(hw, *stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m))
+            for est, hw, xi in run] for run in runs]
 
     def work(size, key):
         parts = []
-        blocks = _chunk_blocks([est for est, _ in runs], grid, size, key)
-        for est, ops in runs:
+        # next(), not zip(): zip's cached result tuple would keep the previous
+        # blocks alive while the next are built
+        blocks = _chunk_blocks(ests, grid, size, key)
+        for est, run_ops in zip(ests, ops):
             blk = next(blocks)
             terms = _user_terms(est, blk)
             parts += [{**terms, "log_rate": _eve_log_rate(blk, p, q, hw.kappa_t_bs,
                                                           _eve_floor(hw, q))}
-                      for hw, p, q in ops]
+                      for hw, p, q in run_ops]
             del blk
         return parts
 
     out = []
-    ops = [(est.stats.dims.m, op) for est, run_ops in runs for op in run_ops]
-    for (m, (hw, p, q)), parts in zip(ops, zip(*_run_chunks(plan, CHANNEL_BLOCK, work))):
-        orc, d_rate = _reduce_user_terms(parts, hw, p, q, m)
+    chunks = zip(*_run_chunks(plan, CHANNEL_BLOCK, work))
+    for (est, _, _), (hw, p, q), parts in zip(points, chain.from_iterable(ops), chunks):
+        orc, d_rate = _reduce_user_terms(parts, hw, p, q, est.stats.dims.m)
         log_rate = _stack(parts, "log_rate")
         orc.c_e, orc.c_e_se = _mean_se(log_rate)
         psi = np.mean(d_rate - (log_rate - orc.c_e), axis=1)

@@ -232,10 +232,17 @@ def counted_draws(monkeypatch):
 def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, changes,
                                                      estimators, grid):
     # one oracle call per sweep, holding ``estimators`` estimators; each
-    # chunk draws once, at the arrays ``grid`` = (N, M) of its largest point
+    # chunk draws once, at the arrays ``grid`` = (N, M) of its largest point,
+    # and builds channels once per estimator, so each of the sweep's links
+    # holds one statistics object (build_setup) and no link is built twice
     draws = counted_draws(monkeypatch)
-    calls = []
+    calls, built = [], collections.Counter()
     oracle = ris_lab.experiments.estimate_secrecy
+    aggregate = ris_lab.montecarlo.aggregate_channels
+
+    def counted_builds(stats, draws, theta, **kwargs):
+        built[len(draws["h_i"])] += 1
+        return aggregate(stats, draws, theta, **kwargs)
 
     def recorded(points, plan):
         points = list(points)
@@ -243,12 +250,14 @@ def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, ch
         return oracle(points, plan)
 
     monkeypatch.setattr(ris_lab.experiments, "estimate_secrecy", recorded)
+    monkeypatch.setattr(ris_lab.montecarlo, "aggregate_channels", counted_builds)
     config = ExperimentConfig.from_dict({
         **TINY, "m_e": 1, **changes, "n_blocks": CHUNK_BLOCKS + 8})
     table = run_experiment(experiment, config)
     assert len(table.rows) == len(changes["sweep"]) * len(changes.get("phase_noise_levels", [0]))
     assert calls == [estimators]
     assert draws == {(*grid, size): 1 for size in (CHUNK_BLOCKS, 8)}
+    assert built == {size: estimators for size in (CHUNK_BLOCKS, 8)}
 
 
 @pytest.mark.parametrize("experiment, sweep, grid", [

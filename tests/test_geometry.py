@@ -268,30 +268,32 @@ def test_covariances_hermitian_psd_invariants(small_setup):
         assert min_relative_eigenvalue(mat) > -1e-10
 
 
-def test_sample_covariance_matches_aggregate(small_setup):
+def test_sample_covariance_matches_aggregate(small_setup, within):
     stats = small_setup[0]
     draws = draw_channels(stats, np.random.default_rng(2), 100_000, eve=False)
     h0 = draws["h"][:, 0, :]
     cov = np.einsum("bi,bj->ij", h0, h0.conj()) / h0.shape[0]
     rel = np.linalg.norm(cov - stats.r_k[0]) / np.linalg.norm(stats.r_k[0])
-    assert rel < 0.03
+    within("relative covariance error", rel, below=0.03)
 
 
-def test_sample_covariance_direct_link(small_setup):
+def test_sample_covariance_direct_link(small_setup, within):
     stats = small_setup[0]
     draws = draw_channels(stats, np.random.default_rng(4), 100_000, eve=False)
     hb = draws["h_b"][:, 1, :]
     cov = np.einsum("bi,bj->ij", hb, hb.conj()) / hb.shape[0]
     expect = stats.fading.beta_2[1] * stats.r_b
-    assert np.linalg.norm(cov - expect) / np.linalg.norm(expect) < 0.03
+    within("relative covariance error", np.linalg.norm(cov - expect) / np.linalg.norm(expect),
+           below=0.03)
 
 
-def test_sample_covariance_eve(small_setup):
+def test_sample_covariance_eve(small_setup, within):
     stats = small_setup[0]
     draws = draw_channels(stats, np.random.default_rng(6), 60_000, eve=True)
     he = draws["h_e"]
     cov = np.einsum("bme,bne->mn", he, he.conj()) / (he.shape[0] * he.shape[2])
-    assert np.linalg.norm(cov - stats.q_e) / np.linalg.norm(stats.q_e) < 0.03
+    within("relative covariance error",
+           np.linalg.norm(cov - stats.q_e) / np.linalg.norm(stats.q_e), below=0.03)
 
 
 def test_sampler_phase_errors():

@@ -50,15 +50,20 @@ def mixed_points(est, hw, xi):
 
     ``est`` is on the link of ``make_setup(seed=3)``, at any phase-error law
     but sigma_p2 = 1. The points mix two xi, two kappa_t_bs, two P_t, two
-    pilot powers and two phase-error laws; ``est`` appears in a run of two
-    points and again later, not next to that run.
+    pilot powers, two phase-error laws and two RIS phase settings; ``est``
+    appears in a run of two points and again later, not next to that run.
+    Next to that later point sits an estimator on equal statistics held as
+    a second object, which builds its own channels, bit-identical to
+    ``est``'s; then one whose RIS phases differ, which the draw never reads.
     """
     noisy = make_setup(seed=3, sigma_p2=1.0)[1]
     loud = rl.ChannelEstimator(est.stats,
                                dataclasses.replace(est.pilots, rho=2 * est.pilots.rho))
+    twin = rl.ChannelEstimator(dataclasses.replace(est.stats), est.pilots)
+    phased = make_setup(seed=3, phi=np.random.default_rng(7).uniform(0, 2 * np.pi, 16))[1]
     hot = dataclasses.replace(hw, kappa_t_bs=0.05, p_t=2 * hw.p_t)
     return [(est, hw, xi), (est, hot, 0.8), (noisy, hw, 0.8), (loud, hot, xi),
-            (est, hw, 0.8), (noisy, hot, xi)]
+            (est, hw, 0.8), (twin, hot, 0.8), (phased, hw, xi), (noisy, hot, xi)]
 
 
 def assert_same_estimates(a, b):
@@ -106,8 +111,9 @@ def test_chunk_blocks_free_the_previous_estimators_blocks(small_setup, monkeypat
     # a consumer that drops each estimator's blocks holds one estimator's at
     # a time: the previous estimate and precoders are freed before the next
     # pilot phase runs, and the previous law's channels before the next
-    # law's are built, so a call over many estimators peaks like one over one
-    _, est, _, _ = small_setup
+    # law's are built, so a call over many estimators peaks like one over
+    # one. The secrecy oracle is such a consumer.
+    _, est, hw, xi = small_setup
     noisy = make_setup(seed=3, sigma_p2=1.0)[1]
     loud = rl.ChannelEstimator(est.stats,
                                dataclasses.replace(est.pilots, rho=2 * est.pilots.rho))
@@ -124,13 +130,23 @@ def test_chunk_blocks_free_the_previous_estimators_blocks(small_setup, monkeypat
                         freed_before(montecarlo.simulate_pilot_phase, ["estimate"]))
     monkeypatch.setattr(montecarlo, "aggregate_channels",
                         freed_before(montecarlo.aggregate_channels, ["estimate", "channels"]))
-    built = 0
-    for blk in _chunk_blocks([est, loud, noisy], est.stats, 8, (1, CHANNEL_BLOCK, 0)):
-        dropped["estimate"] += [weakref.ref(a) for a in (blk.h_hat, blk.w, blk.q_hat)]
-        dropped["channels"] += [weakref.ref(a) for a in (blk.h, blk.h_e)]
+    chunk_blocks, built = _chunk_blocks, []
+
+    def recorded(*args):
+        for blk in chunk_blocks(*args):
+            dropped["estimate"] += [weakref.ref(a) for a in (blk.h_hat, blk.w, blk.q_hat)]
+            dropped["channels"] += [weakref.ref(a) for a in (blk.h, blk.h_e)]
+            built.append(blk.h.shape[0])
+            yield blk
+            del blk
+
+    for blk in recorded([est, loud, noisy], est.stats, 8, (1, CHANNEL_BLOCK, 0)):
         del blk
-        built += 1
-    assert built == 3
+    monkeypatch.setattr(montecarlo, "_chunk_blocks", recorded)
+    monkeypatch.setenv("RIS_LAB_THREADS", "1")
+    rl.estimate_secrecy([(est, hw, xi), (loud, hw, xi), (noisy, hw, xi)],
+                        rl.TrialPlan(n_blocks=8, master_seed=1))
+    assert built == [8] * 6
 
 
 def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy(within):
@@ -159,7 +175,7 @@ def test_shared_draw_rejects_estimators_beyond_the_phase_law(change):
     else:
         sizes = {"n": ([(64, 8), (196, 8)], [(128, 8), (196, 8)]),
                  "m": ([(16, 6), (25, 8)], [(16, 8), (25, 6)])}[change]
-        nesting, apart = ([est for est, _, _ in nested_points(pair)] for pair in sizes)
+        nesting, apart = ([point.est for point in nested_points(pair)] for pair in sizes)
         assert montecarlo.draw_grid(*(e.stats for e in nesting)) is nesting[1].stats
         assert len(rl.estimate_nmse(nesting, rl.TrialPlan(4, master_seed=1))) == 2
     a, b = (est.stats for est in apart)
@@ -196,8 +212,7 @@ def nested_points(sizes):
     grids and exponential R_B nest, so each point nests in any larger one.
     """
     base = ExperimentConfig(m=8, n=4, k=2, m_e=1, snr_db=10.0)
-    setups = [build_setup(base.replace(n=n, m=m)) for n, m in sizes]
-    return [(s.est, s.hw, s.xi) for s in setups]
+    return [build_setup(base.replace(n=n, m=m)) for n, m in sizes]
 
 
 def test_nested_point_equals_itself_alone_at_the_same_draw_grid(monkeypatch):
@@ -206,7 +221,7 @@ def test_nested_point_equals_itself_alone_at_the_same_draw_grid(monkeypatch):
     # worker count; the largest point draws as it would alone
     points = nested_points([(4, 6), (9, 8), (16, 8)])
     plan = rl.TrialPlan(n_blocks=montecarlo.CHUNK_BLOCKS + 8, master_seed=31)
-    ests = [est for est, _, _ in points]
+    ests = [point.est for point in points]
     for threads in ("1", "2"):
         monkeypatch.setenv("RIS_LAB_THREADS", threads)
         shared = rl.estimate_secrecy(points, plan)
@@ -219,47 +234,54 @@ def test_nested_point_equals_itself_alone_at_the_same_draw_grid(monkeypatch):
     assert shared[0].r_sec != rl.estimate_secrecy(points[:1], plan)[0].r_sec
 
 
-def test_nested_links_have_the_smaller_arrays_law(monkeypatch):
+def test_nested_links_have_the_smaller_arrays_law(monkeypatch, within):
     # a 2 x 2 sub-grid and the leading 6 of 8 antennas of a draw at 5 x 5
     # elements: each link's sample covariance matches beta R of the smaller
     # arrays, and the aggregate channels' match R_k and Q_E of the smaller
     # statistics. The bound is twice the sample covariance's rms Frobenius
     # error tr(R)/sqrt(B) (measured: 0.74 to 1.14 times it); reading the
     # first 4 elements of a row instead of the sub-grid misses R_I by 15 times it.
-    [(small, _, _), (large, _, _)] = nested_points([(4, 6), (25, 8)])
-    small, large = small.stats, large.stats
+    small_est, large_est = (point.est for point in nested_points([(4, 6), (25, 8)]))
+    small, large = small_est.stats, large_est.stats
     assert montecarlo.draw_grid(small, large) is large
-    seen = {}
+    ris, m = nested_elements(small.dims, large.dims), small.dims.m
+    # in a chunk the oracle builds the smaller point's channels from those
+    # elements of the draw, and the grid's own point's from all of them
+    seen = []
     aggregate = montecarlo.aggregate_channels
 
     def captured(stats, draws, theta, **kwargs):
-        seen.update(draws=draws, elements=kwargs["elements"])   # the grid's draw
+        seen.append(kwargs["elements"])
         return aggregate(stats, draws, theta, **kwargs)
 
     monkeypatch.setattr(montecarlo, "aggregate_channels", captured)
+    chunk = montecarlo._chunk_channels([small_est, large_est], large, 4, (1, CHANNEL_BLOCK, 0),
+                                       eve=True)
+    assert len(list(chunk)) == 2
+    assert np.array_equal(seen[0], ris) and seen[1] is None
+
     b = 20_000
     rng = np.random.default_rng(8)
     draws = rl.sample_realizations(large, rng, b, eve=True)
     theta = small.phase_model.draw(rng, (b, large.dims.n))
-    h, h_e = montecarlo._nested_channels(small, large.dims, draws, theta)
-    ris, m = nested_elements(small.dims, large.dims), small.dims.m
-    assert np.array_equal(seen["elements"], ris)
-    links = {"h_i": seen["draws"]["h_i"][:, :, ris], "h_b": seen["draws"]["h_b"][:, :, :m],
-             "h_ie": seen["draws"]["h_ie"][:, ris], "h_be": seen["draws"]["h_be"][:, :m]}
+    h, h_e = aggregate(small, draws, theta, elements=ris)
+    links = {"h_i": draws["h_i"][:, :, ris], "h_b": draws["h_b"][:, :, :m],
+             "h_ie": draws["h_ie"][:, ris], "h_be": draws["h_be"][:, :m]}
 
-    def assert_covariance(rows, want):
+    def check_covariance(name, rows, want):
         """``rows`` (B, d) are draws of CN(0, want)."""
         got = rows.T @ rows.conj() / rows.shape[0]
-        assert np.linalg.norm(got - want) < 2 * np.trace(want).real / np.sqrt(rows.shape[0])
+        within(name, np.linalg.norm(got - want),
+               below=2 * np.trace(want).real / np.sqrt(rows.shape[0]))
 
     fading = small.fading
     for k in range(small.dims.k):
-        assert_covariance(links["h_i"][:, k], fading.beta_i[k] * small.r_i)
-        assert_covariance(links["h_b"][:, k], fading.beta_2[k] * small.r_b)
-        assert_covariance(h[:, k], small.r_k[k])
-    assert_covariance(links["h_ie"][:, :, 0], fading.beta_ie * small.r_i)
-    assert_covariance(links["h_be"][:, :, 0], fading.beta_3 * small.r_b)
-    assert_covariance(h_e[:, :, 0], small.q_e)
+        check_covariance(f"h_i covariance[{k}]", links["h_i"][:, k], fading.beta_i[k] * small.r_i)
+        check_covariance(f"h_b covariance[{k}]", links["h_b"][:, k], fading.beta_2[k] * small.r_b)
+        check_covariance(f"h covariance[{k}]", h[:, k], small.r_k[k])
+    check_covariance("h_ie covariance", links["h_ie"][:, :, 0], fading.beta_ie * small.r_i)
+    check_covariance("h_be covariance", links["h_be"][:, :, 0], fading.beta_3 * small.r_b)
+    check_covariance("h_e covariance", h_e[:, :, 0], small.q_e)
 
 
 @pytest.mark.parametrize("oracle", [rl.estimate_secrecy, rl.estimate_nmse])
