@@ -14,16 +14,16 @@ the seven one-axis experiments is defined by one ``_SWEEPS`` record (swept
 field, default grid, closed-form and Monte Carlo cells) run by ``_run_sweep``;
 ``asymptotic_vs_N`` and ``phase_noise_sweep`` have runners of their own.
 ``nmse_vs_snr`` sweeps the pilot SNR (``pilot_snr_db``), the only SNR the
-estimate depends on; its column keeps the name ``snr_db``. Consecutive
-grid points that one draw serves (``montecarlo.draw_grid``: they differ at
-most in the phase-error law, RIS phases, pilots and nested array sizes)
-share one oracle call, so one Monte Carlo draw at their largest arrays:
-every default grid draws once, and a point is bit-identical to itself
-alone at the same draw grid. An N grid that does not nest (N = 128, an
-8 x 16 grid, beside N = 196, 14 x 14) draws once per run of points that do.
-``build_setup`` alone decides what points share below the draw: it hands
-consecutive points of one link one statistics object, and the oracle
-shares channels and estimates by object identity.
+estimate depends on; its column keeps the name ``snr_db``. A sweep is one
+oracle call, which splits it into draw runs (``montecarlo._draw_runs``):
+consecutive grid points that differ at most in the phase-error law, RIS
+phases, pilots and nested array sizes share one Monte Carlo draw at their
+largest arrays. Every default grid is one draw run, and a point is
+bit-identical to itself alone at the same draw grid. An N grid that does
+not nest (N = 128, an 8 x 16 grid, beside N = 196, 14 x 14) draws once per
+run of points that do. ``build_setup`` alone decides what points share
+below the draw: it hands consecutive points of one link one statistics
+object, and the oracle shares channels and estimates by object identity.
 
 SNR convention: the downlink axis is P_t / sigma_k^2 in dB with
 sigma_k^2 = 1, the uplink pilot axis is rho / sigma_u^2; path gains are
@@ -65,7 +65,6 @@ from .montecarlo import (
     OperatingPoint,
     TrialPlan,
     blas_threads,
-    draw_grid,
     estimate_nmse,
     estimate_secrecy,
     worker_count,
@@ -482,35 +481,20 @@ def write_manifest(table: ResultTable, path: str, wall_time_s: float) -> None:
 def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
     """Rows ``[*lead, *closed(setup), *cells]`` of the ``(lead, config)`` points.
 
-    ``oracle(setups, plan)`` gives the Monte Carlo cells of a run of
-    ``OperatingPoint``s that share one draw, a list per setup. Closed forms
-    run as each point is built, so the first bad point decides the error.
-    Consecutive points share a draw while each nests in the run's largest
-    arrays, which draw it (``draw_grid``); a point that does not starts the
-    next run. Each run is one oracle call. The setups go to the oracle as
-    ``build_setup`` made them: consecutive points of one link hold one
-    statistics object, whose channels the oracle builds once, and those with
-    equal pilots one estimator, whose pilot phase and precoders it computes
-    once.
+    Closed forms run as each point is built, so the first bad point decides
+    the error. ``oracle(setups, plan)`` then gives the Monte Carlo cells of
+    every ``OperatingPoint``, a list per setup, in one call that splits them
+    into draw runs. The setups go to the oracle as ``build_setup`` made
+    them: consecutive points of one link hold one statistics object, whose
+    channels the oracle builds once, and those with equal pilots one
+    estimator, whose pilot phase and precoders it computes once.
     """
-    plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
-    rows, run = [], []          # run: (row, setup) of the points that share the draw
-    grid = None                 # the run's statistics with the largest arrays
-
-    def finish_run():
-        rows.extend(row + cells for (row, _), cells in zip(run, oracle([s for _, s in run], plan)))
-        run.clear()
-
+    rows, setups = [], []
     for lead, point in points:
-        setup = build_setup(point)
-        stats = setup.est.stats
-        grid = draw_grid(grid, stats) if run else stats
-        if grid is None:
-            finish_run()
-            grid = stats
-        run.append((lead + closed(setup), setup))
-    finish_run()
-    return rows
+        setups.append(build_setup(point))
+        rows.append(lead + closed(setups[-1]))
+    plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
+    return [row + cells for row, cells in zip(rows, oracle(setups, plan), strict=True)]
 
 
 def _secrecy_cells(setups, plan: TrialPlan) -> list:
@@ -520,8 +504,7 @@ def _secrecy_cells(setups, plan: TrialPlan) -> list:
 
 def _nmse_cells(setups, plan: TrialPlan) -> list:
     """[nmse_mc, nmse_mc_se] of each setup, user averages, from one ``estimate_nmse`` call."""
-    k_users = setups[0].est.stats.dims.k
-    return [[float(np.mean(orc.nmse)), float(np.sqrt(np.sum(orc.nmse_se ** 2)) / k_users)]
+    return [[float(np.mean(orc.nmse)), float(np.sqrt(np.sum(orc.nmse_se ** 2)) / orc.nmse.size)]
             for orc in estimate_nmse([s.est for s in setups], plan)]
 
 
@@ -620,8 +603,8 @@ def _run_sweep(name: str, config: ExperimentConfig) -> ResultTable:
     ``field`` each grid point sets (``pilot_snr_db`` for ``nmse_vs_snr``,
     otherwise the column), the default ``grid`` for an empty ``config.sweep``,
     the ``closed_columns`` with ``closed(setup)`` giving their cells, and
-    ``cells(setups, plan)``, the Monte Carlo cells of a run of points sharing
-    a draw (``_nmse_cells`` or ``_secrecy_cells``). M and N must be whole.
+    ``cells(setups, plan)``, the Monte Carlo cells of the sweep's points
+    (``_nmse_cells`` or ``_secrecy_cells``). M and N must be whole.
     """
     row = _SWEEPS[name]
     cast = (lambda value: _size(row.column, value)) if row.field in ("m", "n") else float

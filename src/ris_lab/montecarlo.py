@@ -10,8 +10,10 @@ one may be shorter), each with its own counter derived substream, and
 chunk results are combined in index order, so the output is bit-identical
 for any worker count.
 
-One call draws once per chunk, at its largest arrays: the RIS grid and BS
-array of the point with the most elements and antennas. A smaller point
+An oracle call splits its points into draw runs (``_draw_runs``):
+consecutive points whose statistics nest in the largest arrays among them.
+A draw run draws once per chunk, at those largest arrays: the RIS grid and
+BS array of the point with the most elements and antennas. A smaller point
 reads the draw's entries at its own elements (``geometry.nested_elements``)
 and its leading antennas, which have its exact law when its R_I and R_B are
 principal blocks of the largest (``draw_grid``); half-wavelength square
@@ -19,7 +21,9 @@ grids and exponential R_B nest exactly. The draw reads nothing else of the
 statistics, so points may differ in their RIS phases, LoS bridge and
 phase-error law: each applies its own to the draw. So a point is
 bit-identical to itself alone at the same draw grid, not to itself alone:
-alone it would draw at its own arrays.
+alone it would draw at its own arrays. A point that does not nest starts
+the next draw run, which draws anew; so points share random numbers
+within a draw run only.
 
 What points share below the draw is decided by object identity, once, by
 whoever builds them (``experiments.build_setup``): consecutive points on
@@ -56,9 +60,13 @@ environment variable sets that count instead. The calling thread is one
 of them, so one worker starts no pool, and W workers hold W malloc
 arenas, not W + 1.
 
-Every secrecy pass shares one prefix per chunk (channel draw, pilot
-phase, estimate, MRT precoder and the thin QR factor Q of the estimate),
-then computes the user terms and Eve's rate. All batched contractions
+Every chunk runs through ``_chunk_terms``: it draws, builds each point's
+channels and estimate, and hands them to that estimator's callback, which
+returns the chunk's per-block terms. The secrecy callback shares one prefix
+over the points of one estimator (MRT precoder and the thin QR factor Q of
+the estimate), then computes the user terms and Eve's rate. Each point's
+chunks are reduced in one place: ``_ratio_se`` for the NMSE,
+``_secrecy_estimates`` for the secrecy oracle. All batched contractions
 are BLAS matmuls over the block axis.
 
 The AN precoder V, an orthonormal basis of the null space of the
@@ -73,10 +81,9 @@ exactly zero under perfect CSI and every quadratic form PSD.
 ``estimate_secrecy(points, plan)`` is the one downlink oracle. Its
 operating points (``OperatingPoint(est, hw, xi)`` or plain tuples) take K,
 M and M_E from ``est.stats.dims``, P_t from the ``HardwareProfile`` ``hw``
-and the powers (p, q) from ``precoding.stream_powers``; all points must
-nest in the largest arrays of the call, which draw for them.
-``estimate_nmse(ests, plan)`` takes the estimators of one draw in the same
-way, on its own stream.
+and the powers (p, q) from ``precoding.stream_powers``.
+``estimate_nmse(ests, plan)`` takes estimators, split into draw runs the
+same way, on its own stream.
 
 Model note: the user-rate terms keep the channel-hardening bookkeeping of
 the Theorem-1 bound. The downlink HWI power uses the per-antenna transmit
@@ -94,6 +101,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, groupby
 from pathlib import Path
 from typing import NamedTuple
@@ -208,8 +216,9 @@ def _run_chunks(plan: TrialPlan, purpose: int, work):
     """Run ``work(chunk_size, key)`` over all chunks, results in chunk order.
 
     ``key`` is the chunk's spawn key (master_seed, purpose, chunk index).
-    The calling thread and up to ``worker_count() - 1`` pool threads take
-    the chunks in index order from one queue. An exception raised in a
+    ``_oracle`` calls it once per draw run, with ``_chunk_terms`` as the
+    work. The calling thread and up to ``worker_count() - 1`` pool threads
+    take the chunks in index order from one queue. An exception raised in a
     chunk propagates once the other threads have emptied the queue.
     """
     pending = deque(plan.chunks())
@@ -277,40 +286,47 @@ def draw_grid(*stats: ChannelStatistics) -> ChannelStatistics | None:
     return grid if all(s is grid or _nests(s, grid) for s in stats) else None
 
 
-def _draw_grid(ests) -> ChannelStatistics:
-    """The statistics whose draw serves every estimator (``draw_grid``); raises if none does."""
-    if not ests:
-        raise InvalidParameterError("need at least one estimator")
-    grid = draw_grid(*(est.stats for est in ests))
-    if grid is None:
-        raise InvalidParameterError("the statistics of the estimators of one call may "
-                                    "differ only in their phase-error law, RIS phases, "
-                                    "LoS bridge and nested array sizes")
-    return grid
+def _draw_runs(ests) -> list:
+    """``[grid, count]`` of each run of consecutive estimators that one draw serves.
+
+    Greedy, in order: an estimator joins the current run while ``draw_grid``
+    of the run's grid and its statistics finds one, the run's new grid;
+    otherwise it starts the next run.
+    """
+    runs = []
+    for est in ests:
+        grid = draw_grid(runs[-1][0], est.stats) if runs else None
+        if grid is None:
+            runs.append([est.stats, 0])
+        else:
+            runs[-1][0] = grid
+        runs[-1][1] += 1
+    return runs
 
 
-def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: bool):
-    """Per estimator in turn: (h, h_e, h_hat) of one chunk, in the module's stream layout.
+def _chunk_terms(run, grid: ChannelStatistics, size: int, key: tuple, eve: bool) -> list:
+    """``terms(h, h_e, h_hat)`` per ``(est, terms)`` of ``run`` for one chunk, in order.
 
-    The Gaussians are drawn once, from ``grid``, the statistics with the
-    largest arrays (``_draw_grid``): the links (Eve's only with ``eve``; h_e
-    is None without), then the pilot phase's. Each estimator reads its
-    elements of the grid's RIS (``nested_elements``; all of them at the grid
-    itself) and its leading antennas. Channels are rebuilt wherever an
-    estimator's statistics are another object than the previous one's.
-    Identity is enough: ``experiments.build_setup`` hands consecutive points
-    of one link one statistics object, and equal statistics held as two
-    objects build bit-identical channels, only twice. Each phase-error law
-    draws its errors at the grid once, from the restarted substream. The
-    previous estimate and channels are released before the next are built.
-    No build writes into the draw, which is released after the last build.
+    Without ``eve`` the callbacks get ``(h, h_hat)``. The Gaussians are
+    drawn once from ``grid``, the run's largest arrays, in the module's
+    stream layout. Each estimator reads its elements of the grid's RIS
+    (``nested_elements``) and its leading antennas. Channels are rebuilt
+    wherever an estimator's statistics are another object than the previous
+    one's: ``experiments.build_setup`` hands consecutive points of one link
+    one statistics object, and equal statistics held as two objects build
+    bit-identical channels, only twice. Each phase-error law draws its
+    errors once, from the restarted substream. An estimate lives only while
+    its callback runs; the previous channels are released before the next
+    are built, and the draw, which no build writes, after the last build.
     """
     rng = derive_rng(*key)
     draws = sample_realizations(grid, rng, size, eve=eve)
     g_t, g_w = pilot_gaussians(rng, (size, grid.dims.k, grid.dims.m))
-    builds = [i for i, est in enumerate(ests) if i == 0 or est.stats is not ests[i - 1].stats]
+    builds = [i for i, (est, _) in enumerate(run)
+              if i == 0 or est.stats is not run[i - 1][0].stats]
     thetas = {}             # phase-error law -> its (B, N) errors at the grid
-    for i, est in enumerate(ests):
+    results = []
+    for i, (est, terms) in enumerate(run):
         stats = est.stats
         if i in builds:
             channels = None
@@ -319,13 +335,30 @@ def _chunk_channels(ests, grid: ChannelStatistics, size: int, key: tuple, eve: b
                 thetas[law] = law.draw(derive_rng(*key, PHASE_ERRORS), (size, grid.dims.n))
             elements = (None if stats.dims.n == grid.dims.n
                         else nested_elements(stats.dims, grid.dims))
-            channels = aggregate_channels(stats, draws, thetas.get(law), elements=elements)
+            # (h, h_e), or (h,) without Eve's links
+            channels = aggregate_channels(stats, draws, thetas.get(law),
+                                          elements=elements)[:2 if eve else 1]
             if i == builds[-1]:
                 del draws, thetas   # the later estimators run without them
         pilot_draw = (g_t, g_w[:, :stats.dims.m])
-        h_hat = est.estimate(simulate_pilot_phase(channels[0], est.pilots, pilot_draw))
-        yield *channels, h_hat
-        del h_hat
+        results.append(terms(*channels, est.estimate(
+            simulate_pilot_phase(channels[0], est.pilots, pilot_draw))))
+    return results
+
+
+def _oracle(calls, plan: TrialPlan, purpose: int, eve: bool) -> list:
+    """Per ``(est, terms)`` of ``calls``: the tuple of ``terms``' chunk results, in chunk order.
+
+    Each draw run (``_draw_runs``) is one ``_run_chunks`` over ``_chunk_terms``.
+    """
+    if not calls:
+        raise InvalidParameterError("need at least one estimator")
+    out = []
+    for grid, count in _draw_runs([est for est, _ in calls]):
+        run, calls = calls[:count], calls[count:]
+        out += zip(*_run_chunks(plan, purpose,
+                                lambda size, key: _chunk_terms(run, grid, size, key, eve)))
+    return out
 
 
 def _stack(parts, key):
@@ -387,30 +420,26 @@ class OracleEstimates:
 # channel estimation oracle
 # --------------------------------------------------------------------------
 
+def _nmse_terms(h: np.ndarray, h_hat: np.ndarray) -> dict:
+    """Per-block squared error and channel energy of every user, the NMSE oracle's callback."""
+    h = np.swapaxes(h, 1, 2)                          # (B, M, K)
+    return {"err2": np.sum(np.abs(h - h_hat) ** 2, axis=1),
+            "mag2": np.sum(np.abs(h) ** 2, axis=1)}
+
+
 def estimate_nmse(ests, plan: TrialPlan) -> list[OracleEstimates]:
     """Empirical NMSE of LMMSE estimators over impaired pilot blocks.
 
-    ``ests`` holds estimators that one draw serves (``draw_grid``), such
-    as those of one link at several pilot powers or pilot lengths (both
-    live in the ``PilotConfig``, not in the statistics, and the despread
-    draw depends on neither), or of nested RIS grids. One
-    ``OracleEstimates`` is returned per estimator, in order, each
-    bit-identical to the estimate of that estimator alone at the same draw
-    grid. Each chunk draws only the users' links, once for all of them.
+    One ``OracleEstimates`` is returned per estimator of ``ests``, in
+    order, each bit-identical to the estimate of that estimator alone at
+    the same draw grid. The estimators of one draw run (``_draw_runs``)
+    share its random numbers, such as those of one link at several pilot
+    powers or pilot lengths (both live in the ``PilotConfig``, not in the
+    statistics, and the despread draw depends on neither), or of nested RIS
+    grids. Each chunk draws only the users' links, once per draw run.
     """
-    ests = list(ests)
-    grid = _draw_grid(ests)
-
-    def work(size, key):
-        parts = []
-        for h, _, h_hat in _chunk_channels(ests, grid, size, key, eve=False):
-            h = np.swapaxes(h, 1, 2)                  # (B, M, K)
-            parts.append({"err2": np.sum(np.abs(h - h_hat) ** 2, axis=1),
-                          "mag2": np.sum(np.abs(h) ** 2, axis=1)})
-        return parts
-
     out = []
-    for parts in zip(*_run_chunks(plan, NMSE_BLOCK, work)):
+    for parts in _oracle([(est, _nmse_terms) for est in ests], plan, NMSE_BLOCK, eve=False):
         nmse_hat, nmse_se = _ratio_se(_stack(parts, "err2"), _stack(parts, "mag2"))
         out.append(OracleEstimates(nmse=nmse_hat, nmse_se=nmse_se))
     return out
@@ -433,19 +462,11 @@ class _Blocks(NamedTuple):
     q_hat: np.ndarray      # (B, M, K) thin orthonormal basis Q of span(h_hat)
 
 
-def _chunk_blocks(ests, grid: ChannelStatistics, size: int, key: tuple):
-    """Per estimator: one chunk's ``_Blocks``, from the layout of ``_chunk_channels``.
-
-    Keeps no reference to one estimator's blocks while building the next.
-    """
-    channels = _chunk_channels(ests, grid, size, key, eve=True)
-    for est in ests:
-        h, h_e, h_hat = next(channels)
-        blk = _Blocks(h=h, h_e=h_e, h_hat=h_hat, w=mrt_precoder(h_hat, est),
-                      q_hat=np.linalg.qr(h_hat)[0])
-        del h, h_e, h_hat
-        yield blk
-        del blk
+def _blocks(est: ChannelEstimator, h: np.ndarray, h_e: np.ndarray,
+            h_hat: np.ndarray) -> _Blocks:
+    """One chunk's ``_Blocks`` of ``est``: its channels and estimate with the precoders."""
+    return _Blocks(h=h, h_e=h_e, h_hat=h_hat, w=mrt_precoder(h_hat, est),
+                   q_hat=np.linalg.qr(h_hat)[0])
 
 
 def _row_power(a: np.ndarray) -> np.ndarray:
@@ -516,14 +537,14 @@ def _eve_log_rate(blk: _Blocks, p: float, q: float, kappa_t_bs: float,
     return np.log2(1.0 + np.maximum(gamma, 0.0))
 
 
-def _reduce_user_terms(parts: list, hw: HardwareProfile, p: float, q: float,
-                       m: int) -> tuple[OracleEstimates, np.ndarray]:
-    """Rate estimates from the chunks' per-block user terms.
+def _secrecy_estimates(parts, hw: HardwareProfile, p: float, q: float,
+                       m: int) -> OracleEstimates:
+    """One point's secrecy estimates from its chunks' per-block terms.
 
-    Returns the estimates and the per-block delta-method linearization of
-    each user's rate about the block means, shape (B, K), whose mean is zero.
-    The rate's standard error is that of the linearization, so it carries
-    the correlations between the terms of one block.
+    The rate's standard error is that of the per-block delta-method
+    linearization d_rate of each user's rate about the block means, shape
+    (B, K), whose mean is zero, so it carries the correlations between the
+    terms of one block. ``r_sec``'s is that of psi (see ``estimate_secrecy``).
     """
     s1 = _stack(parts, "s1")
     inter = _stack(parts, "inter")
@@ -557,15 +578,28 @@ def _reduce_user_terms(parts: list, hw: HardwareProfile, p: float, q: float,
     d_rate = (gamma / ((1.0 + gamma) * np.log(2.0))
               * (d_signal / np.maximum(signal, 1e-300) - d_den / den))
 
-    orc = OracleEstimates(
+    log_rate = _stack(parts, "log_rate")
+    c_e, c_e_se = _mean_se(log_rate)
+    psi = np.mean(d_rate - (log_rate - c_e), axis=1)
+    return OracleEstimates(
         rate=rate, rate_se=_se(d_rate),
         signal=signal, signal_se=signal_se,
         interference=inter_mean, interference_se=inter_se,
         variance=variance, variance_se=variance_se,
         an_leakage=an_mean, an_leakage_se=an_se,
         hwi=hwi, hwi_se=hwi_se,
+        c_e=c_e, c_e_se=c_e_se,
+        r_sec=float(np.mean(np.maximum(0.0, rate - c_e))), r_sec_se=float(_se(psi)),
     )
-    return orc, d_rate
+
+
+def _point_terms(est: ChannelEstimator, ops: list, h: np.ndarray, h_e: np.ndarray,
+                 h_hat: np.ndarray) -> list:
+    """Secrecy callback: one chunk's per-block terms of each point ``(hw, p, q)`` of ``est``."""
+    blk = _blocks(est, h, h_e, h_hat)
+    terms = _user_terms(est, blk)
+    return [{**terms, "log_rate": _eve_log_rate(blk, p, q, hw.kappa_t_bs, _eve_floor(hw, q))}
+            for hw, p, q in ops]
 
 
 class OperatingPoint(NamedTuple):
@@ -582,14 +616,13 @@ class OperatingPoint(NamedTuple):
 def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     """User-rate terms, eavesdropper capacities and secrecy rates of operating points.
 
-    ``points`` holds ``OperatingPoint``s, or plain ``(est, hw, xi)`` tuples,
-    that one draw serves (``draw_grid``); one ``OracleEstimates`` is
-    returned per point, in order, each bit-identical to the estimate of that
-    point alone at the same draw grid. The points share every random number
-    but the phase errors (see ``_chunk_channels``), so their differences are
-    far less noisy than their standard errors. Consecutive points with one
-    estimator object form a run, whose pilot phase, precoders and user terms
-    are computed once.
+    ``points`` holds ``OperatingPoint``s, or plain ``(est, hw, xi)`` tuples;
+    one ``OracleEstimates`` is returned per point, in order, each
+    bit-identical to the estimate of that point alone at the same draw grid.
+    The points of one draw run (``_draw_runs``) share every random number
+    but the phase errors, so their differences are far less noisy than their
+    standard errors. Consecutive points with one estimator object share its
+    pilot phase, precoders and user terms, computed once (``_point_terms``).
 
     Eve's log-rate comes from the M_E x M_E interference-whitening solve,
     with ``_eve_floor(hw, q)`` where that system is singular. ``r_sec`` is
@@ -599,37 +632,15 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     the user/Eve and user/user correlations of the draw; it ignores the clip.
     """
     points = list(points)
-    runs = [list(run) for _, run in groupby(points, key=lambda point: id(point[0]))]
-    ests = [run[0][0] for run in runs]
-    grid = _draw_grid(ests)
+    groups = [list(group) for _, group in groupby(points, key=lambda point: id(point[0]))]
     ops = [[(hw, *stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m))
-            for est, hw, xi in run] for run in runs]
-
-    def work(size, key):
-        parts = []
-        # next(), not zip(): zip's cached result tuple would keep the previous
-        # blocks alive while the next are built
-        blocks = _chunk_blocks(ests, grid, size, key)
-        for est, run_ops in zip(ests, ops):
-            blk = next(blocks)
-            terms = _user_terms(est, blk)
-            parts += [{**terms, "log_rate": _eve_log_rate(blk, p, q, hw.kappa_t_bs,
-                                                          _eve_floor(hw, q))}
-                      for hw, p, q in run_ops]
-            del blk
-        return parts
-
-    out = []
-    chunks = zip(*_run_chunks(plan, CHANNEL_BLOCK, work))
-    for (est, _, _), (hw, p, q), parts in zip(points, chain.from_iterable(ops), chunks):
-        orc, d_rate = _reduce_user_terms(parts, hw, p, q, est.stats.dims.m)
-        log_rate = _stack(parts, "log_rate")
-        orc.c_e, orc.c_e_se = _mean_se(log_rate)
-        psi = np.mean(d_rate - (log_rate - orc.c_e), axis=1)
-        orc.r_sec = float(np.mean(np.maximum(0.0, orc.rate - orc.c_e)))
-        orc.r_sec_se = float(_se(psi))
-        out.append(orc)
-    return out
+            for est, hw, xi in group] for group in groups]
+    calls = [(group[0][0], partial(_point_terms, group[0][0], group_ops))
+             for group, group_ops in zip(groups, ops)]
+    chunks = chain.from_iterable(zip(*parts)
+                                 for parts in _oracle(calls, plan, CHANNEL_BLOCK, eve=True))
+    return [_secrecy_estimates(parts, hw, p, q, est.stats.dims.m)
+            for (est, _, _), (hw, p, q), parts in zip(points, chain.from_iterable(ops), chunks)]
 
 
 def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile, xi: float,

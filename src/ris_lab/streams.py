@@ -17,10 +17,10 @@ gives the users' links, then Eve's links where the oracle reads her channel
 users' links. The pilot Gaussians are those of the despread pilot
 observation, (B, K, K) transmit distortion and then (B, M, K) receive
 distortion plus noise, so their count does not depend on the pilot length.
-All of them are drawn at the largest arrays of the oracle call, and each
-point reads its RIS sub-grid and leading antennas of them, so a point is
-bit-identical to itself alone at the same draw grid: in any call whose
-largest arrays are the same.
+All of them are drawn at the largest arrays of the oracle call's draw run
+(``montecarlo._draw_runs``), and each point reads its RIS sub-grid and
+leading antennas of them, so a point is bit-identical to itself alone at
+the same draw grid: in any draw run whose largest arrays are the same.
 
 ``STREAM_LAYOUT`` names this layout. A CSV carries the seed and the config
 hash, not the layout, so two runs of one config under different layouts can
@@ -46,7 +46,7 @@ NMSE_BLOCK = 5
 # RIS phase errors of one Monte Carlo chunk: the last element of the key
 # (master_seed, oracle purpose, chunk index, PHASE_ERRORS). Their own
 # substream keeps the chunk stream, with its Gaussians and pilot noise, the
-# same for all operating points of one oracle call; each law restarts it.
+# same for all operating points of one draw run; each law restarts it.
 PHASE_ERRORS = 6
 
 

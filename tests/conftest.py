@@ -9,6 +9,7 @@ separate PATH that exists for a test path and choose another root
 directory, without this file.
 """
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from scipy.linalg import eigh
 
 import ris_lab as rl
+from ris_lab import montecarlo
 from ris_lab.estimation import build_psi
 from ris_lab.linalg import hermitize, solve_pd
 
@@ -200,6 +202,17 @@ def draw_channels(stats, rng, n_draws, *, eve):
     draws = rl.sample_realizations(stats, rng, n_draws, eve=eve)
     h, h_e = rl.aggregate_channels(stats, draws, theta)
     return {**draws, "theta": theta, "h": h, "h_e": h_e}
+
+
+def chunk_blocks(est, size, key):
+    """The secrecy oracle's ``_Blocks`` of ``est``: one chunk of ``size`` blocks at spawn ``key``.
+
+    They come from the oracle's own chunk path (``_chunk_terms``), with
+    ``_blocks`` as the callback.
+    """
+    [blk] = montecarlo._chunk_terms([(est, functools.partial(montecarlo._blocks, est))],
+                                    est.stats, size, key, eve=True)
+    return blk
 
 
 def pilot_matrix(tau_u, k):

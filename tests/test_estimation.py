@@ -347,7 +347,7 @@ def test_despread_pilot_phase_has_the_time_domain_law():
     assert np.max(np.abs(mean_a - mean_b) / np.hypot(se_a, se_b)) < 4.5
 
 
-def test_pilot_phase_covariance_matches_psi(small_setup):
+def test_pilot_phase_covariance_matches_psi(small_setup, within):
     stats, est, _, _ = small_setup
     rng = np.random.default_rng(13)
     draws = draw_channels(stats, rng, 100_000, eve=False)
@@ -357,4 +357,5 @@ def test_pilot_phase_covariance_matches_psi(small_setup):
     yk = y[:, :, k]
     cov = np.einsum("bi,bj->ij", yk, yk.conj()) / yk.shape[0]
     expect = est.pilots.tau_u * rl.build_psi(est.stats, est.pilots)[k]
-    assert np.linalg.norm(cov - expect) / np.linalg.norm(expect) < 0.03
+    within("relative covariance error", np.linalg.norm(cov - expect) / np.linalg.norm(expect),
+           below=0.03)

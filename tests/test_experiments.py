@@ -221,20 +221,25 @@ def counted_draws(monkeypatch):
 @pytest.mark.parametrize("experiment, changes, estimators, grid", [
     # the phase-noise levels of every N share each chunk's draw at the
     # largest N, not their estimators
-    ("phase_noise_sweep", {"sweep": [4, 9], "phase_noise_levels": [0.0, 0.1, 1.0]}, 6, (9, 8)),
+    ("phase_noise_sweep", {"sweep": [4, 9], "phase_noise_levels": [0.0, 0.1, 1.0]}, 6,
+     [(9, 8)]),
     # xi and kappa_t_bs shape neither the draw nor the estimate
-    ("xi_sweep", {"sweep": [0.3, 0.7, 1.0]}, 1, (4, 8)),
-    ("kappa_t_sweep", {"sweep": [0.0, 0.01]}, 1, (4, 8)),
+    ("xi_sweep", {"sweep": [0.3, 0.7, 1.0]}, 1, [(4, 8)]),
+    ("kappa_t_sweep", {"sweep": [0.0, 0.01]}, 1, [(4, 8)]),
     # a smaller RIS grid or BS array reads its part of the largest one's draw
-    ("secrecy_vs_N", {"sweep": [4, 9]}, 2, (9, 8)),
-    ("secrecy_vs_M", {"sweep": [12, 8]}, 2, (4, 12)),
-], ids=["phase_noise_sweep", "xi_sweep", "kappa_t_sweep", "secrecy_vs_N", "secrecy_vs_M"])
+    ("secrecy_vs_N", {"sweep": [4, 9]}, 2, [(9, 8)]),
+    ("secrecy_vs_M", {"sweep": [12, 8]}, 2, [(4, 12)]),
+    # 2 x 2 and 2 x 4 elements nest, 3 x 3 does not: two draw runs, one call
+    ("secrecy_vs_N", {"sweep": [4, 8, 9]}, 3, [(8, 8), (9, 8)]),
+], ids=["phase_noise_sweep", "xi_sweep", "kappa_t_sweep", "secrecy_vs_N", "secrecy_vs_M",
+        "secrecy_vs_N_two_draw_runs"])
 def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, changes,
                                                      estimators, grid):
     # one oracle call per sweep, holding ``estimators`` estimators; each
-    # chunk draws once, at the arrays ``grid`` = (N, M) of its largest point,
-    # and builds channels once per estimator, so each of the sweep's links
-    # holds one statistics object (build_setup) and no link is built twice
+    # chunk of each draw run draws once, at the arrays (N, M) in ``grid`` of
+    # the run's largest point, and builds channels once per estimator, so
+    # each of the sweep's links holds one statistics object (build_setup)
+    # and no link is built twice
     draws = counted_draws(monkeypatch)
     calls, built = [], collections.Counter()
     oracle = ris_lab.experiments.estimate_secrecy
@@ -256,18 +261,21 @@ def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, ch
     table = run_experiment(experiment, config)
     assert len(table.rows) == len(changes["sweep"]) * len(changes.get("phase_noise_levels", [0]))
     assert calls == [estimators]
-    assert draws == {(*grid, size): 1 for size in (CHUNK_BLOCKS, 8)}
+    assert draws == {(*arrays, size): 1 for arrays in grid for size in (CHUNK_BLOCKS, 8)}
     assert built == {size: estimators for size in (CHUNK_BLOCKS, 8)}
 
 
 @pytest.mark.parametrize("experiment, sweep, grid", [
     # the pilot powers of one link share each chunk's draw
-    ("nmse_vs_snr", [0.0, 10.0, 20.0], 4),
+    ("nmse_vs_snr", [0.0, 10.0, 20.0], [4]),
     # the N of a nested grid share one draw at the largest N
-    ("nmse_vs_N", [4, 9], 9),
-], ids=["nmse_vs_snr", "nmse_vs_N"])
+    ("nmse_vs_N", [4, 9], [9]),
+    # 2 x 2 and 2 x 4 elements nest, 3 x 3 does not: two draw runs, one call
+    ("nmse_vs_N", [4, 8, 9], [8, 9]),
+], ids=["nmse_vs_snr", "nmse_vs_N", "nmse_vs_N_two_draw_runs"])
 def test_nmse_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, sweep, grid):
-    # one oracle call over the sweep's estimators; each chunk draws once, at N = ``grid``
+    # one oracle call over the sweep's estimators; each chunk of each draw
+    # run draws once, at the run's largest N in ``grid``
     draws = counted_draws(monkeypatch)
     calls = []
     oracle = ris_lab.experiments.estimate_nmse
@@ -282,7 +290,7 @@ def test_nmse_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, sweep
     table = run_experiment(experiment, config)
     assert [row[0] for row in table.rows] == sweep
     assert calls == [len(sweep)]
-    assert draws == {(grid, TINY["m"], size): 1 for size in (CHUNK_BLOCKS, 8)}
+    assert draws == {(n, TINY["m"], size): 1 for n in grid for size in (CHUNK_BLOCKS, 8)}
 
 
 @pytest.mark.parametrize("experiment", ["nmse_vs_N", "secrecy_vs_N", "secrecy_vs_M",

@@ -296,7 +296,7 @@ def test_sample_covariance_eve(small_setup, within):
            np.linalg.norm(cov - stats.q_e) / np.linalg.norm(stats.q_e), below=0.03)
 
 
-def test_sampler_phase_errors():
+def test_sampler_phase_errors(within):
     stats = make_setup(seed=1, sigma_p2=0.0)[0]
     draws = draw_channels(stats, np.random.default_rng(0), 10, eve=False)
     assert np.array_equal(draws["theta"], np.zeros_like(draws["theta"]))
@@ -305,7 +305,7 @@ def test_sampler_phase_errors():
     draws = draw_channels(stats_vm, np.random.default_rng(0), 7000, eve=False)
     mean = np.mean(np.exp(1j * draws["theta"]))
     rho = rl.phase_deviation_factor(stats_vm.phase_model)
-    assert abs(mean - rho) < 0.005   # ~1e5 angle draws in total
+    within("mean phasor error", abs(mean - rho), below=0.005)   # ~1e5 angle draws in total
 
 
 def test_sampler_aggregate_identity(small_setup):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ris_lab.montecarlo import (
-    _chunk_blocks,
     _eve_interference,
     _eve_log_rate,
     _transmit_diag,
@@ -18,7 +17,7 @@ from ris_lab.montecarlo import (
 )
 from ris_lab.precoding import mrt_normalizers, null_space_an_batch, stream_powers
 
-from conftest import complex_normal, draw_channels, make_setup
+from conftest import chunk_blocks, complex_normal, draw_channels, make_setup
 
 RTOL = 1e-12
 
@@ -98,7 +97,7 @@ def test_sampler_matches_einsum_forms(correlated):
 def test_block_terms_match_einsum_forms():
     _, est, hw, xi = make_setup(seed=12, m=8, n=16, k=2, m_e=2)
     p, q = stream_powers(hw.p_t, xi, 2, 8)
-    [blk] = _chunk_blocks([est], est.stats, 64, (5, 0))
+    blk = chunk_blocks(est, 64, (5, 0))
     got = _user_terms(est, blk)
     want = einsum_user_terms(est, blk)
     assert set(got) == set(want)

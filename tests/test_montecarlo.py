@@ -1,5 +1,6 @@
 """Monte Carlo oracle: reproducibility, term validation, bound property."""
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -18,7 +19,6 @@ from ris_lab.experiments import ExperimentConfig, build_setup
 from ris_lab.geometry import nested_elements
 from ris_lab.linalg import herm_trace_prod
 from ris_lab.montecarlo import (
-    _chunk_blocks,
     _eve_floor,
     _eve_interference,
     _mean_se,
@@ -28,7 +28,13 @@ from ris_lab.montecarlo import (
 )
 from ris_lab.streams import CHANNEL_BLOCK
 
-from conftest import draw_channels, error_covariance, estimate_covariance, make_setup
+from conftest import (
+    chunk_blocks,
+    draw_channels,
+    error_covariance,
+    estimate_covariance,
+    make_setup,
+)
 
 
 def closed_form_terms(est, k):
@@ -107,17 +113,16 @@ def test_shared_draw_leaves_the_phase_free_level_unchanged(monkeypatch):
             assert_same_estimates(orc, rl.estimate_secrecy([point], plan)[0])
 
 
-def test_chunk_blocks_free_the_previous_estimators_blocks(small_setup, monkeypatch):
-    # a consumer that drops each estimator's blocks holds one estimator's at
-    # a time: the previous estimate and precoders are freed before the next
-    # pilot phase runs, and the previous law's channels before the next
-    # law's are built, so a call over many estimators peaks like one over
-    # one. The secrecy oracle is such a consumer.
+def test_chunk_terms_free_each_estimate_once_its_callback_returns(small_setup, monkeypatch):
+    # an estimate, its precoders and its blocks live only while its
+    # estimator's callback runs: they are freed before the next pilot phase
+    # runs, and the previous law's channels before the next law's are
+    # built, so a call over many estimators peaks like one over one
     _, est, hw, xi = small_setup
     noisy = make_setup(seed=3, sigma_p2=1.0)[1]
     loud = rl.ChannelEstimator(est.stats,
                                dataclasses.replace(est.pilots, rho=2 * est.pilots.rho))
-    dropped = {"estimate": [], "channels": []}      # weak references to dropped blocks
+    dropped = {"estimate": [], "channels": []}      # weak references to dropped arrays
 
     def freed_before(fn, kinds):
         def checked(*args, **kwargs):
@@ -130,22 +135,27 @@ def test_chunk_blocks_free_the_previous_estimators_blocks(small_setup, monkeypat
                         freed_before(montecarlo.simulate_pilot_phase, ["estimate"]))
     monkeypatch.setattr(montecarlo, "aggregate_channels",
                         freed_before(montecarlo.aggregate_channels, ["estimate", "channels"]))
-    chunk_blocks, built = _chunk_blocks, []
+    blocks, nmse_terms, built = montecarlo._blocks, montecarlo._nmse_terms, []
 
-    def recorded(*args):
-        for blk in chunk_blocks(*args):
-            dropped["estimate"] += [weakref.ref(a) for a in (blk.h_hat, blk.w, blk.q_hat)]
-            dropped["channels"] += [weakref.ref(a) for a in (blk.h, blk.h_e)]
-            built.append(blk.h.shape[0])
-            yield blk
-            del blk
+    def recorded_blocks(*args):
+        blk = blocks(*args)
+        dropped["estimate"].extend(weakref.ref(a) for a in (blk.h_hat, blk.w, blk.q_hat))
+        dropped["channels"].extend(weakref.ref(a) for a in (blk.h, blk.h_e))
+        built.append(blk.h.shape[0])
+        return blk
 
-    for blk in recorded([est, loud, noisy], est.stats, 8, (1, CHANNEL_BLOCK, 0)):
-        del blk
-    monkeypatch.setattr(montecarlo, "_chunk_blocks", recorded)
+    def recorded_nmse_terms(h, h_hat):
+        dropped["estimate"].append(weakref.ref(h_hat))
+        built.append(h_hat.shape[0])
+        return nmse_terms(h, h_hat)
+
+    monkeypatch.setattr(montecarlo, "_blocks", recorded_blocks)
+    monkeypatch.setattr(montecarlo, "_nmse_terms", recorded_nmse_terms)
     monkeypatch.setenv("RIS_LAB_THREADS", "1")
-    rl.estimate_secrecy([(est, hw, xi), (loud, hw, xi), (noisy, hw, xi)],
-                        rl.TrialPlan(n_blocks=8, master_seed=1))
+    plan = rl.TrialPlan(n_blocks=8, master_seed=1)
+    rl.estimate_secrecy([(est, hw, xi), (loud, hw, xi), (noisy, hw, xi)], plan)
+    assert built == [8] * 3
+    rl.estimate_nmse([est, loud, noisy], plan)
     assert built == [8] * 6
 
 
@@ -164,10 +174,11 @@ def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy(within):
 
 
 @pytest.mark.parametrize("change", ["n", "m", "r_i"])
-def test_shared_draw_rejects_estimators_beyond_the_phase_law(change):
+def test_oracles_split_estimators_beyond_one_draw_into_draw_runs(change):
     # the sizes share one fading (nested_points), so only the arrays or R_I
     # decide: 8 x 8 elements fit in 14 x 14 but the 8 x 16 of N = 128 do
-    # not, and a larger RIS cannot draw for a larger BS array
+    # not, and a larger RIS cannot draw for a larger BS array. Points that
+    # no draw serves together draw apart, each as it would alone
     if change == "r_i":
         _, est, _, _ = make_setup(seed=3)
         stats = dataclasses.replace(est.stats, r_i=np.eye(est.stats.dims.n))
@@ -182,10 +193,12 @@ def test_shared_draw_rejects_estimators_beyond_the_phase_law(change):
     assert a.fading == b.fading
     assert montecarlo.draw_grid(a, b) is None
     hw, xi = make_setup(seed=3)[2:]
-    with pytest.raises(rl.InvalidParameterError, match="phase-error law"):
-        rl.estimate_secrecy([(est, hw, xi) for est in apart], rl.TrialPlan(4, master_seed=1))
-    with pytest.raises(rl.InvalidParameterError, match="phase-error law"):
-        rl.estimate_nmse(apart, rl.TrialPlan(4, master_seed=1))
+    plan = rl.TrialPlan(4, master_seed=1)
+    points = [(est, hw, xi) for est in apart]
+    for point, orc in zip(points, rl.estimate_secrecy(points, plan), strict=True):
+        assert_same_estimates(orc, rl.estimate_secrecy([point], plan)[0])
+    for est, orc in zip(apart, rl.estimate_nmse(apart, plan), strict=True):
+        assert_same_estimates(orc, rl.estimate_nmse([est], plan)[0])
 
 
 def test_shared_draw_serves_every_pilot_length(small_setup):
@@ -255,9 +268,8 @@ def test_nested_links_have_the_smaller_arrays_law(monkeypatch, within):
         return aggregate(stats, draws, theta, **kwargs)
 
     monkeypatch.setattr(montecarlo, "aggregate_channels", captured)
-    chunk = montecarlo._chunk_channels([small_est, large_est], large, 4, (1, CHANNEL_BLOCK, 0),
-                                       eve=True)
-    assert len(list(chunk)) == 2
+    run = [(est, functools.partial(montecarlo._blocks, est)) for est in (small_est, large_est)]
+    assert len(montecarlo._chunk_terms(run, large, 4, (1, CHANNEL_BLOCK, 0), eve=True)) == 2
     assert np.array_equal(seen[0], ris) and seen[1] is None
 
     b = 20_000
@@ -656,12 +668,13 @@ def estimate_wishart_moments(est, hw, xi, plan) -> WishartMoments:
     of freedom they are eta phi and eta phi^2; they equal those of
     ``wishart_match`` only where its isotropy assumptions hold, i.e. when
     Q_E is a multiple of I. The chunks are the secrecy oracle's
-    (``_chunk_blocks``) on the ``EVE_BLOCK`` stream.
+    (``chunk_blocks``: ``_chunk_terms`` with ``_blocks``) on the ``EVE_BLOCK``
+    stream.
     """
     p, q = rl.stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
 
     def work(size, key):
-        [blk] = _chunk_blocks([est], est.stats, size, key)
+        blk = chunk_blocks(est, size, key)
         x = _eve_interference(blk, p, q, hw.kappa_t_bs)
         m_e = x.shape[-1]
         tr_x = np.real(np.einsum("bee->b", x))

@@ -4,10 +4,9 @@ import pytest
 
 import ris_lab as rl
 from ris_lab.precoding import mrt_normalizers, null_space_an_batch
-from ris_lab.montecarlo import _chunk_blocks
 from ris_lab.streams import CHANNEL_BLOCK
 
-from conftest import draw_channels, error_covariance, make_setup
+from conftest import chunk_blocks, draw_channels, error_covariance, make_setup
 
 
 def test_stream_powers_budget_identity():
@@ -79,7 +78,7 @@ def test_transmit_power_budget(small_setup, within):
     plan = rl.TrialPlan(n_blocks=20_000, master_seed=8)
     powers = []
     for idx, size in plan.chunks():
-        [blk] = _chunk_blocks([est], est.stats, size, (plan.master_seed, CHANNEL_BLOCK, idx))
+        blk = chunk_blocks(est, size, (plan.master_seed, CHANNEL_BLOCK, idx))
         powers.append(p * np.sum(np.abs(blk.w) ** 2, axis=(1, 2))
                       + q * (stats.dims.m - stats.dims.k))
     within("relative power error", abs(np.mean(np.concatenate(powers)) - hw.p_t) / hw.p_t,
