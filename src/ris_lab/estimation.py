@@ -66,9 +66,9 @@ def build_psi(stats: ChannelStatistics, pilots: PilotConfig) -> list:
     return [hermitize(pilots.tau_u * pilots.rho * rk + common) for rk in stats.r_k]
 
 
-def nmse(r_k: np.ndarray, c_k: np.ndarray) -> float:
-    """tr(C_k)/tr(R_k), clipped into [0, 1] against roundoff."""
-    val = float(np.real(np.trace(c_k)) / np.real(np.trace(r_k)))
+def nmse(tr_r: float, tr_c: float) -> float:
+    """tr(C_k)/tr(R_k) from the two traces, clipped into [0, 1] against roundoff."""
+    val = tr_c / tr_r
     if val < -1e-8 or val > 1.0 + 1e-8:
         raise InvalidParameterError(f"NMSE {val} outside [0, 1]; inconsistent inputs")
     return min(max(val, 0.0), 1.0)
@@ -115,7 +115,7 @@ class ChannelEstimator:
         err_cov = [hermitize(rk - ec) for rk, ec in zip(stats.r_k, est_cov)]
         self.tr_c_phi = [herm_trace_prod(c, ec) for c, ec in zip(err_cov, est_cov)]
         self.tr_c = [float(np.real(np.trace(c))) for c in err_cov]
-        self.nmse = np.array([nmse(rk, c) for rk, c in zip(stats.r_k, err_cov)])
+        self.nmse = np.array([nmse(r, c) for r, c in zip(self.tr_r, self.tr_c)])
 
     def estimate(self, y_pk: np.ndarray) -> np.ndarray:
         """Estimates for stacked despread observations, shape (..., M, K)."""

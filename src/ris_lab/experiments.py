@@ -23,7 +23,8 @@ bit-identical to itself alone at the same draw grid. An N grid that does
 not nest (N = 128, an 8 x 16 grid, beside N = 196, 14 x 14) draws once per
 run of points that do. ``build_setup`` alone decides what points share
 below the draw: it hands consecutive points of one link one statistics
-object, and the oracle shares channels and estimates by object identity.
+object, and of one RIS grid one R_I, and the oracle shares channels and
+estimates by object identity.
 
 SNR convention: the downlink axis is P_t / sigma_k^2 in dB with
 sigma_k^2 = 1, the uplink pilot axis is rho / sigma_u^2; path gains are
@@ -363,28 +364,30 @@ def build_setup(config: ExperimentConfig) -> OperatingPoint:
     """The ``OperatingPoint`` (estimator, hardware, xi) of the grid point ``config``.
 
     The last pair built is kept, keyed on every input of
-    ``build_channel_statistics`` (seed, arrays, RIS spacing, path gains,
-    phase-error law, RIS phase, BS correlation). A point of that key reuses
-    the statistics, and the estimator where its ``PilotConfig`` is equal:
-    consecutive points of a P_t, xi or kappa_t^BS sweep share one of each,
-    so a sweep holds one copy of R_k, Q_E and H1 per link, not per point,
-    and builds H1 only with the statistics. This is the one place that
-    decides what points share: the oracle builds channels once per
-    statistics object and estimates once per estimator object.
+    ``build_channel_statistics``. A point of that key reuses the statistics,
+    and the estimator where its ``PilotConfig`` is equal: a P_t, xi or
+    kappa_t^BS sweep holds one of each. A point of another key still takes
+    the kept R_I where the RIS grid and spacing (N, N_H, spec) are equal, as
+    along an M sweep, and the kept H1 where its inputs (seed, M, N, spec,
+    beta_1) are, as along the sigma_p^2 levels of one N. This is the one
+    place that decides what points share: the oracle builds channels once
+    per statistics object and estimates once per estimator object.
     """
     dims, pilots, fading = _scenario(config)
+    spec = config.correlation_spec()
     phase_model = PhaseNoiseModel(kind=config.phase_noise_kind, sigma_p2=config.sigma_p2)
-    key = (config.seed, dims, config.correlation_spec(), fading, phase_model,
-           config.ris_phase, config.bs_corr)
-    stats, est = _LINK.pop(key, (None, None))
-    _LINK.clear()
-    if stats is None:
+    los = (config.seed, dims.m, dims.n, spec, fading.beta_1)
+    ris = (dims.n, dims.n_h, spec)
+    key = (los, ris, dims, fading, phase_model, config.ris_phase, config.bs_corr)
+    kept = next(iter(_LINK), None)
+    stats, est = _LINK.pop(kept, (None, None))
+    if kept != key:
         r_b = build_bs_correlation(dims.m, config.bs_corr) if config.bs_corr > 0 else None
-        r_i = build_ris_correlation(dims, config.correlation_spec())
-        stats = build_channel_statistics(dims, fading, phase_model,
-                                         _los_channel(config, dims, fading),
+        r_i = stats.r_i if kept and kept[1] == ris else build_ris_correlation(dims, spec)
+        h1 = stats.h1 if kept and kept[0] == los else _los_channel(config, dims, fading)
+        stats = build_channel_statistics(dims, fading, phase_model, h1,
                                          phi=config.ris_phase, r_b=r_b, r_i=r_i)
-    if est is None or est.pilots != pilots:
+    if kept != key or est.pilots != pilots:
         est = ChannelEstimator(stats, pilots)
     _LINK[key] = stats, est
     return OperatingPoint(est, config.hardware(), config.xi)

@@ -250,27 +250,20 @@ def ris_element_positions(dims: SystemDimensions, spec: CorrelationSpec) -> np.n
     return pos
 
 
-_RIS_CORRELATION: dict = {}     # the last R_I built, keyed on (n, n_h, spec)
-
-
 def build_ris_correlation(dims: SystemDimensions, spec: CorrelationSpec) -> np.ndarray:
     """Isotropic-scattering RIS correlation, sinc(2 ||c_x - c_y|| / wavelength).
 
-    It depends on the RIS grid alone, so the last one built is kept, keyed on
-    (n, n_h, spec), for every grid point of a sweep over anything but the RIS;
-    the array is read-only, because every caller of one key gets that object.
+    It depends on the RIS grid and spacings alone (n, n_h, spec), so
+    ``experiments.build_setup`` hands one R_I to every grid point of those;
+    the array is read-only, because several statistics objects share it.
     """
-    key = (dims.n, dims.n_h, spec)
-    if key not in _RIS_CORRELATION:
-        if spec.spacing_h <= 0 or spec.spacing_v <= 0:
-            raise InvalidParameterError("RIS spacings must be positive")
-        pos = ris_element_positions(dims, spec)
-        diff = pos[:, None, :] - pos[None, :, :]
-        r = np.sinc(2.0 * np.sqrt(np.sum(diff * diff, axis=-1)) / spec.wavelength)
-        r.flags.writeable = False
-        _RIS_CORRELATION.clear()
-        _RIS_CORRELATION[key] = r
-    return _RIS_CORRELATION[key]
+    if spec.spacing_h <= 0 or spec.spacing_v <= 0:
+        raise InvalidParameterError("RIS spacings must be positive")
+    pos = ris_element_positions(dims, spec)
+    diff = pos[:, None, :] - pos[None, :, :]
+    r = np.sinc(2.0 * np.sqrt(np.sum(diff * diff, axis=-1)) / spec.wavelength)
+    r.flags.writeable = False
+    return r
 
 
 def build_los_channel(dims: SystemDimensions, spec: CorrelationSpec,

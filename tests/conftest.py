@@ -49,9 +49,10 @@ def recorder(records):
     value, bound and margin under ``name``. The margin is the slack to the
     nearer bound, over that bound in a one-sided check and over the
     half-width in a two-sided one: ``within("z", abs(x - y), below=3 * se)``
-    reads 1 at x = y, 0.5 at 1.5 se and 0 at the bound. An array records
-    its worst element, and a name checked more than once keeps its
-    smallest margin.
+    reads 1 at x = y, 0.5 at 1.5 se and 0 at the bound. A zero bound, as in
+    a sign check, has no scale, so its margin is the slack itself, in the
+    value's unit. An array records its worst element, and a name checked
+    more than once keeps its smallest margin.
     """
     def within(name, value, *, below=None, above=None, inclusive=False):
         sides = {side: bound for side, bound in (("below", below), ("above", above))
@@ -72,7 +73,7 @@ def recorder(records):
             scale = (bounds["below"] - bounds["above"]) / 2
         else:
             scale = np.abs(*bounds.values())
-        margin = slack / scale
+        margin = slack / np.where(scale == 0, 1.0, scale)
         worst = np.unravel_index(np.argmin(margin), margin.shape)
         record = {"value": float(value[worst]), "margin": float(margin[worst]),
                   **{side: float(bound[worst]) for side, bound in bounds.items()}}

@@ -141,17 +141,6 @@ def test_ris_correlation_half_wavelength_neighbours_decorrelate():
     assert r[0, 4] == pytest.approx(0.0, abs=1e-15)   # vertical neighbour
 
 
-def test_ris_correlation_is_shared_across_bs_arrays():
-    # R_I depends on the RIS grid alone, so the points of an M sweep share one matrix
-    spec = rl.CorrelationSpec()
-    r = rl.build_ris_correlation(rl.SystemDimensions.square_ris(m=4, n=16, k=2, m_e=1), spec)
-    other_m = rl.SystemDimensions.square_ris(m=8, n=16, k=2, m_e=1)
-    assert rl.build_ris_correlation(other_m, spec) is r
-    assert not r.flags.writeable
-    other_n = rl.SystemDimensions.square_ris(m=8, n=25, k=2, m_e=1)
-    assert rl.build_ris_correlation(other_n, spec).shape == (25, 25)
-
-
 def test_ris_correlation_quarter_wavelength_value():
     # oracle: sin(pi/2)/(pi/2)
     lam = 0.1

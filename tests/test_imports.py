@@ -13,8 +13,11 @@ that module, so the exemption cannot hide a dead import.
 The checks further down find values that nothing reads: record fields,
 the instance attributes an ``__init__`` sets, and function parameters.
 Another holds the error hierarchy to the CLI: every ``RisLabError``
-subclass is raised somewhere and caught by name. The last one runs an experiment in a fresh interpreter and checks that
-the package never imports scipy, which is a test-only dependency.
+subclass is raised somewhere and caught by name. Another holds the
+package's module state to one cache, ``experiments._LINK``: no function
+mutates any other module-level container. The last one runs an experiment
+in a fresh interpreter and checks that the package never imports scipy,
+which is a test-only dependency.
 """
 import ast
 import collections
@@ -366,6 +369,71 @@ def test_unhandled_error_check_on_a_small_source():
            "        pass\n")
     assert unhandled_errors(errors, [raiser], cli) == [
         ("Narrow", "not caught"), ("Unused", "never raised"), ("Unused", "not caught")]
+
+
+# --------------------------------------------------------------------------
+# one module-level cache
+# --------------------------------------------------------------------------
+
+MUTATORS = {"append", "clear", "pop", "setdefault", "update"}
+
+
+def mutated_globals(source: str) -> list:
+    """(line, name) where a function mutates a module-level container of ``source``.
+
+    A container is a name a module-level assignment binds. A function
+    mutates it by item assignment or deletion, or by a call of one of its
+    ``MUTATORS`` methods; a ``global`` statement counts for each name it
+    lists, whatever the name binds.
+    """
+    tree = ast.parse(source)
+    module_names = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    if isinstance(t, ast.Name)}
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                found |= {(node.lineno, name) for name in node.names}
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS):
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in module_names:
+                found.add((node.lineno, target.id))
+    return sorted(found)
+
+
+def test_the_kept_link_is_the_only_module_state():
+    # build_setup alone decides what grid points reuse; no other module keeps a cache
+    found = {(p.stem, name) for p in sorted(PACKAGE.glob("*.py"))
+             for _, name in mutated_globals(p.read_text(encoding="utf-8"))}
+    assert found == {("experiments", "_LINK")}
+
+
+def test_mutated_global_check_on_a_small_source():
+    source = ("CACHE = {}\n"
+              "ITEMS: list = []\n"
+              "LIMIT = 3\n"
+              "import os\n"
+              "def f(key, local):\n"
+              "    CACHE[key] = 1\n"
+              "    local.clear()\n"
+              "    os.environ.pop(key)\n"
+              "    return CACHE.get(key), LIMIT\n"
+              "def g():\n"
+              "    global LIMIT\n"
+              "    LIMIT = 4\n"
+              "    del CACHE['a']\n"
+              "    ITEMS.append(lambda: CACHE.update(x=1))\n"
+              "CACHE.clear()\n")
+    assert mutated_globals(source) == [(6, "CACHE"), (11, "LIMIT"), (13, "CACHE"),
+                                       (14, "CACHE"), (14, "ITEMS")]
 
 
 # --------------------------------------------------------------------------

@@ -16,12 +16,14 @@ def test_within_asserts_the_comparison_and_records_the_worst_margin():
     within("repeated", 2.0, below=3.0)
     within("repeated", 1.0, below=3.0)
     within("at the bound", 3.0, below=3.0, inclusive=True)
+    within("sign", np.array([0.25, 2.0]), above=0.0)
     assert records["one-sided"] == {"value": 1.2, "below": 1.5, "margin": pytest.approx(0.2)}
     assert records["two-sided"] == {"value": 1.0, "above": 0.7, "below": 1.4,
                                     "margin": pytest.approx(0.3 / 0.35)}
     assert records["lower"]["margin"] == pytest.approx(3.0)
     assert records["repeated"]["value"] == 2.0
     assert records["at the bound"]["margin"] == 0.0
+    assert records["sign"] == {"value": 0.25, "above": 0.0, "margin": 0.25}
     for kwargs in ({"below": 3.0}, {"above": 3.0}, {"above": 0.7, "below": 1.4}):
         with pytest.raises(AssertionError, match="failing"):
             within("failing", 3.0, **kwargs)
