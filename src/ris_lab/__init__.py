@@ -20,7 +20,6 @@ from .estimation import (
     ChannelEstimator,
     PilotConfig,
     build_psi,
-    nmse,
     nmse_high_power_limit,
     nmse_large_n_limit,
     pilot_gaussians,

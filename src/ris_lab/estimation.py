@@ -58,20 +58,13 @@ def build_psi(stats: ChannelStatistics, pilots: PilotConfig) -> list:
           + rho kappa_r sum_i diag(R_i) + sigma_u^2 I.
     """
     m = stats.dims.m
-    sum_r = sum(stats.r_k)
+    r_k = stats.r_k
+    sum_r = sum(r_k)
     sum_diag = np.diag(np.real(np.diag(sum_r)))
     common = (pilots.rho * pilots.kappa_t_ue * sum_r
               + pilots.rho * pilots.kappa_r_bs * sum_diag
               + pilots.sigma_u2 * np.eye(m))
-    return [hermitize(pilots.tau_u * pilots.rho * rk + common) for rk in stats.r_k]
-
-
-def nmse(tr_r: float, tr_c: float) -> float:
-    """tr(C_k)/tr(R_k) from the two traces, clipped into [0, 1] against roundoff."""
-    val = tr_c / tr_r
-    if val < -1e-8 or val > 1.0 + 1e-8:
-        raise InvalidParameterError(f"NMSE {val} outside [0, 1]; inconsistent inputs")
-    return min(max(val, 0.0), 1.0)
+    return [hermitize(pilots.tau_u * pilots.rho * rk + common) for rk in r_k]
 
 
 class ChannelEstimator:
@@ -80,9 +73,10 @@ class ChannelEstimator:
     Factorizes every Psi_k once. This is the object the precoder, the
     closed-form rates and the Monte Carlo oracle all share. It holds the
     K (M, M) gains ``gain``, which the oracle applies, and O(K^2) scalars:
-    the NMSEs and the trace products the closed forms read, taken from the
-    estimate covariances Phi_k = tau_u rho R_k Psi_k^-1 R_k and the error
-    covariances C_k = R_k - Phi_k, which are not kept:
+    the NMSEs and the trace products the closed forms read, taken from R_k
+    and Q_E (derived by the statistics, read once here), the estimate
+    covariances Phi_k = tau_u rho R_k Psi_k^-1 R_k and the error covariances
+    C_k = R_k - Phi_k, none of which is kept:
 
     - ``tr_r[k]`` = tr R_k and ``tr_rpr[k]`` = tr(R_k Psi_k^-1 R_k);
     - ``tr_r_phi[k, i]`` = tr(R_k Phi_i), a (K, K) array;
@@ -95,27 +89,36 @@ class ChannelEstimator:
             raise InvalidParameterError("pilot length shorter than user count")
         self.stats = stats
         self.pilots = pilots
+        r_k = stats.r_k
         # psi_inv_r[k] = Psi_k^{-1} R_k; everything else is a trace away.
         psi_inv_r, conds = zip(*(solve_pd(psi, rk, name=f"Psi_{k}") for k, (psi, rk)
-                                 in enumerate(zip(build_psi(stats, pilots), stats.r_k))))
+                                 in enumerate(zip(build_psi(stats, pilots), r_k))))
         if max(conds) > COND_LIMIT:
             warnings.warn(
                 f"worst pilot covariance condition number ~{max(conds):.3e} exceeds "
                 f"{COND_LIMIT:.0e}", IllConditionedWarning, stacklevel=2)
 
         tr = pilots.tau_u * pilots.rho
-        est_cov = [hermitize(tr * rk @ x) for rk, x in zip(stats.r_k, psi_inv_r)]
+        est_cov = [hermitize(tr * rk @ x) for rk, x in zip(r_k, psi_inv_r)]
         # sqrt(rho) R_k Psi_k^{-1} = sqrt(rho) (Psi_k^{-1} R_k)^H; not Hermitian itself.
         self.gain = [np.sqrt(pilots.rho) * x.conj().T for x in psi_inv_r]
-        self.tr_r = [float(np.real(np.trace(rk))) for rk in stats.r_k]
-        self.tr_rpr = [herm_trace_prod(rk, x) for rk, x in zip(stats.r_k, psi_inv_r)]
-        self.tr_r_phi = np.array([[herm_trace_prod(rk, ec) for ec in est_cov]
-                                  for rk in stats.r_k])
-        self.tr_phi_q = [herm_trace_prod(ec, stats.q_e) for ec in est_cov]
-        err_cov = [hermitize(rk - ec) for rk, ec in zip(stats.r_k, est_cov)]
+        self.tr_r = [float(np.real(np.trace(rk))) for rk in r_k]
+        self.tr_rpr = [herm_trace_prod(rk, x) for rk, x in zip(r_k, psi_inv_r)]
+        self.tr_r_phi = np.array([[herm_trace_prod(rk, ec) for ec in est_cov] for rk in r_k])
+        q_e = stats.q_e
+        self.tr_phi_q = [herm_trace_prod(ec, q_e) for ec in est_cov]
+        err_cov = [hermitize(rk - ec) for rk, ec in zip(r_k, est_cov)]
         self.tr_c_phi = [herm_trace_prod(c, ec) for c, ec in zip(err_cov, est_cov)]
         self.tr_c = [float(np.real(np.trace(c))) for c in err_cov]
-        self.nmse = np.array([nmse(r, c) for r, c in zip(self.tr_r, self.tr_c)])
+        self.nmse = self._nmse(self.tr_r, self.tr_c)
+
+    @staticmethod
+    def _nmse(tr_r: list, tr_c: list) -> np.ndarray:
+        """tr(C_k)/tr(R_k) per user from the two traces, clipped into [0, 1] against roundoff."""
+        val = np.array(tr_c) / np.array(tr_r)
+        if np.any((val < -1e-8) | (val > 1.0 + 1e-8)):
+            raise InvalidParameterError(f"NMSE {val} outside [0, 1]; inconsistent inputs")
+        return np.clip(val, 0.0, 1.0)
 
     def estimate(self, y_pk: np.ndarray) -> np.ndarray:
         """Estimates for stacked despread observations, shape (..., M, K)."""
@@ -126,20 +129,21 @@ class ChannelEstimator:
         return out
 
 
-def nmse_high_power_limit(stats: ChannelStatistics, pilots: PilotConfig, k: int) -> float:
-    """Error floor of user k's NMSE as the pilot power grows without bound.
+def nmse_high_power_limit(stats: ChannelStatistics, pilots: PilotConfig) -> np.ndarray:
+    """Error floors of the users' NMSEs as the pilot power grows without bound, shape (K,).
 
-    Zero for ideal hardware; otherwise the limit uses the reduced
+    Zero for ideal hardware; otherwise user k's limit uses the reduced
     covariance tau_u R_k + kappa_t sum R_i + kappa_r sum diag(R_i), which is
     ``build_psi`` at unit pilot power without noise.
     """
     if pilots.kappa_t_ue == 0.0 and pilots.kappa_r_bs == 0.0:
-        return 0.0
-    psi_t = build_psi(stats, replace(pilots, rho=1.0, sigma_u2=0.0))[k]
-    rk = stats.r_k[k]
-    x, _ = solve_pd(psi_t, rk, name="high-power pilot covariance")
-    resid = rk - pilots.tau_u * rk @ x
-    return float(np.real(np.trace(resid)) / np.real(np.trace(rk)))
+        return np.zeros(stats.dims.k)
+    floors = []
+    for psi_t, rk in zip(build_psi(stats, replace(pilots, rho=1.0, sigma_u2=0.0)), stats.r_k):
+        x, _ = solve_pd(psi_t, rk, name="high-power pilot covariance")
+        resid = rk - pilots.tau_u * rk @ x
+        floors.append(float(np.real(np.trace(resid)) / np.real(np.trace(rk))))
+    return np.array(floors)
 
 
 def nmse_large_n_limit(beta_2k: float, beta_ik: float, beta_1: float, n: int,

@@ -546,8 +546,7 @@ def _closed_r_sec(setup: OperatingPoint) -> list:
 def _closed_nmse_floor(setup: OperatingPoint) -> list:
     """[nmse_cf, nmse_floor_cf]: user means of the NMSE and of its high-pilot-power floor."""
     est = setup.est
-    floors = [nmse_high_power_limit(est.stats, est.pilots, k) for k in range(est.stats.dims.k)]
-    return [float(np.mean(est.nmse)), float(np.mean(floors))]
+    return [float(np.mean(est.nmse)), float(np.mean(nmse_high_power_limit(est.stats, est.pilots)))]
 
 
 def _closed_nmse_large_n(setup: OperatingPoint) -> list:

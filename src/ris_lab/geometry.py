@@ -3,10 +3,13 @@
 Builds every deterministic second-order object of the link model
 (BS/RIS spatial correlation, LoS bridge matrix, path losses, aggregate
 covariances seen at the BS) and draws random channel realizations that
-are consistent with those statistics. The draw comes in two steps: the
-correlated Gaussian links (``sample_realizations``), which do not depend
-on the RIS phase-error law, and the aggregate channels for given phase
-errors (``aggregate_channels``). The correlation products are single BLAS
+are consistent with those statistics. ``ChannelStatistics`` stores the
+templates, the bridge and one (M, M) RIS-path covariance; each aggregate
+covariance is derived from those and its link's two gains when read.
+The draw comes in two steps: the correlated Gaussian links
+(``sample_realizations``), which do not depend on the RIS phase-error
+law, and the aggregate channels for given phase errors
+(``aggregate_channels``). The correlation products are single BLAS
 GEMMs and the bridge products one GEMM per slab of blocks, with the block
 axis folded into the GEMM rows wherever the array layout makes the fold
 free. The R_B and R_I templates are real,
@@ -302,8 +305,10 @@ class ChannelStatistics:
     """Everything deterministic the estimator and rate formulas need.
 
     Built in one piece by ``build_channel_statistics``, which computes the
-    cascade congruences through H1 once and scales them by the per-user
-    gains. The covariances see the phase-error law only through its circular
+    cascade congruences through H1 once into ``blend``. It stores no
+    per-user array: ``r_k`` and ``q_e`` are derived from ``r_b``, ``blend``
+    and the fading gains on each read, so a reader binds them once. The
+    covariances see the phase-error law only through its circular
     mean ``phase_deviation_factor(phase_model)``; the sampler draws from it.
     The ``r_b``/``r_i`` templates are real (exponential and sinc), which the
     sampler's real GEMMs against their square roots rely on.
@@ -316,8 +321,23 @@ class ChannelStatistics:
     h1: np.ndarray                       # (M, N) LoS bridge
     r_b: np.ndarray | None               # (M, M) unit-diagonal BS template; None = identity
     r_i: np.ndarray | None               # (N, N) unit-diagonal RIS template; None = identity
-    r_k: list                            # K aggregate user covariances, each (M, M)
-    q_e: np.ndarray                      # (M, M) aggregate eavesdropper covariance
+    blend: np.ndarray                    # (M, M) RIS-path covariance at unit RIS-side gain
+
+    def _covariance(self, direct: float, ris: float) -> np.ndarray:
+        """direct R_B + ris ``blend``: one aggregate link's BS-side covariance."""
+        base_b = np.eye(self.dims.m) if self.r_b is None else self.r_b
+        return hermitize(direct * base_b + ris * self.blend)
+
+    @property
+    def r_k(self) -> list:
+        """K aggregate user covariances beta_2k R_B + beta_ik ``blend``, each (M, M)."""
+        return [self._covariance(b2, bi)
+                for b2, bi in zip(self.fading.beta_2, self.fading.beta_i)]
+
+    @property
+    def q_e(self) -> np.ndarray:
+        """(M, M) aggregate eavesdropper covariance beta_3 R_B + beta_IE ``blend``."""
+        return self._covariance(self.fading.beta_3, self.fading.beta_ie)
 
     @cached_property
     def sqrt_r_b(self) -> np.ndarray | None:
@@ -333,7 +353,7 @@ def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
                              phi: np.ndarray | float = np.pi / 4,
                              r_b: np.ndarray | None = None,
                              r_i: np.ndarray | None = None) -> ChannelStatistics:
-    """Assemble aggregate covariances for all users and the eavesdropper.
+    """Assemble the statistics whose ``r_k`` and ``q_e`` give every link's covariance.
 
     ``phi`` may be a scalar phase (applied to every element) or an (N,)
     vector of phases. ``r_b``/``r_i`` are unit-diagonal templates; pass
@@ -356,16 +376,11 @@ def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
     else:
         cascade_corr = hermitize(b @ r_i @ b.conj().T)
 
-    # beta_1 already lives in h1; the blend below only carries the RIS-user gain.
-    blend = rho ** 2 * cascade_corr + (1.0 - rho ** 2) * cascade_iden
-    base_b = np.eye(dims.m) if r_b is None else r_b
-
+    # beta_1 already lives in h1; the blend only lacks the RIS-side gain.
     return ChannelStatistics(
         dims=dims, fading=fading, phase_model=phase_model, phi=phi_vec, h1=h1,
         r_b=r_b, r_i=r_i,
-        r_k=[hermitize(b2 * base_b + bi * blend)
-             for b2, bi in zip(fading.beta_2, fading.beta_i)],
-        q_e=hermitize(fading.beta_3 * base_b + fading.beta_ie * blend),
+        blend=rho ** 2 * cascade_corr + (1.0 - rho ** 2) * cascade_iden,
     )
 
 

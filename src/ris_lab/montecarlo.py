@@ -486,7 +486,7 @@ def _transmit_diag(blk: _Blocks, p: float, q: float) -> np.ndarray:
 
 
 def _user_terms(est: ChannelEstimator, blk: _Blocks) -> dict:
-    """Per-block SINR terms of every user."""
+    """Per-block SINR terms of every user, (B, K) arrays kept until the reduction."""
     h_conj = blk.h.conj()                             # (B, K, M)
     h = np.swapaxes(blk.h, 1, 2)                      # (B, M, K)
 
@@ -495,7 +495,7 @@ def _user_terms(est: ChannelEstimator, blk: _Blocks) -> dict:
     hn2 = np.sum(np.abs(h) ** 2, axis=1)              # ||h_k||^2
 
     abs_g2 = np.abs(g) ** 2
-    s1 = np.diagonal(g, axis1=1, axis2=2)             # h_k^H w_k
+    s1 = np.diagonal(g, axis1=1, axis2=2).copy()      # h_k^H w_k; a view would keep g
     inter = np.sum(abs_g2, axis=2) - np.abs(s1) ** 2  # sum_{i != k} |h_k^H w_i|^2
 
     err = h - blk.h_hat

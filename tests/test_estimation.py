@@ -1,4 +1,5 @@
 """LMMSE estimator: pilot statistics, error covariance, asymptotics."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -41,10 +42,12 @@ def test_build_psi_ideal_hardware_reduction(small_setup):
 def test_build_psi_diagonal_fixed_point(small_setup):
     # when every R_i is diagonal the Hadamard term equals the full sum
     stats = small_setup[0]
-    diag_stats = make_setup(seed=9)[0]
     rng = np.random.default_rng(5)
-    diag_stats.r_k = [np.diag(rng.uniform(0.5, 2.0, stats.dims.m)).astype(complex)
-                      for _ in range(stats.dims.k)]
+    # R_i = beta_2[i] R_B + beta_i[i] blend: a diagonal R_B and blend make every R_i diagonal
+    diag_stats = dataclasses.replace(
+        make_setup(seed=9)[0], r_b=np.diag(rng.uniform(0.5, 2.0, stats.dims.m)),
+        blend=np.diag(rng.uniform(0.5, 2.0, stats.dims.m)).astype(complex))
+    assert all(np.array_equal(r, np.diag(np.diag(r))) for r in diag_stats.r_k)
     with_r = rl.PilotConfig(tau_u=3, rho=2.0, sigma_u2=1.0, kappa_t_ue=0.0, kappa_r_bs=0.07)
     with_t = rl.PilotConfig(tau_u=3, rho=2.0, sigma_u2=1.0, kappa_t_ue=0.07, kappa_r_bs=0.0)
     psi_r = rl.build_psi(diag_stats, with_r)
@@ -106,7 +109,10 @@ def diagonal_estimator(r_diag, pilots):
     """
     m = len(r_diag)
     stats = make_setup(seed=9, m=m, n=4, k=1, m_e=1)[0]
-    stats.r_k = [np.diag(np.asarray(r_diag, dtype=float)).astype(complex)]
+    # R_1 = 1.0 R_B + beta_i[0] 0 = diag(r_diag) exactly
+    stats = dataclasses.replace(stats, r_b=np.diag(np.asarray(r_diag, dtype=float)),
+                                blend=np.zeros((m, m), dtype=complex),
+                                fading=dataclasses.replace(stats.fading, beta_2=(1.0,)))
     return rl.ChannelEstimator(stats, pilots)
 
 
@@ -254,18 +260,18 @@ def test_high_power_floor(small_setup):
     stats = small_setup[0]
     pil = rl.PilotConfig(tau_u=3, rho=1e6, sigma_u2=1.0, kappa_t_ue=0.01, kappa_r_bs=0.01)
     est = rl.ChannelEstimator(stats, pil)
-    floor = rl.nmse_high_power_limit(stats, pil, 0)
+    floor = rl.nmse_high_power_limit(stats, pil)[0]
     assert floor > 0
     assert abs(est.nmse[0] - floor) / floor < 0.01
 
     ideal = rl.PilotConfig(tau_u=3, rho=1e6, sigma_u2=1.0)
-    assert rl.nmse_high_power_limit(stats, ideal, 0) == 0.0
+    assert rl.nmse_high_power_limit(stats, ideal)[0] == 0.0
 
     # floor grows with the transmit-distortion factor
     floors = []
     for kappa in (0.05 ** 2, 0.1 ** 2, 0.15 ** 2):
         floors.append(rl.nmse_high_power_limit(
-            stats, rl.PilotConfig(tau_u=3, rho=1.0, sigma_u2=1.0, kappa_t_ue=kappa), 0))
+            stats, rl.PilotConfig(tau_u=3, rho=1.0, sigma_u2=1.0, kappa_t_ue=kappa))[0])
     assert floors[0] < floors[1] < floors[2]
 
 
@@ -321,7 +327,7 @@ def test_pilot_phase_noiseless_single_user():
     assert np.allclose(y, expect)
 
 
-def test_despread_pilot_phase_has_the_time_domain_law():
+def test_despread_pilot_phase_has_the_time_domain_law(within):
     # given the channels, drawing the despread observation directly and
     # despreading tau_u simulated pilot symbols give the same law: every
     # entry of the joint covariance of all users' observations about
@@ -344,7 +350,8 @@ def test_despread_pilot_phase_has_the_time_domain_law():
         samples = np.concatenate([np.abs(d) ** 2, cross.real, cross.imag], axis=1)
         moments.append((samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(n)))
     (mean_a, se_a), (mean_b, se_b) = moments
-    assert np.max(np.abs(mean_a - mean_b) / np.hypot(se_a, se_b)) < 4.5
+    within("largest moment z-score", np.max(np.abs(mean_a - mean_b) / np.hypot(se_a, se_b)),
+           below=4.5)
 
 
 def test_pilot_phase_covariance_matches_psi(small_setup, within):

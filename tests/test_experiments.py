@@ -345,7 +345,7 @@ PERTURBED = {
     "normalize_gains": False, "sweep": [1.0], "phase_noise_levels": [0.5],
     "power_scaling_eu_db": 10.0, "n_blocks": 8, "seed": 7, "out_dir": "elsewhere",
 }
-STATS_ARRAYS = ("r_k", "q_e", "h1", "phi", "r_i", "r_b")
+STATS_ARRAYS = ("r_k", "q_e", "blend", "h1", "phi", "r_i", "r_b")
 ESTIMATOR_ARRAYS = ("gain", "nmse", "tr_rpr", "tr_r_phi", "tr_c_phi", "tr_c", "tr_phi_q")
 
 

@@ -6,12 +6,17 @@ of the estimate. The einsum forms below are the reference: same draws,
 the explicit AN basis V of the complete QR, another summation order, so
 results agree to roundoff.
 """
+from functools import partial
+
 import numpy as np
 import pytest
 
 from ris_lab.montecarlo import (
+    _chunk_terms,
     _eve_interference,
     _eve_log_rate,
+    _nmse_terms,
+    _point_terms,
     _transmit_diag,
     _user_terms,
 )
@@ -111,3 +116,16 @@ def test_block_terms_match_einsum_forms():
     x_want, log_rate_want = einsum_eve(blk, p, q, hw.kappa_t_bs)
     assert_close(_eve_interference(blk, p, q, hw.kappa_t_bs), x_want)
     assert_close(_eve_log_rate(blk, p, q, hw.kappa_t_bs, 0.0), log_rate_want)
+
+
+def test_chunk_terms_own_their_memory():
+    # a chunk's terms are kept until the reduction, so none may be a view
+    # that keeps a larger temporary, such as the (B, K, K) Gram, alive
+    _, est, hw, xi = make_setup(seed=12, m=8, n=16, k=2, m_e=2)
+    ops = [(hw, *stream_powers(hw.p_t, xi, 2, 8))]
+    [points] = _chunk_terms([(est, partial(_point_terms, est, ops))], est.stats, 16, (5, 0),
+                            eve=True)
+    [nmse] = _chunk_terms([(est, _nmse_terms)], est.stats, 16, (5, 0), eve=False)
+    for terms in (*points, nmse):
+        for name, arr in terms.items():
+            assert arr.shape == (16, 2) and arr.base is None, name

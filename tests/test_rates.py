@@ -151,7 +151,12 @@ def test_eve_no_an_monotone_in_antennas():
 def test_eve_no_an_denominator_guard():
     # rank-one Q_E violates [tr Q]^2 > M_E tr(Q^2) for M_E >= 2
     stats, est, hw, _ = make_setup(seed=32, m=12, n=9, k=2, m_e=2)
-    est.stats.q_e = np.outer(np.ones(12), np.ones(12)).astype(complex)
+    # Q_E = beta_3 0 + 1.0 blend, the all-ones matrix
+    stats = dataclasses.replace(stats, r_b=np.zeros((12, 12)),
+                                blend=np.outer(np.ones(12), np.ones(12)).astype(complex),
+                                fading=dataclasses.replace(stats.fading, beta_ie=1.0))
+    assert np.array_equal(stats.q_e, np.ones((12, 12)))
+    est = rl.ChannelEstimator(stats, est.pilots)
     with pytest.raises(rl.BoundInvalidError):
         rl.eve_capacity_no_an(rl.compute_rate_terms(est, hw))
 
