@@ -51,14 +51,16 @@ class PilotConfig:
             raise InvalidParameterError("noise and distortion powers must be non-negative")
 
 
-def build_psi(stats: ChannelStatistics, pilots: PilotConfig) -> list:
+def build_psi(r_k: list, pilots: PilotConfig) -> list:
     """Per-user pilot-observation covariances (despread, divided by tau_u).
 
     Psi_k = tau_u rho R_k + rho kappa_t sum_i R_i
-          + rho kappa_r sum_i diag(R_i) + sigma_u^2 I.
+          + rho kappa_r sum_i diag(R_i) + sigma_u^2 I,
+
+    from the K (M, M) covariances ``r_k`` that the caller has bound once
+    (``ChannelStatistics.r_k`` derives them on each read).
     """
-    m = stats.dims.m
-    r_k = stats.r_k
+    m = r_k[0].shape[0]
     sum_r = sum(r_k)
     sum_diag = np.diag(np.real(np.diag(sum_r)))
     common = (pilots.rho * pilots.kappa_t_ue * sum_r
@@ -81,7 +83,7 @@ class ChannelEstimator:
     - ``tr_r[k]`` = tr R_k and ``tr_rpr[k]`` = tr(R_k Psi_k^-1 R_k);
     - ``tr_r_phi[k, i]`` = tr(R_k Phi_i), a (K, K) array;
     - ``tr_c_phi[k]`` = tr(C_k Phi_k) and ``tr_c[k]`` = tr C_k;
-    - ``tr_phi_q[k]`` = tr(Phi_k Q_E).
+    - ``tr_phi_q[k]`` = tr(Phi_k Q_E), ``tr_q`` = tr Q_E and ``tr_q2`` = tr(Q_E^2).
     """
 
     def __init__(self, stats: ChannelStatistics, pilots: PilotConfig):
@@ -92,7 +94,7 @@ class ChannelEstimator:
         r_k = stats.r_k
         # psi_inv_r[k] = Psi_k^{-1} R_k; everything else is a trace away.
         psi_inv_r, conds = zip(*(solve_pd(psi, rk, name=f"Psi_{k}") for k, (psi, rk)
-                                 in enumerate(zip(build_psi(stats, pilots), r_k))))
+                                 in enumerate(zip(build_psi(r_k, pilots), r_k))))
         if max(conds) > COND_LIMIT:
             warnings.warn(
                 f"worst pilot covariance condition number ~{max(conds):.3e} exceeds "
@@ -106,6 +108,8 @@ class ChannelEstimator:
         self.tr_rpr = [herm_trace_prod(rk, x) for rk, x in zip(r_k, psi_inv_r)]
         self.tr_r_phi = np.array([[herm_trace_prod(rk, ec) for ec in est_cov] for rk in r_k])
         q_e = stats.q_e
+        self.tr_q = float(np.real(np.trace(q_e)))
+        self.tr_q2 = herm_trace_prod(q_e, q_e)
         self.tr_phi_q = [herm_trace_prod(ec, q_e) for ec in est_cov]
         err_cov = [hermitize(rk - ec) for rk, ec in zip(r_k, est_cov)]
         self.tr_c_phi = [herm_trace_prod(c, ec) for c, ec in zip(err_cov, est_cov)]
@@ -139,7 +143,8 @@ def nmse_high_power_limit(stats: ChannelStatistics, pilots: PilotConfig) -> np.n
     if pilots.kappa_t_ue == 0.0 and pilots.kappa_r_bs == 0.0:
         return np.zeros(stats.dims.k)
     floors = []
-    for psi_t, rk in zip(build_psi(stats, replace(pilots, rho=1.0, sigma_u2=0.0)), stats.r_k):
+    r_k = stats.r_k
+    for psi_t, rk in zip(build_psi(r_k, replace(pilots, rho=1.0, sigma_u2=0.0)), r_k):
         x, _ = solve_pd(psi_t, rk, name="high-power pilot covariance")
         resid = rk - pilots.tau_u * rk @ x
         floors.append(float(np.real(np.trace(resid)) / np.real(np.trace(rk))))

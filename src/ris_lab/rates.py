@@ -85,8 +85,8 @@ class RateTerms:
 def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, k: int = 0) -> RateTerms:
     """Assemble every scalar the rate formulas need for user ``k``.
 
-    The trace products of the estimate and error covariances are the
-    estimator's (``ChannelEstimator``); the Q_E traces are taken here. The
+    The trace products of the estimate and error covariances and the Q_E
+    traces are the estimator's (``ChannelEstimator``). The
     E||h_hat_i||^2 denominators come from ``mrt_normalizers``, which raises
     DegenerateConfigError for a zero-power estimate.
     """
@@ -109,9 +109,7 @@ def compute_rate_terms(est: ChannelEstimator, hw: HardwareProfile, k: int = 0) -
     d_ddot = (k_users / m) * (tr_c + kappa_dl * tr_r) + hw.sigma_k2 * k_users / p_t
     psi_const = interference + uncertainty - (k_users / m) * tr_c
 
-    q_e = stats.q_e
-    tr_q = float(np.real(np.trace(q_e)))
-    tr_q2 = herm_trace_prod(q_e, q_e)
+    tr_q, tr_q2 = est.tr_q, est.tr_q2
     tr_rpr_q = est.tr_phi_q[k] / tr_pilot
     lambda_k = tr_rpr_q / zeta * tr_q
 

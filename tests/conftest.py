@@ -127,7 +127,7 @@ def estimate_covariance(est, k):
     which keeps only its trace products.
     """
     r_k = est.stats.r_k[k]
-    x, _ = solve_pd(build_psi(est.stats, est.pilots)[k], r_k)
+    x, _ = solve_pd(build_psi(est.stats.r_k, est.pilots)[k], r_k)
     return hermitize(est.pilots.tau_u * est.pilots.rho * r_k @ x)
 
 

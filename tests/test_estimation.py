@@ -33,7 +33,7 @@ def test_pilot_matrix_orthogonal_unit_modulus():
 def test_build_psi_ideal_hardware_reduction(small_setup):
     stats, est, _, _ = small_setup
     pil = rl.PilotConfig(tau_u=3, rho=7.0, sigma_u2=0.5)
-    psi = rl.build_psi(stats, pil)
+    psi = rl.build_psi(stats.r_k, pil)
     for k in range(stats.dims.k):
         expect = 3 * 7.0 * stats.r_k[k] + 0.5 * np.eye(stats.dims.m)
         assert np.allclose(psi[k], expect)
@@ -50,15 +50,15 @@ def test_build_psi_diagonal_fixed_point(small_setup):
     assert all(np.array_equal(r, np.diag(np.diag(r))) for r in diag_stats.r_k)
     with_r = rl.PilotConfig(tau_u=3, rho=2.0, sigma_u2=1.0, kappa_t_ue=0.0, kappa_r_bs=0.07)
     with_t = rl.PilotConfig(tau_u=3, rho=2.0, sigma_u2=1.0, kappa_t_ue=0.07, kappa_r_bs=0.0)
-    psi_r = rl.build_psi(diag_stats, with_r)
-    psi_t = rl.build_psi(diag_stats, with_t)
+    psi_r = rl.build_psi(diag_stats.r_k, with_r)
+    psi_t = rl.build_psi(diag_stats.r_k, with_t)
     for a, b in zip(psi_r, psi_t):
         assert np.allclose(a, b)
 
 
 def test_psi_hermitian_positive_definite(small_setup):
     _, est, _, _ = small_setup
-    for psi in rl.build_psi(est.stats, est.pilots):
+    for psi in rl.build_psi(est.stats.r_k, est.pilots):
         assert max_asymmetry(psi) < 1e-12
         assert np.linalg.eigvalsh(psi).min() > 0
 
@@ -78,7 +78,7 @@ def test_psi_hermitian_positive_definite_on_random_configs(rho, seed, m, n, k, c
                        sigma_p2=sigma_p2, kappa_ul=kappa_ul)[0]
     pilots = rl.PilotConfig(tau_u=k, rho=rho, sigma_u2=sigma_u2,
                             kappa_t_ue=kappa_ul, kappa_r_bs=kappa_ul)
-    for psi in rl.build_psi(stats, pilots):
+    for psi in rl.build_psi(stats.r_k, pilots):
         w = np.linalg.eigvalsh(psi)
         assert max_asymmetry(psi) <= 1e-12 * w[-1]
         # Psi_k is a PSD sum plus sigma_u^2 I, so no eigenvalue is below sigma_u^2
@@ -164,6 +164,15 @@ def test_estimator_holds_only_its_gains_and_trace_products(small_setup):
 
     held = sum(nbytes(value) for value in vars(est).values())
     assert held <= nbytes(est.gain) + 8 * (k * k + 8 * k)
+
+
+@pytest.mark.parametrize("correlated", [True, False])
+def test_estimator_q_e_traces_equal_the_derived_ones(correlated):
+    # the closed forms read tr Q_E and tr(Q_E^2) from the estimator, not from Q_E again
+    stats, est, _, _ = make_setup(seed=3, correlated=correlated)
+    q_e = stats.q_e
+    assert est.tr_q == float(np.real(np.trace(q_e)))
+    assert est.tr_q2 == rl.linalg.herm_trace_prod(q_e, q_e)
 
 
 def test_error_covariance_limits(small_setup):
@@ -363,6 +372,6 @@ def test_pilot_phase_covariance_matches_psi(small_setup, within):
     k = 1
     yk = y[:, :, k]
     cov = np.einsum("bi,bj->ij", yk, yk.conj()) / yk.shape[0]
-    expect = est.pilots.tau_u * rl.build_psi(est.stats, est.pilots)[k]
+    expect = est.pilots.tau_u * rl.build_psi(est.stats.r_k, est.pilots)[k]
     within("relative covariance error", np.linalg.norm(cov - expect) / np.linalg.norm(expect),
            below=0.03)

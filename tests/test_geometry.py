@@ -152,6 +152,36 @@ def test_ris_correlation_quarter_wavelength_value():
     assert r[0, 1] == pytest.approx(0.6366197723675814, rel=1e-12)
 
 
+def tensor_ris_correlation(dims, spec):
+    """Reference R_I through the (N, N, 3) difference tensor and ``np.sinc`` itself."""
+    pos = rl.geometry.ris_element_positions(dims, spec)
+    diff = pos[:, None, :] - pos[None, :, :]
+    return np.sinc(2.0 * np.sqrt(np.sum(diff * diff, axis=-1)) / spec.wavelength)
+
+
+@pytest.mark.parametrize("n, n_h", [(16, 4), (12, 3), (24, 8), (196, 14), (200, 8), (784, 28)])
+@pytest.mark.parametrize("d_h, d_v", [(None, None), (0.025, 0.025), (0.05, 0.03)])
+def test_ris_correlation_equals_tensor_formula_bit_for_bit(n, n_h, d_h, d_v):
+    # the in-place build repeats np.sinc's steps on the same operands
+    dims = rl.SystemDimensions(m=4, n=n, k=2, m_e=1, n_h=n_h)
+    spec = rl.CorrelationSpec(wavelength=0.1, d_h=d_h, d_v=d_v)
+    r = rl.build_ris_correlation(dims, spec)
+    assert np.array_equal(r, tensor_ris_correlation(dims, spec))
+    assert not r.flags.writeable
+
+
+def test_ris_correlation_peaks_near_two_n_squared_doubles():
+    # the (N, N, 3) difference tensor and np.sinc's temporaries reach 7 N^2
+    dims = rl.SystemDimensions(m=4, n=900, k=2, m_e=1, n_h=30)
+    tracemalloc.start()
+    try:
+        rl.build_ris_correlation(dims, rl.CorrelationSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * dims.n ** 2 * 8
+
+
 def test_ris_correlation_row_major_positions():
     dims = rl.SystemDimensions(m=4, n=6, k=2, m_e=1, n_h=3)
     pos = rl.geometry.ris_element_positions(dims, rl.CorrelationSpec(wavelength=0.1))
