@@ -9,14 +9,16 @@ covariance is derived from those and its link's two gains when read.
 The draw comes in two steps: the correlated Gaussian links
 (``sample_realizations``), which do not depend on the RIS phase-error
 law, and the aggregate channels for given phase errors
-(``aggregate_channels``). The correlation products are single BLAS
-GEMMs and the bridge products one GEMM per slab of blocks, with the block
-axis folded into the GEMM rows wherever the array layout makes the fold
-free. The R_B and R_I templates are real,
-so their square roots are too: the sampler draws the real part of each
-link, colors it with one real GEMM (dgemm) and writes it into the link,
-then does the same for the imaginary part; only the bridge products are
-complex.
+(``aggregate_channels``). The Monte Carlo oracle takes both steps one slab
+of blocks at a time (``SLAB_BLOCKS``); within a call, each correlation
+product and each bridge product is one BLAS GEMM over all of its blocks,
+with the block axis folded into the GEMM rows wherever the array layout
+makes the fold free. The R_B and R_I templates are real,
+so their square roots are too: the sampler draws the real and the
+imaginary part of each link, colors both with one real GEMM (dgemm) and
+writes them into the link; only the bridge products are complex. The RIS
+phases Phi fold into the phase-error rotation, so the bridge product is by
+H1 itself.
 
 The templates nest: a RIS grid that fits in a larger one at the same
 spacings has the larger R_I's principal sub-block at its elements
@@ -418,22 +420,21 @@ def _rows_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _colored(white, root, gain) -> np.ndarray:
     """sqrt(gain/2) (g_re + j g_im) @ sqrt_r.T, the complex link of two real white parts.
 
-    ``white()`` draws one real part: the real part first, then the imaginary
-    one. Each part is colored by one real GEMM against the real square root
-    ``root()`` (None = white) and written, scaled, into its half of the link
-    before the next part is drawn; no complex temporary is made. ``root`` is
-    read after the real part is drawn: a cached_property holds one lock across
-    all instances while it computes, and the draw need not wait for it.
+    ``white()`` draws both real parts as one (2, ...) array, the real part
+    first, then the imaginary one. Both are colored by one real GEMM against
+    the real square root ``root()`` (None = white) and written, scaled, into
+    the halves of the link; no complex temporary is made. ``root`` is read
+    after the draw: a cached_property holds one lock across all instances
+    while it computes, and the draw need not wait for it.
     """
-    h = None
-    for half in ("real", "imag"):
-        g = white()
-        sqrt_r = root()
-        if sqrt_r is not None:
-            g = _rows_times(g, sqrt_r)
-        if h is None:
-            h = np.empty(g.shape, dtype=complex)
-        np.multiply(g, np.sqrt(gain / 2), out=getattr(h, half))
+    g = white()
+    sqrt_r = root()
+    if sqrt_r is not None:
+        g = _rows_times(g, sqrt_r)
+    h = np.empty(g.shape[1:], dtype=complex)
+    scale = np.sqrt(gain / 2)
+    np.multiply(g[0], scale, out=h.real)
+    np.multiply(g[1], scale, out=h.imag)
     return h
 
 
@@ -452,44 +453,50 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
     sub-grids and leading antennas, every smaller nested array;
     ``aggregate_channels`` applies the phase errors.
 
-    Every correlation product is one real GEMM over a part of all blocks at
-    once. The eavesdropper arrays are built antenna-major, (B, M_E, .), so
+    Every correlation product is one real GEMM over both parts of all
+    ``n_draws`` blocks at once. Each part is drawn over all blocks, so a
+    draw of B blocks is not the concatenation of draws of fewer. The Monte
+    Carlo oracle draws a chunk one slab of ``SLAB_BLOCKS`` blocks at a time,
+    so it holds no chunk-size link at the RIS size N. The eavesdropper arrays are built antenna-major, (B, M_E, .), so
     that block and antenna axes fold into the GEMM rows; they are returned
     as transposed views of that layout.
     """
     dims, fading = stats.dims, stats.fading
     draws = {
-        "h_i": _colored(lambda: rng.standard_normal((n_draws, dims.k, dims.n)),
+        "h_i": _colored(lambda: rng.standard_normal((2, n_draws, dims.k, dims.n)),
                         lambda: stats.sqrt_r_i,
                         np.asarray(fading.beta_i)[None, :, None]),   # rows ~ CN(0, beta_i R_I)
-        "h_b": _colored(lambda: rng.standard_normal((n_draws, dims.k, dims.m)),
+        "h_b": _colored(lambda: rng.standard_normal((2, n_draws, dims.k, dims.m)),
                         lambda: stats.sqrt_r_b, np.asarray(fading.beta_2)[None, :, None]),
     }
     if eve:
-        h_ie = _colored(lambda: np.swapaxes(rng.standard_normal((n_draws, dims.n, dims.m_e)), 1, 2),
+        h_ie = _colored(lambda: np.swapaxes(rng.standard_normal((2, n_draws, dims.n, dims.m_e)), 2, 3),
                         lambda: stats.sqrt_r_i, fading.beta_ie)             # (B, M_E, N)
-        h_be = _colored(lambda: np.swapaxes(rng.standard_normal((n_draws, dims.m, dims.m_e)), 1, 2),
+        h_be = _colored(lambda: np.swapaxes(rng.standard_normal((2, n_draws, dims.m, dims.m_e)), 2, 3),
                         lambda: stats.sqrt_r_b, fading.beta_3)              # (B, M_E, M)
         draws.update(h_ie=np.swapaxes(h_ie, 1, 2), h_be=np.swapaxes(h_be, 1, 2))
     return draws
 
 
-# Blocks per slab of ``aggregate_channels``: a chunk of B blocks is built in
+# Blocks per slab of a Monte Carlo chunk: ``montecarlo._chunk_terms`` draws
+# the links of a chunk of B blocks (``sample_realizations``) and builds its
+# channels from them (``aggregate_channels``) one slab at a time, in
 # ceil(B / SLAB_BLOCKS) slabs whose sizes differ by at most one, so no slab is
-# a single block unless B is (a one-row product takes another BLAS path and
-# changes last bits). The sampler's colouring GEMMs stay whole: real dgemm
-# rows, unlike complex zgemm rows, change last bits with the rows beside them.
-SLAB_BLOCKS = 25
+# a single block unless B is (a one-row product takes another BLAS path). So
+# the chunk's links never exist at the RIS size N, only one slab's. Against
+# 25, 10 lowered the N = 400 bench workload's peak RSS from 57.6-58.7 MB to
+# 55.2-55.3 MB (three alternating runs each, BENCH_slab_draw.json).
+SLAB_BLOCKS = 10
 
 
-def _slabs(b: int) -> list[slice]:
+def slabs(b: int) -> list[slice]:
     """ceil(b / SLAB_BLOCKS) near-equal slices that cover the block axis of length b."""
     n = -(-b // SLAB_BLOCKS)
     return [slice(b * i // n, b * (i + 1) // n) for i in range(n)]
 
 
 def aggregate_channels(stats: ChannelStatistics, draws: dict, theta: np.ndarray | None,
-                       *, elements: np.ndarray | None = None
+                       *, elements: np.ndarray | None = None, out: list | None = None
                        ) -> tuple[np.ndarray, np.ndarray | None]:
     """Aggregate channels (h, h_e) of ``stats`` from ``sample_realizations`` draws.
 
@@ -498,20 +505,21 @@ def aggregate_channels(stats: ChannelStatistics, draws: dict, theta: np.ndarray 
     the whole grid), and the direct links are read at their leading M
     antennas. ``theta`` (B, N) holds one phase-error vector per block at the
     draw's grid, shared by the users and the eavesdropper of that block;
-    None means no phase errors, and the rotation is skipped. Returns
+    None means no phase errors, and exp(j theta) is skipped. Returns
     h (B, K, M) and h_e (B, M, M_E): the direct links plus the RIS path
-    through the rotation exp(j theta) and the bridge H1 Phi. h_e is None when
+    through the rotation exp(j theta) Phi and the bridge H1. h_e is None when
     the draw holds no eavesdropper links.
 
-    The RIS path is built in slabs of blocks (``_slabs``): each slab's
-    elements are gathered, rotated and multiplied by the bridge in one GEMM
-    into the output, so no full-size rotated copy of a link is made and the
-    draw is never written. A complex GEMM row does not depend on how many
-    rows share the call, so the channels equal those of one GEMM over all
-    blocks, bit for bit.
+    ``out``, if given, holds the arrays the channels are written into:
+    h (B, K, M) and, with Eve's links, h_e antenna-major (B, M_E, M), the
+    layout in which block and antenna fold into the bridge GEMM's rows; h_e
+    is returned as its transposed view. ``montecarlo._chunk_terms`` passes
+    one slab's rows of its chunk-size arrays (``slabs``). The RIS path is
+    one GEMM over the given blocks, and the draw is never written. A complex
+    GEMM row does not depend on how many rows share the call, so channels
+    built slab by slab equal those of one GEMM over all blocks, bit for bit.
     """
     m = stats.dims.m
-    bridge = stats.h1 * stats.phi[None, :]             # (M, N)
 
     def take(x):
         return x if elements is None else x[..., elements]
@@ -521,14 +529,16 @@ def aggregate_channels(stats: ChannelStatistics, draws: dict, theta: np.ndarray 
     links = [(draws["h_i"], draws["h_b"][:, :, :m])]
     if "h_ie" in draws:
         links.append((np.swapaxes(draws["h_ie"], 1, 2), np.swapaxes(draws["h_be"], 1, 2)[:, :, :m]))
-    outs = [np.empty(x.shape[:2] + (m,), dtype=complex) for x, _ in links]
-    for s in _slabs(len(draws["h_i"])):
-        rot = None if theta is None else np.exp(1j * take(theta[s]))[:, None, :]
-        for (x, direct), out in zip(links, outs, strict=True):
-            xs = take(x[s])
-            if rot is not None:
-                xs = np.multiply(rot, xs)   # rot first: the operand order fixes the last bits
-            out[s] = _rows_times(xs, bridge)
-            out[s] += direct[s]
-    h, *h_e = outs
+    if out is None:
+        out = [np.empty(x.shape[:2] + (m,), dtype=complex) for x, _ in links]
+    if theta is None:
+        rot = stats.phi
+    else:
+        rot = np.exp(1j * take(theta))
+        rot *= stats.phi
+        rot = rot[:, None, :]
+    for (x, direct), o in zip(links, out, strict=True):
+        o[...] = _rows_times(np.multiply(rot, take(x)), stats.h1)
+        o += direct
+    h, *h_e = out
     return h, (np.swapaxes(h_e[0], 1, 2) if h_e else None)

@@ -12,12 +12,13 @@ for any worker count.
 
 An oracle call splits its points into draw runs (``_draw_runs``):
 consecutive points whose statistics nest in the largest arrays among them.
-A draw run draws once per chunk, at those largest arrays: the RIS grid and
-BS array of the point with the most elements and antennas. A smaller point
-reads the draw's entries at its own elements (``geometry.nested_elements``)
-and its leading antennas, which have its exact law when its R_I and R_B are
-principal blocks of the largest (``draw_grid``); half-wavelength square
-grids and exponential R_B nest exactly. The draw reads nothing else of the
+A draw run draws each chunk once, slab by slab, at those largest arrays: the
+RIS grid and BS array of the point with the most elements and antennas. A
+smaller point reads the draw's entries at its own elements
+(``geometry.nested_elements``) and its leading antennas, which have its
+exact law when its R_I and R_B are principal blocks of the largest
+(``draw_grid``); half-wavelength square grids and exponential R_B nest
+exactly. The draw reads nothing else of the
 statistics, so points may differ in their RIS phases, LoS bridge and
 phase-error law: each applies its own to the draw. So a point is
 bit-identical to itself alone at the same draw grid, not to itself alone:
@@ -32,22 +33,23 @@ estimator object share their pilot phase, estimate and precoders.
 
 Stream layout of one chunk, at the largest arrays: the chunk stream
 ``derive_rng(master_seed, purpose, chunk)`` first gives the correlated
-Gaussian links (``geometry.sample_realizations``), then the pilot phase's
-Gaussians (``estimation.pilot_gaussians``), drawn once and scaled by the
-pilot phase of every estimator of the chunk. The pilot phase is drawn
-where the estimator reads it, in the despread domain: per block a K x K
-transmit-distortion part, then an M x K part for receive distortion plus
-noise, whatever the pilot length. The links are the users' g_i and g_b,
-followed by Eve's g_ie and g_be in the secrecy oracle, which reads Eve's
-channel; the NMSE oracle draws only the users' links, so its pilot
-Gaussians follow g_b. The RIS phase errors come from their own
-substream, ``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, one
-(B, N) draw per law at the largest grid, and are applied by
-``geometry.aggregate_channels``, which builds each point's channels from
-its part of the draw in slabs of blocks and writes nothing into the draw,
-so the draw is the only full-size copy of the links a chunk holds. A law
-without phase errors draws nothing there, and its channels skip the
-rotation.
+Gaussian links (``geometry.sample_realizations``), one slab of
+``geometry.SLAB_BLOCKS`` blocks at a time (``geometry.slabs``), then the
+pilot phase's Gaussians of the whole chunk (``estimation.pilot_gaussians``),
+drawn once and scaled by the pilot phase of every estimator of the chunk.
+The pilot phase is drawn where the estimator reads it, in the despread
+domain: per block a K x K transmit-distortion part, then an M x K part for
+receive distortion plus noise, whatever the pilot length. A slab's links are
+the users' g_i and g_b, followed by Eve's g_ie and g_be in the secrecy
+oracle, which reads Eve's channel; the NMSE oracle draws only the users'
+links. The RIS phase errors come from their own substream,
+``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, one (B, N) draw
+per law at the largest grid, and are applied by
+``geometry.aggregate_channels``. Each slab's draw builds every point's rows
+of that slab into its chunk-size channels at M antennas before the next slab
+is drawn, so a chunk holds one slab's links at the RIS size N, never the
+chunk's. A law without phase errors draws nothing there, and its channels
+skip exp(j theta).
 
 The chunk thread pool is the only level of parallelism, and it runs at
 every default size: the default 400-block run is eight chunks, a 1024-block
@@ -115,6 +117,7 @@ from .geometry import (
     aggregate_channels,
     nested_elements,
     sample_realizations,
+    slabs,
 )
 from .hardware import HardwareProfile
 from .precoding import mrt_normalizers, mrt_precoder, stream_powers
@@ -125,10 +128,11 @@ from .streams import CHANNEL_BLOCK, NMSE_BLOCK, PHASE_ERRORS, derive_rng
 # count. 50 blocks split the default 400-block run into 8 equal chunks, so a
 # pool of up to 8 workers (the worker_count() cap) has work for each; 128
 # split it 3 x 128 + 16, unevenly over two workers, and ran slower. A
-# worker's memory peak is one chunk's draw and its per-point temporaries:
-# against 100 blocks, 50 cut the bench workloads' peak RSS by 11-15% with
-# CPU time flat, and 25 cut it 5-9% more but raised CPU time by up to 6%
-# (BENCH_chunk_blocks.json).
+# worker's memory peak is one chunk's channels at M, one slab's draw and the
+# per-point temporaries: against 100 blocks, 50 cut the bench workloads'
+# peak RSS by 11-15% with CPU time flat, and 25 cut it 5-9% more but raised
+# CPU time by up to 6% (BENCH_chunk_blocks.json, measured with the chunk's
+# whole draw at N).
 CHUNK_BLOCKS = 50
 THREADS_ENV = "RIS_LAB_THREADS"
 
@@ -308,41 +312,56 @@ def _chunk_terms(run, grid: ChannelStatistics, size: int, key: tuple, eve: bool)
     """``terms(h, h_e, h_hat)`` per ``(est, terms)`` of ``run`` for one chunk, in order.
 
     Without ``eve`` the callbacks get ``(h, h_hat)``. The Gaussians are
-    drawn once from ``grid``, the run's largest arrays, in the module's
-    stream layout. Each estimator reads its elements of the grid's RIS
-    (``nested_elements``) and its leading antennas. Channels are rebuilt
-    wherever an estimator's statistics are another object than the previous
-    one's: ``experiments.build_setup`` hands consecutive points of one link
-    one statistics object, and equal statistics held as two objects build
+    drawn from ``grid``, the run's largest arrays, in the module's stream
+    layout. Each estimator reads its elements of the grid's RIS
+    (``nested_elements``) and its leading antennas. Channels are built once
+    per run of consecutive estimators on one statistics object:
+    ``experiments.build_setup`` hands consecutive points of one link one
+    statistics object, and equal statistics held as two objects build
     bit-identical channels, only twice. Each phase-error law draws its
-    errors once, from the restarted substream. An estimate lives only while
-    its callback runs; the previous channels are released before the next
-    are built, and the draw, which no build writes, after the last build.
+    errors once, from the restarted substream.
+
+    The links are drawn one slab of blocks at a time (``slabs``), and every
+    build writes its rows of that slab into its chunk-size channels at M
+    antennas before the next slab is drawn, so no chunk-size array at the
+    RIS size N exists. An estimate lives only while its callback runs, and
+    a build's channels until its last estimator's callback returns.
     """
     rng = derive_rng(*key)
-    draws = sample_realizations(grid, rng, size, eve=eve)
-    g_t, g_w = pilot_gaussians(rng, (size, grid.dims.k, grid.dims.m))
-    builds = [i for i, (est, _) in enumerate(run)
-              if i == 0 or est.stats is not run[i - 1][0].stats]
+    dims = grid.dims
     thetas = {}             # phase-error law -> its (B, N) errors at the grid
-    results = []
-    for i, (est, terms) in enumerate(run):
+    builds = deque()        # (stats, elements, channels) per run of one statistics object
+    for est, _ in run:
         stats = est.stats
-        if i in builds:
-            channels = None
-            law = stats.phase_model
-            if not law.is_ideal and law not in thetas:
-                thetas[law] = law.draw(derive_rng(*key, PHASE_ERRORS), (size, grid.dims.n))
-            elements = (None if stats.dims.n == grid.dims.n
-                        else nested_elements(stats.dims, grid.dims))
-            # (h, h_e), or (h,) without Eve's links
-            channels = aggregate_channels(stats, draws, thetas.get(law),
-                                          elements=elements)[:2 if eve else 1]
-            if i == builds[-1]:
-                del draws, thetas   # the later estimators run without them
-        pilot_draw = (g_t, g_w[:, :stats.dims.m])
+        if builds and stats is builds[-1][0]:
+            continue
+        law = stats.phase_model
+        if not law.is_ideal and law not in thetas:
+            thetas[law] = law.draw(derive_rng(*key, PHASE_ERRORS), (size, dims.n))
+        own = stats.dims
+        elements = None if own.n == dims.n else nested_elements(own, dims)
+        shapes = [(own.k, own.m), (own.m_e, own.m)][:2 if eve else 1]
+        builds.append((stats, elements,
+                       [np.empty((size, *shape), dtype=complex) for shape in shapes]))
+    for s in slabs(size):
+        draws = sample_realizations(grid, rng, s.stop - s.start, eve=eve)
+        for stats, elements, out in builds:
+            theta = thetas.get(stats.phase_model)
+            aggregate_channels(stats, draws, None if theta is None else theta[s],
+                               elements=elements, out=[o[s] for o in out])
+        del draws           # before the next slab is drawn
+    del thetas, theta
+    g_t, g_w = pilot_gaussians(rng, (size, dims.k, dims.m))
+    results = []
+    for est, terms in run:
+        if est.stats is not builds[0][0]:
+            builds.popleft()        # the previous statistics' channels go
+        h, *h_e = builds[0][2]
+        # (h, h_e), h_e as the transposed view of its antenna-major layout
+        channels = (h, *(np.swapaxes(x, 1, 2) for x in h_e))
+        pilot_draw = (g_t, g_w[:, :est.stats.dims.m])
         results.append(terms(*channels, est.estimate(
-            simulate_pilot_phase(channels[0], est.pilots, pilot_draw))))
+            simulate_pilot_phase(h, est.pilots, pilot_draw))))
     return results
 
 
@@ -436,7 +455,7 @@ def estimate_nmse(ests, plan: TrialPlan) -> list[OracleEstimates]:
     share its random numbers, such as those of one link at several pilot
     powers or pilot lengths (both live in the ``PilotConfig``, not in the
     statistics, and the despread draw depends on neither), or of nested RIS
-    grids. Each chunk draws only the users' links, once per draw run.
+    grids. Each chunk draws only the users' links, once per draw run and slab.
     """
     out = []
     for parts in _oracle([(est, _nmse_terms) for est in ests], plan, NMSE_BLOCK, eve=False):
@@ -477,7 +496,8 @@ def _row_power(a: np.ndarray) -> np.ndarray:
 
 def _an_component(q_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x - Q (Q^H x) = (I - Q Q^H) x, the AN-space part of stacked (B, M, J) x."""
-    return x - q_hat @ (np.swapaxes(q_hat, 1, 2).conj() @ x)
+    t = q_hat @ (np.swapaxes(q_hat, 1, 2).conj() @ x)
+    return np.subtract(x, t, out=t)
 
 
 def _transmit_diag(blk: _Blocks, p: float, q: float) -> np.ndarray:
@@ -491,26 +511,35 @@ def _user_terms(est: ChannelEstimator, blk: _Blocks) -> dict:
     h = np.swapaxes(blk.h, 1, 2)                      # (B, M, K)
 
     g = h_conj @ blk.w                                # g[b,k,i] = h_k^H w_i
-    an = np.sum(np.abs(_an_component(blk.q_hat, h)) ** 2, axis=1)  # ||V^H h_k||^2
-    hn2 = np.sum(np.abs(h) ** 2, axis=1)              # ||h_k||^2
+    power = np.abs(_an_component(blk.q_hat, h))       # one float buffer for both powers
+    an = np.sum(np.square(power, out=power), axis=1)  # ||V^H h_k||^2
+    # reused in h's memory layout, which fixes the order of the sum over M
+    power = np.swapaxes(power.reshape(blk.h.shape), 1, 2)
+    hn2 = np.sum(np.square(np.abs(h, out=power), out=power), axis=1)  # ||h_k||^2
+    del power
 
-    abs_g2 = np.abs(g) ** 2
+    abs_g2 = np.abs(g)
+    np.square(abs_g2, out=abs_g2)
     s1 = np.diagonal(g, axis1=1, axis2=2).copy()      # h_k^H w_k; a view would keep g
     inter = np.sum(abs_g2, axis=2) - np.abs(s1) ** 2  # sum_{i != k} |h_k^H w_i|^2
 
     err = h - blk.h_hat
-    ehat = np.einsum("bmk,bmk->bk", err.conj(), blk.h_hat)
+    ehat = np.einsum("bmk,bmk->bk", np.conjugate(err, out=err), blk.h_hat)
     var_err = np.abs(ehat) ** 2 / mrt_normalizers(est)[None, :]
     return {"s1": s1, "inter": inter, "an": an, "hn2": hn2, "var_err": var_err}
 
 
-def _eve_interference(blk: _Blocks, p: float, q: float,
+def _eve_interference(blk: _Blocks, h_e_h: np.ndarray, p: float, q: float,
                       kappa_t_bs: float) -> np.ndarray:
-    """Eve's interference matrix X = H_E^H (q V V^H + Ups_t) H_E, (B, M_E, M_E)."""
-    h_e_h = np.swapaxes(blk.h_e, 1, 2).conj()         # (B, M_E, M)
+    """Eve's interference matrix X = H_E^H (q V V^H + Ups_t) H_E, (B, M_E, M_E).
+
+    ``h_e_h`` is H_E^H, (B, M_E, M); it is scaled in place by the transmit
+    diagonal, so the caller reads it first.
+    """
     p_e = _an_component(blk.q_hat, blk.h_e)           # P = (I - Q Q^H) H_E
     x = q * (np.swapaxes(p_e, 1, 2).conj() @ p_e)
-    x += kappa_t_bs * ((h_e_h * _transmit_diag(blk, p, q)[:, None, :]) @ blk.h_e)
+    h_e_h *= _transmit_diag(blk, p, q)[:, None, :]
+    x += kappa_t_bs * (h_e_h @ blk.h_e)
     return x
 
 
@@ -528,8 +557,9 @@ def _eve_floor(hw: HardwareProfile, q: float) -> float:
 def _eve_log_rate(blk: _Blocks, p: float, q: float, kappa_t_bs: float,
                   sigma_e2: float) -> np.ndarray:
     """Per-block log2(1 + SINR) of Eve under optimal combining, shape (B, K)."""
-    x = _eve_interference(blk, p, q, kappa_t_bs)
-    f = np.swapaxes(blk.h_e, 1, 2).conj() @ blk.w     # H_E^H w_k
+    h_e_h = np.swapaxes(blk.h_e, 1, 2).conj()         # H_E^H, (B, M_E, M)
+    f = h_e_h @ blk.w                                 # H_E^H w_k
+    x = _eve_interference(blk, h_e_h, p, q, kappa_t_bs)
     if sigma_e2 > 0.0:
         x += sigma_e2 * np.eye(x.shape[-1])[None, :, :]
     sol = np.linalg.solve(x, f)

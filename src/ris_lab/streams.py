@@ -11,10 +11,12 @@ parts, in one call or one per part; its consumer scales and colors the
 parts itself.
 
 The chunk stream ``(master_seed, purpose, chunk)`` of a Monte Carlo oracle
-gives the users' links, then Eve's links where the oracle reads her channel
-(``CHANNEL_BLOCK``, the secrecy oracle), then the pilot Gaussians. The
-``NMSE_BLOCK`` stream holds no Eve links: its pilot Gaussians follow the
-users' links. The pilot Gaussians are those of the despread pilot
+gives, slab by slab (at most ``geometry.SLAB_BLOCKS`` blocks each, see
+``geometry.slabs``), that slab's users' links, then its Eve links where the
+oracle reads her channel (``CHANNEL_BLOCK``, the secrecy oracle); after the
+last slab it gives the pilot Gaussians of the whole chunk. The
+``NMSE_BLOCK`` stream holds no Eve links: each slab holds the users' links
+only. The pilot Gaussians are those of the despread pilot
 observation, (B, K, K) transmit distortion and then (B, M, K) receive
 distortion plus noise, so their count does not depend on the pilot length.
 All of them are drawn at the largest arrays of the oracle call's draw run
@@ -33,8 +35,10 @@ import numpy as np
 # Raised by every deliberate change of which random numbers a Monte Carlo
 # cell reads. Layout 6: the points of a sweep over nested array sizes read
 # one draw at its largest arrays. Layout 7: chunks of 50 blocks
-# (montecarlo.CHUNK_BLOCKS), not 100, so every chunk stream moved.
-STREAM_LAYOUT = 7
+# (montecarlo.CHUNK_BLOCKS), not 100, so every chunk stream moved. Layout 8:
+# each chunk's links are drawn one slab of blocks at a time, before its
+# pilot Gaussians, so every chunk stream moved.
+STREAM_LAYOUT = 8
 
 # Purpose tags for spawn keys. Fixed values: changing them changes every
 # derived stream, which invalidates frozen regression values.

@@ -10,6 +10,7 @@ import ris_lab.montecarlo
 from ris_lab import cli
 from ris_lab.errors import ConfigValidationError
 from ris_lab.experiments import ExperimentConfig, build_setup, run_and_write, run_experiment
+from ris_lab.geometry import SLAB_BLOCKS, slabs
 from ris_lab.montecarlo import CHUNK_BLOCKS, OracleEstimates
 from ris_lab.streams import STREAM_LAYOUT
 
@@ -206,16 +207,37 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
 
 
 def counted_draws(monkeypatch):
-    """Counter of the Monte Carlo sampler's calls by (N, M, blocks), from now on."""
-    draws = collections.Counter()
+    """The Monte Carlo sampler's calls from now on: (chunk stream, (N, M), blocks) each."""
+    draws = []
     sample = ris_lab.montecarlo.sample_realizations
 
     def counted(stats, rng, n_draws, *, eve):
-        draws[stats.dims.n, stats.dims.m, n_draws] += 1
+        draws.append((rng, (stats.dims.n, stats.dims.m), n_draws))
         return sample(stats, rng, n_draws, eve=eve)
 
     monkeypatch.setattr(ris_lab.montecarlo, "sample_realizations", counted)
     return draws
+
+
+def chunk_slabs(draws):
+    """Counter of (N, M, slab sizes) over the chunk streams of ``counted_draws``' calls.
+
+    A chunk stream draws every slab of its chunk at one grid; the streams
+    are told apart by identity, so a draw spans no chunk.
+    """
+    chunks = {}
+    for rng, arrays, n_draws in draws:
+        grid, sizes = chunks.setdefault(id(rng), (arrays, []))
+        assert arrays == grid
+        sizes.append(n_draws)
+    return collections.Counter((*grid, tuple(sizes)) for grid, sizes in chunks.values())
+
+
+def slab_sizes(blocks):
+    """Block counts of the slabs a chunk of ``blocks`` is drawn in; they sum to ``blocks``."""
+    sizes = tuple(s.stop - s.start for s in slabs(blocks))
+    assert sum(sizes) == blocks and max(sizes) <= SLAB_BLOCKS
+    return sizes
 
 
 @pytest.mark.parametrize("experiment, changes, estimators, grid", [
@@ -236,18 +258,18 @@ def counted_draws(monkeypatch):
 def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, changes,
                                                      estimators, grid):
     # one oracle call per sweep, holding ``estimators`` estimators; each
-    # chunk of each draw run draws once, at the arrays (N, M) in ``grid`` of
-    # the run's largest point, and builds channels once per estimator, so
-    # each of the sweep's links holds one statistics object (build_setup)
-    # and no link is built twice
+    # chunk of each draw run draws once per slab, at the arrays (N, M) in
+    # ``grid`` of the run's largest point, and each slab's draw builds
+    # channels once per estimator, so each of the sweep's links holds one
+    # statistics object (build_setup) and no link is built twice
     draws = counted_draws(monkeypatch)
     calls, built = [], collections.Counter()
     oracle = ris_lab.experiments.estimate_secrecy
     aggregate = ris_lab.montecarlo.aggregate_channels
 
-    def counted_builds(stats, draws, theta, **kwargs):
-        built[len(draws["h_i"])] += 1
-        return aggregate(stats, draws, theta, **kwargs)
+    def counted_builds(stats, slab, theta, **kwargs):
+        built[len(slab["h_i"])] += 1
+        return aggregate(stats, slab, theta, **kwargs)
 
     def recorded(points, plan):
         points = list(points)
@@ -261,8 +283,13 @@ def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, ch
     table = run_experiment(experiment, config)
     assert len(table.rows) == len(changes["sweep"]) * len(changes.get("phase_noise_levels", [0]))
     assert calls == [estimators]
-    assert draws == {(*arrays, size): 1 for arrays in grid for size in (CHUNK_BLOCKS, 8)}
-    assert built == {size: estimators for size in (CHUNK_BLOCKS, 8)}
+    assert chunk_slabs(draws) == {(*arrays, slab_sizes(size)): 1
+                                  for arrays in grid for size in (CHUNK_BLOCKS, 8)}
+    want = collections.Counter()
+    for size in (CHUNK_BLOCKS, 8):
+        for blocks in slab_sizes(size):
+            want[blocks] += estimators
+    assert built == want
 
 
 @pytest.mark.parametrize("experiment, sweep, grid", [
@@ -275,7 +302,7 @@ def test_secrecy_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, ch
 ], ids=["nmse_vs_snr", "nmse_vs_N", "nmse_vs_N_two_draw_runs"])
 def test_nmse_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, sweep, grid):
     # one oracle call over the sweep's estimators; each chunk of each draw
-    # run draws once, at the run's largest N in ``grid``
+    # run draws once per slab, at the run's largest N in ``grid``
     draws = counted_draws(monkeypatch)
     calls = []
     oracle = ris_lab.experiments.estimate_nmse
@@ -290,7 +317,8 @@ def test_nmse_sweep_draws_once_per_link_and_chunk(monkeypatch, experiment, sweep
     table = run_experiment(experiment, config)
     assert [row[0] for row in table.rows] == sweep
     assert calls == [len(sweep)]
-    assert draws == {(n, TINY["m"], size): 1 for n in grid for size in (CHUNK_BLOCKS, 8)}
+    assert chunk_slabs(draws) == {(n, TINY["m"], slab_sizes(size)): 1
+                                  for n in grid for size in (CHUNK_BLOCKS, 8)}
 
 
 @pytest.mark.parametrize("experiment", ["nmse_vs_N", "secrecy_vs_N", "secrecy_vs_M",

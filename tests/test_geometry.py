@@ -6,7 +6,7 @@ import pytest
 from scipy.special import i0e, i1e
 
 import ris_lab as rl
-from ris_lab.geometry import _rows_times, nested_elements
+from ris_lab.geometry import _rows_times, nested_elements, slabs
 from ris_lab.linalg import hermitize
 
 from conftest import (
@@ -370,8 +370,8 @@ def test_sampler_aggregate_identity(small_setup):
 
 
 def test_no_phase_errors_skip_the_rotation_bit_identically(small_setup):
-    # theta = None (a law that draws no phase errors) skips exp(j theta) and
-    # the rotation multiply; the channels equal those rotated by exp(j0)
+    # theta = None (a law that draws no phase errors) skips exp(j theta);
+    # the channels equal those rotated by exp(j0)
     stats = small_setup[0]
     draws = rl.sample_realizations(stats, np.random.default_rng(3), 6, eve=True)
     skipped = rl.aggregate_channels(stats, draws, None)
@@ -381,15 +381,12 @@ def test_no_phase_errors_skip_the_rotation_bit_identically(small_setup):
 
 
 def whole_array_channels(stats, draws, theta, elements):
-    """Reference: one GEMM over all blocks of the rotated links, plus the direct links."""
+    """Reference: one GEMM by H1 over all blocks of the links rotated by exp(j theta) Phi, plus the direct links."""
     m, ris = stats.dims.m, slice(None) if elements is None else elements
-    bridge = stats.h1 * stats.phi[None, :]
+    rot = stats.phi if theta is None else (np.exp(1j * theta[:, ris]) * stats.phi)[:, None, :]
 
     def path(x, direct):
-        x = x[:, :, ris]
-        if theta is not None:
-            x = np.multiply(np.exp(1j * theta[:, ris])[:, None, :], x)
-        return _rows_times(x, bridge) + direct
+        return _rows_times(np.multiply(rot, x[:, :, ris]), stats.h1) + direct
 
     h = path(draws["h_i"], draws["h_b"][:, :, :m])
     h_e = path(np.swapaxes(draws["h_ie"], 1, 2), np.swapaxes(draws["h_be"], 1, 2)[:, :, :m])
@@ -399,12 +396,13 @@ def whole_array_channels(stats, draws, theta, elements):
 @pytest.mark.parametrize("m_e", [1, 4])
 @pytest.mark.parametrize("blocks", [1, 2, 26, 100])
 def test_slabbed_channels_equal_one_gemm_over_all_blocks(blocks, m_e):
-    # aggregate_channels multiplies by the bridge one slab of blocks at a time;
-    # a complex GEMM row does not depend on the rows beside it, so the
+    # the oracle builds a chunk's channels one slab of blocks at a time,
+    # each slab's rows written into the chunk-size arrays (``out``); a
+    # complex GEMM row does not depend on the rows beside it, so the
     # channels equal the whole-array product bit for bit, at the draw's grid
     # and at a 3 x 3 sub-grid with 6 of its 8 antennas, and the draw is left
-    # as it was. Slabs of 25 and 1 blocks would fail the [26-1] case: its
-    # one-row product takes another BLAS path
+    # as it was. Cutting 26 blocks as 25 + 1 would fail the [26-1] case:
+    # its one-row product takes another BLAS path
     grid = make_setup(seed=4, m=8, n=16, m_e=m_e)[0]
     small = make_setup(seed=5, m=6, n=9, m_e=m_e)[0]
     rng = np.random.default_rng(blocks)
@@ -412,27 +410,19 @@ def test_slabbed_channels_equal_one_gemm_over_all_blocks(blocks, m_e):
     before = {name: x.copy() for name, x in draws.items()}
     for theta in (None, grid.phase_model.draw(rng, (blocks, grid.dims.n))):
         for stats, elements in ((grid, None), (small, nested_elements(small.dims, grid.dims))):
-            got = rl.aggregate_channels(stats, draws, theta, elements=elements)
+            d = stats.dims
+            out = [np.empty((blocks, d.k, d.m), dtype=complex),
+                   np.empty((blocks, d.m_e, d.m), dtype=complex)]
+            for s in slabs(blocks):
+                rl.aggregate_channels(stats, {name: x[s] for name, x in draws.items()},
+                                      None if theta is None else theta[s],
+                                      elements=elements, out=[o[s] for o in out])
+            got = (out[0], np.swapaxes(out[1], 1, 2))
             want = whole_array_channels(stats, draws, theta, elements)
-            for a, b in zip(got, want, strict=True):
-                assert a.shape == b.shape and np.array_equal(a, b)
+            alone = rl.aggregate_channels(stats, draws, theta, elements=elements)
+            for a, b, c in zip(got, want, alone, strict=True):
+                assert a.shape == b.shape and np.array_equal(a, b) and np.array_equal(c, b)
     assert all(np.array_equal(draws[name], x) for name, x in before.items())
-
-
-def test_slabbed_channels_make_no_full_size_rotated_copy():
-    # with phase errors at B = 100 and N = 400 the call peaks below the size
-    # of one link's draw, which a full-size rotated copy of h_i alone reaches
-    stats = make_setup(seed=4, n=400)[0]
-    rng = np.random.default_rng(0)
-    draws = rl.sample_realizations(stats, rng, 100, eve=True)
-    theta = stats.phase_model.draw(rng, (100, stats.dims.n))
-    tracemalloc.start()
-    try:
-        rl.aggregate_channels(stats, draws, theta)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < draws["h_i"].nbytes
 
 
 def test_sampler_deterministic(small_setup):

@@ -114,7 +114,8 @@ def test_block_terms_match_einsum_forms():
                  + q * np.sum(np.abs(v) ** 2, axis=2))
 
     x_want, log_rate_want = einsum_eve(blk, p, q, hw.kappa_t_bs)
-    assert_close(_eve_interference(blk, p, q, hw.kappa_t_bs), x_want)
+    h_e_h = np.swapaxes(blk.h_e, 1, 2).conj()
+    assert_close(_eve_interference(blk, h_e_h, p, q, hw.kappa_t_bs), x_want)
     assert_close(_eve_log_rate(blk, p, q, hw.kappa_t_bs, 0.0), log_rate_want)
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 import ris_lab as rl
 from ris_lab import montecarlo
 from ris_lab.experiments import ExperimentConfig, build_setup
-from ris_lab.geometry import nested_elements
+from ris_lab.geometry import nested_elements, slabs
 from ris_lab.linalg import herm_trace_prod
 from ris_lab.montecarlo import (
     _eve_floor,
@@ -116,31 +117,30 @@ def test_shared_draw_leaves_the_phase_free_level_unchanged(monkeypatch):
 def test_chunk_terms_free_each_estimate_once_its_callback_returns(small_setup, monkeypatch):
     # an estimate, its precoders and its blocks live only while its
     # estimator's callback runs: they are freed before the next pilot phase
-    # runs, and the previous law's channels before the next law's are
-    # built, so a call over many estimators peaks like one over one
+    # runs, and the previous statistics' channels before the pilot phase of
+    # the next statistics' first estimator, so a call over many estimators
+    # holds its channels at M, not their estimates
     _, est, hw, xi = small_setup
     noisy = make_setup(seed=3, sigma_p2=1.0)[1]
     loud = rl.ChannelEstimator(est.stats,
                                dataclasses.replace(est.pilots, rho=2 * est.pilots.rho))
     dropped = {"estimate": [], "channels": []}      # weak references to dropped arrays
+    pilot_phase = montecarlo.simulate_pilot_phase
 
-    def freed_before(fn, kinds):
-        def checked(*args, **kwargs):
-            for kind in kinds:
-                assert all(ref() is None for ref in dropped[kind]), kind
-            return fn(*args, **kwargs)
-        return checked
+    def checked_pilot_phase(h, *args):
+        assert all(ref() is None for ref in dropped["estimate"]), "estimate"
+        # channels of another build than ``h``'s are gone
+        assert all(h_ref() is h or (h_ref() is None and e_ref() is None)
+                   for h_ref, e_ref in dropped["channels"]), "channels"
+        return pilot_phase(h, *args)
 
-    monkeypatch.setattr(montecarlo, "simulate_pilot_phase",
-                        freed_before(montecarlo.simulate_pilot_phase, ["estimate"]))
-    monkeypatch.setattr(montecarlo, "aggregate_channels",
-                        freed_before(montecarlo.aggregate_channels, ["estimate", "channels"]))
+    monkeypatch.setattr(montecarlo, "simulate_pilot_phase", checked_pilot_phase)
     blocks, nmse_terms, built = montecarlo._blocks, montecarlo._nmse_terms, []
 
     def recorded_blocks(*args):
         blk = blocks(*args)
         dropped["estimate"].extend(weakref.ref(a) for a in (blk.h_hat, blk.w, blk.q_hat))
-        dropped["channels"].extend(weakref.ref(a) for a in (blk.h, blk.h_e))
+        dropped["channels"].append((weakref.ref(blk.h), weakref.ref(blk.h_e)))
         built.append(blk.h.shape[0])
         return blk
 
@@ -157,6 +157,28 @@ def test_chunk_terms_free_each_estimate_once_its_callback_returns(small_setup, m
     assert built == [8] * 3
     rl.estimate_nmse([est, loud, noisy], plan)
     assert built == [8] * 6
+
+
+def test_chunk_terms_hold_no_chunk_size_link_at_n():
+    # a chunk draws its links and builds every statistics' channels from
+    # them one slab of blocks at a time, so with three phase-error laws at
+    # N = 400 one chunk peaks below the size of its links at N,
+    # B (K + M_E) N complex numbers, which a chunk-size draw alone reaches
+    setups = [make_setup(seed=4, n=400, sigma_p2=sigma_p2) for sigma_p2 in (0.0, 0.1, 1.0)]
+    ests = [est for _, est, _, _ in setups]
+    _, _, hw, xi = setups[0]
+    grid, dims = ests[0].stats, ests[0].stats.dims
+    grid.sqrt_r_i, grid.sqrt_r_b        # the link's template roots, built before the trace
+    ops = [(hw, *rl.stream_powers(hw.p_t, xi, dims.k, dims.m))]
+    run = [(est, functools.partial(montecarlo._point_terms, est, ops)) for est in ests]
+    blocks = montecarlo.CHUNK_BLOCKS
+    tracemalloc.start()
+    try:
+        montecarlo._chunk_terms(run, grid, blocks, (1, CHANNEL_BLOCK, 0), eve=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < blocks * (dims.k + dims.m_e) * dims.n * 16
 
 
 def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy(within):
@@ -565,12 +587,14 @@ def test_nmse_oracle_draws_and_builds_only_the_users_links(small_setup, monkeypa
     monkeypatch.setattr(montecarlo, "sample_realizations", sampled)
     monkeypatch.setattr(montecarlo, "aggregate_channels", aggregated)
     plan = rl.TrialPlan(n_blocks=montecarlo.CHUNK_BLOCKS + 8, master_seed=5)
+    # one draw and one build per slab of each chunk
+    draws = sum(len(slabs(size)) for _, size in plan.chunks())
     rl.estimate_nmse([est], plan)
-    assert drawn == [["h_b", "h_i"]] * 2 and built == [False] * 2
+    assert drawn == [["h_b", "h_i"]] * draws and built == [False] * draws
     # the secrecy oracle reads Eve's channel, so it draws and builds her links
     drawn.clear(), built.clear()
     rl.estimate_secrecy([(est, hw, xi)], plan)
-    assert drawn == [["h_b", "h_be", "h_i", "h_ie"]] * 2 and built == [True] * 2
+    assert drawn == [["h_b", "h_be", "h_i", "h_ie"]] * draws and built == [True] * draws
 
 
 def test_default_run_spans_several_chunks(monkeypatch):
@@ -675,7 +699,7 @@ def estimate_wishart_moments(est, hw, xi, plan) -> WishartMoments:
 
     def work(size, key):
         blk = chunk_blocks(est, size, key)
-        x = _eve_interference(blk, p, q, hw.kappa_t_bs)
+        x = _eve_interference(blk, np.swapaxes(blk.h_e, 1, 2).conj(), p, q, hw.kappa_t_bs)
         m_e = x.shape[-1]
         tr_x = np.real(np.einsum("bee->b", x))
         off = np.abs(x) ** 2
