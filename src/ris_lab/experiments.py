@@ -21,10 +21,10 @@ phases, pilots and nested array sizes share one Monte Carlo draw at their
 largest arrays. Every default grid is one draw run, and a point is
 bit-identical to itself alone at the same draw grid. An N grid that does
 not nest (N = 128, an 8 x 16 grid, beside N = 196, 14 x 14) draws once per
-run of points that do. ``build_setup`` alone decides what points share
-below the draw: it hands consecutive points of one link one statistics
-object, and of one RIS grid one R_I, and the oracle shares channels and
-estimates by object identity.
+run of points that do. Below the draw, ``build_setup`` holds the rules of
+what points share, and each sweep owns the memo it fills: consecutive
+points of one link get one statistics object, and of one RIS grid one R_I,
+and the oracle shares channels and estimates by object identity.
 
 SNR convention: the downlink axis is P_t / sigma_k^2 in dB with
 sigma_k^2 = 1, the uplink pilot axis is rho / sigma_u^2; path gains are
@@ -357,21 +357,19 @@ def _los_channel(config: ExperimentConfig, dims, fading) -> np.ndarray:
                              derive_rng(config.seed, LOS_ANGLES, dims.n))
 
 
-_LINK: dict = {}    # the last (statistics, estimator) built, keyed on the statistics' inputs
-
-
-def build_setup(config: ExperimentConfig) -> OperatingPoint:
+def build_setup(config: ExperimentConfig, kept: dict | None = None) -> OperatingPoint:
     """The ``OperatingPoint`` (estimator, hardware, xi) of the grid point ``config``.
 
-    The last pair built is kept, keyed on every input of
+    ``kept`` is the calling sweep's memo (without one, the point is built
+    afresh): the last pair built, keyed on every input of
     ``build_channel_statistics``. A point of that key reuses the statistics,
     and the estimator where its ``PilotConfig`` is equal: a P_t, xi or
     kappa_t^BS sweep holds one of each. A point of another key still takes
     the kept R_I where the RIS grid and spacing (N, N_H, spec) are equal, as
     along an M sweep, and the kept H1 where its inputs (seed, M, N, spec,
-    beta_1) are, as along the sigma_p^2 levels of one N. This is the one
-    place that decides what points share: the oracle builds channels once
-    per statistics object and estimates once per estimator object.
+    beta_1) are, as along the sigma_p^2 levels of one N. These are the only
+    rules of what points share: the oracle builds channels once per
+    statistics object and estimates once per estimator object.
     """
     dims, pilots, fading = _scenario(config)
     spec = config.correlation_spec()
@@ -379,17 +377,17 @@ def build_setup(config: ExperimentConfig) -> OperatingPoint:
     los = (config.seed, dims.m, dims.n, spec, fading.beta_1)
     ris = (dims.n, dims.n_h, spec)
     key = (los, ris, dims, fading, phase_model, config.ris_phase, config.bs_corr)
-    kept = next(iter(_LINK), None)
-    stats, est = _LINK.pop(kept, (None, None))
-    if kept != key:
+    kept = {} if kept is None else kept
+    last, (stats, est) = kept.popitem() if kept else (None, (None, None))
+    if last != key:
         r_b = build_bs_correlation(dims.m, config.bs_corr) if config.bs_corr > 0 else None
-        r_i = stats.r_i if kept and kept[1] == ris else build_ris_correlation(dims, spec)
-        h1 = stats.h1 if kept and kept[0] == los else _los_channel(config, dims, fading)
+        r_i = stats.r_i if last and last[1] == ris else build_ris_correlation(dims, spec)
+        h1 = stats.h1 if last and last[0] == los else _los_channel(config, dims, fading)
         stats = build_channel_statistics(dims, fading, phase_model, h1,
                                          phi=config.ris_phase, r_b=r_b, r_i=r_i)
-    if kept != key or est.pilots != pilots:
+    if last != key or est.pilots != pilots:
         est = ChannelEstimator(stats, pilots)
-    _LINK[key] = stats, est
+    kept[key] = stats, est
     return OperatingPoint(est, config.hardware(), config.xi)
 
 
@@ -487,14 +485,16 @@ def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
     Closed forms run as each point is built, so the first bad point decides
     the error. ``oracle(setups, plan)`` then gives the Monte Carlo cells of
     every ``OperatingPoint``, a list per setup, in one call that splits them
-    into draw runs. The setups go to the oracle as ``build_setup`` made
-    them: consecutive points of one link hold one statistics object, whose
-    channels the oracle builds once, and those with equal pilots one
-    estimator, whose pilot phase and precoders it computes once.
+    into draw runs. The sweep owns the memo that ``build_setup`` fills, so
+    the reuse ends when the sweep returns. The setups go to the oracle as
+    ``build_setup`` made them: consecutive points of one link hold one
+    statistics object, whose channels the oracle builds once, and those
+    with equal pilots one estimator, whose pilot phase and precoders it
+    computes once.
     """
-    rows, setups = [], []
+    rows, setups, kept = [], [], {}
     for lead, point in points:
-        setups.append(build_setup(point))
+        setups.append(build_setup(point, kept))
         rows.append(lead + closed(setups[-1]))
     plan = TrialPlan(n_blocks=config.n_blocks, master_seed=config.seed)
     return [row + cells for row, cells in zip(rows, oracle(setups, plan), strict=True)]

@@ -258,9 +258,9 @@ def ris_element_positions(dims: SystemDimensions, spec: CorrelationSpec) -> np.n
 def build_ris_correlation(dims: SystemDimensions, spec: CorrelationSpec) -> np.ndarray:
     """Isotropic-scattering RIS correlation, sinc(2 ||c_x - c_y|| / wavelength).
 
-    It depends on the RIS grid and spacings alone (n, n_h, spec), so
-    ``experiments.build_setup`` hands one R_I to every grid point of those;
-    the array is read-only, because several statistics objects share it.
+    It depends on the RIS grid and spacings alone (n, n_h, spec), so within
+    a sweep ``experiments.build_setup`` hands one R_I to consecutive points
+    of those; the array is read-only, as several statistics objects share it.
 
     Works in place on (N, N) float arrays, at most about 2 N^2 doubles at
     once. The panel's x coordinate is 0, so the squared distance is the

@@ -26,9 +26,9 @@ alone it would draw at its own arrays. A point that does not nest starts
 the next draw run, which draws anew; so points share random numbers
 within a draw run only.
 
-What points share below the draw is decided by object identity, once, by
-whoever builds them (``experiments.build_setup``): consecutive points on
-one statistics object share their channels, and consecutive points on one
+What points share below the draw is decided by object identity, once per
+sweep, by ``experiments.build_setup``: consecutive points on one
+statistics object share their channels, and consecutive points on one
 estimator object share their pilot phase, estimate and precoders.
 
 Stream layout of one chunk, at the largest arrays: the chunk stream
@@ -315,9 +315,9 @@ def _chunk_terms(run, grid: ChannelStatistics, size: int, key: tuple, eve: bool)
     drawn from ``grid``, the run's largest arrays, in the module's stream
     layout. Each estimator reads its elements of the grid's RIS
     (``nested_elements``) and its leading antennas. Channels are built once
-    per run of consecutive estimators on one statistics object:
-    ``experiments.build_setup`` hands consecutive points of one link one
-    statistics object, and equal statistics held as two objects build
+    per run of consecutive estimators on one statistics object: within one
+    sweep, ``experiments.build_setup`` hands consecutive points of one link
+    one statistics object, and equal statistics held as two objects build
     bit-identical channels, only twice. Each phase-error law draws its
     errors once, from the restarted substream.
 

@@ -1,6 +1,8 @@
 """Experiment configs, the CLI and the files a run writes."""
 import collections
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ import ris_lab.experiments
 import ris_lab.montecarlo
 from ris_lab import cli
 from ris_lab.errors import ConfigValidationError
+from ris_lab.estimation import ChannelEstimator
 from ris_lab.experiments import ExperimentConfig, build_setup, run_and_write, run_experiment
-from ris_lab.geometry import SLAB_BLOCKS, slabs
+from ris_lab.geometry import SLAB_BLOCKS, ChannelStatistics, slabs
 from ris_lab.montecarlo import CHUNK_BLOCKS, OracleEstimates
 from ris_lab.streams import STREAM_LAYOUT
 
@@ -390,15 +393,14 @@ def all_equal(a, b):
 @pytest.mark.parametrize("name", list(ExperimentConfig().to_dict()))
 def test_build_setup_shares_objects_only_between_equal_links(name):
     # the kept statistics and estimator are keyed on every field that
-    # shapes them: a point built after another equals the point built
-    # alone, and it shares an object with the other only where that
-    # object's arrays are equal
+    # shapes them: a point built after another in one memo equals the
+    # point built alone, and it shares an object with the other only where
+    # that object's arrays are equal
     base = ExperimentConfig(**{**TINY, "sweep": []})
     point = base.replace(**{name: PERTURBED[name]})
-    ris_lab.experiments._LINK.clear()
-    first = build_setup(base)
-    after = build_setup(point)
-    ris_lab.experiments._LINK.clear()
+    kept = {}
+    first = build_setup(base, kept)
+    after = build_setup(point, kept)
     alone = build_setup(point)
     (stats, est), (stats_alone, est_alone) = link_arrays(after), link_arrays(alone)
     assert all_equal(stats, stats_alone) and all_equal(est, est_alone)
@@ -419,12 +421,25 @@ def test_build_setup_shares_ris_correlation_and_bridge_by_their_inputs():
                                            ({"m": 12}, True, False),
                                            ({"n": 25}, False, False),
                                            ({"ris_spacing_h": 0.03}, False, False)):
-        ris_lab.experiments._LINK.clear()
-        first = build_setup(base).est.stats
-        after = build_setup(base.replace(**changes)).est.stats
+        kept = {}
+        first = build_setup(base, kept).est.stats
+        after = build_setup(base.replace(**changes), kept).est.stats
         assert after is not first
         assert (after.r_i is first.r_i, after.h1 is first.h1) == (shares_r_i, shares_h1), changes
         assert not after.r_i.flags.writeable
+
+
+def count_builds(monkeypatch, names: dict) -> collections.Counter:
+    """Calls of each ``ris_lab.experiments`` binding in ``names``, counted under its value."""
+    built = collections.Counter()
+
+    def counted(name, build):
+        return lambda *args, **kwargs: built.update([name]) or build(*args, **kwargs)
+
+    for name, counter in names.items():
+        monkeypatch.setattr(ris_lab.experiments, name,
+                            counted(counter, getattr(ris_lab.experiments, name)))
+    return built
 
 
 @pytest.mark.parametrize("experiment, changes, statistics, estimators", [
@@ -439,23 +454,60 @@ def test_build_setup_shares_ris_correlation_and_bridge_by_their_inputs():
 ])
 def test_sweep_builds_each_link_once(monkeypatch, experiment, changes, statistics, estimators):
     # the LoS bridge H1 is built at most with the statistics, not per grid point
-    built = collections.Counter()
-
-    def counted(name, build):
-        return lambda *args, **kwargs: built.update([name]) or build(*args, **kwargs)
-
-    for name, counter in (("build_los_channel", "los"),
-                          ("build_channel_statistics", "statistics"),
-                          ("ChannelEstimator", "estimators")):
-        monkeypatch.setattr(ris_lab.experiments, name,
-                            counted(counter, getattr(ris_lab.experiments, name)))
-    ris_lab.experiments._LINK.clear()
+    built = count_builds(monkeypatch, {"build_los_channel": "los",
+                                       "build_channel_statistics": "statistics",
+                                       "ChannelEstimator": "estimators"})
     config = ExperimentConfig.from_dict({**TINY, "m_e": 1, "sweep": [], **changes})
     run_experiment(experiment, config)
     # H1 depends on neither the phase-error law nor the pilots: the levels
     # of one N share one, so the phase-noise grid builds one per N
     bridges = len(config.sweep) if experiment == "phase_noise_sweep" else statistics
     assert built == {"los": bridges, "statistics": statistics, "estimators": estimators}
+
+
+# the last point of each run could lend the next run its link: xi_sweep
+# its statistics, the phase-noise grid's sigma_p^2 = 0.1 level its R_I and H1
+REPEATED_RUNS = {"xi_sweep": {},
+                 "phase_noise_sweep": {"sweep": [4], "phase_noise_levels": [0.0, 0.1]}}
+
+
+@pytest.mark.parametrize("experiment, links", [("xi_sweep", 1), ("phase_noise_sweep", 2)])
+def test_repeated_runs_build_the_same_links(monkeypatch, experiment, links):
+    # a sweep's reuse ends with the sweep, so every run in one process
+    # builds what a fresh process would: its links, and one R_I and H1
+    config = ExperimentConfig.from_dict({**TINY, "m_e": 1, "sweep": [],
+                                         **REPEATED_RUNS[experiment]})
+    runs = []
+    for _ in range(2):
+        with monkeypatch.context() as patch:
+            runs.append(count_builds(patch, {"build_channel_statistics": "statistics",
+                                             "ChannelEstimator": "estimators",
+                                             "build_ris_correlation": "r_i",
+                                             "build_los_channel": "h1"}))
+            run_experiment(experiment, config)
+    assert runs == 2 * [{"statistics": links, "estimators": links, "r_i": 1, "h1": 1}]
+
+
+def holds_link_state(value) -> bool:
+    """Whether ``value`` is, or holds in a dict, list or tuple, an array or link object."""
+    if isinstance(value, (np.ndarray, ChannelStatistics, ChannelEstimator)):
+        return True
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    return isinstance(value, (list, tuple)) and any(map(holds_link_state, value))
+
+
+@pytest.mark.parametrize("experiment", list(REPEATED_RUNS))
+def test_no_module_global_holds_a_link_after_a_run(experiment):
+    run_experiment(experiment, ExperimentConfig.from_dict(
+        {**TINY, "m_e": 1, "sweep": [], **REPEATED_RUNS[experiment]}))
+    # importing ris_lab.__main__ would run the command line
+    modules = [ris_lab] + [importlib.import_module(f"ris_lab.{info.name}")
+                           for info in pkgutil.iter_modules(ris_lab.__path__)
+                           if info.name != "__main__"]
+    held = [(module.__name__, name) for module in modules
+            for name, value in vars(module).items() if holds_link_state(value)]
+    assert held == []
 
 
 def test_nested_sweep_is_bit_identical_across_worker_counts(monkeypatch):

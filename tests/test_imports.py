@@ -13,11 +13,12 @@ that module, so the exemption cannot hide a dead import.
 The checks further down find values that nothing reads: record fields,
 the instance attributes an ``__init__`` sets, and function parameters.
 Another holds the error hierarchy to the CLI: every ``RisLabError``
-subclass is raised somewhere and caught by name. Another holds the
-package's module state to one cache, ``experiments._LINK``: no function
-mutates any other module-level container. The last one runs an experiment
-in a fresh interpreter and checks that the package never imports scipy,
-which is a test-only dependency.
+subclass is raised somewhere and caught by name. Another keeps the
+package free of module state: no function mutates a module-level
+container, so reuse lives in objects that a caller owns, such as the memo
+a sweep passes to ``experiments.build_setup``. The last one runs an
+experiment in a fresh interpreter and checks that the package never
+imports scipy, which is a test-only dependency.
 """
 import ast
 import collections
@@ -372,7 +373,7 @@ def test_unhandled_error_check_on_a_small_source():
 
 
 # --------------------------------------------------------------------------
-# one module-level cache
+# no module state
 # --------------------------------------------------------------------------
 
 MUTATORS = {"append", "clear", "pop", "setdefault", "update"}
@@ -409,11 +410,11 @@ def mutated_globals(source: str) -> list:
     return sorted(found)
 
 
-def test_the_kept_link_is_the_only_module_state():
-    # build_setup alone decides what grid points reuse; no other module keeps a cache
+def test_no_function_mutates_module_state():
+    # what grid points reuse lives in the memo a sweep owns, not in a module
     found = {(p.stem, name) for p in sorted(PACKAGE.glob("*.py"))
              for _, name in mutated_globals(p.read_text(encoding="utf-8"))}
-    assert found == {("experiments", "_LINK")}
+    assert found == set()
 
 
 def test_mutated_global_check_on_a_small_source():

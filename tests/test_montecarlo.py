@@ -234,9 +234,11 @@ def test_shared_draw_serves_every_pilot_length(small_setup):
     points = [(est, hw, xi), (longer, hw, xi)]
     for point, orc in zip(points, rl.estimate_secrecy(points, plan), strict=True):
         assert_same_estimates(orc, rl.estimate_secrecy([point], plan)[0])
-    # grid points of configs that differ only in the pilot length share it too
-    config = ExperimentConfig(m=8, n=4, k=2, m_e=2)
-    short, long_ = (build_setup(config.replace(tau_u=tau)).est.stats for tau in (None, 5))
+    # grid points of configs that differ only in the pilot length share it
+    # too: built through one sweep's memo, they hold one statistics object
+    config, kept = ExperimentConfig(m=8, n=4, k=2, m_e=2), {}
+    short, long_ = (build_setup(config.replace(tau_u=tau), kept).est.stats for tau in (None, 5))
+    assert short is long_
     assert montecarlo.draw_grid(short, long_) is short
 
 
@@ -351,13 +353,10 @@ def test_single_block_standard_errors_are_infinite(small_setup):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         [nmse] = rl.estimate_nmse([est], plan)
-        user = rl.estimate_user_rate(est, hw, xi, plan)
-        eve = rl.estimate_eve_capacity(est, hw, xi, plan)
         [sec] = rl.estimate_secrecy([(est, hw, xi)], plan)
     assert np.all(np.isfinite(nmse.nmse)) and np.all(nmse.nmse_se == np.inf)
     assert np.isfinite(sec.r_sec)
-    for se in (user.rate_se, user.signal_se, user.interference_se, eve.c_e_se,
-               sec.r_sec_se):
+    for se in (sec.rate_se, sec.signal_se, sec.interference_se, sec.c_e_se, sec.r_sec_se):
         assert np.all(se == np.inf)
 
 
@@ -499,8 +498,8 @@ def test_import_pins_every_bundled_openblas_to_one_thread(imports):
 
 def test_standard_errors_shrink_with_block_count(small_setup, within):
     _, est, hw, xi = small_setup
-    small = rl.estimate_user_rate(est, hw, xi, rl.TrialPlan(4000, master_seed=5))
-    big = rl.estimate_user_rate(est, hw, xi, rl.TrialPlan(16000, master_seed=5))
+    [small] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(4000, master_seed=5))
+    [big] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(16000, master_seed=5))
     ratio = small.interference_se / big.interference_se
     # quadrupling the blocks should halve the standard error
     within("interference se ratio", ratio, above=1.5, below=2.7)
@@ -512,7 +511,7 @@ def test_terms_match_closed_forms_with_ideal_uplink(within):
     stats, est, hw, xi = make_setup(seed=8, m=24, n=16, k=3, m_e=2,
                                     correlated=False, kappa_ul=0.0,
                                     kappa_dl=0.01, p_t=10.0)
-    orc = rl.estimate_user_rate(est, hw, xi, rl.TrialPlan(20000, master_seed=17))
+    [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(20000, master_seed=17))
     for k in range(3):
         sig, inter, var, an = closed_form_terms(est, k)
         hwi = (hw.kappa_t_bs + hw.kappa_r_ue) * hw.p_t / 24 * est.tr_r[k]
@@ -534,7 +533,7 @@ def test_distortion_couplings_bias_the_closed_forms(within):
     stats, est, hw, xi = make_setup(seed=8, m=24, n=16, k=3, m_e=2,
                                     correlated=False, kappa_ul=0.01,
                                     kappa_dl=0.01, p_t=10.0)
-    orc = rl.estimate_user_rate(est, hw, xi, rl.TrialPlan(20000, master_seed=17))
+    [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(20000, master_seed=17))
     _, inter, var, _ = closed_form_terms(est, 0)
     within("variance bias[0]", orc.variance[0] - var, above=3 * orc.variance_se[0])
     # the rate itself stays accurate: the biased terms are small in I_k
@@ -613,7 +612,7 @@ def test_default_run_spans_several_chunks(monkeypatch):
 
 def test_eve_capacity_below_bound(small_setup, within):
     _, est, hw, xi = small_setup
-    orc = rl.estimate_eve_capacity(est, hw, xi, rl.TrialPlan(8000, master_seed=31))
+    [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(8000, master_seed=31))
     for k in range(3):
         bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=k), xi)
         within(f"c_e - bound[{k}]", orc.c_e[k] - bound, below=3 * orc.c_e_se[k],
@@ -625,7 +624,7 @@ def test_eve_gap_shrinks_with_antennas(within):
     for m in (16, 32, 64):
         stats, est, hw, xi = make_setup(seed=55, m=m, n=16, k=2, m_e=2,
                                         p_t=10.0, kappa_dl=0.01)
-        orc = rl.estimate_eve_capacity(est, hw, xi, rl.TrialPlan(24000, master_seed=7))
+        [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(24000, master_seed=7))
         bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=0), xi)
         gaps.append(bound - orc.c_e[0])
     within("gap at M = 64 below gap at M = 16", gaps[-1], below=gaps[0])
@@ -650,7 +649,7 @@ def test_eve_rank_one_reduction(within):
     gamma_manual = p * np.abs(f) ** 2 / (q * np.sum(np.abs(vh) ** 2, axis=1))
     manual = float(np.mean(np.log2(1.0 + gamma_manual)))
 
-    orc = rl.estimate_eve_capacity(est, hw, xi, rl.TrialPlan(2000, master_seed=77))
+    [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(2000, master_seed=77))
     within("c_e - manual[0]", abs(orc.c_e[0] - manual),
            below=5 * orc.c_e_se[0] + 0.05 * manual)
 
@@ -659,7 +658,7 @@ def test_eve_singular_corner_regularized(within):
     _, est, _, _ = make_setup(seed=57, m=12, n=9, k=2, m_e=1, kappa_dl=0.0)
     hw0 = rl.HardwareProfile(p_t=10.0)
     # xi = 1 gives q = 0, and kappa_t = 0
-    orc = rl.estimate_eve_capacity(est, hw0, 1.0, rl.TrialPlan(500, master_seed=1))
+    [orc] = rl.estimate_secrecy([(est, hw0, 1.0)], rl.TrialPlan(500, master_seed=1))
     assert _eve_floor(hw0, 0.0) == pytest.approx(1e-12 * 10.0)
     assert np.all(np.isfinite(orc.c_e))
     within("c_e", orc.c_e, above=10.0)   # essentially unmasked: huge capacity
@@ -797,7 +796,7 @@ def test_cascade_anisotropy_biases_the_wishart_match(seed, kappa_t_bs, master_se
     within("tr X / M_E - conditional mean", abs(mom.tr_x_over_me - np.mean(cond)),
            below=3 * np.hypot(mom.tr_x_over_me_se, cond_se))
 
-    orc = rl.estimate_eve_capacity(est, hw, xi, plan)
+    [orc] = rl.estimate_secrecy([(est, hw, xi)], plan)
     for k in range(2):
         bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=k), xi)
         within(f"c_e - bound[{k}]", orc.c_e[k] - bound, below=3 * orc.c_e_se[k],

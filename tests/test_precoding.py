@@ -99,8 +99,7 @@ def test_an_leakage_matches_error_trace(within):
     # imperfect CSI: E{h^H V V^H h} ~ (M-K)/M tr(C_k) within 5 percent
     stats, est, hw, xi = make_setup(seed=15, m=24, n=16, k=3, m_e=2,
                                     correlated=False, kappa_ul=0.0)
-    orc = rl.estimate_user_rate(est, hw, xi,
-                                rl.TrialPlan(n_blocks=40_000, master_seed=4))
+    [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(n_blocks=40_000, master_seed=4))
     m, k_users = stats.dims.m, stats.dims.k
     for k in range(k_users):
         expect = (m - k_users) / m * np.trace(error_covariance(est, k)).real
