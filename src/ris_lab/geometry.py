@@ -37,6 +37,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +69,8 @@ class SystemDimensions:
             count = getattr(self, name)
             if count < 1:
                 raise InvalidParameterError(f"{name} must be positive, got {count}")
+            if count > np.iinfo(np.intp).max:   # numpy cannot index that many
+                raise InvalidParameterError(f"{name} = {count} exceeds the largest array size")
         if self.n % self.n_h != 0:
             raise InvalidParameterError(
                 f"RIS rows of {self.n_h} elements do not tile {self.n} elements")
@@ -78,9 +81,8 @@ class SystemDimensions:
     @classmethod
     def square_ris(cls, m: int, n: int, k: int, m_e: int):
         """Dimensions with the most square RIS grid that factors n."""
-        if n < 1:
-            raise InvalidParameterError(f"n must be positive, got {n}")
-        n_h = int(round(np.sqrt(n)))
+        cls(m=m, n=n, k=k, m_e=m_e, n_h=1)     # checks the counts before the search
+        n_h = math.isqrt(n)
         while n_h > 1 and n % n_h != 0:
             n_h -= 1
         return cls(m=m, n=n, k=k, m_e=m_e, n_h=n_h)

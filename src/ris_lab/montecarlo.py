@@ -27,8 +27,8 @@ the next draw run, which draws anew; so points share random numbers
 within a draw run only.
 
 What points share below the draw is decided by object identity, once per
-sweep, by ``experiments.build_setup``: consecutive points on one
-statistics object share their channels, and consecutive points on one
+sweep, by ``experiments.build_setup``; in ``_chunk_terms`` consecutive points
+on one statistics object share their channels, and consecutive points on one
 estimator object share their pilot phase, estimate and precoders.
 
 Stream layout of one chunk, at the largest arrays: the chunk stream
@@ -62,14 +62,12 @@ environment variable sets that count instead. The calling thread is one
 of them, so one worker starts no pool, and W workers hold W malloc
 arenas, not W + 1.
 
-Every chunk runs through ``_chunk_terms``: it draws, builds each point's
-channels and estimate, and hands them to that estimator's callback, which
-returns the chunk's per-block terms. The secrecy callback shares one prefix
-over the points of one estimator (MRT precoder and the thin QR factor Q of
-the estimate), then computes the user terms and Eve's rate. Each point's
-chunks are reduced in one place: ``_ratio_se`` for the NMSE,
-``_secrecy_estimates`` for the secrecy oracle. All batched contractions
-are BLAS matmuls over the block axis.
+Every chunk runs through ``_chunk_terms``: it draws, builds the channels
+and estimate of each estimator's group of points, and hands them to the
+oracle's callback, which returns one dict of per-block terms per point.
+``_oracle`` stacks each point's chunks into one table, which is reduced in
+one place: ``_ratio_se`` for the NMSE, ``_secrecy_estimates`` for the
+secrecy oracle. All batched contractions are BLAS matmuls over the block axis.
 
 The AN precoder V, an orthonormal basis of the null space of the
 estimate, enters the model only through the AN covariance
@@ -103,8 +101,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, groupby
+from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -308,30 +305,33 @@ def _draw_runs(ests) -> list:
     return runs
 
 
-def _chunk_terms(run, grid: ChannelStatistics, size: int, key: tuple, eve: bool) -> list:
-    """``terms(h, h_e, h_hat)`` per ``(est, terms)`` of ``run`` for one chunk, in order.
+def _chunk_terms(points, terms, grid: ChannelStatistics, size: int, key: tuple, eve: bool) -> list:
+    """One chunk's dict of per-block terms per point of ``points`` (tuples led by the estimator).
 
-    Without ``eve`` the callbacks get ``(h, h_hat)``. The Gaussians are
-    drawn from ``grid``, the run's largest arrays, in the module's stream
-    layout. Each estimator reads its elements of the grid's RIS
-    (``nested_elements``) and its leading antennas. Channels are built once
-    per run of consecutive estimators on one statistics object: within one
-    sweep, ``experiments.build_setup`` hands consecutive points of one link
-    one statistics object, and equal statistics held as two objects build
-    bit-identical channels, only twice. Each phase-error law draws its
-    errors once, from the restarted substream.
+    Each group of consecutive points on one estimator object is estimated
+    once and handed to ``terms(group, h, h_e, h_hat)``, without ``eve``
+    ``terms(group, h, h_hat)``, which returns one dict of (B, K) arrays per
+    point of the group. The Gaussians are drawn from ``grid``, the run's
+    largest arrays, in the module's stream layout. Each estimator reads its
+    elements of the grid's RIS (``nested_elements``) and its leading
+    antennas. Channels are built once per run of consecutive points on one
+    statistics object: within one sweep, ``experiments.build_setup`` hands
+    consecutive points of one link one statistics object, and equal
+    statistics held as two objects build bit-identical channels, only twice.
+    Each phase-error law draws its errors once, from the restarted substream.
 
     The links are drawn one slab of blocks at a time (``slabs``), and every
     build writes its rows of that slab into its chunk-size channels at M
     antennas before the next slab is drawn, so no chunk-size array at the
-    RIS size N exists. An estimate lives only while its callback runs, and
-    a build's channels until its last estimator's callback returns.
+    RIS size N exists. An estimate lives only while its group's callback
+    runs, and a build's channels until its last group's callback returns.
     """
     rng = derive_rng(*key)
     dims = grid.dims
+    groups = [list(group) for _, group in groupby(points, key=lambda point: id(point[0]))]
     thetas = {}             # phase-error law -> its (B, N) errors at the grid
     builds = deque()        # (stats, elements, channels) per run of one statistics object
-    for est, _ in run:
+    for est, *_ in points:
         stats = est.stats
         if builds and stats is builds[-1][0]:
             continue
@@ -353,35 +353,34 @@ def _chunk_terms(run, grid: ChannelStatistics, size: int, key: tuple, eve: bool)
     del thetas, theta
     g_t, g_w = pilot_gaussians(rng, (size, dims.k, dims.m))
     results = []
-    for est, terms in run:
+    for group in groups:
+        est = group[0][0]
         if est.stats is not builds[0][0]:
             builds.popleft()        # the previous statistics' channels go
         h, *h_e = builds[0][2]
         # (h, h_e), h_e as the transposed view of its antenna-major layout
         channels = (h, *(np.swapaxes(x, 1, 2) for x in h_e))
         pilot_draw = (g_t, g_w[:, :est.stats.dims.m])
-        results.append(terms(*channels, est.estimate(
-            simulate_pilot_phase(h, est.pilots, pilot_draw))))
+        results += terms(group, *channels, est.estimate(
+            simulate_pilot_phase(h, est.pilots, pilot_draw)))
     return results
 
 
-def _oracle(calls, plan: TrialPlan, purpose: int, eve: bool) -> list:
-    """Per ``(est, terms)`` of ``calls``: the tuple of ``terms``' chunk results, in chunk order.
+def _oracle(points, terms, plan: TrialPlan, purpose: int, eve: bool) -> list:
+    """One table per point: each of its ``terms`` stacked over the chunks, in chunk order.
 
     Each draw run (``_draw_runs``) is one ``_run_chunks`` over ``_chunk_terms``.
     """
-    if not calls:
+    if not points:
         raise InvalidParameterError("need at least one estimator")
-    out = []
-    for grid, count in _draw_runs([est for est, _ in calls]):
-        run, calls = calls[:count], calls[count:]
-        out += zip(*_run_chunks(plan, purpose,
-                                lambda size, key: _chunk_terms(run, grid, size, key, eve)))
-    return out
-
-
-def _stack(parts, key):
-    return np.concatenate([p[key] for p in parts], axis=0)
+    tables = []
+    for grid, count in _draw_runs([point[0] for point in points]):
+        run, points = points[:count], points[count:]
+        chunks = _run_chunks(plan, purpose,
+                             lambda size, key: _chunk_terms(run, terms, grid, size, key, eve))
+        tables += [{name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+                   for parts in zip(*chunks)]
+    return tables
 
 
 def _se(values: np.ndarray):
@@ -439,11 +438,11 @@ class OracleEstimates:
 # channel estimation oracle
 # --------------------------------------------------------------------------
 
-def _nmse_terms(h: np.ndarray, h_hat: np.ndarray) -> dict:
-    """Per-block squared error and channel energy of every user, the NMSE oracle's callback."""
+def _nmse_terms(group: list, h: np.ndarray, h_hat: np.ndarray) -> list:
+    """NMSE callback: per-block squared error and channel energy of every user, per point."""
     h = np.swapaxes(h, 1, 2)                          # (B, M, K)
-    return {"err2": np.sum(np.abs(h - h_hat) ** 2, axis=1),
-            "mag2": np.sum(np.abs(h) ** 2, axis=1)}
+    return [{"err2": np.sum(np.abs(h - h_hat) ** 2, axis=1),
+             "mag2": np.sum(np.abs(h) ** 2, axis=1)}] * len(group)
 
 
 def estimate_nmse(ests, plan: TrialPlan) -> list[OracleEstimates]:
@@ -456,10 +455,11 @@ def estimate_nmse(ests, plan: TrialPlan) -> list[OracleEstimates]:
     powers or pilot lengths (both live in the ``PilotConfig``, not in the
     statistics, and the despread draw depends on neither), or of nested RIS
     grids. Each chunk draws only the users' links, once per draw run and slab.
+    Each estimator's table of per-block terms is reduced by ``_ratio_se``.
     """
     out = []
-    for parts in _oracle([(est, _nmse_terms) for est in ests], plan, NMSE_BLOCK, eve=False):
-        nmse_hat, nmse_se = _ratio_se(_stack(parts, "err2"), _stack(parts, "mag2"))
+    for table in _oracle([(est,) for est in ests], _nmse_terms, plan, NMSE_BLOCK, eve=False):
+        nmse_hat, nmse_se = _ratio_se(table["err2"], table["mag2"])
         out.append(OracleEstimates(nmse=nmse_hat, nmse_se=nmse_se))
     return out
 
@@ -567,20 +567,19 @@ def _eve_log_rate(blk: _Blocks, p: float, q: float, kappa_t_bs: float,
     return np.log2(1.0 + np.maximum(gamma, 0.0))
 
 
-def _secrecy_estimates(parts, hw: HardwareProfile, p: float, q: float,
-                       m: int) -> OracleEstimates:
-    """One point's secrecy estimates from its chunks' per-block terms.
+def _secrecy_estimates(table: dict, est: ChannelEstimator, hw: HardwareProfile,
+                       xi: float) -> OracleEstimates:
+    """One point's secrecy estimates from its table of per-block terms.
 
     The rate's standard error is that of the per-block delta-method
     linearization d_rate of each user's rate about the block means, shape
     (B, K), whose mean is zero, so it carries the correlations between the
     terms of one block. ``r_sec``'s is that of psi (see ``estimate_secrecy``).
     """
-    s1 = _stack(parts, "s1")
-    inter = _stack(parts, "inter")
-    an = _stack(parts, "an")
-    hn2 = _stack(parts, "hn2")
-    var_err = _stack(parts, "var_err")
+    dims = est.stats.dims
+    p, q = stream_powers(hw.p_t, xi, dims.k, dims.m)
+    s1, inter, an, hn2, var_err, log_rate = (
+        table[name] for name in ("s1", "inter", "an", "hn2", "var_err", "log_rate"))
 
     s1_mean = np.mean(s1, axis=0)
     signal = np.abs(s1_mean) ** 2
@@ -593,7 +592,7 @@ def _secrecy_estimates(parts, hw: HardwareProfile, p: float, q: float,
     inter_mean, inter_se = _mean_se(inter)
     an_mean, an_se = _mean_se(an)
     hn2_mean, hn2_se = _mean_se(hn2)
-    hwi_scale = (hw.kappa_t_bs + hw.kappa_r_ue) * hw.p_t / m
+    hwi_scale = (hw.kappa_t_bs + hw.kappa_r_ue) * hw.p_t / dims.m
     hwi = hwi_scale * hn2_mean
     hwi_se = hwi_scale * hn2_se
 
@@ -608,7 +607,6 @@ def _secrecy_estimates(parts, hw: HardwareProfile, p: float, q: float,
     d_rate = (gamma / ((1.0 + gamma) * np.log(2.0))
               * (d_signal / np.maximum(signal, 1e-300) - d_den / den))
 
-    log_rate = _stack(parts, "log_rate")
     c_e, c_e_se = _mean_se(log_rate)
     psi = np.mean(d_rate - (log_rate - c_e), axis=1)
     return OracleEstimates(
@@ -623,13 +621,15 @@ def _secrecy_estimates(parts, hw: HardwareProfile, p: float, q: float,
     )
 
 
-def _point_terms(est: ChannelEstimator, ops: list, h: np.ndarray, h_e: np.ndarray,
-                 h_hat: np.ndarray) -> list:
-    """Secrecy callback: one chunk's per-block terms of each point ``(hw, p, q)`` of ``est``."""
+def _point_terms(group: list, h: np.ndarray, h_e: np.ndarray, h_hat: np.ndarray) -> list:
+    """Secrecy callback: per-block terms of each ``(est, hw, xi)`` of ``group``, one estimator."""
+    est = group[0][0]
     blk = _blocks(est, h, h_e, h_hat)
-    terms = _user_terms(est, blk)
+    terms = _user_terms(est, blk)                     # shared by the group's points
+    powers = [(hw, *stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m))
+              for _, hw, xi in group]
     return [{**terms, "log_rate": _eve_log_rate(blk, p, q, hw.kappa_t_bs, _eve_floor(hw, q))}
-            for hw, p, q in ops]
+            for hw, p, q in powers]
 
 
 class OperatingPoint(NamedTuple):
@@ -652,7 +652,8 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     The points of one draw run (``_draw_runs``) share every random number
     but the phase errors, so their differences are far less noisy than their
     standard errors. Consecutive points with one estimator object share its
-    pilot phase, precoders and user terms, computed once (``_point_terms``).
+    pilot phase, precoders and user terms (``_point_terms``). Each point's
+    table of per-block terms is reduced by ``_secrecy_estimates``.
 
     Eve's log-rate comes from the M_E x M_E interference-whitening solve,
     with ``_eve_floor(hw, q)`` where that system is singular. ``r_sec`` is
@@ -662,15 +663,8 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     the user/Eve and user/user correlations of the draw; it ignores the clip.
     """
     points = list(points)
-    groups = [list(group) for _, group in groupby(points, key=lambda point: id(point[0]))]
-    ops = [[(hw, *stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m))
-            for est, hw, xi in group] for group in groups]
-    calls = [(group[0][0], partial(_point_terms, group[0][0], group_ops))
-             for group, group_ops in zip(groups, ops)]
-    chunks = chain.from_iterable(zip(*parts)
-                                 for parts in _oracle(calls, plan, CHANNEL_BLOCK, eve=True))
-    return [_secrecy_estimates(parts, hw, p, q, est.stats.dims.m)
-            for (est, _, _), (hw, p, q), parts in zip(points, chain.from_iterable(ops), chunks)]
+    tables = _oracle(points, _point_terms, plan, CHANNEL_BLOCK, eve=True)
+    return [_secrecy_estimates(table, *point) for point, table in zip(points, tables)]
 
 
 def estimate_user_rate(est: ChannelEstimator, hw: HardwareProfile, xi: float,

@@ -9,7 +9,6 @@ separate PATH that exists for a test path and choose another root
 directory, without this file.
 """
 import dataclasses
-import functools
 import json
 
 import numpy as np
@@ -211,7 +210,7 @@ def chunk_blocks(est, size, key):
     They come from the oracle's own chunk path (``_chunk_terms``), with
     ``_blocks`` as the callback.
     """
-    [blk] = montecarlo._chunk_terms([(est, functools.partial(montecarlo._blocks, est))],
+    [blk] = montecarlo._chunk_terms([(est,)], lambda _, *chunk: [montecarlo._blocks(est, *chunk)],
                                     est.stats, size, key, eve=True)
     return blk
 

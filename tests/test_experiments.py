@@ -107,6 +107,13 @@ def test_cli_degenerate_config_exits_2_with_one_line(tmp_path, capsys, experimen
       for experiment, column in (("nmse_vs_N", "n"), ("secrecy_vs_N", "n"),
                                  ("secrecy_vs_M", "m"), ("asymptotic_vs_N", "n"),
                                  ("phase_noise_sweep", "n"))],
+    # sizes beyond any numpy array, once a TypeError or ValueError traceback
+    *[pytest.param(experiment, changes, f"{size} exceeds the largest array size", [],
+                   id=f"{experiment}-{next(iter(changes))}-1e30")
+      for experiment in ("nmse_vs_N", "asymptotic_vs_N")
+      for changes, size in (({"n": 10**30, "sweep": [16]}, f"n = {10**30}"),
+                            ({"sweep": [1e30]}, f"n = {int(1e30)}"),
+                            ({"m": 10**30, "sweep": [16]}, f"m = {10**30}"))],
     pytest.param("phase_noise_sweep", {"sweep": [4], "phase_noise_levels": []},
                  "phase_noise_levels must hold at least one level", [],
                  id="phase_noise_sweep-no-levels"),

@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package and in its tests is used.
 
 No linter runs on this repository, so this stdlib-``ast`` check is the
 guard against dead imports. An import counts as used when its bound name
@@ -32,6 +32,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ris_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def module_imports(source: str) -> list:
@@ -51,7 +52,7 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -398,6 +399,7 @@ def mutated_globals(source: str) -> list:
         for node in ast.walk(func):
             if isinstance(node, ast.Global):
                 found |= {(node.lineno, name) for name in node.names}
+                continue
             elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
                 target = node.value
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -435,6 +437,10 @@ def test_mutated_global_check_on_a_small_source():
               "CACHE.clear()\n")
     assert mutated_globals(source) == [(6, "CACHE"), (11, "LIMIT"), (13, "CACHE"),
                                        (14, "CACHE"), (14, "ITEMS")]
+    # a ``global`` statement first in a function, or after a mutation
+    assert mutated_globals("X = 1\ndef f():\n    global X\n    X = 2\n") == [(3, "X")]
+    assert mutated_globals("C = {}\nX = 1\ndef f():\n    C[1] = 2\n    global X\n"
+                           "    X = 2\n") == [(4, "C"), (5, "X")]
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,6 @@ of the estimate. The einsum forms below are the reference: same draws,
 the explicit AN basis V of the complete QR, another summation order, so
 results agree to roundoff.
 """
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -123,10 +121,8 @@ def test_chunk_terms_own_their_memory():
     # a chunk's terms are kept until the reduction, so none may be a view
     # that keeps a larger temporary, such as the (B, K, K) Gram, alive
     _, est, hw, xi = make_setup(seed=12, m=8, n=16, k=2, m_e=2)
-    ops = [(hw, *stream_powers(hw.p_t, xi, 2, 8))]
-    [points] = _chunk_terms([(est, partial(_point_terms, est, ops))], est.stats, 16, (5, 0),
-                            eve=True)
-    [nmse] = _chunk_terms([(est, _nmse_terms)], est.stats, 16, (5, 0), eve=False)
-    for terms in (*points, nmse):
+    [point] = _chunk_terms([(est, hw, xi)], _point_terms, est.stats, 16, (5, 0), eve=True)
+    [nmse] = _chunk_terms([(est,)], _nmse_terms, est.stats, 16, (5, 0), eve=False)
+    for terms in (point, nmse):
         for name, arr in terms.items():
             assert arr.shape == (16, 2) and arr.base is None, name

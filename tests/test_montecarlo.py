@@ -1,6 +1,5 @@
 """Monte Carlo oracle: reproducibility, term validation, bound property."""
 import dataclasses
-import functools
 import json
 import os
 import subprocess
@@ -24,13 +23,11 @@ from ris_lab.montecarlo import (
     _eve_interference,
     _mean_se,
     _run_chunks,
-    _stack,
     worker_count,
 )
 from ris_lab.streams import CHANNEL_BLOCK
 
 from conftest import (
-    chunk_blocks,
     draw_channels,
     error_covariance,
     estimate_covariance,
@@ -144,10 +141,10 @@ def test_chunk_terms_free_each_estimate_once_its_callback_returns(small_setup, m
         built.append(blk.h.shape[0])
         return blk
 
-    def recorded_nmse_terms(h, h_hat):
+    def recorded_nmse_terms(group, h, h_hat):
         dropped["estimate"].append(weakref.ref(h_hat))
         built.append(h_hat.shape[0])
-        return nmse_terms(h, h_hat)
+        return nmse_terms(group, h, h_hat)
 
     monkeypatch.setattr(montecarlo, "_blocks", recorded_blocks)
     monkeypatch.setattr(montecarlo, "_nmse_terms", recorded_nmse_terms)
@@ -169,16 +166,51 @@ def test_chunk_terms_hold_no_chunk_size_link_at_n():
     _, _, hw, xi = setups[0]
     grid, dims = ests[0].stats, ests[0].stats.dims
     grid.sqrt_r_i, grid.sqrt_r_b        # the link's template roots, built before the trace
-    ops = [(hw, *rl.stream_powers(hw.p_t, xi, dims.k, dims.m))]
-    run = [(est, functools.partial(montecarlo._point_terms, est, ops)) for est in ests]
+    points = [(est, hw, xi) for est in ests]
     blocks = montecarlo.CHUNK_BLOCKS
     tracemalloc.start()
     try:
-        montecarlo._chunk_terms(run, grid, blocks, (1, CHANNEL_BLOCK, 0), eve=True)
+        montecarlo._chunk_terms(points, montecarlo._point_terms, grid, blocks,
+                                (1, CHANNEL_BLOCK, 0), eve=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < blocks * (dims.k + dims.m_e) * dims.n * 16
+
+
+def test_oracle_returns_one_table_per_point_stacked_in_chunk_order(small_setup):
+    # two estimators on one statistics object, the first holding two
+    # points, then a point that no draw shares with them: a second draw run
+    _, est, hw, xi = small_setup
+    loud = rl.ChannelEstimator(est.stats,
+                               dataclasses.replace(est.pilots, rho=2 * est.pilots.rho))
+    other = rl.ChannelEstimator(dataclasses.replace(est.stats, r_i=np.eye(est.stats.dims.n)),
+                                est.pilots)
+    assert montecarlo.draw_grid(est.stats, other.stats) is None
+    distorted = dataclasses.replace(hw, kappa_t_bs=0.05)
+    points = [(est, hw, xi), (est, distorted, xi), (loud, hw, xi), (other, hw, xi)]
+    plan = rl.TrialPlan(n_blocks=montecarlo.CHUNK_BLOCKS + 8, master_seed=5)
+    tables = montecarlo._oracle(points, montecarlo._point_terms, plan, CHANNEL_BLOCK, eve=True)
+    want = []
+    for run, grid in ((points[:3], est.stats), (points[3:], other.stats)):
+        chunks = [montecarlo._chunk_terms(run, montecarlo._point_terms, grid, size,
+                                          (plan.master_seed, CHANNEL_BLOCK, idx), eve=True)
+                  for idx, size in plan.chunks()]
+        want += [{name: np.concatenate([chunk[j][name] for chunk in chunks])
+                  for name in chunks[0][j]} for j in range(len(run))]
+    assert len(tables) == len(want) == len(points)
+    for table, point_want in zip(tables, want):
+        assert set(table) == set(point_want) == {"s1", "inter", "an", "hn2", "var_err",
+                                                 "log_rate"}
+        for name, values in table.items():
+            assert values.shape == (plan.n_blocks, est.stats.dims.k)
+            assert np.array_equal(values, point_want[name])
+    # one estimator's points share its user terms bit for bit; Eve's rate is
+    # their own, and the other estimator of the link has its own user terms
+    for name in ("s1", "inter", "an", "hn2", "var_err"):
+        assert np.array_equal(tables[0][name], tables[1][name])
+    assert not np.array_equal(tables[0]["log_rate"], tables[1]["log_rate"])
+    assert not np.array_equal(tables[0]["s1"], tables[2]["s1"])
 
 
 def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy(within):
@@ -291,9 +323,12 @@ def test_nested_links_have_the_smaller_arrays_law(monkeypatch, within):
         seen.append(kwargs["elements"])
         return aggregate(stats, draws, theta, **kwargs)
 
+    def blocks(group, *chunk):
+        return [montecarlo._blocks(group[0][0], *chunk)]
+
     monkeypatch.setattr(montecarlo, "aggregate_channels", captured)
-    run = [(est, functools.partial(montecarlo._blocks, est)) for est in (small_est, large_est)]
-    assert len(montecarlo._chunk_terms(run, large, 4, (1, CHANNEL_BLOCK, 0), eve=True)) == 2
+    assert len(montecarlo._chunk_terms([(small_est,), (large_est,)], blocks, large, 4,
+                                       (1, CHANNEL_BLOCK, 0), eve=True)) == 2
     assert np.array_equal(seen[0], ris) and seen[1] is None
 
     b = 20_000
@@ -690,25 +725,24 @@ def estimate_wishart_moments(est, hw, xi, plan) -> WishartMoments:
     off-diagonal entry. For a Wishart law with scale phi and eta degrees
     of freedom they are eta phi and eta phi^2; they equal those of
     ``wishart_match`` only where its isotropy assumptions hold, i.e. when
-    Q_E is a multiple of I. The chunks are the secrecy oracle's
-    (``chunk_blocks``: ``_chunk_terms`` with ``_blocks``) on the ``EVE_BLOCK``
-    stream.
+    Q_E is a multiple of I. The blocks are the secrecy oracle's (``_oracle``
+    with ``_blocks`` of one point) on the ``EVE_BLOCK`` stream.
     """
     p, q = rl.stream_powers(hw.p_t, xi, est.stats.dims.k, est.stats.dims.m)
 
-    def work(size, key):
-        blk = chunk_blocks(est, size, key)
+    def terms(_, *chunk):
+        blk = montecarlo._blocks(est, *chunk)
         x = _eve_interference(blk, np.swapaxes(blk.h_e, 1, 2).conj(), p, q, hw.kappa_t_bs)
         m_e = x.shape[-1]
         tr_x = np.real(np.einsum("bee->b", x))
         off = np.abs(x) ** 2
         off[:, np.arange(m_e), np.arange(m_e)] = 0.0
         denom = max(m_e * (m_e - 1), 1)
-        return {"tr_x": tr_x / m_e, "off_m2": np.sum(off, axis=(1, 2)) / denom}
+        return [{"tr_x": tr_x / m_e, "off_m2": np.sum(off, axis=(1, 2)) / denom}]
 
-    parts = _run_chunks(plan, EVE_BLOCK, work)
-    tr_mean, tr_se = _mean_se(_stack(parts, "tr_x"))
-    off_mean, off_se = _mean_se(_stack(parts, "off_m2"))
+    [table] = montecarlo._oracle([(est,)], terms, plan, EVE_BLOCK, eve=True)
+    tr_mean, tr_se = _mean_se(table["tr_x"])
+    off_mean, off_se = _mean_se(table["off_m2"])
     return WishartMoments(
         tr_x_over_me=float(tr_mean), tr_x_over_me_se=float(tr_se),
         offdiag_m2=float(off_mean), offdiag_m2_se=float(off_se),
