@@ -3,8 +3,9 @@
     simulate <experiment-name> --config <file> [--seed S] [--out dir]
              [--paper-scale] [--trials N] [--print-config]
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical-validity
-problem (e.g. the eavesdropper bound outside its region), 4 I/O failure.
+Exit codes: 0 success, 2 configuration problem (a size too large to
+allocate included), 3 numerical-validity problem (e.g. the eavesdropper
+bound outside its region), 4 I/O failure.
 Monte Carlo chunks run on the calling thread and a thread pool, the only
 parallelism: importing ris_lab sets numpy's bundled OpenBLAS (and scipy's,
 if the process has already loaded it) to one thread. One thread, the
@@ -82,6 +83,9 @@ def main(argv=None) -> int:
         csv_path = run_and_write(args.experiment, config)
     except (ConfigValidationError, InvalidParameterError, DegenerateConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_CONFIG
     except (BoundInvalidError, InfiniteEveCapacityError, IllConditionedError,
             NoRealRootError) as exc:

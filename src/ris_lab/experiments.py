@@ -502,13 +502,13 @@ def _shared_draw_rows(config: ExperimentConfig, points, closed, oracle) -> list:
 
 def _secrecy_cells(setups, plan: TrialPlan) -> list:
     """[r_sec_mc, r_sec_mc_se] of each setup, from one ``estimate_secrecy`` call."""
-    return [[orc.r_sec, orc.r_sec_se] for orc in estimate_secrecy(setups, plan)]
+    return [[orc.r_sec.value, float(orc.r_sec.se)] for orc in estimate_secrecy(setups, plan)]
 
 
 def _nmse_cells(setups, plan: TrialPlan) -> list:
     """[nmse_mc, nmse_mc_se] of each setup, user averages, from one ``estimate_nmse`` call."""
-    return [[float(np.mean(orc.nmse)), float(np.sqrt(np.sum(orc.nmse_se ** 2)) / orc.nmse.size)]
-            for orc in estimate_nmse([s.est for s in setups], plan)]
+    return [[float(np.mean(nmse.value)), float(np.sqrt(np.sum(nmse.se ** 2)) / nmse.value.size)]
+            for nmse in (orc.nmse for orc in estimate_nmse([s.est for s in setups], plan))]
 
 
 def _rate_terms(setup: OperatingPoint) -> list:

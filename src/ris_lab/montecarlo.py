@@ -3,7 +3,7 @@
 Each estimator draws independent coherence blocks (channels, RIS phase
 errors, uplink distortion, noise), runs the pilot phase and the precoder
 exactly as the system model defines them, and averages the per-block
-quantities. Every estimate carries a standard error.
+quantities. Every ``Estimate`` carries its per-block influence and SE.
 
 Blocks are processed in chunks of ``CHUNK_BLOCKS`` = 50 blocks (the last
 one may be shorter), each with its own counter derived substream, and
@@ -23,8 +23,8 @@ statistics, so points may differ in their RIS phases, LoS bridge and
 phase-error law: each applies its own to the draw. So a point is
 bit-identical to itself alone at the same draw grid, not to itself alone:
 alone it would draw at its own arrays. A point that does not nest starts
-the next draw run, which draws anew; so points share random numbers
-within a draw run only.
+the next draw run, which draws at its own grid from the same chunk
+streams: so points of two draw runs share random numbers too.
 
 What points share below the draw is decided by object identity, once per
 sweep, by ``experiments.build_setup``; in ``_chunk_terms`` consecutive points
@@ -66,8 +66,9 @@ Every chunk runs through ``_chunk_terms``: it draws, builds the channels
 and estimate of each estimator's group of points, and hands them to the
 oracle's callback, which returns one dict of per-block terms per point.
 ``_oracle`` stacks each point's chunks into one table, which is reduced in
-one place: ``_ratio_se`` for the NMSE, ``_secrecy_estimates`` for the
-secrecy oracle. All batched contractions are BLAS matmuls over the block axis.
+one place, ``_secrecy_estimates`` for the secrecy oracle, by the
+operations of ``Estimate``. All batched contractions are BLAS matmuls over
+the block axis.
 
 The AN precoder V, an orthonormal basis of the null space of the
 estimate, enters the model only through the AN covariance
@@ -383,55 +384,85 @@ def _oracle(points, terms, plan: TrialPlan, purpose: int, eve: bool) -> list:
     return tables
 
 
-def _se(values: np.ndarray):
-    """Standard error of the mean along axis 0; inf below two samples."""
-    n = values.shape[0]
-    if n < 2:
-        return np.full(values.shape[1:], np.inf)
-    return np.std(values, axis=0, ddof=1) / np.sqrt(n)
+class Estimate(NamedTuple):
+    """A Monte Carlo estimate: its value and its per-block influence ``psi``.
+
+    ``psi`` (blocks on axis 0) linearizes the estimate about the block means,
+    up to a constant: a mean keeps its raw per-block values. Each operation
+    applies the chain rule to it, so the correlations within a block carry,
+    and the difference of two estimates of one call is block-paired.
+    """
+
+    value: np.ndarray | float
+    psi: np.ndarray
+
+    __array_ufunc__ = None      # a numpy scalar times an estimate defers to __rmul__
+
+    @property
+    def se(self):
+        """Standard error of the mean of psi along axis 0; inf below two blocks."""
+        n = self.psi.shape[0]
+        if n < 2:
+            return np.full(self.psi.shape[1:], np.inf)
+        return np.std(self.psi, axis=0, ddof=1) / np.sqrt(n)
+
+    def __add__(self, other):
+        if isinstance(other, Estimate):
+            return Estimate(self.value + other.value, self.psi + other.psi)
+        return Estimate(self.value + other, self.psi)
+
+    def __sub__(self, other):
+        return self + -1.0 * other
+
+    def __rmul__(self, scale):
+        """scale * self, centred first, so a sum of scaled means carries none of their means."""
+        return Estimate(scale * self.value, scale * (self.psi - np.mean(self.psi, axis=0)))
+
+    def over(self, other):
+        ratio = self.value / other.value
+        return Estimate(ratio, (self.psi - ratio * other.psi) / other.value)
+
+    def abs2(self):
+        """|self|^2 of a complex estimate: 2|v| times the influence along v's direction."""
+        mag = np.abs(self.value)
+        proj = np.real(self.psi * np.conj(self.value / np.where(mag > 0, mag, 1.0)))
+        return Estimate(mag ** 2, 2.0 * mag * (proj - np.mean(proj, axis=0)))
+
+    def log2_1p_over(self, den, scale: float):
+        """log2(1 + scale * self / den), by its log-derivative; a zero self has no influence."""
+        gamma = scale * self.value / den.value
+        return Estimate(np.log2(1.0 + gamma), gamma / ((1.0 + gamma) * np.log(2.0)) * (
+            self.psi / np.maximum(self.value, 1e-300) - den.psi / den.value))
+
+    def user_mean(self):
+        """Average over the users, the last axis."""
+        return Estimate(np.mean(self.value, axis=-1), np.mean(self.psi, axis=-1))
 
 
-def _mean_se(values: np.ndarray):
-    """Mean and standard error along axis 0."""
-    return np.mean(values, axis=0), _se(values)
-
-
-def _ratio_se(num: np.ndarray, den: np.ndarray):
-    """Delta-method standard error of mean(num)/mean(den), along axis 0."""
-    mn, md = np.mean(num, axis=0), np.mean(den, axis=0)
-    ratio = mn / md
-    resid = (num - ratio * den) / md
-    return ratio, _se(resid)
+def _mean(values: np.ndarray) -> Estimate:
+    """The block mean of per-block ``values``, blocks on axis 0."""
+    return Estimate(np.mean(values, axis=0), values)
 
 
 @dataclass
 class OracleEstimates:
-    """Monte Carlo estimates; every field pairs with a standard error.
+    """Monte Carlo estimates, each an ``Estimate`` (value and per-block influence).
 
-    Per-user arrays have length K. ``estimate_nmse`` fills the NMSE;
+    Per-user values have length K. ``estimate_nmse`` fills the NMSE;
     ``estimate_secrecy`` the user-rate terms of the Theorem-1 decomposition,
     Eve's capacity and the secrecy rate. It holds estimates only; Eve's
     thermal floor is ``_eve_floor(hw, q)``.
     """
 
-    nmse: np.ndarray | None = None
-    nmse_se: np.ndarray | None = None
-    rate: np.ndarray | None = None
-    rate_se: np.ndarray | None = None
-    signal: np.ndarray | None = None
-    signal_se: np.ndarray | None = None
-    interference: np.ndarray | None = None
-    interference_se: np.ndarray | None = None
-    variance: np.ndarray | None = None
-    variance_se: np.ndarray | None = None
-    an_leakage: np.ndarray | None = None
-    an_leakage_se: np.ndarray | None = None
-    hwi: np.ndarray | None = None
-    hwi_se: np.ndarray | None = None
-    c_e: np.ndarray | None = None
-    c_e_se: np.ndarray | None = None
-    r_sec: float | None = None         # user average of max(0, rate - c_e)
-    r_sec_se: float | None = None
+    nmse: Estimate | None = None
+    rate: Estimate | None = None
+    signal: Estimate | None = None
+    interference: Estimate | None = None
+    variance: Estimate | None = None
+    an_leakage: Estimate | None = None
+    hwi: Estimate | None = None
+    c_e: Estimate | None = None
+    r_sec: Estimate | None = None       # user average of max(0, rate - c_e)
 
 
 # --------------------------------------------------------------------------
@@ -455,13 +486,11 @@ def estimate_nmse(ests, plan: TrialPlan) -> list[OracleEstimates]:
     powers or pilot lengths (both live in the ``PilotConfig``, not in the
     statistics, and the despread draw depends on neither), or of nested RIS
     grids. Each chunk draws only the users' links, once per draw run and slab.
-    Each estimator's table of per-block terms is reduced by ``_ratio_se``.
+    Each NMSE is the ratio of the block means of squared error and channel energy.
     """
-    out = []
-    for table in _oracle([(est,) for est in ests], _nmse_terms, plan, NMSE_BLOCK, eve=False):
-        nmse_hat, nmse_se = _ratio_se(table["err2"], table["mag2"])
-        out.append(OracleEstimates(nmse=nmse_hat, nmse_se=nmse_se))
-    return out
+    return [OracleEstimates(nmse=_mean(table["err2"]).over(_mean(table["mag2"])))
+            for table in _oracle([(est,) for est in ests], _nmse_terms, plan, NMSE_BLOCK,
+                                 eve=False)]
 
 
 # --------------------------------------------------------------------------
@@ -569,56 +598,19 @@ def _eve_log_rate(blk: _Blocks, p: float, q: float, kappa_t_bs: float,
 
 def _secrecy_estimates(table: dict, est: ChannelEstimator, hw: HardwareProfile,
                        xi: float) -> OracleEstimates:
-    """One point's secrecy estimates from its table of per-block terms.
-
-    The rate's standard error is that of the per-block delta-method
-    linearization d_rate of each user's rate about the block means, shape
-    (B, K), whose mean is zero, so it carries the correlations between the
-    terms of one block. ``r_sec``'s is that of psi (see ``estimate_secrecy``).
-    """
+    """One point's secrecy estimates from its table of per-block terms."""
     dims = est.stats.dims
     p, q = stream_powers(hw.p_t, xi, dims.k, dims.m)
-    s1, inter, an, hn2, var_err, log_rate = (
-        table[name] for name in ("s1", "inter", "an", "hn2", "var_err", "log_rate"))
-
-    s1_mean = np.mean(s1, axis=0)
-    signal = np.abs(s1_mean) ** 2
-    # Delta method for |mean|^2: project fluctuations on the mean direction.
-    unit = s1_mean / np.where(np.abs(s1_mean) > 0, np.abs(s1_mean), 1.0)
-    proj = np.real(s1 * unit.conj())
-    signal_se = 2.0 * np.abs(s1_mean) * _se(proj)
-
-    variance, variance_se = _mean_se(var_err)
-    inter_mean, inter_se = _mean_se(inter)
-    an_mean, an_se = _mean_se(an)
-    hn2_mean, hn2_se = _mean_se(hn2)
-    hwi_scale = (hw.kappa_t_bs + hw.kappa_r_ue) * hw.p_t / dims.m
-    hwi = hwi_scale * hn2_mean
-    hwi_se = hwi_scale * hn2_se
-
-    den = (p * inter_mean + p * variance + q * an_mean
-           + hwi + hw.sigma_k2)
-    gamma = p * signal / den
-    rate = np.log2(1.0 + gamma)
-
-    d_signal = 2.0 * np.abs(s1_mean) * (proj - np.mean(proj, axis=0))
-    d_den = (p * (inter - inter_mean) + p * (var_err - variance)
-             + q * (an - an_mean) + hwi_scale * (hn2 - hn2_mean))
-    d_rate = (gamma / ((1.0 + gamma) * np.log(2.0))
-              * (d_signal / np.maximum(signal, 1e-300) - d_den / den))
-
-    c_e, c_e_se = _mean_se(log_rate)
-    psi = np.mean(d_rate - (log_rate - c_e), axis=1)
-    return OracleEstimates(
-        rate=rate, rate_se=_se(d_rate),
-        signal=signal, signal_se=signal_se,
-        interference=inter_mean, interference_se=inter_se,
-        variance=variance, variance_se=variance_se,
-        an_leakage=an_mean, an_leakage_se=an_se,
-        hwi=hwi, hwi_se=hwi_se,
-        c_e=c_e, c_e_se=c_e_se,
-        r_sec=float(np.mean(np.maximum(0.0, rate - c_e))), r_sec_se=float(_se(psi)),
-    )
+    signal, inter, variance, an, hn2, c_e = (_mean(table[name]) for name in (
+        "s1", "inter", "var_err", "an", "hn2", "log_rate"))
+    signal = signal.abs2()
+    hwi = (hw.kappa_t_bs + hw.kappa_r_ue) * hw.p_t / dims.m * hn2
+    den = p * inter + p * variance + q * an + hwi + hw.sigma_k2
+    rate = signal.log2_1p_over(den, p)
+    r_sec = Estimate(float(np.mean(np.maximum(0.0, rate.value - c_e.value))),
+                     (rate - c_e).user_mean().psi)
+    return OracleEstimates(rate=rate, signal=signal, interference=inter, variance=variance,
+                           an_leakage=an, hwi=hwi, c_e=c_e, r_sec=r_sec)
 
 
 def _point_terms(group: list, h: np.ndarray, h_e: np.ndarray, h_hat: np.ndarray) -> list:
@@ -650,17 +642,18 @@ def estimate_secrecy(points, plan: TrialPlan) -> list[OracleEstimates]:
     one ``OracleEstimates`` is returned per point, in order, each
     bit-identical to the estimate of that point alone at the same draw grid.
     The points of one draw run (``_draw_runs``) share every random number
-    but the phase errors, so their differences are far less noisy than their
-    standard errors. Consecutive points with one estimator object share its
-    pilot phase, precoders and user terms (``_point_terms``). Each point's
-    table of per-block terms is reduced by ``_secrecy_estimates``.
+    but the phase errors, so their differences (``a.r_sec - b.r_sec``) are
+    far less noisy than their standard errors. Consecutive points with one
+    estimator object share its pilot phase, precoders and user terms
+    (``_point_terms``). Each point's table of per-block terms is reduced by
+    ``_secrecy_estimates``.
 
     Eve's log-rate comes from the M_E x M_E interference-whitening solve,
     with ``_eve_floor(hw, q)`` where that system is singular. ``r_sec`` is
-    the user average of max(0, R_k - C_k); its standard error is that of the
-    per-block psi_b = mean_k(dR_bk - dC_bk), dR the delta-method
-    linearization of the rate and dC_bk = log_rate_bk - C_k, so it carries
-    the user/Eve and user/user correlations of the draw; it ignores the clip.
+    the user average of max(0, R_k - C_k); its influence is the per-block
+    psi_b = mean_k(dR_bk - dC_bk), dR and dC the influences of the rate and
+    of C_k, so it carries the user/Eve and user/user correlations of the
+    draw; it ignores the clip.
     """
     points = list(points)
     tables = _oracle(points, _point_terms, plan, CHANNEL_BLOCK, eve=True)

@@ -14,7 +14,7 @@ from ris_lab.errors import ConfigValidationError
 from ris_lab.estimation import ChannelEstimator
 from ris_lab.experiments import ExperimentConfig, build_setup, run_and_write, run_experiment
 from ris_lab.geometry import SLAB_BLOCKS, ChannelStatistics, slabs
-from ris_lab.montecarlo import CHUNK_BLOCKS, OracleEstimates
+from ris_lab.montecarlo import CHUNK_BLOCKS, Estimate, OracleEstimates
 from ris_lab.streams import STREAM_LAYOUT
 
 # A run small enough for the test suite: one grid point, two blocks.
@@ -189,6 +189,23 @@ def test_cli_nonpositive_size_in_sweep_exits_2(tmp_path, capsys, experiment, cha
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 711. PiB for an array with shape "
+                                     "(100000000000000000,) and data type float64", ""])
+def test_cli_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, message):
+    # a size that numpy can index but no machine can allocate, such as this
+    # sweep, ends in a MemoryError; the run is stubbed to raise it, so the
+    # test allocates nothing
+    def out_of_memory(name, config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_and_write", out_of_memory)
+    config = write_config(tmp_path, {**TINY, "sweep": [1e17]})
+    assert cli.main(["nmse_vs_N", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: out of memory")
+    assert message in err and "Traceback" not in err
+
+
 def test_whole_number_size_as_float_is_accepted(tmp_path):
     config = write_config(tmp_path, {**TINY, "sweep": [16.0]})
     assert cli.main(["secrecy_vs_M", "--config", config, "--out", str(tmp_path)]) == 0
@@ -341,7 +358,8 @@ def test_default_size_grid_is_one_oracle_call(monkeypatch, experiment):
 
     def stub(items, plan):
         calls.append(len(list(items)))
-        return [OracleEstimates(nmse=np.zeros(2), nmse_se=np.ones(2), r_sec=0.0, r_sec_se=1.0)
+        return [OracleEstimates(nmse=Estimate(np.zeros(2), np.eye(2)),
+                                r_sec=Estimate(0.0, np.arange(2.0)))
                 for _ in range(calls[-1])]
 
     for oracle in ("estimate_nmse", "estimate_secrecy"):

@@ -21,11 +21,11 @@ from ris_lab.linalg import herm_trace_prod
 from ris_lab.montecarlo import (
     _eve_floor,
     _eve_interference,
-    _mean_se,
+    _mean,
     _run_chunks,
     worker_count,
 )
-from ris_lab.streams import CHANNEL_BLOCK
+from ris_lab.streams import CHANNEL_BLOCK, NMSE_BLOCK
 
 from conftest import (
     draw_channels,
@@ -72,11 +72,12 @@ def mixed_points(est, hw, xi):
 
 def assert_same_estimates(a, b):
     for field in dataclasses.fields(a):
-        want = getattr(b, field.name)
+        got, want = getattr(a, field.name), getattr(b, field.name)
         if want is None:
-            assert getattr(a, field.name) is None, field.name
+            assert got is None, field.name
         else:
-            assert np.array_equal(getattr(a, field.name), want), field.name
+            assert np.array_equal(got.value, want.value), field.name
+            assert np.array_equal(got.psi, want.psi), field.name
 
 
 def test_thread_count_does_not_change_results(small_setup, monkeypatch):
@@ -101,8 +102,8 @@ def test_shared_draw_leaves_the_phase_free_level_unchanged(monkeypatch):
     shared = rl.estimate_secrecy([(noisy, hw, xi), (est, hw, xi), (noisy, hw, xi)], plan)
     assert_same_estimates(shared[1], alone)
     # every level restarts the phase substream: repeats give the same estimate
-    assert shared[0].r_sec == shared[2].r_sec
-    assert shared[0].r_sec != alone.r_sec
+    assert shared[0].r_sec.value == shared[2].r_sec.value
+    assert shared[0].r_sec.value != alone.r_sec.value
     # so every point of a mixed call equals that point alone, at any worker count
     points = mixed_points(est, hw, xi)
     for threads in ("1", "7"):
@@ -178,17 +179,22 @@ def test_chunk_terms_hold_no_chunk_size_link_at_n():
     assert peak < blocks * (dims.k + dims.m_e) * dims.n * 16
 
 
-def test_oracle_returns_one_table_per_point_stacked_in_chunk_order(small_setup):
-    # two estimators on one statistics object, the first holding two
-    # points, then a point that no draw shares with them: a second draw run
-    _, est, hw, xi = small_setup
+def two_draw_run_points(est, hw, xi):
+    """Two estimators on one statistics object, the first holding two
+    points, then a point that no draw shares with them: a second draw run."""
     loud = rl.ChannelEstimator(est.stats,
                                dataclasses.replace(est.pilots, rho=2 * est.pilots.rho))
     other = rl.ChannelEstimator(dataclasses.replace(est.stats, r_i=np.eye(est.stats.dims.n)),
                                 est.pilots)
     assert montecarlo.draw_grid(est.stats, other.stats) is None
     distorted = dataclasses.replace(hw, kappa_t_bs=0.05)
-    points = [(est, hw, xi), (est, distorted, xi), (loud, hw, xi), (other, hw, xi)]
+    return [(est, hw, xi), (est, distorted, xi), (loud, hw, xi), (other, hw, xi)]
+
+
+def test_oracle_returns_one_table_per_point_stacked_in_chunk_order(small_setup):
+    _, est, hw, xi = small_setup
+    points = two_draw_run_points(est, hw, xi)
+    other = points[3][0]
     plan = rl.TrialPlan(n_blocks=montecarlo.CHUNK_BLOCKS + 8, master_seed=5)
     tables = montecarlo._oracle(points, montecarlo._point_terms, plan, CHANNEL_BLOCK, eve=True)
     want = []
@@ -213,6 +219,27 @@ def test_oracle_returns_one_table_per_point_stacked_in_chunk_order(small_setup):
     assert not np.array_equal(tables[0]["s1"], tables[2]["s1"])
 
 
+def test_every_draw_run_starts_from_the_same_chunk_streams(small_setup, monkeypatch):
+    # a point that no draw shares with the points before it draws again,
+    # at its own grid, from the same chunk streams: the draw runs of one call
+    # are not independent, so a difference across them is block-paired too
+    points = two_draw_run_points(*small_setup[1:])
+    sample = montecarlo.sample_realizations
+    starts = {}             # draw grid -> state of the chunk stream at its first draw
+
+    def sampled(stats, rng, n_draws, *, eve):
+        starts.setdefault(id(stats), rng.bit_generator.state)
+        return sample(stats, rng, n_draws, eve=eve)
+
+    monkeypatch.setattr(montecarlo, "sample_realizations", sampled)
+    monkeypatch.setenv("RIS_LAB_THREADS", "1")          # chunk 0 draws first
+    plan = rl.TrialPlan(n_blocks=montecarlo.CHUNK_BLOCKS + 8, master_seed=5)
+    rl.estimate_secrecy(points, plan)
+    chunk_0 = montecarlo.derive_rng(plan.master_seed, CHANNEL_BLOCK, 0).bit_generator.state
+    assert list(starts) == [id(points[0][0].stats), id(points[3][0].stats)]
+    assert list(starts.values()) == [chunk_0, chunk_0]
+
+
 def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy(within):
     # common random numbers: at sigma_p2 = 1e-8 the phase errors are ~1e-4 rad,
     # so r_sec moves by about 1e-4 of its standard error (measured: 1e-7 to
@@ -222,9 +249,10 @@ def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy(within):
     tiny_est = make_setup(seed=3, sigma_p2=1e-8)[1]
     zero, tiny = rl.estimate_secrecy([(est, hw, xi), (tiny_est, hw, xi)],
                                      rl.TrialPlan(n_blocks=600, master_seed=15))
-    assert zero.r_sec != tiny.r_sec
-    within("paired r_sec shift", abs(tiny.r_sec - zero.r_sec), below=1e-3 * zero.r_sec_se)
-    within("r_sec se", zero.r_sec_se, above=0.01 * zero.r_sec)
+    assert zero.r_sec.value != tiny.r_sec.value
+    within("paired r_sec shift", abs(tiny.r_sec.value - zero.r_sec.value),
+           below=1e-3 * zero.r_sec.se)
+    within("r_sec se", zero.r_sec.se, above=0.01 * zero.r_sec.value)
 
 
 @pytest.mark.parametrize("change", ["n", "m", "r_i"])
@@ -300,7 +328,7 @@ def test_nested_point_equals_itself_alone_at_the_same_draw_grid(monkeypatch):
             assert_same_estimates(orc, rl.estimate_nmse([est, ests[-1]], plan)[0])
     assert_same_estimates(shared[-1], rl.estimate_secrecy(points[-1:], plan)[0])
     # alone, a smaller point draws at its own arrays: another sample
-    assert shared[0].r_sec != rl.estimate_secrecy(points[:1], plan)[0].r_sec
+    assert shared[0].r_sec.value != rl.estimate_secrecy(points[:1], plan)[0].r_sec.value
 
 
 def test_nested_links_have_the_smaller_arrays_law(monkeypatch, within):
@@ -362,24 +390,105 @@ def test_oracles_reject_an_empty_call(oracle):
 
 
 def test_secrecy_standard_error_is_calibrated(small_setup, within):
-    # the spread of r_sec, and of each user's rate, over independent master
-    # seeds must match the delta-method SE. With 40 seeds the sample SD /
-    # true SE follows chi_39 / sqrt(39): the band [0.7, 1.4] lies 2.7 and
-    # 3.5 of its SDs (0.11) from 1. The users' secrecy gaps stay far above
-    # zero, so the clip the SE ignores never acts.
+    # the spread of r_sec, of each user's rate, and of the r_sec difference
+    # to a second point at xi + 0.05 on the same estimator, over independent
+    # master seeds must match the delta-method SE; the difference's is the
+    # block-paired one. With 40 seeds the sample SD / true SE follows
+    # chi_39 / sqrt(39): the band [0.7, 1.4] lies 2.7 and 3.5 of its SDs
+    # (0.11) from 1. The users' secrecy gaps stay far above zero at both
+    # points, so the clip the SE ignores never acts.
     _, est, hw, xi = small_setup
-    values, ses, rates, rate_ses = [], [], [], []
+    values, ses, rates, rate_ses, diffs, diff_ses = [], [], [], [], [], []
     for seed in range(1000, 1040):
-        [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(200, master_seed=seed))
-        within("secrecy gap", orc.rate - orc.c_e, above=10 * orc.r_sec_se)
-        values.append(orc.r_sec)
-        ses.append(orc.r_sec_se)
-        rates.append(orc.rate)
-        rate_ses.append(orc.rate_se)
+        orc, other = rl.estimate_secrecy([(est, hw, xi), (est, hw, xi + 0.05)],
+                                         rl.TrialPlan(200, master_seed=seed))
+        within("secrecy gap", orc.rate.value - orc.c_e.value, above=10 * orc.r_sec.se)
+        within("secrecy gap at xi + 0.05", other.rate.value - other.c_e.value,
+               above=10 * other.r_sec.se)
+        values.append(orc.r_sec.value)
+        ses.append(orc.r_sec.se)
+        rates.append(orc.rate.value)
+        rate_ses.append(orc.rate.se)
+        diff = orc.r_sec - other.r_sec
+        diffs.append(diff.value)
+        diff_ses.append(diff.se)
     ratio = np.std(values, ddof=1) / np.median(ses)
     within("r_sec sd/se", ratio, above=0.7, below=1.4)
     rate_ratio = np.std(rates, axis=0, ddof=1) / np.median(rate_ses, axis=0)
     within("rate sd/se", rate_ratio, above=0.7, below=1.4)
+    diff_ratio = np.std(diffs, ddof=1) / np.median(diff_ses)
+    within("paired r_sec difference sd/se", diff_ratio, above=0.7, below=1.4)
+
+
+def standard_error(values):
+    """The oracle's former ``_se``: the standard error of the block mean, blocks on axis 0."""
+    return np.std(values, axis=0, ddof=1) / np.sqrt(values.shape[0])
+
+
+def hand_coded_secrecy(table, est, hw, xi):
+    """Each secrecy estimate's (value, SE) by the oracle's former hand-coded delta methods.
+
+    The reference of the ``Estimate`` operations: the signal's SE by
+    projection on the mean direction, the rate's linearization d_rate, and
+    r_sec's psi from centred per-block terms.
+    """
+    dims = est.stats.dims
+    p, q = rl.stream_powers(hw.p_t, xi, dims.k, dims.m)
+    s1, inter, an, hn2, var_err, log_rate = (
+        table[name] for name in ("s1", "inter", "an", "hn2", "var_err", "log_rate"))
+    s1_mean, inter_mean, an_mean, hn2_mean, variance, c_e = (
+        np.mean(x, axis=0) for x in (s1, inter, an, hn2, var_err, log_rate))
+    signal = np.abs(s1_mean) ** 2
+    unit = s1_mean / np.where(np.abs(s1_mean) > 0, np.abs(s1_mean), 1.0)
+    proj = np.real(s1 * unit.conj())
+    hwi_scale = (hw.kappa_t_bs + hw.kappa_r_ue) * hw.p_t / dims.m
+    hwi = hwi_scale * hn2_mean
+    den = p * inter_mean + p * variance + q * an_mean + hwi + hw.sigma_k2
+    gamma = p * signal / den
+    rate = np.log2(1.0 + gamma)
+    d_signal = 2.0 * np.abs(s1_mean) * (proj - np.mean(proj, axis=0))
+    d_den = (p * (inter - inter_mean) + p * (var_err - variance)
+             + q * (an - an_mean) + hwi_scale * (hn2 - hn2_mean))
+    d_rate = (gamma / ((1.0 + gamma) * np.log(2.0))
+              * (d_signal / np.maximum(signal, 1e-300) - d_den / den))
+    psi = np.mean(d_rate - (log_rate - c_e), axis=1)
+    return {"rate": (rate, standard_error(d_rate)),
+            "signal": (signal, 2.0 * np.abs(s1_mean) * standard_error(proj)),
+            "interference": (inter_mean, standard_error(inter)),
+            "variance": (variance, standard_error(var_err)),
+            "an_leakage": (an_mean, standard_error(an)),
+            "hwi": (hwi, hwi_scale * standard_error(hn2)),
+            "c_e": (c_e, standard_error(log_rate)),
+            "r_sec": (float(np.mean(np.maximum(0.0, rate - c_e))), float(standard_error(psi)))}
+
+
+def test_estimates_rebuild_the_hand_coded_delta_methods(small_setup):
+    # every value and SE is bit-identical to the hand-coded one, but the
+    # signal's and the HWI term's: their SEs scale before the standard
+    # deviation instead of after it, so they agree to roundoff
+    points = mixed_points(*small_setup[1:])
+    plan = rl.TrialPlan(n_blocks=montecarlo.CHUNK_BLOCKS + 8, master_seed=12)
+    tables = montecarlo._oracle(points, montecarlo._point_terms, plan, CHANNEL_BLOCK, eve=True)
+    reordered = {"signal", "hwi"}
+    for point, table in zip(points, tables, strict=True):
+        orc = montecarlo._secrecy_estimates(table, *point)
+        for name, (value, se) in hand_coded_secrecy(table, *point).items():
+            got = getattr(orc, name)
+            assert np.array_equal(got.value, value), name
+            if name in reordered:
+                assert np.all(np.abs(got.se - se) <= 1e-14 * se), name
+            else:
+                assert np.array_equal(got.se, se), name
+    # the NMSE's former _ratio_se residual
+    ests = [est for est, _, _ in points]
+    tables = montecarlo._oracle([(est,) for est in ests], montecarlo._nmse_terms, plan,
+                                NMSE_BLOCK, eve=False)
+    for orc, table in zip(rl.estimate_nmse(ests, plan), tables, strict=True):
+        num, den = table["err2"], table["mag2"]
+        ratio = np.mean(num, axis=0) / np.mean(den, axis=0)
+        assert np.array_equal(orc.nmse.value, ratio)
+        assert np.array_equal(orc.nmse.se,
+                              standard_error((num - ratio * den) / np.mean(den, axis=0)))
 
 
 def test_single_block_standard_errors_are_infinite(small_setup):
@@ -389,10 +498,10 @@ def test_single_block_standard_errors_are_infinite(small_setup):
         warnings.simplefilter("error")
         [nmse] = rl.estimate_nmse([est], plan)
         [sec] = rl.estimate_secrecy([(est, hw, xi)], plan)
-    assert np.all(np.isfinite(nmse.nmse)) and np.all(nmse.nmse_se == np.inf)
-    assert np.isfinite(sec.r_sec)
-    for se in (sec.rate_se, sec.signal_se, sec.interference_se, sec.c_e_se, sec.r_sec_se):
-        assert np.all(se == np.inf)
+    for field in dataclasses.fields(rl.OracleEstimates):
+        estimate = getattr(nmse if field.name == "nmse" else sec, field.name)
+        assert np.all(np.isfinite(estimate.value)), field.name
+        assert np.all(estimate.se == np.inf), field.name
 
 
 FOUR_CHUNKS = rl.TrialPlan(n_blocks=3 * montecarlo.CHUNK_BLOCKS + 8, master_seed=5)
@@ -535,7 +644,7 @@ def test_standard_errors_shrink_with_block_count(small_setup, within):
     _, est, hw, xi = small_setup
     [small] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(4000, master_seed=5))
     [big] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(16000, master_seed=5))
-    ratio = small.interference_se / big.interference_se
+    ratio = small.interference.se / big.interference.se
     # quadrupling the blocks should halve the standard error
     within("interference se ratio", ratio, above=1.5, below=2.7)
 
@@ -550,15 +659,17 @@ def test_terms_match_closed_forms_with_ideal_uplink(within):
     for k in range(3):
         sig, inter, var, an = closed_form_terms(est, k)
         hwi = (hw.kappa_t_bs + hw.kappa_r_ue) * hw.p_t / 24 * est.tr_r[k]
-        within(f"signal[{k}]", abs(orc.signal[k] - sig), below=3 * orc.signal_se[k])
-        within(f"interference[{k}]", abs(orc.interference[k] - inter),
-               below=3 * orc.interference_se[k])
-        within(f"variance[{k}]", abs(orc.variance[k] - var), below=3 * orc.variance_se[k])
-        within(f"an_leakage[{k}]", abs(orc.an_leakage[k] - an),
-               below=3 * orc.an_leakage_se[k])
-        within(f"hwi[{k}]", abs(orc.hwi[k] - hwi), below=3 * orc.hwi_se[k])
+        within(f"signal[{k}]", abs(orc.signal.value[k] - sig), below=3 * orc.signal.se[k])
+        within(f"interference[{k}]", abs(orc.interference.value[k] - inter),
+               below=3 * orc.interference.se[k])
+        within(f"variance[{k}]", abs(orc.variance.value[k] - var),
+               below=3 * orc.variance.se[k])
+        within(f"an_leakage[{k}]", abs(orc.an_leakage.value[k] - an),
+               below=3 * orc.an_leakage.se[k])
+        within(f"hwi[{k}]", abs(orc.hwi.value[k] - hwi), below=3 * orc.hwi.se[k])
         rate_cf = rl.user_rate(rl.compute_rate_terms(est, hw, k=k), xi)
-        within(f"relative rate error[{k}]", abs(orc.rate[k] - rate_cf) / rate_cf, below=0.05)
+        within(f"relative rate error[{k}]", abs(orc.rate.value[k] - rate_cf) / rate_cf,
+               below=0.05)
 
 
 def test_distortion_couplings_bias_the_closed_forms(within):
@@ -570,10 +681,10 @@ def test_distortion_couplings_bias_the_closed_forms(within):
                                     kappa_dl=0.01, p_t=10.0)
     [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(20000, master_seed=17))
     _, inter, var, _ = closed_form_terms(est, 0)
-    within("variance bias[0]", orc.variance[0] - var, above=3 * orc.variance_se[0])
+    within("variance bias[0]", orc.variance.value[0] - var, above=3 * orc.variance.se[0])
     # the rate itself stays accurate: the biased terms are small in I_k
     rate_cf = rl.user_rate(rl.compute_rate_terms(est, hw, k=0), xi)
-    within("relative rate error[0]", abs(orc.rate[0] - rate_cf) / rate_cf, below=0.05)
+    within("relative rate error[0]", abs(orc.rate.value[0] - rate_cf) / rate_cf, below=0.05)
 
 
 def test_nmse_oracle_reproducible(small_setup, monkeypatch):
@@ -585,9 +696,9 @@ def test_nmse_oracle_reproducible(small_setup, monkeypatch):
         monkeypatch.setenv("RIS_LAB_THREADS", threads)
         [results[threads]] = rl.estimate_nmse([est], plan)
     a, b = results["1"], results["7"]
-    assert np.array_equal(a.nmse, b.nmse)
-    assert np.array_equal(a.nmse_se, b.nmse_se)
-    assert np.all(a.nmse_se > 0)
+    assert np.array_equal(a.nmse.value, b.nmse.value)
+    assert np.array_equal(a.nmse.se, b.nmse.se)
+    assert np.all(a.nmse.se > 0)
 
 
 def test_shared_nmse_call_equals_each_estimator_alone(small_setup, monkeypatch):
@@ -650,7 +761,7 @@ def test_eve_capacity_below_bound(small_setup, within):
     [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(8000, master_seed=31))
     for k in range(3):
         bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=k), xi)
-        within(f"c_e - bound[{k}]", orc.c_e[k] - bound, below=3 * orc.c_e_se[k],
+        within(f"c_e - bound[{k}]", orc.c_e.value[k] - bound, below=3 * orc.c_e.se[k],
                inclusive=True)
 
 
@@ -661,7 +772,7 @@ def test_eve_gap_shrinks_with_antennas(within):
                                         p_t=10.0, kappa_dl=0.01)
         [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(24000, master_seed=7))
         bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=0), xi)
-        gaps.append(bound - orc.c_e[0])
+        gaps.append(bound - orc.c_e.value[0])
     within("gap at M = 64 below gap at M = 16", gaps[-1], below=gaps[0])
 
 
@@ -685,8 +796,8 @@ def test_eve_rank_one_reduction(within):
     manual = float(np.mean(np.log2(1.0 + gamma_manual)))
 
     [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(2000, master_seed=77))
-    within("c_e - manual[0]", abs(orc.c_e[0] - manual),
-           below=5 * orc.c_e_se[0] + 0.05 * manual)
+    within("c_e - manual[0]", abs(orc.c_e.value[0] - manual),
+           below=5 * orc.c_e.se[0] + 0.05 * manual)
 
 
 def test_eve_singular_corner_regularized(within):
@@ -695,8 +806,8 @@ def test_eve_singular_corner_regularized(within):
     # xi = 1 gives q = 0, and kappa_t = 0
     [orc] = rl.estimate_secrecy([(est, hw0, 1.0)], rl.TrialPlan(500, master_seed=1))
     assert _eve_floor(hw0, 0.0) == pytest.approx(1e-12 * 10.0)
-    assert np.all(np.isfinite(orc.c_e))
-    within("c_e", orc.c_e, above=10.0)   # essentially unmasked: huge capacity
+    assert np.all(np.isfinite(orc.c_e.value))
+    within("c_e", orc.c_e.value, above=10.0)   # essentially unmasked: huge capacity
 
 
 # --------------------------------------------------------------------------
@@ -741,11 +852,10 @@ def estimate_wishart_moments(est, hw, xi, plan) -> WishartMoments:
         return [{"tr_x": tr_x / m_e, "off_m2": np.sum(off, axis=(1, 2)) / denom}]
 
     [table] = montecarlo._oracle([(est,)], terms, plan, EVE_BLOCK, eve=True)
-    tr_mean, tr_se = _mean_se(table["tr_x"])
-    off_mean, off_se = _mean_se(table["off_m2"])
+    tr, off = _mean(table["tr_x"]), _mean(table["off_m2"])
     return WishartMoments(
-        tr_x_over_me=float(tr_mean), tr_x_over_me_se=float(tr_se),
-        offdiag_m2=float(off_mean), offdiag_m2_se=float(off_se),
+        tr_x_over_me=float(tr.value), tr_x_over_me_se=float(tr.se),
+        offdiag_m2=float(off.value), offdiag_m2_se=float(off.se),
     )
 
 
@@ -833,5 +943,5 @@ def test_cascade_anisotropy_biases_the_wishart_match(seed, kappa_t_bs, master_se
     [orc] = rl.estimate_secrecy([(est, hw, xi)], plan)
     for k in range(2):
         bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=k), xi)
-        within(f"c_e - bound[{k}]", orc.c_e[k] - bound, below=3 * orc.c_e_se[k],
+        within(f"c_e - bound[{k}]", orc.c_e.value[k] - bound, below=3 * orc.c_e.se[k],
                inclusive=True)

@@ -103,5 +103,5 @@ def test_an_leakage_matches_error_trace(within):
     m, k_users = stats.dims.m, stats.dims.k
     for k in range(k_users):
         expect = (m - k_users) / m * np.trace(error_covariance(est, k)).real
-        within(f"relative an leakage error[{k}]", abs(orc.an_leakage[k] - expect) / expect,
+        within(f"relative an leakage error[{k}]", abs(orc.an_leakage.value[k] - expect) / expect,
                below=0.05)
