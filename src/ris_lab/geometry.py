@@ -13,12 +13,14 @@ law, and the aggregate channels for given phase errors
 of blocks at a time (``SLAB_BLOCKS``); within a call, each correlation
 product and each bridge product is one BLAS GEMM over all of its blocks,
 with the block axis folded into the GEMM rows wherever the array layout
-makes the fold free. The R_B and R_I templates are real,
-so their square roots are too: the sampler draws the real and the
-imaginary part of each link, colors both with one real GEMM (dgemm) and
-writes them into the link; only the bridge products are complex. The RIS
-phases Phi fold into the phase-error rotation, so the bridge product is by
-H1 itself.
+makes the fold free. The R_B and R_I templates are real and
+mirror-symmetric, so each splits into at most four sectors of about a
+quarter of its size (``MirrorFactor``): the sampler draws the real and the
+imaginary part of each link's white coefficients in sector order, colors
+each sector of both with one real GEMM (dgemm) against the sector's root
+and writes the inverse butterfly into the link; only the bridge products
+are complex. The RIS phases Phi fold into the phase-error rotation, so the
+bridge product is by H1 itself.
 
 The templates nest: a RIS grid that fits in a larger one at the same
 spacings has the larger R_I's principal sub-block at its elements
@@ -44,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameterError
-from .linalg import herm_sqrt, hermitize
+from .linalg import SQRT_CLIP_TOL, herm_sqrt, hermitize
 
 
 # --------------------------------------------------------------------------
@@ -319,6 +321,129 @@ def build_los_channel(dims: SystemDimensions, spec: CorrelationSpec,
 
 
 # --------------------------------------------------------------------------
+# mirror-sector factors of the templates
+# --------------------------------------------------------------------------
+
+def _fold(r4: np.ndarray, size: tuple, signs: tuple) -> np.ndarray:
+    """One sector's block of R, (a_v a_h, a_v a_h), before the centre weights.
+
+    ``r4`` is R as (rows, columns, rows, columns). The block's rows are R's
+    at the first ``size`` = (a_v, a_h) grid rows and columns; each of its
+    columns adds (sign +1) or subtracts (sign -1) R's column at the
+    mirrored row, then at the mirrored column, so a centre row or column,
+    its own mirror, counts twice. Temporaries are at most (a_v, a_h, a_v,
+    columns).
+    """
+    a_v, a_h = size
+    x = r4[:a_v, :a_h]
+    x = x[:, :, :a_v] + signs[0] * x[:, :, ::-1][:, :, :a_v]
+    x = x[..., :a_h] + signs[1] * x[..., ::-1][..., :a_h]
+    return x.reshape(a_v * a_h, a_v * a_h)
+
+
+def _unfold(sym: np.ndarray, anti: np.ndarray, axis: int) -> np.ndarray:
+    """Inverse butterfly along ``axis``: the n = len(sym) + len(anti) entries there.
+
+    ``sym`` holds the even coordinates, ceil(n/2) of them, and ``anti`` the
+    odd ones, floor(n/2): out[i] = sym[i] + anti[i], its mirror out[n-1-i]
+    = sym[i] - anti[i], and a centre out[n//2] = sym[n//2]. Without odd
+    coordinates that is ``sym`` itself. The sqrt(1/2) weights live in the
+    factor's roots.
+    """
+    h = anti.shape[axis]
+    if h == 0:
+        return sym
+    shape = list(sym.shape)
+    shape[axis] += h
+    out = np.empty(shape)
+    lead = (slice(None),) * axis
+    np.add(sym[lead + (slice(h),)], anti, out=out[lead + (slice(h),)])
+    np.subtract(sym[lead + (slice(h),)], anti, out=out[lead + (slice(-1, -h - 1, -1),)])
+    if shape[axis] > 2 * h:
+        out[lead + (h,)] = sym[lead + (h,)]
+    return out
+
+
+@dataclass(frozen=True)
+class MirrorFactor:
+    """A real template R on a grid, factored in its mirror-symmetry sectors.
+
+    R must commute with the reversals of the grid's rows and of its
+    columns, as a sinc of element distance on a uniform grid and an
+    exponential Toeplitz R_B (a one-row grid) do. Then the Kronecker product
+    Q of the two axes' orthonormal even/odd bases (pairs (e_i +- e_{n-1-i})
+    / sqrt(2) and a centre e_{n//2} per axis) block-diagonalises R into at
+    most four sectors, (even, even), (even, odd), (odd, even), (odd, odd)
+    in (row, column) parity, of about N/4 coordinates each (Cantoni &
+    Butler, Linear Algebra Appl. 13, 1976). F = Q diag(S_j), with S_j the
+    square root of sector block j, is a factor of R: F F^T = R.
+
+    ``roots`` holds each S_j with Q's weights, sqrt(1/2) per paired axis,
+    folded into its columns, so ``color`` applies Q as a bare butterfly of
+    sums and differences. No dense Q and no (N, N) array beyond R exist:
+    each sector block is folded from R by index arithmetic (``_fold``),
+    and its root is one ``herm_sqrt``.
+    """
+
+    grid: tuple                  # (rows, columns) of the grid R lives on
+    roots: tuple                 # per sector, its (n_j, n_j) root, weights folded in
+
+    @staticmethod
+    def sectors(grid: tuple) -> list:
+        """(a_v, a_h) grid shape of each of the four sectors; a sector may be empty."""
+        n_v, n_h = grid
+        return [(a_v, a_h) for a_v in (n_v - n_v // 2, n_v // 2)
+                for a_h in (n_h - n_h // 2, n_h // 2)]
+
+    @classmethod
+    def of(cls, r: np.ndarray, grid: tuple) -> MirrorFactor:
+        """The factor of template ``r`` on ``grid``; raises if ``r`` is not mirror-symmetric.
+
+        The check allows a mirror asymmetry up to ``SQRT_CLIP_TOL`` times
+        R's largest diagonal entry, below what the root resolves, and reads
+        R one grid row at a time. Each sector root clamps against its own
+        block's largest eigenvalue, at most R's, so it clamps no more than
+        a root of the whole R would.
+        """
+        r4 = r.reshape(*grid, *grid)
+        tol = SQRT_CLIP_TOL * np.max(np.abs(np.diagonal(r)))
+        for i in range(grid[0]):
+            for mirror in (r4[grid[0] - 1 - i, :, ::-1], r4[i, ::-1, :, ::-1]):
+                if np.max(np.abs(r4[i] - mirror), initial=0.0) > tol:
+                    raise InvalidParameterError(
+                        f"a template on a {grid[0]} x {grid[1]} grid does not commute "
+                        "with the reversal of its rows and of its columns")
+        roots = []
+        for size, signs in zip(cls.sectors(grid), [(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+            if 0 in size:
+                roots.append(np.empty((0, 0)))
+                continue
+            # sqrt(1/2) per centre coordinate, which the fold counted twice
+            s = np.kron(*(np.where(np.arange(a) == n - a, np.sqrt(0.5), 1.0)
+                          for a, n in zip(size, grid)))
+            block = _fold(r4, size, signs) * s[:, None] * s[None, :]
+            # Q's weights are 1/(2 s): sqrt(1/2) per paired axis
+            roots.append(herm_sqrt(block) * (0.5 / s)[None, :])
+        return cls(grid=tuple(grid), roots=tuple(roots))
+
+    def color(self, g: np.ndarray) -> np.ndarray:
+        """g F^T: rows of white sector coefficients g (..., N) colored into the grid's entries.
+
+        The coefficients are in sector order, each sector's row-major on its
+        grid. Each sector is one real GEMM over all rows; the butterfly then
+        unfolds the row parities and then the column parities.
+        """
+        rows = g.reshape(-1, g.shape[-1])
+        y, start = [], 0
+        for (a_v, a_h), root in zip(self.sectors(self.grid), self.roots):
+            stop = start + a_v * a_h
+            y.append((rows[:, start:stop] @ root).reshape(len(rows), a_v, a_h))
+            start = stop
+        even, odd = (_unfold(y[j], y[j + 2], 1) for j in (0, 1))    # per column parity
+        return _unfold(even, odd, 2).reshape(g.shape)
+
+
+# --------------------------------------------------------------------------
 # assembled statistics
 # --------------------------------------------------------------------------
 
@@ -332,8 +457,11 @@ class ChannelStatistics:
     and the fading gains on each read, so a reader binds them once. The
     covariances see the phase-error law only through its circular
     mean ``phase_deviation_factor(phase_model)``; the sampler draws from it.
-    The ``r_b``/``r_i`` templates are real (exponential and sinc), which the
-    sampler's real GEMMs against their square roots rely on.
+    The ``r_b``/``r_i`` templates are real (exponential and sinc) and
+    commute with the reversals of their grids, which the sampler's real
+    sector GEMMs rely on: it reads them only through ``factor_r_b`` and
+    ``factor_r_i``, built on first use, so a template that is not
+    mirror-symmetric is refused there and serves the closed forms alone.
     """
 
     dims: SystemDimensions
@@ -362,12 +490,15 @@ class ChannelStatistics:
         return self._covariance(self.fading.beta_3, self.fading.beta_ie)
 
     @cached_property
-    def sqrt_r_b(self) -> np.ndarray | None:
-        return None if self.r_b is None else herm_sqrt(self.r_b)
+    def factor_r_b(self) -> MirrorFactor | None:
+        """R_B's sector factor; R_B is a one-row grid of M antennas."""
+        return None if self.r_b is None else MirrorFactor.of(self.r_b, (1, self.dims.m))
 
     @cached_property
-    def sqrt_r_i(self) -> np.ndarray | None:
-        return None if self.r_i is None else herm_sqrt(self.r_i)
+    def factor_r_i(self) -> MirrorFactor | None:
+        """R_I's sector factor on the RIS grid of N / n_h rows of n_h elements."""
+        n_h = self.dims.n_h
+        return None if self.r_i is None else MirrorFactor.of(self.r_i, (self.dims.n // n_h, n_h))
 
 
 def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
@@ -419,20 +550,20 @@ def _rows_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ a.T).reshape(*x.shape[:-1], a.shape[0])
 
 
-def _colored(white, root, gain) -> np.ndarray:
-    """sqrt(gain/2) (g_re + j g_im) @ sqrt_r.T, the complex link of two real white parts.
+def _link(white, factor, gain) -> np.ndarray:
+    """sqrt(gain/2) (g_re + j g_im) F^T, the complex link of two real white parts.
 
     ``white()`` draws both real parts as one (2, ...) array, the real part
-    first, then the imaginary one. Both are colored by one real GEMM against
-    the real square root ``root()`` (None = white) and written, scaled, into
-    the halves of the link; no complex temporary is made. ``root`` is read
-    after the draw: a cached_property holds one lock across all instances
-    while it computes, and the draw need not wait for it.
+    first, then the imaginary one. Both are colored by the template's
+    sector factor ``factor()`` (None = white) and written, scaled, into
+    the halves of the link; no complex temporary is made. ``factor`` is
+    read after the draw: a cached_property holds one lock across all
+    instances while it computes, and the draw need not wait for it.
     """
     g = white()
-    sqrt_r = root()
-    if sqrt_r is not None:
-        g = _rows_times(g, sqrt_r)
+    f = factor()
+    if f is not None:
+        g = f.color(g)
     h = np.empty(g.shape[1:], dtype=complex)
     scale = np.sqrt(gain / 2)
     np.multiply(g[0], scale, out=h.real)
@@ -446,36 +577,42 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
 
     Returns a dict with the scaled user links h_i (B, K, N) and h_b (B, K, M)
     and, with ``eve``, the eavesdropper's links h_ie (B, N, M_E) and
-    h_be (B, M, M_E). The Gaussians g_i, g_b and then, with ``eve``, g_ie
-    and g_be are drawn from ``rng`` in that order, each as two real arrays:
-    all real parts, then all imaginary parts. The secrecy and Wishart
+    h_be (B, M, M_E). The Gaussians g_i (B, K, N), g_b (B, K, M) and then,
+    with ``eve``, g_ie (B, M_E, N) and g_be (B, M_E, M) are drawn from
+    ``rng`` in that order, each as two real arrays: all real parts, then
+    all imaginary parts. The secrecy and Wishart
     oracles draw Eve's links; the NMSE oracle reads only the users' and does
     not. Nothing here depends on the phase-error law, so one draw serves
     every law with the same dims, fading and correlations, and, through its
     sub-grids and leading antennas, every smaller nested array;
     ``aggregate_channels`` applies the phase errors.
 
-    Every correlation product is one real GEMM over both parts of all
-    ``n_draws`` blocks at once. Each part is drawn over all blocks, so a
-    draw of B blocks is not the concatenation of draws of fewer. The Monte
-    Carlo oracle draws a chunk one slab of ``SLAB_BLOCKS`` blocks at a time,
-    so it holds no chunk-size link at the RIS size N. The eavesdropper arrays are built antenna-major, (B, M_E, .), so
-    that block and antenna axes fold into the GEMM rows; they are returned
-    as transposed views of that layout.
+    A correlated link's white numbers are its coefficients in the mirror
+    sectors of its template (``MirrorFactor``), in sector order along the
+    last axis; an uncorrelated link's are its entries. Each sector's
+    correlation product is one real GEMM over both parts of all ``n_draws``
+    blocks at once, and the inverse butterfly writes the sectors into the
+    link, which the link gain then scales. Each part is drawn over all
+    blocks, so a draw of B blocks is not the concatenation of draws of
+    fewer. The Monte Carlo oracle draws a chunk one slab of ``SLAB_BLOCKS``
+    blocks at a time, so it holds no chunk-size link at the RIS size N.
+    The eavesdropper arrays are drawn and built antenna-major,
+    (B, M_E, .), so that block and antenna axes fold into the GEMM rows;
+    they are returned as transposed views of that layout.
     """
     dims, fading = stats.dims, stats.fading
     draws = {
-        "h_i": _colored(lambda: rng.standard_normal((2, n_draws, dims.k, dims.n)),
-                        lambda: stats.sqrt_r_i,
-                        np.asarray(fading.beta_i)[None, :, None]),   # rows ~ CN(0, beta_i R_I)
-        "h_b": _colored(lambda: rng.standard_normal((2, n_draws, dims.k, dims.m)),
-                        lambda: stats.sqrt_r_b, np.asarray(fading.beta_2)[None, :, None]),
+        "h_i": _link(lambda: rng.standard_normal((2, n_draws, dims.k, dims.n)),
+                     lambda: stats.factor_r_i,
+                     np.asarray(fading.beta_i)[None, :, None]),      # rows ~ CN(0, beta_i R_I)
+        "h_b": _link(lambda: rng.standard_normal((2, n_draws, dims.k, dims.m)),
+                     lambda: stats.factor_r_b, np.asarray(fading.beta_2)[None, :, None]),
     }
     if eve:
-        h_ie = _colored(lambda: np.swapaxes(rng.standard_normal((2, n_draws, dims.n, dims.m_e)), 2, 3),
-                        lambda: stats.sqrt_r_i, fading.beta_ie)             # (B, M_E, N)
-        h_be = _colored(lambda: np.swapaxes(rng.standard_normal((2, n_draws, dims.m, dims.m_e)), 2, 3),
-                        lambda: stats.sqrt_r_b, fading.beta_3)              # (B, M_E, M)
+        h_ie = _link(lambda: rng.standard_normal((2, n_draws, dims.m_e, dims.n)),
+                     lambda: stats.factor_r_i, fading.beta_ie)                # (B, M_E, N)
+        h_be = _link(lambda: rng.standard_normal((2, n_draws, dims.m_e, dims.m)),
+                     lambda: stats.factor_r_b, fading.beta_3)                 # (B, M_E, M)
         draws.update(h_ie=np.swapaxes(h_ie, 1, 2), h_be=np.swapaxes(h_be, 1, 2))
     return draws
 

@@ -32,7 +32,10 @@ def herm_sqrt(a: np.ndarray) -> np.ndarray:
     Eigenvalues below ``SQRT_CLIP_TOL * lambda_max`` are clamped to zero;
     sinc-type RIS correlation matrices are rank deficient for dense
     element spacings, so small negative eigenvalues are expected. The
-    inputs are unit-diagonal correlation templates, so lambda_max >= 1.
+    inputs are the mirror-sector blocks of the correlation templates
+    (``geometry.MirrorFactor``), which are not unit-diagonal: each is
+    clamped against its own lambda_max, at most the template's, and a
+    block with no positive eigenvalue has a zero root.
     """
     w, v = np.linalg.eigh(hermitize(a))
     w = np.where(w > SQRT_CLIP_TOL * w[-1], w, 0.0)

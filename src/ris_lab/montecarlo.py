@@ -40,11 +40,13 @@ drawn once and scaled by the pilot phase of every estimator of the chunk.
 The pilot phase is drawn where the estimator reads it, in the despread
 domain: per block a K x K transmit-distortion part, then an M x K part for
 receive distortion plus noise, whatever the pilot length. A slab's links are
-the users' g_i and g_b, followed by Eve's g_ie and g_be in the secrecy
-oracle, which reads Eve's channel; the NMSE oracle draws only the users'
-links. The RIS phase errors come from their own substream,
-``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``, one (B, N) draw
-per law at the largest grid, and are applied by
+the users' g_i and g_b, followed by Eve's g_ie and g_be, antenna-major, in
+the secrecy oracle, which reads Eve's channel; the NMSE oracle draws only
+the users' links. A correlated link's Gaussians are its coefficients in the
+mirror sectors of R_I or R_B (``geometry.MirrorFactor``), which the sampler
+colors and unfolds into the link. The RIS phase errors come from their
+own substream, ``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``,
+one (B, N) draw per law at the largest grid, and are applied by
 ``geometry.aggregate_channels``. Each slab's draw builds every point's rows
 of that slab into its chunk-size channels at M antennas before the next slab
 is drawn, so a chunk holds one slab's links at the RIS size N, never the

@@ -8,7 +8,9 @@ across threads.
 A complex Gaussian array of ``shape`` is drawn as the numbers of one real
 ``standard_normal((2, *shape))`` call, all real parts before all imaginary
 parts, in one call or one per part; its consumer scales and colors the
-parts itself.
+parts itself. A correlated link's last axis holds its coefficients in the
+mirror sectors of its template (``geometry.MirrorFactor``), not its
+entries.
 
 The chunk stream ``(master_seed, purpose, chunk)`` of a Monte Carlo oracle
 gives, slab by slab (at most ``geometry.SLAB_BLOCKS`` blocks each, see
@@ -37,8 +39,10 @@ import numpy as np
 # one draw at its largest arrays. Layout 7: chunks of 50 blocks
 # (montecarlo.CHUNK_BLOCKS), not 100, so every chunk stream moved. Layout 8:
 # each chunk's links are drawn one slab of blocks at a time, before its
-# pilot Gaussians, so every chunk stream moved.
-STREAM_LAYOUT = 8
+# pilot Gaussians, so every chunk stream moved. Layout 9: a correlated
+# link's white numbers are its mirror-sector coefficients, colored sector
+# by sector, and Eve's links are drawn antenna-major, so every link moved.
+STREAM_LAYOUT = 9
 
 # Purpose tags for spawn keys. Fixed values: changing them changes every
 # derived stream, which invalidates frozen regression values.

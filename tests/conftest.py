@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 import ris_lab as rl
 from ris_lab import montecarlo
 from ris_lab.estimation import build_psi
-from ris_lab.linalg import hermitize, solve_pd
+from ris_lab.linalg import herm_sqrt, hermitize, solve_pd
 
 LEDGER = pytest.StashKey[dict]()
 
@@ -140,6 +140,31 @@ def complex_normal(rng, shape, scale=1.0):
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return (scale / np.sqrt(2.0)) * (re + 1j * im)
+
+
+def mirror_basis(n):
+    """Orthonormal even and odd vectors of length-n reversal symmetry, (n, ceil(n/2)) and (n, n//2).
+
+    Even column i is (e_i + e_{n-1-i}) / sqrt(2), or e_i at the centre of
+    an odd n; odd column i is (e_i - e_{n-1-i}) / sqrt(2).
+    """
+    eye = np.eye(n)
+    even = [(eye[i] + eye[n - 1 - i]) / np.sqrt(2.0 if 2 * i != n - 1 else 4.0)
+            for i in range(n - n // 2)]
+    odd = [(eye[i] - eye[n - 1 - i]) / np.sqrt(2.0) for i in range(n // 2)]
+    return np.array(even).reshape(-1, n).T, np.array(odd).reshape(-1, n).T
+
+
+def sector_factor(r, grid):
+    """Dense factor F = Q diag(S_j) of a mirror-symmetric template on a (rows, columns) grid.
+
+    Q is the Kronecker product of the two axes' ``mirror_basis``, its
+    columns in the sampler's sector order: (even, even), (even, odd),
+    (odd, even), (odd, odd) in (row, column) parity, each row-major. S_j is
+    the root of the sector block Q_j^T R Q_j, so F F^T = R.
+    """
+    q = [np.kron(a, b) for a in mirror_basis(grid[0]) for b in mirror_basis(grid[1])]
+    return np.hstack([x @ herm_sqrt(x.T @ r @ x) for x in q if x.shape[1]])
 
 
 def dft_bridge(m, n, beta_1):

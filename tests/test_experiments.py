@@ -368,14 +368,16 @@ def test_default_size_grid_is_one_oracle_call(monkeypatch, experiment):
     assert calls == [len(table.rows)]
 
 
-def test_default_m_sweep_takes_two_square_roots(monkeypatch):
-    # R_B and R_I of the largest M only: the smaller arrays read that draw
+def test_default_m_sweep_factors_only_the_largest_templates(monkeypatch):
+    # R_B and R_I of the largest M only: the smaller arrays read that draw.
+    # Each template's factor takes one root per mirror sector: R_B of 128
+    # antennas two of 64, R_I of the 10 x 10 RIS four of 25
     roots = []
     herm_sqrt = ris_lab.geometry.herm_sqrt
     monkeypatch.setattr(ris_lab.geometry, "herm_sqrt",
                         lambda a: roots.append(a.shape) or herm_sqrt(a))
     run_experiment("secrecy_vs_M", ExperimentConfig(sweep=[], n_blocks=8))
-    assert sorted(roots) == [(100, 100), (128, 128)]
+    assert sorted(roots) == [(25, 25)] * 4 + [(64, 64)] * 2
 
 
 def test_grid_that_does_not_nest_draws_each_point_alone():

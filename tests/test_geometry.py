@@ -1,4 +1,5 @@
 """Channel statistics builders and the realization sampler."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from scipy.special import i0e, i1e
 
 import ris_lab as rl
-from ris_lab.geometry import _rows_times, nested_elements, slabs
-from ris_lab.linalg import hermitize
+from ris_lab.geometry import MirrorFactor, _rows_times, nested_elements, slabs
+from ris_lab.linalg import herm_sqrt, hermitize
 
 from conftest import (
     aggregate_covariance,
@@ -300,6 +301,67 @@ def test_statistics_store_no_per_user_array():
         return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
     assert stored_bytes(make_setup(seed=3, k=2)[0]) == stored_bytes(make_setup(seed=3, k=6)[0])
+
+
+# --------------------------------------------------------------------------
+# mirror-sector factors
+# --------------------------------------------------------------------------
+
+def factor_transpose(factor):
+    """F^T: the factor applied to the identity's rows, each a white sector coefficient."""
+    return factor.color(np.eye(factor.grid[0] * factor.grid[1]))
+
+
+def ris_template(rows, cols):
+    dims = rl.SystemDimensions(m=2, n=rows * cols, k=1, m_e=1, n_h=cols)
+    return rl.build_ris_correlation(dims, rl.CorrelationSpec())
+
+
+# a square, a wide and an odd grid, a single row, and 20 x 20, where the
+# root clamps eigenvalues: the sector roots, each clamped against its own
+# block's largest eigenvalue, reproduce R no worse than the whole root
+@pytest.mark.parametrize("template, grid", [
+    (ris_template(14, 14), (14, 14)), (ris_template(8, 16), (8, 16)),
+    (ris_template(3, 5), (3, 5)), (ris_template(1, 7), (1, 7)),
+    (ris_template(20, 20), (20, 20)),
+    (rl.build_bs_correlation(8, 0.6), (1, 8)), (rl.build_bs_correlation(7, 0.6), (1, 7))])
+def test_sector_factor_reproduces_the_template(template, grid):
+    f_t = factor_transpose(MirrorFactor.of(template, grid))
+    root = herm_sqrt(template)
+    assert np.linalg.norm(f_t.T @ f_t - template) <= np.linalg.norm(root @ root - template)
+
+
+def test_sector_factor_takes_one_root_per_nonempty_sector():
+    assert [a.shape for a in MirrorFactor.of(ris_template(3, 5), (3, 5)).roots] == [
+        (6, 6), (4, 4), (3, 3), (2, 2)]
+    assert [a.shape for a in MirrorFactor.of(ris_template(1, 7), (1, 7)).roots] == [
+        (4, 4), (3, 3), (0, 0), (0, 0)]
+
+
+def test_sector_factor_makes_no_template_size_temporary():
+    r = ris_template(20, 20)
+    tracemalloc.start()
+    try:
+        MirrorFactor.of(r, (20, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < r.nbytes
+
+
+def test_template_without_mirror_symmetry_is_refused_when_factored():
+    # an estimator reads R_B whole; only the sampler needs the factor
+    stats, est, _, _ = make_setup(seed=9)
+    rng = np.random.default_rng(0)
+    skewed = dataclasses.replace(stats, r_b=np.diag(rng.uniform(0.5, 2.0, stats.dims.m)))
+    rl.ChannelEstimator(skewed, est.pilots)
+    with pytest.raises(rl.InvalidParameterError):
+        skewed.factor_r_b
+    r_i = stats.r_i.copy()
+    r_i[0, 1] = r_i[1, 0] = 0.5
+    with pytest.raises(rl.InvalidParameterError):
+        dataclasses.replace(stats, r_i=r_i).factor_r_i
+    assert stats.factor_r_i.grid == (4, 4) and stats.factor_r_b.grid == (1, 16)
 
 
 def test_covariances_hermitian_psd_invariants(small_setup):

@@ -20,7 +20,7 @@ from ris_lab.montecarlo import (
 )
 from ris_lab.precoding import mrt_normalizers, null_space_an_batch, stream_powers
 
-from conftest import chunk_blocks, complex_normal, draw_channels, make_setup
+from conftest import chunk_blocks, complex_normal, draw_channels, make_setup, sector_factor
 
 RTOL = 1e-12
 
@@ -33,18 +33,23 @@ def assert_close(got, want):
 
 
 def einsum_realizations(stats, rng, n_draws):
-    """Channel draws with the contractions written as einsums."""
+    """Channel draws with the contractions written as einsums.
+
+    A correlated link's Gaussians are its sector coefficients, colored by
+    the dense ``sector_factor`` of its template.
+    """
     dims = stats.dims
     theta = stats.phase_model.draw(rng, (n_draws, dims.n))
     g_i = complex_normal(rng, (n_draws, dims.k, dims.n))
     g_b = complex_normal(rng, (n_draws, dims.k, dims.m))
-    g_ie = complex_normal(rng, (n_draws, dims.n, dims.m_e))
-    g_be = complex_normal(rng, (n_draws, dims.m, dims.m_e))
-    s_i, s_b = stats.sqrt_r_i, stats.sqrt_r_b
-    h_i = g_i if s_i is None else np.einsum("xn,bkn->bkx", s_i, g_i)
-    h_b = g_b if s_b is None else np.einsum("xm,bkm->bkx", s_b, g_b)
-    h_ie = g_ie if s_i is None else np.einsum("xn,bne->bxe", s_i, g_ie)
-    h_be = g_be if s_b is None else np.einsum("xm,bme->bxe", s_b, g_be)
+    g_ie = complex_normal(rng, (n_draws, dims.m_e, dims.n))
+    g_be = complex_normal(rng, (n_draws, dims.m_e, dims.m))
+    f_i = None if stats.r_i is None else sector_factor(stats.r_i, (dims.n // dims.n_h, dims.n_h))
+    f_b = None if stats.r_b is None else sector_factor(stats.r_b, (1, dims.m))
+    h_i = g_i if f_i is None else np.einsum("xn,bkn->bkx", f_i, g_i)
+    h_b = g_b if f_b is None else np.einsum("xm,bkm->bkx", f_b, g_b)
+    h_ie = np.swapaxes(g_ie, 1, 2) if f_i is None else np.einsum("xn,ben->bxe", f_i, g_ie)
+    h_be = np.swapaxes(g_be, 1, 2) if f_b is None else np.einsum("xm,bem->bxe", f_b, g_be)
     h_i = h_i * np.sqrt(np.asarray(stats.fading.beta_i))[None, :, None]
     h_b = h_b * np.sqrt(np.asarray(stats.fading.beta_2))[None, :, None]
     h_ie = h_ie * np.sqrt(stats.fading.beta_ie)

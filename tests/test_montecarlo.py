@@ -166,7 +166,7 @@ def test_chunk_terms_hold_no_chunk_size_link_at_n():
     ests = [est for _, est, _, _ in setups]
     _, _, hw, xi = setups[0]
     grid, dims = ests[0].stats, ests[0].stats.dims
-    grid.sqrt_r_i, grid.sqrt_r_b        # the link's template roots, built before the trace
+    grid.factor_r_i, grid.factor_r_b    # the link's template factors, built before the trace
     points = [(est, hw, xi) for est in ests]
     blocks = montecarlo.CHUNK_BLOCKS
     tracemalloc.start()

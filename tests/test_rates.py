@@ -134,6 +134,20 @@ def test_eve_bound_two_forms_agree(small_setup):
         assert abs(bound - c_e_appendix) <= 1e-9 * c_e_appendix
 
 
+@pytest.mark.parametrize("m, n, k, m_e", [(24, 36, 2, 2), (64, 64, 6, 4), (64, 64, 6, 12)])
+def test_eve_bound_is_jensens_value_at_the_isotropic_corner(m, n, k, m_e):
+    # Q_E = c I and an ideal transmitter: the matched Wishart law is exact,
+    # so the bound is log2(1 + E[gamma]) with E[gamma] = p M_E / (q (M - K - M_E))
+    _, est, _, xi = make_setup(seed=60, m=m, n=n, k=k, m_e=m_e, correlated=False,
+                               bridge="dft", p_t=10.0)
+    hw0 = rl.HardwareProfile(p_t=10.0)
+    p, q = rl.stream_powers(hw0.p_t, xi, k, m)
+    jensen = np.log2(1.0 + p * m_e / (q * (m - k - m_e)))
+    for user in range(k):
+        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw0, user), xi)
+        assert abs(bound - jensen) <= 1e-12 * jensen
+
+
 def test_eve_no_an_matches_full_power_special_case(small_setup):
     _, est, hw, _ = small_setup
     via_theorem = theorem_rates(est, hw, 1.0)[1]
