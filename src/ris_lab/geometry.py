@@ -3,9 +3,11 @@
 Builds every deterministic second-order object of the link model
 (BS/RIS spatial correlation, LoS bridge matrix, path losses, aggregate
 covariances seen at the BS) and draws random channel realizations that
-are consistent with those statistics. ``ChannelStatistics`` stores the
-templates, the bridge and one (M, M) RIS-path covariance; each aggregate
-covariance is derived from those and its link's two gains when read.
+are consistent with those statistics. ``ChannelStatistics`` stores R_B,
+the bridge, R_I's sector factor and the two (M, M) cascade congruences
+through the bridge; each aggregate covariance is derived from those, the
+phase-error law and its link's two gains when read. The (N, N) R_I itself
+is a set-up transient, built only to form its factor and the congruences.
 The draw comes in two steps: the correlated Gaussian links
 (``sample_realizations``), which do not depend on the RIS phase-error
 law, and the aggregate channels for given phase errors
@@ -23,8 +25,9 @@ are complex. The RIS phases Phi fold into the phase-error rotation, so the
 bridge product is by H1 itself.
 
 The templates nest: a RIS grid that fits in a larger one at the same
-spacings has the larger R_I's principal sub-block at its elements
-(``nested_elements``) as its R_I, and the leading M x M block of an
+wavelength and spacings has the larger R_I's principal sub-block at its
+elements (``nested_elements``) as its R_I, since R_I is a function of the
+element positions and those inputs; and the leading M x M block of an
 exponential R_B is R_B of M antennas. So the entries of a draw at the larger
 arrays that sit at the smaller arrays' elements have the smaller arrays'
 exact law.
@@ -262,9 +265,10 @@ def ris_element_positions(dims: SystemDimensions, spec: CorrelationSpec) -> np.n
 def build_ris_correlation(dims: SystemDimensions, spec: CorrelationSpec) -> np.ndarray:
     """Isotropic-scattering RIS correlation, sinc(2 ||c_x - c_y|| / wavelength).
 
-    It depends on the RIS grid and spacings alone (n, n_h, spec), so within
-    a sweep ``experiments.build_setup`` hands one R_I to consecutive points
-    of those; the array is read-only, as several statistics objects share it.
+    It depends on the RIS grid and spacings alone (n, n_h, spec), so
+    statistics keep those inputs in its place, with the products they read
+    (``build_channel_statistics``). The array is returned read-only: its
+    readers only form products of it.
 
     Works in place on (N, N) float arrays, at most about 2 N^2 doubles at
     once. The panel's x coordinate is 0, so the squared distance is the
@@ -451,16 +455,21 @@ class MirrorFactor:
 class ChannelStatistics:
     """Everything deterministic the estimator and rate formulas need.
 
-    Built in one piece by ``build_channel_statistics``, which computes the
-    cascade congruences through H1 once into ``blend``. It stores no
-    per-user array: ``r_k`` and ``q_e`` are derived from ``r_b``, ``blend``
-    and the fading gains on each read, so a reader binds them once. The
-    covariances see the phase-error law only through its circular
-    mean ``phase_deviation_factor(phase_model)``; the sampler draws from it.
-    The ``r_b``/``r_i`` templates are real (exponential and sinc) and
-    commute with the reversals of their grids, which the sampler's real
-    sector GEMMs rely on: it reads them only through ``factor_r_b`` and
-    ``factor_r_i``, built on first use, so a template that is not
+    Built by ``build_channel_statistics``. The (N, N) RIS template R_I is
+    not kept: it lives only while its two products are formed, the sector
+    factor ``factor_r_i`` that the sampler colors with and the cascade
+    congruences ``cascade`` = (B R_I B^H, B B^H), B = H1 Phi, from which
+    ``blend`` is formed for the point's own phase-error law. R_I is a
+    function of the RIS grid (``dims``) and of ``ris_spec``, so those
+    inputs stand for it wherever templates are compared
+    (``montecarlo._nests``). The statistics store no per-user array:
+    ``r_k`` and ``q_e`` are derived from ``r_b``, ``blend`` and the fading
+    gains on each read, so a reader binds them once. The covariances see
+    the phase-error law only through its circular mean
+    ``phase_deviation_factor(phase_model)``; the sampler draws from it.
+    R_B is real and commutes with the reversal of the antenna row, which
+    the sampler's real sector GEMMs rely on: it reads R_B only through
+    ``factor_r_b``, built on first use, so an R_B that is not
     mirror-symmetric is refused there and serves the closed forms alone.
     """
 
@@ -470,47 +479,58 @@ class ChannelStatistics:
     phi: np.ndarray                      # (N,) unit-modulus RIS phases
     h1: np.ndarray                       # (M, N) LoS bridge
     r_b: np.ndarray | None               # (M, M) unit-diagonal BS template; None = identity
-    r_i: np.ndarray | None               # (N, N) unit-diagonal RIS template; None = identity
-    blend: np.ndarray                    # (M, M) RIS-path covariance at unit RIS-side gain
+    ris_spec: CorrelationSpec | None     # wavelength and spacings of R_I; None = identity R_I
+    factor_r_i: MirrorFactor | None      # R_I's sector factor on the RIS grid; None = identity
+    cascade: tuple                       # (B R_I B^H, B B^H), each (M, M)
 
-    def _covariance(self, direct: float, ris: float) -> np.ndarray:
+    @property
+    def blend(self) -> np.ndarray:
+        """(M, M) RIS-path covariance at unit RIS-side gain, for the point's phase-error law."""
+        rho = phase_deviation_factor(self.phase_model)
+        cascade_corr, cascade_iden = self.cascade
+        return rho ** 2 * cascade_corr + (1.0 - rho ** 2) * cascade_iden
+
+    def _covariance(self, direct: float, ris: float, blend: np.ndarray) -> np.ndarray:
         """direct R_B + ris ``blend``: one aggregate link's BS-side covariance."""
         base_b = np.eye(self.dims.m) if self.r_b is None else self.r_b
-        return hermitize(direct * base_b + ris * self.blend)
+        return hermitize(direct * base_b + ris * blend)
 
     @property
     def r_k(self) -> list:
         """K aggregate user covariances beta_2k R_B + beta_ik ``blend``, each (M, M)."""
-        return [self._covariance(b2, bi)
+        blend = self.blend
+        return [self._covariance(b2, bi, blend)
                 for b2, bi in zip(self.fading.beta_2, self.fading.beta_i)]
 
     @property
     def q_e(self) -> np.ndarray:
         """(M, M) aggregate eavesdropper covariance beta_3 R_B + beta_IE ``blend``."""
-        return self._covariance(self.fading.beta_3, self.fading.beta_ie)
+        return self._covariance(self.fading.beta_3, self.fading.beta_ie, self.blend)
 
     @cached_property
     def factor_r_b(self) -> MirrorFactor | None:
         """R_B's sector factor; R_B is a one-row grid of M antennas."""
         return None if self.r_b is None else MirrorFactor.of(self.r_b, (1, self.dims.m))
 
-    @cached_property
-    def factor_r_i(self) -> MirrorFactor | None:
-        """R_I's sector factor on the RIS grid of N / n_h rows of n_h elements."""
-        n_h = self.dims.n_h
-        return None if self.r_i is None else MirrorFactor.of(self.r_i, (self.dims.n // n_h, n_h))
-
 
 def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
                              phase_model: PhaseNoiseModel, h1: np.ndarray,
                              phi: np.ndarray | float = np.pi / 4,
                              r_b: np.ndarray | None = None,
-                             r_i: np.ndarray | None = None) -> ChannelStatistics:
+                             ris_spec: CorrelationSpec | None = None, *,
+                             r_i: np.ndarray | None = None,
+                             factor_r_i: MirrorFactor | None = None,
+                             cascade: tuple | None = None) -> ChannelStatistics:
     """Assemble the statistics whose ``r_k`` and ``q_e`` give every link's covariance.
 
     ``phi`` may be a scalar phase (applied to every element) or an (N,)
-    vector of phases. ``r_b``/``r_i`` are unit-diagonal templates; pass
-    None for spatially uncorrelated arrays.
+    vector of phases. ``r_b`` is the unit-diagonal BS template and
+    ``ris_spec`` the wavelength and spacings of the RIS template R_I
+    (``build_ris_correlation``); pass None for spatially uncorrelated
+    arrays. R_I is formed here only where its products are missing: a
+    caller that holds them for the same inputs passes them, ``factor_r_i``
+    for the RIS grid and ``ris_spec``, ``cascade`` for those, ``h1`` and
+    ``phi``, and it may pass R_I itself (``r_i``) to form the others.
     """
     if np.isscalar(phi):
         phi_vec = np.full(dims.n, np.exp(1j * float(phi)))
@@ -521,20 +541,19 @@ def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
     if h1.shape != (dims.m, dims.n):
         raise InvalidParameterError(f"H1 has shape {h1.shape}, expected {(dims.m, dims.n)}")
 
-    rho = phase_deviation_factor(phase_model)
-    b = h1 * phi_vec[None, :]
-    cascade_iden = hermitize(b @ b.conj().T)
-    if r_i is None:
-        cascade_corr = cascade_iden
-    else:
-        cascade_corr = hermitize(b @ r_i @ b.conj().T)
-
-    # beta_1 already lives in h1; the blend only lacks the RIS-side gain.
+    if ris_spec is not None and r_i is None and (factor_r_i is None or cascade is None):
+        r_i = build_ris_correlation(dims, ris_spec)
+    if cascade is None:
+        # beta_1 already lives in h1; the cascade only lacks the RIS-side gain
+        b = h1 * phi_vec[None, :]
+        cascade_iden = hermitize(b @ b.conj().T)
+        cascade = (cascade_iden if r_i is None else hermitize(b @ r_i @ b.conj().T),
+                   cascade_iden)
+    if factor_r_i is None and r_i is not None:
+        factor_r_i = MirrorFactor.of(r_i, (dims.n // dims.n_h, dims.n_h))
     return ChannelStatistics(
         dims=dims, fading=fading, phase_model=phase_model, phi=phi_vec, h1=h1,
-        r_b=r_b, r_i=r_i,
-        blend=rho ** 2 * cascade_corr + (1.0 - rho ** 2) * cascade_iden,
-    )
+        r_b=r_b, ris_spec=ris_spec, factor_r_i=factor_r_i, cascade=cascade)
 
 
 # --------------------------------------------------------------------------
@@ -557,8 +576,9 @@ def _link(white, factor, gain) -> np.ndarray:
     first, then the imaginary one. Both are colored by the template's
     sector factor ``factor()`` (None = white) and written, scaled, into
     the halves of the link; no complex temporary is made. ``factor`` is
-    read after the draw: a cached_property holds one lock across all
-    instances while it computes, and the draw need not wait for it.
+    read after the draw: R_B's factor is a cached_property, which holds one
+    lock across all instances while it computes, and the draw need not
+    wait for it.
     """
     g = white()
     f = factor()

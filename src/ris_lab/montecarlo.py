@@ -17,10 +17,11 @@ RIS grid and BS array of the point with the most elements and antennas. A
 smaller point reads the draw's entries at its own elements
 (``geometry.nested_elements``) and its leading antennas, which have its
 exact law when its R_I and R_B are principal blocks of the largest
-(``draw_grid``); half-wavelength square grids and exponential R_B nest
-exactly. The draw reads nothing else of the
-statistics, so points may differ in their RIS phases, LoS bridge and
-phase-error law: each applies its own to the draw. So a point is
+(``draw_grid``). R_I is compared by its inputs, the wavelength and the
+spacings, as the statistics keep no R_I; R_B entry by entry. Square grids
+at one spacing and exponential R_B nest exactly. The draw reads nothing
+else of the statistics, so points may differ in their RIS phases, LoS
+bridge and phase-error law: each applies its own to the draw. So a point is
 bit-identical to itself alone at the same draw grid, not to itself alone:
 alone it would draw at its own arrays. A point that does not nest starts
 the next draw run, which draws at its own grid from the same chunk
@@ -249,42 +250,36 @@ def _run_chunks(plan: TrialPlan, purpose: int, work):
     return results
 
 
-def _principal_block(full: np.ndarray | None, index) -> np.ndarray | None:
-    """Rows and columns ``index`` (a slice or an index array) of a template; None stays None."""
-    if full is None or isinstance(index, slice):
-        return full if full is None else full[index, index]
-    return full[np.ix_(index, index)]
-
-
 def _nests(small: ChannelStatistics, large: ChannelStatistics) -> bool:
     """Whether a draw at ``large``'s arrays gives ``small`` its exact law.
 
     K, M_E and the fading must be equal and small's arrays no larger: its
     RIS grid fits in large's (``nested_elements``) and M <= M'. At those
     elements and the leading M antennas, large's R_I and R_B must equal
-    small's exactly. The draw reads nothing else: each point applies its own
-    bridge H1 Phi and phase errors to it (``aggregate_channels``).
+    small's exactly. R_I is a function of the element positions and of
+    ``ris_spec`` (wavelength and spacings), so at equal ``ris_spec`` (or
+    both identity) a nested grid's R_I is the larger one's principal block;
+    R_B's leading block is compared entry by entry. The draw reads nothing
+    else: each point applies its own bridge H1 Phi and phase errors to it
+    (``aggregate_channels``).
     """
     a, b = small.dims, large.dims
     if (a.k, a.m_e) != (b.k, b.m_e) or a.m > b.m or small.fading != large.fading:
         return False
-    ris = nested_elements(a, b)
-    if ris is None:
+    if nested_elements(a, b) is None or small.ris_spec != large.ris_spec:
         return False
-    if a.n == b.n:
-        ris = slice(None)           # the same grid: compare without copies
     # np.array_equal also compares the None of an identity template
-    return (np.array_equal(small.r_i, _principal_block(large.r_i, ris))
-            and np.array_equal(small.r_b, _principal_block(large.r_b, slice(a.m))))
+    return np.array_equal(small.r_b, None if large.r_b is None else large.r_b[:a.m, :a.m])
 
 
 def draw_grid(*stats: ChannelStatistics) -> ChannelStatistics | None:
     """The statistics whose draw serves all of ``stats``; None if none does.
 
     That is the statistics with the largest (N, M), the first of them on a
-    tie, provided every other nests in it (``_nests``). So the statistics
-    may also differ in the phase-error law, the RIS phases and the LoS
-    bridge.
+    tie, provided every other nests in it (``_nests``): its RIS grid holds
+    theirs at an equal ``ris_spec``, and its R_B's leading blocks equal theirs.
+    So the statistics may also differ in the phase-error law, the RIS
+    phases and the LoS bridge.
     """
     grid = max(stats, key=lambda s: (s.dims.n, s.dims.m))
     return grid if all(s is grid or _nests(s, grid) for s in stats) else None

@@ -18,6 +18,7 @@ from scipy.linalg import eigh
 import ris_lab as rl
 from ris_lab import montecarlo
 from ris_lab.estimation import build_psi
+from ris_lab.geometry import MirrorFactor
 from ris_lab.linalg import herm_sqrt, hermitize, solve_pd
 
 LEDGER = pytest.StashKey[dict]()
@@ -167,6 +168,26 @@ def sector_factor(r, grid):
     return np.hstack([x @ herm_sqrt(x.T @ r @ x) for x in q if x.shape[1]])
 
 
+def stored_arrays(stats):
+    """Every array ``stats`` stores: in its fields and the lists, tuples and factors they hold."""
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from walk(item)
+        elif isinstance(value, MirrorFactor):
+            yield from walk(value.roots)
+
+    return [array for value in vars(stats).values() for array in walk(value)]
+
+
+def ris_correlation(stats):
+    """The (N, N) R_I of ``stats``, rebuilt from its inputs; None for an identity R_I."""
+    spec = stats.ris_spec
+    return None if spec is None else rl.build_ris_correlation(stats.dims, spec)
+
+
 def dft_bridge(m, n, beta_1):
     """First M rows of the N-point DFT, scaled to entry modulus sqrt(beta_1).
 
@@ -195,7 +216,6 @@ def make_setup(seed=0, m=16, n=16, k=3, m_e=2, correlated=True, sigma_p2=0.1,
     dims = rl.SystemDimensions.square_ris(m=m, n=n, k=k, m_e=m_e)
     spec = rl.CorrelationSpec()
     r_b = rl.build_bs_correlation(m, 0.6) if correlated else None
-    r_i = rl.build_ris_correlation(dims, spec) if correlated else None
     if bridge == "dft":
         h1 = dft_bridge(m, n, beta_1=0.4 * beta_scale)
     else:
@@ -206,7 +226,8 @@ def make_setup(seed=0, m=16, n=16, k=3, m_e=2, correlated=True, sigma_p2=0.1,
         beta_2=tuple(beta_scale * rng.uniform(0.5, 1.5, k)),
         beta_3=1.1 * beta_scale, beta_ie=0.6 * beta_scale)
     pm = rl.PhaseNoiseModel(kind=kind, sigma_p2=sigma_p2) if sigma_p2 > 0 else rl.PhaseNoiseModel()
-    stats = rl.build_channel_statistics(dims, fading, pm, h1, phi=phi, r_b=r_b, r_i=r_i)
+    stats = rl.build_channel_statistics(dims, fading, pm, h1, phi=phi, r_b=r_b,
+                                        ris_spec=spec if correlated else None)
     pilots = rl.PilotConfig(tau_u=k, rho=rho, sigma_u2=sigma_u2,
                             kappa_t_ue=kappa_ul, kappa_r_bs=kappa_ul)
     est = rl.ChannelEstimator(stats, pilots)

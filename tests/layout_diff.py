@@ -12,6 +12,15 @@ one, |new - old| <= 3 sqrt(se_old^2 + se_new^2), its SE read from the
 ``<column>_se`` cell of the same row; the SE cells themselves are not
 compared. Prints the worst |z| of each file and every breach, and exits 1
 on any breach or on a CSV found in one directory only.
+
+The cells of one draw run (``montecarlo._draw_runs``) share their
+Gaussians, so they are not independent comparisons: a layout move shifts a
+whole draw run together, and one low draw can carry one of its cells past
+the bound. Every default grid is one draw run, so each CSV is taken as one,
+and its mean signed z, (new - old) over the combined SE, is printed beside
+its worst cell: a mean near the worst |z| says the run moved as a whole,
+a mean near 0 that the worst cell moved alone. A custom N or M grid that
+does not nest draws in several runs, and its mean then spans them.
 """
 import argparse
 import csv
@@ -29,11 +38,33 @@ def read_csv(path):
 
 def z_score(old, new, se_old, se_new):
     """|new - old| over the combined SE; 0 for equal cells, inf for unequal cells without SE."""
+    return abs(signed_z(old, new, se_old, se_new))
+
+
+def signed_z(old, new, se_old, se_new):
+    """(new - old) over the combined SE; 0 for equal cells, +-inf for unequal cells without SE."""
     if old == new:
         return 0.0
-    diff = abs(float(new) - float(old))
+    diff = float(new) - float(old)
     se = math.hypot(float(se_old), float(se_new))
-    return diff / se if se > 0 else math.inf
+    return diff / se if se > 0 else math.copysign(math.inf, diff)
+
+
+def mean_z(old_rows, new_rows):
+    """Mean signed z of the Monte Carlo cells of one draw run's pair of tables; nan without any.
+
+    Each table is ``(header, rows)`` as ``read_csv`` returns it; tables
+    whose headers or row counts differ have no mean.
+    """
+    (header, old), (new_header, new) = old_rows, new_rows
+    if header != new_header or len(old) != len(new):
+        return math.nan
+    zs = []
+    for a, b in zip(old, new):
+        cells = dict(zip(header, zip(a, b)))
+        zs += [signed_z(*cells[column], *cells[column + "_se"])
+               for column in cells if column.endswith("_mc")]
+    return sum(zs) / len(zs) if zs else math.nan
 
 
 def compare(old_rows, new_rows):
@@ -72,8 +103,10 @@ def main(argv=None):
             print(f"{name}: only in {args.old if name in names[args.old] else args.new}")
             failed = True
             continue
-        worst, breaches = compare(read_csv(args.old / name), read_csv(args.new / name))
-        print(f"{name}: worst |z| = {worst:.2f}" + (" BREACH" if breaches else ""))
+        tables = read_csv(args.old / name), read_csv(args.new / name)
+        worst, breaches = compare(*tables)
+        print(f"{name}: worst |z| = {worst:.2f}, draw-run mean z = {mean_z(*tables):+.2f}"
+              + (" BREACH" if breaches else ""))
         for breach in breaches:
             print(f"  {breach}")
         failed |= bool(breaches)

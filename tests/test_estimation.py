@@ -43,10 +43,11 @@ def test_build_psi_diagonal_fixed_point(small_setup):
     # when every R_i is diagonal the Hadamard term equals the full sum
     stats = small_setup[0]
     rng = np.random.default_rng(5)
-    # R_i = beta_2[i] R_B + beta_i[i] blend: a diagonal R_B and blend make every R_i diagonal
-    diag_stats = dataclasses.replace(
-        make_setup(seed=9)[0], r_b=np.diag(rng.uniform(0.5, 2.0, stats.dims.m)),
-        blend=np.diag(rng.uniform(0.5, 2.0, stats.dims.m)).astype(complex))
+    # R_i = beta_2[i] R_B + beta_i[i] blend: a diagonal R_B and blend make
+    # every R_i diagonal, and diagonal cascade congruences a diagonal blend
+    r_b = np.diag(rng.uniform(0.5, 2.0, stats.dims.m))
+    cascade = np.diag(rng.uniform(0.5, 2.0, stats.dims.m)).astype(complex)
+    diag_stats = dataclasses.replace(make_setup(seed=9)[0], r_b=r_b, cascade=(cascade, cascade))
     assert all(np.array_equal(r, np.diag(np.diag(r))) for r in diag_stats.r_k)
     with_r = rl.PilotConfig(tau_u=3, rho=2.0, sigma_u2=1.0, kappa_t_ue=0.0, kappa_r_bs=0.07)
     with_t = rl.PilotConfig(tau_u=3, rho=2.0, sigma_u2=1.0, kappa_t_ue=0.07, kappa_r_bs=0.0)
@@ -109,9 +110,10 @@ def diagonal_estimator(r_diag, pilots):
     """
     m = len(r_diag)
     stats = make_setup(seed=9, m=m, n=4, k=1, m_e=1)[0]
-    # R_1 = 1.0 R_B + beta_i[0] 0 = diag(r_diag) exactly
+    # R_1 = 1.0 R_B + beta_i[0] 0 = diag(r_diag) exactly: both congruences are 0
+    zero = np.zeros((m, m), dtype=complex)
     stats = dataclasses.replace(stats, r_b=np.diag(np.asarray(r_diag, dtype=float)),
-                                blend=np.zeros((m, m), dtype=complex),
+                                cascade=(zero, zero),
                                 fading=dataclasses.replace(stats.fading, beta_2=(1.0,)))
     return rl.ChannelEstimator(stats, pilots)
 
@@ -302,7 +304,7 @@ def test_closed_form_approaches_large_n_limit():
     h1 = rl.build_los_channel(dims, spec, b1, np.random.default_rng(3))
     fading = rl.LargeScaleFading(b1, (bi,), (b2,), 1.0, 0.05)
     stats = rl.build_channel_statistics(dims, fading, rl.PhaseNoiseModel(), h1,
-                                        phi=np.pi / 4, r_b=None, r_i=None)
+                                        phi=np.pi / 4, r_b=None, ris_spec=None)
     est = rl.ChannelEstimator(stats, rl.PilotConfig(tau_u=1, rho=1.0, sigma_u2=1.0))
     lim = rl.nmse_large_n_limit(b2, bi, b1, 4096, 1.0, 1, 1.0)
     assert abs(est.nmse[0] - lim) / lim < 0.10

@@ -3,6 +3,7 @@ import collections
 import importlib
 import json
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from ris_lab.experiments import ExperimentConfig, build_setup, run_and_write, ru
 from ris_lab.geometry import SLAB_BLOCKS, ChannelStatistics, slabs
 from ris_lab.montecarlo import CHUNK_BLOCKS, Estimate, OracleEstimates
 from ris_lab.streams import STREAM_LAYOUT
+
+from conftest import stored_arrays
+
 
 # A run small enough for the test suite: one grid point, two blocks.
 TINY = {"m": 8, "n": 4, "k": 2, "m_e": 2, "sweep": [0.0], "n_blocks": 2}
@@ -403,13 +407,14 @@ PERTURBED = {
     "normalize_gains": False, "sweep": [1.0], "phase_noise_levels": [0.5],
     "power_scaling_eu_db": 10.0, "n_blocks": 8, "seed": 7, "out_dir": "elsewhere",
 }
-STATS_ARRAYS = ("r_k", "q_e", "blend", "h1", "phi", "r_i", "r_b")
+STATS_ARRAYS = ("r_k", "q_e", "blend", "h1", "phi", "cascade", "r_b")
 ESTIMATOR_ARRAYS = ("gain", "nmse", "tr_rpr", "tr_r_phi", "tr_c_phi", "tr_c", "tr_phi_q")
 
 
 def link_arrays(setup):
-    """Every statistics array, then every estimator array, of a setup."""
-    return ([getattr(setup.est.stats, name) for name in STATS_ARRAYS],
+    """Every statistics array, R_I's sector roots last, then every estimator array, of a setup."""
+    stats = setup.est.stats
+    return ([*(getattr(stats, name) for name in STATS_ARRAYS), *stats.factor_r_i.roots],
             [getattr(setup.est, name) for name in ESTIMATOR_ARRAYS])
 
 
@@ -439,21 +444,52 @@ def test_build_setup_shares_objects_only_between_equal_links(name):
 
 
 def test_build_setup_shares_ris_correlation_and_bridge_by_their_inputs():
-    # a point that misses the kept statistics still takes their R_I where
-    # the RIS grid and spacing are equal, and their H1 where the seed,
-    # arrays, spacing and beta_1 are: an M change keeps R_I, a sigma_p^2
-    # level keeps both, and a change of N or of the spacing keeps neither
+    # a point that misses the kept statistics still takes from them what
+    # its inputs share: H1 where the seed, arrays, spacing and beta_1 are
+    # equal, R_I's sector factor where the RIS grid and spacing are, and
+    # the cascade congruences where all of those and the RIS phases are. A
+    # sigma_p^2 level keeps all three, an M change the factor only, a RIS
+    # phase change H1 and the factor, and a change of N or of the spacing none
     base = ExperimentConfig(**{**TINY, "n": 16, "sweep": []})
-    for changes, shares_r_i, shares_h1 in (({"sigma_p2": 0.5}, True, True),
-                                           ({"m": 12}, True, False),
-                                           ({"n": 25}, False, False),
-                                           ({"ris_spacing_h": 0.03}, False, False)):
+    for changes, shared in (({"sigma_p2": 0.5}, (True, True, True)),
+                            ({"m": 12}, (False, True, False)),
+                            ({"ris_phase": 0.3}, (True, True, False)),
+                            ({"n": 25}, (False, False, False)),
+                            ({"ris_spacing_h": 0.03}, (False, False, False))):
         kept = {}
         first = build_setup(base, kept).est.stats
         after = build_setup(base.replace(**changes), kept).est.stats
         assert after is not first
-        assert (after.r_i is first.r_i, after.h1 is first.h1) == (shares_r_i, shares_h1), changes
-        assert not after.r_i.flags.writeable
+        assert (after.h1 is first.h1, after.factor_r_i is first.factor_r_i,
+                after.cascade is first.cascade) == shared, changes
+
+
+def test_no_ris_size_template_outlives_the_set_up(monkeypatch):
+    # R_I is a set-up transient: no statistics object that build_setup
+    # makes stores an array of N^2 or more entries, and when the oracle
+    # starts no (N, N) template is alive at all: the memory allocated since
+    # the sweep began and still held stays below one template's bytes
+    n = 784
+    config = ExperimentConfig.from_dict({**TINY, "m_e": 1, "sweep": [100, n],
+                                         "phase_noise_levels": [0.0, 0.1]})
+    seen = []
+    oracle = ris_lab.montecarlo._oracle
+
+    def traced(points, *args, **kwargs):
+        seen.append((tracemalloc.get_traced_memory()[0], [point[0].stats for point in points]))
+        return oracle(points, *args, **kwargs)
+
+    monkeypatch.setattr(ris_lab.montecarlo, "_oracle", traced)
+    tracemalloc.start()
+    try:
+        run_experiment("phase_noise_sweep", config)
+    finally:
+        tracemalloc.stop()
+    [(held, statistics)] = seen
+    assert [stats.dims.n for stats in statistics] == [100, 100, n, n]
+    for stats in statistics:
+        assert max(a.size for a in stored_arrays(stats)) < stats.dims.n ** 2
+    assert held < n * n * np.dtype(float).itemsize
 
 
 def count_builds(monkeypatch, names: dict) -> collections.Counter:
@@ -482,18 +518,22 @@ def count_builds(monkeypatch, names: dict) -> collections.Counter:
 def test_sweep_builds_each_link_once(monkeypatch, experiment, changes, statistics, estimators):
     # the LoS bridge H1 is built at most with the statistics, not per grid point
     built = count_builds(monkeypatch, {"build_los_channel": "los",
+                                       "build_ris_correlation": "r_i",
                                        "build_channel_statistics": "statistics",
                                        "ChannelEstimator": "estimators"})
     config = ExperimentConfig.from_dict({**TINY, "m_e": 1, "sweep": [], **changes})
     run_experiment(experiment, config)
-    # H1 depends on neither the phase-error law nor the pilots: the levels
-    # of one N share one, so the phase-noise grid builds one per N
+    # H1, R_I and the cascade congruences formed from it depend on neither
+    # the phase-error law nor the pilots: the levels of one N share them, so
+    # the phase-noise grid builds one H1 and one R_I per N
     bridges = len(config.sweep) if experiment == "phase_noise_sweep" else statistics
-    assert built == {"los": bridges, "statistics": statistics, "estimators": estimators}
+    assert built == {"los": bridges, "r_i": bridges, "statistics": statistics,
+                     "estimators": estimators}
 
 
 # the last point of each run could lend the next run its link: xi_sweep
-# its statistics, the phase-noise grid's sigma_p^2 = 0.1 level its R_I and H1
+# its statistics, the phase-noise grid's sigma_p^2 = 0.1 level its H1, R_I
+# factor and cascade congruences
 REPEATED_RUNS = {"xi_sweep": {},
                  "phase_noise_sweep": {"sweep": [4], "phase_noise_levels": [0.0, 0.1]}}
 

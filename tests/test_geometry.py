@@ -17,6 +17,8 @@ from conftest import (
     make_setup,
     max_asymmetry,
     min_relative_eigenvalue,
+    ris_correlation,
+    stored_arrays,
 )
 
 
@@ -278,14 +280,14 @@ def test_aggregate_covariance_phase_cancels_for_identity_template():
 
 @pytest.mark.parametrize("correlated", [True, False])
 def test_derived_covariances_equal_the_assembled_ones_bit_for_bit(correlated):
-    # r_k and q_e, derived on each read from the stored blend, equal the
-    # covariances assembled in one piece from the builder's inputs
+    # r_k and q_e, derived on each read from the stored cascade congruences,
+    # equal the covariances assembled in one piece from the builder's inputs
     stats = make_setup(seed=8, correlated=correlated)[0]
-    fading, m = stats.fading, stats.dims.m
+    fading, m, r_i = stats.fading, stats.dims.m, ris_correlation(stats)
     rho = rl.phase_deviation_factor(stats.phase_model)
     b = stats.h1 * stats.phi[None, :]
     cascade_iden = hermitize(b @ b.conj().T)
-    cascade_corr = cascade_iden if stats.r_i is None else hermitize(b @ stats.r_i @ b.conj().T)
+    cascade_corr = cascade_iden if r_i is None else hermitize(b @ r_i @ b.conj().T)
     blend = rho ** 2 * cascade_corr + (1.0 - rho ** 2) * cascade_iden
     base_b = np.eye(m) if stats.r_b is None else stats.r_b
     r_k = [hermitize(b2 * base_b + bi * blend) for b2, bi in zip(fading.beta_2, fading.beta_i)]
@@ -294,11 +296,9 @@ def test_derived_covariances_equal_the_assembled_ones_bit_for_bit(correlated):
 
 
 def test_statistics_store_no_per_user_array():
-    # the stored arrays, lists of arrays included, do not grow with K
+    # the stored arrays, those in lists, tuples and factors included, do not grow with K
     def stored_bytes(stats):
-        values = vars(stats).values()
-        arrays = [a for v in values for a in (v if isinstance(v, list) else [v])]
-        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        return sum(a.nbytes for a in stored_arrays(stats))
 
     assert stored_bytes(make_setup(seed=3, k=2)[0]) == stored_bytes(make_setup(seed=3, k=6)[0])
 
@@ -350,28 +350,25 @@ def test_sector_factor_makes_no_template_size_temporary():
 
 
 def test_template_without_mirror_symmetry_is_refused_when_factored():
-    # an estimator reads R_B whole; only the sampler needs the factor
+    # an estimator reads R_B whole; only the sampler needs the factor. R_I
+    # is built from its spacings, so it is mirror-symmetric by construction
     stats, est, _, _ = make_setup(seed=9)
     rng = np.random.default_rng(0)
     skewed = dataclasses.replace(stats, r_b=np.diag(rng.uniform(0.5, 2.0, stats.dims.m)))
     rl.ChannelEstimator(skewed, est.pilots)
     with pytest.raises(rl.InvalidParameterError):
         skewed.factor_r_b
-    r_i = stats.r_i.copy()
-    r_i[0, 1] = r_i[1, 0] = 0.5
-    with pytest.raises(rl.InvalidParameterError):
-        dataclasses.replace(stats, r_i=r_i).factor_r_i
     assert stats.factor_r_i.grid == (4, 4) and stats.factor_r_b.grid == (1, 16)
 
 
 def test_covariances_hermitian_psd_invariants(small_setup):
     stats = small_setup[0]
     n, fading = stats.dims.n, stats.fading
-    rho = rl.phase_deviation_factor(stats.phase_model)
+    rho, r_i = rl.phase_deviation_factor(stats.phase_model), ris_correlation(stats)
     mats = list(stats.r_k) + [
         stats.q_e,
-        effective_ris_correlation(stats.r_i, fading.beta_i[0], rho, n),
-        effective_ris_correlation(stats.r_i, fading.beta_ie, rho, n)]
+        effective_ris_correlation(r_i, fading.beta_i[0], rho, n),
+        effective_ris_correlation(r_i, fading.beta_ie, rho, n)]
     for mat in mats:
         assert max_asymmetry(mat) < 1e-12
         assert min_relative_eigenvalue(mat) > -1e-10

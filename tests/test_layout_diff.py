@@ -1,7 +1,7 @@
 """``layout_diff``: the check of a deliberate stream-layout move."""
 import math
 
-from layout_diff import compare, main
+from layout_diff import compare, main, mean_z
 
 HEADER = ["snr_db", "r_sec_cf", "r_sec_mc", "r_sec_mc_se", "seed"]
 OLD = (HEADER, [["0.0", "1.25", "1.0", "0.1", "7"], ["10.0", "2.5", "2.0", "0.1", "7"]])
@@ -26,3 +26,19 @@ def test_every_other_cell_must_be_byte_equal(tmp_path):
             "\n".join(",".join(row) for row in [table[0], *table[1]]) + "\n")
     assert main([str(tmp_path / "old"), str(tmp_path / "old")]) == 0
     assert main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+
+
+def test_draw_run_mean_z_tells_a_whole_run_move_from_one_cell(capsys, tmp_path):
+    # the rows of one draw run share their Gaussians: a run moved as a whole
+    # reads a mean z near its worst cell, one cell moved alone a mean near 0
+    whole = (HEADER, [["0.0", "1.25", "1.2", "0.1", "7"], ["10.0", "2.5", "2.2", "0.1", "7"]])
+    alone = (HEADER, [OLD[1][0], ["10.0", "2.5", "1.6", "0.1", "7"]])
+    assert math.isclose(mean_z(OLD, whole), 0.2 / math.hypot(0.1, 0.1))
+    assert math.isclose(mean_z(OLD, alone), -0.2 / math.hypot(0.1, 0.1))
+    assert math.isnan(mean_z(OLD, (HEADER[::-1], OLD[1])))
+    for name, table in (("old", OLD), ("new", whole)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "a.csv").write_text(
+            "\n".join(",".join(row) for row in [table[0], *table[1]]) + "\n")
+    assert main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    assert "a.csv: worst |z| = 1.41, draw-run mean z = +1.41" in capsys.readouterr().out

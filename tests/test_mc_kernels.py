@@ -20,7 +20,8 @@ from ris_lab.montecarlo import (
 )
 from ris_lab.precoding import mrt_normalizers, null_space_an_batch, stream_powers
 
-from conftest import chunk_blocks, complex_normal, draw_channels, make_setup, sector_factor
+from conftest import (chunk_blocks, complex_normal, draw_channels, make_setup, ris_correlation,
+                      sector_factor)
 
 RTOL = 1e-12
 
@@ -44,7 +45,8 @@ def einsum_realizations(stats, rng, n_draws):
     g_b = complex_normal(rng, (n_draws, dims.k, dims.m))
     g_ie = complex_normal(rng, (n_draws, dims.m_e, dims.n))
     g_be = complex_normal(rng, (n_draws, dims.m_e, dims.m))
-    f_i = None if stats.r_i is None else sector_factor(stats.r_i, (dims.n // dims.n_h, dims.n_h))
+    r_i = ris_correlation(stats)
+    f_i = None if r_i is None else sector_factor(r_i, (dims.n // dims.n_h, dims.n_h))
     f_b = None if stats.r_b is None else sector_factor(stats.r_b, (1, dims.m))
     h_i = g_i if f_i is None else np.einsum("xn,bkn->bkx", f_i, g_i)
     h_b = g_b if f_b is None else np.einsum("xm,bkm->bkx", f_b, g_b)

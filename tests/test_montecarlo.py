@@ -21,6 +21,7 @@ from ris_lab.linalg import herm_trace_prod
 from ris_lab.montecarlo import (
     _eve_floor,
     _eve_interference,
+    _eve_log_rate,
     _mean,
     _run_chunks,
     worker_count,
@@ -32,6 +33,7 @@ from conftest import (
     error_covariance,
     estimate_covariance,
     make_setup,
+    ris_correlation,
 )
 
 
@@ -179,13 +181,19 @@ def test_chunk_terms_hold_no_chunk_size_link_at_n():
     assert peak < blocks * (dims.k + dims.m_e) * dims.n * 16
 
 
+def other_ris_spacing(stats):
+    """``stats`` at a 0.03 m horizontal RIS spacing: the same link with another R_I."""
+    return rl.build_channel_statistics(stats.dims, stats.fading, stats.phase_model, stats.h1,
+                                       phi=np.angle(stats.phi), r_b=stats.r_b,
+                                       ris_spec=rl.CorrelationSpec(d_h=0.03))
+
+
 def two_draw_run_points(est, hw, xi):
     """Two estimators on one statistics object, the first holding two
     points, then a point that no draw shares with them: a second draw run."""
     loud = rl.ChannelEstimator(est.stats,
                                dataclasses.replace(est.pilots, rho=2 * est.pilots.rho))
-    other = rl.ChannelEstimator(dataclasses.replace(est.stats, r_i=np.eye(est.stats.dims.n)),
-                                est.pilots)
+    other = rl.ChannelEstimator(other_ris_spacing(est.stats), est.pilots)
     assert montecarlo.draw_grid(est.stats, other.stats) is None
     distorted = dataclasses.replace(hw, kappa_t_bs=0.05)
     return [(est, hw, xi), (est, distorted, xi), (loud, hw, xi), (other, hw, xi)]
@@ -259,12 +267,12 @@ def test_shared_draw_makes_a_tiny_phase_noise_level_a_paired_copy(within):
 def test_oracles_split_estimators_beyond_one_draw_into_draw_runs(change):
     # the sizes share one fading (nested_points), so only the arrays or R_I
     # decide: 8 x 8 elements fit in 14 x 14 but the 8 x 16 of N = 128 do
-    # not, and a larger RIS cannot draw for a larger BS array. Points that
-    # no draw serves together draw apart, each as it would alone
+    # not, a larger RIS cannot draw for a larger BS array, and one grid at
+    # two RIS spacings has two R_I. Points that no draw serves together
+    # draw apart, each as it would alone
     if change == "r_i":
         _, est, _, _ = make_setup(seed=3)
-        stats = dataclasses.replace(est.stats, r_i=np.eye(est.stats.dims.n))
-        apart = [est, rl.ChannelEstimator(stats, est.pilots)]
+        apart = [est, rl.ChannelEstimator(other_ris_spacing(est.stats), est.pilots)]
     else:
         sizes = {"n": ([(64, 8), (196, 8)], [(128, 8), (196, 8)]),
                  "m": ([(16, 6), (25, 8)], [(16, 8), (25, 6)])}[change]
@@ -373,12 +381,12 @@ def test_nested_links_have_the_smaller_arrays_law(monkeypatch, within):
         within(name, np.linalg.norm(got - want),
                below=2 * np.trace(want).real / np.sqrt(rows.shape[0]))
 
-    fading = small.fading
+    fading, r_i = small.fading, ris_correlation(small)
     for k in range(small.dims.k):
-        check_covariance(f"h_i covariance[{k}]", links["h_i"][:, k], fading.beta_i[k] * small.r_i)
+        check_covariance(f"h_i covariance[{k}]", links["h_i"][:, k], fading.beta_i[k] * r_i)
         check_covariance(f"h_b covariance[{k}]", links["h_b"][:, k], fading.beta_2[k] * small.r_b)
         check_covariance(f"h covariance[{k}]", h[:, k], small.r_k[k])
-    check_covariance("h_ie covariance", links["h_ie"][:, :, 0], fading.beta_ie * small.r_i)
+    check_covariance("h_ie covariance", links["h_ie"][:, :, 0], fading.beta_ie * r_i)
     check_covariance("h_be covariance", links["h_be"][:, :, 0], fading.beta_3 * small.r_b)
     check_covariance("h_e covariance", h_e[:, :, 0], small.q_e)
 
@@ -766,14 +774,19 @@ def test_eve_capacity_below_bound(small_setup, within):
 
 
 def test_eve_gap_shrinks_with_antennas(within):
-    gaps = []
-    for m in (16, 32, 64):
-        stats, est, hw, xi = make_setup(seed=55, m=m, n=16, k=2, m_e=2,
-                                        p_t=10.0, kappa_dl=0.01)
-        [orc] = rl.estimate_secrecy([(est, hw, xi)], rl.TrialPlan(24000, master_seed=7))
-        bound = rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=0), xi)
-        gaps.append(bound - orc.c_e.value[0])
-    within("gap at M = 64 below gap at M = 16", gaps[-1], below=gaps[0])
+    # the slack of Eve's bound over her capacity shrinks as the BS array
+    # grows: on one scenario (one fading, as nested_points) the three M nest
+    # and share one draw run, so the gap at M = 16 less the gap at M = 64
+    # has a block-paired SE, that of the difference of the two C_E
+    base = ExperimentConfig(m=16, n=16, k=2, m_e=2, snr_db=10.0)
+    kept = {}
+    points = [build_setup(base.replace(m=m), kept) for m in (16, 32, 64)]
+    assert montecarlo.draw_grid(*(point.est.stats for point in points)) is points[-1].est.stats
+    oracle = rl.estimate_secrecy(points, rl.TrialPlan(24000, master_seed=7))
+    bounds = [rl.eve_capacity_bound(rl.compute_rate_terms(point.est, point.hw, k=0), point.xi)
+              for point in points]
+    paired = oracle[0].c_e - oracle[-1].c_e
+    within("gap(16) - gap(64)", bounds[0] - bounds[-1] - paired.value[0], above=3 * paired.se[0])
 
 
 def test_eve_rank_one_reduction(within):
@@ -884,6 +897,65 @@ def test_wishart_moments_pure_an_corner(within):
     within("tr X / M_E", abs(mom.tr_x_over_me - eta_w * phi_w), below=3 * mom.tr_x_over_me_se)
     within("off-diagonal m2", abs(mom.offdiag_m2 - eta_w * phi_w ** 2),
            below=3 * mom.offdiag_m2_se)
+
+
+@pytest.fixture(scope="module")
+def isotropic_corner_blocks():
+    """(est, hw, xi, table) at the corner of ``test_wishart_moments_pure_an_corner``.
+
+    ``table`` holds the secrecy oracle's per-block terms of each user, from
+    ``_oracle`` on its own stream with a callback of this module: Eve's
+    log2(1 + gamma) (``_eve_log_rate``, which ``estimate_secrecy`` averages
+    into C_E) and a = p ||w_k||^2 / q.
+    """
+    _, est, hw, xi = make_setup(seed=58, m=24, n=36, k=2, m_e=2,
+                                correlated=False, p_t=10.0, bridge="dft")
+    hw = rl.HardwareProfile(p_t=hw.p_t)
+    p, q = rl.stream_powers(hw.p_t, xi, 2, 24)
+
+    def terms(_, *chunk):
+        blk = montecarlo._blocks(est, *chunk)
+        return [{"log_rate": _eve_log_rate(blk, p, q, hw.kappa_t_bs, _eve_floor(hw, q)),
+                 "a": p * np.sum(np.abs(blk.w) ** 2, axis=1) / q}]
+
+    [table] = montecarlo._oracle([(est,)], terms, rl.TrialPlan(4000, master_seed=3),
+                                 CHANNEL_BLOCK, eve=True)
+    return est, hw, xi, table
+
+
+def test_eve_capacity_matches_the_exact_law_at_the_isotropic_corner(isotropic_corner_blocks,
+                                                                    within):
+    # with Q_E = c I and kappa_t = 0, H_E^H w_k and H_E^H V are independent
+    # Gaussians, so gamma_k = a T with T ~ BetaPrime(M_E, M - K - M_E + 1), a
+    # Hotelling-type ratio (Muirhead 1982, sec. 3.2). With B ~ Beta(M_E,
+    # M - K - M_E + 1), E[ln(1 + a T) | w] = E[ln(1 + (a - 1) B)]
+    # + psi(M - K + 1) - psi(M - K - M_E + 1): one 40-node Gauss-Jacobi rule
+    # per block and user, exact to about 1e-13 for a up to 50. The oracle's
+    # C_E lies within 3 block-paired SE of that conditional mean
+    from scipy.special import digamma, roots_jacobi
+    _, _, _, table = isotropic_corner_blocks
+    m, k, m_e = 24, 2, 2
+    b_shape = m - k - m_e + 1
+    # nodes and weights of the weight (1 - t)^(b - 1) (1 + t)^(M_E - 1) on [-1, 1]
+    t, weights = roots_jacobi(40, b_shape - 1, m_e - 1)
+    # E[ln(1 + (a - 1) B)] per block and user, B = (1 + t) / 2
+    beta_term = np.log1p((table["a"][..., None] - 1.0) * (1.0 + t) / 2.0) @ weights / np.sum(weights)
+    exact = (beta_term + digamma(m - k + 1) - digamma(b_shape)) / np.log(2.0)
+    paired = _mean(table["log_rate"]) - _mean(exact)
+    within("C_E - exact conditional mean", np.abs(paired.value), below=3 * paired.se)
+
+
+def test_jensen_value_of_eve_sinr_matches_the_bound_at_the_isotropic_corner(
+        isotropic_corner_blocks, within):
+    # at the corner C_bar_E is Jensen's value log2(1 + E[gamma])
+    # (test_eve_bound_is_jensens_value_at_the_isotropic_corner), so
+    # J = log2(1 + mean gamma) over the oracle's blocks lies within 3 SE of it
+    est, hw, xi, table = isotropic_corner_blocks
+    gamma = _mean(np.exp2(table["log_rate"]) - 1.0)
+    jensen = np.log2(1.0 + gamma.value)
+    se = gamma.se / ((1.0 + gamma.value) * np.log(2.0))
+    bound = [rl.eve_capacity_bound(rl.compute_rate_terms(est, hw, k=k), xi) for k in range(2)]
+    within("J - C_bar_E", np.abs(jensen - bound), below=3 * se)
 
 
 def test_wishart_first_moment_with_transmit_distortion(within):

@@ -18,7 +18,7 @@ def rebuilt(stats, est, **fading_changes):
     fading = dataclasses.replace(stats.fading, **fading_changes)
     stats2 = rl.build_channel_statistics(stats.dims, fading, stats.phase_model,
                                          stats.h1, phi=np.pi / 4,
-                                         r_b=stats.r_b, r_i=stats.r_i)
+                                         r_b=stats.r_b, ris_spec=stats.ris_spec)
     return stats2, rl.ChannelEstimator(stats2, est.pilots)
 
 
@@ -165,9 +165,11 @@ def test_eve_no_an_monotone_in_antennas():
 def test_eve_no_an_denominator_guard():
     # rank-one Q_E violates [tr Q]^2 > M_E tr(Q^2) for M_E >= 2
     stats, est, hw, _ = make_setup(seed=32, m=12, n=9, k=2, m_e=2)
-    # Q_E = beta_3 0 + 1.0 blend, the all-ones matrix
-    stats = dataclasses.replace(stats, r_b=np.zeros((12, 12)),
-                                blend=np.outer(np.ones(12), np.ones(12)).astype(complex),
+    # Q_E = beta_3 0 + 1.0 blend, the all-ones matrix: both congruences are,
+    # and without phase errors the blend is the first
+    ones = np.outer(np.ones(12), np.ones(12)).astype(complex)
+    stats = dataclasses.replace(stats, r_b=np.zeros((12, 12)), cascade=(ones, ones),
+                                phase_model=rl.PhaseNoiseModel(),
                                 fading=dataclasses.replace(stats.fading, beta_ie=1.0))
     assert np.array_equal(stats.q_e, np.ones((12, 12)))
     est = rl.ChannelEstimator(stats, est.pilots)
