@@ -39,6 +39,7 @@ from .geometry import (
     path_loss,
     phase_deviation_factor,
     sample_realizations,
+    template_factors,
 )
 from .hardware import HardwareProfile
 from .montecarlo import (

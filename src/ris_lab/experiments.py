@@ -23,10 +23,10 @@ bit-identical to itself alone at the same draw grid. An N grid that does
 not nest (N = 128, an 8 x 16 grid, beside N = 196, 14 x 14) draws once per
 run of points that do. Below the draw, ``build_setup`` holds the rules of
 what points share, and each sweep owns the memo it fills: consecutive
-points of one link get one statistics object, of one RIS grid one sector
-factor of R_I, and of one bridge on that grid one pair of cascade
-congruences; R_I itself lives only while those are formed. The oracle
-shares channels and estimates by object identity.
+points of one link get one statistics object, of one LoS input set one
+bridge H1, and of one bridge and RIS grid one pair of cascade congruences;
+R_I lives only while that pair is formed. The oracle shares channels and
+estimates by object identity, and factors R_I and R_B per draw run.
 
 SNR convention: the downlink axis is P_t / sigma_k^2 in dB with
 sigma_k^2 = 1, the uplink pilot axis is rho / sigma_u^2; path gains are
@@ -368,13 +368,13 @@ def build_setup(config: ExperimentConfig, kept: dict | None = None) -> Operating
     and the estimator where its ``PilotConfig`` is equal: a P_t, xi or
     kappa_t^BS sweep holds one of each. A point of another key still takes
     from the kept statistics what its inputs share: H1 where the LoS inputs
-    (seed, M, N, spec, beta_1) are equal; R_I's sector factor where the RIS
-    grid and spacing (N, N_H, spec) are, as along an M sweep; and the cascade
-    congruences where all of those and the RIS phase are, as along the
-    sigma_p^2 levels of one N. R_I is built only to form a new factor or
+    (seed, M, N, spec, beta_1) are equal, and the cascade congruences where
+    those, the RIS grid and spacing (N, N_H, spec) and the RIS phase are, as
+    along the sigma_p^2 levels of one N. R_I is built only to form a new
     cascade pair, and no statistics object keeps it. These are the only
     rules of what points share: the oracle builds channels once per
-    statistics object and estimates once per estimator object.
+    statistics object, estimates once per estimator object and the
+    templates' sector factors once per draw run.
     """
     dims, pilots, fading = _scenario(config)
     spec = config.correlation_spec()
@@ -387,13 +387,11 @@ def build_setup(config: ExperimentConfig, kept: dict | None = None) -> Operating
     if last != key:
         r_b = build_bs_correlation(dims.m, config.bs_corr) if config.bs_corr > 0 else None
         same_los = last is not None and last[0] == los
-        same_ris = last is not None and last[1] == ris
-        same_bridge = same_los and same_ris and last[5] == config.ris_phase
+        same_bridge = same_los and last[1] == ris and last[5] == config.ris_phase
         h1 = stats.h1 if same_los else _los_channel(config, dims, fading)
         stats = build_channel_statistics(
             dims, fading, phase_model, h1, phi=config.ris_phase, r_b=r_b, ris_spec=spec,
             r_i=None if same_bridge else build_ris_correlation(dims, spec),
-            factor_r_i=stats.factor_r_i if same_ris else None,
             cascade=stats.cascade if same_bridge else None)
     if last != key or est.pilots != pilots:
         est = ChannelEstimator(stats, pilots)

@@ -4,25 +4,25 @@ Builds every deterministic second-order object of the link model
 (BS/RIS spatial correlation, LoS bridge matrix, path losses, aggregate
 covariances seen at the BS) and draws random channel realizations that
 are consistent with those statistics. ``ChannelStatistics`` stores R_B,
-the bridge, R_I's sector factor and the two (M, M) cascade congruences
-through the bridge; each aggregate covariance is derived from those, the
-phase-error law and its link's two gains when read. The (N, N) R_I itself
-is a set-up transient, built only to form its factor and the congruences.
-The draw comes in two steps: the correlated Gaussian links
-(``sample_realizations``), which do not depend on the RIS phase-error
-law, and the aggregate channels for given phase errors
-(``aggregate_channels``). The Monte Carlo oracle takes both steps one slab
-of blocks at a time (``SLAB_BLOCKS``); within a call, each correlation
-product and each bridge product is one BLAS GEMM over all of its blocks,
-with the block axis folded into the GEMM rows wherever the array layout
-makes the fold free. The R_B and R_I templates are real and
+the bridge and the two (M, M) cascade congruences through the bridge;
+each aggregate covariance is derived from those, the phase-error law and
+its link's two gains when read. The (N, N) R_I is a transient, built to
+form the congruences and the draw's factor. The draw comes in two steps:
+the correlated Gaussian links (``sample_realizations``), which do not
+depend on the RIS phase-error law, and the aggregate channels for given
+phase errors (``aggregate_channels``). The Monte Carlo oracle takes both
+steps one slab of blocks at a time (``SLAB_BLOCKS``); within a call, each
+correlation product and each bridge product is one BLAS GEMM over all of
+its blocks, with the block axis folded into the GEMM rows wherever the
+array layout makes the fold free. The R_B and R_I templates are real and
 mirror-symmetric, so each splits into at most four sectors of about a
-quarter of its size (``MirrorFactor``): the sampler draws the real and the
-imaginary part of each link's white coefficients in sector order, colors
-each sector of both with one real GEMM (dgemm) against the sector's root
-and writes the inverse butterfly into the link; only the bridge products
-are complex. The RIS phases Phi fold into the phase-error rotation, so the
-bridge product is by H1 itself.
+quarter of its size (``MirrorFactor``), an input of the draw that
+``template_factors`` builds: the sampler draws the real and the imaginary
+part of each link's white coefficients in sector order, colors each sector
+of both with one real GEMM (dgemm) against the sector's root and writes
+the inverse butterfly into the link; only the bridge products are complex.
+The RIS phases Phi fold into the phase-error rotation, so the bridge
+product is by H1 itself.
 
 The templates nest: a RIS grid that fits in a larger one at the same
 wavelength and spacings has the larger R_I's principal sub-block at its
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -456,21 +455,17 @@ class ChannelStatistics:
     """Everything deterministic the estimator and rate formulas need.
 
     Built by ``build_channel_statistics``. The (N, N) RIS template R_I is
-    not kept: it lives only while its two products are formed, the sector
-    factor ``factor_r_i`` that the sampler colors with and the cascade
-    congruences ``cascade`` = (B R_I B^H, B B^H), B = H1 Phi, from which
-    ``blend`` is formed for the point's own phase-error law. R_I is a
-    function of the RIS grid (``dims``) and of ``ris_spec``, so those
-    inputs stand for it wherever templates are compared
-    (``montecarlo._nests``). The statistics store no per-user array:
+    not kept: it lives only while the cascade congruences ``cascade`` =
+    (B R_I B^H, B B^H), B = H1 Phi, are formed, from which ``blend`` is
+    formed for the point's own phase-error law. R_I is a function of the
+    RIS grid (``dims``) and of ``ris_spec``, so those inputs stand for it
+    wherever templates are compared (``montecarlo._nests``) or R_I is
+    rebuilt (``template_factors``). The statistics store no per-user array:
     ``r_k`` and ``q_e`` are derived from ``r_b``, ``blend`` and the fading
     gains on each read, so a reader binds them once. The covariances see
     the phase-error law only through its circular mean
     ``phase_deviation_factor(phase_model)``; the sampler draws from it.
-    R_B is real and commutes with the reversal of the antenna row, which
-    the sampler's real sector GEMMs rely on: it reads R_B only through
-    ``factor_r_b``, built on first use, so an R_B that is not
-    mirror-symmetric is refused there and serves the closed forms alone.
+    The sampler's sector factors are no part of them (``template_factors``).
     """
 
     dims: SystemDimensions
@@ -480,7 +475,6 @@ class ChannelStatistics:
     h1: np.ndarray                       # (M, N) LoS bridge
     r_b: np.ndarray | None               # (M, M) unit-diagonal BS template; None = identity
     ris_spec: CorrelationSpec | None     # wavelength and spacings of R_I; None = identity R_I
-    factor_r_i: MirrorFactor | None      # R_I's sector factor on the RIS grid; None = identity
     cascade: tuple                       # (B R_I B^H, B B^H), each (M, M)
 
     @property
@@ -507,11 +501,6 @@ class ChannelStatistics:
         """(M, M) aggregate eavesdropper covariance beta_3 R_B + beta_IE ``blend``."""
         return self._covariance(self.fading.beta_3, self.fading.beta_ie, self.blend)
 
-    @cached_property
-    def factor_r_b(self) -> MirrorFactor | None:
-        """R_B's sector factor; R_B is a one-row grid of M antennas."""
-        return None if self.r_b is None else MirrorFactor.of(self.r_b, (1, self.dims.m))
-
 
 def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
                              phase_model: PhaseNoiseModel, h1: np.ndarray,
@@ -519,7 +508,6 @@ def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
                              r_b: np.ndarray | None = None,
                              ris_spec: CorrelationSpec | None = None, *,
                              r_i: np.ndarray | None = None,
-                             factor_r_i: MirrorFactor | None = None,
                              cascade: tuple | None = None) -> ChannelStatistics:
     """Assemble the statistics whose ``r_k`` and ``q_e`` give every link's covariance.
 
@@ -527,10 +515,9 @@ def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
     vector of phases. ``r_b`` is the unit-diagonal BS template and
     ``ris_spec`` the wavelength and spacings of the RIS template R_I
     (``build_ris_correlation``); pass None for spatially uncorrelated
-    arrays. R_I is formed here only where its products are missing: a
-    caller that holds them for the same inputs passes them, ``factor_r_i``
-    for the RIS grid and ``ris_spec``, ``cascade`` for those, ``h1`` and
-    ``phi``, and it may pass R_I itself (``r_i``) to form the others.
+    arrays. R_I is formed here only for a missing cascade pair: a caller
+    that holds the pair for the same inputs, ``h1`` and ``phi`` passes it
+    (``cascade``), or R_I itself (``r_i``) to form it.
     """
     if np.isscalar(phi):
         phi_vec = np.full(dims.n, np.exp(1j * float(phi)))
@@ -541,19 +528,31 @@ def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
     if h1.shape != (dims.m, dims.n):
         raise InvalidParameterError(f"H1 has shape {h1.shape}, expected {(dims.m, dims.n)}")
 
-    if ris_spec is not None and r_i is None and (factor_r_i is None or cascade is None):
-        r_i = build_ris_correlation(dims, ris_spec)
     if cascade is None:
+        if ris_spec is not None and r_i is None:
+            r_i = build_ris_correlation(dims, ris_spec)
         # beta_1 already lives in h1; the cascade only lacks the RIS-side gain
         b = h1 * phi_vec[None, :]
         cascade_iden = hermitize(b @ b.conj().T)
         cascade = (cascade_iden if r_i is None else hermitize(b @ r_i @ b.conj().T),
                    cascade_iden)
-    if factor_r_i is None and r_i is not None:
-        factor_r_i = MirrorFactor.of(r_i, (dims.n // dims.n_h, dims.n_h))
     return ChannelStatistics(
         dims=dims, fading=fading, phase_model=phase_model, phi=phi_vec, h1=h1,
-        r_b=r_b, ris_spec=ris_spec, factor_r_i=factor_r_i, cascade=cascade)
+        r_b=r_b, ris_spec=ris_spec, cascade=cascade)
+
+
+def template_factors(stats: ChannelStatistics) -> tuple:
+    """Sector factors (R_I's, R_B's) that ``sample_realizations`` colors with; None = identity.
+
+    R_I is rebuilt from ``ris_spec`` on the RIS grid, and R_B is a one-row
+    grid of M antennas, factored first, so a skewed R_B is refused before
+    R_I is built.
+    """
+    dims = stats.dims
+    f_b = None if stats.r_b is None else MirrorFactor.of(stats.r_b, (1, dims.m))
+    f_i = None if stats.ris_spec is None else MirrorFactor.of(
+        build_ris_correlation(dims, stats.ris_spec), (dims.n // dims.n_h, dims.n_h))
+    return f_i, f_b
 
 
 # --------------------------------------------------------------------------
@@ -569,21 +568,16 @@ def _rows_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ a.T).reshape(*x.shape[:-1], a.shape[0])
 
 
-def _link(white, factor, gain) -> np.ndarray:
+def _link(g: np.ndarray, factor: MirrorFactor | None, gain) -> np.ndarray:
     """sqrt(gain/2) (g_re + j g_im) F^T, the complex link of two real white parts.
 
-    ``white()`` draws both real parts as one (2, ...) array, the real part
-    first, then the imaginary one. Both are colored by the template's
-    sector factor ``factor()`` (None = white) and written, scaled, into
-    the halves of the link; no complex temporary is made. ``factor`` is
-    read after the draw: R_B's factor is a cached_property, which holds one
-    lock across all instances while it computes, and the draw need not
-    wait for it.
+    ``g`` holds both real parts as one (2, ...) array, the real part first,
+    then the imaginary one. Both are colored by the template's sector
+    factor ``factor`` (None = white) and written, scaled, into the halves
+    of the link; no complex temporary is made.
     """
-    g = white()
-    f = factor()
-    if f is not None:
-        g = f.color(g)
+    if factor is not None:
+        g = factor.color(g)
     h = np.empty(g.shape[1:], dtype=complex)
     scale = np.sqrt(gain / 2)
     np.multiply(g[0], scale, out=h.real)
@@ -592,7 +586,7 @@ def _link(white, factor, gain) -> np.ndarray:
 
 
 def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
-                        n_draws: int, *, eve: bool) -> dict:
+                        n_draws: int, *, eve: bool, factors: tuple) -> dict:
     """Stacked small-scale fading draws; axis 0 is the block index.
 
     Returns a dict with the scaled user links h_i (B, K, N) and h_b (B, K, M)
@@ -607,32 +601,33 @@ def sample_realizations(stats: ChannelStatistics, rng: np.random.Generator,
     sub-grids and leading antennas, every smaller nested array;
     ``aggregate_channels`` applies the phase errors.
 
-    A correlated link's white numbers are its coefficients in the mirror
-    sectors of its template (``MirrorFactor``), in sector order along the
-    last axis; an uncorrelated link's are its entries. Each sector's
+    ``factors`` is ``template_factors(stats)``, built once for all draws at
+    ``stats``. A correlated link's white numbers are its coefficients in the
+    mirror sectors of its template (``MirrorFactor``), in sector order along
+    the last axis; an uncorrelated link's are its entries. Each sector's
     correlation product is one real GEMM over both parts of all ``n_draws``
     blocks at once, and the inverse butterfly writes the sectors into the
     link, which the link gain then scales. Each part is drawn over all
     blocks, so a draw of B blocks is not the concatenation of draws of
     fewer. The Monte Carlo oracle draws a chunk one slab of ``SLAB_BLOCKS``
-    blocks at a time, so it holds no chunk-size link at the RIS size N.
-    The eavesdropper arrays are drawn and built antenna-major,
-    (B, M_E, .), so that block and antenna axes fold into the GEMM rows;
-    they are returned as transposed views of that layout.
+    blocks at a time, so it holds no chunk-size link at the RIS size N. The
+    eavesdropper arrays are drawn and built antenna-major, (B, M_E, .), so
+    that block and antenna axes fold into the GEMM rows; they are returned
+    as transposed views of that layout.
     """
     dims, fading = stats.dims, stats.fading
+    f_i, f_b = factors
     draws = {
-        "h_i": _link(lambda: rng.standard_normal((2, n_draws, dims.k, dims.n)),
-                     lambda: stats.factor_r_i,
+        "h_i": _link(rng.standard_normal((2, n_draws, dims.k, dims.n)), f_i,
                      np.asarray(fading.beta_i)[None, :, None]),      # rows ~ CN(0, beta_i R_I)
-        "h_b": _link(lambda: rng.standard_normal((2, n_draws, dims.k, dims.m)),
-                     lambda: stats.factor_r_b, np.asarray(fading.beta_2)[None, :, None]),
+        "h_b": _link(rng.standard_normal((2, n_draws, dims.k, dims.m)), f_b,
+                     np.asarray(fading.beta_2)[None, :, None]),
     }
     if eve:
-        h_ie = _link(lambda: rng.standard_normal((2, n_draws, dims.m_e, dims.n)),
-                     lambda: stats.factor_r_i, fading.beta_ie)                # (B, M_E, N)
-        h_be = _link(lambda: rng.standard_normal((2, n_draws, dims.m_e, dims.m)),
-                     lambda: stats.factor_r_b, fading.beta_3)                 # (B, M_E, M)
+        h_ie = _link(rng.standard_normal((2, n_draws, dims.m_e, dims.n)), f_i,
+                     fading.beta_ie)                                  # (B, M_E, N)
+        h_be = _link(rng.standard_normal((2, n_draws, dims.m_e, dims.m)), f_b,
+                     fading.beta_3)                                   # (B, M_E, M)
         draws.update(h_ie=np.swapaxes(h_ie, 1, 2), h_be=np.swapaxes(h_be, 1, 2))
     return draws
 

@@ -12,9 +12,10 @@ for any worker count.
 
 An oracle call splits its points into draw runs (``_draw_runs``):
 consecutive points whose statistics nest in the largest arrays among them.
-A draw run draws each chunk once, slab by slab, at those largest arrays: the
-RIS grid and BS array of the point with the most elements and antennas. A
-smaller point reads the draw's entries at its own elements
+A draw run factors the templates of its largest arrays once
+(``geometry.template_factors``) and draws each chunk once, slab by slab, at
+those arrays: the RIS grid and BS array of the point with the most elements
+and antennas. A smaller point reads the draw's entries at its own elements
 (``geometry.nested_elements``) and its leading antennas, which have its
 exact law when its R_I and R_B are principal blocks of the largest
 (``draw_grid``). R_I is compared by its inputs, the wavelength and the
@@ -119,6 +120,7 @@ from .geometry import (
     nested_elements,
     sample_realizations,
     slabs,
+    template_factors,
 )
 from .hardware import HardwareProfile
 from .precoding import mrt_normalizers, mrt_precoder, stream_powers
@@ -303,20 +305,21 @@ def _draw_runs(ests) -> list:
     return runs
 
 
-def _chunk_terms(points, terms, grid: ChannelStatistics, size: int, key: tuple, eve: bool) -> list:
+def _chunk_terms(points, terms, grid, factors, size: int, key: tuple, eve: bool) -> list:
     """One chunk's dict of per-block terms per point of ``points`` (tuples led by the estimator).
 
     Each group of consecutive points on one estimator object is estimated
     once and handed to ``terms(group, h, h_e, h_hat)``, without ``eve``
     ``terms(group, h, h_hat)``, which returns one dict of (B, K) arrays per
     point of the group. The Gaussians are drawn from ``grid``, the run's
-    largest arrays, in the module's stream layout. Each estimator reads its
-    elements of the grid's RIS (``nested_elements``) and its leading
-    antennas. Channels are built once per run of consecutive points on one
-    statistics object: within one sweep, ``experiments.build_setup`` hands
-    consecutive points of one link one statistics object, and equal
-    statistics held as two objects build bit-identical channels, only twice.
-    Each phase-error law draws its errors once, from the restarted substream.
+    largest arrays, in the module's stream layout, and colored with its
+    ``factors``. Each estimator reads its elements of the grid's RIS
+    (``nested_elements``) and its leading antennas. Channels are built once
+    per run of consecutive points on one statistics object: within one
+    sweep, ``experiments.build_setup`` hands consecutive points of one link
+    one statistics object, and equal statistics held as two objects build
+    bit-identical channels, only twice. Each phase-error law draws its
+    errors once, from the restarted substream.
 
     The links are drawn one slab of blocks at a time (``slabs``), and every
     build writes its rows of that slab into its chunk-size channels at M
@@ -342,7 +345,7 @@ def _chunk_terms(points, terms, grid: ChannelStatistics, size: int, key: tuple, 
         builds.append((stats, elements,
                        [np.empty((size, *shape), dtype=complex) for shape in shapes]))
     for s in slabs(size):
-        draws = sample_realizations(grid, rng, s.stop - s.start, eve=eve)
+        draws = sample_realizations(grid, rng, s.stop - s.start, eve=eve, factors=factors)
         for stats, elements, out in builds:
             theta = thetas.get(stats.phase_model)
             aggregate_channels(stats, draws, None if theta is None else theta[s],
@@ -367,15 +370,17 @@ def _chunk_terms(points, terms, grid: ChannelStatistics, size: int, key: tuple, 
 def _oracle(points, terms, plan: TrialPlan, purpose: int, eve: bool) -> list:
     """One table per point: each of its ``terms`` stacked over the chunks, in chunk order.
 
-    Each draw run (``_draw_runs``) is one ``_run_chunks`` over ``_chunk_terms``.
+    Each draw run (``_draw_runs``) factors its grid's templates, so a skewed
+    one is refused before any chunk draws, then is one ``_run_chunks``.
     """
     if not points:
         raise InvalidParameterError("need at least one estimator")
     tables = []
     for grid, count in _draw_runs([point[0] for point in points]):
         run, points = points[:count], points[count:]
-        chunks = _run_chunks(plan, purpose,
-                             lambda size, key: _chunk_terms(run, terms, grid, size, key, eve))
+        factors = template_factors(grid)
+        chunks = _run_chunks(plan, purpose, lambda size, key: _chunk_terms(
+            run, terms, grid, factors, size, key, eve))
         tables += [{name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
                    for parts in zip(*chunks)]
     return tables

@@ -18,7 +18,6 @@ from scipy.linalg import eigh
 import ris_lab as rl
 from ris_lab import montecarlo
 from ris_lab.estimation import build_psi
-from ris_lab.geometry import MirrorFactor
 from ris_lab.linalg import herm_sqrt, hermitize, solve_pd
 
 LEDGER = pytest.StashKey[dict]()
@@ -169,15 +168,13 @@ def sector_factor(r, grid):
 
 
 def stored_arrays(stats):
-    """Every array ``stats`` stores: in its fields and the lists, tuples and factors they hold."""
+    """Every array ``stats`` stores: in its fields and the lists and tuples they hold."""
     def walk(value):
         if isinstance(value, np.ndarray):
             yield value
         elif isinstance(value, (list, tuple)):
             for item in value:
                 yield from walk(item)
-        elif isinstance(value, MirrorFactor):
-            yield from walk(value.roots)
 
     return [array for value in vars(stats).values() for array in walk(value)]
 
@@ -245,7 +242,8 @@ def draw_channels(stats, rng, n_draws, *, eve):
     links only with ``eve``.
     """
     theta = stats.phase_model.draw(rng, (n_draws, stats.dims.n))
-    draws = rl.sample_realizations(stats, rng, n_draws, eve=eve)
+    draws = rl.sample_realizations(stats, rng, n_draws, eve=eve,
+                                   factors=rl.template_factors(stats))
     h, h_e = rl.aggregate_channels(stats, draws, theta)
     return {**draws, "theta": theta, "h": h, "h_e": h_e}
 
@@ -257,7 +255,8 @@ def chunk_blocks(est, size, key):
     ``_blocks`` as the callback.
     """
     [blk] = montecarlo._chunk_terms([(est,)], lambda _, *chunk: [montecarlo._blocks(est, *chunk)],
-                                    est.stats, size, key, eve=True)
+                                    est.stats, rl.template_factors(est.stats), size, key,
+                                    eve=True)
     return blk
 
 

@@ -14,7 +14,7 @@ from ris_lab import cli
 from ris_lab.errors import ConfigValidationError
 from ris_lab.estimation import ChannelEstimator
 from ris_lab.experiments import ExperimentConfig, build_setup, run_and_write, run_experiment
-from ris_lab.geometry import SLAB_BLOCKS, ChannelStatistics, slabs
+from ris_lab.geometry import SLAB_BLOCKS, ChannelStatistics, MirrorFactor, slabs
 from ris_lab.montecarlo import CHUNK_BLOCKS, Estimate, OracleEstimates
 from ris_lab.streams import STREAM_LAYOUT
 
@@ -242,9 +242,9 @@ def counted_draws(monkeypatch):
     draws = []
     sample = ris_lab.montecarlo.sample_realizations
 
-    def counted(stats, rng, n_draws, *, eve):
+    def counted(stats, rng, n_draws, *, eve, factors):
         draws.append((rng, (stats.dims.n, stats.dims.m), n_draws))
-        return sample(stats, rng, n_draws, eve=eve)
+        return sample(stats, rng, n_draws, eve=eve, factors=factors)
 
     monkeypatch.setattr(ris_lab.montecarlo, "sample_realizations", counted)
     return draws
@@ -412,9 +412,8 @@ ESTIMATOR_ARRAYS = ("gain", "nmse", "tr_rpr", "tr_r_phi", "tr_c_phi", "tr_c", "t
 
 
 def link_arrays(setup):
-    """Every statistics array, R_I's sector roots last, then every estimator array, of a setup."""
-    stats = setup.est.stats
-    return ([*(getattr(stats, name) for name in STATS_ARRAYS), *stats.factor_r_i.roots],
+    """Every statistics array, then every estimator array, of a setup."""
+    return ([getattr(setup.est.stats, name) for name in STATS_ARRAYS],
             [getattr(setup.est, name) for name in ESTIMATOR_ARRAYS])
 
 
@@ -446,22 +445,20 @@ def test_build_setup_shares_objects_only_between_equal_links(name):
 def test_build_setup_shares_ris_correlation_and_bridge_by_their_inputs():
     # a point that misses the kept statistics still takes from them what
     # its inputs share: H1 where the seed, arrays, spacing and beta_1 are
-    # equal, R_I's sector factor where the RIS grid and spacing are, and
-    # the cascade congruences where all of those and the RIS phases are. A
-    # sigma_p^2 level keeps all three, an M change the factor only, a RIS
-    # phase change H1 and the factor, and a change of N or of the spacing none
+    # equal, and the cascade congruences where those, the RIS grid and the
+    # RIS phases are. A sigma_p^2 level keeps both, a RIS phase change H1
+    # only, and a change of M, of N or of the spacing neither
     base = ExperimentConfig(**{**TINY, "n": 16, "sweep": []})
-    for changes, shared in (({"sigma_p2": 0.5}, (True, True, True)),
-                            ({"m": 12}, (False, True, False)),
-                            ({"ris_phase": 0.3}, (True, True, False)),
-                            ({"n": 25}, (False, False, False)),
-                            ({"ris_spacing_h": 0.03}, (False, False, False))):
+    for changes, shared in (({"sigma_p2": 0.5}, (True, True)),
+                            ({"m": 12}, (False, False)),
+                            ({"ris_phase": 0.3}, (True, False)),
+                            ({"n": 25}, (False, False)),
+                            ({"ris_spacing_h": 0.03}, (False, False))):
         kept = {}
         first = build_setup(base, kept).est.stats
         after = build_setup(base.replace(**changes), kept).est.stats
         assert after is not first
-        assert (after.h1 is first.h1, after.factor_r_i is first.factor_r_i,
-                after.cascade is first.cascade) == shared, changes
+        assert (after.h1 is first.h1, after.cascade is first.cascade) == shared, changes
 
 
 def test_no_ris_size_template_outlives_the_set_up(monkeypatch):
@@ -514,6 +511,9 @@ def count_builds(monkeypatch, names: dict) -> collections.Counter:
     ("kappa_t_sweep", {}, 1, 1),
     # the phase-error law shapes the covariances: each (N, level) is a link
     ("phase_noise_sweep", {"sweep": [4, 9], "phase_noise_levels": [0.0, 0.1]}, 4, 4),
+    ("nmse_vs_N", {"sweep": [4, 9]}, 2, 2),
+    # an identity R_B has no factor
+    ("xi_sweep", {"bs_corr": 0.0}, 1, 1),
 ])
 def test_sweep_builds_each_link_once(monkeypatch, experiment, changes, statistics, estimators):
     # the LoS bridge H1 is built at most with the statistics, not per grid point
@@ -521,6 +521,10 @@ def test_sweep_builds_each_link_once(monkeypatch, experiment, changes, statistic
                                        "build_ris_correlation": "r_i",
                                        "build_channel_statistics": "statistics",
                                        "ChannelEstimator": "estimators"})
+    factored = collections.Counter()
+    of = MirrorFactor.of
+    monkeypatch.setattr(MirrorFactor, "of",
+                        staticmethod(lambda r, grid: factored.update([grid]) or of(r, grid)))
     config = ExperimentConfig.from_dict({**TINY, "m_e": 1, "sweep": [], **changes})
     run_experiment(experiment, config)
     # H1, R_I and the cascade congruences formed from it depend on neither
@@ -529,6 +533,11 @@ def test_sweep_builds_each_link_once(monkeypatch, experiment, changes, statistic
     bridges = len(config.sweep) if experiment == "phase_noise_sweep" else statistics
     assert built == {"los": bridges, "r_i": bridges, "statistics": statistics,
                      "estimators": estimators}
+    # each sweep is one draw run at its largest arrays, which alone are
+    # factored: R_I on its RIS grid, and R_B, unless it is the identity
+    grid = config.replace(n=max(config.sweep or [config.n])).dimensions()
+    assert factored == collections.Counter(
+        [(grid.n // grid.n_h, grid.n_h), *[(1, grid.m)] * (config.bs_corr > 0)])
 
 
 # the last point of each run could lend the next run its link: xi_sweep

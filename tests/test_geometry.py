@@ -7,6 +7,7 @@ import pytest
 from scipy.special import i0e, i1e
 
 import ris_lab as rl
+from ris_lab import montecarlo
 from ris_lab.geometry import MirrorFactor, _rows_times, nested_elements, slabs
 from ris_lab.linalg import herm_sqrt, hermitize
 
@@ -296,7 +297,7 @@ def test_derived_covariances_equal_the_assembled_ones_bit_for_bit(correlated):
 
 
 def test_statistics_store_no_per_user_array():
-    # the stored arrays, those in lists, tuples and factors included, do not grow with K
+    # the stored arrays, those in lists and tuples included, do not grow with K
     def stored_bytes(stats):
         return sum(a.nbytes for a in stored_arrays(stats))
 
@@ -349,16 +350,30 @@ def test_sector_factor_makes_no_template_size_temporary():
     assert peak < r.nbytes
 
 
-def test_template_without_mirror_symmetry_is_refused_when_factored():
-    # an estimator reads R_B whole; only the sampler needs the factor. R_I
-    # is built from its spacings, so it is mirror-symmetric by construction
-    stats, est, _, _ = make_setup(seed=9)
+def test_template_without_mirror_symmetry_is_refused_when_factored(monkeypatch):
+    # an estimator reads R_B whole; only the sampler needs the factors, which
+    # are no part of the statistics: the oracle builds them once per draw
+    # run, so a skewed R_B is refused before any chunk draws. R_I is built
+    # from its spacings, so it is mirror-symmetric by construction
+    stats, est, hw, xi = make_setup(seed=9)
     rng = np.random.default_rng(0)
     skewed = dataclasses.replace(stats, r_b=np.diag(rng.uniform(0.5, 2.0, stats.dims.m)))
-    rl.ChannelEstimator(skewed, est.pilots)
     with pytest.raises(rl.InvalidParameterError):
-        skewed.factor_r_b
-    assert stats.factor_r_i.grid == (4, 4) and stats.factor_r_b.grid == (1, 16)
+        rl.template_factors(skewed)
+    skewed_est = rl.ChannelEstimator(skewed, est.pilots)
+    drawn = []
+    sample = montecarlo.sample_realizations
+    monkeypatch.setattr(montecarlo, "sample_realizations",
+                        lambda *args, **kwargs: drawn.append(args[2]) or sample(*args, **kwargs))
+    monkeypatch.setenv("RIS_LAB_THREADS", "2")
+    plan = rl.TrialPlan(n_blocks=2 * montecarlo.CHUNK_BLOCKS, master_seed=1)
+    with pytest.raises(rl.InvalidParameterError):
+        rl.estimate_secrecy([(skewed_est, hw, xi)], plan)
+    assert drawn == []
+    f_i, f_b = rl.template_factors(stats)
+    assert f_i.grid == (4, 4) and f_b.grid == (1, 16)
+    assert not any(isinstance(getattr(stats, name), MirrorFactor)
+                   for name in dir(stats) if not name.startswith("__"))
 
 
 def test_covariances_hermitian_psd_invariants(small_setup):
@@ -432,7 +447,8 @@ def test_no_phase_errors_skip_the_rotation_bit_identically(small_setup):
     # theta = None (a law that draws no phase errors) skips exp(j theta);
     # the channels equal those rotated by exp(j0)
     stats = small_setup[0]
-    draws = rl.sample_realizations(stats, np.random.default_rng(3), 6, eve=True)
+    draws = rl.sample_realizations(stats, np.random.default_rng(3), 6, eve=True,
+                                   factors=rl.template_factors(stats))
     skipped = rl.aggregate_channels(stats, draws, None)
     rotated = rl.aggregate_channels(stats, draws, np.zeros((6, stats.dims.n)))
     for a, b in zip(skipped, rotated, strict=True):
@@ -465,7 +481,8 @@ def test_slabbed_channels_equal_one_gemm_over_all_blocks(blocks, m_e):
     grid = make_setup(seed=4, m=8, n=16, m_e=m_e)[0]
     small = make_setup(seed=5, m=6, n=9, m_e=m_e)[0]
     rng = np.random.default_rng(blocks)
-    draws = rl.sample_realizations(grid, rng, blocks, eve=True)
+    draws = rl.sample_realizations(grid, rng, blocks, eve=True,
+                                   factors=rl.template_factors(grid))
     before = {name: x.copy() for name, x in draws.items()}
     for theta in (None, grid.phase_model.draw(rng, (blocks, grid.dims.n))):
         for stats, elements in ((grid, None), (small, nested_elements(small.dims, grid.dims))):

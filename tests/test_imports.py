@@ -16,7 +16,8 @@ Another holds the error hierarchy to the CLI: every ``RisLabError``
 subclass is raised somewhere and caught by name. Another keeps the
 package free of module state: no function mutates a module-level
 container, so reuse lives in objects that a caller owns, such as the memo
-a sweep passes to ``experiments.build_setup``. The last one runs an
+a sweep passes to ``experiments.build_setup``. Another keeps
+``functools.cached_property`` out of the package. The last one runs an
 experiment in a fresh interpreter and checks that the package never
 imports scipy, which is a test-only dependency.
 """
@@ -441,6 +442,49 @@ def test_mutated_global_check_on_a_small_source():
     assert mutated_globals("X = 1\ndef f():\n    global X\n    X = 2\n") == [(3, "X")]
     assert mutated_globals("C = {}\nX = 1\ndef f():\n    C[1] = 2\n    global X\n"
                            "    X = 2\n") == [(4, "C"), (5, "X")]
+
+
+# --------------------------------------------------------------------------
+# no lazily cached attributes
+# --------------------------------------------------------------------------
+
+def cached_properties(source: str) -> list:
+    """Lines of ``source`` that import ``functools.cached_property`` or read it as an attribute.
+
+    On Python 3.8 to 3.11 every instance of a class shares one lock for a
+    cached_property, and from 3.12 on it takes none, so a value built
+    lazily under the Monte Carlo chunk pool is either built under a lock
+    held across all instances or built twice. What a caller needs once it
+    builds once and passes on, as the oracle does with the template factors.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found |= {node.lineno for alias in node.names if alias.name == "cached_property"}
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_package_uses_no_cached_property():
+    found = {(p.name, line) for p in sorted(PACKAGE.glob("*.py"))
+             for line in cached_properties(p.read_text(encoding="utf-8"))}
+    assert found == set()
+
+
+def test_cached_property_check_on_a_small_source():
+    source = ("import functools\n"
+              "from functools import cached_property as lazy, partial\n"
+              "class A:\n"
+              "    @functools.cached_property\n"
+              "    def x(self):\n"
+              "        return partial(len)\n"
+              "    @property\n"
+              "    def y(self):\n"
+              "        return lazy\n")
+    assert cached_properties(source) == [2, 4]
+    assert cached_properties("from functools import lru_cache\n"
+                             "from other import cached_property\n") == []
 
 
 # --------------------------------------------------------------------------

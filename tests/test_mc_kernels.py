@@ -9,6 +9,7 @@ results agree to roundoff.
 import numpy as np
 import pytest
 
+from ris_lab.geometry import template_factors
 from ris_lab.montecarlo import (
     _chunk_terms,
     _eve_interference,
@@ -128,8 +129,10 @@ def test_chunk_terms_own_their_memory():
     # a chunk's terms are kept until the reduction, so none may be a view
     # that keeps a larger temporary, such as the (B, K, K) Gram, alive
     _, est, hw, xi = make_setup(seed=12, m=8, n=16, k=2, m_e=2)
-    [point] = _chunk_terms([(est, hw, xi)], _point_terms, est.stats, 16, (5, 0), eve=True)
-    [nmse] = _chunk_terms([(est,)], _nmse_terms, est.stats, 16, (5, 0), eve=False)
+    factors = template_factors(est.stats)
+    [point] = _chunk_terms([(est, hw, xi)], _point_terms, est.stats, factors, 16, (5, 0),
+                           eve=True)
+    [nmse] = _chunk_terms([(est,)], _nmse_terms, est.stats, factors, 16, (5, 0), eve=False)
     for terms in (point, nmse):
         for name, arr in terms.items():
             assert arr.shape == (16, 2) and arr.base is None, name

@@ -168,12 +168,12 @@ def test_chunk_terms_hold_no_chunk_size_link_at_n():
     ests = [est for _, est, _, _ in setups]
     _, _, hw, xi = setups[0]
     grid, dims = ests[0].stats, ests[0].stats.dims
-    grid.factor_r_i, grid.factor_r_b    # the link's template factors, built before the trace
+    factors = montecarlo.template_factors(grid)     # built once per draw run, before the trace
     points = [(est, hw, xi) for est in ests]
     blocks = montecarlo.CHUNK_BLOCKS
     tracemalloc.start()
     try:
-        montecarlo._chunk_terms(points, montecarlo._point_terms, grid, blocks,
+        montecarlo._chunk_terms(points, montecarlo._point_terms, grid, factors, blocks,
                                 (1, CHANNEL_BLOCK, 0), eve=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -207,7 +207,8 @@ def test_oracle_returns_one_table_per_point_stacked_in_chunk_order(small_setup):
     tables = montecarlo._oracle(points, montecarlo._point_terms, plan, CHANNEL_BLOCK, eve=True)
     want = []
     for run, grid in ((points[:3], est.stats), (points[3:], other.stats)):
-        chunks = [montecarlo._chunk_terms(run, montecarlo._point_terms, grid, size,
+        factors = montecarlo.template_factors(grid)
+        chunks = [montecarlo._chunk_terms(run, montecarlo._point_terms, grid, factors, size,
                                           (plan.master_seed, CHANNEL_BLOCK, idx), eve=True)
                   for idx, size in plan.chunks()]
         want += [{name: np.concatenate([chunk[j][name] for chunk in chunks])
@@ -235,9 +236,9 @@ def test_every_draw_run_starts_from_the_same_chunk_streams(small_setup, monkeypa
     sample = montecarlo.sample_realizations
     starts = {}             # draw grid -> state of the chunk stream at its first draw
 
-    def sampled(stats, rng, n_draws, *, eve):
+    def sampled(stats, rng, n_draws, *, eve, factors):
         starts.setdefault(id(stats), rng.bit_generator.state)
-        return sample(stats, rng, n_draws, eve=eve)
+        return sample(stats, rng, n_draws, eve=eve, factors=factors)
 
     monkeypatch.setattr(montecarlo, "sample_realizations", sampled)
     monkeypatch.setenv("RIS_LAB_THREADS", "1")          # chunk 0 draws first
@@ -363,13 +364,14 @@ def test_nested_links_have_the_smaller_arrays_law(monkeypatch, within):
         return [montecarlo._blocks(group[0][0], *chunk)]
 
     monkeypatch.setattr(montecarlo, "aggregate_channels", captured)
-    assert len(montecarlo._chunk_terms([(small_est,), (large_est,)], blocks, large, 4,
-                                       (1, CHANNEL_BLOCK, 0), eve=True)) == 2
+    assert len(montecarlo._chunk_terms([(small_est,), (large_est,)], blocks, large,
+                                       rl.template_factors(large), 4, (1, CHANNEL_BLOCK, 0),
+                                       eve=True)) == 2
     assert np.array_equal(seen[0], ris) and seen[1] is None
 
     b = 20_000
     rng = np.random.default_rng(8)
-    draws = rl.sample_realizations(large, rng, b, eve=True)
+    draws = rl.sample_realizations(large, rng, b, eve=True, factors=rl.template_factors(large))
     theta = small.phase_model.draw(rng, (b, large.dims.n))
     h, h_e = aggregate(small, draws, theta, elements=ris)
     links = {"h_i": draws["h_i"][:, :, ris], "h_b": draws["h_b"][:, :, :m],
@@ -727,8 +729,8 @@ def test_nmse_oracle_draws_and_builds_only_the_users_links(small_setup, monkeypa
     sample, aggregate = montecarlo.sample_realizations, montecarlo.aggregate_channels
     drawn, built = [], []
 
-    def sampled(stats, rng, n_draws, *, eve):
-        draws = sample(stats, rng, n_draws, eve=eve)
+    def sampled(stats, rng, n_draws, *, eve, factors):
+        draws = sample(stats, rng, n_draws, eve=eve, factors=factors)
         drawn.append(sorted(draws))
         return draws
 
