@@ -6,8 +6,9 @@ covariances seen at the BS) and draws random channel realizations that
 are consistent with those statistics. ``ChannelStatistics`` stores R_B,
 the bridge and the two (M, M) cascade congruences through the bridge;
 each aggregate covariance is derived from those, the phase-error law and
-its link's two gains when read. The (N, N) R_I is a transient, built to
-form the congruences and the draw's factor. The draw comes in two steps:
+its link's two gains when read. The (N, N) R_I is a set-up transient,
+built whole only to form the congruences; the draw's factor reads it one
+grid row of elements at a time. The draw comes in two steps:
 the correlated Gaussian links (``sample_realizations``), which do not
 depend on the RIS phase-error law, and the aggregate channels for given
 phase errors (``aggregate_channels``). The Monte Carlo oracle takes both
@@ -17,8 +18,9 @@ its blocks, with the block axis folded into the GEMM rows wherever the
 array layout makes the fold free. The R_B and R_I templates are real and
 mirror-symmetric, so each splits into at most four sectors of about a
 quarter of its size (``MirrorFactor``), an input of the draw that
-``template_factors`` builds: the sampler draws the real and the imaginary
-part of each link's white coefficients in sector order, colors each sector
+``template_factors`` builds by folding each template row by row into its
+sector blocks: the sampler draws the real and the imaginary part of each
+link's white coefficients in sector order, colors each sector
 of both with one real GEMM (dgemm) against the sector's root and writes
 the inverse butterfly into the link; only the bridge products are complex.
 The RIS phases Phi fold into the phase-error rotation, so the bridge
@@ -261,26 +263,30 @@ def ris_element_positions(dims: SystemDimensions, spec: CorrelationSpec) -> np.n
     return pos
 
 
-def build_ris_correlation(dims: SystemDimensions, spec: CorrelationSpec) -> np.ndarray:
+def build_ris_correlation(dims: SystemDimensions, spec: CorrelationSpec,
+                          rows: slice = slice(None)) -> np.ndarray:
     """Isotropic-scattering RIS correlation, sinc(2 ||c_x - c_y|| / wavelength).
 
     It depends on the RIS grid and spacings alone (n, n_h, spec), so
     statistics keep those inputs in its place, with the products they read
-    (``build_channel_statistics``). The array is returned read-only: its
-    readers only form products of it.
+    (``build_channel_statistics``). ``rows`` selects the elements x of the
+    rows returned, all N of them by default; the sampler's factor reads R_I
+    one grid row of elements at a time (``template_factors``). The array is
+    returned read-only: its readers only form products of it.
 
-    Works in place on (N, N) float arrays, at most about 2 N^2 doubles at
+    Works in place on (rows, N) float arrays, at most about two of them at
     once. The panel's x coordinate is 0, so the squared distance is the
     horizontal plus the vertical term exactly, and the sinc repeats
     ``np.sinc``'s steps in place: the values equal
-    ``np.sinc(2 sqrt(sum((c_x - c_y)^2)) / wavelength)`` bit for bit.
+    ``np.sinc(2 sqrt(sum((c_x - c_y)^2)) / wavelength)`` bit for bit, for
+    any ``rows``.
     """
     if spec.spacing_h <= 0 or spec.spacing_v <= 0:
         raise InvalidParameterError("RIS spacings must be positive")
     pos = ris_element_positions(dims, spec)
-    r = np.subtract.outer(pos[:, 1], pos[:, 1])
+    r = np.subtract.outer(pos[rows, 1], pos[:, 1])
     np.multiply(r, r, out=r)
-    dv = np.subtract.outer(pos[:, 2], pos[:, 2])
+    dv = np.subtract.outer(pos[rows, 2], pos[:, 2])
     np.multiply(dv, dv, out=dv)
     r += dv
     del dv
@@ -327,23 +333,6 @@ def build_los_channel(dims: SystemDimensions, spec: CorrelationSpec,
 # mirror-sector factors of the templates
 # --------------------------------------------------------------------------
 
-def _fold(r4: np.ndarray, size: tuple, signs: tuple) -> np.ndarray:
-    """One sector's block of R, (a_v a_h, a_v a_h), before the centre weights.
-
-    ``r4`` is R as (rows, columns, rows, columns). The block's rows are R's
-    at the first ``size`` = (a_v, a_h) grid rows and columns; each of its
-    columns adds (sign +1) or subtracts (sign -1) R's column at the
-    mirrored row, then at the mirrored column, so a centre row or column,
-    its own mirror, counts twice. Temporaries are at most (a_v, a_h, a_v,
-    columns).
-    """
-    a_v, a_h = size
-    x = r4[:a_v, :a_h]
-    x = x[:, :, :a_v] + signs[0] * x[:, :, ::-1][:, :, :a_v]
-    x = x[..., :a_h] + signs[1] * x[..., ::-1][..., :a_h]
-    return x.reshape(a_v * a_h, a_v * a_h)
-
-
 def _unfold(sym: np.ndarray, anti: np.ndarray, axis: int) -> np.ndarray:
     """Inverse butterfly along ``axis``: the n = len(sym) + len(anti) entries there.
 
@@ -383,9 +372,9 @@ class MirrorFactor:
 
     ``roots`` holds each S_j with Q's weights, sqrt(1/2) per paired axis,
     folded into its columns, so ``color`` applies Q as a bare butterfly of
-    sums and differences. No dense Q and no (N, N) array beyond R exist:
-    each sector block is folded from R by index arithmetic (``_fold``),
-    and its root is one ``herm_sqrt``.
+    sums and differences. No dense Q and no (N, N) array exist: R is read
+    one grid row at a time and folded into the sector blocks by index
+    arithmetic, and each block's root is one ``herm_sqrt``.
     """
 
     grid: tuple                  # (rows, columns) of the grid R lives on
@@ -399,32 +388,56 @@ class MirrorFactor:
                 for a_h in (n_h - n_h // 2, n_h // 2)]
 
     @classmethod
-    def of(cls, r: np.ndarray, grid: tuple) -> MirrorFactor:
-        """The factor of template ``r`` on ``grid``; raises if ``r`` is not mirror-symmetric.
+    def of(cls, rows, grid: tuple) -> MirrorFactor:
+        """The factor of template R on ``grid``; raises if R is not mirror-symmetric.
 
-        The check allows a mirror asymmetry up to ``SQRT_CLIP_TOL`` times
-        R's largest diagonal entry, below what the root resolves, and reads
-        R one grid row at a time. Each sector root clamps against its own
-        block's largest eigenvalue, at most R's, so it clamps no more than
-        a root of the whole R would.
+        ``rows(i)`` returns R's (n_h, N) rows at the elements of grid row i,
+        for a grid of (n_v, n_h). Each grid row is read once: row i and its
+        mirror row n_v - 1 - i together, for i up to the centre, so at most
+        two are alive at once. Both are checked against their column
+        reversal and against each other, allowing a mirror asymmetry up to
+        ``SQRT_CLIP_TOL`` times R's largest diagonal entry, below what the
+        root resolves. Row i alone is folded into the sector blocks: each
+        block row adds (sign +1) or subtracts (sign -1) R's column at the
+        mirrored grid row, then at the mirrored grid column, so a centre row
+        or column, its own mirror, counts twice. Each sector root clamps
+        against its own block's largest eigenvalue, at most R's, so it
+        clamps no more than a root of the whole R would.
         """
-        r4 = r.reshape(*grid, *grid)
-        tol = SQRT_CLIP_TOL * np.max(np.abs(np.diagonal(r)))
-        for i in range(grid[0]):
-            for mirror in (r4[grid[0] - 1 - i, :, ::-1], r4[i, ::-1, :, ::-1]):
-                if np.max(np.abs(r4[i] - mirror), initial=0.0) > tol:
-                    raise InvalidParameterError(
-                        f"a template on a {grid[0]} x {grid[1]} grid does not commute "
-                        "with the reversal of its rows and of its columns")
+        n_v, n_h = grid
+        sectors = list(zip(cls.sectors(grid), [(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+        blocks = [np.empty((a_v * a_h, a_v * a_h)) for (a_v, a_h), _ in sectors]
+        asym = diag = 0.0
+        for i in range(n_v - n_v // 2):
+            # axes (column, grid row, grid column) of R's rows at grid row i
+            pair = [rows(i).reshape(n_h, n_v, n_h)]
+            if n_v - 1 - i != i:
+                pair.append(rows(n_v - 1 - i).reshape(n_h, n_v, n_h))
+            x = pair[0]
+            asym = max(asym, np.max(np.abs(x - pair[-1][:, ::-1]), initial=0.0),
+                       *(np.max(np.abs(y - y[::-1, :, ::-1]), initial=0.0) for y in pair))
+            diag = max(diag, *(np.max(np.abs(np.diagonal(y[:, row])))
+                               for y, row in zip(pair, (i, n_v - 1 - i))))
+            for ((a_v, a_h), signs), block in zip(sectors, blocks):
+                if i < a_v and block.size:
+                    y = x[:a_h]
+                    y = y[:, :a_v] + signs[0] * y[:, ::-1][:, :a_v]
+                    y = y[..., :a_h] + signs[1] * y[..., ::-1][..., :a_h]
+                    block[i * a_h:(i + 1) * a_h] = y.reshape(a_h, a_v * a_h)
+        if asym > SQRT_CLIP_TOL * diag:
+            raise InvalidParameterError(
+                f"a template on a {n_v} x {n_h} grid does not commute "
+                "with the reversal of its rows and of its columns")
         roots = []
-        for size, signs in zip(cls.sectors(grid), [(1, 1), (1, -1), (-1, 1), (-1, -1)]):
-            if 0 in size:
-                roots.append(np.empty((0, 0)))
+        for (size, _), block in zip(sectors, blocks):
+            if not block.size:
+                roots.append(block)
                 continue
             # sqrt(1/2) per centre coordinate, which the fold counted twice
             s = np.kron(*(np.where(np.arange(a) == n - a, np.sqrt(0.5), 1.0)
                           for a, n in zip(size, grid)))
-            block = _fold(r4, size, signs) * s[:, None] * s[None, :]
+            block *= s[:, None]
+            block *= s[None, :]
             # Q's weights are 1/(2 s): sqrt(1/2) per paired axis
             roots.append(herm_sqrt(block) * (0.5 / s)[None, :])
         return cls(grid=tuple(grid), roots=tuple(roots))
@@ -459,8 +472,9 @@ class ChannelStatistics:
     (B R_I B^H, B B^H), B = H1 Phi, are formed, from which ``blend`` is
     formed for the point's own phase-error law. R_I is a function of the
     RIS grid (``dims``) and of ``ris_spec``, so those inputs stand for it
-    wherever templates are compared (``montecarlo._nests``) or R_I is
-    rebuilt (``template_factors``). The statistics store no per-user array:
+    wherever templates are compared (``montecarlo._nests``), and the
+    sampler's factor reads R_I from them one grid row of elements at a time
+    (``template_factors``). The statistics store no per-user array:
     ``r_k`` and ``q_e`` are derived from ``r_b``, ``blend`` and the fading
     gains on each read, so a reader binds them once. The covariances see
     the phase-error law only through its circular mean
@@ -544,14 +558,18 @@ def build_channel_statistics(dims: SystemDimensions, fading: LargeScaleFading,
 def template_factors(stats: ChannelStatistics) -> tuple:
     """Sector factors (R_I's, R_B's) that ``sample_realizations`` colors with; None = identity.
 
-    R_I is rebuilt from ``ris_spec`` on the RIS grid, and R_B is a one-row
-    grid of M antennas, factored first, so a skewed R_B is refused before
-    R_I is built.
+    R_B is a one-row grid of M antennas, factored first, so a skewed R_B
+    is refused before R_I is read. R_I is rebuilt from ``ris_spec`` one
+    grid row of elements at a time, as the factor reads it, so no (N, N)
+    R_I is formed here.
     """
     dims = stats.dims
-    f_b = None if stats.r_b is None else MirrorFactor.of(stats.r_b, (1, dims.m))
+    m, n_h = dims.m, dims.n_h
+    f_b = None if stats.r_b is None else MirrorFactor.of(
+        lambda i: stats.r_b[i * m:(i + 1) * m], (1, m))
     f_i = None if stats.ris_spec is None else MirrorFactor.of(
-        build_ris_correlation(dims, stats.ris_spec), (dims.n // dims.n_h, dims.n_h))
+        lambda i: build_ris_correlation(dims, stats.ris_spec, slice(i * n_h, (i + 1) * n_h)),
+        (dims.n // n_h, n_h))
     return f_i, f_b
 
 

@@ -48,10 +48,13 @@ the users' links. A correlated link's Gaussians are its coefficients in the
 mirror sectors of R_I or R_B (``geometry.MirrorFactor``), which the sampler
 colors and unfolds into the link. The RIS phase errors come from their
 own substream, ``derive_rng(master_seed, purpose, chunk, PHASE_ERRORS)``,
-one (B, N) draw per law at the largest grid, and are applied by
-``geometry.aggregate_channels``. Each slab's draw builds every point's rows
-of that slab into its chunk-size channels at M antennas before the next slab
-is drawn, so a chunk holds one slab's links at the RIS size N, never the
+restarted for each law: a law draws its errors at the largest grid from
+that stream slab by slab, beside the slab's links, and numpy's von Mises
+and uniform samplers take the stream one element at a time, so the slabs
+hold the numbers of one (B, N) draw. ``geometry.aggregate_channels`` applies
+them. Each slab's draw builds every point's rows of that slab into its
+chunk-size channels at M antennas before the next slab is drawn, so a chunk
+holds one slab's links and phase errors at the RIS size N, never the
 chunk's. A law without phase errors draws nothing there, and its channels
 skip exp(j theta).
 
@@ -318,27 +321,30 @@ def _chunk_terms(points, terms, grid, factors, size: int, key: tuple, eve: bool)
     per run of consecutive points on one statistics object: within one
     sweep, ``experiments.build_setup`` hands consecutive points of one link
     one statistics object, and equal statistics held as two objects build
-    bit-identical channels, only twice. Each phase-error law draws its
-    errors once, from the restarted substream.
+    bit-identical channels, only twice. Each phase-error law keeps one
+    restarted substream and draws its errors from it slab by slab; its
+    samplers consume the stream one element at a time, so these are the
+    numbers of one (B, N) draw.
 
-    The links are drawn one slab of blocks at a time (``slabs``), and every
-    build writes its rows of that slab into its chunk-size channels at M
-    antennas before the next slab is drawn, so no chunk-size array at the
-    RIS size N exists. An estimate lives only while its group's callback
-    runs, and a build's channels until its last group's callback returns.
+    The links and the phase errors are drawn one slab of blocks at a time
+    (``slabs``), and every build writes its rows of that slab into its
+    chunk-size channels at M antennas before the next slab is drawn, so no
+    chunk-size array at the RIS size N exists. An estimate lives only while
+    its group's callback runs, and a build's channels until its last
+    group's callback returns.
     """
     rng = derive_rng(*key)
     dims = grid.dims
     groups = [list(group) for _, group in groupby(points, key=lambda point: id(point[0]))]
-    thetas = {}             # phase-error law -> its (B, N) errors at the grid
+    streams = {}            # phase-error law -> its restarted substream
     builds = deque()        # (stats, elements, channels) per run of one statistics object
     for est, *_ in points:
         stats = est.stats
         if builds and stats is builds[-1][0]:
             continue
         law = stats.phase_model
-        if not law.is_ideal and law not in thetas:
-            thetas[law] = law.draw(derive_rng(*key, PHASE_ERRORS), (size, dims.n))
+        if not law.is_ideal and law not in streams:
+            streams[law] = derive_rng(*key, PHASE_ERRORS)
         own = stats.dims
         elements = None if own.n == dims.n else nested_elements(own, dims)
         shapes = [(own.k, own.m), (own.m_e, own.m)][:2 if eve else 1]
@@ -346,12 +352,12 @@ def _chunk_terms(points, terms, grid, factors, size: int, key: tuple, eve: bool)
                        [np.empty((size, *shape), dtype=complex) for shape in shapes]))
     for s in slabs(size):
         draws = sample_realizations(grid, rng, s.stop - s.start, eve=eve, factors=factors)
+        thetas = {law: law.draw(stream, (s.stop - s.start, dims.n))
+                  for law, stream in streams.items()}
         for stats, elements, out in builds:
-            theta = thetas.get(stats.phase_model)
-            aggregate_channels(stats, draws, None if theta is None else theta[s],
+            aggregate_channels(stats, draws, thetas.get(stats.phase_model),
                                elements=elements, out=[o[s] for o in out])
-        del draws           # before the next slab is drawn
-    del thetas, theta
+        del draws, thetas   # before the next slab is drawn
     g_t, g_w = pilot_gaussians(rng, (size, dims.k, dims.m))
     results = []
     for group in groups:

@@ -465,7 +465,10 @@ def test_no_ris_size_template_outlives_the_set_up(monkeypatch):
     # R_I is a set-up transient: no statistics object that build_setup
     # makes stores an array of N^2 or more entries, and when the oracle
     # starts no (N, N) template is alive at all: the memory allocated since
-    # the sweep began and still held stays below one template's bytes
+    # the sweep began and still held stays below one template's bytes. The
+    # oracle forms none either: its factor reads R_I one grid row at a
+    # time, so its traced peak above what it starts with stays below one
+    # template's bytes too
     n = 784
     config = ExperimentConfig.from_dict({**TINY, "m_e": 1, "sweep": [100, n],
                                          "phase_noise_levels": [0.0, 0.1]})
@@ -473,8 +476,12 @@ def test_no_ris_size_template_outlives_the_set_up(monkeypatch):
     oracle = ris_lab.montecarlo._oracle
 
     def traced(points, *args, **kwargs):
-        seen.append((tracemalloc.get_traced_memory()[0], [point[0].stats for point in points]))
-        return oracle(points, *args, **kwargs)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tables = oracle(points, *args, **kwargs)
+        seen.append((held, tracemalloc.get_traced_memory()[1] - held,
+                     [point[0].stats for point in points]))
+        return tables
 
     monkeypatch.setattr(ris_lab.montecarlo, "_oracle", traced)
     tracemalloc.start()
@@ -482,11 +489,12 @@ def test_no_ris_size_template_outlives_the_set_up(monkeypatch):
         run_experiment("phase_noise_sweep", config)
     finally:
         tracemalloc.stop()
-    [(held, statistics)] = seen
+    [(held, peak, statistics)] = seen
     assert [stats.dims.n for stats in statistics] == [100, 100, n, n]
     for stats in statistics:
         assert max(a.size for a in stored_arrays(stats)) < stats.dims.n ** 2
     assert held < n * n * np.dtype(float).itemsize
+    assert peak < n * n * np.dtype(float).itemsize
 
 
 def count_builds(monkeypatch, names: dict) -> collections.Counter:
@@ -524,7 +532,7 @@ def test_sweep_builds_each_link_once(monkeypatch, experiment, changes, statistic
     factored = collections.Counter()
     of = MirrorFactor.of
     monkeypatch.setattr(MirrorFactor, "of",
-                        staticmethod(lambda r, grid: factored.update([grid]) or of(r, grid)))
+                        staticmethod(lambda rows, grid: factored.update([grid]) or of(rows, grid)))
     config = ExperimentConfig.from_dict({**TINY, "m_e": 1, "sweep": [], **changes})
     run_experiment(experiment, config)
     # H1, R_I and the cascade congruences formed from it depend on neither

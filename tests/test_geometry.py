@@ -313,9 +313,44 @@ def factor_transpose(factor):
     return factor.color(np.eye(factor.grid[0] * factor.grid[1]))
 
 
+def grid_rows(r, grid):
+    """``MirrorFactor.of``'s row reader of a dense template ``r``: grid row i's (n_h, N) rows."""
+    return lambda i: r[i * grid[1]:(i + 1) * grid[1]]
+
+
 def ris_template(rows, cols):
     dims = rl.SystemDimensions(m=2, n=rows * cols, k=1, m_e=1, n_h=cols)
     return rl.build_ris_correlation(dims, rl.CorrelationSpec())
+
+
+def dense_fold(r4, size, signs):
+    """One sector's block of R, (a_v a_h, a_v a_h), folded from the whole R4 at once.
+
+    ``r4`` is R as (rows, columns, rows, columns). The block's rows are R's
+    at the first ``size`` = (a_v, a_h) grid rows and columns; each of its
+    columns adds (sign +1) or subtracts (sign -1) R's column at the
+    mirrored row, then at the mirrored column.
+    """
+    a_v, a_h = size
+    x = r4[:a_v, :a_h]
+    x = x[:, :, :a_v] + signs[0] * x[:, :, ::-1][:, :, :a_v]
+    x = x[..., :a_h] + signs[1] * x[..., ::-1][..., :a_h]
+    return x.reshape(a_v * a_h, a_v * a_h)
+
+
+def dense_roots(r, grid):
+    """Reference sector roots of a dense, mirror-symmetric template ``r`` on ``grid``."""
+    r4 = r.reshape(*grid, *grid)
+    roots = []
+    for size, signs in zip(MirrorFactor.sectors(grid), [(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+        if 0 in size:
+            roots.append(np.empty((0, 0)))
+            continue
+        s = np.kron(*(np.where(np.arange(a) == n - a, np.sqrt(0.5), 1.0)
+                      for a, n in zip(size, grid)))
+        block = dense_fold(r4, size, signs) * s[:, None] * s[None, :]
+        roots.append(herm_sqrt(block) * (0.5 / s)[None, :])
+    return roots
 
 
 # a square, a wide and an odd grid, a single row, and 20 x 20, where the
@@ -327,23 +362,43 @@ def ris_template(rows, cols):
     (ris_template(20, 20), (20, 20)),
     (rl.build_bs_correlation(8, 0.6), (1, 8)), (rl.build_bs_correlation(7, 0.6), (1, 7))])
 def test_sector_factor_reproduces_the_template(template, grid):
-    f_t = factor_transpose(MirrorFactor.of(template, grid))
+    f_t = factor_transpose(MirrorFactor.of(grid_rows(template, grid), grid))
     root = herm_sqrt(template)
     assert np.linalg.norm(f_t.T @ f_t - template) <= np.linalg.norm(root @ root - template)
 
 
+@pytest.mark.parametrize("grid, m", [((3, 5), 7), ((1, 7), 8), ((14, 14), 7), ((20, 20), 8)])
+def test_row_read_factors_equal_the_dense_fold(grid, m):
+    # template_factors reads R_I one grid row of elements at a time and R_B
+    # as a one-row grid: the rows equal the dense R_I's, and the roots of
+    # both factors the dense fold's, bit for bit. It reads only the grid,
+    # R_B and ris_spec of the statistics
+    dims = rl.SystemDimensions(m=m, n=grid[0] * grid[1], k=2, m_e=1, n_h=grid[1])
+    spec = rl.CorrelationSpec()
+    stats = dataclasses.replace(make_setup(seed=4, m=m, k=2, m_e=1)[0], dims=dims,
+                                ris_spec=spec)
+    r = rl.build_ris_correlation(dims, spec)
+    assert np.array_equal(np.concatenate([rl.build_ris_correlation(
+        dims, spec, slice(i * grid[1], (i + 1) * grid[1])) for i in range(grid[0])]), r)
+    f_i, f_b = rl.template_factors(stats)
+    assert (f_i.grid, f_b.grid) == (grid, (1, m))
+    for factor, template in ((f_i, r), (f_b, stats.r_b)):
+        for root, reference in zip(factor.roots, dense_roots(template, factor.grid), strict=True):
+            assert root.shape == reference.shape and np.array_equal(root, reference)
+
+
 def test_sector_factor_takes_one_root_per_nonempty_sector():
-    assert [a.shape for a in MirrorFactor.of(ris_template(3, 5), (3, 5)).roots] == [
-        (6, 6), (4, 4), (3, 3), (2, 2)]
-    assert [a.shape for a in MirrorFactor.of(ris_template(1, 7), (1, 7)).roots] == [
-        (4, 4), (3, 3), (0, 0), (0, 0)]
+    assert [a.shape for a in MirrorFactor.of(grid_rows(ris_template(3, 5), (3, 5)),
+                                             (3, 5)).roots] == [(6, 6), (4, 4), (3, 3), (2, 2)]
+    assert [a.shape for a in MirrorFactor.of(grid_rows(ris_template(1, 7), (1, 7)),
+                                             (1, 7)).roots] == [(4, 4), (3, 3), (0, 0), (0, 0)]
 
 
 def test_sector_factor_makes_no_template_size_temporary():
     r = ris_template(20, 20)
     tracemalloc.start()
     try:
-        MirrorFactor.of(r, (20, 20))
+        MirrorFactor.of(grid_rows(r, (20, 20)), (20, 20))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

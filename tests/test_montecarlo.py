@@ -26,7 +26,7 @@ from ris_lab.montecarlo import (
     _run_chunks,
     worker_count,
 )
-from ris_lab.streams import CHANNEL_BLOCK, NMSE_BLOCK
+from ris_lab.streams import CHANNEL_BLOCK, NMSE_BLOCK, PHASE_ERRORS
 
 from conftest import (
     draw_channels,
@@ -179,6 +179,24 @@ def test_chunk_terms_hold_no_chunk_size_link_at_n():
     finally:
         tracemalloc.stop()
     assert peak < blocks * (dims.k + dims.m_e) * dims.n * 16
+
+
+# von Mises at the concentrations of each of numpy's branches (uniform below
+# 1e-8, rejection up to 1e6, wrapped normal above) and on both sides of the
+# Hankel switch of the circular mean (nu >= 30), and a uniform law
+@pytest.mark.parametrize("law", [
+    *(rl.PhaseNoiseModel("von_mises", sigma_p2) for sigma_p2 in (1e9, 4.0, 0.1, 0.01, 1e-7)),
+    rl.PhaseNoiseModel("uniform", 0.5)], ids=str)
+@pytest.mark.parametrize("b", [50, 24, 7])
+def test_phase_errors_drawn_slab_by_slab_equal_one_draw(law, b):
+    # _chunk_terms draws a law's errors slab by slab from its restarted
+    # substream; the samplers take the stream one element at a time, so the
+    # slabs hold the numbers of one (b, N) draw
+    n, key = 37, (5, CHANNEL_BLOCK, 2, PHASE_ERRORS)
+    whole = law.draw(montecarlo.derive_rng(*key), (b, n))
+    stream = montecarlo.derive_rng(*key)
+    slabbed = [law.draw(stream, (s.stop - s.start, n)) for s in slabs(b)]
+    assert np.array_equal(np.concatenate(slabbed), whole)
 
 
 def other_ris_spacing(stats):
